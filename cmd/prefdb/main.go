@@ -54,7 +54,7 @@ func main() {
 		mode     = flag.String("mode", "gbu", "evaluation strategy: native, bu, gbu, ftp, plugin-naive, plugin-merged")
 		cache    = flag.String("cache", "auto", "preference score cache: auto (follow optimizer hints), off, on")
 		batch    = flag.String("batch", "on", "vectorized batch execution: on, off")
-		colstore = flag.String("colstore", "off", "columnar segment scans with zone-map pruning: on (direct column kernels), rows, off")
+		colstore = flag.String("colstore", "off", "columnar segment scans with zone-map pruning and direct column kernels: on, off")
 		workers  = flag.Int("workers", 0, "parallel executor workers (0 = GOMAXPROCS, 1 = sequential)")
 		timeout  = flag.Duration("timeout", 0, "per-statement wall-clock deadline (0 = none)")
 		rowLimit = flag.Int("max-rows", 0, "per-statement materialized-row budget (0 = unlimited)")

@@ -44,8 +44,6 @@ func Experiments() []Experiment {
 		{ID: "vectorization", Title: "Vectorized batch execution: style × block size × selectivity", Paper: "§V (execution; E13)", Run: runVectorization},
 		{ID: "zonemap", Title: "Columnar zone-map pruning: store × selectivity × |R|", Paper: "§VII (data size; E14)", Run: runZoneMap},
 		{ID: "serverload", Title: "Multi-session server throughput and tail latency vs session count", Paper: "§VII (serving; E15)", Run: runServerLoad},
-		{ID: "directcol", Title: "Direct-on-column kernels: path × selectivity × |R| × predicate", Paper: "§V/§VII (late materialization; E16)", Run: runDirectCol},
-		{ID: "directjoin", Title: "Direct-column hash join: path × join selectivity × |R| × key family", Paper: "§V/§VII (join execution; E17)", Run: runDirectJoin},
 	}
 }
 

@@ -39,14 +39,6 @@ type Point struct {
 	Colstore        string `json:"colstore,omitempty"`
 	SegmentsScanned int    `json:"segmentsScanned,omitempty"`
 	SegmentsSkipped int    `json:"segmentsSkipped,omitempty"`
-	// Direct-column fields (E16): predicate family under sweep and the
-	// late-materialization counters ("" / 0 off the direct path).
-	Predicate        string `json:"predicate,omitempty"`
-	ColBatches       int    `json:"colBatches,omitempty"`
-	RowsMaterialized int    `json:"rowsMaterialized,omitempty"`
-	// Direct-join field (E17): probe-side batches the hash join consumed
-	// (0 off the batch join path).
-	JoinProbeBatches int `json:"joinProbeBatches,omitempty"`
 	// Server-load fields (E15): concurrent client sessions and the
 	// throughput / tail-latency profile of the wire-protocol server.
 	Sessions  int     `json:"sessions,omitempty"`

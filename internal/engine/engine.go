@@ -92,10 +92,9 @@ type DB struct {
 	// Colstore is the default storage side for batch scans of queries that
 	// pass no WithColstore option: ColstoreOff (the zero value) reads the
 	// row heap, ColstoreOn reads the columnar segment store with zone-map
-	// pruning and direct column kernels, ColstoreRows reads it with
-	// pruning but packs row views up front (the pre-direct baseline).
-	// Results, order and stats (modulo the diagnostic segment/columnar
-	// counters) are identical in every mode.
+	// pruning and direct column kernels. Results, order and stats (modulo
+	// the diagnostic segment/columnar counters) are identical in both
+	// modes.
 	Colstore ColstoreMode
 
 	// dicts holds the cross-query (level-2) score dictionaries used by
@@ -129,9 +128,8 @@ type ColstoreMode = exec.ColstoreMode
 
 // Colstore modes (see exec.ColstoreMode).
 const (
-	ColstoreOff  = exec.ColstoreOff
-	ColstoreOn   = exec.ColstoreOn
-	ColstoreRows = exec.ColstoreRows
+	ColstoreOff = exec.ColstoreOff
+	ColstoreOn  = exec.ColstoreOn
 )
 
 // Open creates an empty database. Options override the defaults (GBU

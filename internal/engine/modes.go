@@ -87,7 +87,6 @@ var (
 	colstoreReg = &modeRegistry[ColstoreMode]{option: "colstore mode", entries: []modeEntry[ColstoreMode]{
 		{names: []string{"off"}, value: ColstoreOff},
 		{names: []string{"on"}, value: ColstoreOn},
-		{names: []string{"rows"}, value: ColstoreRows},
 	}}
 )
 
@@ -112,7 +111,7 @@ func ParseBatchMode(name string) (BatchMode, error) { return batchReg.parse(name
 // BatchModes lists every batch mode in presentation order.
 func BatchModes() []BatchMode { return batchReg.values() }
 
-// ParseColstoreMode resolves a colstore mode by name ("on", "rows", "off").
+// ParseColstoreMode resolves a colstore mode by name ("on", "off").
 func ParseColstoreMode(name string) (ColstoreMode, error) { return colstoreReg.parse(name) }
 
 // ColstoreModes lists every colstore mode in presentation order.

@@ -423,7 +423,7 @@ func TestModeRegistryListings(t *testing.T) {
 	if len(Modes()) != 6 {
 		t.Fatalf("Modes() = %v", Modes())
 	}
-	if len(CacheModes()) != 3 || len(BatchModes()) != 2 || len(ColstoreModes()) != 3 {
+	if len(CacheModes()) != 3 || len(BatchModes()) != 2 || len(ColstoreModes()) != 2 {
 		t.Fatalf("listings: cache %v batch %v colstore %v", CacheModes(), BatchModes(), ColstoreModes())
 	}
 	for _, m := range Modes() {
@@ -450,5 +450,10 @@ func TestModeRegistryListings(t *testing.T) {
 		if got := err.Error(); len(got) < len(want) || got[:len(want)] != want {
 			t.Fatalf("%s error %q does not begin with %q", name, got, want)
 		}
+	}
+	// The retired row-packing baseline is an unknown name like any other.
+	want := `engine: unknown colstore mode "rows"`
+	if _, err := ParseColstoreMode("rows"); err == nil || len(err.Error()) < len(want) || err.Error()[:len(want)] != want {
+		t.Fatalf(`ParseColstoreMode("rows") error = %v, want prefix %q`, err, want)
 	}
 }

@@ -16,9 +16,9 @@
 //     compile through the row-path build; their output is re-adapted into
 //     batches (asBatchIter), and blocking operators re-enter the batch
 //     path for their children through drainChild → drain.
-//   - A batch consumer that needs rows (the hash-join build side, the
-//     morsel fan-out) adapts with batchToRow; a row source that must feed
-//     a batch operator adapts with rowBatchSrc.
+//   - A batch consumer that needs rows (the nested-loop join) adapts with
+//     batchToRow; a row source that must feed a batch operator adapts
+//     with rowBatchSrc.
 //   - Results, row order and Stats are byte-identical to the row path in
 //     every mode combination; only the diagnostic Batches counter differs.
 //     The equivalence suite (batch_test.go) enforces this across
@@ -288,9 +288,8 @@ func (f *filterBatch) nextBatch() (*prel.Batch, bool) {
 
 // segScratch is the per-caller scratch of the vectorized prefer kernel: a
 // private selection vector for each preference's conditional part and a
-// score column for its batch-evaluated scoring part. Each sequential
-// kernel and each morsel worker owns one, so the shared compiled segOps
-// stay read-only under parallel execution.
+// score column for its batch-evaluated scoring part. Each segBatchIter
+// owns one, so the compiled segOps stay read-only.
 type segScratch struct {
 	sel    []int32
 	scores []types.Value
@@ -311,9 +310,7 @@ type segScratch struct {
 // batch-wise (expr.EvalBatch), hoisting per-row scratch out of the row
 // loop. Per-row semantics — evaluation order, score clamping, cache
 // accounting — are exactly those of filterIter/preferIter, so the batch
-// and row paths produce identical rows and Stats. Shared by the
-// sequential fused segment (segBatchIter) and the morsel-parallel workers
-// (trySegment), which treat each claimed morsel as one batch.
+// and row paths produce identical rows and Stats.
 func applySegOps(b *prel.Batch, ops []segOp, memos []*scoreMemo, agg pref.Aggregate, stats *Stats, scr *segScratch) {
 	columnar := b.Columnar()
 	if columnar && scr.colScr == nil {
@@ -392,8 +389,92 @@ func applySegOps(b *prel.Batch, ops []segOp, memos []*scoreMemo, agg pref.Aggreg
 	}
 }
 
-// segBatchIter is the fused filter→prefer kernel of the sequential batch
-// path: one virtual call per batch runs the whole compiled chain.
+// segOp is one per-row stage of a compiled σ/λ chain: either a filter (σ)
+// or a prefer (λ) with its compiled conditional and scoring parts.
+type segOp struct {
+	filter *expr.Compiled // non-nil for σ
+
+	cond  *expr.Compiled // prefer conditional part
+	score *expr.Compiled // prefer scoring part
+	conf  float64
+	// cache marks a prefer whose ⟨S,C⟩ contributions are memoized in a
+	// scoreMemo built from p (the preference identifies the shared
+	// level-2 dictionary).
+	cache bool
+	p     pref.Preference
+}
+
+// collectChain walks the maximal σ/λ chain rooted at n, returning the
+// chain nodes (outermost first) and the leaf below them.
+func collectChain(n algebra.Node) ([]algebra.Node, algebra.Node) {
+	var chain []algebra.Node
+	cur := n
+	for {
+		switch x := cur.(type) {
+		case *algebra.Select:
+			chain = append(chain, x)
+			cur = x.Input
+		case *algebra.Prefer:
+			chain = append(chain, x)
+			cur = x.Input
+		default:
+			return chain, cur
+		}
+	}
+}
+
+// compileSegOps compiles a collected σ/λ chain against s into per-row
+// segment ops, innermost-first (matching the row path's build order,
+// including its error wrapping).
+func (e *Executor) compileSegOps(chain []algebra.Node, s *schema.Schema) ([]segOp, error) {
+	ops := make([]segOp, 0, len(chain))
+	for i := len(chain) - 1; i >= 0; i-- {
+		switch x := chain[i].(type) {
+		case *algebra.Select:
+			cond, cErr := expr.CompileCondition(x.Cond, s, e.Funcs)
+			if cErr != nil {
+				return nil, cErr
+			}
+			ops = append(ops, segOp{filter: cond})
+		case *algebra.Prefer:
+			if vErr := x.P.Validate(); vErr != nil {
+				return nil, vErr
+			}
+			cond, cErr := expr.CompileCondition(x.P.Cond, s, e.Funcs)
+			if cErr != nil {
+				return nil, fmt.Errorf("prefer %s (conditional part): %w", x.P.Label(), cErr)
+			}
+			score, sErr := expr.Compile(x.P.Score, s, e.Funcs)
+			if sErr != nil {
+				return nil, fmt.Errorf("prefer %s (scoring part): %w", x.P.Label(), sErr)
+			}
+			ops = append(ops, segOp{cond: cond, score: score, conf: x.P.Conf, cache: e.scoreCacheOn(x), p: x.P})
+		}
+	}
+	return ops, nil
+}
+
+// segMemos builds the scoreMemo slice (aligned with ops; nil for filters
+// and uncached prefers) of one fused kernel. Returns nil when no op
+// caches.
+func (e *Executor) segMemos(ops []segOp, s *schema.Schema) []*scoreMemo {
+	var memos []*scoreMemo
+	for i, op := range ops {
+		if !op.cache {
+			continue
+		}
+		if memos == nil {
+			memos = make([]*scoreMemo, len(ops))
+		}
+		memos[i] = e.newScoreMemo(op.cond, op.score, op.p, s)
+	}
+	return memos
+}
+
+// segBatchIter is the fused filter→prefer kernel of the batch path: one
+// virtual call per batch runs the whole compiled chain. It is the one σ/λ
+// implementation over both batch sources (segBatchSrc windows with the
+// colstore on, heapBatchSrc on the heap).
 type segBatchIter struct {
 	in    batchIter
 	ops   []segOp
@@ -780,7 +861,7 @@ func (e *Executor) buildBatchScan(scan *algebra.Scan, conjuncts []expr.Node) (ba
 				return nil, nil, tErr
 			}
 			preds := colstore.PredsFrom(s, conjuncts)
-			bi = newSegBatchSrc(t.ColStore(), h.heap, preds, h.stats, h.tick, e.batchSize(), e.colstoreDirect())
+			bi = newSegBatchSrc(t.ColStore(), h.heap, preds, h.stats, h.tick, e.batchSize())
 		} else {
 			bi = &heapBatchSrc{heap: h.heap, stats: h.stats, tick: h.tick, size: e.batchSize()}
 		}
@@ -793,22 +874,10 @@ func (e *Executor) buildBatchScan(scan *algebra.Scan, conjuncts []expr.Node) (ba
 	return bi, s, nil
 }
 
-// buildBatchSegment compiles a σ/λ chain. With multiple workers it engages
-// the morsel-parallel segment exactly as the row path does (trySegment,
-// whose workers already run the batch kernel per morsel when batch mode is
-// on); sequentially the whole chain fuses into one segBatchIter kernel
-// over the leaf's batch source.
+// buildBatchSegment compiles a σ/λ chain: the whole chain fuses into one
+// segBatchIter kernel over the leaf's batch source — segBatchSrc windows
+// with the colstore on, heapBatchSrc otherwise — at every worker count.
 func (e *Executor) buildBatchSegment(n algebra.Node) (batchIter, *schema.Schema, error) {
-	if e.parallelOK() {
-		it, s, handled, err := e.trySegment(n)
-		if handled {
-			if err != nil {
-				return nil, nil, err
-			}
-			return e.asBatchIter(it), s, nil
-		}
-	}
-
 	chain, cur := collectChain(n)
 	var base batchIter
 	var s *schema.Schema

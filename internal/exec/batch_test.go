@@ -71,7 +71,7 @@ func TestBatchRowEquivalence(t *testing.T) {
 						mustIdentical(t, want, got, label)
 						rs, gs := ref.Stats(), e.Stats()
 						rs.Batches, gs.Batches = 0, 0
-				rs.JoinProbeBatches, gs.JoinProbeBatches = 0, 0
+						rs.JoinProbeBatches, gs.JoinProbeBatches = 0, 0
 						rs.JoinProbeBatches, gs.JoinProbeBatches = 0, 0
 						if rs != gs {
 							t.Fatalf("%s: batch stats %+v, want %+v", label, gs, rs)
@@ -176,40 +176,46 @@ func asGuardError(err error, target **GuardError) bool {
 
 // TestSegBatchKernelFusesFilterPrefer pins the fused kernel directly:
 // a filter→prefer chain over a batch source must score only the rows the
-// filter selected, and leave rejected rows unselected.
+// filter selected, and leave rejected rows unselected — at every worker
+// count, since σ/λ chains never fan out.
 func TestSegBatchKernelFusesFilterPrefer(t *testing.T) {
 	cat := movieDB(t)
-	e := New(cat)
 	plan := &algebra.Prefer{P: paMovies(), Input: &algebra.Select{
 		Cond:  expr.Cmp("year", expr.OpGe, types.Int(2005)),
 		Input: &algebra.Scan{Table: "movies"},
 	}}
-	bi, _, err := e.buildBatch(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := bi.(*segBatchIter); !ok {
-		t.Fatalf("filter→prefer chain compiled to %T, want *segBatchIter", bi)
-	}
-	var rows []prel.Row
-	for {
-		b, ok := bi.nextBatch()
-		if !ok {
-			break
-		}
-		rows = b.AppendRows(rows)
-	}
-	if len(rows) == 0 {
-		t.Fatal("fused kernel returned no rows")
-	}
-	yearOrd := 2 // movies schema: m_id, title, year, ...
-	for _, r := range rows {
-		if y := r.Tuple[yearOrd].AsInt(); y < 2005 {
-			t.Fatalf("row with year %d survived the fused filter", y)
-		}
-	}
-	if e.Stats().PreferEvals != len(rows) {
-		t.Fatalf("PreferEvals = %d, want %d (selected rows only)", e.Stats().PreferEvals, len(rows))
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := New(cat)
+			e.Workers = workers
+			bi, _, err := e.buildBatch(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := bi.(*segBatchIter); !ok {
+				t.Fatalf("filter→prefer chain compiled to %T, want *segBatchIter", bi)
+			}
+			var rows []prel.Row
+			for {
+				b, ok := bi.nextBatch()
+				if !ok {
+					break
+				}
+				rows = b.AppendRows(rows)
+			}
+			if len(rows) == 0 {
+				t.Fatal("fused kernel returned no rows")
+			}
+			yearOrd := 2 // movies schema: m_id, title, year, ...
+			for _, r := range rows {
+				if y := r.Tuple[yearOrd].AsInt(); y < 2005 {
+					t.Fatalf("row with year %d survived the fused filter", y)
+				}
+			}
+			if e.Stats().PreferEvals != len(rows) {
+				t.Fatalf("PreferEvals = %d, want %d (selected rows only)", e.Stats().PreferEvals, len(rows))
+			}
+		})
 	}
 }
 

@@ -134,38 +134,9 @@ func workerSweep() []int {
 	return sweep
 }
 
-// BenchmarkParallelPrefer sweeps worker counts over a three-deep prefer
-// chain — the scan→filter→prefer segment shape the morsel executor
-// fans out. Expected: near-linear scaling to 4 workers.
-func BenchmarkParallelPrefer(b *testing.B) {
-	cat := parallelBenchCatalog(b)
-	plan := &algebra.Prefer{
-		P: pref.New("short", "movies", expr.Cmp("duration", expr.OpLe, types.Int(120)), pref.Around("duration", 100), 0.6),
-		Input: &algebra.Prefer{
-			P: pref.New("old", "movies", expr.Cmp("year", expr.OpLe, types.Int(1980)), pref.Around("year", 1960), 0.7),
-			Input: &algebra.Prefer{
-				P:     pref.New("recent", "movies", expr.Cmp("year", expr.OpGe, types.Int(2000)), pref.Recency("year", 2011), 0.9),
-				Input: &algebra.Scan{Table: "movies"},
-			},
-		},
-	}
-	for _, workers := range workerSweep() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e := New(cat)
-			e.Workers = workers
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if drainAll(b, e, plan) == 0 {
-					b.Fatal("empty result")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkParallelJoin sweeps worker counts over a hash join with a
-// prefer above it: partitioned build + morsel-parallel probe feeding a
-// fanned-out prefer segment.
+// prefer above it: partitioned build + morsel-parallel probe feeding the
+// fused prefer kernel.
 func BenchmarkParallelJoin(b *testing.B) {
 	cat := parallelBenchCatalog(b)
 	plan := &algebra.Prefer{

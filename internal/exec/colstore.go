@@ -3,14 +3,11 @@
 // pipeline, consulting per-segment zone maps to skip whole segments
 // against the pushed-down filter conjuncts before any kernel runs.
 //
-// Two columnar forms exist. ColstoreRows packs live decoded row views
-// into ordinary row-form batches (the PR 6 behavior, kept as the
-// benchmark baseline). ColstoreOn is the direct-on-column path: each
-// batch is one window of one segment carrying borrowed column vectors
-// (prel.Batch.Cols) next to the decoded row views, so filter and score
-// kernels run on dense typed vectors and tuples are touched only by
-// operators that genuinely need rows (the late-materialization
-// boundary; see Stats.RowsMaterialized).
+// Each segment batch is one window of one segment carrying borrowed
+// column vectors (prel.Batch.Cols) next to the decoded row views, so
+// filter and score kernels run on dense typed vectors and tuples are
+// touched only by operators that genuinely need rows (the
+// late-materialization boundary; see Stats.RowsMaterialized).
 package exec
 
 import (
@@ -24,7 +21,7 @@ import (
 )
 
 // ColstoreMode selects whether batch scans read the columnar segment
-// store (with zone-map pruning) or the row heap, and in which form.
+// store (with zone-map pruning) or the row heap.
 type ColstoreMode uint8
 
 const (
@@ -37,23 +34,14 @@ const (
 	// Batches / ColBatches / RowsMaterialized / SegmentsScanned /
 	// SegmentsSkipped counters — are identical to the heap path.
 	ColstoreOn
-	// ColstoreRows serves batch scans from columnar segments but
-	// materializes every surviving row view up front (no direct column
-	// kernels) — the pre-direct-path behavior, kept as a baseline for
-	// the E16 sweep and as a fallback switch.
-	ColstoreRows
 )
 
 // String implements fmt.Stringer.
 func (m ColstoreMode) String() string {
-	switch m {
-	case ColstoreOn:
+	if m == ColstoreOn {
 		return "on"
-	case ColstoreRows:
-		return "rows"
-	default:
-		return "off"
 	}
+	return "off"
 }
 
 // ParseColstoreMode resolves a colstore mode by name.
@@ -61,21 +49,15 @@ func ParseColstoreMode(name string) (ColstoreMode, error) {
 	switch strings.ToLower(name) {
 	case "on":
 		return ColstoreOn, nil
-	case "rows":
-		return ColstoreRows, nil
 	case "off":
 		return ColstoreOff, nil
 	default:
-		return 0, fmt.Errorf("exec: unknown colstore mode %q (on, rows, off)", name)
+		return 0, fmt.Errorf("exec: unknown colstore mode %q (on, off)", name)
 	}
 }
 
 // colstoreOK reports whether batch scans may read columnar segments.
 func (e *Executor) colstoreOK() bool { return e.Colstore != ColstoreOff }
-
-// colstoreDirect reports whether columnar scans hand out direct column
-// vectors (ColstoreOn) rather than pre-packed row views (ColstoreRows).
-func (e *Executor) colstoreDirect() bool { return e.Colstore == ColstoreOn }
 
 // segBatchSrc streams a columnar segment store and then the heap tail
 // (pages the compaction has not sealed) into a reused batch. Tuples alias
@@ -90,33 +72,28 @@ func (e *Executor) colstoreDirect() bool { return e.Colstore == ColstoreOn }
 // path; the benefit shows up in wall-clock time and the SegmentsSkipped
 // diagnostic counter.
 //
-// In direct mode each columnar batch covers one window of one segment
-// (windows never span segments, so every vector is a single borrowed
-// slice); the heap tail still streams in row form. In rows mode batches
-// pack live row views across segment and tail boundaries exactly as
-// before.
+// Each columnar batch covers one window of one segment (windows never
+// span segments, so every vector is a single borrowed slice); the heap
+// tail then streams in row form through an ordinary heapBatchSrc.
 type segBatchSrc struct {
-	store  *colstore.Store
-	heap   *storage.Heap
-	preds  []colstore.Pred
-	stats  *Stats
-	tick   pollTick
-	size   int
-	direct bool
+	store *colstore.Store
+	preds []colstore.Pred
+	stats *Stats
+	tick  pollTick
+	size  int
+	tail  heapBatchSrc // row-form source over the unsealed pages
 
 	buf     *prel.Batch
 	vecs    []types.ColVec
 	scratch [][]int64 // per-column unpack scratch for bit-packed ints
 	seg     int       // current segment ordinal
 	slot    int       // next slot within the current segment
-	page    int       // heap-tail page cursor (starts at store.SealedPages)
-	tail    int       // next slot within the current tail page
 	done    bool
 }
 
-func newSegBatchSrc(store *colstore.Store, heap *storage.Heap, preds []colstore.Pred, stats *Stats, tick pollTick, size int, direct bool) *segBatchSrc {
-	return &segBatchSrc{store: store, heap: heap, preds: preds, stats: stats, tick: tick,
-		size: size, direct: direct, page: store.SealedPages}
+func newSegBatchSrc(store *colstore.Store, heap *storage.Heap, preds []colstore.Pred, stats *Stats, tick pollTick, size int) *segBatchSrc {
+	return &segBatchSrc{store: store, preds: preds, stats: stats, tick: tick, size: size,
+		tail: heapBatchSrc{heap: heap, stats: stats, tick: tick, size: size, page: store.SealedPages}}
 }
 
 func (s *segBatchSrc) nextBatch() (*prel.Batch, bool) {
@@ -125,81 +102,24 @@ func (s *segBatchSrc) nextBatch() (*prel.Batch, bool) {
 	}
 	if s.buf == nil {
 		s.buf = prel.NewBatch(s.size)
+		s.tail.buf = s.buf
 	}
-	b := s.buf
-	if s.direct {
-		if b, ok := s.nextDirect(b); ok {
-			return b, true
-		}
+	if b, ok := s.nextDirect(s.buf); ok {
+		return b, true
 	}
-	b.Reset()
-	for b.Cap() < s.size && s.seg < len(s.store.Segments) {
-		seg := s.store.Segments[s.seg]
-		if s.slot == 0 {
-			// Segment entry: elide empty segments silently (the heap path
-			// skips dead pages the same way) and prune on zone maps.
-			if seg.Live == 0 {
-				s.seg++
-				continue
-			}
-			if len(s.preds) > 0 && seg.Skip(s.preds) {
-				s.stats.SegmentsSkipped++
-				s.stats.RowsScanned += seg.Live
-				s.seg++
-				continue
-			}
-			s.stats.SegmentsScanned++
-		}
-		for ; s.slot < seg.Rows && b.Cap() < s.size; s.slot++ {
-			if seg.Dead(s.slot) {
-				continue
-			}
-			b.PushTuple(seg.Tuple(s.slot))
-		}
-		if s.slot >= seg.Rows {
-			s.seg++
-			s.slot = 0
-		}
-	}
-	// Heap tail: pages the compaction left on the row side.
-	for b.Cap() < s.size && s.page < s.heap.Blocks() {
-		rows, dead, live := s.heap.Block(s.page)
-		if live == 0 {
-			s.page++
-			s.tail = 0
-			continue
-		}
-		for ; s.tail < len(rows) && b.Cap() < s.size; s.tail++ {
-			if dead[s.tail] {
-				continue
-			}
-			b.PushTuple(rows[s.tail])
-		}
-		if s.tail >= len(rows) {
-			s.page++
-			s.tail = 0
-		}
-	}
-	if b.Cap() == 0 {
-		s.done = true
-		return nil, false
-	}
-	s.stats.RowsScanned += b.Cap()
-	if s.tick.stopN(b.Cap()) {
-		s.done = true // guard tripped: stop producing, like heapBatchSrc
-	}
-	return b, true
+	return s.tail.nextBatch()
 }
 
 // nextDirect emits the next columnar segment window, or reports false
 // once the segments are exhausted (the caller then drains the heap tail
-// in row form). RowsScanned counts the window's live rows — the same
-// rows the packing path would have pushed — so totals match the other
-// scan modes.
+// in row form). RowsScanned counts the window's live rows, so totals
+// match the heap path.
 func (s *segBatchSrc) nextDirect(b *prel.Batch) (*prel.Batch, bool) {
 	for s.seg < len(s.store.Segments) {
 		seg := s.store.Segments[s.seg]
 		if s.slot == 0 {
+			// Segment entry: elide empty segments silently (the heap path
+			// skips dead pages the same way) and prune on zone maps.
 			if seg.Live == 0 {
 				s.seg++
 				continue

@@ -192,27 +192,33 @@ func TestColstoreHeapEquivalence(t *testing.T) {
 // of them on zone maps alone.
 func TestColstoreEngagesAndPrunes(t *testing.T) {
 	cat := colstoreDB(t)
-	e := New(cat)
-	e.Colstore = ColstoreOn
-	if _, err := e.Run(colstorePlans()["prune-low-sel"], Native); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if st.SegmentsScanned == 0 {
-		t.Fatalf("colstore scan read no segments: %+v", st)
-	}
-	if st.SegmentsSkipped == 0 {
-		t.Fatalf("id <= 300 over sequential ids skipped no segments: %+v", st)
-	}
-	// RowsScanned must credit skipped segments' live rows, keeping parity
-	// with the heap path.
-	ref := New(cat)
-	ref.Colstore = ColstoreOff
-	if _, err := ref.Run(colstorePlans()["prune-low-sel"], Native); err != nil {
-		t.Fatal(err)
-	}
-	if ref.Stats().RowsScanned != st.RowsScanned {
-		t.Fatalf("RowsScanned diverged: colstore %d, heap %d", st.RowsScanned, ref.Stats().RowsScanned)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := New(cat)
+			e.Workers = workers
+			e.Colstore = ColstoreOn
+			if _, err := e.Run(colstorePlans()["prune-low-sel"], Native); err != nil {
+				t.Fatal(err)
+			}
+			st := e.Stats()
+			if st.SegmentsScanned == 0 {
+				t.Fatalf("colstore scan read no segments: %+v", st)
+			}
+			if st.SegmentsSkipped == 0 {
+				t.Fatalf("id <= 300 over sequential ids skipped no segments: %+v", st)
+			}
+			// RowsScanned must credit skipped segments' live rows, keeping
+			// parity with the heap path.
+			ref := New(cat)
+			ref.Workers = workers
+			ref.Colstore = ColstoreOff
+			if _, err := ref.Run(colstorePlans()["prune-low-sel"], Native); err != nil {
+				t.Fatal(err)
+			}
+			if ref.Stats().RowsScanned != st.RowsScanned {
+				t.Fatalf("RowsScanned diverged: colstore %d, heap %d", st.RowsScanned, ref.Stats().RowsScanned)
+			}
+		})
 	}
 }
 
@@ -306,13 +312,15 @@ func TestHeapBatchSrcCompactsAcrossPages(t *testing.T) {
 
 // TestParseColstoreMode covers the flag surface.
 func TestParseColstoreMode(t *testing.T) {
-	for name, want := range map[string]ColstoreMode{"on": ColstoreOn, "rows": ColstoreRows, "Off": ColstoreOff} {
+	for name, want := range map[string]ColstoreMode{"on": ColstoreOn, "Off": ColstoreOff} {
 		got, err := ParseColstoreMode(name)
 		if err != nil || got != want {
 			t.Fatalf("ParseColstoreMode(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	if _, err := ParseColstoreMode("maybe"); err == nil {
-		t.Fatal("ParseColstoreMode accepted an unknown mode")
+	for _, name := range []string{"maybe", "rows"} {
+		if _, err := ParseColstoreMode(name); err == nil {
+			t.Fatalf("ParseColstoreMode accepted unknown mode %q", name)
+		}
 	}
 }

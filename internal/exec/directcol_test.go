@@ -9,12 +9,10 @@ import (
 // direct-on-column path: across the full plan × strategy × workers ×
 // batch-size grid, handing kernels borrowed column vectors with late
 // materialization (ColstoreOn) must produce byte-identical rows, order
-// and Stats — modulo the diagnostic ColBatches / RowsMaterialized
-// counters — to the row-view packing form of the same segment store
-// (ColstoreRows, the PR 6 behavior). Both arms share zone maps, so the
-// only degree of freedom under test is the kernel/materialization layer.
-// Run with -race: the suite doubles as the data-race check for the
-// borrowed-vector contract under the parallel morsel path.
+// and Stats — modulo the diagnostic counters — to the heap rows
+// (ColstoreOff), the reference path. Run with -race: the suite doubles as
+// the data-race check for the borrowed-vector contract under the parallel
+// hash join.
 func TestDirectColRowsEquivalence(t *testing.T) {
 	cat := colstoreDB(t)
 	for name, plan := range colstorePlans() {
@@ -27,14 +25,14 @@ func TestDirectColRowsEquivalence(t *testing.T) {
 						ref := New(cat)
 						ref.Workers = workers
 						ref.BatchSize = size
-						ref.Colstore = ColstoreRows
+						ref.Colstore = ColstoreOff
 						want, err := ref.Run(plan, strategy)
 						if err != nil {
-							t.Fatalf("%s rows path: %v", label, err)
+							t.Fatalf("%s heap path: %v", label, err)
 						}
 						refStats := ref.Stats()
 						if refStats.ColBatches != 0 || refStats.RowsMaterialized != 0 {
-							t.Fatalf("%s: rows path counted columnar batches: %+v", label, refStats)
+							t.Fatalf("%s: heap path counted columnar batches: %+v", label, refStats)
 						}
 
 						e := New(cat)
@@ -48,11 +46,8 @@ func TestDirectColRowsEquivalence(t *testing.T) {
 
 						mustIdentical(t, want, got, label)
 						gotStats := e.Stats()
-						// Batches differs too: direct windows never span a
-						// segment boundary, so their count is its own shape.
-						refStats.Batches, gotStats.Batches = 0, 0
-						gotStats.ColBatches, gotStats.RowsMaterialized = 0, 0
-						refStats.JoinProbeBatches, gotStats.JoinProbeBatches = 0, 0
+						zeroDiagnostics(&refStats)
+						zeroDiagnostics(&gotStats)
 						if refStats != gotStats {
 							t.Fatalf("%s: direct stats %+v, want %+v", label, gotStats, refStats)
 						}
@@ -69,20 +64,25 @@ func TestDirectColRowsEquivalence(t *testing.T) {
 // boundary, so RowsMaterialized is a small fraction of RowsScanned.
 func TestDirectColLateMaterialization(t *testing.T) {
 	cat := colstoreDB(t)
-	e := New(cat)
-	e.Colstore = ColstoreOn
-	if _, err := e.Run(colstorePlans()["prune-low-sel"], Native); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if st.ColBatches == 0 {
-		t.Fatalf("direct scan produced no columnar batches: %+v", st)
-	}
-	if st.RowsMaterialized == 0 {
-		t.Fatalf("survivors never crossed the materialization boundary: %+v", st)
-	}
-	if st.RowsMaterialized*10 > st.RowsScanned {
-		t.Fatalf("late materialization did not engage: materialized %d of %d scanned",
-			st.RowsMaterialized, st.RowsScanned)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := New(cat)
+			e.Workers = workers
+			e.Colstore = ColstoreOn
+			if _, err := e.Run(colstorePlans()["prune-low-sel"], Native); err != nil {
+				t.Fatal(err)
+			}
+			st := e.Stats()
+			if st.ColBatches == 0 {
+				t.Fatalf("direct scan produced no columnar batches: %+v", st)
+			}
+			if st.RowsMaterialized == 0 {
+				t.Fatalf("survivors never crossed the materialization boundary: %+v", st)
+			}
+			if st.RowsMaterialized*10 > st.RowsScanned {
+				t.Fatalf("late materialization did not engage: materialized %d of %d scanned",
+					st.RowsMaterialized, st.RowsScanned)
+			}
+		})
 	}
 }

@@ -174,8 +174,7 @@ func zeroDiagnostics(s *Stats) {
 // batch sizes, probing (and building) straight off borrowed column
 // vectors — including dictionary-code and run-length-encoded keys — must
 // produce byte-identical rows, order and Stats (modulo diagnostic
-// counters) to both the heap row path (ColstoreOff) and the row-view
-// packing form of the same store (ColstoreRows). Run with -race: the
+// counters) to the heap row path (ColstoreOff). Run with -race: the
 // parallel arm doubles as the data-race check for vector-hashed
 // partitioned builds.
 func TestDirectJoinRowsEquivalence(t *testing.T) {
@@ -198,21 +197,19 @@ func TestDirectJoinRowsEquivalence(t *testing.T) {
 						refStats := ref.Stats()
 						zeroDiagnostics(&refStats)
 
-						for _, mode := range []ColstoreMode{ColstoreRows, ColstoreOn} {
-							e := New(cat)
-							e.Workers = workers
-							e.BatchSize = size
-							e.Colstore = mode
-							got, err := e.Run(plan, strategy)
-							if err != nil {
-								t.Fatalf("%s %v path: %v", label, mode, err)
-							}
-							mustIdentical(t, want, got, fmt.Sprintf("%s %v", label, mode))
-							gotStats := e.Stats()
-							zeroDiagnostics(&gotStats)
-							if refStats != gotStats {
-								t.Fatalf("%s %v: stats %+v, want %+v", label, mode, gotStats, refStats)
-							}
+						e := New(cat)
+						e.Workers = workers
+						e.BatchSize = size
+						e.Colstore = ColstoreOn
+						got, err := e.Run(plan, strategy)
+						if err != nil {
+							t.Fatalf("%s direct path: %v", label, err)
+						}
+						mustIdentical(t, want, got, label)
+						gotStats := e.Stats()
+						zeroDiagnostics(&gotStats)
+						if refStats != gotStats {
+							t.Fatalf("%s: stats %+v, want %+v", label, gotStats, refStats)
 						}
 					}
 				}
@@ -445,7 +442,7 @@ func (g *djGen) plan() algebra.Node {
 
 // FuzzDirectJoinEquivalence is the fuzz arm of the direct-join contract:
 // random join plans over segment-scale columnar tables, cross-checked
-// row path vs vectorized path vs both colstore forms, sequential and
+// row path vs vectorized path over the heap and the colstore, sequential and
 // parallel, at degenerate and large batch sizes. Run under
 // `-tags prefdbdebug` to layer the join-table canary over the check.
 func FuzzDirectJoinEquivalence(f *testing.F) {
@@ -470,7 +467,7 @@ func FuzzDirectJoinEquivalence(f *testing.F) {
 
 		for _, size := range []int{1, 1024} {
 			for _, workers := range []int{1, 4} {
-				for _, mode := range []ColstoreMode{ColstoreOff, ColstoreRows, ColstoreOn} {
+				for _, mode := range []ColstoreMode{ColstoreOff, ColstoreOn} {
 					label := fmt.Sprintf("%v workers=%d size=%d colstore=%v", s, workers, size, mode)
 					e := New(cat)
 					e.Workers = workers
@@ -561,8 +558,8 @@ func groupAggPlans() map[string]algebra.Node {
 
 // TestGroupAggEquivalence pins the two γ implementations against each
 // other: the row path (BatchOff) is the reference; the vectorized path
-// must match byte-for-byte over heap batches, packed row views
-// (ColstoreRows) and borrowed vectors (ColstoreOn), across workers and
+// must match byte-for-byte over heap batches (ColstoreOff) and borrowed
+// vectors (ColstoreOn), across workers and
 // batch sizes — group order (first-seen), sum widening, NULL skipping and
 // all.
 func TestGroupAggEquivalence(t *testing.T) {
@@ -577,7 +574,7 @@ func TestGroupAggEquivalence(t *testing.T) {
 			}
 			refStats := ref.Stats()
 			zeroDiagnostics(&refStats)
-			for _, mode := range []ColstoreMode{ColstoreOff, ColstoreRows, ColstoreOn} {
+			for _, mode := range []ColstoreMode{ColstoreOff, ColstoreOn} {
 				for _, workers := range []int{1, 4} {
 					for _, size := range []int{3, 1024} {
 						label := fmt.Sprintf("%v workers=%d size=%d", mode, workers, size)

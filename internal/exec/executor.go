@@ -129,9 +129,10 @@ func (s Stats) String() string {
 
 // Executor evaluates extended query plans against a catalog. An Executor
 // is not safe for concurrent use — create one per query — but with
-// Workers != 1 it parallelizes hot pipeline segments internally (see
-// parallel.go); results, order and Stats (modulo the diagnostic Batches
-// counter) are identical at every worker count.
+// Workers != 1 it runs hash joins and top-k selection on a worker pool
+// (see parallel.go); results, order and Stats (modulo the diagnostic
+// Batches / JoinProbeBatches counters) are identical at every worker
+// count.
 //
 // Executions started through RunContext (or after Begin) observe the
 // given context and the executor's Limits cooperatively: see lifecycle.go.
@@ -141,8 +142,8 @@ type Executor struct {
 	// Agg is the aggregate function F used by every score-combining
 	// operator in the query (the paper assumes one F per query).
 	Agg pref.Aggregate
-	// Workers is the parallel pipeline's pool width: 0 means GOMAXPROCS,
-	// 1 forces the sequential path.
+	// Workers is the pool width of the parallel hash join and top-k: 0
+	// means GOMAXPROCS, 1 forces the sequential operators.
 	Workers int
 	// Limits bounds the next guarded run (RunContext / Begin); the zero
 	// value imposes no bounds.
@@ -176,8 +177,8 @@ type Executor struct {
 	// disables all cancellation and budget checks.
 	gd *guard
 	// limitDepth tracks how many enclosing Limit operators the node being
-	// built sits under; parallel fan-out is disabled there because a limit
-	// stops pulling early (see parallelOK).
+	// built sits under; the parallel hash join is disabled there because a
+	// limit stops pulling early (see parallelOK).
 	limitDepth int
 }
 
@@ -308,16 +309,8 @@ func (e *Executor) drainPipeline(n algebra.Node) (*prel.PRelation, *schema.Schem
 	return out, s, nil
 }
 
-// build compiles a plan node into an iterator pipeline. Filter/prefer
-// chains are lifted out and evaluated morsel-parallel when the executor
-// runs with more than one worker (see parallel.go).
+// build compiles a plan node into an iterator pipeline.
 func (e *Executor) build(n algebra.Node) (iter, *schema.Schema, error) {
-	switch n.(type) {
-	case *algebra.Select, *algebra.Prefer:
-		if it, s, handled, err := e.trySegment(n); handled {
-			return it, s, err
-		}
-	}
 	switch x := n.(type) {
 	case *algebra.Values:
 		return &sliceIter{rows: x.Rel.Rows}, x.Rel.Schema, nil

@@ -3,13 +3,13 @@
 // Every query execution can be bound to a context.Context and a Limits
 // budget. The executor polls both cooperatively in its hot loops —
 // amortized (every guardInterval streamed rows / every guardStep
-// materialized rows / every morsel on the parallel paths) so the fast path
-// pays a single predictable branch. When the context is canceled, its
-// deadline passes, or a budget is exceeded, the query fails fast with a
-// typed *GuardError wrapping one of the sentinel errors below plus the
-// execution Stats at failure; parallel workers observe the trip on their
-// next morsel claim and drain cleanly (runMorsels always waits for its
-// pool, so no goroutine outlives the query and no partial rows are
+// materialized rows / every probe morsel of the parallel hash join) so the
+// fast path pays a single predictable branch. When the context is
+// canceled, its deadline passes, or a budget is exceeded, the query fails
+// fast with a typed *GuardError wrapping one of the sentinel errors below
+// plus the execution Stats at failure; parallel workers observe the trip
+// on their next morsel claim and drain cleanly (the worker pools always
+// wait, so no goroutine outlives the query and no partial rows are
 // observable by the caller).
 //
 // An executor with no context and no limits (the zero configuration, used

@@ -1,45 +1,35 @@
-// Morsel-driven parallel execution (tentpole of the scaling roadmap).
+// Parallel execution of the two operators whose inputs arrive already
+// drained: the extended hash join (partitioned build, morsel-parallel
+// probe) and top-k selection (per-worker bounded heaps). σ/λ chains are
+// not fanned out — they run in the one fused kernel over their storage
+// form's own source (see buildBatchSegment), where zone maps, direct
+// column kernels and late materialization apply. Three invariants keep
+// the parallel operators indistinguishable from the sequential ones:
 //
-// The executor splits materialized row sets into fixed-size morsels and
-// fans the hot pipeline segments — scan → filter → prefer chains, the
-// hash-join build and probe sides, and top-k selection — across a worker
-// pool. Three invariants keep the parallel mode indistinguishable from the
-// sequential one:
-//
-//  1. Determinism: results are merged in morsel-index order, the hash-join
-//     build partitions insert rows in global row order, and the parallel
-//     top-k breaks ranking ties by input position, so output rows and
-//     their order do not depend on scheduling.
-//  2. Exact stats: each worker accumulates a private Stats that is merged
-//     once when the pipeline ends, so counters stay exact without per-row
-//     atomics. (The diagnostic Batches counter reflects block sizing —
-//     morsel-sized batches here — and is the one field excluded from the
-//     worker-count identity.)
-//  3. Identical per-row code: workers execute the same filterIter /
-//     preferIter implementations over their morsels that the sequential
-//     path uses, so Workers=1 and Workers=N produce byte-identical rows.
-//
-// Compiled expressions (expr.Compiled) are immutable after compilation and
-// are shared read-only by all workers; a prefer operator's R_P in-place
-// update writes only the per-row ⟨S,C⟩ copy flowing through the pipeline,
-// never shared state, so prefer semantics are unaffected by partitioning.
+//  1. Determinism: probe morsels are merged in morsel-index order, the
+//     hash-join build partitions insert rows in global row order, and the
+//     parallel top-k breaks ranking ties by input position, so output rows
+//     and their order do not depend on scheduling.
+//  2. Exact stats: each probe worker accumulates a private Stats that is
+//     merged once when the probe ends, so counters stay exact without
+//     per-row atomics. (The diagnostic Batches / JoinProbeBatches counters
+//     reflect block sizing and are excluded from the worker-count
+//     identity.)
+//  3. Shared read-only state: the partition tables are complete before
+//     any probe worker reads them, and compiled expressions are immutable.
 package exec
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"prefdb/internal/algebra"
 	"prefdb/internal/expr"
-	"prefdb/internal/pref"
 	"prefdb/internal/prel"
-	"prefdb/internal/schema"
 )
 
 // morselSize is the number of rows per scheduling unit. Small enough that
-// a skewed filter still load-balances, large enough that the per-morsel
+// a skewed probe still load-balances, large enough that the per-morsel
 // goroutine handoff is amortized over hundreds of rows. Inputs of at most
 // one morsel stay on the sequential path.
 const morselSize = 512
@@ -54,195 +44,12 @@ func (e *Executor) workerCount() int {
 }
 
 // parallelOK reports whether the current pipeline may fan out. Under a
-// Limit the consumer can stop pulling early, so eager parallel evaluation
-// would inflate PreferEvals relative to the sequential path; blocking
-// operators below a Limit re-enable parallelism because they exhaust
-// their inputs regardless (drain resets the depth).
+// Limit the consumer can stop pulling early, so an eager parallel join
+// would inflate the work (and Stats) relative to the lazy sequential
+// probe; blocking operators below a Limit re-enable parallelism because
+// they exhaust their inputs regardless (drain resets the depth).
 func (e *Executor) parallelOK() bool {
 	return e.workerCount() > 1 && e.limitDepth == 0
-}
-
-// segOp is one per-row stage of an extracted pipeline segment: either a
-// filter (σ) or a prefer (λ) with its compiled conditional and scoring
-// parts. Compiled expressions are read-only and shared by all workers.
-type segOp struct {
-	filter *expr.Compiled // non-nil for σ
-
-	cond  *expr.Compiled // prefer conditional part
-	score *expr.Compiled // prefer scoring part
-	conf  float64
-	// cache marks a prefer whose ⟨S,C⟩ contributions are memoized; each
-	// worker gets a private scoreMemo for it (no lock contention), built
-	// from p (the preference identifies the shared level-2 dictionary).
-	cache bool
-	p     pref.Preference
-}
-
-// collectChain walks the maximal σ/λ chain rooted at n, returning the
-// chain nodes (outermost first) and the leaf below them. Shared by the
-// morsel-parallel segment extraction here and the fused vectorized
-// segment in batch.go.
-func collectChain(n algebra.Node) ([]algebra.Node, algebra.Node) {
-	var chain []algebra.Node
-	cur := n
-	for {
-		switch x := cur.(type) {
-		case *algebra.Select:
-			chain = append(chain, x)
-			cur = x.Input
-		case *algebra.Prefer:
-			chain = append(chain, x)
-			cur = x.Input
-		default:
-			return chain, cur
-		}
-	}
-}
-
-// compileSegOps compiles a collected σ/λ chain against s into per-row
-// segment ops, innermost-first (matching sequential build order, including
-// its error wrapping).
-func (e *Executor) compileSegOps(chain []algebra.Node, s *schema.Schema) ([]segOp, error) {
-	ops := make([]segOp, 0, len(chain))
-	for i := len(chain) - 1; i >= 0; i-- {
-		switch x := chain[i].(type) {
-		case *algebra.Select:
-			cond, cErr := expr.CompileCondition(x.Cond, s, e.Funcs)
-			if cErr != nil {
-				return nil, cErr
-			}
-			ops = append(ops, segOp{filter: cond})
-		case *algebra.Prefer:
-			if vErr := x.P.Validate(); vErr != nil {
-				return nil, vErr
-			}
-			cond, cErr := expr.CompileCondition(x.P.Cond, s, e.Funcs)
-			if cErr != nil {
-				return nil, fmt.Errorf("prefer %s (conditional part): %w", x.P.Label(), cErr)
-			}
-			score, sErr := expr.Compile(x.P.Score, s, e.Funcs)
-			if sErr != nil {
-				return nil, fmt.Errorf("prefer %s (scoring part): %w", x.P.Label(), sErr)
-			}
-			ops = append(ops, segOp{cond: cond, score: score, conf: x.P.Conf, cache: e.scoreCacheOn(x), p: x.P})
-		}
-	}
-	return ops, nil
-}
-
-// trySegment extracts a maximal σ/λ chain rooted at n, builds its leaf
-// with the sequential machinery (preserving index access-path selection),
-// and evaluates the chain morsel-parallel over the materialized leaf.
-// It reports handled=false when the node should take the sequential path.
-func (e *Executor) trySegment(n algebra.Node) (iter, *schema.Schema, bool, error) {
-	if !e.parallelOK() {
-		return nil, nil, false, nil
-	}
-	chain, cur := collectChain(n)
-
-	// Build the leaf exactly as the sequential build would: a select
-	// directly over a scan keeps its shot at an index access path.
-	var base iter
-	var s *schema.Schema
-	var err error
-	switch leaf := cur.(type) {
-	case *algebra.Scan:
-		var conjuncts []expr.Node
-		if sel, ok := chain[len(chain)-1].(*algebra.Select); ok {
-			conjuncts = expr.Conjuncts(sel.Cond)
-			chain = chain[:len(chain)-1]
-		}
-		base, s, err = e.buildScan(leaf, conjuncts)
-	case *algebra.Values:
-		base, s = &sliceIter{rows: leaf.Rel.Rows}, leaf.Rel.Schema
-	case nil:
-		return nil, nil, false, fmt.Errorf("exec: nil plan node")
-	default:
-		base, s, err = e.build(leaf)
-	}
-	if err != nil {
-		return nil, nil, true, err
-	}
-
-	ops, err := e.compileSegOps(chain, s)
-	if err != nil {
-		return nil, nil, true, err
-	}
-
-	rows := drainIter(base)
-	if len(rows) <= morselSize {
-		return e.segmentIter(rows, ops, e.segMemos(ops, s), &e.stats), s, true, nil
-	}
-	// Per-worker memo shards: worker w lazily builds its own scoreMemo per
-	// cached prefer on its first morsel and reuses it across every morsel
-	// it claims, so level-1 lookups stay lock-free while still amortizing
-	// across the worker's whole share of the input. memos[w] is touched
-	// only by worker w (no races).
-	memos := make([][]*scoreMemo, e.workerCount())
-	var apply func(morsel []prel.Row, stats *Stats, w int) []prel.Row
-	if e.batchOK() {
-		// Vectorized morsel kernel: each worker reuses one private batch,
-		// treating every claimed morsel as a whole batch. Per-row semantics
-		// (and hence Stats) match segmentIter exactly — see applySegOps.
-		bufs := make([]*prel.Batch, e.workerCount())
-		scrs := make([]segScratch, e.workerCount())
-		apply = func(morsel []prel.Row, stats *Stats, w int) []prel.Row {
-			if memos[w] == nil {
-				memos[w] = e.segMemos(ops, s)
-				bufs[w] = prel.NewBatch(morselSize)
-			}
-			b := bufs[w]
-			b.FillRows(morsel)
-			stats.Batches++
-			applySegOps(b, ops, memos[w], e.Agg, stats, &scrs[w])
-			return b.AppendRows(nil)
-		}
-	} else {
-		apply = func(morsel []prel.Row, stats *Stats, w int) []prel.Row {
-			if memos[w] == nil {
-				memos[w] = e.segMemos(ops, s)
-			}
-			return drainIter(e.segmentIter(morsel, ops, memos[w], stats))
-		}
-	}
-	out := e.runMorsels(rows, apply)
-	return &sliceIter{rows: out}, s, true, nil
-}
-
-// segMemos builds the scoreMemo slice (aligned with ops; nil for filters
-// and uncached prefers) for one owner — the sequential pipeline or one
-// parallel worker. Returns nil when no op caches.
-func (e *Executor) segMemos(ops []segOp, s *schema.Schema) []*scoreMemo {
-	var memos []*scoreMemo
-	for i, op := range ops {
-		if !op.cache {
-			continue
-		}
-		if memos == nil {
-			memos = make([]*scoreMemo, len(ops))
-		}
-		memos[i] = e.newScoreMemo(op.cond, op.score, op.p, s)
-	}
-	return memos
-}
-
-// segmentIter chains the sequential per-row iterators over a row slice;
-// the parallel path runs it per morsel with a worker-private Stats and
-// memo shard, so per-row behavior is identical at every worker count.
-func (e *Executor) segmentIter(rows []prel.Row, ops []segOp, memos []*scoreMemo, stats *Stats) iter {
-	var it iter = &sliceIter{rows: rows}
-	for i, op := range ops {
-		if op.filter != nil {
-			it = &filterIter{in: it, cond: op.filter, tick: pollTick{g: e.gd}}
-		} else {
-			pi := &preferIter{in: it, cond: op.cond, score: op.score, conf: op.conf, agg: e.Agg, stats: stats, tick: pollTick{g: e.gd}}
-			if memos != nil {
-				pi.memo = memos[i]
-			}
-			it = pi
-		}
-	}
-	return it
 }
 
 // workerStats pads each worker's counters to a cache line so per-row
@@ -252,27 +59,20 @@ type workerStats struct {
 	_ [64]byte
 }
 
-// runMorsels fans rows out over the worker pool in morselSize chunks.
-// Workers claim morsel indices from a shared counter (work stealing over
-// a global queue); results land in a per-morsel slot and are concatenated
-// in morsel order, so the output order is that of the input. Worker-local
-// stats are merged once at the end.
+// fanOutMorsels splits the index space [0, n) into morselSize chunks and
+// fans them out over the worker pool. Workers claim morsel indices from a
+// shared counter (work stealing over a global queue); apply sees the
+// global [lo, hi) range, so callers can address per-row side arrays — the
+// hash-join probe's precomputed key hashes — by global offset. Results
+// land in a per-morsel slot and are concatenated in morsel order, so the
+// output order is that of the input. Worker-local stats are merged once at
+// the end.
 //
 // Cancellation: each worker re-checks the lifecycle guard before claiming
 // a morsel and stops claiming once the query tripped, so the pool drains
 // within one morsel of a cancellation; wg.Wait always joins every worker,
 // so no goroutine outlives the call.
-func (e *Executor) runMorsels(rows []prel.Row, apply func(morsel []prel.Row, stats *Stats, worker int) []prel.Row) []prel.Row {
-	return e.runMorselsIdx(len(rows), func(lo, hi int, stats *Stats, w int) []prel.Row {
-		return apply(rows[lo:hi:hi], stats, w)
-	})
-}
-
-// runMorselsIdx is runMorsels over an index space: apply sees the global
-// [lo, hi) range instead of a row slice, so callers can address per-row
-// side arrays — the hash-join probe's precomputed key hashes — by global
-// offset alongside the rows themselves.
-func (e *Executor) runMorselsIdx(n int, apply func(lo, hi int, stats *Stats, worker int) []prel.Row) []prel.Row {
+func (e *Executor) fanOutMorsels(n int, apply func(lo, hi int, stats *Stats) []prel.Row) []prel.Row {
 	workers := e.workerCount()
 	morsels := (n + morselSize - 1) / morselSize
 	if workers > morsels {
@@ -287,9 +87,9 @@ func (e *Executor) runMorselsIdx(n int, apply func(lo, hi int, stats *Stats, wor
 		go func(w int) {
 			defer wg.Done()
 			for {
-				// poll (not just stopped): per-morsel iterators are too
-				// short-lived for their own amortized ticks to fire, so the
-				// claim loop is where parallel workers observe cancellation.
+				// poll (not just stopped): the per-morsel loop is too
+				// short-lived for an amortized tick to fire, so the claim
+				// loop is where parallel workers observe cancellation.
 				if e.gd.poll() != nil {
 					return
 				}
@@ -299,7 +99,7 @@ func (e *Executor) runMorselsIdx(n int, apply func(lo, hi int, stats *Stats, wor
 				}
 				lo := m * morselSize
 				hi := min(lo+morselSize, n)
-				outs[m] = apply(lo, hi, &locals[w].Stats, w)
+				outs[m] = apply(lo, hi, &locals[w].Stats)
 			}
 		}(w)
 	}
@@ -353,7 +153,7 @@ func parallelFor(workers, n int, fn func(lo, hi int)) {
 // instead of row iterators: the drain then computes each row's key hash
 // with the vector kernel (expr.HashCols) while the window is still live,
 // one batch at a time, and the partitioned build and morsel probe consume
-// the precomputed hashes by global row offset (runMorselsIdx) — the same
+// the precomputed hashes by global row offset (fanOutMorsels) — the same
 // buckets and the same order, with per-row tuple hashing gone.
 type parallelHashJoinIter struct {
 	e             *Executor
@@ -458,8 +258,8 @@ func (p *parallelHashJoinIter) run() {
 		return
 	}
 
-	// Hash every build row once, morsel-parallel — unless the batch drain
-	// already hashed them off the column vectors.
+	// Hash every build row once, in parallel chunks — unless the batch
+	// drain already hashed them off the column vectors.
 	hashes := lHashes
 	if hashes == nil {
 		hashes = make([]uint64, len(lRows))
@@ -504,7 +304,7 @@ func (p *parallelHashJoinIter) run() {
 	// merge restores the sequential probe order. With precomputed vector
 	// hashes the probe addresses them by global offset, and a direct-hashed
 	// probe row counts as materialized only when it joins.
-	p.out = p.e.runMorselsIdx(len(rRows), func(lo, hi int, stats *Stats, _ int) []prel.Row {
+	p.out = p.e.fanOutMorsels(len(rRows), func(lo, hi int, stats *Stats) []prel.Row {
 		var out []prel.Row
 		for i := lo; i < hi; i++ {
 			rRow := rRows[i]

@@ -14,8 +14,8 @@ import (
 )
 
 // parallelCatalog is large enough (5 000 movies, ~32 000 cast rows) that
-// every parallel path — segment fan-out, partitioned join build, top-k
-// merge — actually engages (> morselSize rows).
+// both parallel operators — partitioned join build with morsel probe, and
+// top-k merge — actually engage (> morselSize rows).
 func parallelCatalog(t testing.TB) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New()
@@ -25,9 +25,11 @@ func parallelCatalog(t testing.TB) *catalog.Catalog {
 	return cat
 }
 
-// parallelPlans covers the hot shapes the morsel executor accelerates:
-// prefer chains over scans, index-backed selects under prefers, hash
-// joins with prefers and top-k / threshold / skyline filtering above.
+// parallelPlans pairs the shapes Workers affects — hash joins (join-*)
+// and top-k above them — with σ/λ-only shapes (prefer chains over scans,
+// index-backed selects under prefers, skyline) that run in the one fused
+// kernel at every worker count and so check that the join and top-k
+// fan-out leaves everything around it untouched.
 func parallelPlans() map[string]algebra.Node {
 	pRecency := pref.New("recent", "movies", expr.Cmp("year", expr.OpGe, types.Int(2000)), pref.Recency("year", 2011), 0.9)
 	pShort := pref.New("short", "movies", expr.Cmp("duration", expr.OpLe, types.Int(120)), pref.Around("duration", 100), 0.6)
@@ -94,9 +96,9 @@ func TestParallelIdenticalToSequential(t *testing.T) {
 					}
 					label := fmt.Sprintf("%v workers=%d", strategy, workers)
 					mustIdentical(t, want, got, label)
-					// Batches is diagnostic and depends on block sizing
-					// (morsel-sized batches in parallel mode, drain-sized
-					// otherwise); every cost counter must match exactly.
+					// Batches and JoinProbeBatches are diagnostic and depend
+					// on how the join consumes its probe side; every cost
+					// counter must match exactly.
 					refStats, gotStats := ref.Stats(), e.Stats()
 					refStats.Batches, gotStats.Batches = 0, 0
 					refStats.JoinProbeBatches, gotStats.JoinProbeBatches = 0, 0
@@ -109,10 +111,10 @@ func TestParallelIdenticalToSequential(t *testing.T) {
 	}
 }
 
-// TestParallelLimitKeepsLazyStats pins the Limit gate: a limit stops
-// pulling its input early, so the prefer chain beneath it must stay
-// sequential (and lazily evaluated) at every worker count for PreferEvals
-// to remain comparable.
+// TestParallelLimitKeepsLazyStats pins laziness under a Limit: a limit
+// stops pulling its input early, so the prefer chain beneath it must be
+// evaluated lazily at every worker count for PreferEvals to remain
+// comparable.
 func TestParallelLimitKeepsLazyStats(t *testing.T) {
 	cat := parallelCatalog(t)
 	plan := &algebra.Limit{N: 10, Input: &algebra.Prefer{

@@ -7,9 +7,8 @@
 // observation of the paper — memoizing the contribution per distinct key
 // replaces most expression evaluations with a hash lookup.
 //
-// Level 1 is a per-query memo (scoreMemo): each prefer operator, and in the
-// morsel-parallel path each worker, owns a private bounded hash table so
-// lookups take no locks. When the bound is exceeded new keys degrade to
+// Level 1 is a per-query memo (scoreMemo): each prefer operator owns a
+// private bounded hash table so lookups take no locks. When the bound is exceeded new keys degrade to
 // direct evaluation (existing entries keep serving hits).
 //
 // Level 2 is a cross-query dictionary (ScoreDict): the engine keeps one per
@@ -99,9 +98,8 @@ type memoEntry struct {
 	has bool
 }
 
-// scoreMemo is the level-1 per-query memo. It is single-goroutine state:
-// the sequential path owns one per prefer operator, the parallel path one
-// per (worker, operator).
+// scoreMemo is the level-1 per-query memo. It is single-goroutine state,
+// one per prefer operator.
 type scoreMemo struct {
 	cond  *expr.Compiled
 	score *expr.Compiled

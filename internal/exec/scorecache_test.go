@@ -103,40 +103,46 @@ func TestScoreCacheAutoFollowsHint(t *testing.T) {
 // TestScoreCacheHitAccounting checks the counter algebra on a plan whose
 // key (year) has far fewer distinct values than the table has rows: every
 // prefer evaluation is exactly one hit or one miss, misses equal the
-// number of distinct keys, and score expressions run only on cond-true
-// misses.
+// number of distinct keys (one memo per prefer operator, at every worker
+// count), and score expressions run only on cond-true misses.
 func TestScoreCacheHitAccounting(t *testing.T) {
 	cat := parallelCatalog(t)
 	p := pref.New("recent", "movies", expr.Cmp("year", expr.OpGe, types.Int(2000)), pref.Recency("year", 2011), 0.9)
 	plan := &algebra.Prefer{P: p, Input: &algebra.Scan{Table: "movies"}}
 
-	ref := New(cat)
-	ref.ScoreCache = CacheOff
-	if _, err := ref.Run(plan, Native); err != nil {
-		t.Fatal(err)
-	}
-	e := New(cat)
-	e.ScoreCache = CacheOn
-	out, err := e.Run(plan, Native)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := e.Stats()
-	if s.CacheHits+s.CacheMisses != s.PreferEvals {
-		t.Errorf("hits+misses = %d, want PreferEvals = %d", s.CacheHits+s.CacheMisses, s.PreferEvals)
-	}
-	distinct := map[int64]bool{}
-	for _, row := range out.Rows {
-		distinct[row.Tuple[2].AsInt()] = true // movies.year
-	}
-	if s.CacheMisses != len(distinct) {
-		t.Errorf("misses = %d, want one per distinct year = %d", s.CacheMisses, len(distinct))
-	}
-	if s.CacheHits <= s.CacheMisses {
-		t.Errorf("low-cardinality key should be hit-dominated: hits=%d misses=%d", s.CacheHits, s.CacheMisses)
-	}
-	if s.ScoreEvals >= ref.Stats().ScoreEvals {
-		t.Errorf("cached ScoreEvals = %d, want fewer than uncached %d", s.ScoreEvals, ref.Stats().ScoreEvals)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ref := New(cat)
+			ref.Workers = workers
+			ref.ScoreCache = CacheOff
+			if _, err := ref.Run(plan, Native); err != nil {
+				t.Fatal(err)
+			}
+			e := New(cat)
+			e.Workers = workers
+			e.ScoreCache = CacheOn
+			out, err := e.Run(plan, Native)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := e.Stats()
+			if s.CacheHits+s.CacheMisses != s.PreferEvals {
+				t.Errorf("hits+misses = %d, want PreferEvals = %d", s.CacheHits+s.CacheMisses, s.PreferEvals)
+			}
+			distinct := map[int64]bool{}
+			for _, row := range out.Rows {
+				distinct[row.Tuple[2].AsInt()] = true // movies.year
+			}
+			if s.CacheMisses != len(distinct) {
+				t.Errorf("misses = %d, want one per distinct year = %d", s.CacheMisses, len(distinct))
+			}
+			if s.CacheHits <= s.CacheMisses {
+				t.Errorf("low-cardinality key should be hit-dominated: hits=%d misses=%d", s.CacheHits, s.CacheMisses)
+			}
+			if s.ScoreEvals >= ref.Stats().ScoreEvals {
+				t.Errorf("cached ScoreEvals = %d, want fewer than uncached %d", s.ScoreEvals, ref.Stats().ScoreEvals)
+			}
+		})
 	}
 }
 

@@ -20,7 +20,7 @@ const (
 	// distinct key must amortize over at least this many tuples.
 	scoreCacheMinRatio = 8
 	// scoreCacheMaxNDV caps the estimated key count at the executor's
-	// per-worker memo bound — beyond it the memo would degrade anyway.
+	// per-operator memo bound — beyond it the memo would degrade anyway.
 	scoreCacheMaxNDV = 1 << 16
 )
 

@@ -334,8 +334,9 @@ func (c *conn) flushCacheOnDDL(sql string) {
 
 // streamable abstracts the two result shapes a statement produces.
 type streamable interface {
-	// send writes the whole result (header, batches, end) to c for qid.
-	send(c *conn, qid uint64) error
+	// send writes the whole result (header, batches, end) to c for qid,
+	// calling done just before the terminating End or Error frame.
+	send(c *conn, qid uint64, done func()) error
 }
 
 // spawn runs one admitted statement in its own goroutine: server-wide
@@ -370,8 +371,13 @@ func (c *conn) spawn(qid uint64, run func(context.Context, []engine.QueryOption)
 
 		// Cross-session memory accounting: reserve the statement's budget
 		// from the shared pool and cap the statement at its reservation.
+		// The reservation is returned before the statement's last frame
+		// (End or Error) goes out, so a client that has read it never
+		// sees the pool still charged; the deferred call covers failed
+		// sends.
 		opts := settings.Options()
 		budget := settings.MemoryBudget
+		release := func() {}
 		if c.srv.opts.MemoryBudget > 0 {
 			if !settings.HasMemoryBudget {
 				budget = c.srv.opts.QueryMemory
@@ -381,16 +387,19 @@ func (c *conn) spawn(qid uint64, run func(context.Context, []engine.QueryOption)
 				c.writeError(qid, err)
 				return
 			}
-			defer c.srv.mem.release(budget)
+			var once sync.Once
+			release = func() { once.Do(func() { c.srv.mem.release(budget) }) }
+			defer release()
 		}
 
 		start := time.Now()
 		result, err := run(ctx, opts)
 		if err != nil {
+			release()
 			c.writeError(qid, err)
 			return
 		}
-		if err := result.send(c, qid); err != nil {
+		if err := result.send(c, qid, release); err != nil {
 			c.srv.log.Printf("conn %s: send qid %d: %v", c.nc.RemoteAddr(), qid, err)
 			return
 		}
@@ -415,7 +424,7 @@ type resultStream struct {
 	res *engine.Result
 }
 
-func (r resultStream) send(c *conn, qid uint64) error {
+func (r resultStream) send(c *conn, qid uint64, done func()) error {
 	var e wire.Encoder
 	e.Uvarint(qid)
 	if r.res.Rel != nil {
@@ -442,6 +451,7 @@ func (r resultStream) send(c *conn, qid uint64) error {
 			rows = rows[n:]
 		}
 	}
+	done()
 	return c.writeEnd(qid, r.res)
 }
 
@@ -451,7 +461,7 @@ type rowsStream struct {
 	rows engine.Rows
 }
 
-func (r rowsStream) send(c *conn, qid uint64) error {
+func (r rowsStream) send(c *conn, qid uint64, done func()) error {
 	defer r.rows.Close()
 	var e wire.Encoder
 	e.Uvarint(qid)
@@ -481,6 +491,7 @@ func (r rowsStream) send(c *conn, qid uint64) error {
 		}
 	}
 	if err := r.rows.Err(); err != nil {
+		done()
 		c.writeError(qid, err)
 		return nil
 	}
@@ -489,6 +500,7 @@ func (r rowsStream) send(c *conn, qid uint64) error {
 			return err
 		}
 	}
+	done()
 	var end wire.Encoder
 	end.Uvarint(qid)
 	end.Stats(r.rows.Stats())

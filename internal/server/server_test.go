@@ -155,6 +155,99 @@ func TestWireMatchesEmbedded(t *testing.T) {
 			})
 		}
 	}
+	// Colstore scans fill the columnar counters (ColBatches,
+	// RowsMaterialized); they must cross the wire like every other one.
+	t.Run("colstore=on", func(t *testing.T) {
+		big := bigDB(t)
+		// Build the store up front so both sides plan against it (EXPLAIN
+		// annotates segments only once a store exists).
+		movies, err := big.Catalog().Table("movies")
+		if err != nil {
+			t.Fatal(err)
+		}
+		movies.WaitCompaction()
+		movies.ColStore()
+		_, bigAddr := startServer(t, big, Options{})
+		const q = `SELECT title, year FROM movies WHERE m_id <= 500
+			PREFERRING year >= 2000 SCORE recency(year, 2011) CONF 0.9 ON movies
+			TOP 10 BY score`
+		opts := []engine.QueryOption{engine.WithColstore(engine.ColstoreOn)}
+		sess := big.NewSession()
+		want, err := sess.QueryContext(context.Background(), q, opts...)
+		sess.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Stats.ColBatches == 0 || want.Stats.RowsMaterialized == 0 {
+			t.Fatalf("query never reached the columnar path: %+v", want.Stats)
+		}
+		c, err := wire.Dial(bigAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		got, err := c.QueryContext(context.Background(), q, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, got, want)
+	})
+}
+
+// TestUnknownSettingRejected drives the protocol with hand-written frames
+// whose enumerated settings this build does not define — Colstore=2 (the
+// retired row-packing mode) and Batch=7. Each statement must fail with an
+// error frame naming the setting, and the connection must go on serving.
+func TestUnknownSettingRejected(t *testing.T) {
+	db := testDB(t)
+	_, addr := startServer(t, db, Options{})
+	nc := dialRaw(t, addr)
+	nc.SetReadDeadline(time.Now().Add(30 * time.Second))
+	send := func(qid uint64, s engine.Settings) {
+		var e wire.Encoder
+		e.Uvarint(qid)
+		e.Byte(byte(wire.KindQuery))
+		e.String(protoQuery)
+		e.Settings(s)
+		if err := wire.WriteFrame(nc, wire.FrameQuery, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := []engine.Settings{
+		{HasColstore: true, Colstore: 2},
+		{HasBatch: true, Batch: 7},
+	}
+	for i, s := range bad {
+		qid := uint64(i + 1)
+		send(qid, s)
+		ft, payload, err := wire.ReadFrame(nc)
+		if err != nil || ft != wire.FrameError {
+			t.Fatalf("qid %d: frame %#x, err %v; want an error frame", qid, byte(ft), err)
+		}
+		d := wire.NewDecoder(payload)
+		if got := d.Uvarint(); got != qid {
+			t.Fatalf("error frame for qid %d, want %d", got, qid)
+		}
+		if ferr := d.Error(); ferr == nil || !strings.Contains(ferr.Error(), wire.ErrUnknownSetting.Error()) {
+			t.Fatalf("qid %d: error %v, want %q", qid, ferr, wire.ErrUnknownSetting)
+		}
+	}
+	// A well-formed statement on the same connection still runs to End.
+	send(3, engine.CollectSettings(engine.WithColstore(engine.ColstoreOn)))
+	for {
+		ft, payload, err := wire.ReadFrame(nc)
+		if err != nil {
+			t.Fatalf("waiting for qid 3: %v", err)
+		}
+		if ft == wire.FrameError {
+			d := wire.NewDecoder(payload)
+			qid := d.Uvarint()
+			t.Fatalf("qid %d failed: %v", qid, d.Error())
+		}
+		if ft == wire.FrameEnd {
+			break
+		}
+	}
 }
 
 // TestWireSessionDefaults checks the precedence chain spans the network:
@@ -390,17 +483,16 @@ func TestMemoryPoolExhaustion(t *testing.T) {
 	}
 }
 
-// TestSessionAdmission drives the protocol with raw frames (the Client
-// serializes statements, so only a hand-rolled client can overcommit a
-// session) and checks the per-session cap rejects rather than queues.
-func TestSessionAdmission(t *testing.T) {
-	db := bigDB(t)
-	_, addr := startServer(t, db, Options{SessionConcurrent: 1})
+// dialRaw opens a connection and completes the handshake by hand, for
+// tests that must write frames the Client would never send; the
+// connection closes with the test.
+func dialRaw(t *testing.T, addr string) net.Conn {
+	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.Close()
+	t.Cleanup(func() { nc.Close() })
 	var hello wire.Encoder
 	hello.String(wire.Magic)
 	hello.Uvarint(wire.Version)
@@ -412,6 +504,16 @@ func TestSessionAdmission(t *testing.T) {
 	if ft, _, err := wire.ReadFrame(nc); err != nil || ft != wire.FrameWelcome {
 		t.Fatalf("handshake: frame %#x, err %v", byte(ft), err)
 	}
+	return nc
+}
+
+// TestSessionAdmission drives the protocol with raw frames (the Client
+// serializes statements, so only a hand-rolled client can overcommit a
+// session) and checks the per-session cap rejects rather than queues.
+func TestSessionAdmission(t *testing.T) {
+	db := bigDB(t)
+	_, addr := startServer(t, db, Options{SessionConcurrent: 1})
+	nc := dialRaw(t, addr)
 	slow := `SELECT title FROM movies PREFERRING year >= 1990 SCORE recency(year, 2011) CONF 0.9 ON movies RANK BY score`
 	sendQuery := func(qid uint64) {
 		var e wire.Encoder

@@ -21,6 +21,11 @@ import (
 // ErrTruncated reports a payload that ended before its encoded content.
 var ErrTruncated = errors.New("wire: truncated payload")
 
+// ErrUnknownSetting reports an enumerated setting (mode, cache, batch,
+// colstore) whose value this build does not define — typically one sent
+// by a build that had a mode this one removed.
+var ErrUnknownSetting = errors.New("wire: unknown setting value")
+
 // Encoder builds a frame payload.
 type Encoder struct {
 	b []byte
@@ -176,6 +181,7 @@ func statsFields(s *exec.Stats) []*int {
 		&s.NativeCalls, &s.IndexProbes, &s.PreferEvals,
 		&s.ScoreRelationRows, &s.ScoreEvals, &s.CacheHits, &s.CacheMisses,
 		&s.Batches, &s.SegmentsScanned, &s.SegmentsSkipped,
+		&s.ColBatches, &s.RowsMaterialized, &s.JoinProbeBatches,
 	}
 }
 
@@ -386,7 +392,7 @@ func (d *Decoder) Settings() engine.Settings {
 		*has = mask&(1<<i) != 0
 	}
 	if s.HasMode {
-		s.Mode = engine.Mode(d.Uvarint())
+		s.Mode = decodeEnum(d, "mode", engine.Modes())
 	}
 	if s.HasWorkers {
 		s.Workers = int(d.Varint())
@@ -404,18 +410,36 @@ func (d *Decoder) Settings() engine.Settings {
 		s.MemoryBudget = d.Varint()
 	}
 	if s.HasCache {
-		s.Cache = engine.CacheMode(d.Uvarint())
+		s.Cache = decodeEnum(d, "cache mode", engine.CacheModes())
 	}
 	if s.HasBatch {
-		s.Batch = engine.BatchMode(d.Uvarint())
+		s.Batch = decodeEnum(d, "batch mode", engine.BatchModes())
 	}
 	if s.HasBatchSize {
 		s.BatchSize = int(d.Varint())
 	}
 	if s.HasColstore {
-		s.Colstore = engine.ColstoreMode(d.Uvarint())
+		s.Colstore = decodeEnum(d, "colstore mode", engine.ColstoreModes())
 	}
 	return s
+}
+
+// decodeEnum reads a uvarint-coded enumerated setting and accepts it only
+// if it is one of valid (the engine registry's listing), so a value this
+// build does not define fails the decode instead of running as some other
+// mode.
+func decodeEnum[T ~uint8](d *Decoder, what string, valid []T) T {
+	v := d.Uvarint()
+	if d.err != nil {
+		return 0
+	}
+	for _, m := range valid {
+		if uint64(m) == v {
+			return m
+		}
+	}
+	d.fail(fmt.Errorf("%w: %s %d", ErrUnknownSetting, what, v))
+	return 0
 }
 
 // Stats reads the execution counters, tolerating captures with fewer or

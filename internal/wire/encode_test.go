@@ -167,6 +167,7 @@ func TestStatsRoundTrip(t *testing.T) {
 		NativeCalls: 4, IndexProbes: 5, PreferEvals: 6,
 		ScoreRelationRows: 7, ScoreEvals: 8, CacheHits: 9, CacheMisses: 10,
 		Batches: 11, SegmentsScanned: 12, SegmentsSkipped: 13,
+		ColBatches: 14, RowsMaterialized: 15, JoinProbeBatches: 16,
 	}
 	var e Encoder
 	e.Stats(want)
@@ -175,14 +176,47 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 	// Forward compatibility: a capture with extra trailing counters decodes.
 	e2 := Encoder{}
-	e2.Uvarint(15)
-	for i := 0; i < 15; i++ {
+	e2.Uvarint(18)
+	for i := 0; i < 18; i++ {
 		e2.Varint(int64(i))
 	}
 	d := NewDecoder(e2.Bytes())
 	got := d.Stats()
-	if d.Err() != nil || got.RowsScanned != 0 || got.SegmentsSkipped != 12 {
+	if d.Err() != nil || got.RowsScanned != 0 || got.JoinProbeBatches != 15 {
 		t.Fatalf("forward decode: %+v err %v", got, d.Err())
+	}
+	// Backward compatibility: a 13-counter capture leaves the newer
+	// counters at zero.
+	e3 := Encoder{}
+	e3.Uvarint(13)
+	for i := 0; i < 13; i++ {
+		e3.Varint(int64(i + 1))
+	}
+	d = NewDecoder(e3.Bytes())
+	got = d.Stats()
+	if d.Err() != nil || got.SegmentsSkipped != 13 || got.ColBatches != 0 || got.JoinProbeBatches != 0 {
+		t.Fatalf("backward decode: %+v err %v", got, d.Err())
+	}
+}
+
+// TestSettingsRejectUnknownEnums pins that an enumerated setting outside
+// the engine's registry fails the decode with ErrUnknownSetting instead
+// of being cast into some other mode.
+func TestSettingsRejectUnknownEnums(t *testing.T) {
+	cases := map[string]engine.Settings{
+		"mode":     {HasMode: true, Mode: 200},
+		"cache":    {HasCache: true, Cache: 9},
+		"batch":    {HasBatch: true, Batch: 7},
+		"colstore": {HasColstore: true, Colstore: 2}, // the retired "rows" mode
+	}
+	for name, s := range cases {
+		var e Encoder
+		e.Settings(s)
+		d := NewDecoder(e.Bytes())
+		d.Settings()
+		if !errors.Is(d.Err(), ErrUnknownSetting) {
+			t.Fatalf("%s: decode error = %v, want ErrUnknownSetting", name, d.Err())
+		}
 	}
 }
 

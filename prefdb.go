@@ -334,13 +334,9 @@ const (
 	// ColstoreOn serves sealed pages from the columnar segment store,
 	// skipping segments whose zone maps disprove the filter.
 	ColstoreOn = engine.ColstoreOn
-	// ColstoreRows serves sealed pages from the columnar segment store
-	// but packs row views up front instead of handing kernels direct
-	// column vectors (the pre-direct baseline).
-	ColstoreRows = engine.ColstoreRows
 )
 
-// ParseColstoreMode resolves a colstore mode by name ("on", "rows", "off").
+// ParseColstoreMode resolves a colstore mode by name ("on", "off").
 func ParseColstoreMode(name string) (ColstoreMode, error) { return engine.ParseColstoreMode(name) }
 
 // ColstoreModes lists every colstore mode.
