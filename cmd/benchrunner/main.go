@@ -6,7 +6,6 @@
 //	benchrunner -exp all -scale 0.25 -repeats 3
 //	benchrunner -exp prefs
 //	benchrunner -exp scorecache -json BENCH_PR3.json
-//	benchrunner -exp vectorization -json BENCH_PR4.json -cpuprofile cpu.pprof
 //	benchrunner -exp zonemap -scale 0.1 -json BENCH_PR6.json
 //	benchrunner -list
 package main

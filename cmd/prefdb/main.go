@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	prefdb [-load imdb|dblp] [-scale 0.1] [-mode gbu] [-cache auto] [-batch on] [-timeout 5s] [-explain] [-q "SELECT ..."] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	prefdb [-load imdb|dblp] [-scale 0.1] [-mode gbu] [-cache auto] [-timeout 5s] [-explain] [-q "SELECT ..."] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	prefdb -connect host:port [-token t] [-mode gbu] [-q "SELECT ..."]
 //
 // Without -q it reads statements from stdin, terminated by ';'.
@@ -12,7 +12,7 @@
 // exit the shell with Ctrl-D or \quit.
 //
 // With -connect, statements run on a prefdbserver instead of an embedded
-// database: the mode/cache/batch/colstore/workers flags become the remote
+// database: the mode/cache/colstore/workers flags become the remote
 // session's defaults and everything else — results, options, cancel
 // behavior — works identically (the shell talks to the same Session
 // interface either way). Dataset and snapshot flags (-load, -open, -save)
@@ -53,7 +53,6 @@ func main() {
 		seed     = flag.Int64("seed", 42, "dataset generator seed")
 		mode     = flag.String("mode", "gbu", "evaluation strategy: native, bu, gbu, ftp, plugin-naive, plugin-merged")
 		cache    = flag.String("cache", "auto", "preference score cache: auto (follow optimizer hints), off, on")
-		batch    = flag.String("batch", "on", "vectorized batch execution: on, off")
 		colstore = flag.String("colstore", "off", "columnar segment scans with zone-map pruning and direct column kernels: on, off")
 		workers  = flag.Int("workers", 0, "parallel executor workers (0 = GOMAXPROCS, 1 = sequential)")
 		timeout  = flag.Duration("timeout", 0, "per-statement wall-clock deadline (0 = none)")
@@ -108,7 +107,7 @@ func main() {
 		if *load != "" || *open != "" || *save != "" {
 			fatal(errors.New("-load/-open/-save are embedded-only; the server owns its data"))
 		}
-		defaults, err := sessionDefaults(*mode, *cache, *batch, *colstore, *workers)
+		defaults, err := sessionDefaults(*mode, *cache, *colstore, *workers)
 		if err != nil {
 			fatal(err)
 		}
@@ -168,11 +167,6 @@ func main() {
 		fatal(err)
 	}
 	db.ScoreCache = cm
-	bm, err := prefdb.ParseBatchMode(*batch)
-	if err != nil {
-		fatal(err)
-	}
-	db.Batch = bm
 	csm, err := prefdb.ParseColstoreMode(*colstore)
 	if err != nil {
 		fatal(err)
@@ -212,7 +206,7 @@ func main() {
 
 // sessionDefaults turns the strategy flags into session default options
 // for a remote connection.
-func sessionDefaults(mode, cache, batch, colstore string, workers int) ([]prefdb.QueryOption, error) {
+func sessionDefaults(mode, cache, colstore string, workers int) ([]prefdb.QueryOption, error) {
 	m, err := prefdb.ParseMode(mode)
 	if err != nil {
 		return nil, err
@@ -221,18 +215,11 @@ func sessionDefaults(mode, cache, batch, colstore string, workers int) ([]prefdb
 	if err != nil {
 		return nil, err
 	}
-	bm, err := prefdb.ParseBatchMode(batch)
-	if err != nil {
-		return nil, err
-	}
 	csm, err := prefdb.ParseColstoreMode(colstore)
 	if err != nil {
 		return nil, err
 	}
-	opts := []prefdb.QueryOption{
-		prefdb.WithMode(m), prefdb.WithScoreCache(cm),
-		prefdb.WithBatch(bm), prefdb.WithColstore(csm),
-	}
+	opts := []prefdb.QueryOption{prefdb.WithMode(m), prefdb.WithScoreCache(cm), prefdb.WithColstore(csm)}
 	if workers != 0 {
 		opts = append(opts, prefdb.WithWorkers(workers))
 	}

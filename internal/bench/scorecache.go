@@ -28,17 +28,14 @@ type Point struct {
 	ScoreEvals  int     `json:"scoreEvals"`
 	CacheHits   int     `json:"cacheHits,omitempty"`
 	CacheMisses int     `json:"cacheMisses,omitempty"`
-	// Vectorization fields (E13): execution style, rows per batch, and the
-	// number of batches the executor produced ("" / 0 on the row path).
-	Batch     string  `json:"batch,omitempty"`
-	BatchSize int     `json:"batchSize,omitempty"`
-	Batches   int     `json:"batches,omitempty"`
-	Speedup   float64 `json:"speedup,omitempty"`
-	// Zone-map fields (E14): which storage side served the batch scan and
-	// the segment pruning counters ("" / 0 on the heap path).
-	Colstore        string `json:"colstore,omitempty"`
-	SegmentsScanned int    `json:"segmentsScanned,omitempty"`
-	SegmentsSkipped int    `json:"segmentsSkipped,omitempty"`
+	// Zone-map fields (E14): batches the executor drained, the speedup over
+	// the heap arm, which storage side served the batch scan and the
+	// segment pruning counters ("" / 0 on the heap path).
+	Batches         int     `json:"batches,omitempty"`
+	Speedup         float64 `json:"speedup,omitempty"`
+	Colstore        string  `json:"colstore,omitempty"`
+	SegmentsScanned int     `json:"segmentsScanned,omitempty"`
+	SegmentsSkipped int     `json:"segmentsSkipped,omitempty"`
 	// Server-load fields (E15): concurrent client sessions and the
 	// throughput / tail-latency profile of the wire-protocol server.
 	Sessions  int     `json:"sessions,omitempty"`

@@ -6,6 +6,8 @@ import (
 	"io"
 
 	"prefdb/internal/engine"
+	"prefdb/internal/schema"
+	"prefdb/internal/types"
 )
 
 // zoneBaseRows sizes the largest synthetic relation at scale 1.0 (the
@@ -19,10 +21,33 @@ const zoneBaseRows = 10_000_000
 // metadata alone.
 var zoneSelectivities = []float64{0.001, 0.01, 0.1, 0.5}
 
+// eventsDB builds the synthetic single-table database of the zone-map
+// sweep: a sequential key plus a year column the preference scores. The
+// year distribution is deterministic and uniform over 1970..2011, so the
+// preference's conditional part (year >= 2000) accepts a fixed fraction
+// regardless of the WHERE selectivity under sweep.
+func eventsDB(rows int) (*engine.DB, error) {
+	db := engine.Open()
+	tbl, err := db.Catalog().CreateTable("events", schema.New(
+		schema.Column{Name: "id", Kind: types.KindInt},
+		schema.Column{Name: "year", Kind: types.KindInt},
+	).WithKey("id"))
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < rows; i++ {
+		year := 1970 + (i*37)%42
+		if err := tbl.Insert([]types.Value{types.Int(int64(i)), types.Int(int64(year))}); err != nil {
+			return nil, err
+		}
+	}
+	return db, nil
+}
+
 // --- E14: zone-map segment pruning (PR 6) ---
 
 // runZoneMap sweeps |R| × WHERE selectivity over the same
-// scan→filter→prefer→top-k shape as E13, comparing the heap batch path
+// scan→filter→prefer→top-k shape, comparing the heap batch path
 // against the columnar segment store. The events table's ids are
 // sequential, so segment zone maps on id partition the key space exactly
 // and a `id <= cutoff` conjunct disqualifies every segment past the
@@ -40,7 +65,7 @@ func runZoneMap(ctx context.Context, e *Env, w io.Writer, repeats int) error {
 		if rows < 1000 {
 			rows = 1000
 		}
-		db, err := vectorDB(rows)
+		db, err := eventsDB(rows)
 		if err != nil {
 			return err
 		}
@@ -68,7 +93,7 @@ func runZoneMap(ctx context.Context, e *Env, w io.Writer, repeats int) error {
 			}{{"heap", engine.ColstoreOff}, {"colstore", engine.ColstoreOn}} {
 				m, err := MeasurePrepared(ctx, prep, repeats,
 					engine.WithMode(engine.ModeNative), engine.WithScoreCache(engine.CacheOff),
-					engine.WithBatch(engine.BatchOn), engine.WithColstore(arm.mode))
+					engine.WithColstore(arm.mode))
 				if err != nil {
 					return fmt.Errorf("rows=%d sel=%g %s: %w", rows, sel, arm.label, err)
 				}
@@ -95,7 +120,6 @@ func runZoneMap(ctx context.Context, e *Env, w io.Writer, repeats int) error {
 					ResultRows:      m.Rows,
 					PreferEvals:     m.Stats.PreferEvals,
 					ScoreEvals:      m.Stats.ScoreEvals,
-					Batch:           "on",
 					Batches:         m.Stats.Batches,
 					Speedup:         speedup,
 					Colstore:        arm.mode.String(),

@@ -80,15 +80,6 @@ type DB struct {
 	// follows the optimizer's per-operator hints, CacheOff disables
 	// memoization, CacheOn forces it.
 	ScoreCache CacheMode
-	// Batch is the default execution style for queries that pass no
-	// WithBatch option: BatchOn (the zero value) evaluates supported
-	// operators vectorized over row batches, BatchOff forces the
-	// row-at-a-time path. Results, order and stats (modulo the diagnostic
-	// batch counter) are identical in both modes.
-	Batch BatchMode
-	// BatchSize overrides the vectorized path's rows-per-batch block size
-	// (0 = the executor default).
-	BatchSize int
 	// Colstore is the default storage side for batch scans of queries that
 	// pass no WithColstore option: ColstoreOff (the zero value) reads the
 	// row heap, ColstoreOn reads the columnar segment store with zone-map
@@ -110,16 +101,6 @@ const (
 	CacheAuto = exec.CacheAuto
 	CacheOff  = exec.CacheOff
 	CacheOn   = exec.CacheOn
-)
-
-// BatchMode re-exports the executor's execution-style mode for option
-// values.
-type BatchMode = exec.BatchMode
-
-// Batch modes (see exec.BatchMode).
-const (
-	BatchOn  = exec.BatchOn
-	BatchOff = exec.BatchOff
 )
 
 // ColstoreMode re-exports the executor's columnar-storage mode for option
@@ -345,8 +326,6 @@ func (db *DB) executorFor(cfg *queryConfig, agg pref.Aggregate, dictFor func(pre
 	ex.Workers = cfg.workers
 	ex.Limits = cfg.limits
 	ex.ScoreCache = cfg.cache
-	ex.Batch = cfg.batch
-	ex.BatchSize = cfg.batchSize
 	ex.Colstore = cfg.colstore
 	if dictFor != nil && cfg.cache != CacheOff {
 		ex.DictFor = dictFor

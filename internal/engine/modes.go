@@ -1,8 +1,7 @@
 // Generic mode registry: one table per enumerated option (evaluation
-// mode, score cache, batch style, colstore side) resolving names to
-// values with uniform error text and a uniform listing, replacing the
-// four hand-written Parse*Mode switches that had drifted apart in error
-// wording. The exported Parse*/*Modes functions remain thin wrappers so
+// mode, score cache, colstore side) resolving names to values with
+// uniform error text and a uniform listing, replacing the hand-written
+// Parse*Mode switches that had drifted apart in error wording. The exported Parse*/*Modes functions remain thin wrappers so
 // existing call sites and flag parsing keep compiling unchanged.
 package engine
 
@@ -80,10 +79,6 @@ var (
 		{names: []string{"off"}, value: CacheOff},
 		{names: []string{"on"}, value: CacheOn},
 	}}
-	batchReg = &modeRegistry[BatchMode]{option: "batch mode", entries: []modeEntry[BatchMode]{
-		{names: []string{"on"}, value: BatchOn},
-		{names: []string{"off"}, value: BatchOff},
-	}}
 	colstoreReg = &modeRegistry[ColstoreMode]{option: "colstore mode", entries: []modeEntry[ColstoreMode]{
 		{names: []string{"off"}, value: ColstoreOff},
 		{names: []string{"on"}, value: ColstoreOn},
@@ -104,12 +99,6 @@ func ParseCacheMode(name string) (CacheMode, error) { return cacheReg.parse(name
 
 // CacheModes lists every score-cache mode in presentation order.
 func CacheModes() []CacheMode { return cacheReg.values() }
-
-// ParseBatchMode resolves a batch mode by name ("on", "off").
-func ParseBatchMode(name string) (BatchMode, error) { return batchReg.parse(name) }
-
-// BatchModes lists every batch mode in presentation order.
-func BatchModes() []BatchMode { return batchReg.values() }
 
 // ParseColstoreMode resolves a colstore mode by name ("on", "off").
 func ParseColstoreMode(name string) (ColstoreMode, error) { return colstoreReg.parse(name) }

@@ -29,8 +29,6 @@ const (
 	optMaxCells
 	optMemory
 	optCache
-	optBatch
-	optBatchSize
 	optColstore
 	optProfile
 )
@@ -46,23 +44,20 @@ type profileBinding struct {
 
 // queryConfig is the resolved per-query configuration.
 type queryConfig struct {
-	mode      Mode
-	workers   int
-	timeout   time.Duration
-	limits    exec.Limits
-	cache     CacheMode
-	batch     BatchMode
-	batchSize int
-	colstore  ColstoreMode
-	prof      *profileBinding
+	mode     Mode
+	workers  int
+	timeout  time.Duration
+	limits   exec.Limits
+	cache    CacheMode
+	colstore ColstoreMode
+	prof     *profileBinding
 
 	set optMask
 }
 
 // queryConfig resolves the options against the database defaults.
 func (db *DB) queryConfig(opts []QueryOption) queryConfig {
-	cfg := queryConfig{mode: db.Mode, workers: db.Workers, cache: db.ScoreCache,
-		batch: db.Batch, batchSize: db.BatchSize, colstore: db.Colstore}
+	cfg := queryConfig{mode: db.Mode, workers: db.Workers, cache: db.ScoreCache, colstore: db.Colstore}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -115,21 +110,6 @@ func WithMemoryBudget(bytes int64) QueryOption {
 // memoization, CacheOn forces it), overriding the database default.
 func WithScoreCache(m CacheMode) QueryOption {
 	return func(c *queryConfig) { c.cache = m; c.set |= optCache }
-}
-
-// WithBatch selects the executor's evaluation style for this query
-// (BatchOn runs supported operators vectorized over row batches, BatchOff
-// forces the row-at-a-time path), overriding the database default.
-// Results, order and stats (modulo the diagnostic batch counter) are
-// identical in both modes.
-func WithBatch(m BatchMode) QueryOption {
-	return func(c *queryConfig) { c.batch = m; c.set |= optBatch }
-}
-
-// WithBatchSize overrides the vectorized path's rows-per-batch block size
-// for this query (0 = the executor default).
-func WithBatchSize(n int) QueryOption {
-	return func(c *queryConfig) { c.batchSize = n; c.set |= optBatchSize }
 }
 
 // WithColstore selects the storage side batch scans read for this query
@@ -194,12 +174,6 @@ type Settings struct {
 	HasCache bool
 	Cache    CacheMode
 
-	HasBatch bool
-	Batch    BatchMode
-
-	HasBatchSize bool
-	BatchSize    int
-
 	HasColstore bool
 	Colstore    ColstoreMode
 
@@ -224,8 +198,6 @@ func CollectSettings(opts ...QueryOption) Settings {
 		HasMaxCells: c.set&optMaxCells != 0, MaxCells: c.limits.MaxCells,
 		HasMemoryBudget: c.set&optMemory != 0, MemoryBudget: c.limits.MemoryBudget,
 		HasCache: c.set&optCache != 0, Cache: c.cache,
-		HasBatch: c.set&optBatch != 0, Batch: c.batch,
-		HasBatchSize: c.set&optBatchSize != 0, BatchSize: c.batchSize,
 		HasColstore: c.set&optColstore != 0, Colstore: c.colstore,
 		HasProfile: c.set&optProfile != 0,
 	}
@@ -256,12 +228,6 @@ func (s Settings) Options() []QueryOption {
 	}
 	if s.HasCache {
 		opts = append(opts, WithScoreCache(s.Cache))
-	}
-	if s.HasBatch {
-		opts = append(opts, WithBatch(s.Batch))
-	}
-	if s.HasBatchSize {
-		opts = append(opts, WithBatchSize(s.BatchSize))
 	}
 	if s.HasColstore {
 		opts = append(opts, WithColstore(s.Colstore))
@@ -296,12 +262,6 @@ func WithOptimizer(enabled bool) OpenOption {
 // that pass no WithScoreCache option.
 func WithDefaultScoreCache(m CacheMode) OpenOption {
 	return func(db *DB) { db.ScoreCache = m }
-}
-
-// WithDefaultBatch sets the default execution style used by queries that
-// pass no WithBatch option.
-func WithDefaultBatch(m BatchMode) OpenOption {
-	return func(db *DB) { db.Batch = m }
 }
 
 // WithDefaultColstore sets the default batch-scan storage side used by

@@ -1,6 +1,6 @@
 // Session-centric front end (the paper's multi-user model, §V): a Session
 // is a lightweight handle on a shared DB carrying per-session defaults —
-// evaluation mode, workers, cache/batch/colstore styles, guard budgets,
+// evaluation mode, workers, cache/colstore styles, guard budgets,
 // and optionally a bound user profile. Options resolve through the
 // precedence chain
 //

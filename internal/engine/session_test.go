@@ -17,7 +17,7 @@ import (
 // TestOptionPrecedence pins the documented resolution chain for every
 // per-query option: Open defaults < session defaults < per-query options.
 // Several "winning" values are deliberately the type's zero value
-// (CacheAuto, BatchOn, ModeGBU) so the test fails if resolution ever
+// (CacheAuto, ColstoreOff, ModeGBU) so the test fails if resolution ever
 // regresses to zero-value comparison instead of explicit-set tracking.
 func TestOptionPrecedence(t *testing.T) {
 	storeA, storeB := profile.NewStore(), profile.NewStore()
@@ -77,20 +77,6 @@ func TestOptionPrecedence(t *testing.T) {
 			open: CacheOn, sess: CacheOff, query: CacheAuto,
 		},
 		{
-			name:    "batch",
-			openSet: func(db *DB) { db.Batch = BatchOff },
-			sessOpt: WithBatch(BatchOff), queryOpt: WithBatch(BatchOn),
-			get:  func(c queryConfig) any { return c.batch },
-			open: BatchOff, sess: BatchOff, query: BatchOn,
-		},
-		{
-			name:    "batch-size",
-			openSet: func(db *DB) { db.BatchSize = 64 },
-			sessOpt: WithBatchSize(128), queryOpt: WithBatchSize(256),
-			get:  func(c queryConfig) any { return c.batchSize },
-			open: 64, sess: 128, query: 256,
-		},
-		{
 			name:    "colstore",
 			openSet: func(db *DB) { db.Colstore = ColstoreOn },
 			sessOpt: WithColstore(ColstoreOn), queryOpt: WithColstore(ColstoreOff),
@@ -135,8 +121,7 @@ func TestSettingsRoundTrip(t *testing.T) {
 	opts := []QueryOption{
 		WithMode(ModeNative), WithWorkers(3), WithTimeout(time.Second),
 		WithMaxRows(7), WithMaxCells(8), WithMemoryBudget(9),
-		WithScoreCache(CacheOff), WithBatch(BatchOff), WithBatchSize(33),
-		WithColstore(ColstoreOn),
+		WithScoreCache(CacheOff), WithColstore(ColstoreOn),
 	}
 	s := CollectSettings(opts...)
 	back := CollectSettings(s.Options()...)
@@ -221,6 +206,26 @@ func TestStreamMatchesQuery(t *testing.T) {
 					t.Fatalf("plan diverges:\n  stream %s\n  query  %s", rows.Plan(), res.Plan)
 				}
 			})
+		}
+	}
+}
+
+// TestStreamEmptyResult pins that a query matching nothing streams zero
+// rows under every evaluation mode, including the materializing
+// strategies, whose stream then serves an empty relation.
+func TestStreamEmptyResult(t *testing.T) {
+	for _, mode := range []Mode{ModeNative, ModeBU, ModeGBU, ModeFtP, ModePluginNaive} {
+		sess := setupDB(t).NewSession(WithMode(mode))
+		rows, err := sess.StreamContext(context.Background(), `SELECT title FROM movies WHERE year > 3000
+			PREFERRING year >= 2000 SCORE recency(year, 2011) CONF 0.9 ON movies`)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		for rows.Next() {
+			t.Fatalf("%v: streamed a row of an empty result", mode)
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatalf("%v: %v", mode, err)
 		}
 	}
 }
@@ -423,23 +428,21 @@ func TestModeRegistryListings(t *testing.T) {
 	if len(Modes()) != 6 {
 		t.Fatalf("Modes() = %v", Modes())
 	}
-	if len(CacheModes()) != 3 || len(BatchModes()) != 2 || len(ColstoreModes()) != 2 {
-		t.Fatalf("listings: cache %v batch %v colstore %v", CacheModes(), BatchModes(), ColstoreModes())
+	if len(CacheModes()) != 3 || len(ColstoreModes()) != 2 {
+		t.Fatalf("listings: cache %v colstore %v", CacheModes(), ColstoreModes())
 	}
 	for _, m := range Modes() {
 		if got, err := ParseMode(m.String()); err != nil || got != m {
 			t.Fatalf("ParseMode(%q) = %v, %v", m.String(), got, err)
 		}
 	}
-	for _, name := range []string{"mode", "cache mode", "batch mode", "colstore mode"} {
+	for _, name := range []string{"mode", "cache mode", "colstore mode"} {
 		var err error
 		switch name {
 		case "mode":
 			_, err = ParseMode("bogus")
 		case "cache mode":
 			_, err = ParseCacheMode("bogus")
-		case "batch mode":
-			_, err = ParseBatchMode("bogus")
 		case "colstore mode":
 			_, err = ParseColstoreMode("bogus")
 		}

@@ -1,33 +1,31 @@
-// Vectorized batch execution (tentpole of the throughput roadmap).
+// Vectorized pipeline: the executor's one physical execution path.
 //
-// The executor can evaluate a pipeline over morsel-sized row batches
-// (prel.Batch) instead of one row per virtual call: operators with a batch
-// implementation process a whole block per nextBatch call, compacting a
-// selection vector instead of copying rows, so interface dispatch, guard
-// polling and stats accounting amortize over the batch. σ/λ chains fuse
-// into a single kernel (applySegOps) that filters via the conjunct-wise
-// expr.TruthyBatch and scores only surviving rows, consulting the score
-// cache batch-wise.
+// Every plan compiles through buildBatch into a pull pipeline over
+// morsel-sized row batches (prel.Batch): an operator processes a whole
+// block per nextBatch call, compacting a selection vector instead of
+// copying rows, so interface dispatch, guard polling and stats accounting
+// amortize over the batch. σ/λ chains fuse into a single kernel
+// (applySegOps) that filters via the conjunct-wise expr.TruthyBatch and
+// scores only surviving rows, consulting the score cache batch-wise.
 //
-// Fallback rules keep the mode transparent:
+// Rules:
 //
-//   - buildBatch mirrors build node-by-node. Nodes without a batch
-//     implementation (set ops, skyline, rank, order-by, top-k, limit)
-//     compile through the row-path build; their output is re-adapted into
-//     batches (asBatchIter), and blocking operators re-enter the batch
-//     path for their children through drainChild → drain.
-//   - A batch consumer that needs rows (the nested-loop join) adapts with
-//     batchToRow; a row source that must feed a batch operator adapts
-//     with rowBatchSrc.
-//   - Results, row order and Stats are byte-identical to the row path in
-//     every mode combination; only the diagnostic Batches counter differs.
-//     The equivalence suite (batch_test.go) enforces this across
-//     strategies, worker counts and cache modes.
+//   - buildBatch is the only node dispatcher; no operator has a
+//     row-at-a-time mirror.
+//   - Blocking operators (top-k, skyline, rank, order-by) drain their input
+//     through drainChild → drain and serve the result as a sliceBatchSrc;
+//     set operations drain both children and do the same.
+//   - Operators that only exist row-wise — Limit, the nested-loop join and
+//     the index rowIDIter sources — read batch children through batchToRow
+//     and hand their rows on through rowBatchSrc.
+//   - Results, row order and the non-diagnostic Stats do not depend on the
+//     batch size, worker count or colstore mode (see Executor). The suites
+//     in batch_test.go enforce this and check every result against the
+//     tuple-at-a-time oracle in oracle_test.go.
 package exec
 
 import (
 	"fmt"
-	"strings"
 
 	"prefdb/internal/algebra"
 	"prefdb/internal/colstore"
@@ -40,45 +38,10 @@ import (
 	"prefdb/internal/types"
 )
 
-// BatchMode selects the executor's evaluation style.
-type BatchMode uint8
-
-const (
-	// BatchOn (the zero value) evaluates supported operators vectorized
-	// over row batches with selection vectors.
-	BatchOn BatchMode = iota
-	// BatchOff forces the row-at-a-time volcano path everywhere; the
-	// equivalence suite uses it as the reference semantics.
-	BatchOff
-)
-
-// String implements fmt.Stringer.
-func (m BatchMode) String() string {
-	if m == BatchOff {
-		return "off"
-	}
-	return "on"
-}
-
-// ParseBatchMode resolves a batch mode by name.
-func ParseBatchMode(name string) (BatchMode, error) {
-	switch strings.ToLower(name) {
-	case "on":
-		return BatchOn, nil
-	case "off":
-		return BatchOff, nil
-	default:
-		return 0, fmt.Errorf("exec: unknown batch mode %q (on, off)", name)
-	}
-}
-
 // defaultBatchSize is the rows-per-batch block size when BatchSize is 0:
 // large enough to amortize per-batch overhead, small enough that a batch's
 // tuple pointers and ⟨S,C⟩ column stay cache-resident.
 const defaultBatchSize = 1024
-
-// batchOK reports whether pipelines may take the vectorized path.
-func (e *Executor) batchOK() bool { return e.Batch != BatchOff }
 
 // batchSize resolves the configured rows-per-batch block size.
 func (e *Executor) batchSize() int {
@@ -125,12 +88,10 @@ func (s *sliceBatchSrc) nextBatch() (*prel.Batch, bool) {
 }
 
 // heapBatchSrc streams a heap page-by-page into a reused batch, never
-// materializing the table's row slice (the row path's heapScanIter
-// snapshot — the dominant allocation on scan-heavy pipelines). Tuples
-// alias heap pages, which are append-only during execution. The batch
-// pipeline always drains its sources (blocking consumers sit on the row
-// fallback), so the summed per-batch RowsScanned equals the row path's
-// one-shot snapshot count.
+// materializing the table's row slice. Tuples alias heap pages, which are
+// append-only during execution. RowsScanned grows by each batch as it is
+// produced, so a consumer that stops early (a Limit) leaves the rest of
+// the heap unread and uncounted.
 type heapBatchSrc struct {
 	heap  *storage.Heap
 	stats *Stats
@@ -181,9 +142,9 @@ func (h *heapBatchSrc) nextBatch() (*prel.Batch, bool) {
 	return b, true
 }
 
-// rowBatchSrc adapts any row iterator into a batch source: the universal
-// bridge that lets operators without a batch implementation feed the
-// vectorized pipeline above them.
+// rowBatchSrc adapts a row iterator into a batch source: the bridge that
+// lets the row-wise operators (Limit, the nested-loop join, index access
+// paths) feed the pipeline above them.
 type rowBatchSrc struct {
 	in   iter
 	size int
@@ -209,9 +170,8 @@ func (r *rowBatchSrc) nextBatch() (*prel.Batch, bool) {
 	return r.buf, true
 }
 
-// batchToRow adapts a batch pipeline back into a row iterator for
-// consumers that buffer rows themselves (the hash-join build side, the
-// nested-loop join). Rows returned alias batch tuple storage, which is
+// batchToRow adapts a batch pipeline into a row iterator for the row-wise
+// consumers (Limit, the nested-loop join). Rows returned alias batch tuple storage, which is
 // stable (tuples are immutable and arena-backed); the ⟨S,C⟩ pair is copied
 // by value, so buffering them is safe.
 type batchToRow struct {
@@ -237,14 +197,20 @@ func (b *batchToRow) next() (prel.Row, bool) {
 	}
 }
 
-// asBatchIter adapts a row iterator produced by the fallback build path.
-// A materialized sliceIter is served zero-copy in blocks; anything else
-// goes through the row adapter.
-func (e *Executor) asBatchIter(it iter) batchIter {
-	if si, ok := it.(*sliceIter); ok && si.pos == 0 {
-		return newSliceBatchSrc(si.rows, e.batchSize())
+// drainBatches exhausts a batch pipeline into a row slice, counting
+// columnar rows as they cross the late-materialization boundary.
+func (e *Executor) drainBatches(bi batchIter) []prel.Row {
+	var out []prel.Row
+	for {
+		b, ok := bi.nextBatch()
+		if !ok {
+			return out
+		}
+		if b.Columnar() {
+			e.stats.RowsMaterialized += b.Live()
+		}
+		out = b.AppendRows(out)
 	}
-	return &rowBatchSrc{in: it, size: e.batchSize()}
 }
 
 // --- vectorized operators ---
@@ -308,9 +274,8 @@ type segScratch struct {
 // into the scratch selection vector, since a preference scores matching
 // rows rather than dropping the rest — and its scoring part evaluates
 // batch-wise (expr.EvalBatch), hoisting per-row scratch out of the row
-// loop. Per-row semantics — evaluation order, score clamping, cache
-// accounting — are exactly those of filterIter/preferIter, so the batch
-// and row paths produce identical rows and Stats.
+// loop. Per row this is σ and λ_{p,F} of §IV: a NULL or non-numeric score
+// leaves the pair unchanged and scores clamp to [0,1].
 func applySegOps(b *prel.Batch, ops []segOp, memos []*scoreMemo, agg pref.Aggregate, stats *Stats, scr *segScratch) {
 	columnar := b.Columnar()
 	if columnar && scr.colScr == nil {
@@ -424,8 +389,7 @@ func collectChain(n algebra.Node) ([]algebra.Node, algebra.Node) {
 }
 
 // compileSegOps compiles a collected σ/λ chain against s into per-row
-// segment ops, innermost-first (matching the row path's build order,
-// including its error wrapping).
+// segment ops, innermost-first, so compile errors surface in plan order.
 func (e *Executor) compileSegOps(chain []algebra.Node, s *schema.Schema) ([]segOp, error) {
 	ops := make([]segOp, 0, len(chain))
 	for i := len(chain) - 1; i >= 0; i-- {
@@ -471,8 +435,7 @@ func (e *Executor) segMemos(ops []segOp, s *schema.Schema) []*scoreMemo {
 	return memos
 }
 
-// segBatchIter is the fused filter→prefer kernel of the batch path: one
-// virtual call per batch runs the whole compiled chain. It is the one σ/λ
+// segBatchIter is the fused filter→prefer kernel: one virtual call per batch runs the whole compiled chain. It is the one σ/λ
 // implementation over both batch sources (segBatchSrc windows with the
 // colstore on, heapBatchSrc on the heap).
 type segBatchIter struct {
@@ -503,9 +466,9 @@ func (s *segBatchIter) nextBatch() (*prel.Batch, bool) {
 }
 
 // projectBatch narrows the selected rows of each batch into a private
-// output batch, drawing output tuples from the same chunked arena the row
-// path uses (one allocation per projectChunkRows rows; see projectArena
-// for the aliasing contract).
+// output batch, drawing output tuples from a chunked arena (one
+// allocation per projectChunkRows rows; see projectArena for the aliasing
+// contract).
 type projectBatch struct {
 	in    batchIter
 	ords  []int
@@ -547,8 +510,8 @@ func (p *projectBatch) nextBatch() (*prel.Batch, bool) {
 }
 
 // thresholdBatch filters on the score or confidence dimension by
-// compacting the selection vector (same semantics as thresholdIter: a ⊥
-// pair fails every score comparison, confidence is always defined).
+// compacting the selection vector: a ⊥ pair fails every score comparison;
+// confidence is defined for every tuple (0 under ⊥).
 type thresholdBatch struct {
 	in    batchIter
 	by    algebra.RankBy
@@ -592,10 +555,10 @@ func (t *thresholdBatch) nextBatch() (*prel.Batch, bool) {
 	}
 }
 
-// hashJoinBatch is the vectorized extended hash join: the build side is
-// buffered (it is buffered state either way), the probe side streams
-// batches, emitting combined rows into a private output batch in the same
-// (probe order, build-insert order) sequence as hashJoinIter.
+// hashJoinBatch is the extended hash join ⋈_{φ,F}: the left (build) side
+// is buffered into a bucket table, the right (probe) side streams
+// batches, emitting combined rows into a private output batch in (probe
+// order, build-insert order) sequence.
 //
 // Both sides run direct-on-column when their batches are columnar with
 // typed key vectors: the build hashes keys straight off the vectors
@@ -611,7 +574,7 @@ func (t *thresholdBatch) nextBatch() (*prel.Batch, bool) {
 // scratchalias analyzer enforces this on the prefdb:col-transient marker;
 // prefdbdebug builds additionally re-hash every retained entry from its
 // tuple after the build (debugCheckJoinTable), so a window retained (or a
-// hash computed inconsistently with the row path) is caught at build end,
+// vector hash inconsistent with the tuple hash) is caught at build end,
 // not at a wrong join result.
 // prefdb:col-transient
 type hashJoinBatch struct {
@@ -752,8 +715,8 @@ func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
 }
 
 // debugCheckJoinTable re-hashes every retained build-table entry from its
-// tuple in prefdbdebug builds: a bucket key that disagrees with the row
-// path's hashCols exposes either a vector/tuple hash divergence in
+// tuple in prefdbdebug builds: a bucket key that disagrees with hashCols
+// exposes either a vector/tuple hash divergence in
 // expr.HashCols or a build row that retained transient window state
 // instead of stable tuple storage (the build-side borrow contract). A
 // no-op in normal builds.
@@ -771,10 +734,8 @@ func debugCheckJoinTable(table map[uint64][]prel.Row, eqL []int) {
 
 // --- pipeline construction ---
 
-// buildBatch compiles a plan node into a batch pipeline, mirroring build's
-// node dispatch. Supported operators get native batch implementations;
-// everything else compiles through the row-path build and is re-adapted
-// (see the package comment for the fallback rules).
+// buildBatch compiles a plan node into a batch pipeline: the executor's
+// one node dispatcher (see the package comment for the rules).
 func (e *Executor) buildBatch(n algebra.Node) (batchIter, *schema.Schema, error) {
 	switch x := n.(type) {
 	case *algebra.Select, *algebra.Prefer:
@@ -829,47 +790,119 @@ func (e *Executor) buildBatch(n algebra.Node) (batchIter, *schema.Schema, error)
 		}
 		return &thresholdBatch{in: in, by: x.By, op: x.Op, value: x.Value, tick: pollTick{g: e.gd}}, s, nil
 
-	default:
-		// Row-path fallback: blocking operators in this subtree still
-		// re-enter the batch path for their children via drainChild.
-		it, s, err := e.build(n)
+	case *algebra.Set:
+		return e.buildSet(x)
+
+	case *algebra.TopK, *algebra.Skyline, *algebra.Rank, *algebra.OrderBy:
+		return e.buildBlocking(n)
+
+	case *algebra.Limit:
+		// The limit stops pulling its input early, so streaming operators
+		// beneath it stay sequential (blocking operators re-enable fan-out
+		// in drain).
+		e.limitDepth++
+		in, s, err := e.buildBatch(x.Input)
+		e.limitDepth--
 		if err != nil {
 			return nil, nil, err
 		}
-		return e.asBatchIter(it), s, nil
+		lim := &limitIter{in: &batchToRow{in: in}, n: x.N, offset: x.Offset}
+		return &rowBatchSrc{in: lim, size: e.batchSize()}, s, nil
+
+	case nil:
+		return nil, nil, fmt.Errorf("exec: nil plan node")
+
+	default:
+		return nil, nil, fmt.Errorf("exec: unknown node type %T", n)
 	}
 }
 
-// buildBatchScan compiles a base-table access for the batch path: the same
-// access-path selection as buildScan (shared scanAccess), with the
-// residual conjuncts applied as a selection-vector kernel instead of a
-// row-at-a-time filter. In colstore mode a full-table access (no index
-// path taken, so every conjunct is residual) reads the columnar segment
-// store instead of the heap, pruning segments on zone maps against the
-// sargable conjuncts — sound precisely because the full conjunction still
-// runs as the residual kernel over whatever survives.
-func (e *Executor) buildBatchScan(scan *algebra.Scan, conjuncts []expr.Node) (batchIter, *schema.Schema, error) {
-	base, residual, s, err := e.scanAccess(scan, conjuncts)
+// buildBlocking compiles the operators that need their whole input —
+// top-k, skyline, rank and order-by: the input drains into a relation
+// (re-entering the pipeline through drainChild) and the result is served
+// in batches.
+func (e *Executor) buildBlocking(n algebra.Node) (batchIter, *schema.Schema, error) {
+	rel, err := e.drainChild(n.Children()[0])
 	if err != nil {
 		return nil, nil, err
 	}
-	var bi batchIter
-	if h, ok := base.(*heapScanIter); ok {
-		if e.colstoreOK() {
-			t, tErr := e.Cat.Table(scan.Table)
-			if tErr != nil {
-				return nil, nil, tErr
-			}
-			preds := colstore.PredsFrom(s, conjuncts)
-			bi = newSegBatchSrc(t.ColStore(), h.heap, preds, h.stats, h.tick, e.batchSize())
+	rows := rel.Rows
+	switch x := n.(type) {
+	case *algebra.TopK:
+		byConf := x.By == algebra.ByConf
+		if e.parallelOK() && x.K < rel.Len() && rel.Len() > morselSize {
+			// Per-worker bounded heaps merged with deterministic
+			// tie-breaks (input position) — the same selection.
+			rows = e.parallelTopK(rel.Rows, x.K, byConf)
 		} else {
-			bi = &heapBatchSrc{heap: h.heap, stats: h.stats, tick: h.tick, size: e.batchSize()}
+			// Bounded-heap selection: O(n log k) instead of a full sort.
+			rows = prel.TopK(rel.Rows, x.K, byConf)
 		}
-	} else {
-		bi = &rowBatchSrc{in: base, size: e.batchSize()}
+	case *algebra.Skyline:
+		if len(x.Dims) == 0 {
+			rows = skyline(rel.Rows)
+		} else if rows, err = attrSkyline(rel, x.Dims, e.gd); err != nil {
+			return nil, nil, err
+		}
+	case *algebra.Rank:
+		if x.By == algebra.ByConf {
+			rel.SortByConf()
+		} else {
+			rel.SortByScore()
+		}
+	case *algebra.OrderBy:
+		if err := orderRows(rel, x.Keys); err != nil {
+			return nil, nil, err
+		}
 	}
-	if residual != nil {
-		bi = &filterBatch{in: bi, cond: residual, stats: &e.stats, tick: pollTick{g: e.gd}}
+	return newSliceBatchSrc(rows, e.batchSize()), rel.Schema, nil
+}
+
+// buildBatchScan compiles a (possibly filtered) base-table access. When a
+// filter conjunct allows, an index access path (a rowIDIter) replaces the
+// sequential scan; the remaining conjuncts run as a residual
+// selection-vector kernel. A full-table access (no index path taken, so
+// every conjunct is residual) streams the heap — or, in colstore mode,
+// the columnar segment store, pruning segments on zone maps against the
+// sargable conjuncts, which is sound precisely because the full
+// conjunction still runs as the residual kernel over whatever survives.
+func (e *Executor) buildBatchScan(scan *algebra.Scan, conjuncts []expr.Node) (batchIter, *schema.Schema, error) {
+	t, err := e.Cat.Table(scan.Table)
+	if err != nil {
+		return nil, nil, err
+	}
+	s := t.Schema().Rename(scan.AliasName())
+
+	var residual []expr.Node
+	var index iter
+	for i, c := range conjuncts {
+		if index != nil {
+			residual = append(residual, conjuncts[i:]...)
+			break
+		}
+		if index = e.tryIndexPath(t, s, c); index == nil {
+			residual = append(residual, c)
+		}
+	}
+	var cond *expr.Compiled
+	if len(residual) > 0 {
+		if cond, err = expr.CompileCondition(expr.AndAll(residual), s, e.Funcs); err != nil {
+			return nil, nil, err
+		}
+	}
+	var bi batchIter
+	tick := pollTick{g: e.gd}
+	switch {
+	case index != nil:
+		bi = &rowBatchSrc{in: index, size: e.batchSize()}
+	case e.colstoreOK():
+		preds := colstore.PredsFrom(s, conjuncts)
+		bi = newSegBatchSrc(t.ColStore(), t.Heap, preds, &e.stats, tick, e.batchSize())
+	default:
+		bi = &heapBatchSrc{heap: t.Heap, stats: &e.stats, tick: tick, size: e.batchSize()}
+	}
+	if cond != nil {
+		bi = &filterBatch{in: bi, cond: cond, stats: &e.stats, tick: pollTick{g: e.gd}}
 	}
 	return bi, s, nil
 }
@@ -885,15 +918,13 @@ func (e *Executor) buildBatchSegment(n algebra.Node) (batchIter, *schema.Schema,
 	switch leaf := cur.(type) {
 	case *algebra.Scan:
 		// A select directly over a scan keeps its shot at an index access
-		// path, exactly as in the row-path build.
+		// path.
 		var conjuncts []expr.Node
 		if sel, ok := chain[len(chain)-1].(*algebra.Select); ok {
 			conjuncts = expr.Conjuncts(sel.Cond)
 			chain = chain[:len(chain)-1]
 		}
 		base, s, err = e.buildBatchScan(leaf, conjuncts)
-	case *algebra.Values:
-		base, s = newSliceBatchSrc(leaf.Rel.Rows, e.batchSize()), leaf.Rel.Schema
 	default:
 		base, s, err = e.buildBatch(leaf)
 	}
@@ -911,10 +942,11 @@ func (e *Executor) buildBatchSegment(n algebra.Node) (batchIter, *schema.Schema,
 		stats: &e.stats, tick: pollTick{g: e.gd}}, s, nil
 }
 
-// buildBatchJoin compiles the extended inner join for the batch path: the
-// probe side streams batches through hashJoinBatch; the parallel and
-// nested-loop variants reuse the row-path implementations (they buffer
-// everything anyway) behind adapters. Residual conditions run vectorized.
+// buildBatchJoin compiles the extended inner join ⋈_{φ,F}. Equi-conjuncts
+// over opposite sides select a hash join — hashJoinBatch, or the
+// partitioned parallelHashJoinIter when the pool may fan out — whose probe
+// side streams batches; with no equi-conjunct a nested-loop join runs
+// behind row adapters. Residual conditions run as a vectorized filter.
 func (e *Executor) buildBatchJoin(j *algebra.Join) (batchIter, *schema.Schema, error) {
 	lBi, lS, err := e.buildBatch(j.Left)
 	if err != nil {
@@ -930,14 +962,14 @@ func (e *Executor) buildBatchJoin(j *algebra.Join) (batchIter, *schema.Schema, e
 	var base batchIter
 	if len(eqL) > 0 {
 		if e.parallelOK() {
-			it := &parallelHashJoinIter{e: e, leftB: lBi, rightB: rBi, eqL: eqL, eqR: eqR}
+			it := &parallelHashJoinIter{e: e, left: lBi, right: rBi, eqL: eqL, eqR: eqR}
 			base = &rowBatchSrc{in: it, size: e.batchSize()}
 		} else {
 			base = &hashJoinBatch{left: lBi, right: rBi, eqL: eqL, eqR: eqR,
 				agg: e.Agg, stats: &e.stats, g: e.gd, tick: pollTick{g: e.gd}}
 		}
 	} else {
-		it := newNLJoinIter(&batchToRow{in: lBi}, &batchToRow{in: rBi}, lS.Len(), e.Agg, &e.stats, e.gd)
+		it := newNLJoinIter(&batchToRow{in: lBi}, &batchToRow{in: rBi}, e.Agg, e.gd)
 		base = &rowBatchSrc{in: it, size: e.batchSize()}
 	}
 	if residual != nil {

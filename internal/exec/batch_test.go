@@ -7,16 +7,19 @@ import (
 	"testing"
 
 	"prefdb/internal/algebra"
+	"prefdb/internal/catalog"
 	"prefdb/internal/expr"
+	"prefdb/internal/pref"
 	"prefdb/internal/prel"
+	"prefdb/internal/schema"
 	"prefdb/internal/types"
 )
 
-// TestBatchRowEquivalence is the acceptance contract of the vectorized
-// path: for named and randomized plans, every strategy × worker count ×
-// cache mode must produce byte-identical rows, row order and Stats
-// (modulo the diagnostic Batches counter) with batch execution on and
-// off.
+// TestBatchRowEquivalence is the acceptance contract of the pipeline:
+// for named and randomized plans, every strategy × cache mode must agree
+// with the tuple-at-a-time oracle, and every physical arm (workers ×
+// colstore × batch size) must reproduce the reference run's rows, row
+// order and Stats byte-for-byte (see crossCheck).
 func TestBatchRowEquivalence(t *testing.T) {
 	cat := movieDB(t)
 	plans := map[string]algebra.Node{
@@ -43,40 +46,9 @@ func TestBatchRowEquivalence(t *testing.T) {
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {
 			for _, strategy := range Strategies() {
-				for _, workers := range []int{1, 4} {
-					for _, cache := range []CacheMode{CacheOff, CacheOn} {
-						label := fmt.Sprintf("%v workers=%d cache=%v", strategy, workers, cache)
-
-						ref := New(cat)
-						ref.Workers = workers
-						ref.ScoreCache = cache
-						ref.Batch = BatchOff
-						want, err := ref.Run(plan, strategy)
-						if err != nil {
-							t.Fatalf("%s row path: %v", label, err)
-						}
-						if ref.Stats().Batches != 0 {
-							t.Fatalf("%s: row path counted %d batches", label, ref.Stats().Batches)
-						}
-
-						e := New(cat)
-						e.Workers = workers
-						e.ScoreCache = cache
-						e.Batch = BatchOn
-						got, err := e.Run(plan, strategy)
-						if err != nil {
-							t.Fatalf("%s batch path: %v", label, err)
-						}
-
-						mustIdentical(t, want, got, label)
-						rs, gs := ref.Stats(), e.Stats()
-						rs.Batches, gs.Batches = 0, 0
-						rs.JoinProbeBatches, gs.JoinProbeBatches = 0, 0
-						rs.JoinProbeBatches, gs.JoinProbeBatches = 0, 0
-						if rs != gs {
-							t.Fatalf("%s: batch stats %+v, want %+v", label, gs, rs)
-						}
-					}
+				for _, cache := range []CacheMode{CacheOff, CacheOn} {
+					crossCheck(t, cat, plan, strategy, func(e *Executor) { e.ScoreCache = cache },
+						fmt.Sprintf("%v cache=%v", strategy, cache))
 				}
 			}
 		})
@@ -84,8 +56,8 @@ func TestBatchRowEquivalence(t *testing.T) {
 }
 
 // TestBatchSizeEquivalence sweeps extreme block sizes (including a
-// degenerate 1-row batch) to pin boundary behavior: results must not
-// depend on how the pipeline is blocked.
+// degenerate 1-row batch) to pin boundary behavior: results must match
+// the oracle and must not depend on how the pipeline is blocked.
 func TestBatchSizeEquivalence(t *testing.T) {
 	cat := movieDB(t)
 	plans := map[string]algebra.Node{
@@ -100,11 +72,11 @@ func TestBatchSizeEquivalence(t *testing.T) {
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {
 			ref := New(cat)
-			ref.Batch = BatchOff
 			want, err := ref.Run(plan, Native)
 			if err != nil {
-				t.Fatalf("row path: %v", err)
+				t.Fatalf("default size: %v", err)
 			}
+			mustMatchOracle(t, cat, plan, want, "default size")
 			for _, size := range []int{1, 3, 64, 1024, 4096} {
 				e := New(cat)
 				e.BatchSize = size
@@ -124,48 +96,187 @@ func TestBatchSizeEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchCountsBatches pins that the default mode actually takes the
-// vectorized path (the equivalence tests would pass vacuously if the
-// batch mode silently fell back to rows everywhere).
+// crossCheck is the shared differential harness. It runs plan under
+// strategy on the reference arm (one worker, row heap, default batch
+// size), checks the result against the oracle, then requires every arm of
+// workers {1, 4} × colstore {off, on} × batch size {1, 7, default} to
+// reproduce the reference's rows, order and Stats (modulo the diagnostic
+// counters) exactly. setup, when non-nil, configures every executor.
+func crossCheck(t *testing.T, cat *catalog.Catalog, plan algebra.Node, strategy Strategy, setup func(*Executor), label string) {
+	t.Helper()
+	arm := func(workers int, mode ColstoreMode, size int) *Executor {
+		e := New(cat)
+		e.Workers, e.Colstore, e.BatchSize = workers, mode, size
+		if setup != nil {
+			setup(e)
+		}
+		return e
+	}
+	ref := arm(1, ColstoreOff, 0)
+	want, err := ref.Run(plan, strategy)
+	if err != nil {
+		t.Fatalf("%s failed on\n%s\n%v", label, algebra.Format(plan), err)
+	}
+	mustMatchOracle(t, cat, plan, want, label)
+	refStats := ref.Stats()
+	zeroDiagnostics(&refStats)
+	for _, workers := range []int{1, 4} {
+		for _, mode := range []ColstoreMode{ColstoreOff, ColstoreOn} {
+			for _, size := range []int{1, 7, 0} {
+				name := fmt.Sprintf("%s workers=%d colstore=%v size=%d", label, workers, mode, size)
+				e := arm(workers, mode, size)
+				got, err := e.Run(plan, strategy)
+				if err != nil {
+					t.Fatalf("%s failed on\n%s\n%v", name, algebra.Format(plan), err)
+				}
+				mustIdentical(t, want, got, name)
+				gotStats := e.Stats()
+				zeroDiagnostics(&gotStats)
+				if gotStats != refStats {
+					t.Fatalf("%s: Stats differ on\n%s\nref: %v\ngot: %v", name, algebra.Format(plan), refStats, gotStats)
+				}
+			}
+		}
+	}
+}
+
+// mustMatchOracle fails unless got is what the oracle says plan denotes
+// (under the executor default F_S).
+func mustMatchOracle(t *testing.T, cat *catalog.Catalog, plan algebra.Node, got *prel.PRelation, label string) {
+	t.Helper()
+	diff, err := oracleDiff(newOracle(cat, pref.FSum{}), plan, got)
+	if err != nil {
+		t.Fatalf("%s: oracle failed on\n%s\n%v", label, algebra.Format(plan), err)
+	}
+	if diff != "" {
+		t.Fatalf("%s differs from the oracle on\n%s\n%s", label, algebra.Format(plan), diff)
+	}
+}
+
+// oracleDiff explains how an engine result departs from the oracle, or
+// returns "". Results compare as multisets (prel Diff at 1e-9: strategies
+// fold F in different orders); the outermost Rank or OrderBy also checks
+// the engine's order, and a top-k compares tie-tolerantly — the same k
+// best keys, each returned row drawn from the oracle's input.
+func oracleDiff(o *oracle, plan algebra.Node, got *prel.PRelation) (string, error) {
+	before := func(a, b prel.Row) bool { return false }
+	switch x := plan.(type) {
+	case *algebra.Rank:
+		before = func(a, b prel.Row) bool { return rankBefore(a.SC, b.SC, x.By == algebra.ByConf) }
+	case *algebra.OrderBy:
+		var err error
+		if before, err = orderLess(got.Schema, x.Keys); err != nil {
+			return "", err
+		}
+	}
+	for i := 1; i < got.Len(); i++ {
+		if before(got.Rows[i], got.Rows[i-1]) {
+			return fmt.Sprintf("%s: order broken at row %d", plan, i), nil
+		}
+	}
+	for { // ordering keeps the multiset of its input
+		if x, ok := plan.(*algebra.Rank); ok {
+			plan = x.Input
+		} else if x, ok := plan.(*algebra.OrderBy); ok {
+			plan = x.Input
+		} else {
+			break
+		}
+	}
+	x, ok := plan.(*algebra.TopK)
+	if !ok {
+		want, err := o.eval(plan)
+		if err != nil {
+			return "", err
+		}
+		return want.Diff(got, 1e-9), nil
+	}
+	in, err := o.eval(x.Input)
+	if err != nil {
+		return "", err
+	}
+	byConf := x.By == algebra.ByConf
+	best, mine := ranked(in.Rows, byConf)[:min(max(x.K, 0), in.Len())], ranked(got.Rows, byConf)
+	if len(mine) != len(best) {
+		return fmt.Sprintf("top-%d returned %d rows, want %d", x.K, len(mine), len(best)), nil
+	}
+	pool := append([]prel.Row(nil), in.Rows...)
+	for i, r := range mine {
+		if !r.SC.ApproxEqual(best[i].SC, 1e-9) {
+			return fmt.Sprintf("top-%d key %d is %v, want %v", x.K, i, r.SC, best[i].SC), nil
+		}
+		j := 0
+		for j < len(pool) && !(types.TupleEqual(pool[j].Tuple, r.Tuple) && pool[j].SC.ApproxEqual(r.SC, 1e-9)) {
+			j++
+		}
+		if j == len(pool) {
+			return fmt.Sprintf("top-%d row %v %v is not in its input", x.K, r.Tuple, r.SC), nil
+		}
+		pool = append(pool[:j], pool[j+1:]...)
+	}
+	return "", nil
+}
+
+// TestLimitStopsScanEarly pins that LIMIT streams its input: a limit of
+// five over a 200,000-row scan reads one batch of the heap (or one window
+// of the column store), not the whole table, at every worker count.
+func TestLimitStopsScanEarly(t *testing.T) {
+	cat := catalog.New()
+	tbl, err := cat.CreateTable("wide", schema.New(schema.Column{Name: "id", Kind: types.KindInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200_000; i++ {
+		if err := tbl.Insert([]types.Value{types.Int(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan := &algebra.Limit{N: 5, Input: &algebra.Scan{Table: "wide"}}
+	for _, workers := range []int{1, 4} {
+		for _, mode := range []ColstoreMode{ColstoreOff, ColstoreOn} {
+			e := New(cat)
+			e.Workers, e.Colstore = workers, mode
+			got, err := e.Run(plan, Native)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != 5 {
+				t.Fatalf("workers=%d colstore=%v: %d rows, want 5", workers, mode, got.Len())
+			}
+			if scanned := e.Stats().RowsScanned; scanned > defaultBatchSize {
+				t.Fatalf("workers=%d colstore=%v: scanned=%d, want <= %d", workers, mode, scanned, defaultBatchSize)
+			}
+		}
+	}
+}
+
+// TestBatchCountsBatches pins that a pipeline root counts the batches it
+// drains.
 func TestBatchCountsBatches(t *testing.T) {
 	e := New(movieDB(t))
 	if _, err := e.Run(q1Plan(), Native); err != nil {
 		t.Fatal(err)
 	}
 	if e.Stats().Batches == 0 {
-		t.Fatal("default (batch) execution recorded no batches")
+		t.Fatal("execution recorded no batches")
 	}
 }
 
-// TestParseBatchMode covers the flag surface.
-func TestParseBatchMode(t *testing.T) {
-	for name, want := range map[string]BatchMode{"on": BatchOn, "Off": BatchOff} {
-		got, err := ParseBatchMode(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseBatchMode(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := ParseBatchMode("sometimes"); err == nil {
-		t.Fatal("ParseBatchMode accepted an unknown mode")
-	}
-}
-
-// TestBatchGuardTrips verifies the vectorized path observes lifecycle
-// guards: a tiny row budget must trip ErrResourceExhausted exactly as on
-// the row path.
+// TestBatchGuardTrips verifies the pipeline observes lifecycle guards: a
+// tiny row budget must trip ErrResourceExhausted at every batch size.
 func TestBatchGuardTrips(t *testing.T) {
 	plan := &algebra.Prefer{P: paMovies(), Input: &algebra.Scan{Table: "movies"}}
-	for _, mode := range []BatchMode{BatchOn, BatchOff} {
+	for _, size := range []int{1, 0} {
 		e := New(movieDB(t))
-		e.Batch = mode
+		e.BatchSize = size
 		e.Limits = Limits{MaxRows: 3}
 		_, err := e.RunContext(t.Context(), plan, Native)
 		if err == nil {
-			t.Fatalf("batch=%v: tiny MaxRows budget did not trip", mode)
+			t.Fatalf("size=%d: tiny MaxRows budget did not trip", size)
 		}
 		var ge *GuardError
 		if !asGuardError(err, &ge) || ge.Limit != LimitRows {
-			t.Fatalf("batch=%v: err = %v, want max-rows GuardError", mode, err)
+			t.Fatalf("size=%d: err = %v, want max-rows GuardError", size, err)
 		}
 	}
 }

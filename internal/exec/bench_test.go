@@ -161,13 +161,11 @@ func BenchmarkParallelJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchFilterPrefer contrasts the vectorized filter→prefer
-// pipeline against the row-at-a-time path across block sizes and filter
-// selectivities (sequential, cache off, so the measurement isolates
-// vectorization). Expected: batch wins grow as the filter keeps fewer
-// rows (the fused kernel never scores filtered-out tuples and the
-// per-row iterator dispatch disappears), with throughput flat once the
-// block size amortizes per-batch overhead.
+// BenchmarkBatchFilterPrefer measures the fused filter→prefer kernel
+// across block sizes and filter selectivities (sequential, cache off, so
+// the measurement isolates the kernel). Expected: throughput grows as the
+// filter keeps fewer rows (the fused kernel never scores filtered-out
+// tuples) and flattens once the block size amortizes per-batch overhead.
 func BenchmarkBatchFilterPrefer(b *testing.B) {
 	cat := parallelBenchCatalog(b)
 	tbl, err := cat.Table("movies")
@@ -184,20 +182,18 @@ func BenchmarkBatchFilterPrefer(b *testing.B) {
 				Input: &algebra.Scan{Table: "movies"},
 			},
 		}
-		run := func(b *testing.B, mode BatchMode, size int) {
+		run := func(b *testing.B, size int) {
 			e := New(cat)
 			e.Workers = 1
 			e.ScoreCache = CacheOff
-			e.Batch = mode
 			e.BatchSize = size
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				drainAll(b, e, plan)
 			}
 		}
-		b.Run(fmt.Sprintf("sel=%g/rows", sel), func(b *testing.B) { run(b, BatchOff, 0) })
 		for _, size := range []int{64, 256, 1024, 4096} {
-			b.Run(fmt.Sprintf("sel=%g/batch=%d", sel, size), func(b *testing.B) { run(b, BatchOn, size) })
+			b.Run(fmt.Sprintf("sel=%g/batch=%d", sel, size), func(b *testing.B) { run(b, size) })
 		}
 	}
 }

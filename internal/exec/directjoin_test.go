@@ -174,7 +174,7 @@ func zeroDiagnostics(s *Stats) {
 // batch sizes, probing (and building) straight off borrowed column
 // vectors — including dictionary-code and run-length-encoded keys — must
 // produce byte-identical rows, order and Stats (modulo diagnostic
-// counters) to the heap row path (ColstoreOff). Run with -race: the
+// counters) to the heap path (ColstoreOff). Run with -race: the
 // parallel arm doubles as the data-race check for vector-hashed
 // partitioned builds.
 func TestDirectJoinRowsEquivalence(t *testing.T) {
@@ -218,27 +218,23 @@ func TestDirectJoinRowsEquivalence(t *testing.T) {
 	}
 }
 
-// TestDirectJoinBatchOffEquivalence pins the remaining corner of the
-// contract: the vectorized join (with and without columnar inputs) against
-// the row-at-a-time executor itself.
+// TestDirectJoinBatchOffEquivalence pins the join plans against the
+// tuple-at-a-time oracle directly, over the heap and over borrowed column
+// vectors, under every strategy.
 func TestDirectJoinBatchOffEquivalence(t *testing.T) {
 	cat := directJoinDB(t)
 	for name, plan := range directJoinPlans() {
 		t.Run(name, func(t *testing.T) {
 			for _, strategy := range Strategies() {
-				ref := New(cat)
-				ref.Batch = BatchOff
-				want, err := ref.Run(plan, strategy)
-				if err != nil {
-					t.Fatalf("%v row path: %v", strategy, err)
+				for _, mode := range []ColstoreMode{ColstoreOff, ColstoreOn} {
+					e := New(cat)
+					e.Colstore = mode
+					got, err := e.Run(plan, strategy)
+					if err != nil {
+						t.Fatalf("%v colstore=%v: %v", strategy, mode, err)
+					}
+					mustMatchOracle(t, cat, plan, got, fmt.Sprintf("%v colstore=%v", strategy, mode))
 				}
-				e := New(cat)
-				e.Colstore = ColstoreOn
-				got, err := e.Run(plan, strategy)
-				if err != nil {
-					t.Fatalf("%v direct path: %v", strategy, err)
-				}
-				mustIdentical(t, want, got, fmt.Sprintf("%v batch-off-vs-direct", strategy))
 			}
 		})
 	}
@@ -441,54 +437,19 @@ func (g *djGen) plan() algebra.Node {
 }
 
 // FuzzDirectJoinEquivalence is the fuzz arm of the direct-join contract:
-// random join plans over segment-scale columnar tables, cross-checked
-// row path vs vectorized path over the heap and the colstore, sequential and
-// parallel, at degenerate and large batch sizes. Run under
-// `-tags prefdbdebug` to layer the join-table canary over the check.
+// random join plans over segment-scale columnar tables, checked against
+// the oracle and cross-checked over the heap and the colstore, sequential
+// and parallel, at degenerate and default batch sizes (crossCheck). Run
+// under `-tags prefdbdebug` to layer the join-table canary over the check.
 func FuzzDirectJoinEquivalence(f *testing.F) {
 	for _, seed := range []int64{1, 42, 7777, 20120401} {
 		f.Add(seed, uint8(0))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, strategyPick uint8) {
-		cat := directJoinFuzzDB(t)
 		g := &djGen{r: rand.New(rand.NewSource(seed))}
-		plan := g.plan()
 		strategies := Strategies()
 		s := strategies[int(strategyPick)%len(strategies)]
-
-		ref := New(cat)
-		ref.Batch = BatchOff
-		want, err := ref.Run(plan, s)
-		if err != nil {
-			t.Fatalf("row path (%v) failed on\n%s\n%v", s, algebra.Format(plan), err)
-		}
-		refStats := ref.Stats()
-		zeroDiagnostics(&refStats)
-
-		for _, size := range []int{1, 1024} {
-			for _, workers := range []int{1, 4} {
-				for _, mode := range []ColstoreMode{ColstoreOff, ColstoreOn} {
-					label := fmt.Sprintf("%v workers=%d size=%d colstore=%v", s, workers, size, mode)
-					e := New(cat)
-					e.Workers = workers
-					e.BatchSize = size
-					e.Colstore = mode
-					got, err := e.Run(plan, s)
-					if err != nil {
-						t.Fatalf("%s failed on\n%s\n%v", label, algebra.Format(plan), err)
-					}
-					if diff := want.Diff(got, 1e-9); diff != "" {
-						t.Fatalf("%s differs on\n%s\n%s", label, algebra.Format(plan), diff)
-					}
-					gotStats := e.Stats()
-					zeroDiagnostics(&gotStats)
-					if gotStats != refStats {
-						t.Fatalf("%s Stats differ on\n%s\nrow:  %v\ngot:  %v",
-							label, algebra.Format(plan), refStats, gotStats)
-					}
-				}
-			}
-		}
+		crossCheck(t, directJoinFuzzDB(t), g.plan(), s, nil, s.String())
 	})
 }
 
@@ -556,45 +517,15 @@ func groupAggPlans() map[string]algebra.Node {
 	}
 }
 
-// TestGroupAggEquivalence pins the two γ implementations against each
-// other: the row path (BatchOff) is the reference; the vectorized path
-// must match byte-for-byte over heap batches (ColstoreOff) and borrowed
-// vectors (ColstoreOn), across workers and
-// batch sizes — group order (first-seen), sum widening, NULL skipping and
-// all.
+// TestGroupAggEquivalence pins γ against the oracle and across the
+// physical arms (crossCheck): heap batches and borrowed vectors, workers
+// and batch sizes must all reproduce the reference byte-for-byte — group
+// order (first-seen), sum widening, NULL skipping and all.
 func TestGroupAggEquivalence(t *testing.T) {
 	cat := directJoinDB(t)
 	for name, plan := range groupAggPlans() {
 		t.Run(name, func(t *testing.T) {
-			ref := New(cat)
-			ref.Batch = BatchOff
-			want, err := ref.Run(plan, Native)
-			if err != nil {
-				t.Fatalf("row path: %v", err)
-			}
-			refStats := ref.Stats()
-			zeroDiagnostics(&refStats)
-			for _, mode := range []ColstoreMode{ColstoreOff, ColstoreOn} {
-				for _, workers := range []int{1, 4} {
-					for _, size := range []int{3, 1024} {
-						label := fmt.Sprintf("%v workers=%d size=%d", mode, workers, size)
-						e := New(cat)
-						e.Workers = workers
-						e.BatchSize = size
-						e.Colstore = mode
-						got, err := e.Run(plan, Native)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						mustIdentical(t, want, got, label)
-						gotStats := e.Stats()
-						zeroDiagnostics(&gotStats)
-						if refStats != gotStats {
-							t.Fatalf("%s: stats %+v, want %+v", label, gotStats, refStats)
-						}
-					}
-				}
-			}
+			crossCheck(t, cat, plan, Native, nil, name)
 		})
 	}
 }

@@ -53,33 +53,31 @@ type Stats struct {
 	// CacheMisses counts prefer tuples that probed the score cache and had
 	// to compute.
 	CacheMisses int
-	// Batches counts the row batches processed by the vectorized execution
-	// path (0 on the row-at-a-time path). It is a diagnostic counter, not a
-	// cost driver: the equivalence contract between the batch and row paths
-	// is "identical Stats modulo Batches".
+	// Batches counts the row batches drained at a pipeline root. The
+	// counters from here down are diagnostic, not cost drivers: they
+	// describe how the pipeline was blocked and which storage form it
+	// read, so they legitimately differ across batch sizes, worker counts
+	// and colstore modes, while every counter above is identical across
+	// all three (see Executor).
 	Batches int
 	// SegmentsScanned counts columnar segments actually read by colstore
 	// scans; SegmentsSkipped counts segments dropped unread by zone-map
-	// pruning. Both are diagnostic counters excluded from the path
-	// equivalence contract, like Batches (skipped segments still credit
-	// their live rows to RowsScanned, so that counter stays identical).
+	// pruning (skipped segments still credit their live rows to
+	// RowsScanned, so that counter matches the heap scan).
 	SegmentsScanned int
 	SegmentsSkipped int
 	// ColBatches counts columnar (direct-on-column) batches emitted by
 	// colstore scans; RowsMaterialized counts selected rows of columnar
 	// batches that crossed the late-materialization boundary (Batch.Rows)
-	// because some operator needed tuple views. Both are diagnostic
-	// counters excluded from the path equivalence contract, like Batches;
-	// RowsMaterialized ≪ RowsScanned on selective plans is the direct
-	// path's shape signature.
+	// because some operator needed tuple views. RowsMaterialized ≪
+	// RowsScanned on selective plans is the direct path's shape signature.
 	ColBatches       int
 	RowsMaterialized int
 	// JoinProbeBatches counts probe-side batches processed by the hash
-	// join (morsel-drain batches on the parallel path). A diagnostic
-	// counter excluded from the path equivalence contract, like Batches;
-	// together with RowsMaterialized it shows whether the join probed
-	// direct-on-column (probe batches high, materialized rows only at
-	// match emit) or fell back to tuples.
+	// join (morsel-drain batches on the parallel path); together with
+	// RowsMaterialized it shows whether the join probed direct-on-column
+	// (probe batches high, materialized rows only at match emit) or fell
+	// back to tuples.
 	JoinProbeBatches int
 }
 
@@ -127,12 +125,17 @@ func (s Stats) String() string {
 	return out
 }
 
-// Executor evaluates extended query plans against a catalog. An Executor
-// is not safe for concurrent use — create one per query — but with
-// Workers != 1 it runs hash joins and top-k selection on a worker pool
-// (see parallel.go); results, order and Stats (modulo the diagnostic
-// Batches / JoinProbeBatches counters) are identical at every worker
-// count.
+// Executor evaluates extended query plans against a catalog through one
+// vectorized pipeline (see batch.go). An Executor is not safe for
+// concurrent use — create one per query — but with Workers != 1 it runs
+// hash joins and top-k selection on a worker pool (see parallel.go).
+//
+// Contract: results, row order and the non-diagnostic Stats counters are
+// byte-identical at every worker count, colstore mode and batch size,
+// with one exception: a Limit that stops its input early stops it on a
+// batch boundary, so the counters of the operators beneath it depend on
+// the batch size. The paper's semantics are pinned separately by a
+// test-only tuple-at-a-time oracle (oracle_test.go).
 //
 // Executions started through RunContext (or after Begin) observe the
 // given context and the executor's Limits cooperatively: see lifecycle.go.
@@ -152,20 +155,13 @@ type Executor struct {
 	// value) follows the optimizer's per-operator hints, CacheOff forces
 	// the direct path, CacheOn memoizes every prefer operator.
 	ScoreCache CacheMode
-	// Batch selects the execution path: BatchOn (the zero value) runs
-	// supported operators vectorized over row batches with selection
-	// vectors (see batch.go), BatchOff forces the row-at-a-time path.
-	// Results, order and Stats (modulo the Batches counter) are identical
-	// in both modes.
-	Batch BatchMode
-	// BatchSize overrides the rows-per-batch block size of the vectorized
-	// path (0 = defaultBatchSize).
+	// BatchSize overrides the rows-per-batch block size (0 =
+	// defaultBatchSize); tests set it to drive batch-boundary cases.
 	BatchSize int
 	// Colstore selects the storage side batch scans read: ColstoreOff (the
 	// zero value) stays on the row heap; ColstoreOn serves sealed pages
 	// from the columnar segment store with zone-map pruning (see
-	// colstore.go). Results, order and Stats (modulo the diagnostic
-	// counters) are identical in both modes.
+	// colstore.go).
 	Colstore ColstoreMode
 	// DictFor, when set (by the engine for prepared statements), supplies
 	// the cross-query level-2 dictionary for a preference; cols are the
@@ -192,11 +188,6 @@ func (e *Executor) Stats() Stats { return e.stats }
 
 // ResetStats clears the counters.
 func (e *Executor) ResetStats() { e.stats = Stats{} }
-
-// iter is a pull-based tuple stream.
-type iter interface {
-	next() (prel.Row, bool)
-}
 
 // Materialize runs a plan as one native pipeline and materializes the
 // result, counting one native call.
@@ -256,50 +247,26 @@ func (e *Executor) drain(n algebra.Node) (*prel.PRelation, error) {
 	return out, nil
 }
 
-// drainPipeline builds n as a pipeline — vectorized when the executor's
-// batch mode allows — and exhausts it into a fresh relation, metering
-// materialization against the lifecycle guard. Both paths produce
-// byte-identical rows, order and Stats (modulo the Batches counter).
+// drainPipeline builds n as a batch pipeline and exhausts it into a fresh
+// relation, metering materialization against the lifecycle guard.
 func (e *Executor) drainPipeline(n algebra.Node) (*prel.PRelation, *schema.Schema, error) {
-	if e.batchOK() {
-		bi, s, err := e.buildBatch(n)
-		if err != nil {
-			return nil, nil, err
-		}
-		out := prel.New(s)
-		meter := matTick{g: e.gd, width: s.Len() + 2}
-		for {
-			b, ok := bi.nextBatch()
-			if !ok {
-				break
-			}
-			e.stats.Batches++
-			if b.Columnar() {
-				e.stats.RowsMaterialized += b.Live()
-			}
-			out.Rows = b.AppendRows(out.Rows)
-			if gErr := meter.rows(b.Live()); gErr != nil {
-				return nil, nil, gErr
-			}
-		}
-		if gErr := meter.flush(); gErr != nil {
-			return nil, nil, gErr
-		}
-		return out, s, nil
-	}
-	it, s, err := e.build(n)
+	bi, s, err := e.buildBatch(n)
 	if err != nil {
 		return nil, nil, err
 	}
 	out := prel.New(s)
 	meter := matTick{g: e.gd, width: s.Len() + 2}
 	for {
-		row, ok := it.next()
+		b, ok := bi.nextBatch()
 		if !ok {
 			break
 		}
-		out.Append(row)
-		if gErr := meter.row(); gErr != nil {
+		e.stats.Batches++
+		if b.Columnar() {
+			e.stats.RowsMaterialized += b.Live()
+		}
+		out.Rows = b.AppendRows(out.Rows)
+		if gErr := meter.rows(b.Live()); gErr != nil {
 			return nil, nil, gErr
 		}
 	}
@@ -307,169 +274,6 @@ func (e *Executor) drainPipeline(n algebra.Node) (*prel.PRelation, *schema.Schem
 		return nil, nil, gErr
 	}
 	return out, s, nil
-}
-
-// build compiles a plan node into an iterator pipeline.
-func (e *Executor) build(n algebra.Node) (iter, *schema.Schema, error) {
-	switch x := n.(type) {
-	case *algebra.Values:
-		return &sliceIter{rows: x.Rel.Rows}, x.Rel.Schema, nil
-
-	case *algebra.Scan:
-		return e.buildScan(x, nil)
-
-	case *algebra.Select:
-		// Access-path selection: a select directly over a scan may use an
-		// index for some conjuncts.
-		if scan, ok := x.Input.(*algebra.Scan); ok {
-			return e.buildScan(scan, expr.Conjuncts(x.Cond))
-		}
-		in, s, err := e.build(x.Input)
-		if err != nil {
-			return nil, nil, err
-		}
-		cond, err := expr.CompileCondition(x.Cond, s, e.Funcs)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &filterIter{in: in, cond: cond, tick: pollTick{g: e.gd}}, s, nil
-
-	case *algebra.Project:
-		in, s, err := e.build(x.Input)
-		if err != nil {
-			return nil, nil, err
-		}
-		ords := make([]int, len(x.Cols))
-		for i, c := range x.Cols {
-			idx, err := s.IndexOf(c.Table, c.Name)
-			if err != nil {
-				return nil, nil, err
-			}
-			ords[i] = idx
-		}
-		pi := &projectIter{in: in, ords: ords}
-		pi.arena.width = len(ords)
-		return pi, s.Project(ords), nil
-
-	case *algebra.Join:
-		return e.buildJoin(x)
-
-	case *algebra.GroupAgg:
-		in, s, err := e.build(x.Input)
-		if err != nil {
-			return nil, nil, err
-		}
-		byOrds, aggOrds, out, err := groupAggPlan(x, s)
-		if err != nil {
-			return nil, nil, err
-		}
-		tab := newAggTable(byOrds, aggOrds, x.Aggs, e.gd)
-		return &groupAggIter{in: in, tab: tab, tick: pollTick{g: e.gd}}, out, nil
-
-	case *algebra.Set:
-		return e.buildSet(x)
-
-	case *algebra.Prefer:
-		in, s, err := e.build(x.Input)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := x.P.Validate(); err != nil {
-			return nil, nil, err
-		}
-		cond, err := expr.CompileCondition(x.P.Cond, s, e.Funcs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("prefer %s (conditional part): %w", x.P.Label(), err)
-		}
-		score, err := expr.Compile(x.P.Score, s, e.Funcs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("prefer %s (scoring part): %w", x.P.Label(), err)
-		}
-		pi := &preferIter{in: in, cond: cond, score: score, conf: x.P.Conf, agg: e.Agg, stats: &e.stats, tick: pollTick{g: e.gd}}
-		if e.scoreCacheOn(x) {
-			pi.memo = e.newScoreMemo(cond, score, x.P, s)
-		}
-		return pi, s, nil
-
-	case *algebra.TopK:
-		rel, err := e.drainChild(x.Input)
-		if err != nil {
-			return nil, nil, err
-		}
-		if e.parallelOK() && x.K < rel.Len() && rel.Len() > morselSize {
-			// Per-worker bounded heaps merged with deterministic
-			// tie-breaks (input position) — same selection as below.
-			top := e.parallelTopK(rel.Rows, x.K, x.By == algebra.ByConf)
-			return &sliceIter{rows: top}, rel.Schema, nil
-		}
-		// Bounded-heap selection: O(n log k) instead of a full sort.
-		top := prel.TopK(rel.Rows, x.K, x.By == algebra.ByConf)
-		return &sliceIter{rows: top}, rel.Schema, nil
-
-	case *algebra.Threshold:
-		in, s, err := e.build(x.Input)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !x.Op.IsComparison() {
-			return nil, nil, fmt.Errorf("exec: threshold operator %s is not a comparison", x.Op)
-		}
-		return &thresholdIter{in: in, by: x.By, op: x.Op, value: x.Value, tick: pollTick{g: e.gd}}, s, nil
-
-	case *algebra.Skyline:
-		rel, err := e.drainChild(x.Input)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(x.Dims) == 0 {
-			return &sliceIter{rows: skyline(rel.Rows)}, rel.Schema, nil
-		}
-		rows, err := attrSkyline(rel, x.Dims, e.gd)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &sliceIter{rows: rows}, rel.Schema, nil
-
-	case *algebra.Rank:
-		rel, err := e.drainChild(x.Input)
-		if err != nil {
-			return nil, nil, err
-		}
-		if x.By == algebra.ByConf {
-			rel.SortByConf()
-		} else {
-			rel.SortByScore()
-		}
-		return &sliceIter{rows: rel.Rows}, rel.Schema, nil
-
-	case *algebra.OrderBy:
-		rel, err := e.drainChild(x.Input)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := orderRows(rel, x.Keys); err != nil {
-			return nil, nil, err
-		}
-		return &sliceIter{rows: rel.Rows}, rel.Schema, nil
-
-	case *algebra.Limit:
-		// The limit stops pulling its input early, so streaming operators
-		// beneath it must stay sequential for Stats to match the
-		// sequential path (blocking operators re-enable fan-out in drain).
-		e.limitDepth++
-		in, s, err := e.build(x.Input)
-		e.limitDepth--
-		if err != nil {
-			return nil, nil, err
-		}
-		return &limitIter{in: in, n: x.N, offset: x.Offset}, s, nil
-
-	case nil:
-		return nil, nil, fmt.Errorf("exec: nil plan node")
-
-	default:
-		return nil, nil, fmt.Errorf("exec: unknown node type %T", n)
-	}
 }
 
 // drainChild materializes a blocking operator's input within the same

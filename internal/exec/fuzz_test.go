@@ -163,13 +163,14 @@ func contains(ss []string, s string) bool {
 	return false
 }
 
-// FuzzBatchRowEquivalence fuzzes the batch≡row contract (DESIGN.md §10):
-// for any generated plan and any strategy, the vectorized path must
-// produce the row path's exact rows, order and Stats (modulo the
-// diagnostic Batches counter) at every batch size — including degenerate
-// size 1, where every compaction edge case fires. Run it under
-// `-tags prefdbdebug` to layer the runtime assertions (selection-vector
-// shape, column alignment) over the equivalence check.
+// FuzzBatchRowEquivalence fuzzes the pipeline contract (DESIGN.md §10):
+// for any generated plan and any strategy, the result must match the
+// tuple-at-a-time oracle, and every workers × colstore × batch-size arm
+// must reproduce the reference run's exact rows, order and Stats (modulo
+// the diagnostic counters) — including degenerate size 1, where every
+// compaction edge case fires. Run it under `-tags prefdbdebug` to layer
+// the runtime assertions (selection-vector shape, column alignment) over
+// the check.
 func FuzzBatchRowEquivalence(f *testing.F) {
 	for _, seed := range []int64{1, 42, 7777, 20120401} {
 		f.Add(seed, uint8(0))
@@ -179,54 +180,7 @@ func FuzzBatchRowEquivalence(f *testing.F) {
 		plan := g.genPlan()
 		strategies := Strategies()
 		s := strategies[int(strategyPick)%len(strategies)]
-
-		eRow := New(movieDB(t))
-		eRow.Batch = BatchOff
-		ref, err := eRow.Run(plan, s)
-		if err != nil {
-			t.Fatalf("row path (%v) failed on\n%s\n%v", s, algebra.Format(plan), err)
-		}
-		refStats := eRow.Stats()
-		refStats.Batches = 0
-
-		for _, size := range []int{1, 3, 1024} {
-			eBatch := New(movieDB(t))
-			eBatch.Batch = BatchOn
-			eBatch.BatchSize = size
-			got, err := eBatch.Run(plan, s)
-			if err != nil {
-				t.Fatalf("batch path (%v, size %d) failed on\n%s\n%v", s, size, algebra.Format(plan), err)
-			}
-			if diff := ref.Diff(got, 1e-9); diff != "" {
-				t.Fatalf("batch path (%v, size %d) differs on\n%s\n%s", s, size, algebra.Format(plan), diff)
-			}
-			gotStats := eBatch.Stats()
-			gotStats.Batches, gotStats.JoinProbeBatches = 0, 0
-			if gotStats != refStats {
-				t.Fatalf("batch path (%v, size %d) Stats differ on\n%s\nrow:   %v\nbatch: %v",
-					s, size, algebra.Format(plan), refStats, gotStats)
-			}
-
-			// The direct-on-column path must uphold the same contract
-			// (modulo the diagnostic segment / materialization counters).
-			eCol := New(movieDB(t))
-			eCol.Batch = BatchOn
-			eCol.BatchSize = size
-			eCol.Colstore = ColstoreOn
-			gotCol, err := eCol.Run(plan, s)
-			if err != nil {
-				t.Fatalf("colstore path (%v, size %d) failed on\n%s\n%v", s, size, algebra.Format(plan), err)
-			}
-			if diff := ref.Diff(gotCol, 1e-9); diff != "" {
-				t.Fatalf("colstore path (%v, size %d) differs on\n%s\n%s", s, size, algebra.Format(plan), diff)
-			}
-			colStats := eCol.Stats()
-			zeroDiagnostics(&colStats)
-			if colStats != refStats {
-				t.Fatalf("colstore path (%v, size %d) Stats differ on\n%s\nrow:      %v\ncolstore: %v",
-					s, size, algebra.Format(plan), refStats, colStats)
-			}
-		}
+		crossCheck(t, movieDB(t), plan, s, nil, s.String())
 	})
 }
 

@@ -2,14 +2,13 @@
 // column list and computes count/sum/min/max per group, emitting one
 // tuple per distinct key in first-seen order with the unknown pair ⟨⊥,0⟩.
 //
-// Both execution paths share one accumulator (aggTable), so their results
-// are byte-identical by construction: the row path feeds it tuples, the
-// vectorized path (groupAggBatch) feeds it values drawn straight from the
-// batch's column vectors — keys hashed per batch with expr.HashCols (the
-// same fold as the row path's hashCols) and per-slot values materialized
-// as types.Value structs from the vectors (expr.ColValue), so a columnar
-// input aggregates without ever crossing the row-view boundary. Batches
-// without typed vectors fall back to row views and count into
+// The accumulator (aggTable) is fed either tuples or values drawn straight
+// from a batch's column vectors — keys hashed per batch with
+// expr.HashCols (the same fold as the tuple hash, hashCols) and per-slot
+// values materialized as types.Value structs from the vectors
+// (expr.ColValue) — so a columnar input aggregates without ever crossing
+// the row-view boundary, with results byte-identical to the tuple form.
+// Batches without typed vectors fall back to row views and count into
 // Stats.RowsMaterialized.
 package exec
 
@@ -168,8 +167,8 @@ func (t *aggTable) group(hash uint64, keyAt func(k int) types.Value) *aggGroup {
 	return g
 }
 
-// addTuple folds one row-form tuple into the table (the row path's — and
-// the vector path's fallback — per-row step).
+// addTuple folds one row-form tuple into the table (the fallback for
+// batches without typed vectors).
 func (t *aggTable) addTuple(tuple []types.Value) bool {
 	g := t.group(hashCols(tuple, t.byOrds), func(k int) types.Value { return tuple[t.byOrds[k]] })
 	if g == nil {
@@ -196,49 +195,13 @@ func (t *aggTable) emit() []prel.Row {
 	return out
 }
 
-// groupAggIter is the row-path (reference) implementation.
-type groupAggIter struct {
-	in   iter
-	tab  *aggTable
-	tick pollTick
-
-	built bool
-	rows  []prel.Row
-	pos   int
-}
-
-func (g *groupAggIter) next() (prel.Row, bool) {
-	if !g.built {
-		for {
-			row, ok := g.in.next()
-			if !ok {
-				break
-			}
-			if g.tick.stop() {
-				break
-			}
-			if !g.tab.addTuple(row.Tuple) {
-				break // guard tripped on a new group
-			}
-		}
-		g.rows = g.tab.emit()
-		g.built = true
-	}
-	if g.pos >= len(g.rows) {
-		return prel.Row{}, false
-	}
-	r := g.rows[g.pos]
-	g.pos++
-	return r, true
-}
-
-// groupAggBatch is the vectorized implementation: it drains its input
-// batch-wise, hashing the By columns off the vectors (expr.HashCols) and
-// accumulating agg values straight from the vector slots (expr.ColValue),
-// in row order — so the shared aggTable sees exactly the row path's
-// update sequence. Slot values are small Value structs read from borrowed
-// windows; nothing from the window is retained past the batch (the group
-// keys are copied), upholding the build-side borrow contract.
+// groupAggBatch is γ over the pipeline: it drains its input batch-wise,
+// hashing the By columns off the vectors (expr.HashCols) and accumulating
+// agg values straight from the vector slots (expr.ColValue), in row order
+// — so the aggTable sees the same update sequence as from tuples. Slot
+// values are small Value structs read from borrowed windows; nothing from
+// the window is retained past the batch (the group keys are copied),
+// upholding the build-side borrow contract.
 // prefdb:col-transient
 type groupAggBatch struct {
 	in    batchIter

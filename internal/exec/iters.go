@@ -16,47 +16,15 @@ import (
 	"prefdb/internal/types"
 )
 
-// sliceIter streams a materialized row slice.
-type sliceIter struct {
-	rows []prel.Row
-	pos  int
+// iter is a pull-based tuple stream: the interface of the row-wise
+// operators (Limit, the nested-loop join, index access paths), which meet
+// the batch pipeline through batchToRow and rowBatchSrc.
+type iter interface {
+	next() (prel.Row, bool)
 }
 
-func (s *sliceIter) next() (prel.Row, bool) {
-	if s.pos >= len(s.rows) {
-		return prel.Row{}, false
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, true
-}
-
-// filterIter applies a compiled condition. The amortized guard tick keeps
-// a highly selective filter cancelable while it spins over rejected rows.
-type filterIter struct {
-	in   iter
-	cond *expr.Compiled
-	tick pollTick
-}
-
-func (f *filterIter) next() (prel.Row, bool) {
-	for {
-		if f.tick.stop() {
-			return prel.Row{}, false
-		}
-		row, ok := f.in.next()
-		if !ok {
-			return prel.Row{}, false
-		}
-		if f.cond.Truthy(row.Tuple) {
-			return row, true
-		}
-	}
-}
-
-// projectChunkRows sizes the arena chunks projection iterators allocate:
-// one allocation serves this many output tuples, replacing the old
-// per-row make([]types.Value, …).
+// projectChunkRows sizes the arena chunks projection allocates: one
+// allocation serves this many output tuples.
 const projectChunkRows = 256
 
 // projectArena hands out fixed-width tuple slices carved from chunked
@@ -83,107 +51,6 @@ func (a *projectArena) tuple() []types.Value {
 	return a.buf[start : start+a.width : start+a.width]
 }
 
-// projectIter narrows tuples to the selected ordinals, preserving ⟨S,C⟩.
-// Output tuples come from a chunked arena (see projectArena), so the
-// per-row allocation of the old implementation amortizes to one
-// allocation per projectChunkRows rows.
-type projectIter struct {
-	in    iter
-	ords  []int
-	arena projectArena
-}
-
-func (p *projectIter) next() (prel.Row, bool) {
-	row, ok := p.in.next()
-	if !ok {
-		return prel.Row{}, false
-	}
-	out := p.arena.tuple()
-	for i, o := range p.ords {
-		out[i] = row.Tuple[o]
-	}
-	return prel.Row{Tuple: out, SC: row.SC}, true
-}
-
-// preferIter is the prefer operator λ_{p,F} (§IV-C): for each input tuple
-// satisfying the conditional part, it combines the tuple's current pair
-// with ⟨S(r), C⟩ through the aggregate function; other tuples pass through
-// unchanged. A NULL score (⊥) leaves the tuple's pair unchanged, since
-// ⟨⊥,·⟩ carries no knowledge.
-type preferIter struct {
-	in    iter
-	cond  *expr.Compiled
-	score *expr.Compiled
-	conf  float64
-	agg   pref.Aggregate
-	stats *Stats
-	tick  pollTick
-	// memo, when non-nil, caches the ⟨S,C⟩ contribution per distinct key
-	// projection (see scorecache.go); the direct path below is the
-	// reference semantics it must reproduce exactly.
-	memo *scoreMemo
-}
-
-func (p *preferIter) next() (prel.Row, bool) {
-	if p.tick.stop() {
-		return prel.Row{}, false
-	}
-	row, ok := p.in.next()
-	if !ok {
-		return prel.Row{}, false
-	}
-	p.stats.PreferEvals++
-	if p.memo != nil {
-		if sc, has := p.memo.lookupOrCompute(row.Tuple, p.stats); has {
-			row.SC = p.agg.Combine(row.SC, sc)
-		}
-		return row, true
-	}
-	if p.cond.Truthy(row.Tuple) {
-		p.stats.ScoreEvals++
-		if v := p.score.Eval(row.Tuple); !v.IsNull() && v.IsNumeric() {
-			s := pref.Clamp01(v.AsFloat())
-			row.SC = p.agg.Combine(row.SC, types.NewSC(s, p.conf))
-		}
-	}
-	return row, true
-}
-
-// thresholdIter filters on the score or confidence dimension. Confidence is
-// defined for every tuple (0 when the pair is ⊥); the score of a ⊥ pair is
-// unknown, so any score comparison rejects the tuple.
-type thresholdIter struct {
-	in    iter
-	by    algebra.RankBy
-	op    expr.Op
-	value float64
-	tick  pollTick
-}
-
-func (t *thresholdIter) next() (prel.Row, bool) {
-	for {
-		if t.tick.stop() {
-			return prel.Row{}, false
-		}
-		row, ok := t.in.next()
-		if !ok {
-			return prel.Row{}, false
-		}
-		var v float64
-		if t.by == algebra.ByConf {
-			v = row.SC.Conf
-		} else {
-			if !row.SC.Known {
-				continue
-			}
-			v = row.SC.Score
-		}
-		if cmpFloat(v, t.op, t.value) {
-			return row, true
-		}
-	}
-}
-
 func cmpFloat(v float64, op expr.Op, ref float64) bool {
 	switch op {
 	case expr.OpEq:
@@ -204,58 +71,6 @@ func cmpFloat(v float64, op expr.Op, ref float64) bool {
 }
 
 // --- scans and access paths ---
-
-// buildScan compiles a (possibly filtered) base-table access. When filter
-// conjuncts allow, an index access path replaces the sequential scan; the
-// remaining conjuncts become a residual filter.
-func (e *Executor) buildScan(scan *algebra.Scan, conjuncts []expr.Node) (iter, *schema.Schema, error) {
-	base, residual, s, err := e.scanAccess(scan, conjuncts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if residual != nil {
-		base = &filterIter{in: base, cond: residual, tick: pollTick{g: e.gd}}
-	}
-	return base, s, nil
-}
-
-// scanAccess resolves the access path for a (possibly filtered) base-table
-// scan: the base iterator (heap scan or index path) plus the compiled
-// residual condition (nil when every conjunct was absorbed by an index).
-// buildScan applies the residual row-at-a-time; the vectorized path
-// (batch.go) applies it as a selection-vector kernel instead.
-func (e *Executor) scanAccess(scan *algebra.Scan, conjuncts []expr.Node) (iter, *expr.Compiled, *schema.Schema, error) {
-	t, err := e.Cat.Table(scan.Table)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	s := t.Schema().Rename(scan.AliasName())
-
-	var residual []expr.Node
-	var base iter
-	for i, c := range conjuncts {
-		if base != nil {
-			residual = append(residual, conjuncts[i:]...)
-			break
-		}
-		if it := e.tryIndexPath(t, s, c); it != nil {
-			base = it
-			continue
-		}
-		residual = append(residual, c)
-	}
-	if base == nil {
-		base = &heapScanIter{heap: t.Heap, stats: &e.stats, tick: pollTick{g: e.gd}}
-	}
-	var cond *expr.Compiled
-	if len(residual) > 0 {
-		cond, err = expr.CompileCondition(expr.AndAll(residual), s, e.Funcs)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	return base, cond, s, nil
-}
 
 // tryIndexPath returns an index-backed iterator for a single conjunct of
 // the form col = lit (hash or btree index) or col <cmp> lit / BETWEEN
@@ -329,46 +144,6 @@ func (e *Executor) btreeRangeIter(t *catalog.Table, ix *storage.BTreeIndex, lo, 
 	return &rowIDIter{heap: t.Heap, ids: ids, stats: &e.stats}
 }
 
-// heapScanIter streams every live tuple of a heap with the default ⟨⊥,0⟩.
-type heapScanIter struct {
-	heap  *storage.Heap
-	stats *Stats
-	tick  pollTick
-
-	inited bool
-	rows   []prel.Row
-	pos    int
-}
-
-// materialize snapshots the heap into the cursor on first use and returns
-// the row slice; both the row path (next) and the vectorized path
-// (heapBatchSrc) share it, so RowsScanned accounting is identical.
-func (h *heapScanIter) materialize() []prel.Row {
-	if !h.inited {
-		// Snapshot RowIDs lazily into a cursor; heaps are append-only during
-		// query execution so a direct page walk is safe and allocation-free
-		// per row.
-		h.rows = make([]prel.Row, 0, h.heap.Len())
-		h.heap.Scan(func(_ storage.RowID, tuple []types.Value) bool {
-			h.rows = append(h.rows, prel.Row{Tuple: tuple})
-			return !h.tick.stop()
-		})
-		h.stats.RowsScanned += len(h.rows)
-		h.inited = true
-	}
-	return h.rows
-}
-
-func (h *heapScanIter) next() (prel.Row, bool) {
-	h.materialize()
-	if h.pos >= len(h.rows) {
-		return prel.Row{}, false
-	}
-	r := h.rows[h.pos]
-	h.pos++
-	return r, true
-}
-
 // rowIDIter fetches specific rows by RowID (index access path).
 type rowIDIter struct {
 	heap  *storage.Heap
@@ -392,42 +167,6 @@ func (r *rowIDIter) next() (prel.Row, bool) {
 }
 
 // --- joins ---
-
-// buildJoin compiles the extended inner join ⋈_{φ,F}. Equi-conjuncts over
-// opposite sides select a hash join; other conditions run as residual
-// filters, falling back to a block nested-loop join when no equi-conjunct
-// exists.
-func (e *Executor) buildJoin(j *algebra.Join) (iter, *schema.Schema, error) {
-	lIt, lS, err := e.build(j.Left)
-	if err != nil {
-		return nil, nil, err
-	}
-	rIt, rS, err := e.build(j.Right)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := lS.Concat(rS)
-
-	eqL, eqR, residual := splitEquiJoin(j.Cond, lS, rS)
-	var base iter
-	if len(eqL) > 0 {
-		if e.parallelOK() {
-			base = &parallelHashJoinIter{e: e, left: lIt, right: rIt, eqL: eqL, eqR: eqR}
-		} else {
-			base = newHashJoinIter(lIt, rIt, lS.Len(), eqL, eqR, e.Agg, &e.stats, e.gd)
-		}
-	} else {
-		base = newNLJoinIter(lIt, rIt, lS.Len(), e.Agg, &e.stats, e.gd)
-	}
-	if residual != nil {
-		cond, err := expr.CompileCondition(residual, out, e.Funcs)
-		if err != nil {
-			return nil, nil, err
-		}
-		base = &filterIter{in: base, cond: cond, tick: pollTick{g: e.gd}}
-	}
-	return base, out, nil
-}
 
 // splitEquiJoin partitions a join condition into equi-join column pairs
 // (left ordinal, right ordinal) and a residual condition.
@@ -462,80 +201,6 @@ func splitEquiJoin(cond expr.Node, lS, rS *schema.Schema) (eqL, eqR []int, resid
 	return eqL, eqR, expr.AndAll(rest)
 }
 
-// hashJoinIter builds a hash table on the left input and probes it with the
-// right input, combining score-confidence pairs via F.
-type hashJoinIter struct {
-	left, right iter
-	lWidth      int
-	eqL, eqR    []int
-	agg         pref.Aggregate
-	stats       *Stats
-	g           *guard
-	tick        pollTick
-
-	built   bool
-	table   map[uint64][]prel.Row
-	pending []prel.Row
-	pos     int
-}
-
-func newHashJoinIter(l, r iter, lWidth int, eqL, eqR []int, agg pref.Aggregate, stats *Stats, g *guard) *hashJoinIter {
-	return &hashJoinIter{left: l, right: r, lWidth: lWidth, eqL: eqL, eqR: eqR, agg: agg, stats: stats,
-		g: g, tick: pollTick{g: g}}
-}
-
-func (h *hashJoinIter) next() (prel.Row, bool) {
-	if !h.built {
-		h.table = map[uint64][]prel.Row{}
-		// The build side is buffered state: charge it against the query's
-		// materialization budgets so a runaway build trips before OOM.
-		meter := matTick{g: h.g}
-		for {
-			row, ok := h.left.next()
-			if !ok {
-				break
-			}
-			key := hashCols(row.Tuple, h.eqL)
-			h.table[key] = append(h.table[key], row)
-			if meter.width == 0 {
-				meter.width = len(row.Tuple) + 2
-			}
-			if meter.row() != nil {
-				break // trip is recorded in the guard; drain surfaces it
-			}
-		}
-		_ = meter.flush()
-		h.built = true
-	}
-	for {
-		if h.pos < len(h.pending) {
-			r := h.pending[h.pos]
-			h.pos++
-			return r, true
-		}
-		if h.tick.stop() {
-			return prel.Row{}, false
-		}
-		rRow, ok := h.right.next()
-		if !ok {
-			return prel.Row{}, false
-		}
-		key := hashCols(rRow.Tuple, h.eqR)
-		candidates := h.table[key]
-		if len(candidates) == 0 {
-			continue
-		}
-		h.pending = h.pending[:0]
-		h.pos = 0
-		for _, lRow := range candidates {
-			if !equalOn(lRow.Tuple, rRow.Tuple, h.eqL, h.eqR) {
-				continue
-			}
-			h.pending = append(h.pending, combineRows(lRow, rRow, h.agg))
-		}
-	}
-}
-
 func hashCols(tuple []types.Value, cols []int) uint64 {
 	h := uint64(1469598103934665603)
 	for _, c := range cols {
@@ -566,9 +231,7 @@ func combineRows(l, r prel.Row, agg pref.Aggregate) prel.Row {
 // nlJoinIter is a nested-loop cross join (residual conditions filter above).
 type nlJoinIter struct {
 	left, right iter
-	lWidth      int
 	agg         pref.Aggregate
-	stats       *Stats
 	g           *guard
 	tick        pollTick
 
@@ -579,9 +242,8 @@ type nlJoinIter struct {
 	rPos  int
 }
 
-func newNLJoinIter(l, r iter, lWidth int, agg pref.Aggregate, stats *Stats, g *guard) *nlJoinIter {
-	return &nlJoinIter{left: l, right: r, lWidth: lWidth, agg: agg, stats: stats,
-		g: g, tick: pollTick{g: g}}
+func newNLJoinIter(l, r iter, agg pref.Aggregate, g *guard) *nlJoinIter {
+	return &nlJoinIter{left: l, right: r, agg: agg, g: g, tick: pollTick{g: g}}
 }
 
 func (n *nlJoinIter) next() (prel.Row, bool) {
@@ -621,23 +283,23 @@ func (n *nlJoinIter) next() (prel.Row, bool) {
 
 // --- set operations ---
 
-// buildSet compiles ∪_F, ∩_F and −. All three materialize both inputs and
+// buildSet compiles ∪_F, ∩_F and −. All three drain both inputs and
 // operate on tuple fingerprints; duplicate tuples within an input are
 // combined via F first (p-relations are sets of tuples).
-func (e *Executor) buildSet(s *algebra.Set) (iter, *schema.Schema, error) {
-	lIt, lS, err := e.build(s.Left)
+func (e *Executor) buildSet(s *algebra.Set) (batchIter, *schema.Schema, error) {
+	lBi, lS, err := e.buildBatch(s.Left)
 	if err != nil {
 		return nil, nil, err
 	}
-	rIt, rS, err := e.build(s.Right)
+	rBi, rS, err := e.buildBatch(s.Right)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !lS.EqualLayout(rS) {
 		return nil, nil, fmt.Errorf("exec: %s inputs are not union-compatible: %s vs %s", s.Op, lS, rS)
 	}
-	lRows, lIndex := dedupByTuple(drainIter(lIt), e.Agg, e.gd)
-	rRows, rIndex := dedupByTuple(drainIter(rIt), e.Agg, e.gd)
+	lRows, lIndex := dedupByTuple(e.drainBatches(lBi), e.Agg, e.gd)
+	rRows, rIndex := dedupByTuple(e.drainBatches(rBi), e.Agg, e.gd)
 
 	var out []prel.Row
 	switch s.Op {
@@ -663,18 +325,7 @@ func (e *Executor) buildSet(s *algebra.Set) (iter, *schema.Schema, error) {
 			}
 		}
 	}
-	return &sliceIter{rows: out}, lS, nil
-}
-
-func drainIter(it iter) []prel.Row {
-	var out []prel.Row
-	for {
-		row, ok := it.next()
-		if !ok {
-			return out
-		}
-		out = append(out, row)
-	}
+	return newSliceBatchSrc(out, e.batchSize()), lS, nil
 }
 
 // tupleIndex maps tuples to indices in a deduplicated row slice, bucketed

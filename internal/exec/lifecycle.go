@@ -304,8 +304,8 @@ func (t *pollTick) stop() bool {
 }
 
 // stopN is the batch-granular tick: it advances the countdown by n rows at
-// once so vectorized kernels poll with the same amortized frequency as the
-// row-at-a-time iterators while paying a single branch per batch.
+// once so vectorized kernels poll with the same amortized frequency as
+// per-row loops (stop) while paying a single branch per batch.
 func (t *pollTick) stopN(n int) bool {
 	if t.g == nil {
 		return false

@@ -118,48 +118,22 @@ func (e *Executor) fanOutMorsels(n int, apply func(lo, hi int, stats *Stats) []p
 	return out
 }
 
-// parallelFor splits [0, n) into contiguous chunks across the pool.
-func parallelFor(workers, n int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // parallelHashJoinIter executes the extended hash join ⋈_{φ,F} with a
 // partitioned parallel build and a morsel-parallel probe over the shared
 // read-only partition tables. Each build partition owns the keys with
 // hash ≡ partition (mod P) and inserts its rows in global row order, so
 // every per-key candidate list — and therefore the probe output — is
-// identical to the sequential hashJoinIter's.
+// identical to the sequential hashJoinBatch's.
 //
-// On the batch path the sides arrive as batch iterators (leftB/rightB)
-// instead of row iterators: the drain then computes each row's key hash
-// with the vector kernel (expr.HashCols) while the window is still live,
-// one batch at a time, and the partitioned build and morsel probe consume
-// the precomputed hashes by global row offset (fanOutMorsels) — the same
-// buckets and the same order, with per-row tuple hashing gone.
+// Both sides are drained batch by batch, computing each row's key hash
+// with the vector kernel (expr.HashCols) while the window is still live;
+// the partitioned build and the morsel probe consume the precomputed
+// hashes by global row offset (fanOutMorsels). Inputs of at most one
+// morsel per side run the same build and probe inline, on one partition.
 type parallelHashJoinIter struct {
-	e             *Executor
-	left, right   iter      // row-path sources (batch mode off)
-	leftB, rightB batchIter // batch-path sources (set instead of left/right)
-	eqL, eqR      []int
+	e           *Executor
+	left, right batchIter
+	eqL, eqR    []int
 
 	built bool
 	out   []prel.Row
@@ -231,23 +205,13 @@ func (p *parallelHashJoinIter) drainSide(in batchIter, keys []int, probe bool) (
 }
 
 func (p *parallelHashJoinIter) run() {
-	var lRows, rRows []prel.Row
-	var lHashes, rHashes []uint64
-	var rDirect []bool
-	if p.leftB != nil {
-		lRows, lHashes, _ = p.drainSide(p.leftB, p.eqL, false)
-		rRows, rHashes, rDirect = p.drainSide(p.rightB, p.eqR, true)
-	} else {
-		lRows = drainIter(p.left)
-		rRows = drainIter(p.right)
-	}
-	if len(lRows) <= morselSize && len(rRows) <= morselSize {
-		seq := newHashJoinIter(&sliceIter{rows: lRows}, &sliceIter{rows: rRows},
-			0, p.eqL, p.eqR, p.e.Agg, &p.e.stats, p.e.gd)
-		p.out = drainIter(seq)
-		return
-	}
+	lRows, hashes, _ := p.drainSide(p.left, p.eqL, false)
+	rRows, rHashes, rDirect := p.drainSide(p.right, p.eqR, true)
+	small := len(lRows) <= morselSize && len(rRows) <= morselSize
 	parts := uint64(p.e.workerCount())
+	if small {
+		parts = 1
+	}
 
 	// The build side is buffered state: charge it against the query's
 	// budgets once (the sequential hash join meters the same total).
@@ -258,41 +222,36 @@ func (p *parallelHashJoinIter) run() {
 		return
 	}
 
-	// Hash every build row once, in parallel chunks — unless the batch
-	// drain already hashed them off the column vectors.
-	hashes := lHashes
-	if hashes == nil {
-		hashes = make([]uint64, len(lRows))
-		parallelFor(int(parts), len(lRows), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				hashes[i] = hashCols(lRows[i].Tuple, p.eqL)
-			}
-		})
-	}
-
 	// Partitioned build: one goroutine per partition, inserting in global
 	// row order; each partition polls the guard amortized so a mid-build
 	// cancellation drains the pool within one poll interval.
 	tables := make([]map[uint64][]prel.Row, parts)
-	var wg sync.WaitGroup
-	for j := uint64(0); j < parts; j++ {
-		wg.Add(1)
-		go func(j uint64) {
-			defer wg.Done()
-			tick := pollTick{g: p.e.gd}
-			t := map[uint64][]prel.Row{}
-			for i, h := range hashes {
-				if tick.stop() {
-					return
-				}
-				if h%parts == j {
-					t[h] = append(t[h], lRows[i])
-				}
+	build := func(j uint64) {
+		tick := pollTick{g: p.e.gd}
+		t := map[uint64][]prel.Row{}
+		for i, h := range hashes {
+			if tick.stop() {
+				return
 			}
-			tables[j] = t
-		}(j)
+			if h%parts == j {
+				t[h] = append(t[h], lRows[i])
+			}
+		}
+		tables[j] = t
 	}
-	wg.Wait()
+	if small {
+		build(0)
+	} else {
+		var wg sync.WaitGroup
+		for j := uint64(0); j < parts; j++ {
+			wg.Add(1)
+			go func(j uint64) {
+				defer wg.Done()
+				build(j)
+			}(j)
+		}
+		wg.Wait()
+	}
 	if p.e.gd.stopped() {
 		return
 	}
@@ -301,19 +260,12 @@ func (p *parallelHashJoinIter) run() {
 	}
 
 	// Morsel-parallel probe against the shared read-only tables; ordered
-	// merge restores the sequential probe order. With precomputed vector
-	// hashes the probe addresses them by global offset, and a direct-hashed
-	// probe row counts as materialized only when it joins.
-	p.out = p.e.fanOutMorsels(len(rRows), func(lo, hi int, stats *Stats) []prel.Row {
+	// merge restores the sequential probe order. A probe row hashed off the
+	// vectors counts as materialized only when it joins.
+	probe := func(lo, hi int, stats *Stats) []prel.Row {
 		var out []prel.Row
 		for i := lo; i < hi; i++ {
-			rRow := rRows[i]
-			var key uint64
-			if rHashes != nil {
-				key = rHashes[i]
-			} else {
-				key = hashCols(rRow.Tuple, p.eqR)
-			}
+			rRow, key := rRows[i], rHashes[i]
 			matched := false
 			for _, lRow := range tables[key%parts][key] {
 				if equalOn(lRow.Tuple, rRow.Tuple, p.eqL, p.eqR) {
@@ -321,12 +273,17 @@ func (p *parallelHashJoinIter) run() {
 					matched = true
 				}
 			}
-			if matched && rDirect != nil && rDirect[i] {
+			if matched && rDirect[i] {
 				stats.RowsMaterialized++
 			}
 		}
 		return out
-	})
+	}
+	if small {
+		p.out = probe(0, len(rRows), &p.e.stats)
+	} else {
+		p.out = p.e.fanOutMorsels(len(rRows), probe)
+	}
 }
 
 // parallelTopK selects the k best rows with per-worker bounded heaps over

@@ -113,32 +113,36 @@ func TestParallelIdenticalToSequential(t *testing.T) {
 
 // TestParallelLimitKeepsLazyStats pins laziness under a Limit: a limit
 // stops pulling its input early, so the prefer chain beneath it must be
-// evaluated lazily at every worker count for PreferEvals to remain
-// comparable.
+// evaluated lazily — one batch at a time — at every worker count for
+// PreferEvals to remain comparable. With 1-row batches that is exactly the
+// ten rows the limit takes.
 func TestParallelLimitKeepsLazyStats(t *testing.T) {
 	cat := parallelCatalog(t)
 	plan := &algebra.Limit{N: 10, Input: &algebra.Prefer{
 		P:     pref.New("recent", "movies", expr.TrueLiteral(), pref.Recency("year", 2011), 0.9),
 		Input: &algebra.Scan{Table: "movies"},
 	}}
-	ref := New(cat)
-	ref.Workers = 1
-	want, err := ref.Run(plan, Native)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(cat)
-	e.Workers = 4
-	got, err := e.Run(plan, Native)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustIdentical(t, want, got, "limit-over-prefer")
-	if ref.Stats() != e.Stats() {
-		t.Fatalf("stats %+v, want %+v", e.Stats(), ref.Stats())
-	}
-	if evals := e.Stats().PreferEvals; evals != 10 {
-		t.Fatalf("PreferEvals = %d, want 10 (lazy evaluation under Limit)", evals)
+	for _, size := range []int{1, 0} {
+		ref := New(cat)
+		ref.Workers, ref.BatchSize = 1, size
+		want, err := ref.Run(plan, Native)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(cat)
+		e.Workers, e.BatchSize = 4, size
+		got, err := e.Run(plan, Native)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustIdentical(t, want, got, "limit-over-prefer")
+		if ref.Stats() != e.Stats() {
+			t.Fatalf("size=%d: stats %+v, want %+v", size, e.Stats(), ref.Stats())
+		}
+		evals := e.Stats().PreferEvals
+		if size == 1 && evals != 10 || evals > defaultBatchSize {
+			t.Fatalf("size=%d: PreferEvals = %d, want 10 with 1-row batches and at most one batch (lazy evaluation under Limit)", size, evals)
+		}
 	}
 }
 

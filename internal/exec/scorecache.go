@@ -158,8 +158,7 @@ func (m *scoreMemo) lookupOrCompute(tuple []types.Value, stats *Stats) (types.SC
 // combineBatch is the vectorized consultation of the memo: it folds the
 // memoized ⟨S,C⟩ contribution into every selected row of b, writing the
 // batch's private SC column in place. Per-row it is exactly
-// lookupOrCompute + Combine, so hit/miss/eval accounting matches the
-// row-at-a-time preferIter.
+// lookupOrCompute + Combine, so hit/miss/eval accounting is per row.
 func (m *scoreMemo) combineBatch(b *prel.Batch, agg pref.Aggregate, stats *Stats) {
 	rows := b.Rows() // memo keys are tuples: columnar batches materialize here
 	for _, j := range b.Sel {

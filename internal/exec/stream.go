@@ -31,10 +31,9 @@ type RowStream struct {
 	sch *schema.Schema
 
 	// Exactly one source is active: rows for pre-materialized strategies,
-	// it for the native row path, bi for the native batch path.
+	// bi for the native pipeline.
 	rows []prel.Row
 	pos  int
-	it   iter
 	bi   batchIter
 	b    *prel.Batch
 	bpos int
@@ -82,19 +81,11 @@ func (e *Executor) StreamContext(ctx context.Context, plan algebra.Node, strateg
 	e.stats.NativeCalls++
 	_, preferRoot := plan.(*algebra.Prefer)
 	s := &RowStream{e: e, native: true, preferRoot: preferRoot}
-	if e.batchOK() {
-		bi, sch, err := e.buildBatch(plan)
-		if err != nil {
-			return nil, err
-		}
-		s.bi, s.sch = bi, sch
-	} else {
-		it, sch, err := e.build(plan)
-		if err != nil {
-			return nil, err
-		}
-		s.it, s.sch = it, sch
+	bi, sch, err := e.buildBatch(plan)
+	if err != nil {
+		return nil, err
 	}
+	s.bi, s.sch = bi, sch
 	s.meter = matTick{g: e.gd, width: s.sch.Len() + 2}
 	return s, nil
 }
@@ -137,47 +128,35 @@ func (s *RowStream) Next() bool {
 
 // pull fetches one row from whichever source feeds the stream.
 func (s *RowStream) pull() (prel.Row, bool) {
-	switch {
-	case s.rows != nil:
+	if s.bi == nil {
 		if s.pos >= len(s.rows) {
 			return prel.Row{}, false
 		}
 		row := s.rows[s.pos]
 		s.pos++
 		return row, true
-	case s.bi != nil:
-		for s.b == nil || s.bpos >= s.b.Live() {
-			b, ok := s.bi.nextBatch()
-			if !ok {
-				return prel.Row{}, false
-			}
-			s.e.stats.Batches++
-			if b.Columnar() {
-				s.e.stats.RowsMaterialized += b.Live()
-			}
-			// Charge the whole batch when it arrives — the same amortized
-			// pattern drainPipeline uses — so guard trip points match the
-			// materialized path.
-			if gErr := s.meter.rows(b.Live()); gErr != nil {
-				s.fail(gErr)
-				return prel.Row{}, false
-			}
-			s.b, s.bpos = b, 0
-		}
-		row := s.b.Row(s.bpos)
-		s.bpos++
-		return row, true
-	default:
-		row, ok := s.it.next()
+	}
+	for s.b == nil || s.bpos >= s.b.Live() {
+		b, ok := s.bi.nextBatch()
 		if !ok {
 			return prel.Row{}, false
 		}
-		if gErr := s.meter.row(); gErr != nil {
+		s.e.stats.Batches++
+		if b.Columnar() {
+			s.e.stats.RowsMaterialized += b.Live()
+		}
+		// Charge the whole batch when it arrives — the same amortized
+		// pattern drainPipeline uses — so guard trip points match the
+		// materialized path.
+		if gErr := s.meter.rows(b.Live()); gErr != nil {
 			s.fail(gErr)
 			return prel.Row{}, false
 		}
-		return row, true
+		s.b, s.bpos = b, 0
 	}
+	row := s.b.Row(s.bpos)
+	s.bpos++
+	return row, true
 }
 
 // finish settles accounting at exhaustion, mirroring drain: flush the

@@ -195,31 +195,32 @@ func TestWireMatchesEmbedded(t *testing.T) {
 }
 
 // TestUnknownSettingRejected drives the protocol with hand-written frames
-// whose enumerated settings this build does not define — Colstore=2 (the
-// retired row-packing mode) and Batch=7. Each statement must fail with an
-// error frame naming the setting, and the connection must go on serving.
+// whose settings this build does not define — Colstore=2 (the retired
+// row-packing mode) and mask bit 7 (the retired batch mode, now a
+// reserved bit). Each statement must fail with an error frame naming the
+// setting, and the connection must go on serving.
 func TestUnknownSettingRejected(t *testing.T) {
 	db := testDB(t)
 	_, addr := startServer(t, db, Options{})
 	nc := dialRaw(t, addr)
 	nc.SetReadDeadline(time.Now().Add(30 * time.Second))
-	send := func(qid uint64, s engine.Settings) {
+	send := func(qid uint64, settings func(e *wire.Encoder)) {
 		var e wire.Encoder
 		e.Uvarint(qid)
 		e.Byte(byte(wire.KindQuery))
 		e.String(protoQuery)
-		e.Settings(s)
+		settings(&e)
 		if err := wire.WriteFrame(nc, wire.FrameQuery, e.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	bad := []engine.Settings{
-		{HasColstore: true, Colstore: 2},
-		{HasBatch: true, Batch: 7},
+	bad := []func(e *wire.Encoder){
+		func(e *wire.Encoder) { e.Settings(engine.Settings{HasColstore: true, Colstore: 2}) },
+		func(e *wire.Encoder) { e.Uvarint(1 << 7); e.Uvarint(1) }, // batch mode "off" as an older build sent it
 	}
-	for i, s := range bad {
+	for i, settings := range bad {
 		qid := uint64(i + 1)
-		send(qid, s)
+		send(qid, settings)
 		ft, payload, err := wire.ReadFrame(nc)
 		if err != nil || ft != wire.FrameError {
 			t.Fatalf("qid %d: frame %#x, err %v; want an error frame", qid, byte(ft), err)
@@ -233,7 +234,7 @@ func TestUnknownSettingRejected(t *testing.T) {
 		}
 	}
 	// A well-formed statement on the same connection still runs to End.
-	send(3, engine.CollectSettings(engine.WithColstore(engine.ColstoreOn)))
+	send(3, func(e *wire.Encoder) { e.Settings(engine.CollectSettings(engine.WithColstore(engine.ColstoreOn))) })
 	for {
 		ft, payload, err := wire.ReadFrame(nc)
 		if err != nil {

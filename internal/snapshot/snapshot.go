@@ -131,8 +131,12 @@ func Load(r io.Reader) (*catalog.Catalog, error) {
 			cols[i] = schema.Column{Name: c.Name, Kind: types.Kind(c.Kind)}
 		}
 		s := schema.New(cols...)
-		if len(td.Key) > 0 {
-			s.WithKey(td.Key...)
+		for _, k := range td.Key {
+			idx, err := s.IndexOf(schema.SplitRef(k))
+			if err != nil {
+				return nil, fmt.Errorf("snapshot: table %s: key: %w", td.Name, err)
+			}
+			s.Key = append(s.Key, idx)
 		}
 		t, err := cat.CreateTable(td.Name, s)
 		if err != nil {

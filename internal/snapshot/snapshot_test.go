@@ -2,6 +2,8 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/gob"
+	"strings"
 	"testing"
 
 	"prefdb/internal/catalog"
@@ -126,6 +128,19 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(nil)); err == nil {
 		t.Error("empty stream should fail to load")
+	}
+	// A key naming a column the table does not have fails with a wrapped
+	// error instead of panicking.
+	var buf bytes.Buffer
+	bad := dbDTO{Version: formatVersion, Tables: []tableDTO{{
+		Name: "t", Columns: []colDTO{{Name: "id", Kind: uint8(types.KindInt)}}, Key: []string{"nope"},
+	}}}
+	if err := gob.NewEncoder(&buf).Encode(bad); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(&buf)
+	if err == nil || !strings.Contains(err.Error(), "snapshot: table t:") || !strings.Contains(err.Error(), "nope") {
+		t.Errorf("unknown key column: err = %v, want a snapshot: table t: error naming the column", err)
 	}
 }
 

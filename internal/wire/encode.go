@@ -21,9 +21,10 @@ import (
 // ErrTruncated reports a payload that ended before its encoded content.
 var ErrTruncated = errors.New("wire: truncated payload")
 
-// ErrUnknownSetting reports an enumerated setting (mode, cache, batch,
-// colstore) whose value this build does not define — typically one sent
-// by a build that had a mode this one removed.
+// ErrUnknownSetting reports an enumerated setting (mode, cache, colstore)
+// whose value this build does not define, or a settings mask that sets a
+// reserved bit — typically one sent by a build that had a mode or an
+// option this one removed.
 var ErrUnknownSetting = errors.New("wire: unknown setting value")
 
 // Encoder builds a frame payload.
@@ -124,7 +125,7 @@ func (e *Encoder) Schema(s *schema.Schema) {
 func (e *Encoder) Settings(s engine.Settings) {
 	var mask uint64
 	for i, has := range settingsPresence(&s) {
-		if *has {
+		if has != nil && *has {
 			mask |= 1 << i
 		}
 	}
@@ -150,12 +151,6 @@ func (e *Encoder) Settings(s engine.Settings) {
 	if s.HasCache {
 		e.Uvarint(uint64(s.Cache))
 	}
-	if s.HasBatch {
-		e.Uvarint(uint64(s.Batch))
-	}
-	if s.HasBatchSize {
-		e.Varint(int64(s.BatchSize))
-	}
 	if s.HasColstore {
 		e.Uvarint(uint64(s.Colstore))
 	}
@@ -164,12 +159,14 @@ func (e *Encoder) Settings(s engine.Settings) {
 }
 
 // settingsPresence enumerates the Has* fields in mask-bit order; encoder
-// and decoder share it so the bit assignment cannot drift.
+// and decoder share it so the bit assignment cannot drift. A nil entry is
+// a reserved bit: bits 7 and 8 carried the retired batch-mode and
+// batch-size options, and a mask setting either fails the decode.
 func settingsPresence(s *engine.Settings) []*bool {
 	return []*bool{
 		&s.HasMode, &s.HasWorkers, &s.HasTimeout, &s.HasMaxRows,
-		&s.HasMaxCells, &s.HasMemoryBudget, &s.HasCache, &s.HasBatch,
-		&s.HasBatchSize, &s.HasColstore, &s.HasProfile,
+		&s.HasMaxCells, &s.HasMemoryBudget, &s.HasCache, nil,
+		nil, &s.HasColstore, &s.HasProfile,
 	}
 }
 
@@ -389,7 +386,14 @@ func (d *Decoder) Settings() engine.Settings {
 	var s engine.Settings
 	mask := d.Uvarint()
 	for i, has := range settingsPresence(&s) {
-		*has = mask&(1<<i) != 0
+		set := mask&(1<<i) != 0
+		if has == nil && set {
+			d.fail(fmt.Errorf("%w: reserved settings bit %d", ErrUnknownSetting, i))
+			return s
+		}
+		if has != nil {
+			*has = set
+		}
 	}
 	if s.HasMode {
 		s.Mode = decodeEnum(d, "mode", engine.Modes())
@@ -411,12 +415,6 @@ func (d *Decoder) Settings() engine.Settings {
 	}
 	if s.HasCache {
 		s.Cache = decodeEnum(d, "cache mode", engine.CacheModes())
-	}
-	if s.HasBatch {
-		s.Batch = decodeEnum(d, "batch mode", engine.BatchModes())
-	}
-	if s.HasBatchSize {
-		s.BatchSize = int(d.Varint())
 	}
 	if s.HasColstore {
 		s.Colstore = decodeEnum(d, "colstore mode", engine.ColstoreModes())

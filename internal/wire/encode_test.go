@@ -138,8 +138,7 @@ func TestSettingsRoundTrip(t *testing.T) {
 			engine.WithMode(engine.ModeFtP), engine.WithWorkers(7),
 			engine.WithTimeout(90*time.Second), engine.WithMaxRows(10),
 			engine.WithMaxCells(20), engine.WithMemoryBudget(1<<30),
-			engine.WithScoreCache(engine.CacheOff), engine.WithBatch(engine.BatchOff),
-			engine.WithBatchSize(512), engine.WithColstore(engine.ColstoreOn),
+			engine.WithScoreCache(engine.CacheOff), engine.WithColstore(engine.ColstoreOn),
 		),
 		// Explicit zero values must stay distinguishable from absent ones.
 		engine.CollectSettings(engine.WithWorkers(0), engine.WithScoreCache(engine.CacheAuto)),
@@ -158,6 +157,15 @@ func TestSettingsRoundTrip(t *testing.T) {
 	e.Settings(s)
 	if got := NewDecoder(e.Bytes()).Settings(); !got.HasProfile {
 		t.Fatal("HasProfile lost in transit")
+	}
+	// The layout keeps its bit positions across the reserved bits 7 and 8:
+	// colstore is bit 9, profile bit 10.
+	for bit, s := range map[uint64]engine.Settings{9: {HasColstore: true}, 10: {HasProfile: true}} {
+		var e Encoder
+		e.Settings(s)
+		if mask := NewDecoder(e.Bytes()).Uvarint(); mask != 1<<bit {
+			t.Fatalf("settings %+v encode mask %#x, want bit %d", s, mask, bit)
+		}
 	}
 }
 
@@ -200,19 +208,30 @@ func TestStatsRoundTrip(t *testing.T) {
 }
 
 // TestSettingsRejectUnknownEnums pins that an enumerated setting outside
-// the engine's registry fails the decode with ErrUnknownSetting instead
-// of being cast into some other mode.
+// the engine's registry — or a mask setting a reserved bit (7 and 8, the
+// retired batch mode and batch size) — fails the decode with
+// ErrUnknownSetting instead of being cast into some other option.
 func TestSettingsRejectUnknownEnums(t *testing.T) {
-	cases := map[string]engine.Settings{
-		"mode":     {HasMode: true, Mode: 200},
-		"cache":    {HasCache: true, Cache: 9},
-		"batch":    {HasBatch: true, Batch: 7},
-		"colstore": {HasColstore: true, Colstore: 2}, // the retired "rows" mode
-	}
-	for name, s := range cases {
+	frame := func(s engine.Settings) []byte {
 		var e Encoder
 		e.Settings(s)
-		d := NewDecoder(e.Bytes())
+		return e.Bytes()
+	}
+	reserved := func(bit uint) []byte {
+		var e Encoder
+		e.Uvarint(1 << bit)
+		e.Uvarint(1) // the payload an older build sent for the option
+		return e.Bytes()
+	}
+	cases := map[string][]byte{
+		"mode":       frame(engine.Settings{HasMode: true, Mode: 200}),
+		"cache":      frame(engine.Settings{HasCache: true, Cache: 9}),
+		"colstore":   frame(engine.Settings{HasColstore: true, Colstore: 2}), // the retired "rows" mode
+		"batch":      reserved(7),
+		"batch-size": reserved(8),
+	}
+	for name, b := range cases {
+		d := NewDecoder(b)
 		d.Settings()
 		if !errors.Is(d.Err(), ErrUnknownSetting) {
 			t.Fatalf("%s: decode error = %v, want ErrUnknownSetting", name, d.Err())

@@ -296,33 +296,6 @@ func CacheModes() []CacheMode { return engine.CacheModes() }
 // overriding the database default.
 func WithScoreCache(m CacheMode) QueryOption { return engine.WithScoreCache(m) }
 
-// BatchMode selects the executor's evaluation style: vectorized over row
-// batches with selection vectors, or row-at-a-time.
-type BatchMode = engine.BatchMode
-
-// Batch modes.
-const (
-	// BatchOn evaluates supported operators vectorized (default).
-	BatchOn = engine.BatchOn
-	// BatchOff forces the row-at-a-time path.
-	BatchOff = engine.BatchOff
-)
-
-// ParseBatchMode resolves a batch mode by name ("on", "off").
-func ParseBatchMode(name string) (BatchMode, error) { return engine.ParseBatchMode(name) }
-
-// BatchModes lists every batch mode.
-func BatchModes() []BatchMode { return engine.BatchModes() }
-
-// WithBatch selects the execution style for one query, overriding the
-// database default. Results, order and stats (modulo the diagnostic batch
-// counter) are identical in both modes.
-func WithBatch(m BatchMode) QueryOption { return engine.WithBatch(m) }
-
-// WithBatchSize overrides the vectorized path's rows-per-batch block size
-// for one query (0 = the executor default).
-func WithBatchSize(n int) QueryOption { return engine.WithBatchSize(n) }
-
 // ColstoreMode selects the storage side batch scans read: the columnar
 // segment store with zone-map pruning, or the row heap.
 type ColstoreMode = engine.ColstoreMode
@@ -359,9 +332,6 @@ func WithOptimizer(enabled bool) OpenOption { return engine.WithOptimizer(enable
 
 // WithDefaultScoreCache sets the database's default score-cache mode.
 func WithDefaultScoreCache(m CacheMode) OpenOption { return engine.WithDefaultScoreCache(m) }
-
-// WithDefaultBatch sets the database's default execution style.
-func WithDefaultBatch(m BatchMode) OpenOption { return engine.WithDefaultBatch(m) }
 
 // WithDefaultColstore sets the database's default batch-scan storage side.
 func WithDefaultColstore(m ColstoreMode) OpenOption { return engine.WithDefaultColstore(m) }
