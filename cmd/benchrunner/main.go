@@ -5,14 +5,11 @@
 //
 //	benchrunner -exp all -scale 0.25 -repeats 3
 //	benchrunner -exp prefs
-//	benchrunner -exp scorecache -json BENCH_PR3.json
-//	benchrunner -exp zonemap -scale 0.1 -json BENCH_PR6.json
 //	benchrunner -list
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -32,10 +29,8 @@ func main() {
 		exp     = flag.String("exp", "all", "experiment id or 'all'")
 		scale   = flag.Float64("scale", 0.25, "dataset scale factor (1.0 ≈ 20k movies)")
 		repeats = flag.Int("repeats", 3, "repetitions per measurement (best-of)")
-		workers = flag.Int("workers", 0, "parallel executor workers (0 = GOMAXPROCS, 1 = sequential)")
 		timeout = flag.Duration("timeout", 0, "overall wall-clock budget for the run (0 = none)")
 		list    = flag.Bool("list", false, "list experiments and exit")
-		jsonOut = flag.String("json", "", "write the run's recorded measurements as JSON to this file")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -69,8 +64,8 @@ func main() {
 		}()
 	}
 
-	// SIGINT/SIGTERM cancel the run's context: the active query drains
-	// its workers and the runner exits cleanly instead of dying
+	// SIGINT/SIGTERM cancel the run's context: the active query stops at
+	// its next guard poll and the runner exits cleanly instead of dying
 	// mid-materialization.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -91,7 +86,6 @@ func main() {
 	}
 
 	env := bench.NewEnv(*scale)
-	env.Workers = *workers
 	var toRun []bench.Experiment
 	if *exp == "all" {
 		toRun = bench.Experiments()
@@ -118,18 +112,6 @@ func main() {
 			fatal(fmt.Errorf("%s: %w", ex.ID, err))
 		}
 		fmt.Println()
-	}
-
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(env.Points, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d measurement(s) to %s\n", len(env.Points), *jsonOut)
 	}
 }
 

@@ -12,7 +12,7 @@
 // exit the shell with Ctrl-D or \quit.
 //
 // With -connect, statements run on a prefdbserver instead of an embedded
-// database: the mode/cache/colstore/workers flags become the remote
+// database: the mode/cache/colstore flags become the remote
 // session's defaults and everything else — results, options, cancel
 // behavior — works identically (the shell talks to the same Session
 // interface either way). Dataset and snapshot flags (-load, -open, -save)
@@ -54,7 +54,6 @@ func main() {
 		mode     = flag.String("mode", "gbu", "evaluation strategy: native, bu, gbu, ftp, plugin-naive, plugin-merged")
 		cache    = flag.String("cache", "auto", "preference score cache: auto (follow optimizer hints), off, on")
 		colstore = flag.String("colstore", "off", "columnar segment scans with zone-map pruning and direct column kernels: on, off")
-		workers  = flag.Int("workers", 0, "parallel executor workers (0 = GOMAXPROCS, 1 = sequential)")
 		timeout  = flag.Duration("timeout", 0, "per-statement wall-clock deadline (0 = none)")
 		rowLimit = flag.Int("max-rows", 0, "per-statement materialized-row budget (0 = unlimited)")
 		explain  = flag.Bool("explain", false, "print the optimized plan and execution stats")
@@ -107,7 +106,7 @@ func main() {
 		if *load != "" || *open != "" || *save != "" {
 			fatal(errors.New("-load/-open/-save are embedded-only; the server owns its data"))
 		}
-		defaults, err := sessionDefaults(*mode, *cache, *colstore, *workers)
+		defaults, err := sessionDefaults(*mode, *cache, *colstore)
 		if err != nil {
 			fatal(err)
 		}
@@ -161,7 +160,6 @@ func main() {
 		fatal(err)
 	}
 	db.Mode = m
-	db.Workers = *workers
 	cm, err := prefdb.ParseCacheMode(*cache)
 	if err != nil {
 		fatal(err)
@@ -206,7 +204,7 @@ func main() {
 
 // sessionDefaults turns the strategy flags into session default options
 // for a remote connection.
-func sessionDefaults(mode, cache, colstore string, workers int) ([]prefdb.QueryOption, error) {
+func sessionDefaults(mode, cache, colstore string) ([]prefdb.QueryOption, error) {
 	m, err := prefdb.ParseMode(mode)
 	if err != nil {
 		return nil, err
@@ -219,11 +217,7 @@ func sessionDefaults(mode, cache, colstore string, workers int) ([]prefdb.QueryO
 	if err != nil {
 		return nil, err
 	}
-	opts := []prefdb.QueryOption{prefdb.WithMode(m), prefdb.WithScoreCache(cm), prefdb.WithColstore(csm)}
-	if workers != 0 {
-		opts = append(opts, prefdb.WithWorkers(workers))
-	}
-	return opts, nil
+	return []prefdb.QueryOption{prefdb.WithMode(m), prefdb.WithScoreCache(cm), prefdb.WithColstore(csm)}, nil
 }
 
 // shell reads statements from stdin until EOF; db is nil when connected

@@ -33,7 +33,6 @@ func main() {
 		scale     = flag.Float64("scale", 0.1, "dataset scale factor")
 		seed      = flag.Int64("seed", 42, "dataset generator seed")
 		mode      = flag.String("mode", "gbu", "server default evaluation strategy")
-		workers   = flag.Int("workers", 0, "server default executor workers (0 = GOMAXPROCS)")
 		maxConc   = flag.Int("max-concurrent", 0, "server-wide concurrent statements (0 = 2×GOMAXPROCS)")
 		sessConc  = flag.Int("session-concurrent", 4, "per-session concurrent statements")
 		memBudget = flag.Int64("memory-budget", 0, "cross-session materialization memory pool in bytes (0 = unaccounted)")
@@ -61,7 +60,6 @@ func main() {
 		fatal(err)
 	}
 	db.Mode = m
-	db.Workers = *workers
 
 	switch strings.ToLower(*load) {
 	case "":

@@ -19,7 +19,7 @@ func TestFacadeQueryLifecycle(t *testing.T) {
 		PREFERRING genre = 'Drama' SCORE 1 CONF 0.9 ON genres
 		USING sum TOP 5 BY score`
 
-	res, err := db.QueryContext(context.Background(), sql, WithMode(ModeFtP), WithWorkers(2))
+	res, err := db.QueryContext(context.Background(), sql, WithMode(ModeFtP))
 	if err != nil || res.Rel.Len() == 0 {
 		t.Fatalf("QueryContext: %v", err)
 	}

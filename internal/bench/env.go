@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -18,35 +17,12 @@ type Env struct {
 	// Scale is the datagen scale factor (1.0 ≈ 20k movies / 20k papers).
 	Scale float64
 	// Seed drives data generation.
-	Seed int64
-	// Workers is the executor pool width handed to the databases
-	// (0 = GOMAXPROCS, 1 = sequential). Set it before the first IMDB/DBLP
-	// call; it is also applied to already-loaded databases.
-	Workers int
-
-	// Points collects the JSON measurements experiments record via
-	// RecordPoint (benchrunner -json writes them out). Experiments run
-	// sequentially, so no locking.
-	Points []Point
-
+	Seed      int64
 	imdb      *engine.DB
 	imdbSizes datagen.Sizes
 	dblp      *engine.DB
 	dblpSizes datagen.Sizes
 }
-
-// RecordPoint appends one JSON measurement to the run's collection.
-func (e *Env) RecordPoint(p Point) {
-	// Derived ratios are rounded at the recording boundary so the JSON
-	// stays human-diffable (1.73, not 1.7299999999999998); raw timings
-	// keep full precision.
-	p.Speedup = Round3(p.Speedup)
-	e.Points = append(e.Points, p)
-}
-
-// Round3 rounds to 3 decimals, the precision the bench JSON reports
-// derived ratios at.
-func Round3(v float64) float64 { return math.Round(v*1000) / 1000 }
 
 // NewEnv returns an environment at the given scale with the default seed.
 func NewEnv(scale float64) *Env { return &Env{Scale: scale, Seed: 42} }
@@ -61,7 +37,6 @@ func (e *Env) IMDB() (*engine.DB, error) {
 		}
 		e.imdb, e.imdbSizes = db, sizes
 	}
-	e.imdb.Workers = e.Workers
 	return e.imdb, nil
 }
 
@@ -75,7 +50,6 @@ func (e *Env) DBLP() (*engine.DB, error) {
 		}
 		e.dblp, e.dblpSizes = db, sizes
 	}
-	e.dblp.Workers = e.Workers
 	return e.dblp, nil
 }
 

@@ -40,9 +40,6 @@ func Experiments() []Experiment {
 		{ID: "filtering", Title: "Filtering strategies over one evaluated query", Paper: "§V (filtering flavors)", Run: runFiltering},
 		{ID: "aggregates", Title: "Aggregate-function ablation", Paper: "§IV-A (F_S vs F_max)", Run: runAggregates},
 		{ID: "optablation", Title: "Optimizer heuristic ablation", Paper: "§VI-A (heuristics 1-5)", Run: runOptimizerAblation},
-		{ID: "scorecache", Title: "Preference score cache: mode × selectivity × key cardinality", Paper: "§IV/VI (scoring; E12)", Run: runScoreCache},
-		{ID: "zonemap", Title: "Columnar zone-map pruning: store × selectivity × |R|", Paper: "§VII (data size; E14)", Run: runZoneMap},
-		{ID: "serverload", Title: "Multi-session server throughput and tail latency vs session count", Paper: "§VII (serving; E15)", Run: runServerLoad},
 	}
 }
 

@@ -121,11 +121,11 @@ func sameRelation(want, got *prel.PRelation) error {
 	return nil
 }
 
-// TestConcurrentParallelWorkload stress-tests the morsel-driven executor:
-// the full six-query workload runs from eight goroutines against shared
-// databases with Workers=4 (each query gets its own executor and worker
-// pool), and every result must match the sequential Workers=1 reference
-// exactly. Run with -race.
+// TestConcurrentParallelWorkload stress-tests concurrent queries: the
+// full six-query workload runs from eight goroutines against shared
+// databases (each query gets its own executor), and every result must
+// match the reference computed before any goroutine starts. Run with
+// -race.
 func TestConcurrentParallelWorkload(t *testing.T) {
 	imdb, dblp := Open(), Open()
 	if _, err := datagen.LoadIMDB(imdb.Catalog(), datagen.Config{Scale: 0.1, Seed: 11}); err != nil {
@@ -147,7 +147,6 @@ func TestConcurrentParallelWorkload(t *testing.T) {
 		query string
 		mode  Mode
 	}
-	imdb.Workers, dblp.Workers = 1, 1
 	refs := make(map[key]*prel.PRelation)
 	names := make([]string, 0, len(workloadQueries))
 	for name, sql := range workloadQueries {
@@ -161,7 +160,6 @@ func TestConcurrentParallelWorkload(t *testing.T) {
 		}
 	}
 
-	imdb.Workers, dblp.Workers = 4, 4
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for w := 0; w < 8; w++ {

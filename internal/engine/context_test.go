@@ -106,20 +106,25 @@ func TestQueryResourceOptions(t *testing.T) {
 			t.Fatalf("%s: err = %+v, want limit %s", tc.name, err, tc.kind)
 		}
 	}
-	// WithWorkers overrides the per-DB pool width for one query only.
+	// WithWorkers is a deprecated no-op: the query runs exactly as without
+	// it.
+	want, err := db.QueryContext(context.Background(), prefQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := db.QueryContext(context.Background(), prefQuery, WithWorkers(2))
-	if err != nil || res.Rel.Len() == 0 {
+	if err != nil {
 		t.Fatalf("WithWorkers(2): %v", err)
 	}
-	if db.Workers != 0 {
-		t.Fatalf("WithWorkers leaked into the DB default: %d", db.Workers)
+	if err := sameRelation(want.Rel, res.Rel); err != nil {
+		t.Fatalf("WithWorkers(2) changed the result: %v", err)
 	}
 }
 
 func TestOpenOptions(t *testing.T) {
-	db := Open(WithDefaultMode(ModeFtP), WithDefaultWorkers(2), WithOptimizer(false))
-	if db.Mode != ModeFtP || db.Workers != 2 || db.Optimize {
-		t.Fatalf("Open options not applied: mode=%v workers=%d optimize=%v", db.Mode, db.Workers, db.Optimize)
+	db := Open(WithDefaultMode(ModeFtP), WithOptimizer(false))
+	if db.Mode != ModeFtP || db.Optimize {
+		t.Fatalf("Open options not applied: mode=%v optimize=%v", db.Mode, db.Optimize)
 	}
 }
 

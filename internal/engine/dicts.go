@@ -40,8 +40,8 @@ func newDictCache() *dictCache {
 // dictFor returns the current dictionary for a preference and its
 // canonical key columns, creating or replacing it as needed. It returns
 // nil (no cross-query caching; the per-query memo still works) when any
-// target table cannot be resolved. Safe for concurrent use; exec workers
-// of one query all receive the same dictionary.
+// target table cannot be resolved. Safe for concurrent use: concurrent
+// runs of one prepared statement all receive the same dictionary.
 func (db *DB) dictFor(p pref.Preference, cols []string) *exec.ScoreDict {
 	versions := make(map[string]uint64, len(p.On))
 	for _, rel := range p.On {

@@ -71,10 +71,6 @@ type DB struct {
 	Mode Mode
 	// Optimize toggles the preference-aware query optimizer.
 	Optimize bool
-	// Workers is the executor's parallel pool width: 0 uses GOMAXPROCS,
-	// 1 forces sequential execution. Results, order and stats are
-	// identical at every setting; only wall-clock changes.
-	Workers int
 	// ScoreCache is the default preference score-cache mode for queries
 	// that pass no WithScoreCache option: CacheAuto (the zero value)
 	// follows the optimizer's per-operator hints, CacheOff disables
@@ -114,7 +110,7 @@ const (
 )
 
 // Open creates an empty database. Options override the defaults (GBU
-// strategy, optimizer on, Workers = GOMAXPROCS).
+// strategy, optimizer on).
 func Open(opts ...OpenOption) *DB {
 	return openWith(catalog.New(), opts...)
 }
@@ -214,7 +210,7 @@ func (db *DB) Query(sql string, mode Mode) (*Result, error) {
 }
 
 // QueryContext parses, plans and executes a preferential query under ctx
-// and the given options (mode, workers, timeout, resource budgets); see
+// and the given options (mode, timeout, resource budgets); see
 // ExecContext for the error contract.
 func (db *DB) QueryContext(ctx context.Context, sql string, opts ...QueryOption) (*Result, error) {
 	q, err := parser.ParseQuery(sql)
@@ -323,7 +319,6 @@ func (db *DB) optimizeRoot(ctx context.Context, plan *planner.Plan) (algebra.Nod
 func (db *DB) executorFor(cfg *queryConfig, agg pref.Aggregate, dictFor func(pref.Preference, []string) *exec.ScoreDict) *exec.Executor {
 	ex := exec.New(db.cat)
 	ex.Agg = agg
-	ex.Workers = cfg.workers
 	ex.Limits = cfg.limits
 	ex.ScoreCache = cfg.cache
 	ex.Colstore = cfg.colstore

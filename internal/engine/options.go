@@ -23,7 +23,6 @@ type optMask uint16
 
 const (
 	optMode optMask = 1 << iota
-	optWorkers
 	optTimeout
 	optMaxRows
 	optMaxCells
@@ -45,7 +44,6 @@ type profileBinding struct {
 // queryConfig is the resolved per-query configuration.
 type queryConfig struct {
 	mode     Mode
-	workers  int
 	timeout  time.Duration
 	limits   exec.Limits
 	cache    CacheMode
@@ -57,7 +55,7 @@ type queryConfig struct {
 
 // queryConfig resolves the options against the database defaults.
 func (db *DB) queryConfig(opts []QueryOption) queryConfig {
-	cfg := queryConfig{mode: db.Mode, workers: db.Workers, cache: db.ScoreCache, colstore: db.Colstore}
+	cfg := queryConfig{mode: db.Mode, cache: db.ScoreCache, colstore: db.Colstore}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -78,10 +76,11 @@ func WithTimeout(d time.Duration) QueryOption {
 	return func(c *queryConfig) { c.timeout = d; c.set |= optTimeout }
 }
 
-// WithWorkers sets the executor pool width for this query (0 =
-// GOMAXPROCS, 1 = sequential), overriding the database default.
+// WithWorkers is kept so existing callers compile.
+//
+// Deprecated: has no effect; every query runs on one goroutine.
 func WithWorkers(n int) QueryOption {
-	return func(c *queryConfig) { c.workers = n; c.set |= optWorkers }
+	return func(*queryConfig) {}
 }
 
 // WithMaxRows caps the tuples the query may materialize (intermediate
@@ -156,9 +155,6 @@ type Settings struct {
 	HasMode bool
 	Mode    Mode
 
-	HasWorkers bool
-	Workers    int
-
 	HasTimeout bool
 	Timeout    time.Duration
 
@@ -192,7 +188,6 @@ func CollectSettings(opts ...QueryOption) Settings {
 	}
 	return Settings{
 		HasMode: c.set&optMode != 0, Mode: c.mode,
-		HasWorkers: c.set&optWorkers != 0, Workers: c.workers,
 		HasTimeout: c.set&optTimeout != 0, Timeout: c.timeout,
 		HasMaxRows: c.set&optMaxRows != 0, MaxRows: c.limits.MaxRows,
 		HasMaxCells: c.set&optMaxCells != 0, MaxCells: c.limits.MaxCells,
@@ -210,9 +205,6 @@ func (s Settings) Options() []QueryOption {
 	var opts []QueryOption
 	if s.HasMode {
 		opts = append(opts, WithMode(s.Mode))
-	}
-	if s.HasWorkers {
-		opts = append(opts, WithWorkers(s.Workers))
 	}
 	if s.HasTimeout {
 		opts = append(opts, WithTimeout(s.Timeout))
@@ -243,13 +235,6 @@ type OpenOption func(*DB)
 // by queries that pass no WithMode option.
 func WithDefaultMode(m Mode) OpenOption {
 	return func(db *DB) { db.Mode = m }
-}
-
-// WithDefaultWorkers sets the default executor pool width (0 =
-// GOMAXPROCS, 1 = sequential) used by queries that pass no WithWorkers
-// option.
-func WithDefaultWorkers(n int) OpenOption {
-	return func(db *DB) { db.Workers = n }
 }
 
 // WithOptimizer toggles the preference-aware query optimizer (enabled by

@@ -75,7 +75,7 @@ func (p *Prepared) config(opts []QueryOption) queryConfig {
 }
 
 // RunContext executes the prepared query under ctx and the given options
-// (mode, workers, timeout, resource budgets). The plan is not re-planned
+// (mode, timeout, resource budgets). The plan is not re-planned
 // or re-optimized; only execution is guarded. See DB.ExecContext for the
 // error contract.
 func (p *Prepared) RunContext(ctx context.Context, opts ...QueryOption) (*Result, error) {

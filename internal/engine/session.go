@@ -1,6 +1,6 @@
 // Session-centric front end (the paper's multi-user model, §V): a Session
 // is a lightweight handle on a shared DB carrying per-session defaults —
-// evaluation mode, workers, cache/colstore styles, guard budgets,
+// evaluation mode, cache/colstore styles, guard budgets,
 // and optionally a bound user profile. Options resolve through the
 // precedence chain
 //
@@ -50,8 +50,8 @@ type Session struct {
 // statement the session runs unless a per-query option overrides them:
 //
 //	db := engine.Open(engine.WithDefaultMode(engine.ModeGBU))
-//	s := db.NewSession(engine.WithWorkers(2), engine.WithMaxRows(1e6))
-//	res, err := s.QueryContext(ctx, sql, engine.WithWorkers(8)) // 8 wins
+//	s := db.NewSession(engine.WithMode(engine.ModeBU), engine.WithMaxRows(1e6))
+//	res, err := s.QueryContext(ctx, sql, engine.WithMode(engine.ModeFtP)) // FtP wins
 //
 // Bind a user's preference profile with WithProfile to make the session
 // the paper's per-user query interface.

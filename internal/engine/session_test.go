@@ -39,13 +39,6 @@ func TestOptionPrecedence(t *testing.T) {
 			open: ModeBU, sess: ModeFtP, query: ModeGBU,
 		},
 		{
-			name:    "workers",
-			openSet: func(db *DB) { db.Workers = 2 },
-			sessOpt: WithWorkers(3), queryOpt: WithWorkers(4),
-			get:  func(c queryConfig) any { return c.workers },
-			open: 2, sess: 3, query: 4,
-		},
-		{
 			name:    "timeout",
 			sessOpt: WithTimeout(time.Minute), queryOpt: WithTimeout(time.Hour),
 			get:  func(c queryConfig) any { return c.timeout },
@@ -119,7 +112,7 @@ func TestOptionPrecedence(t *testing.T) {
 // survives flattening to Settings and back with identical resolution.
 func TestSettingsRoundTrip(t *testing.T) {
 	opts := []QueryOption{
-		WithMode(ModeNative), WithWorkers(3), WithTimeout(time.Second),
+		WithMode(ModeNative), WithTimeout(time.Second),
 		WithMaxRows(7), WithMaxCells(8), WithMemoryBudget(9),
 		WithScoreCache(CacheOff), WithColstore(ColstoreOn),
 	}
@@ -128,8 +121,12 @@ func TestSettingsRoundTrip(t *testing.T) {
 	if s != back {
 		t.Fatalf("settings did not survive the round trip:\n  first  %+v\n  second %+v", s, back)
 	}
-	if CollectSettings().HasMode || CollectSettings().HasWorkers {
+	if CollectSettings() != (Settings{}) {
 		t.Fatal("empty option list reports explicit settings")
+	}
+	// The deprecated WithWorkers shim sets nothing, so it cannot travel.
+	if s := CollectSettings(WithWorkers(4)); s != (Settings{}) {
+		t.Fatalf("WithWorkers(4) reports settings %+v, want none", s)
 	}
 	p := CollectSettings(WithProfile(profile.NewStore(), "u"))
 	if !p.HasProfile {
@@ -146,9 +143,10 @@ const sessionTestQuery = `
 	RANK BY score`
 
 // TestStreamMatchesQuery is the streaming-parity contract: for every
-// evaluation mode and worker count, a drained StreamContext yields the
-// same columns, rows and execution Stats as the materialized
-// QueryContext.
+// evaluation mode, a drained StreamContext yields the same columns, rows
+// and execution Stats as the materialized QueryContext. The workers arms
+// pass the deprecated no-op WithWorkers and pin that it changes nothing;
+// they go with the shim.
 func TestStreamMatchesQuery(t *testing.T) {
 	modes := []Mode{ModeNative, ModeBU, ModeGBU, ModeFtP, ModePluginNaive, ModePluginMerged}
 	for _, mode := range modes {
@@ -372,7 +370,7 @@ func TestConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sess := db.NewSession(WithMode(modes[w%len(modes)]), WithWorkers(1+w%3))
+			sess := db.NewSession(WithMode(modes[w%len(modes)]))
 			defer sess.Close()
 			for i := 0; i < 5; i++ {
 				switch i % 3 {

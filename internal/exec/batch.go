@@ -19,7 +19,7 @@
 //     the index rowIDIter sources — read batch children through batchToRow
 //     and hand their rows on through rowBatchSrc.
 //   - Results, row order and the non-diagnostic Stats do not depend on the
-//     batch size, worker count or colstore mode (see Executor). The suites
+//     batch size or colstore mode (see Executor). The suites
 //     in batch_test.go enforce this and check every result against the
 //     tuple-at-a-time oracle in oracle_test.go.
 package exec
@@ -614,6 +614,10 @@ func (h *hashJoinBatch) keyHashes(b *prel.Batch, keys []int, ks *expr.KeyScratch
 // key columns off the vectors when a batch is columnar. The retained rows
 // are the batch's row views (stable storage), so the build side counts
 // fully into RowsMaterialized — it is the buffered state of the join.
+// A build row with a NULL key column is not inserted: NULL = x is never
+// true, so it cannot join (σ_φ(R×S) ≡ R ⋈_φ S, §IV-B), and leaving it out
+// keeps both probe paths, whose confirms use Value.Equal (NULL = NULL),
+// from matching it.
 func (h *hashJoinBatch) joinBuildCols() {
 	h.table = map[uint64][]prel.Row{}
 	// The build side is buffered state: charge it against the query's
@@ -631,6 +635,9 @@ func (h *hashJoinBatch) joinBuildCols() {
 		}
 		rows := b.Rows()
 		for k, j := range b.Sel {
+			if anyNull(rows[j], h.eqL) {
+				continue
+			}
 			row := prel.Row{Tuple: rows[j], SC: b.SCAt(j)}
 			var key uint64
 			if hs != nil {
@@ -797,12 +804,7 @@ func (e *Executor) buildBatch(n algebra.Node) (batchIter, *schema.Schema, error)
 		return e.buildBlocking(n)
 
 	case *algebra.Limit:
-		// The limit stops pulling its input early, so streaming operators
-		// beneath it stay sequential (blocking operators re-enable fan-out
-		// in drain).
-		e.limitDepth++
 		in, s, err := e.buildBatch(x.Input)
-		e.limitDepth--
 		if err != nil {
 			return nil, nil, err
 		}
@@ -829,15 +831,8 @@ func (e *Executor) buildBlocking(n algebra.Node) (batchIter, *schema.Schema, err
 	rows := rel.Rows
 	switch x := n.(type) {
 	case *algebra.TopK:
-		byConf := x.By == algebra.ByConf
-		if e.parallelOK() && x.K < rel.Len() && rel.Len() > morselSize {
-			// Per-worker bounded heaps merged with deterministic
-			// tie-breaks (input position) — the same selection.
-			rows = e.parallelTopK(rel.Rows, x.K, byConf)
-		} else {
-			// Bounded-heap selection: O(n log k) instead of a full sort.
-			rows = prel.TopK(rel.Rows, x.K, byConf)
-		}
+		// Bounded-heap selection: O(n log k) instead of a full sort.
+		rows = prel.TopK(rel.Rows, x.K, x.By == algebra.ByConf)
 	case *algebra.Skyline:
 		if len(x.Dims) == 0 {
 			rows = skyline(rel.Rows)
@@ -909,7 +904,7 @@ func (e *Executor) buildBatchScan(scan *algebra.Scan, conjuncts []expr.Node) (ba
 
 // buildBatchSegment compiles a σ/λ chain: the whole chain fuses into one
 // segBatchIter kernel over the leaf's batch source — segBatchSrc windows
-// with the colstore on, heapBatchSrc otherwise — at every worker count.
+// with the colstore on, heapBatchSrc otherwise.
 func (e *Executor) buildBatchSegment(n algebra.Node) (batchIter, *schema.Schema, error) {
 	chain, cur := collectChain(n)
 	var base batchIter
@@ -943,10 +938,9 @@ func (e *Executor) buildBatchSegment(n algebra.Node) (batchIter, *schema.Schema,
 }
 
 // buildBatchJoin compiles the extended inner join ⋈_{φ,F}. Equi-conjuncts
-// over opposite sides select a hash join — hashJoinBatch, or the
-// partitioned parallelHashJoinIter when the pool may fan out — whose probe
-// side streams batches; with no equi-conjunct a nested-loop join runs
-// behind row adapters. Residual conditions run as a vectorized filter.
+// over opposite sides select hashJoinBatch, whose probe side streams
+// batches; with no equi-conjunct a nested-loop join runs behind row
+// adapters. Residual conditions run as a vectorized filter.
 func (e *Executor) buildBatchJoin(j *algebra.Join) (batchIter, *schema.Schema, error) {
 	lBi, lS, err := e.buildBatch(j.Left)
 	if err != nil {
@@ -961,13 +955,8 @@ func (e *Executor) buildBatchJoin(j *algebra.Join) (batchIter, *schema.Schema, e
 	eqL, eqR, residual := splitEquiJoin(j.Cond, lS, rS)
 	var base batchIter
 	if len(eqL) > 0 {
-		if e.parallelOK() {
-			it := &parallelHashJoinIter{e: e, left: lBi, right: rBi, eqL: eqL, eqR: eqR}
-			base = &rowBatchSrc{in: it, size: e.batchSize()}
-		} else {
-			base = &hashJoinBatch{left: lBi, right: rBi, eqL: eqL, eqR: eqR,
-				agg: e.Agg, stats: &e.stats, g: e.gd, tick: pollTick{g: e.gd}}
-		}
+		base = &hashJoinBatch{left: lBi, right: rBi, eqL: eqL, eqR: eqR,
+			agg: e.Agg, stats: &e.stats, g: e.gd, tick: pollTick{g: e.gd}}
 	} else {
 		it := newNLJoinIter(&batchToRow{in: lBi}, &batchToRow{in: rBi}, e.Agg, e.gd)
 		base = &rowBatchSrc{in: it, size: e.batchSize()}

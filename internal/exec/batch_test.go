@@ -17,11 +17,12 @@ import (
 
 // TestBatchRowEquivalence is the acceptance contract of the pipeline:
 // for named and randomized plans, every strategy × cache mode must agree
-// with the tuple-at-a-time oracle, and every physical arm (workers ×
-// colstore × batch size) must reproduce the reference run's rows, row
-// order and Stats byte-for-byte (see crossCheck).
+// with the tuple-at-a-time oracle, and every physical arm (colstore ×
+// batch size) must reproduce the reference run's rows, row
+// order and Stats byte-for-byte (see crossCheck). The fixture carries
+// NULLs (nullMovieDB).
 func TestBatchRowEquivalence(t *testing.T) {
-	cat := movieDB(t)
+	cat := nullMovieDB(t)
 	plans := map[string]algebra.Node{
 		"q1-topk-joins": q1Plan(),
 		"q2-threshold":  q2Plan(),
@@ -96,23 +97,65 @@ func TestBatchSizeEquivalence(t *testing.T) {
 	}
 }
 
+// nullMovieDB is movieDB plus NULLs where the executor has had to get
+// them right: a NULL d_id on both sides of the movies ⋈ directors pair
+// (hash-join keys), NULL year and duration under a B+-tree index and a
+// NULL d_id under a hash index (index access paths), beside rows that
+// join normally.
+func nullMovieDB(t testing.TB) *catalog.Catalog {
+	t.Helper()
+	c := movieDB(t)
+	null := types.Null()
+	inserts := map[string][][]types.Value{
+		"movies": {
+			{types.Int(6), types.Str("Untitled"), null, null, null},
+			{types.Int(7), types.Str("Lost Reel"), types.Int(1999), types.Int(101), null},
+			{types.Int(8), types.Str("Short Cut"), null, types.Int(88), types.Int(3)},
+		},
+		"directors": {{null, types.Str("Anonymous")}},
+		"genres":    {{types.Int(6), types.Str("Drama")}, {types.Int(7), types.Str("Comedy")}, {types.Int(8), types.Str("Sport")}},
+		"ratings":   {{types.Int(7), types.Float(5.9), null}},
+	}
+	for table, rows := range inserts {
+		tbl, err := c.Table(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			if err := tbl.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, err := range []error{
+		c.CreateBTreeIndex("movies", "year"),
+		c.CreateBTreeIndex("movies", "duration"),
+		c.CreateHashIndex("movies", "d_id"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
 // crossCheck is the shared differential harness. It runs plan under
-// strategy on the reference arm (one worker, row heap, default batch
-// size), checks the result against the oracle, then requires every arm of
-// workers {1, 4} × colstore {off, on} × batch size {1, 7, default} to
+// strategy on the reference arm (row heap, default batch size), checks
+// the result against the oracle, then requires every arm of colstore
+// {off, on} × batch size {1, 7, default} to
 // reproduce the reference's rows, order and Stats (modulo the diagnostic
 // counters) exactly. setup, when non-nil, configures every executor.
 func crossCheck(t *testing.T, cat *catalog.Catalog, plan algebra.Node, strategy Strategy, setup func(*Executor), label string) {
 	t.Helper()
-	arm := func(workers int, mode ColstoreMode, size int) *Executor {
+	arm := func(mode ColstoreMode, size int) *Executor {
 		e := New(cat)
-		e.Workers, e.Colstore, e.BatchSize = workers, mode, size
+		e.Colstore, e.BatchSize = mode, size
 		if setup != nil {
 			setup(e)
 		}
 		return e
 	}
-	ref := arm(1, ColstoreOff, 0)
+	ref := arm(ColstoreOff, 0)
 	want, err := ref.Run(plan, strategy)
 	if err != nil {
 		t.Fatalf("%s failed on\n%s\n%v", label, algebra.Format(plan), err)
@@ -120,21 +163,19 @@ func crossCheck(t *testing.T, cat *catalog.Catalog, plan algebra.Node, strategy 
 	mustMatchOracle(t, cat, plan, want, label)
 	refStats := ref.Stats()
 	zeroDiagnostics(&refStats)
-	for _, workers := range []int{1, 4} {
-		for _, mode := range []ColstoreMode{ColstoreOff, ColstoreOn} {
-			for _, size := range []int{1, 7, 0} {
-				name := fmt.Sprintf("%s workers=%d colstore=%v size=%d", label, workers, mode, size)
-				e := arm(workers, mode, size)
-				got, err := e.Run(plan, strategy)
-				if err != nil {
-					t.Fatalf("%s failed on\n%s\n%v", name, algebra.Format(plan), err)
-				}
-				mustIdentical(t, want, got, name)
-				gotStats := e.Stats()
-				zeroDiagnostics(&gotStats)
-				if gotStats != refStats {
-					t.Fatalf("%s: Stats differ on\n%s\nref: %v\ngot: %v", name, algebra.Format(plan), refStats, gotStats)
-				}
+	for _, mode := range []ColstoreMode{ColstoreOff, ColstoreOn} {
+		for _, size := range []int{1, 7, 0} {
+			name := fmt.Sprintf("%s colstore=%v size=%d", label, mode, size)
+			e := arm(mode, size)
+			got, err := e.Run(plan, strategy)
+			if err != nil {
+				t.Fatalf("%s failed on\n%s\n%v", name, algebra.Format(plan), err)
+			}
+			mustIdentical(t, want, got, name)
+			gotStats := e.Stats()
+			zeroDiagnostics(&gotStats)
+			if gotStats != refStats {
+				t.Fatalf("%s: Stats differ on\n%s\nref: %v\ngot: %v", name, algebra.Format(plan), refStats, gotStats)
 			}
 		}
 	}
@@ -219,7 +260,9 @@ func oracleDiff(o *oracle, plan algebra.Node, got *prel.PRelation) (string, erro
 
 // TestLimitStopsScanEarly pins that LIMIT streams its input: a limit of
 // five over a 200,000-row scan reads one batch of the heap (or one window
-// of the column store), not the whole table, at every worker count.
+// of the column store), not the whole table, and a prefer chain beneath
+// it scores only the batches it pulls — exactly five rows with 1-row
+// batches.
 func TestLimitStopsScanEarly(t *testing.T) {
 	cat := catalog.New()
 	tbl, err := cat.CreateTable("wide", schema.New(schema.Column{Name: "id", Kind: types.KindInt}))
@@ -231,20 +274,31 @@ func TestLimitStopsScanEarly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	plan := &algebra.Limit{N: 5, Input: &algebra.Scan{Table: "wide"}}
-	for _, workers := range []int{1, 4} {
-		for _, mode := range []ColstoreMode{ColstoreOff, ColstoreOn} {
-			e := New(cat)
-			e.Workers, e.Colstore = workers, mode
-			got, err := e.Run(plan, Native)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Len() != 5 {
-				t.Fatalf("workers=%d colstore=%v: %d rows, want 5", workers, mode, got.Len())
-			}
-			if scanned := e.Stats().RowsScanned; scanned > defaultBatchSize {
-				t.Fatalf("workers=%d colstore=%v: scanned=%d, want <= %d", workers, mode, scanned, defaultBatchSize)
+	scan := &algebra.Limit{N: 5, Input: &algebra.Scan{Table: "wide"}}
+	prefer := &algebra.Limit{N: 5, Input: &algebra.Prefer{
+		P:     pref.New("all", "wide", expr.TrueLiteral(), pref.Around("id", 100), 0.9),
+		Input: &algebra.Scan{Table: "wide"},
+	}}
+	for _, mode := range []ColstoreMode{ColstoreOff, ColstoreOn} {
+		for _, size := range []int{1, 0} {
+			for _, plan := range []algebra.Node{scan, prefer} {
+				e := New(cat)
+				e.Colstore, e.BatchSize = mode, size
+				got, err := e.Run(plan, Native)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("colstore=%v size=%d %s", mode, size, algebra.Format(plan))
+				if got.Len() != 5 {
+					t.Fatalf("%s: %d rows, want 5", label, got.Len())
+				}
+				st := e.Stats()
+				if st.RowsScanned > defaultBatchSize {
+					t.Fatalf("%s: scanned=%d, want <= %d", label, st.RowsScanned, defaultBatchSize)
+				}
+				if plan == prefer && (st.PreferEvals > defaultBatchSize || size == 1 && st.PreferEvals != 5) {
+					t.Fatalf("%s: PreferEvals=%d, want 5 with 1-row batches and at most one batch otherwise", label, st.PreferEvals)
+				}
 			}
 		}
 	}
@@ -287,47 +341,44 @@ func asGuardError(err error, target **GuardError) bool {
 
 // TestSegBatchKernelFusesFilterPrefer pins the fused kernel directly:
 // a filter→prefer chain over a batch source must score only the rows the
-// filter selected, and leave rejected rows unselected — at every worker
-// count, since σ/λ chains never fan out.
+// filter selected, and leave rejected rows unselected.
 func TestSegBatchKernelFusesFilterPrefer(t *testing.T) {
 	cat := movieDB(t)
 	plan := &algebra.Prefer{P: paMovies(), Input: &algebra.Select{
 		Cond:  expr.Cmp("year", expr.OpGe, types.Int(2005)),
 		Input: &algebra.Scan{Table: "movies"},
 	}}
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			e := New(cat)
-			e.Workers = workers
-			bi, _, err := e.buildBatch(plan)
-			if err != nil {
-				t.Fatal(err)
+	// The executor is single-worker; the subtest keeps that case's name.
+	t.Run("workers=1", func(t *testing.T) {
+		e := New(cat)
+		bi, _, err := e.buildBatch(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := bi.(*segBatchIter); !ok {
+			t.Fatalf("filter→prefer chain compiled to %T, want *segBatchIter", bi)
+		}
+		var rows []prel.Row
+		for {
+			b, ok := bi.nextBatch()
+			if !ok {
+				break
 			}
-			if _, ok := bi.(*segBatchIter); !ok {
-				t.Fatalf("filter→prefer chain compiled to %T, want *segBatchIter", bi)
+			rows = b.AppendRows(rows)
+		}
+		if len(rows) == 0 {
+			t.Fatal("fused kernel returned no rows")
+		}
+		yearOrd := 2 // movies schema: m_id, title, year, ...
+		for _, r := range rows {
+			if y := r.Tuple[yearOrd].AsInt(); y < 2005 {
+				t.Fatalf("row with year %d survived the fused filter", y)
 			}
-			var rows []prel.Row
-			for {
-				b, ok := bi.nextBatch()
-				if !ok {
-					break
-				}
-				rows = b.AppendRows(rows)
-			}
-			if len(rows) == 0 {
-				t.Fatal("fused kernel returned no rows")
-			}
-			yearOrd := 2 // movies schema: m_id, title, year, ...
-			for _, r := range rows {
-				if y := r.Tuple[yearOrd].AsInt(); y < 2005 {
-					t.Fatalf("row with year %d survived the fused filter", y)
-				}
-			}
-			if e.Stats().PreferEvals != len(rows) {
-				t.Fatalf("PreferEvals = %d, want %d (selected rows only)", e.Stats().PreferEvals, len(rows))
-			}
-		})
-	}
+		}
+		if e.Stats().PreferEvals != len(rows) {
+			t.Fatalf("PreferEvals = %d, want %d (selected rows only)", e.Stats().PreferEvals, len(rows))
+		}
+	})
 }
 
 // TestProjectArenaAliasing pins the projection arena's aliasing contract:

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"prefdb/internal/algebra"
@@ -112,10 +111,8 @@ func BenchmarkIndexVsScan(b *testing.B) {
 	})
 }
 
-// parallelBenchCatalog is a full-scale load (20k movies, ~130k cast
-// rows) — large enough that each worker gets many morsels and the
-// fan-out cost is amortized.
-func parallelBenchCatalog(b *testing.B) *catalog.Catalog {
+// fullIMDBCatalog is a full-scale load (20k movies, ~130k cast rows).
+func fullIMDBCatalog(b *testing.B) *catalog.Catalog {
 	b.Helper()
 	cat := catalog.New()
 	if _, err := datagen.LoadIMDB(cat, datagen.Config{Scale: 1.0, Seed: 9}); err != nil {
@@ -124,50 +121,13 @@ func parallelBenchCatalog(b *testing.B) *catalog.Catalog {
 	return cat
 }
 
-// workerSweep is the worker lineup the parallel benchmarks report:
-// sequential baseline, 2, 4, and the full machine.
-func workerSweep() []int {
-	sweep := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		sweep = append(sweep, n)
-	}
-	return sweep
-}
-
-// BenchmarkParallelJoin sweeps worker counts over a hash join with a
-// prefer above it: partitioned build + morsel-parallel probe feeding the
-// fused prefer kernel.
-func BenchmarkParallelJoin(b *testing.B) {
-	cat := parallelBenchCatalog(b)
-	plan := &algebra.Prefer{
-		P: pref.New("drama", "genres", expr.Eq("genre", types.Str("Drama")), pref.Recency("year", 2011), 0.8),
-		Input: &algebra.Join{
-			Cond:  expr.Bin{Op: expr.OpEq, L: expr.ColRef("movies.m_id"), R: expr.ColRef("genres.m_id")},
-			Left:  &algebra.Scan{Table: "movies"},
-			Right: &algebra.Scan{Table: "genres"},
-		},
-	}
-	for _, workers := range workerSweep() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e := New(cat)
-			e.Workers = workers
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if drainAll(b, e, plan) == 0 {
-					b.Fatal("empty join")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkBatchFilterPrefer measures the fused filter→prefer kernel
-// across block sizes and filter selectivities (sequential, cache off, so
+// across block sizes and filter selectivities (cache off, so
 // the measurement isolates the kernel). Expected: throughput grows as the
 // filter keeps fewer rows (the fused kernel never scores filtered-out
 // tuples) and flattens once the block size amortizes per-batch overhead.
 func BenchmarkBatchFilterPrefer(b *testing.B) {
-	cat := parallelBenchCatalog(b)
+	cat := fullIMDBCatalog(b)
 	tbl, err := cat.Table("movies")
 	if err != nil {
 		b.Fatal(err)
@@ -184,7 +144,6 @@ func BenchmarkBatchFilterPrefer(b *testing.B) {
 		}
 		run := func(b *testing.B, size int) {
 			e := New(cat)
-			e.Workers = 1
 			e.ScoreCache = CacheOff
 			e.BatchSize = size
 			b.ReportAllocs()

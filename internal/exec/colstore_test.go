@@ -132,7 +132,7 @@ func colstorePlans() map[string]algebra.Node {
 }
 
 // TestColstoreHeapEquivalence is the acceptance contract of the columnar
-// store: across strategies × workers × cache modes × batch sizes, reading
+// store: across strategies × cache modes × batch sizes, reading
 // segments with zone-map pruning must produce byte-identical rows, order
 // and Stats (modulo the diagnostic Batches / segment counters) to the
 // heap batch path.
@@ -141,44 +141,40 @@ func TestColstoreHeapEquivalence(t *testing.T) {
 	for name, plan := range colstorePlans() {
 		t.Run(name, func(t *testing.T) {
 			for _, strategy := range Strategies() {
-				for _, workers := range []int{1, 4} {
-					for _, cache := range []CacheMode{CacheOff, CacheOn} {
-						for _, size := range []int{3, 1024} {
-							label := fmt.Sprintf("%v workers=%d cache=%v size=%d", strategy, workers, cache, size)
+				for _, cache := range []CacheMode{CacheOff, CacheOn} {
+					for _, size := range []int{3, 1024} {
+						label := fmt.Sprintf("%v cache=%v size=%d", strategy, cache, size)
 
-							ref := New(cat)
-							ref.Workers = workers
-							ref.ScoreCache = cache
-							ref.BatchSize = size
-							ref.Colstore = ColstoreOff
-							want, err := ref.Run(plan, strategy)
-							if err != nil {
-								t.Fatalf("%s heap path: %v", label, err)
-							}
-							refStats := ref.Stats()
-							if refStats.SegmentsScanned != 0 || refStats.SegmentsSkipped != 0 {
-								t.Fatalf("%s: heap path touched segments: %+v", label, refStats)
-							}
+						ref := New(cat)
+						ref.ScoreCache = cache
+						ref.BatchSize = size
+						ref.Colstore = ColstoreOff
+						want, err := ref.Run(plan, strategy)
+						if err != nil {
+							t.Fatalf("%s heap path: %v", label, err)
+						}
+						refStats := ref.Stats()
+						if refStats.SegmentsScanned != 0 || refStats.SegmentsSkipped != 0 {
+							t.Fatalf("%s: heap path touched segments: %+v", label, refStats)
+						}
 
-							e := New(cat)
-							e.Workers = workers
-							e.ScoreCache = cache
-							e.BatchSize = size
-							e.Colstore = ColstoreOn
-							got, err := e.Run(plan, strategy)
-							if err != nil {
-								t.Fatalf("%s colstore path: %v", label, err)
-							}
+						e := New(cat)
+						e.ScoreCache = cache
+						e.BatchSize = size
+						e.Colstore = ColstoreOn
+						got, err := e.Run(plan, strategy)
+						if err != nil {
+							t.Fatalf("%s colstore path: %v", label, err)
+						}
 
-							mustIdentical(t, want, got, label)
-							gotStats := e.Stats()
-							refStats.Batches, gotStats.Batches = 0, 0
-							gotStats.SegmentsScanned, gotStats.SegmentsSkipped = 0, 0
-							gotStats.ColBatches, gotStats.RowsMaterialized = 0, 0
-							refStats.JoinProbeBatches, gotStats.JoinProbeBatches = 0, 0
-							if refStats != gotStats {
-								t.Fatalf("%s: colstore stats %+v, want %+v", label, gotStats, refStats)
-							}
+						mustIdentical(t, want, got, label)
+						gotStats := e.Stats()
+						refStats.Batches, gotStats.Batches = 0, 0
+						gotStats.SegmentsScanned, gotStats.SegmentsSkipped = 0, 0
+						gotStats.ColBatches, gotStats.RowsMaterialized = 0, 0
+						refStats.JoinProbeBatches, gotStats.JoinProbeBatches = 0, 0
+						if refStats != gotStats {
+							t.Fatalf("%s: colstore stats %+v, want %+v", label, gotStats, refStats)
 						}
 					}
 				}
@@ -192,34 +188,31 @@ func TestColstoreHeapEquivalence(t *testing.T) {
 // of them on zone maps alone.
 func TestColstoreEngagesAndPrunes(t *testing.T) {
 	cat := colstoreDB(t)
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			e := New(cat)
-			e.Workers = workers
-			e.Colstore = ColstoreOn
-			if _, err := e.Run(colstorePlans()["prune-low-sel"], Native); err != nil {
-				t.Fatal(err)
-			}
-			st := e.Stats()
-			if st.SegmentsScanned == 0 {
-				t.Fatalf("colstore scan read no segments: %+v", st)
-			}
-			if st.SegmentsSkipped == 0 {
-				t.Fatalf("id <= 300 over sequential ids skipped no segments: %+v", st)
-			}
-			// RowsScanned must credit skipped segments' live rows, keeping
-			// parity with the heap path.
-			ref := New(cat)
-			ref.Workers = workers
-			ref.Colstore = ColstoreOff
-			if _, err := ref.Run(colstorePlans()["prune-low-sel"], Native); err != nil {
-				t.Fatal(err)
-			}
-			if ref.Stats().RowsScanned != st.RowsScanned {
-				t.Fatalf("RowsScanned diverged: colstore %d, heap %d", st.RowsScanned, ref.Stats().RowsScanned)
-			}
-		})
-	}
+	// The executor is single-worker; the subtest keeps that case's name.
+	t.Run("workers=1", func(t *testing.T) {
+		e := New(cat)
+		e.Colstore = ColstoreOn
+		if _, err := e.Run(colstorePlans()["prune-low-sel"], Native); err != nil {
+			t.Fatal(err)
+		}
+		st := e.Stats()
+		if st.SegmentsScanned == 0 {
+			t.Fatalf("colstore scan read no segments: %+v", st)
+		}
+		if st.SegmentsSkipped == 0 {
+			t.Fatalf("id <= 300 over sequential ids skipped no segments: %+v", st)
+		}
+		// RowsScanned must credit skipped segments' live rows, keeping
+		// parity with the heap path.
+		ref := New(cat)
+		ref.Colstore = ColstoreOff
+		if _, err := ref.Run(colstorePlans()["prune-low-sel"], Native); err != nil {
+			t.Fatal(err)
+		}
+		if ref.Stats().RowsScanned != st.RowsScanned {
+			t.Fatalf("RowsScanned diverged: colstore %d, heap %d", st.RowsScanned, ref.Stats().RowsScanned)
+		}
+	})
 }
 
 // TestColstoreSeesHeapTailWrites pins invalidation: rows inserted after a

@@ -6,51 +6,45 @@ import (
 )
 
 // TestDirectColRowsEquivalence is the acceptance contract of the
-// direct-on-column path: across the full plan × strategy × workers ×
-// batch-size grid, handing kernels borrowed column vectors with late
-// materialization (ColstoreOn) must produce byte-identical rows, order
-// and Stats — modulo the diagnostic counters — to the heap rows
-// (ColstoreOff), the reference path. Run with -race: the suite doubles as
-// the data-race check for the borrowed-vector contract under the parallel
-// hash join.
+// direct-on-column path: across the full plan × strategy × batch-size
+// grid, handing kernels borrowed column vectors with late materialization
+// (ColstoreOn) must produce byte-identical rows, order and Stats — modulo
+// the diagnostic counters — to the heap rows (ColstoreOff), the reference
+// path.
 func TestDirectColRowsEquivalence(t *testing.T) {
 	cat := colstoreDB(t)
 	for name, plan := range colstorePlans() {
 		t.Run(name, func(t *testing.T) {
 			for _, strategy := range Strategies() {
-				for _, workers := range []int{1, 4} {
-					for _, size := range []int{3, 1024} {
-						label := fmt.Sprintf("%v workers=%d size=%d", strategy, workers, size)
+				for _, size := range []int{3, 1024} {
+					label := fmt.Sprintf("%v size=%d", strategy, size)
 
-						ref := New(cat)
-						ref.Workers = workers
-						ref.BatchSize = size
-						ref.Colstore = ColstoreOff
-						want, err := ref.Run(plan, strategy)
-						if err != nil {
-							t.Fatalf("%s heap path: %v", label, err)
-						}
-						refStats := ref.Stats()
-						if refStats.ColBatches != 0 || refStats.RowsMaterialized != 0 {
-							t.Fatalf("%s: heap path counted columnar batches: %+v", label, refStats)
-						}
+					ref := New(cat)
+					ref.BatchSize = size
+					ref.Colstore = ColstoreOff
+					want, err := ref.Run(plan, strategy)
+					if err != nil {
+						t.Fatalf("%s heap path: %v", label, err)
+					}
+					refStats := ref.Stats()
+					if refStats.ColBatches != 0 || refStats.RowsMaterialized != 0 {
+						t.Fatalf("%s: heap path counted columnar batches: %+v", label, refStats)
+					}
 
-						e := New(cat)
-						e.Workers = workers
-						e.BatchSize = size
-						e.Colstore = ColstoreOn
-						got, err := e.Run(plan, strategy)
-						if err != nil {
-							t.Fatalf("%s direct path: %v", label, err)
-						}
+					e := New(cat)
+					e.BatchSize = size
+					e.Colstore = ColstoreOn
+					got, err := e.Run(plan, strategy)
+					if err != nil {
+						t.Fatalf("%s direct path: %v", label, err)
+					}
 
-						mustIdentical(t, want, got, label)
-						gotStats := e.Stats()
-						zeroDiagnostics(&refStats)
-						zeroDiagnostics(&gotStats)
-						if refStats != gotStats {
-							t.Fatalf("%s: direct stats %+v, want %+v", label, gotStats, refStats)
-						}
+					mustIdentical(t, want, got, label)
+					gotStats := e.Stats()
+					zeroDiagnostics(&refStats)
+					zeroDiagnostics(&gotStats)
+					if refStats != gotStats {
+						t.Fatalf("%s: direct stats %+v, want %+v", label, gotStats, refStats)
 					}
 				}
 			}
@@ -64,25 +58,23 @@ func TestDirectColRowsEquivalence(t *testing.T) {
 // boundary, so RowsMaterialized is a small fraction of RowsScanned.
 func TestDirectColLateMaterialization(t *testing.T) {
 	cat := colstoreDB(t)
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			e := New(cat)
-			e.Workers = workers
-			e.Colstore = ColstoreOn
-			if _, err := e.Run(colstorePlans()["prune-low-sel"], Native); err != nil {
-				t.Fatal(err)
-			}
-			st := e.Stats()
-			if st.ColBatches == 0 {
-				t.Fatalf("direct scan produced no columnar batches: %+v", st)
-			}
-			if st.RowsMaterialized == 0 {
-				t.Fatalf("survivors never crossed the materialization boundary: %+v", st)
-			}
-			if st.RowsMaterialized*10 > st.RowsScanned {
-				t.Fatalf("late materialization did not engage: materialized %d of %d scanned",
-					st.RowsMaterialized, st.RowsScanned)
-			}
-		})
-	}
+	// The executor is single-worker; the subtest keeps that case's name.
+	t.Run("workers=1", func(t *testing.T) {
+		e := New(cat)
+		e.Colstore = ColstoreOn
+		if _, err := e.Run(colstorePlans()["prune-low-sel"], Native); err != nil {
+			t.Fatal(err)
+		}
+		st := e.Stats()
+		if st.ColBatches == 0 {
+			t.Fatalf("direct scan produced no columnar batches: %+v", st)
+		}
+		if st.RowsMaterialized == 0 {
+			t.Fatalf("survivors never crossed the materialization boundary: %+v", st)
+		}
+		if st.RowsMaterialized*10 > st.RowsScanned {
+			t.Fatalf("late materialization did not engage: materialized %d of %d scanned",
+				st.RowsMaterialized, st.RowsScanned)
+		}
+	})
 }

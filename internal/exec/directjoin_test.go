@@ -170,47 +170,41 @@ func zeroDiagnostics(s *Stats) {
 }
 
 // TestDirectJoinRowsEquivalence is the acceptance contract of the
-// direct-column hash join: across plan shapes × strategies × workers ×
-// batch sizes, probing (and building) straight off borrowed column
-// vectors — including dictionary-code and run-length-encoded keys — must
-// produce byte-identical rows, order and Stats (modulo diagnostic
-// counters) to the heap path (ColstoreOff). Run with -race: the
-// parallel arm doubles as the data-race check for vector-hashed
-// partitioned builds.
+// direct-column hash join: across plan shapes × strategies × batch
+// sizes, probing (and building) straight off borrowed column vectors —
+// including dictionary-code and run-length-encoded keys — must produce
+// byte-identical rows, order and Stats (modulo diagnostic counters) to
+// the heap path (ColstoreOff).
 func TestDirectJoinRowsEquivalence(t *testing.T) {
 	cat := directJoinDB(t)
 	for name, plan := range directJoinPlans() {
 		t.Run(name, func(t *testing.T) {
 			for _, strategy := range Strategies() {
-				for _, workers := range []int{1, 4} {
-					for _, size := range []int{3, 1024} {
-						label := fmt.Sprintf("%v workers=%d size=%d", strategy, workers, size)
+				for _, size := range []int{3, 1024} {
+					label := fmt.Sprintf("%v size=%d", strategy, size)
 
-						ref := New(cat)
-						ref.Workers = workers
-						ref.BatchSize = size
-						ref.Colstore = ColstoreOff
-						want, err := ref.Run(plan, strategy)
-						if err != nil {
-							t.Fatalf("%s heap path: %v", label, err)
-						}
-						refStats := ref.Stats()
-						zeroDiagnostics(&refStats)
+					ref := New(cat)
+					ref.BatchSize = size
+					ref.Colstore = ColstoreOff
+					want, err := ref.Run(plan, strategy)
+					if err != nil {
+						t.Fatalf("%s heap path: %v", label, err)
+					}
+					refStats := ref.Stats()
+					zeroDiagnostics(&refStats)
 
-						e := New(cat)
-						e.Workers = workers
-						e.BatchSize = size
-						e.Colstore = ColstoreOn
-						got, err := e.Run(plan, strategy)
-						if err != nil {
-							t.Fatalf("%s direct path: %v", label, err)
-						}
-						mustIdentical(t, want, got, label)
-						gotStats := e.Stats()
-						zeroDiagnostics(&gotStats)
-						if refStats != gotStats {
-							t.Fatalf("%s: stats %+v, want %+v", label, gotStats, refStats)
-						}
+					e := New(cat)
+					e.BatchSize = size
+					e.Colstore = ColstoreOn
+					got, err := e.Run(plan, strategy)
+					if err != nil {
+						t.Fatalf("%s direct path: %v", label, err)
+					}
+					mustIdentical(t, want, got, label)
+					gotStats := e.Stats()
+					zeroDiagnostics(&gotStats)
+					if refStats != gotStats {
+						t.Fatalf("%s: stats %+v, want %+v", label, gotStats, refStats)
 					}
 				}
 			}
@@ -438,8 +432,8 @@ func (g *djGen) plan() algebra.Node {
 
 // FuzzDirectJoinEquivalence is the fuzz arm of the direct-join contract:
 // random join plans over segment-scale columnar tables, checked against
-// the oracle and cross-checked over the heap and the colstore, sequential
-// and parallel, at degenerate and default batch sizes (crossCheck). Run
+// the oracle and cross-checked over the heap and the colstore at
+// degenerate and default batch sizes (crossCheck). Run
 // under `-tags prefdbdebug` to layer the join-table canary over the check.
 func FuzzDirectJoinEquivalence(f *testing.F) {
 	for _, seed := range []int64{1, 42, 7777, 20120401} {
@@ -518,8 +512,8 @@ func groupAggPlans() map[string]algebra.Node {
 }
 
 // TestGroupAggEquivalence pins γ against the oracle and across the
-// physical arms (crossCheck): heap batches and borrowed vectors, workers
-// and batch sizes must all reproduce the reference byte-for-byte — group
+// physical arms (crossCheck): heap batches and borrowed vectors at every
+// batch size must all reproduce the reference byte-for-byte — group
 // order (first-seen), sum widening, NULL skipping and all.
 func TestGroupAggEquivalence(t *testing.T) {
 	cat := directJoinDB(t)

@@ -70,10 +70,7 @@ func Strategies() []Strategy { return []Strategy{Native, BU, GBU, FtP} }
 // the executor's Stats (reset them between runs to isolate measurements).
 //
 // All four strategies share the executor's materialization machinery
-// (Materialize / drain), so with Workers != 1 each one runs its hash
-// joins and top-k selections on the worker pool (parallel.go): Native
-// inside its single pipeline, BU and GBU inside each operator-at-a-time /
-// per-group drain, and FtP inside the native Q_NP execution.
+// (Materialize / drain) and run on the caller's goroutine.
 func (e *Executor) Run(plan algebra.Node, strategy Strategy) (*prel.PRelation, error) {
 	return e.RunContext(context.Background(), plan, strategy)
 }

@@ -56,9 +56,9 @@ type Stats struct {
 	// Batches counts the row batches drained at a pipeline root. The
 	// counters from here down are diagnostic, not cost drivers: they
 	// describe how the pipeline was blocked and which storage form it
-	// read, so they legitimately differ across batch sizes, worker counts
-	// and colstore modes, while every counter above is identical across
-	// all three (see Executor).
+	// read, so they legitimately differ across batch sizes and colstore
+	// modes, while every counter above is identical across both (see
+	// Executor).
 	Batches int
 	// SegmentsScanned counts columnar segments actually read by colstore
 	// scans; SegmentsSkipped counts segments dropped unread by zone-map
@@ -74,7 +74,7 @@ type Stats struct {
 	ColBatches       int
 	RowsMaterialized int
 	// JoinProbeBatches counts probe-side batches processed by the hash
-	// join (morsel-drain batches on the parallel path); together with
+	// join; together with
 	// RowsMaterialized it shows whether the join probed direct-on-column
 	// (probe batches high, materialized rows only at match emit) or fell
 	// back to tuples.
@@ -127,11 +127,12 @@ func (s Stats) String() string {
 
 // Executor evaluates extended query plans against a catalog through one
 // vectorized pipeline (see batch.go). An Executor is not safe for
-// concurrent use — create one per query — but with Workers != 1 it runs
-// hash joins and top-k selection on a worker pool (see parallel.go).
+// concurrent use — create one per query. It runs every plan on the
+// caller's goroutine and starts none of its own.
 //
 // Contract: results, row order and the non-diagnostic Stats counters are
-// byte-identical at every worker count, colstore mode and batch size,
+// byte-identical at every colstore mode and batch size and on any core
+// count,
 // with one exception: a Limit that stops its input early stops it on a
 // batch boundary, so the counters of the operators beneath it depend on
 // the batch size. The paper's semantics are pinned separately by a
@@ -145,9 +146,6 @@ type Executor struct {
 	// Agg is the aggregate function F used by every score-combining
 	// operator in the query (the paper assumes one F per query).
 	Agg pref.Aggregate
-	// Workers is the pool width of the parallel hash join and top-k: 0
-	// means GOMAXPROCS, 1 forces the sequential operators.
-	Workers int
 	// Limits bounds the next guarded run (RunContext / Begin); the zero
 	// value imposes no bounds.
 	Limits Limits
@@ -172,10 +170,6 @@ type Executor struct {
 	// gd is the lifecycle guard of the current run; nil (the default)
 	// disables all cancellation and budget checks.
 	gd *guard
-	// limitDepth tracks how many enclosing Limit operators the node being
-	// built sits under; the parallel hash join is disabled there because a
-	// limit stops pulling early (see parallelOK).
-	limitDepth int
 }
 
 // New returns an executor using the scoring-function registry and F_S.
@@ -217,13 +211,6 @@ func (e *Executor) drain(n algebra.Node) (*prel.PRelation, error) {
 	if err := e.gd.poll(); err != nil {
 		return nil, err
 	}
-
-	// A drain exhausts its whole pipeline regardless of any Limit above it,
-	// so parallel fan-out is safe again inside (blocking operators under a
-	// Limit re-enter here via drainChild).
-	saved := e.limitDepth
-	e.limitDepth = 0
-	defer func() { e.limitDepth = saved }()
 
 	out, s, err := e.drainPipeline(n)
 	if err != nil {

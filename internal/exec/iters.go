@@ -79,7 +79,9 @@ func (e *Executor) tryIndexPath(t *catalog.Table, s *schema.Schema, c expr.Node)
 	switch n := c.(type) {
 	case expr.Bin:
 		col, lit, op, ok := expr.BindColLit(s, n)
-		if !ok {
+		// A NULL literal compares true with nothing; the residual filter
+		// says so, while the index would read it as a key or as unbounded.
+		if !ok || lit.IsNull() {
 			return nil
 		}
 		name := strings.ToLower(col.Name)
@@ -119,7 +121,7 @@ func (e *Executor) tryIndexPath(t *catalog.Table, s *schema.Schema, c expr.Node)
 		col, okC := n.X.(expr.Col)
 		loLit, okLo := n.Lo.(expr.Lit)
 		hiLit, okHi := n.Hi.(expr.Lit)
-		if !okC || !okLo || !okHi {
+		if !okC || !okLo || !okHi || loLit.Val.IsNull() || hiLit.Val.IsNull() {
 			return nil
 		}
 		if _, err := s.IndexOf(col.Table, col.Name); err != nil {
@@ -208,6 +210,16 @@ func hashCols(tuple []types.Value, cols []int) uint64 {
 		h *= 1099511628211
 	}
 	return h
+}
+
+// anyNull reports whether any of the tuple's cols is NULL.
+func anyNull(tuple []types.Value, cols []int) bool {
+	for _, c := range cols {
+		if tuple[c].IsNull() {
+			return true
+		}
+	}
+	return false
 }
 
 func equalOn(l, r []types.Value, eqL, eqR []int) bool {

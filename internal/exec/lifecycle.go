@@ -3,14 +3,11 @@
 // Every query execution can be bound to a context.Context and a Limits
 // budget. The executor polls both cooperatively in its hot loops —
 // amortized (every guardInterval streamed rows / every guardStep
-// materialized rows / every probe morsel of the parallel hash join) so the
-// fast path pays a single predictable branch. When the context is
-// canceled, its deadline passes, or a budget is exceeded, the query fails
-// fast with a typed *GuardError wrapping one of the sentinel errors below
-// plus the execution Stats at failure; parallel workers observe the trip
-// on their next morsel claim and drain cleanly (the worker pools always
-// wait, so no goroutine outlives the query and no partial rows are
-// observable by the caller).
+// materialized rows) so the fast path pays a single predictable branch.
+// When the context is canceled, its deadline passes, or a budget is
+// exceeded, the query fails fast with a typed *GuardError wrapping one of
+// the sentinel errors below plus the execution Stats at failure; no
+// partial rows are observable by the caller.
 //
 // An executor with no context and no limits (the zero configuration, used
 // by Run and by all pre-existing call sites) skips every check: results,
@@ -21,8 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"prefdb/internal/debug"
 )
@@ -158,20 +153,18 @@ const (
 	guardStep     = 256
 )
 
-// guard is the shared lifecycle state of one query execution. A nil
-// *guard disables every check (every method is nil-safe), which is the
-// state of an executor that was never armed with a context or limits.
+// guard is the lifecycle state of one query execution, owned by the
+// query's goroutine. A nil *guard disables every check (every method is
+// nil-safe), which is the state of an executor that was never armed with
+// a context or limits.
 type guard struct {
 	ctx  context.Context
 	done <-chan struct{} // ctx.Done(), nil when the ctx can never cancel
 
 	limits Limits
 
-	rows, cells atomic.Int64 // prefdb:atomic
-	tripped     atomic.Bool  // prefdb:atomic
-
-	mu  sync.Mutex
-	err *GuardError // prefdb:guarded-by mu
+	rows, cells int64
+	err         *GuardError // the first trip; nil while the query runs
 }
 
 // arm installs the query's context and limits on the executor, replacing
@@ -204,17 +197,11 @@ func (e *Executor) GuardErr() error {
 	return nil
 }
 
-// stopped reports whether the query already tripped; workers use it as
-// their cheap per-morsel abort check.
-func (g *guard) stopped() bool { return g != nil && g.tripped.Load() }
-
 // failure returns a copy of the trip error, or nil.
 func (g *guard) failure() *GuardError {
-	if g == nil || !g.tripped.Load() {
+	if g == nil || g.err == nil {
 		return nil
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	cp := *g.err
 	return &cp
 }
@@ -222,14 +209,10 @@ func (g *guard) failure() *GuardError {
 // trip records the first failure; later trips keep the original error.
 // It returns the winning error.
 func (g *guard) trip(ge *GuardError) *GuardError {
-	g.mu.Lock()
 	if g.err == nil {
 		g.err = ge
-		g.tripped.Store(true)
 	}
-	ge = g.err
-	g.mu.Unlock()
-	return ge
+	return g.err
 }
 
 // poll checks cancellation and deadline (not budgets); it returns the
@@ -238,7 +221,7 @@ func (g *guard) poll() error {
 	if g == nil {
 		return nil
 	}
-	if g.tripped.Load() {
+	if g.err != nil {
 		return g.failure()
 	}
 	if g.done == nil {
@@ -266,9 +249,9 @@ func (g *guard) add(rows, cells int) error {
 	}
 	debug.Assertf(rows >= 0 && cells >= 0,
 		"guard charged a negative amount (%d rows, %d cells); a tick counter underflowed", rows, cells)
-	r := g.rows.Add(int64(rows))
-	c := g.cells.Add(int64(cells))
-	l := g.limits
+	g.rows += int64(rows)
+	g.cells += int64(cells)
+	r, c, l := g.rows, g.cells, g.limits
 	switch {
 	case l.MaxRows > 0 && r > int64(l.MaxRows):
 		return g.trip(&GuardError{Limit: LimitRows, Budget: int64(l.MaxRows), Observed: r,
@@ -285,7 +268,7 @@ func (g *guard) add(rows, cells int) error {
 
 // pollTick is the amortized cancellation check embedded in streaming
 // iterators: a local countdown so the common case is one integer
-// decrement, polling the shared guard every guardInterval rows.
+// decrement, polling the guard every guardInterval rows.
 type pollTick struct {
 	g *guard
 	n int

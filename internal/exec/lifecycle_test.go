@@ -15,9 +15,8 @@ import (
 	"prefdb/internal/types"
 )
 
-// guardPlan is a join-heavy pipeline that engages every parallel path
-// (segment fan-out, partitioned build, top-k merge) on the parallel
-// catalog, so cancellation tests cover the worker pool.
+// guardPlan is a join-heavy pipeline — hash join, prefer and top-k over
+// imdbCatalog — so cancellation tests cover every blocking operator.
 func guardPlan() algebra.Node {
 	pDrama := pref.New("drama", "genres", expr.Eq("genre", types.Str("Drama")), pref.Recency("year", 2011), 0.8)
 	return &algebra.TopK{K: 50, By: algebra.ByScore,
@@ -30,32 +29,29 @@ func guardPlan() algebra.Node {
 }
 
 // TestPreCanceledContext asserts the cancellation contract across every
-// strategy and worker count: a canceled context fails the query with a
+// strategy: a canceled context fails the query with a
 // *GuardError matching both the exec sentinel and the context error, and
 // never returns a relation.
 func TestPreCanceledContext(t *testing.T) {
-	cat := parallelCatalog(t)
+	cat := imdbCatalog(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, strategy := range Strategies() {
-		for _, workers := range []int{1, 4} {
-			label := fmt.Sprintf("%v workers=%d", strategy, workers)
-			e := New(cat)
-			e.Workers = workers
-			rel, err := e.RunContext(ctx, guardPlan(), strategy)
-			if rel != nil {
-				t.Fatalf("%s: got a relation from a canceled query", label)
-			}
-			if !errors.Is(err, ErrCanceled) {
-				t.Fatalf("%s: err = %v, want ErrCanceled", label, err)
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("%s: err = %v, want to match context.Canceled", label, err)
-			}
-			var ge *GuardError
-			if !errors.As(err, &ge) || ge.Limit != LimitCanceled {
-				t.Fatalf("%s: err = %#v, want *GuardError{Limit: canceled}", label, err)
-			}
+		label := strategy.String()
+		e := New(cat)
+		rel, err := e.RunContext(ctx, guardPlan(), strategy)
+		if rel != nil {
+			t.Fatalf("%s: got a relation from a canceled query", label)
+		}
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%s: err = %v, want ErrCanceled", label, err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want to match context.Canceled", label, err)
+		}
+		var ge *GuardError
+		if !errors.As(err, &ge) || ge.Limit != LimitCanceled {
+			t.Fatalf("%s: err = %#v, want *GuardError{Limit: canceled}", label, err)
 		}
 	}
 }
@@ -63,20 +59,17 @@ func TestPreCanceledContext(t *testing.T) {
 // TestDeadlineExceeded asserts an expired deadline surfaces as
 // ErrDeadlineExceeded (and context.DeadlineExceeded).
 func TestDeadlineExceeded(t *testing.T) {
-	cat := parallelCatalog(t)
+	cat := imdbCatalog(t)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	for _, workers := range []int{1, 4} {
-		e := New(cat)
-		e.Workers = workers
-		_, err := e.RunContext(ctx, guardPlan(), GBU)
-		if !errors.Is(err, ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("workers=%d: err = %v, want ErrDeadlineExceeded", workers, err)
-		}
-		var ge *GuardError
-		if !errors.As(err, &ge) || ge.Limit != LimitDeadline {
-			t.Fatalf("workers=%d: err = %#v, want *GuardError{Limit: deadline}", workers, err)
-		}
+	e := New(cat)
+	_, err := e.RunContext(ctx, guardPlan(), GBU)
+	if !errors.Is(err, ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
+	}
+	var ge *GuardError
+	if !errors.As(err, &ge) || ge.Limit != LimitDeadline {
+		t.Fatalf("err = %#v, want *GuardError{Limit: deadline}", err)
 	}
 }
 
@@ -103,36 +96,31 @@ func cancelAfterRegistry(t *testing.T, cancel context.CancelFunc, n int64) *expr
 
 // TestMidQueryCancellation cancels the context from inside the scoring
 // function, after the pipeline is already streaming rows: the query must
-// abort with ErrCanceled at every worker count (workers=1 vs N
-// equivalence) rather than run to completion.
+// abort with ErrCanceled rather than run to completion.
 func TestMidQueryCancellation(t *testing.T) {
-	cat := parallelCatalog(t)
+	cat := imdbCatalog(t)
 	plan := &algebra.Prefer{
 		P: pref.New("cancel", "movies", expr.TrueLiteral(),
 			expr.Call{Name: "cancelafter", Args: []expr.Node{expr.ColRef("year")}}, 0.9),
 		Input: &algebra.Scan{Table: "movies"},
 	}
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		e := New(cat)
-		e.Workers = workers
-		e.Funcs = cancelAfterRegistry(t, cancel, 100)
-		_, err := e.RunContext(ctx, plan, Native)
-		cancel()
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("workers=%d: err = %v, want ErrCanceled", workers, err)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	e := New(cat)
+	e.Funcs = cancelAfterRegistry(t, cancel, 100)
+	_, err := e.RunContext(ctx, plan, Native)
+	cancel()
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
 
-// TestCancellationLatency asserts the acceptance bound: a parallel query
-// canceled mid-flight returns within 100ms of the cancel.
+// TestCancellationLatency asserts the acceptance bound: a query canceled
+// mid-flight returns within 100ms of the cancel.
 func TestCancellationLatency(t *testing.T) {
-	cat := parallelCatalog(t)
+	cat := imdbCatalog(t)
 	for _, strategy := range Strategies() {
 		ctx, cancel := context.WithCancel(context.Background())
 		e := New(cat)
-		e.Workers = 4
 		done := make(chan error, 1)
 		go func() {
 			_, err := e.RunContext(ctx, guardPlan(), strategy)
@@ -160,7 +148,7 @@ func TestCancellationLatency(t *testing.T) {
 // TestResourceLimits asserts each budget trips with ErrResourceExhausted
 // and a GuardError identifying the limit, its budget and the overshoot.
 func TestResourceLimits(t *testing.T) {
-	cat := parallelCatalog(t)
+	cat := imdbCatalog(t)
 	cases := []struct {
 		name   string
 		limits Limits
@@ -172,25 +160,22 @@ func TestResourceLimits(t *testing.T) {
 		{"memory-budget", Limits{MemoryBudget: 32 << 10}, LimitMemory, 32 << 10},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
-			label := fmt.Sprintf("%s workers=%d", tc.name, workers)
-			e := New(cat)
-			e.Workers = workers
-			e.Limits = tc.limits
-			_, err := e.RunContext(context.Background(), guardPlan(), GBU)
-			if !errors.Is(err, ErrResourceExhausted) {
-				t.Fatalf("%s: err = %v, want ErrResourceExhausted", label, err)
-			}
-			var ge *GuardError
-			if !errors.As(err, &ge) {
-				t.Fatalf("%s: err = %T, want *GuardError", label, err)
-			}
-			if ge.Limit != tc.kind || ge.Budget != tc.budget || ge.Observed <= ge.Budget {
-				t.Fatalf("%s: GuardError = %+v, want limit %s observed > %d", label, ge, tc.kind, tc.budget)
-			}
-			if ge.Stats == (Stats{}) {
-				t.Fatalf("%s: GuardError carries no partial stats", label)
-			}
+		label := tc.name
+		e := New(cat)
+		e.Limits = tc.limits
+		_, err := e.RunContext(context.Background(), guardPlan(), GBU)
+		if !errors.Is(err, ErrResourceExhausted) {
+			t.Fatalf("%s: err = %v, want ErrResourceExhausted", label, err)
+		}
+		var ge *GuardError
+		if !errors.As(err, &ge) {
+			t.Fatalf("%s: err = %T, want *GuardError", label, err)
+		}
+		if ge.Limit != tc.kind || ge.Budget != tc.budget || ge.Observed <= ge.Budget {
+			t.Fatalf("%s: GuardError = %+v, want limit %s observed > %d", label, ge, tc.kind, tc.budget)
+		}
+		if ge.Stats == (Stats{}) {
+			t.Fatalf("%s: GuardError carries no partial stats", label)
 		}
 	}
 }
@@ -199,47 +184,42 @@ func TestResourceLimits(t *testing.T) {
 // under a live context with generous limits yields exactly the relation,
 // row order and Stats of the legacy unguarded Run.
 func TestGuardedNoTripIsByteIdentical(t *testing.T) {
-	cat := parallelCatalog(t)
-	for name, plan := range parallelPlans() {
+	cat := imdbCatalog(t)
+	for name, plan := range planShapes() {
 		for _, strategy := range Strategies() {
-			for _, workers := range []int{1, 4} {
-				label := fmt.Sprintf("%s %v workers=%d", name, strategy, workers)
-				ref := New(cat)
-				ref.Workers = workers
-				want, err := ref.Run(plan, strategy)
-				if err != nil {
-					t.Fatalf("%s unguarded: %v", label, err)
-				}
-				ctx, cancel := context.WithCancel(context.Background())
-				e := New(cat)
-				e.Workers = workers
-				e.Limits = Limits{MaxRows: 1 << 30, MaxCells: 1 << 40, MemoryBudget: 1 << 50}
-				got, err := e.RunContext(ctx, plan, strategy)
-				cancel()
-				if err != nil {
-					t.Fatalf("%s guarded: %v", label, err)
-				}
-				mustIdentical(t, want, got, label)
-				if ref.Stats() != e.Stats() {
-					t.Fatalf("%s: stats %+v, want %+v", label, e.Stats(), ref.Stats())
-				}
+			label := fmt.Sprintf("%s %v", name, strategy)
+			ref := New(cat)
+			want, err := ref.Run(plan, strategy)
+			if err != nil {
+				t.Fatalf("%s unguarded: %v", label, err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			e := New(cat)
+			e.Limits = Limits{MaxRows: 1 << 30, MaxCells: 1 << 40, MemoryBudget: 1 << 50}
+			got, err := e.RunContext(ctx, plan, strategy)
+			cancel()
+			if err != nil {
+				t.Fatalf("%s guarded: %v", label, err)
+			}
+			mustIdentical(t, want, got, label)
+			if ref.Stats() != e.Stats() {
+				t.Fatalf("%s: stats %+v, want %+v", label, e.Stats(), ref.Stats())
 			}
 		}
 	}
 }
 
-// TestCancellationLeaksNoGoroutines runs many canceled parallel queries and
-// asserts the goroutine count settles back to the baseline: every worker
-// and partition goroutine drains on cancellation.
+// TestCancellationLeaksNoGoroutines runs many canceled queries and asserts
+// the goroutine count settles back to the baseline: the executor runs on
+// the caller's goroutine and leaves nothing behind when canceled.
 func TestCancellationLeaksNoGoroutines(t *testing.T) {
-	cat := parallelCatalog(t)
+	cat := imdbCatalog(t)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		e := New(cat)
-		e.Workers = 4
 		if i%2 == 0 {
-			cancel() // pre-canceled: workers must not even start work
+			cancel() // pre-canceled: the query must not even start work
 		} else {
 			// prefdb:fire-and-forget bounded delayed cancel; the test polls NumGoroutine back to baseline below
 			go func() {
@@ -253,7 +233,8 @@ func TestCancellationLeaksNoGoroutines(t *testing.T) {
 			t.Fatalf("iteration %d: err = %v", i, err)
 		}
 	}
-	// The runtime reclaims worker goroutines asynchronously; poll briefly.
+	// The test's own delayed-cancel goroutines exit asynchronously; poll
+	// briefly.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= before {

@@ -13,7 +13,7 @@
 //
 // Level 2 is a cross-query dictionary (ScoreDict): the engine keeps one per
 // (preference, column-set) for prepared statements and hands it to the
-// executor via DictFor; workers consult it under an RWMutex on a local miss
+// executor via DictFor; queries consult it under an RWMutex on a local miss
 // and publish what they compute. The engine invalidates a dictionary by
 // dropping it when any referenced table's catalog version moves (see
 // engine/dicts.go).
@@ -81,7 +81,7 @@ func ParseCacheMode(name string) (CacheMode, error) {
 }
 
 const (
-	// scoreMemoLimit bounds a per-worker level-1 memo. Beyond it new keys
+	// scoreMemoLimit bounds a per-operator level-1 memo. Beyond it new keys
 	// evaluate directly; 64k entries keep the memo useful for any key set
 	// the heuristic would enable caching for.
 	scoreMemoLimit = 1 << 16
@@ -177,8 +177,8 @@ func (m *scoreMemo) insert(h uint64, e memoEntry) {
 }
 
 // ScoreDict is the level-2 cross-query score dictionary for one
-// (preference, column-set). It is safe for concurrent use by the workers
-// of any number of queries; entries are immutable once published.
+// (preference, column-set). It is safe for concurrent use by any number
+// of queries; entries are immutable once published.
 type ScoreDict struct {
 	mu      sync.RWMutex
 	buckets map[uint64][]memoEntry
@@ -209,7 +209,7 @@ func (d *ScoreDict) lookup(h uint64, key []types.Value) (memoEntry, bool) {
 }
 
 // publish inserts a computed entry unless the key is already present (two
-// workers may race to compute the same key; both compute the same value,
+// queries may race to compute the same key; both compute the same value,
 // the first insert wins) or the dictionary is full.
 func (d *ScoreDict) publish(h uint64, e memoEntry) {
 	d.mu.Lock()

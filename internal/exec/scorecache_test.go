@@ -23,42 +23,38 @@ func statsSansCache(s Stats) Stats {
 }
 
 // TestScoreCacheEquivalence is the PR's core property: with the cache
-// forced on, every strategy at every worker count returns exactly the
+// forced on, every strategy returns exactly the
 // rows, row order and ⟨S,C⟩ pairs of the uncached engine, and the same
 // Stats modulo the cache counters.
 func TestScoreCacheEquivalence(t *testing.T) {
-	cat := parallelCatalog(t)
-	for name, plan := range parallelPlans() {
+	cat := imdbCatalog(t)
+	for name, plan := range planShapes() {
 		t.Run(name, func(t *testing.T) {
 			for _, strategy := range Strategies() {
-				for _, workers := range []int{1, 4} {
-					ref := New(cat)
-					ref.Workers = workers
-					ref.ScoreCache = CacheOff
-					want, err := ref.Run(plan, strategy)
-					if err != nil {
-						t.Fatalf("%v workers=%d uncached: %v", strategy, workers, err)
-					}
-					e := New(cat)
-					e.Workers = workers
-					e.ScoreCache = CacheOn
-					got, err := e.Run(plan, strategy)
-					if err != nil {
-						t.Fatalf("%v workers=%d cached: %v", strategy, workers, err)
-					}
-					label := fmt.Sprintf("%v workers=%d cached", strategy, workers)
-					mustIdentical(t, want, got, label)
-					if rs, cs := statsSansCache(ref.Stats()), statsSansCache(e.Stats()); rs != cs {
-						t.Fatalf("%s: stats %+v, want %+v", label, cs, rs)
-					}
-					cached := e.Stats()
-					if cached.CacheHits+cached.CacheMisses == 0 {
-						t.Fatalf("%s: cache never engaged (stats %+v)", label, cached)
-					}
-					if cached.ScoreEvals > ref.Stats().ScoreEvals {
-						t.Fatalf("%s: cached run evaluated more scores (%d) than uncached (%d)",
-							label, cached.ScoreEvals, ref.Stats().ScoreEvals)
-					}
+				ref := New(cat)
+				ref.ScoreCache = CacheOff
+				want, err := ref.Run(plan, strategy)
+				if err != nil {
+					t.Fatalf("%v uncached: %v", strategy, err)
+				}
+				e := New(cat)
+				e.ScoreCache = CacheOn
+				got, err := e.Run(plan, strategy)
+				if err != nil {
+					t.Fatalf("%v cached: %v", strategy, err)
+				}
+				label := fmt.Sprintf("%v cached", strategy)
+				mustIdentical(t, want, got, label)
+				if rs, cs := statsSansCache(ref.Stats()), statsSansCache(e.Stats()); rs != cs {
+					t.Fatalf("%s: stats %+v, want %+v", label, cs, rs)
+				}
+				cached := e.Stats()
+				if cached.CacheHits+cached.CacheMisses == 0 {
+					t.Fatalf("%s: cache never engaged (stats %+v)", label, cached)
+				}
+				if cached.ScoreEvals > ref.Stats().ScoreEvals {
+					t.Fatalf("%s: cached run evaluated more scores (%d) than uncached (%d)",
+						label, cached.ScoreEvals, ref.Stats().ScoreEvals)
 				}
 			}
 		})
@@ -68,7 +64,7 @@ func TestScoreCacheEquivalence(t *testing.T) {
 // TestScoreCacheAutoFollowsHint pins the CacheAuto contract: the cache
 // engages exactly when the optimizer marked the operator.
 func TestScoreCacheAutoFollowsHint(t *testing.T) {
-	cat := parallelCatalog(t)
+	cat := imdbCatalog(t)
 	p := pref.New("recent", "movies", expr.Cmp("year", expr.OpGe, types.Int(2000)), pref.Recency("year", 2011), 0.9)
 	plain := &algebra.Prefer{P: p, Input: &algebra.Scan{Table: "movies"}}
 	hinted := &algebra.Prefer{P: p, Input: &algebra.Scan{Table: "movies"}, CacheHint: true, CacheNDV: 64}
@@ -103,54 +99,51 @@ func TestScoreCacheAutoFollowsHint(t *testing.T) {
 // TestScoreCacheHitAccounting checks the counter algebra on a plan whose
 // key (year) has far fewer distinct values than the table has rows: every
 // prefer evaluation is exactly one hit or one miss, misses equal the
-// number of distinct keys (one memo per prefer operator, at every worker
-// count), and score expressions run only on cond-true misses.
+// number of distinct keys (one memo per prefer operator), and score
+// expressions run only on cond-true misses.
 func TestScoreCacheHitAccounting(t *testing.T) {
-	cat := parallelCatalog(t)
+	cat := imdbCatalog(t)
 	p := pref.New("recent", "movies", expr.Cmp("year", expr.OpGe, types.Int(2000)), pref.Recency("year", 2011), 0.9)
 	plan := &algebra.Prefer{P: p, Input: &algebra.Scan{Table: "movies"}}
 
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			ref := New(cat)
-			ref.Workers = workers
-			ref.ScoreCache = CacheOff
-			if _, err := ref.Run(plan, Native); err != nil {
-				t.Fatal(err)
-			}
-			e := New(cat)
-			e.Workers = workers
-			e.ScoreCache = CacheOn
-			out, err := e.Run(plan, Native)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := e.Stats()
-			if s.CacheHits+s.CacheMisses != s.PreferEvals {
-				t.Errorf("hits+misses = %d, want PreferEvals = %d", s.CacheHits+s.CacheMisses, s.PreferEvals)
-			}
-			distinct := map[int64]bool{}
-			for _, row := range out.Rows {
-				distinct[row.Tuple[2].AsInt()] = true // movies.year
-			}
-			if s.CacheMisses != len(distinct) {
-				t.Errorf("misses = %d, want one per distinct year = %d", s.CacheMisses, len(distinct))
-			}
-			if s.CacheHits <= s.CacheMisses {
-				t.Errorf("low-cardinality key should be hit-dominated: hits=%d misses=%d", s.CacheHits, s.CacheMisses)
-			}
-			if s.ScoreEvals >= ref.Stats().ScoreEvals {
-				t.Errorf("cached ScoreEvals = %d, want fewer than uncached %d", s.ScoreEvals, ref.Stats().ScoreEvals)
-			}
-		})
-	}
+	// The executor is single-worker; the subtest keeps that case's name.
+	t.Run("workers=1", func(t *testing.T) {
+		ref := New(cat)
+		ref.ScoreCache = CacheOff
+		if _, err := ref.Run(plan, Native); err != nil {
+			t.Fatal(err)
+		}
+		e := New(cat)
+		e.ScoreCache = CacheOn
+		out, err := e.Run(plan, Native)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := e.Stats()
+		if s.CacheHits+s.CacheMisses != s.PreferEvals {
+			t.Errorf("hits+misses = %d, want PreferEvals = %d", s.CacheHits+s.CacheMisses, s.PreferEvals)
+		}
+		distinct := map[int64]bool{}
+		for _, row := range out.Rows {
+			distinct[row.Tuple[2].AsInt()] = true // movies.year
+		}
+		if s.CacheMisses != len(distinct) {
+			t.Errorf("misses = %d, want one per distinct year = %d", s.CacheMisses, len(distinct))
+		}
+		if s.CacheHits <= s.CacheMisses {
+			t.Errorf("low-cardinality key should be hit-dominated: hits=%d misses=%d", s.CacheHits, s.CacheMisses)
+		}
+		if s.ScoreEvals >= ref.Stats().ScoreEvals {
+			t.Errorf("cached ScoreEvals = %d, want fewer than uncached %d", s.ScoreEvals, ref.Stats().ScoreEvals)
+		}
+	})
 }
 
 // TestScoreMemoBound verifies bounded degradation: once the memo is full,
 // new keys evaluate directly (and stay misses) while resident entries keep
 // serving hits — results never change, only the hit rate does.
 func TestScoreMemoBound(t *testing.T) {
-	cat := parallelCatalog(t)
+	cat := imdbCatalog(t)
 	tbl, err := cat.Table("movies")
 	if err != nil {
 		t.Fatal(err)
@@ -232,8 +225,8 @@ func TestScoreDictConcurrent(t *testing.T) {
 // same plan takes every key from the dictionary (zero misses) and still
 // returns exactly the uncached result.
 func TestScoreDictCrossQueryReuse(t *testing.T) {
-	cat := parallelCatalog(t)
-	plan := parallelPlans()["prefer-chain"]
+	cat := imdbCatalog(t)
+	plan := planShapes()["prefer-chain"]
 
 	var mu sync.Mutex
 	dicts := map[string]*ScoreDict{}
@@ -249,48 +242,44 @@ func TestScoreDictCrossQueryReuse(t *testing.T) {
 		return d
 	}
 
-	for _, workers := range []int{1, 4} {
-		mu.Lock()
-		dicts = map[string]*ScoreDict{}
-		mu.Unlock()
+	mu.Lock()
+	dicts = map[string]*ScoreDict{}
+	mu.Unlock()
 
-		ref := New(cat)
-		ref.Workers = workers
-		ref.ScoreCache = CacheOff
-		want, err := ref.Run(plan, GBU)
-		if err != nil {
-			t.Fatal(err)
-		}
+	ref := New(cat)
+	ref.ScoreCache = CacheOff
+	want, err := ref.Run(plan, GBU)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		run := func() (Stats, error) {
-			e := New(cat)
-			e.Workers = workers
-			e.ScoreCache = CacheOn
-			e.DictFor = dictFor
-			got, err := e.Run(plan, GBU)
-			if err != nil {
-				return Stats{}, err
-			}
-			mustIdentical(t, want, got, fmt.Sprintf("dict run workers=%d", workers))
-			return e.Stats(), nil
-		}
-		cold, err := run()
+	run := func() (Stats, error) {
+		e := New(cat)
+		e.ScoreCache = CacheOn
+		e.DictFor = dictFor
+		got, err := e.Run(plan, GBU)
 		if err != nil {
-			t.Fatal(err)
+			return Stats{}, err
 		}
-		if cold.CacheMisses == 0 {
-			t.Fatalf("workers=%d: cold run should miss (stats %+v)", workers, cold)
-		}
-		warm, err := run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.CacheMisses != 0 {
-			t.Errorf("workers=%d: warm run missed %d times, want 0 (dictionary not reused)", workers, warm.CacheMisses)
-		}
-		if warm.ScoreEvals != 0 {
-			t.Errorf("workers=%d: warm run evaluated %d scores, want 0", workers, warm.ScoreEvals)
-		}
+		mustIdentical(t, want, got, fmt.Sprintf("dict run"))
+		return e.Stats(), nil
+	}
+	cold, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.CacheMisses == 0 {
+		t.Fatalf("cold run should miss (stats %+v)", cold)
+	}
+	warm, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.CacheMisses != 0 {
+		t.Errorf("warm run missed %d times, want 0 (dictionary not reused)", warm.CacheMisses)
+	}
+	if warm.ScoreEvals != 0 {
+		t.Errorf("warm run evaluated %d scores, want 0", warm.ScoreEvals)
 	}
 }
 
@@ -298,7 +287,7 @@ func TestScoreDictCrossQueryReuse(t *testing.T) {
 // low-cardinality key (year: ~60 distinct values over 5 000 movies). The
 // CI bench-smoke job runs this via -bench BenchmarkPrefer.
 func BenchmarkPreferScoreCache(b *testing.B) {
-	cat := parallelCatalog(b)
+	cat := imdbCatalog(b)
 	p := pref.New("recent", "movies", expr.Cmp("year", expr.OpGe, types.Int(2000)), pref.Recency("year", 2011), 0.9)
 	plan := &algebra.Prefer{P: p, Input: &algebra.Scan{Table: "movies"}}
 	for _, mode := range []CacheMode{CacheOff, CacheOn} {

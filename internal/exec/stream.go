@@ -200,9 +200,8 @@ func (s *RowStream) Row() prel.Row { return s.cur }
 // drain. Lifecycle trips surface as *GuardError exactly as in RunContext.
 func (s *RowStream) Err() error { return s.err }
 
-// Close stops the stream early. No goroutines outlive the stream — the
-// morsel pool joins inside every pull — so Close only marks the stream
-// exhausted; Stats of a stream closed before exhaustion reflect the rows
+// Close stops the stream early. The stream runs on the caller's goroutine,
+// so Close only marks it exhausted; Stats of a stream closed before exhaustion reflect the rows
 // actually streamed. Close is idempotent and returns Err.
 func (s *RowStream) Close() error {
 	s.done = true

@@ -17,10 +17,8 @@ import (
 //
 // A Compiled expression is immutable once Compile returns: the closure
 // tree only reads its captured state and allocates per call, so a single
-// Compiled may be evaluated concurrently from many goroutines. The
-// parallel executor relies on this to share compiled conditions and
-// scoring expressions read-only across its workers; keep registered
-// functions (Func.Eval) pure for the same reason.
+// Compiled may be evaluated concurrently from many goroutines; keep
+// registered functions (Func.Eval) pure for the same reason.
 type Compiled struct {
 	eval func(row []types.Value) types.Value
 	kind types.Kind

@@ -15,8 +15,8 @@ import (
 // A batch comes in two forms:
 //
 //   - Row form (Push/PushTuple/FillRows): Tuples holds the row views,
-//     Cols and View are nil. This is the only form the parallel morsel
-//     path and non-columnar sources produce.
+//     Cols and View are nil. This is the only form non-columnar sources
+//     produce.
 //   - Columnar form (SetColumnar): Cols holds borrowed typed column
 //     vectors and View the matching pre-decoded row views, both straight
 //     from a colstore segment; Tuples stays empty. Filter and score

@@ -2,7 +2,6 @@ package prel
 
 import (
 	"container/heap"
-	"sort"
 
 	"prefdb/internal/types"
 )
@@ -71,98 +70,6 @@ func rowBetter(a, b Row, byConf bool) bool {
 
 func compareTuplesLess(a, b Row) bool {
 	return types.CompareTuples(a.Tuple, b.Tuple) < 0
-}
-
-// SeqRow tags a row with its position in the original input. The parallel
-// top-k path ranks SeqRows under a strict total order — rowBetter with
-// ties broken towards the earlier position — so partitioned selection is
-// deterministic and matches the sequential bounded heap, which keeps the
-// earliest-seen rows at the k boundary.
-type SeqRow struct {
-	Row Row
-	Seq int
-}
-
-// betterSeq is that strict total order.
-func betterSeq(a, b SeqRow, byConf bool) bool {
-	if rowBetter(a.Row, b.Row, byConf) {
-		return true
-	}
-	if rowBetter(b.Row, a.Row, byConf) {
-		return false
-	}
-	return a.Seq < b.Seq
-}
-
-// TopKSeq returns the k best rows of one input partition, ranked
-// best-first and tagged with global positions firstSeq, firstSeq+1, ...
-// It is the per-worker half of a partitioned top-k: each worker keeps a
-// bounded heap over its partition and MergeTopK combines the candidates.
-func TopKSeq(rows []Row, firstSeq, k int, byConf bool) []SeqRow {
-	if k <= 0 || len(rows) == 0 {
-		return nil
-	}
-	if k > len(rows) {
-		k = len(rows)
-	}
-	h := &seqHeap{byConf: byConf, rows: make([]SeqRow, 0, k+1)}
-	for i, r := range rows {
-		sr := SeqRow{Row: r, Seq: firstSeq + i}
-		if h.Len() < k {
-			heap.Push(h, sr)
-			continue
-		}
-		if betterSeq(sr, h.rows[0], byConf) {
-			h.rows[0] = sr
-			heap.Fix(h, 0)
-		}
-	}
-	out := make([]SeqRow, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(SeqRow)
-	}
-	return out
-}
-
-// MergeTopK merges per-partition ranked candidate lists (as produced by
-// TopKSeq) into the global top k, in ranked order. Candidates number at
-// most partitions × k, so a direct sort is cheap relative to the scans
-// that produced them.
-func MergeTopK(parts [][]SeqRow, k int, byConf bool) []Row {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	all := make([]SeqRow, 0, total)
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	sort.Slice(all, func(i, j int) bool { return betterSeq(all[i], all[j], byConf) })
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]Row, k)
-	for i := range out {
-		out[i] = all[i].Row
-	}
-	return out
-}
-
-// seqHeap is a min-heap under betterSeq: the root is the worst kept row.
-type seqHeap struct {
-	rows   []SeqRow
-	byConf bool
-}
-
-func (h *seqHeap) Len() int           { return len(h.rows) }
-func (h *seqHeap) Less(i, j int) bool { return betterSeq(h.rows[j], h.rows[i], h.byConf) }
-func (h *seqHeap) Swap(i, j int)      { h.rows[i], h.rows[j] = h.rows[j], h.rows[i] }
-func (h *seqHeap) Push(x any)         { h.rows = append(h.rows, x.(SeqRow)) }
-func (h *seqHeap) Pop() any {
-	n := len(h.rows)
-	r := h.rows[n-1]
-	h.rows = h.rows[:n-1]
-	return r
 }
 
 // rowHeap is a min-heap on the ranking order: the root is the worst of the

@@ -120,8 +120,10 @@ func sameResult(t *testing.T, got, want *engine.Result) {
 }
 
 // TestWireMatchesEmbedded is the redesign's core acceptance check: for
-// every evaluation strategy and worker count, results served over the
-// wire are byte-identical to the embedded QueryContext.
+// every evaluation strategy, results served over the wire are
+// byte-identical to the embedded QueryContext. The workers arms pass the
+// deprecated no-op WithWorkers on both sides and pin that it neither
+// travels nor changes a result; they go with the shim.
 func TestWireMatchesEmbedded(t *testing.T) {
 	db := testDB(t)
 	_, addr := startServer(t, db, Options{})
@@ -196,8 +198,8 @@ func TestWireMatchesEmbedded(t *testing.T) {
 
 // TestUnknownSettingRejected drives the protocol with hand-written frames
 // whose settings this build does not define — Colstore=2 (the retired
-// row-packing mode) and mask bit 7 (the retired batch mode, now a
-// reserved bit). Each statement must fail with an error frame naming the
+// row-packing mode), mask bit 1 (the retired worker count) and mask bit 7
+// (the retired batch mode), both now reserved bits. Each statement must fail with an error frame naming the
 // setting, and the connection must go on serving.
 func TestUnknownSettingRejected(t *testing.T) {
 	db := testDB(t)
@@ -216,6 +218,7 @@ func TestUnknownSettingRejected(t *testing.T) {
 	}
 	bad := []func(e *wire.Encoder){
 		func(e *wire.Encoder) { e.Settings(engine.Settings{HasColstore: true, Colstore: 2}) },
+		func(e *wire.Encoder) { e.Uvarint(1 << 1); e.Varint(4) },  // four workers as an older build sent it
 		func(e *wire.Encoder) { e.Uvarint(1 << 7); e.Uvarint(1) }, // batch mode "off" as an older build sent it
 	}
 	for i, settings := range bad {
@@ -234,11 +237,12 @@ func TestUnknownSettingRejected(t *testing.T) {
 		}
 	}
 	// A well-formed statement on the same connection still runs to End.
-	send(3, func(e *wire.Encoder) { e.Settings(engine.CollectSettings(engine.WithColstore(engine.ColstoreOn))) })
+	next := uint64(len(bad) + 1)
+	send(next, func(e *wire.Encoder) { e.Settings(engine.CollectSettings(engine.WithColstore(engine.ColstoreOn))) })
 	for {
 		ft, payload, err := wire.ReadFrame(nc)
 		if err != nil {
-			t.Fatalf("waiting for qid 3: %v", err)
+			t.Fatalf("waiting for qid %d: %v", next, err)
 		}
 		if ft == wire.FrameError {
 			d := wire.NewDecoder(payload)

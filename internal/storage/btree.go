@@ -164,7 +164,9 @@ func (ix *BTreeIndex) Lookup(key types.Value) []RowID {
 
 // Range visits live RowIDs with key in the interval [lo, hi] (bounds
 // optional via null Values meaning unbounded; loIncl/hiIncl select open or
-// closed ends) in ascending key order. The visitor returns false to stop.
+// closed ends) in ascending key order. Rows with a NULL key are never
+// visited: no comparison with NULL is true. The visitor returns false to
+// stop.
 func (ix *BTreeIndex) Range(lo, hi types.Value, loIncl, hiIncl bool, visit func(id RowID) bool) {
 	ix.probes.Add(1)
 	var leaf *btreeLeaf
@@ -178,6 +180,9 @@ func (ix *BTreeIndex) Range(lo, hi types.Value, loIncl, hiIncl bool, visit func(
 	for leaf != nil {
 		for i := start; i < len(leaf.keys); i++ {
 			k := leaf.keys[i]
+			if k.IsNull() {
+				continue // NULLs sort first; an unbounded lo starts on them
+			}
 			if !hi.IsNull() {
 				c, _ := types.Compare(k, hi)
 				if c > 0 || (c == 0 && !hiIncl) {

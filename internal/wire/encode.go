@@ -133,9 +133,6 @@ func (e *Encoder) Settings(s engine.Settings) {
 	if s.HasMode {
 		e.Uvarint(uint64(s.Mode))
 	}
-	if s.HasWorkers {
-		e.Varint(int64(s.Workers))
-	}
 	if s.HasTimeout {
 		e.Varint(int64(s.Timeout))
 	}
@@ -160,11 +157,12 @@ func (e *Encoder) Settings(s engine.Settings) {
 
 // settingsPresence enumerates the Has* fields in mask-bit order; encoder
 // and decoder share it so the bit assignment cannot drift. A nil entry is
-// a reserved bit: bits 7 and 8 carried the retired batch-mode and
-// batch-size options, and a mask setting either fails the decode.
+// a reserved bit: bit 1 carried the retired worker-count option, bits 7
+// and 8 the retired batch-mode and batch-size options, and a mask setting
+// any of them fails the decode.
 func settingsPresence(s *engine.Settings) []*bool {
 	return []*bool{
-		&s.HasMode, &s.HasWorkers, &s.HasTimeout, &s.HasMaxRows,
+		&s.HasMode, nil, &s.HasTimeout, &s.HasMaxRows,
 		&s.HasMaxCells, &s.HasMemoryBudget, &s.HasCache, nil,
 		nil, &s.HasColstore, &s.HasProfile,
 	}
@@ -397,9 +395,6 @@ func (d *Decoder) Settings() engine.Settings {
 	}
 	if s.HasMode {
 		s.Mode = decodeEnum(d, "mode", engine.Modes())
-	}
-	if s.HasWorkers {
-		s.Workers = int(d.Varint())
 	}
 	if s.HasTimeout {
 		s.Timeout = time.Duration(d.Varint())

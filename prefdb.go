@@ -30,7 +30,7 @@
 // # Sessions
 //
 // Multi-user applications work through sessions: NewSession derives a
-// handle carrying per-session defaults (evaluation mode, workers, budgets,
+// handle carrying per-session defaults (evaluation mode, budgets,
 // a bound user profile), and any number of sessions share one DB. Options
 // resolve through the precedence chain
 //
@@ -41,7 +41,7 @@
 // StreamContext returns results row-by-row so large result sets never
 // materialize in the serving layer:
 //
-//	sess := prefdb.NewSession(db, prefdb.WithWorkers(2))
+//	sess := prefdb.NewSession(db, prefdb.WithMode(prefdb.ModeBU))
 //	rows, err := sess.StreamContext(ctx, sql)
 //	...
 //	defer rows.Close()
@@ -247,8 +247,9 @@ func WithMode(m Mode) QueryOption { return engine.WithMode(m) }
 // with ErrDeadlineExceeded.
 func WithTimeout(d time.Duration) QueryOption { return engine.WithTimeout(d) }
 
-// WithWorkers sets the executor pool width for one query (0 = GOMAXPROCS,
-// 1 = sequential).
+// WithWorkers is kept so existing callers compile.
+//
+// Deprecated: has no effect; every query runs on one goroutine.
 func WithWorkers(n int) QueryOption { return engine.WithWorkers(n) }
 
 // WithMaxRows caps the tuples one query may materialize (intermediate
@@ -322,9 +323,6 @@ func WithColstore(m ColstoreMode) QueryOption { return engine.WithColstore(m) }
 
 // WithDefaultMode sets the database's default evaluation strategy.
 func WithDefaultMode(m Mode) OpenOption { return engine.WithDefaultMode(m) }
-
-// WithDefaultWorkers sets the database's default executor pool width.
-func WithDefaultWorkers(n int) OpenOption { return engine.WithDefaultWorkers(n) }
 
 // WithOptimizer toggles the preference-aware query optimizer (on by
 // default).
