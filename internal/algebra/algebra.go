@@ -71,6 +71,12 @@ type Join struct {
 	// vectors and materializes row views only for matching tuples
 	// (EXPLAIN renders `[direct-join]`).
 	DirectJoin bool
+	// BuildRight marks an equi-join whose hash table is built on the right
+	// input (the one with the smaller estimate) and probed with the left.
+	// The output layout stays left ++ right and pairs still combine as
+	// F(left, right); only the row order differs (EXPLAIN renders
+	// `[build-right]`).
+	BuildRight bool
 }
 
 // SetOp enumerates the extended set operations.
@@ -265,7 +271,7 @@ func (p *Project) String() string {
 func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
 func (j *Join) WithChildren(c []Node) Node {
 	mustArity(c, 2)
-	cp := *j // preserve the direct-join annotation across plan rewrites
+	cp := *j // preserve the join annotations across plan rewrites
 	cp.Left, cp.Right = c[0], c[1]
 	return &cp
 }
@@ -273,6 +279,9 @@ func (j *Join) String() string {
 	var suffix string
 	if j.DirectJoin {
 		suffix = " [direct-join]"
+	}
+	if j.BuildRight {
+		suffix += " [build-right]"
 	}
 	if j.Cond == nil {
 		return "Join(cross)" + suffix

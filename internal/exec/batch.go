@@ -555,10 +555,17 @@ func (t *thresholdBatch) nextBatch() (*prel.Batch, bool) {
 	}
 }
 
-// hashJoinBatch is the extended hash join ⋈_{φ,F}: the left (build) side
-// is buffered into a bucket table, the right (probe) side streams
-// batches, emitting combined rows into a private output batch in (probe
-// order, build-insert order) sequence.
+// hashJoinBatch is the extended hash join ⋈_{φ,F}: the build side is
+// buffered into a bucket table, the probe side streams batches, emitting
+// joined rows into a private output batch in (probe order, build-insert
+// order) sequence. The build side is the left input unless the optimizer
+// marked the join BuildRight (the right input has the smaller estimate);
+// either way every output tuple is laid out left ++ right and its pair is
+// F(left, right), so only the row order depends on the build side.
+//
+// A projection directly above the join is evaluated inside it (ords):
+// each match is written once, already narrowed, into an arena tuple —
+// no concatenated intermediate tuple and no second copy.
 //
 // Both sides run direct-on-column when their batches are columnar with
 // typed key vectors: the build hashes keys straight off the vectors
@@ -578,17 +585,23 @@ func (t *thresholdBatch) nextBatch() (*prel.Batch, bool) {
 // not at a wrong join result.
 // prefdb:col-transient
 type hashJoinBatch struct {
-	left     batchIter
-	right    batchIter
-	eqL, eqR []int
-	agg      pref.Aggregate
-	stats    *Stats
-	g        *guard
-	tick     pollTick
+	build, probe         batchIter
+	buildKeys, probeKeys []int
+	// buildRight: the build side is the right input.
+	buildRight bool
+	// leftWidth is the left input's column count; ords, when non-nil,
+	// lists the output columns as ordinals into left ++ right.
+	leftWidth int
+	ords      []int
+	agg       pref.Aggregate
+	stats     *Stats
+	g         *guard
+	tick      pollTick
 
 	built  bool
 	table  map[uint64][]prel.Row
 	out    *prel.Batch
+	arena  projectArena
 	hashes []uint64
 	bks    expr.KeyScratch // build-side dictionary hash cache
 	pks    expr.KeyScratch // probe-side dictionary hash cache
@@ -625,17 +638,17 @@ func (h *hashJoinBatch) joinBuildCols() {
 	meter := matTick{g: h.g}
 	tripped := false
 	for !tripped {
-		b, ok := h.left.nextBatch()
+		b, ok := h.build.nextBatch()
 		if !ok {
 			break
 		}
-		hs := h.keyHashes(b, h.eqL, &h.bks)
+		hs := h.keyHashes(b, h.buildKeys, &h.bks)
 		if b.Columnar() {
 			h.stats.RowsMaterialized += b.Live()
 		}
 		rows := b.Rows()
 		for k, j := range b.Sel {
-			if anyNull(rows[j], h.eqL) {
+			if anyNull(rows[j], h.buildKeys) {
 				continue
 			}
 			row := prel.Row{Tuple: rows[j], SC: b.SCAt(j)}
@@ -643,7 +656,7 @@ func (h *hashJoinBatch) joinBuildCols() {
 			if hs != nil {
 				key = hs[k]
 			} else {
-				key = hashCols(row.Tuple, h.eqL)
+				key = hashCols(row.Tuple, h.buildKeys)
 			}
 			h.table[key] = append(h.table[key], row)
 			if meter.width == 0 {
@@ -656,8 +669,31 @@ func (h *hashJoinBatch) joinBuildCols() {
 		}
 	}
 	_ = meter.flush()
-	debugCheckJoinTable(h.table, h.eqL)
+	debugCheckJoinTable(h.table, h.buildKeys)
 	h.built = true
+}
+
+// emit writes one joined pair into the output batch, restoring the
+// left ++ right orientation from the build/probe roles.
+func (h *hashJoinBatch) emit(built prel.Row, probe []types.Value, probeSC types.SC) {
+	l, r, lsc, rsc := built.Tuple, probe, built.SC, probeSC
+	if h.buildRight {
+		l, r, lsc, rsc = probe, built.Tuple, probeSC, built.SC
+	}
+	t := h.arena.tuple()
+	if h.ords == nil {
+		copy(t, l)
+		copy(t[len(l):], r)
+	} else {
+		for i, o := range h.ords {
+			if o < h.leftWidth {
+				t[i] = l[o]
+			} else {
+				t[i] = r[o-h.leftWidth]
+			}
+		}
+	}
+	h.out.Push(prel.Row{Tuple: t, SC: h.agg.Combine(lsc, rsc)})
 }
 
 func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
@@ -665,7 +701,7 @@ func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
 		h.joinBuildCols()
 	}
 	for {
-		b, ok := h.right.nextBatch()
+		b, ok := h.probe.nextBatch()
 		if !ok {
 			return nil, false
 		}
@@ -677,7 +713,7 @@ func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
 			h.out = prel.NewBatch(b.Live())
 		}
 		h.out.Reset()
-		if hs := h.keyHashes(b, h.eqR, &h.pks); hs != nil {
+		if hs := h.keyHashes(b, h.probeKeys, &h.pks); hs != nil {
 			// Direct probe: hash and confirm on the vectors; a probe row
 			// materializes (and is counted) only when it joins.
 			var rows [][]types.Value
@@ -687,8 +723,8 @@ func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
 					continue
 				}
 				matched := false
-				for _, lRow := range candidates {
-					if !expr.KeyEqCols(b.Cols, j, h.eqR, lRow.Tuple, h.eqL) {
+				for _, bRow := range candidates {
+					if !expr.KeyEqCols(b.Cols, j, h.probeKeys, bRow.Tuple, h.buildKeys) {
 						continue
 					}
 					if !matched {
@@ -696,7 +732,7 @@ func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
 						h.stats.RowsMaterialized++
 						rows = b.Rows()
 					}
-					h.out.Push(combineRows(lRow, prel.Row{Tuple: rows[j], SC: b.SCAt(j)}, h.agg))
+					h.emit(bRow, rows[j], b.SCAt(j))
 				}
 			}
 		} else {
@@ -706,11 +742,10 @@ func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
 			}
 			rows := b.Rows()
 			for _, j := range b.Sel {
-				rRow := prel.Row{Tuple: rows[j], SC: b.SCAt(j)}
-				key := hashCols(rRow.Tuple, h.eqR)
-				for _, lRow := range h.table[key] {
-					if equalOn(lRow.Tuple, rRow.Tuple, h.eqL, h.eqR) {
-						h.out.Push(combineRows(lRow, rRow, h.agg))
+				key := hashCols(rows[j], h.probeKeys)
+				for _, bRow := range h.table[key] {
+					if equalOn(bRow.Tuple, rows[j], h.buildKeys, h.probeKeys) {
+						h.emit(bRow, rows[j], b.SCAt(j))
 					}
 				}
 			}
@@ -755,24 +790,17 @@ func (e *Executor) buildBatch(n algebra.Node) (batchIter, *schema.Schema, error)
 		return e.buildBatchScan(x, nil)
 
 	case *algebra.Project:
+		if j, ok := x.Input.(*algebra.Join); ok {
+			return e.buildBatchJoin(j, x)
+		}
 		in, s, err := e.buildBatch(x.Input)
 		if err != nil {
 			return nil, nil, err
 		}
-		ords := make([]int, len(x.Cols))
-		for i, c := range x.Cols {
-			idx, err := s.IndexOf(c.Table, c.Name)
-			if err != nil {
-				return nil, nil, err
-			}
-			ords[i] = idx
-		}
-		pb := &projectBatch{in: in, ords: ords, stats: &e.stats}
-		pb.arena.width = len(ords)
-		return pb, s.Project(ords), nil
+		return projectOver(in, s, x.Cols, &e.stats)
 
 	case *algebra.Join:
-		return e.buildBatchJoin(x)
+		return e.buildBatchJoin(x, nil)
 
 	case *algebra.GroupAgg:
 		in, s, err := e.buildBatch(x.Input)
@@ -937,11 +965,14 @@ func (e *Executor) buildBatchSegment(n algebra.Node) (batchIter, *schema.Schema,
 		stats: &e.stats, tick: pollTick{g: e.gd}}, s, nil
 }
 
-// buildBatchJoin compiles the extended inner join ⋈_{φ,F}. Equi-conjuncts
-// over opposite sides select hashJoinBatch, whose probe side streams
-// batches; with no equi-conjunct a nested-loop join runs behind row
-// adapters. Residual conditions run as a vectorized filter.
-func (e *Executor) buildBatchJoin(j *algebra.Join) (batchIter, *schema.Schema, error) {
+// buildBatchJoin compiles the extended inner join ⋈_{φ,F}, followed by
+// the projection proj over it when non-nil. Equi-conjuncts over opposite
+// sides select hashJoinBatch, whose probe side streams batches and which
+// evaluates the projection inside its combine step; with no
+// equi-conjunct a nested-loop join runs behind row adapters. Residual
+// conditions run as a vectorized filter, and a projection over a
+// residual filter or a nested loop runs as a projectBatch.
+func (e *Executor) buildBatchJoin(j *algebra.Join, proj *algebra.Project) (batchIter, *schema.Schema, error) {
 	lBi, lS, err := e.buildBatch(j.Left)
 	if err != nil {
 		return nil, nil, err
@@ -953,10 +984,16 @@ func (e *Executor) buildBatchJoin(j *algebra.Join) (batchIter, *schema.Schema, e
 	out := lS.Concat(rS)
 
 	eqL, eqR, residual := splitEquiJoin(j.Cond, lS, rS)
+	if len(eqL) > 0 && residual == nil && proj != nil {
+		ords, err := ordinalsOf(out, proj.Cols)
+		if err != nil {
+			return nil, nil, err
+		}
+		return e.newHashJoin(j, lBi, rBi, eqL, eqR, lS.Len(), len(ords), ords), out.Project(ords), nil
+	}
 	var base batchIter
 	if len(eqL) > 0 {
-		base = &hashJoinBatch{left: lBi, right: rBi, eqL: eqL, eqR: eqR,
-			agg: e.Agg, stats: &e.stats, g: e.gd, tick: pollTick{g: e.gd}}
+		base = e.newHashJoin(j, lBi, rBi, eqL, eqR, lS.Len(), out.Len(), nil)
 	} else {
 		it := newNLJoinIter(&batchToRow{in: lBi}, &batchToRow{in: rBi}, e.Agg, e.gd)
 		base = &rowBatchSrc{in: it, size: e.batchSize()}
@@ -968,5 +1005,46 @@ func (e *Executor) buildBatchJoin(j *algebra.Join) (batchIter, *schema.Schema, e
 		}
 		base = &filterBatch{in: base, cond: cond, stats: &e.stats, tick: pollTick{g: e.gd}}
 	}
+	if proj != nil {
+		return projectOver(base, out, proj.Cols, &e.stats)
+	}
 	return base, out, nil
+}
+
+// newHashJoin wires a hash join over the compiled inputs, building on the
+// side the plan marks (left unless BuildRight) and emitting ords of
+// left ++ right (every column when ords is nil) as width-column tuples.
+func (e *Executor) newHashJoin(j *algebra.Join, lBi, rBi batchIter, eqL, eqR []int, leftWidth, width int, ords []int) *hashJoinBatch {
+	h := &hashJoinBatch{build: lBi, probe: rBi, buildKeys: eqL, probeKeys: eqR,
+		buildRight: j.BuildRight, leftWidth: leftWidth, ords: ords,
+		agg: e.Agg, stats: &e.stats, g: e.gd, tick: pollTick{g: e.gd}}
+	h.arena.width = width
+	if j.BuildRight {
+		h.build, h.probe, h.buildKeys, h.probeKeys = rBi, lBi, eqR, eqL
+	}
+	return h
+}
+
+// projectOver narrows a batch stream to cols through a projectBatch.
+func projectOver(in batchIter, s *schema.Schema, cols []expr.Col, stats *Stats) (batchIter, *schema.Schema, error) {
+	ords, err := ordinalsOf(s, cols)
+	if err != nil {
+		return nil, nil, err
+	}
+	pb := &projectBatch{in: in, ords: ords, stats: stats}
+	pb.arena.width = len(ords)
+	return pb, s.Project(ords), nil
+}
+
+// ordinalsOf resolves column references against s.
+func ordinalsOf(s *schema.Schema, cols []expr.Col) ([]int, error) {
+	ords := make([]int, len(cols))
+	for i, c := range cols {
+		idx, err := s.IndexOf(c.Table, c.Name)
+		if err != nil {
+			return nil, err
+		}
+		ords[i] = idx
+	}
+	return ords, nil
 }

@@ -3,12 +3,14 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"prefdb/internal/algebra"
 	"prefdb/internal/catalog"
 	"prefdb/internal/expr"
+	"prefdb/internal/optimizer"
 	"prefdb/internal/pref"
 	"prefdb/internal/prel"
 	"prefdb/internal/schema"
@@ -179,6 +181,143 @@ func crossCheck(t *testing.T, cat *catalog.Catalog, plan algebra.Node, strategy 
 			}
 		}
 	}
+	// The hash join's build side is a physical choice: forcing every join
+	// to build on either input must reproduce the reference.
+	for _, right := range []bool{false, true} {
+		forced, changed := forceBuildSide(plan, right)
+		if !changed {
+			continue
+		}
+		for _, mode := range []ColstoreMode{ColstoreOff, ColstoreOn} {
+			name := fmt.Sprintf("%s build-right=%v colstore=%v", label, right, mode)
+			got, err := arm(mode, 0).Run(forced, strategy)
+			if err != nil {
+				t.Fatalf("%s failed on\n%s\n%v", name, algebra.Format(forced), err)
+			}
+			if diff := bitwiseDiff(want, got); diff != "" {
+				t.Fatalf("%s differs on\n%s\n%s", name, algebra.Format(forced), diff)
+			}
+		}
+	}
+}
+
+// forceBuildSide returns plan with every join's BuildRight set to right,
+// and whether any join changed.
+func forceBuildSide(plan algebra.Node, right bool) (algebra.Node, bool) {
+	changed := false
+	out := algebra.Transform(plan, func(n algebra.Node) algebra.Node {
+		j, ok := n.(*algebra.Join)
+		if !ok || j.BuildRight == right {
+			return n
+		}
+		cp := *j
+		cp.BuildRight = right
+		changed = true
+		return &cp
+	})
+	return out, changed
+}
+
+// bitwiseDiff compares two results as multisets — same schema, same
+// tuples, ⟨S,C⟩ pairs equal bit for bit — and explains the first
+// difference, or returns "".
+func bitwiseDiff(want, got *prel.PRelation) string {
+	if want.Schema != nil && got.Schema != nil && want.Schema.String() != got.Schema.String() {
+		return fmt.Sprintf("schema %v, want %v", got.Schema, want.Schema)
+	}
+	if want.Len() != got.Len() {
+		return fmt.Sprintf("cardinality %d, want %d", got.Len(), want.Len())
+	}
+	key := func(r prel.Row) string {
+		return fmt.Sprintf("%#v %v %x %x", r.Tuple, r.SC.Known, math.Float64bits(r.SC.Score), math.Float64bits(r.SC.Conf))
+	}
+	count := map[string]int{}
+	for _, r := range want.Rows {
+		count[key(r)]++
+	}
+	for _, r := range got.Rows {
+		k := key(r)
+		if count[k] == 0 {
+			return fmt.Sprintf("row %v %v (score bits %x, conf bits %x) is not in the reference",
+				r.Tuple, r.SC, math.Float64bits(r.SC.Score), math.Float64bits(r.SC.Conf))
+		}
+		count[k]--
+	}
+	return ""
+}
+
+// TestBuildSideEquivalence pins that the build side of a hash join
+// changes nothing but row order, where the optimizer's plans put it:
+// projections over joins (evaluated inside the join) and optimized
+// random join plans go through crossCheck, which runs every join with
+// BuildRight forced both ways and requires the same multiset with
+// bit-identical ⟨S,C⟩ pairs (F always combines left, right). The
+// materialization budget meters whichever input is buffered: a
+// WithMaxRows budget below the smaller input trips on the build alone.
+func TestBuildSideEquivalence(t *testing.T) {
+	cat := nullMovieDB(t)
+	projected := &algebra.Project{
+		Cols: []expr.Col{expr.ColRef("directors.director"), expr.ColRef("movies.title"), expr.ColRef("movies.year"), expr.ColRef("genres.genre")},
+		Input: &algebra.Join{
+			Cond:  expr.Bin{Op: expr.OpEq, L: expr.ColRef("movies.d_id"), R: expr.ColRef("directors.d_id")},
+			Left:  &algebra.Join{Cond: expr.Bin{Op: expr.OpEq, L: expr.ColRef("movies.m_id"), R: expr.ColRef("genres.m_id")}, Left: &algebra.Scan{Table: "movies"}, Right: &algebra.Scan{Table: "genres"}},
+			Right: &algebra.Scan{Table: "directors"},
+		},
+	}
+	plans := []algebra.Node{
+		projected,
+		&algebra.TopK{K: 3, By: algebra.ByScore, Input: &algebra.Prefer{P: paMovies(), Input: projected}},
+		optimizer.New(cat).Optimize(&algebra.Project{Cols: projected.Cols, Input: q1Plan().(*algebra.TopK).Input}),
+	}
+	g := &planGen{r: rand.New(rand.NewSource(29))}
+	for len(plans) < 20 {
+		if p := g.genPlan(); algebra.CountOps(p)["join"] > 0 {
+			plans = append(plans, optimizer.New(cat).Optimize(p))
+		}
+	}
+	for i, plan := range plans {
+		for _, strategy := range Strategies() {
+			crossCheck(t, cat, plan, strategy, nil, fmt.Sprintf("plan %d %v", i, strategy))
+		}
+	}
+
+	t.Run("guard", func(t *testing.T) {
+		// big (100 rows) and small (10 rows) share no key, so the join
+		// emits nothing and the only materialized state is the build.
+		c := catalog.New()
+		for table, rows := range map[string]int{"big": 100, "small": 10} {
+			tbl, err := c.CreateTable(table, schema.New(schema.Column{Name: "k", Kind: types.KindInt}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < rows; i++ {
+				if err := tbl.Insert([]types.Value{types.Int(int64(rows*1000 + i))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, buildRight := range []bool{true, false} {
+			plan := &algebra.Join{
+				Cond: expr.Bin{Op: expr.OpEq, L: expr.ColRef("big.k"), R: expr.ColRef("small.k")},
+				Left: &algebra.Scan{Table: "big"}, Right: &algebra.Scan{Table: "small"},
+				BuildRight: buildRight,
+			}
+			built := int64(100)
+			if buildRight {
+				built = 10
+			}
+			e := New(c)
+			e.Limits = Limits{MaxRows: 5}
+			_, err := e.RunContext(t.Context(), plan, Native)
+			var ge *GuardError
+			if !asGuardError(err, &ge) || ge.Limit != LimitRows {
+				t.Fatalf("build-right=%v: err = %v, want a max-rows GuardError", buildRight, err)
+			}
+			if ge.Observed != built {
+				t.Fatalf("build-right=%v: tripped at %d rows, want the %d-row build side", buildRight, ge.Observed, built)
+			}
+		}
+	})
 }
 
 // mustMatchOracle fails unless got is what the oracle says plan denotes

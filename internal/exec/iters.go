@@ -390,52 +390,54 @@ func dedupByTuple(rows []prel.Row, agg pref.Aggregate, g *guard) ([]prel.Row, *t
 	return out, ix
 }
 
-// skyline keeps rows not dominated in the (score, conf) plane, via a sort
-// and sweep: order by score desc then conf desc; a row survives iff its
-// confidence exceeds every strictly-better-scored row's confidence and it
-// is not dominated within its own score group. Rows with ⊥ pairs are
-// dominated by any known row.
+// skyline keeps rows not dominated in the (score, conf) plane — the
+// winnow under Pareto dominance. One pass records each score's maximum
+// confidence; sweeping the distinct scores downwards keeps the frontier,
+// the scores whose maximum confidence exceeds that of every higher score.
+// A row survives iff its score is on the frontier and its confidence is
+// that maximum. Only the survivors are sorted (SortByScore), which orders
+// them exactly as sorting the whole input first would. Rows with ⊥ pairs
+// are dominated by any known row.
 func skyline(rows []prel.Row) []prel.Row {
-	known := make([]prel.Row, 0, len(rows))
+	maxConf := map[float64]float64{} // score → its rows' maximum confidence (+0 and -0 share a key)
 	var unknown []prel.Row
 	for _, r := range rows {
-		if r.SC.Known {
-			known = append(known, r)
-		} else {
+		if !r.SC.Known {
 			unknown = append(unknown, r)
+			continue
+		}
+		c, ok := maxConf[r.SC.Score]
+		if !ok {
+			c = -1 // below every confidence, like the sweep's floor
+		}
+		if r.SC.Conf > c {
+			maxConf[r.SC.Score] = r.SC.Conf
 		}
 	}
-	if len(known) == 0 {
+	if len(unknown) == len(rows) {
 		return unknown // nothing dominates anything
 	}
-	tmp := prel.PRelation{Rows: known}
-	tmp.SortByScore()
-	var out []prel.Row
-	bestConfAbove := -1.0 // max conf among strictly higher scores
-	i := 0
-	for i < len(tmp.Rows) {
-		// Process one equal-score group.
-		j := i
-		groupMax := -1.0
-		for j < len(tmp.Rows) && tmp.Rows[j].SC.Score == tmp.Rows[i].SC.Score {
-			if tmp.Rows[j].SC.Conf > groupMax {
-				groupMax = tmp.Rows[j].SC.Conf
-			}
-			j++
-		}
-		if groupMax > bestConfAbove {
-			for k := i; k < j; k++ {
-				if tmp.Rows[k].SC.Conf == groupMax {
-					out = append(out, tmp.Rows[k])
-				}
-			}
-		}
-		if groupMax > bestConfAbove {
-			bestConfAbove = groupMax
-		}
-		i = j
+	scores := make([]float64, 0, len(maxConf))
+	for s := range maxConf {
+		scores = append(scores, s)
 	}
-	return out
+	sort.Float64s(scores)
+	bestConfAbove := -1.0 // max conf among strictly higher scores
+	for i := len(scores) - 1; i >= 0; i-- {
+		if c := maxConf[scores[i]]; c > bestConfAbove {
+			bestConfAbove = c
+		} else {
+			delete(maxConf, scores[i])
+		}
+	}
+	out := prel.PRelation{}
+	for _, r := range rows {
+		if c, ok := maxConf[r.SC.Score]; ok && r.SC.Known && r.SC.Conf == c {
+			out.Rows = append(out.Rows, r)
+		}
+	}
+	out.SortByScore()
+	return out.Rows
 }
 
 // attrSkyline computes the attribute skyline of Börzsönyi et al. over the

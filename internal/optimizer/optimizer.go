@@ -94,10 +94,14 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, plan algebra.Node) (alg
 		// over a columnar-backed scan are pulled above the join, so the
 		// batch path hashes borrowed vectors and materializes only matches.
 		{true, o.pullProbeProjects},
+		{!o.DisableProjectionPushdown, o.collapseProjections},
 		// Annotation passes run last so rewrites cannot drop their marks.
 		{!o.DisableScoreCache, o.annotateScoreCache},
 		{true, o.annotateSegments},
 		{true, o.annotateDirectJoin},
+		// Build sides are a join-order decision: the ablation that keeps
+		// the query's join order keeps every build on the left.
+		{!o.DisableJoinReorder, o.annotateBuildSide},
 	}
 	for _, p := range passes {
 		if err := step(p.enabled, p.pass); err != nil {
@@ -480,15 +484,23 @@ func connected(current, candidate map[string]bool, preds []joinPred, predUsed []
 // estimateRows estimates a subtree's output cardinality from catalog
 // statistics.
 func (o *Optimizer) estimateRows(n algebra.Node) float64 {
+	rows, _ := o.estimate(n)
+	return rows
+}
+
+// estimate is estimateRows that also reports whether the figure rests on
+// statistics: known is false when some node under n fell back to the
+// 1000-row guess (an unknown table or an operator without a rule).
+func (o *Optimizer) estimate(n algebra.Node) (rows float64, known bool) {
 	switch x := n.(type) {
 	case *algebra.Scan:
 		t, err := o.Cat.Table(x.Table)
 		if err != nil {
-			return 1000
+			return 1000, false
 		}
-		return float64(t.Len())
+		return float64(t.Len()), true
 	case *algebra.Select:
-		base := o.estimateRows(x.Input)
+		base, known := o.estimate(x.Input)
 		if t := singleTableOf(o.Cat, x.Input); t != nil {
 			est := base * t.Selectivity(x.Cond)
 			// Zone maps give an exact upper bound (surviving segments +
@@ -496,58 +508,43 @@ func (o *Optimizer) estimateRows(n algebra.Node) float64 {
 			if bound, ok := o.zoneRowBound(t, x); ok && bound < est {
 				est = bound
 			}
-			return est
+			return est, known
 		}
-		return base / 3
-	case *algebra.Prefer, *algebra.Rank:
-		return o.estimateRows(n.Children()[0])
-	case *algebra.Project:
-		return o.estimateRows(x.Input)
+		return base / 3, known
+	case *algebra.Prefer, *algebra.Rank, *algebra.Project, *algebra.OrderBy:
+		return o.estimate(n.Children()[0])
 	case *algebra.Join:
-		l, r := o.estimateRows(x.Left), o.estimateRows(x.Right)
+		l, lk := o.estimate(x.Left)
+		r, rk := o.estimate(x.Right)
 		if x.Cond == nil {
-			return l * r
+			return l * r, lk && rk
 		}
 		// Equi-join heuristic: output near the larger input.
-		if l > r {
-			return l
-		}
-		return r
+		return max(l, r), lk && rk
 	case *algebra.Set:
-		l, r := o.estimateRows(x.Left), o.estimateRows(x.Right)
+		l, lk := o.estimate(x.Left)
+		r, rk := o.estimate(x.Right)
 		switch x.Op {
 		case algebra.SetUnion:
-			return l + r
+			return l + r, lk && rk
 		case algebra.SetIntersect:
-			if l < r {
-				return l
-			}
-			return r
+			return min(l, r), lk && rk
 		default:
-			return l
+			return l, lk
 		}
 	case *algebra.Values:
-		return float64(x.Rel.Len())
+		return float64(x.Rel.Len()), true
 	case *algebra.TopK:
-		k := float64(x.K)
-		in := o.estimateRows(x.Input)
-		if in < k {
-			return in
-		}
-		return k
+		in, known := o.estimate(x.Input)
+		return min(in, float64(x.K)), known
 	case *algebra.Limit:
-		k := float64(x.N)
-		in := o.estimateRows(x.Input)
-		if in < k {
-			return in
-		}
-		return k
-	case *algebra.OrderBy:
-		return o.estimateRows(x.Input)
+		in, known := o.estimate(x.Input)
+		return min(in, float64(x.N)), known
 	case *algebra.Threshold, *algebra.Skyline:
-		return o.estimateRows(n.Children()[0]) / 3
+		in, known := o.estimate(n.Children()[0])
+		return in / 3, known
 	default:
-		return 1000
+		return 1000, false
 	}
 }
 

@@ -9,10 +9,16 @@ import (
 
 // pruneColumns implements heuristic 2 (projection pushdown): it inserts a
 // narrow projection directly above each base-table scan, keeping only the
-// columns referenced anywhere above — by conditions, join predicates,
-// preference parts, or the final projection. Scans feeding set operations
-// are left untouched (both inputs must keep identical layouts), and plans
-// without a final projection (SELECT *) are not pruned.
+// columns referenced anywhere in the plan — by conditions, join
+// predicates, preference parts, filters, or the root projection. Scans
+// feeding set operations are left untouched (both inputs must keep
+// identical layouts), and plans without a root projection (SELECT *) are
+// not pruned.
+//
+// A pass-through projection — every column qualified, not the root and
+// not under a set operation, such as the one restoreColumnOrder puts over
+// a reordered join — only forwards columns, so it consumes none of them:
+// it is narrowed to the referenced columns too.
 //
 // When the pruned scan sits under a selection, the inserted projection is
 // hoisted above it (σ∘π(scan) → π∘σ(scan)): the filter's columns are a
@@ -21,56 +27,101 @@ import (
 // the scan — where index access paths, the colstore's zone-map pruning and
 // the EXPLAIN segment annotation (§12) all attach.
 func (o *Optimizer) pruneColumns(plan algebra.Node) algebra.Node {
-	if !hasRootProjection(plan) {
+	root := rootProjection(plan)
+	if root == nil {
 		return plan
 	}
-	needed := collectNeededColumns(plan)
-	protected := scansUnderSetOps(plan)
+	passThrough := func(p *algebra.Project, underSet bool) bool {
+		return p != root && !underSet && allQualified(p.Cols)
+	}
+	needed := collectNeededColumns(plan, passThrough)
 	inserted := map[*algebra.Project]bool{}
-	return algebra.Transform(plan, func(n algebra.Node) algebra.Node {
-		if sel, ok := n.(*algebra.Select); ok {
-			pr, ok := sel.Input.(*algebra.Project)
-			if !ok || !inserted[pr] {
+	var rewrite func(n algebra.Node, underSet bool) algebra.Node
+	rewrite = func(n algebra.Node, underSet bool) algebra.Node {
+		switch x := n.(type) {
+		case *algebra.Scan:
+			if underSet {
 				return n
 			}
-			hoisted := &algebra.Project{Cols: pr.Cols,
-				Input: &algebra.Select{Cond: sel.Cond, Input: pr.Input}}
-			inserted[hoisted] = true // stacked selections keep swapping down
-			return hoisted
-		}
-		scan, ok := n.(*algebra.Scan)
-		if !ok || protected[scan] {
+			if p := o.narrowScan(x, needed[x.AliasName()]); p != nil {
+				inserted[p] = true
+				return p
+			}
 			return n
-		}
-		cols := needed[scan.AliasName()]
-		if len(cols) == 0 {
-			return n // nothing referenced (or only via unqualified names)
-		}
-		t, err := o.Cat.Table(scan.Table)
-		if err != nil {
-			return n
-		}
-		if len(cols) >= t.Schema().Len() {
-			return n // no narrowing possible
-		}
-		// Verify every column exists; bail out otherwise.
-		ordered := make([]expr.Col, 0, len(cols))
-		for _, c := range t.Schema().Columns {
-			name := strings.ToLower(c.Name)
-			if cols[name] {
-				ordered = append(ordered, expr.Col{Table: scan.AliasName(), Name: name})
+		case *algebra.Set:
+			underSet = true
+		case *algebra.Project:
+			if passThrough(x, underSet) {
+				n = narrowProject(x, needed)
 			}
 		}
-		if len(ordered) == 0 || len(ordered) >= t.Schema().Len() {
+		children := n.Children()
+		if len(children) == 0 {
 			return n
 		}
-		p := &algebra.Project{Cols: ordered, Input: scan}
-		inserted[p] = true
-		return p
-	})
+		kids := make([]algebra.Node, len(children))
+		changed := false
+		for i, c := range children {
+			kids[i] = rewrite(c, underSet)
+			changed = changed || kids[i] != c
+		}
+		if changed {
+			n = n.WithChildren(kids)
+		}
+		if sel, ok := n.(*algebra.Select); ok {
+			if pr, ok := sel.Input.(*algebra.Project); ok && inserted[pr] {
+				hoisted := &algebra.Project{Cols: pr.Cols,
+					Input: &algebra.Select{Cond: sel.Cond, Input: pr.Input}}
+				inserted[hoisted] = true // stacked selections keep swapping down
+				return hoisted
+			}
+		}
+		return n
+	}
+	return rewrite(plan, false)
 }
 
-func hasRootProjection(plan algebra.Node) bool {
+// narrowScan returns the projection of scan onto the cols its alias
+// needs, or nil when nothing is referenced or nothing can be dropped.
+func (o *Optimizer) narrowScan(scan *algebra.Scan, cols map[string]bool) *algebra.Project {
+	if len(cols) == 0 {
+		return nil
+	}
+	t, err := o.Cat.Table(scan.Table)
+	if err != nil {
+		return nil
+	}
+	ordered := make([]expr.Col, 0, len(cols))
+	for _, c := range t.Schema().Columns {
+		name := strings.ToLower(c.Name)
+		if cols[name] {
+			ordered = append(ordered, expr.Col{Table: scan.AliasName(), Name: name})
+		}
+	}
+	if len(ordered) == 0 || len(ordered) >= t.Schema().Len() {
+		return nil
+	}
+	return &algebra.Project{Cols: ordered, Input: scan}
+}
+
+// narrowProject keeps the pass-through projection's referenced columns,
+// or returns p unchanged when it would keep all or none of them.
+func narrowProject(p *algebra.Project, needed map[string]map[string]bool) algebra.Node {
+	var kept []expr.Col
+	for _, c := range p.Cols {
+		if needed[strings.ToLower(c.Table)][strings.ToLower(c.Name)] {
+			kept = append(kept, c)
+		}
+	}
+	if len(kept) == 0 || len(kept) == len(p.Cols) {
+		return p
+	}
+	return &algebra.Project{Cols: kept, Input: p.Input}
+}
+
+// rootProjection returns the projection the plan's output is read from,
+// found below the filtering and ordering operators, or nil.
+func rootProjection(plan algebra.Node) *algebra.Project {
 	n := plan
 	for {
 		switch x := n.(type) {
@@ -78,34 +129,44 @@ func hasRootProjection(plan algebra.Node) bool {
 			*algebra.Rank, *algebra.OrderBy, *algebra.Limit:
 			n = x.Children()[0]
 		case *algebra.Project:
-			return true
+			return x
 		default:
-			return false
+			return nil
 		}
 	}
 }
 
+func allQualified(cols []expr.Col) bool {
+	for _, c := range cols {
+		if c.Table == "" {
+			return false
+		}
+	}
+	return true
+}
+
 // collectNeededColumns gathers, per table alias, the set of column names
-// referenced anywhere in the plan. Unqualified references are recorded
-// under every alias (conservative).
-func collectNeededColumns(plan algebra.Node) map[string]map[string]bool {
+// referenced anywhere in the plan, except by the projections passThrough
+// accepts. A qualified reference names its alias; an unqualified one
+// counts for every relation in scope where it appears (the operator's
+// subtree), of which only those that have the column can keep it.
+func collectNeededColumns(plan algebra.Node, passThrough func(*algebra.Project, bool) bool) map[string]map[string]bool {
 	needed := map[string]map[string]bool{}
-	aliases := algebra.BaseRelations(plan)
+	add := func(alias, name string) {
+		if needed[alias] == nil {
+			needed[alias] = map[string]bool{}
+		}
+		needed[alias][name] = true
+	}
+	var scope algebra.Node
 	record := func(c expr.Col) {
 		name := strings.ToLower(c.Name)
 		if c.Table != "" {
-			alias := strings.ToLower(c.Table)
-			if needed[alias] == nil {
-				needed[alias] = map[string]bool{}
-			}
-			needed[alias][name] = true
+			add(strings.ToLower(c.Table), name)
 			return
 		}
-		for a := range aliases {
-			if needed[a] == nil {
-				needed[a] = map[string]bool{}
-			}
-			needed[a][name] = true
+		for a := range algebra.BaseRelations(scope) {
+			add(a, name)
 		}
 	}
 	recordExpr := func(n expr.Node) {
@@ -113,15 +174,19 @@ func collectNeededColumns(plan algebra.Node) map[string]map[string]bool {
 			record(c)
 		}
 	}
-	algebra.Walk(plan, func(n algebra.Node) bool {
+	var walk func(n algebra.Node, underSet bool)
+	walk = func(n algebra.Node, underSet bool) {
+		scope = n
 		switch x := n.(type) {
 		case *algebra.Select:
 			recordExpr(x.Cond)
 		case *algebra.Join:
 			recordExpr(x.Cond)
 		case *algebra.Project:
-			for _, c := range x.Cols {
-				record(c)
+			if !passThrough(x, underSet) {
+				for _, c := range x.Cols {
+					record(c)
+				}
 			}
 		case *algebra.Prefer:
 			recordExpr(x.P.Cond)
@@ -134,26 +199,55 @@ func collectNeededColumns(plan algebra.Node) map[string]map[string]bool {
 			for _, d := range x.Dims {
 				record(d.Col)
 			}
+		case *algebra.GroupAgg:
+			for _, c := range x.By {
+				record(c)
+			}
+			for _, a := range x.Aggs {
+				record(a.Col)
+			}
+		case *algebra.Set:
+			underSet = true
 		}
-		return true
-	})
+		for _, c := range n.Children() {
+			walk(c, underSet)
+		}
+	}
+	walk(plan, false)
 	return needed
 }
 
-// scansUnderSetOps returns the scan nodes beneath any set operation.
-func scansUnderSetOps(plan algebra.Node) map[*algebra.Scan]bool {
-	out := map[*algebra.Scan]bool{}
-	algebra.Walk(plan, func(n algebra.Node) bool {
-		if s, ok := n.(*algebra.Set); ok {
-			algebra.Walk(s, func(m algebra.Node) bool {
-				if sc, ok := m.(*algebra.Scan); ok {
-					out[sc] = true
-				}
-				return true
-			})
-			return false
+// collapseProjections rewrites π_a(π_b(X)) into π_a(X): each of a's
+// columns is re-qualified as the column of b it resolves to in π_b's
+// output, so π_a(X) reads the same columns of X and produces the same
+// schema with one copy fewer. A projection over a hash join then runs
+// inside the join (the root projection of a reordered join absorbs the
+// restore projection). The rewrite is declined — plan unchanged, so the
+// executor still reports the error — when π_b's output does not resolve
+// or one of a's columns is ambiguous or unknown in it.
+func (o *Optimizer) collapseProjections(n algebra.Node) algebra.Node {
+	resolver := &algebra.Resolver{Catalog: o.Cat, Funcs: o.Funcs}
+	return algebra.Transform(n, func(x algebra.Node) algebra.Node {
+		outer, ok := x.(*algebra.Project)
+		if !ok {
+			return x
 		}
-		return true
+		inner, ok := outer.Input.(*algebra.Project)
+		if !ok {
+			return x
+		}
+		s, err := resolver.Resolve(inner)
+		if err != nil {
+			return x
+		}
+		cols := make([]expr.Col, len(outer.Cols))
+		for i, c := range outer.Cols {
+			idx, err := s.IndexOf(c.Table, c.Name)
+			if err != nil {
+				return x
+			}
+			cols[i] = inner.Cols[idx]
+		}
+		return &algebra.Project{Cols: cols, Input: inner.Input}
 	})
-	return out
 }

@@ -141,6 +141,31 @@ func (o *Optimizer) annotateDirectJoin(n algebra.Node) algebra.Node {
 	})
 }
 
+// annotateBuildSide marks each equi-join to build its hash table on the
+// input with the smaller estimated cardinality (EXPLAIN renders
+// `[build-right]`): the bucket table holds the smaller input and the
+// larger one streams past it. Left-deep plans put the growing
+// intermediate on the left, so every join after the first usually builds
+// on its base table. Ties, joins whose estimates rest on a fallback guess
+// and [direct-join] joins (whose columnar probe side is the right input)
+// keep building left.
+func (o *Optimizer) annotateBuildSide(n algebra.Node) algebra.Node {
+	return algebra.Transform(n, func(x algebra.Node) algebra.Node {
+		j, ok := x.(*algebra.Join)
+		if !ok || j.DirectJoin || j.Cond == nil || !hasEquiPair(j.Cond) {
+			return x
+		}
+		l, lKnown := o.estimate(j.Left)
+		r, rKnown := o.estimate(j.Right)
+		if !lKnown || !rKnown || r >= l {
+			return x
+		}
+		cp := *j
+		cp.BuildRight = true
+		return &cp
+	})
+}
+
 // hasEquiPair reports whether at least one conjunct is a column-column
 // equality — the shape the executor splits into hash-join keys.
 func hasEquiPair(cond expr.Node) bool {
