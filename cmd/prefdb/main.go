@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	prefdb [-load imdb|dblp] [-scale 0.1] [-mode gbu] [-cache auto] [-timeout 5s] [-explain] [-q "SELECT ..."] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	prefdb [-load imdb|dblp] [-scale 0.1] [-mode gbu] [-timeout 5s] [-explain] [-q "SELECT ..."] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	prefdb -connect host:port [-token t] [-mode gbu] [-q "SELECT ..."]
 //
 // Without -q it reads statements from stdin, terminated by ';'.
@@ -12,8 +12,9 @@
 // exit the shell with Ctrl-D or \quit.
 //
 // With -connect, statements run on a prefdbserver instead of an embedded
-// database: the mode/cache/colstore flags become the remote
-// session's defaults and everything else — results, options, cancel
+// database: the -mode and -colstore flags the user sets become the remote
+// session's defaults (unset ones leave the server's defaults in force)
+// and everything else — results, options, cancel
 // behavior — works identically (the shell talks to the same Session
 // interface either way). Dataset and snapshot flags (-load, -open, -save)
 // are embedded-only.
@@ -52,7 +53,6 @@ func main() {
 		scale    = flag.Float64("scale", 0.1, "dataset scale factor (1.0 ≈ 20k movies)")
 		seed     = flag.Int64("seed", 42, "dataset generator seed")
 		mode     = flag.String("mode", "gbu", "evaluation strategy: native, bu, gbu, ftp, plugin-naive, plugin-merged")
-		cache    = flag.String("cache", "auto", "preference score cache: auto (follow optimizer hints), off, on")
 		colstore = flag.String("colstore", "off", "columnar segment scans with zone-map pruning and direct column kernels: on, off")
 		timeout  = flag.Duration("timeout", 0, "per-statement wall-clock deadline (0 = none)")
 		rowLimit = flag.Int("max-rows", 0, "per-statement materialized-row budget (0 = unlimited)")
@@ -106,7 +106,7 @@ func main() {
 		if *load != "" || *open != "" || *save != "" {
 			fatal(errors.New("-load/-open/-save are embedded-only; the server owns its data"))
 		}
-		defaults, err := sessionDefaults(*mode, *cache, *colstore)
+		defaults, err := sessionDefaults(flag.CommandLine)
 		if err != nil {
 			fatal(err)
 		}
@@ -126,13 +126,22 @@ func main() {
 		return
 	}
 
-	db := prefdb.Open()
+	m, err := prefdb.ParseMode(*mode)
+	if err != nil {
+		fatal(err)
+	}
+	csm, err := prefdb.ParseColstoreMode(*colstore)
+	if err != nil {
+		fatal(err)
+	}
+	openOpts := []prefdb.OpenOption{prefdb.WithDefaultMode(m), prefdb.WithDefaultColstore(csm)}
+	db := prefdb.Open(openOpts...)
 	if *open != "" {
 		f, err := os.Open(*open)
 		if err != nil {
 			fatal(err)
 		}
-		db, err = prefdb.Load(f)
+		db, err = prefdb.Load(f, openOpts...)
 		f.Close()
 		if err != nil {
 			fatal(err)
@@ -155,22 +164,6 @@ func main() {
 		}
 		fmt.Printf("saved snapshot %s\n", *save)
 	}()
-	m, err := prefdb.ParseMode(*mode)
-	if err != nil {
-		fatal(err)
-	}
-	db.Mode = m
-	cm, err := prefdb.ParseCacheMode(*cache)
-	if err != nil {
-		fatal(err)
-	}
-	db.ScoreCache = cm
-	csm, err := prefdb.ParseColstoreMode(*colstore)
-	if err != nil {
-		fatal(err)
-	}
-	db.Colstore = csm
-
 	switch strings.ToLower(*load) {
 	case "":
 	case "imdb":
@@ -202,22 +195,28 @@ func main() {
 	shell(db, sess, cfg)
 }
 
-// sessionDefaults turns the strategy flags into session default options
-// for a remote connection.
-func sessionDefaults(mode, cache, colstore string) ([]prefdb.QueryOption, error) {
-	m, err := prefdb.ParseMode(mode)
-	if err != nil {
-		return nil, err
+// sessionDefaults turns the -mode and -colstore flags the user actually
+// set on fs into session default options for a remote connection; a flag
+// left at its default sends nothing, so the server's own default holds.
+func sessionDefaults(fs *flag.FlagSet) ([]prefdb.QueryOption, error) {
+	set := map[string]string{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = f.Value.String() })
+	var opts []prefdb.QueryOption
+	if name, ok := set["mode"]; ok {
+		m, err := prefdb.ParseMode(name)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, prefdb.WithMode(m))
 	}
-	cm, err := prefdb.ParseCacheMode(cache)
-	if err != nil {
-		return nil, err
+	if name, ok := set["colstore"]; ok {
+		csm, err := prefdb.ParseColstoreMode(name)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, prefdb.WithColstore(csm))
 	}
-	csm, err := prefdb.ParseColstoreMode(colstore)
-	if err != nil {
-		return nil, err
-	}
-	return []prefdb.QueryOption{prefdb.WithMode(m), prefdb.WithScoreCache(cm), prefdb.WithColstore(csm)}, nil
+	return opts, nil
 }
 
 // shell reads statements from stdin until EOF; db is nil when connected

@@ -71,11 +71,6 @@ type DB struct {
 	Mode Mode
 	// Optimize toggles the preference-aware query optimizer.
 	Optimize bool
-	// ScoreCache is the default preference score-cache mode for queries
-	// that pass no WithScoreCache option: CacheAuto (the zero value)
-	// follows the optimizer's per-operator hints, CacheOff disables
-	// memoization, CacheOn forces it.
-	ScoreCache CacheMode
 	// Colstore is the default storage side for batch scans of queries that
 	// pass no WithColstore option: ColstoreOff (the zero value) reads the
 	// row heap, ColstoreOn reads the columnar segment store with zone-map
@@ -88,16 +83,6 @@ type DB struct {
 	// prepared statements; see dicts.go.
 	dicts *dictCache
 }
-
-// CacheMode re-exports the executor's score-cache mode for option values.
-type CacheMode = exec.CacheMode
-
-// Score-cache modes (see exec.CacheMode).
-const (
-	CacheAuto = exec.CacheAuto
-	CacheOff  = exec.CacheOff
-	CacheOn   = exec.CacheOn
-)
 
 // ColstoreMode re-exports the executor's columnar-storage mode for option
 // values.
@@ -314,17 +299,15 @@ func (db *DB) optimizeRoot(ctx context.Context, plan *planner.Plan) (algebra.Nod
 }
 
 // executorFor builds an executor configured for one query resolution.
-// dictFor, when non-nil, enables the engine's cross-query score
-// dictionaries (the prepared-statement path) unless the cache is off.
+// dictFor, when non-nil, backs the prefer operators the optimizer marked
+// for memoization with the engine's cross-query score dictionaries (the
+// prepared-statement path).
 func (db *DB) executorFor(cfg *queryConfig, agg pref.Aggregate, dictFor func(pref.Preference, []string) *exec.ScoreDict) *exec.Executor {
 	ex := exec.New(db.cat)
 	ex.Agg = agg
 	ex.Limits = cfg.limits
-	ex.ScoreCache = cfg.cache
 	ex.Colstore = cfg.colstore
-	if dictFor != nil && cfg.cache != CacheOff {
-		ex.DictFor = dictFor
-	}
+	ex.DictFor = dictFor
 	return ex
 }
 

@@ -7,9 +7,9 @@ import (
 )
 
 // setupDB builds the movie database end-to-end through SQL.
-func setupDB(t testing.TB) *DB {
+func setupDB(t testing.TB, opts ...OpenOption) *DB {
 	t.Helper()
-	db := Open()
+	db := Open(opts...)
 	stmts := []string{
 		`CREATE TABLE movies (m_id INT, title TEXT, year INT, duration INT, d_id INT, PRIMARY KEY (m_id))`,
 		`CREATE TABLE directors (d_id INT, director TEXT, PRIMARY KEY (d_id))`,
@@ -250,6 +250,9 @@ func TestParseMode(t *testing.T) {
 	}
 	if m, err := ParseMode(""); err != nil || m != ModeGBU {
 		t.Error("empty mode should default to GBU")
+	}
+	if m, err := ParseMode("Filter-then-Prefer"); err != nil || m != ModeFtP {
+		t.Errorf("case-insensitive alias = %v, %v", m, err)
 	}
 	if _, err := ParseMode("quantum"); err == nil {
 		t.Error("unknown mode should error")

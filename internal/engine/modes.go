@@ -1,5 +1,5 @@
 // Generic mode registry: one table per enumerated option (evaluation
-// mode, score cache, colstore side) resolving names to values with
+// mode, colstore side) resolving names to values with
 // uniform error text and a uniform listing, replacing the hand-written
 // Parse*Mode switches that had drifted apart in error wording. The exported Parse*/*Modes functions remain thin wrappers so
 // existing call sites and flag parsing keep compiling unchanged.
@@ -14,7 +14,7 @@ import (
 // listed in presentation order; the first name of an entry is canonical
 // (used in listings and error text), the rest are accepted aliases.
 type modeRegistry[T any] struct {
-	// option names the setting in error messages ("mode", "cache mode").
+	// option names the setting in error messages ("mode", "colstore mode").
 	option string
 	// empty, when set, is the value resolved for the empty string (the
 	// "flag left at its default" convention of the evaluation mode).
@@ -74,11 +74,6 @@ var (
 		{names: []string{"plugin-naive", "plugin"}, value: ModePluginNaive},
 		{names: []string{"plugin-merged"}, value: ModePluginMerged},
 	}}
-	cacheReg = &modeRegistry[CacheMode]{option: "cache mode", entries: []modeEntry[CacheMode]{
-		{names: []string{"auto"}, value: CacheAuto},
-		{names: []string{"off"}, value: CacheOff},
-		{names: []string{"on"}, value: CacheOn},
-	}}
 	colstoreReg = &modeRegistry[ColstoreMode]{option: "colstore mode", entries: []modeEntry[ColstoreMode]{
 		{names: []string{"off"}, value: ColstoreOff},
 		{names: []string{"on"}, value: ColstoreOn},
@@ -93,12 +88,6 @@ func ParseMode(name string) (Mode, error) { return modeReg.parse(name) }
 
 // Modes lists every evaluation mode in presentation order.
 func Modes() []Mode { return modeReg.values() }
-
-// ParseCacheMode resolves a score-cache mode by name ("auto", "off", "on").
-func ParseCacheMode(name string) (CacheMode, error) { return cacheReg.parse(name) }
-
-// CacheModes lists every score-cache mode in presentation order.
-func CacheModes() []CacheMode { return cacheReg.values() }
 
 // ParseColstoreMode resolves a colstore mode by name ("on", "off").
 func ParseColstoreMode(name string) (ColstoreMode, error) { return colstoreReg.parse(name) }

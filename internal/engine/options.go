@@ -27,7 +27,6 @@ const (
 	optMaxRows
 	optMaxCells
 	optMemory
-	optCache
 	optColstore
 	optProfile
 )
@@ -46,7 +45,6 @@ type queryConfig struct {
 	mode     Mode
 	timeout  time.Duration
 	limits   exec.Limits
-	cache    CacheMode
 	colstore ColstoreMode
 	prof     *profileBinding
 
@@ -55,7 +53,7 @@ type queryConfig struct {
 
 // queryConfig resolves the options against the database defaults.
 func (db *DB) queryConfig(opts []QueryOption) queryConfig {
-	cfg := queryConfig{mode: db.Mode, cache: db.ScoreCache, colstore: db.Colstore}
+	cfg := queryConfig{mode: db.Mode, colstore: db.Colstore}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -102,13 +100,6 @@ func WithMaxCells(n int) QueryOption {
 // ErrResourceExhausted. 0 means unlimited.
 func WithMemoryBudget(bytes int64) QueryOption {
 	return func(c *queryConfig) { c.limits.MemoryBudget = bytes; c.set |= optMemory }
-}
-
-// WithScoreCache selects the preference score-cache mode for this query
-// (CacheAuto follows the optimizer's hints, CacheOff disables
-// memoization, CacheOn forces it), overriding the database default.
-func WithScoreCache(m CacheMode) QueryOption {
-	return func(c *queryConfig) { c.cache = m; c.set |= optCache }
 }
 
 // WithColstore selects the storage side batch scans read for this query
@@ -167,9 +158,6 @@ type Settings struct {
 	HasMemoryBudget bool
 	MemoryBudget    int64
 
-	HasCache bool
-	Cache    CacheMode
-
 	HasColstore bool
 	Colstore    ColstoreMode
 
@@ -192,7 +180,6 @@ func CollectSettings(opts ...QueryOption) Settings {
 		HasMaxRows: c.set&optMaxRows != 0, MaxRows: c.limits.MaxRows,
 		HasMaxCells: c.set&optMaxCells != 0, MaxCells: c.limits.MaxCells,
 		HasMemoryBudget: c.set&optMemory != 0, MemoryBudget: c.limits.MemoryBudget,
-		HasCache: c.set&optCache != 0, Cache: c.cache,
 		HasColstore: c.set&optColstore != 0, Colstore: c.colstore,
 		HasProfile: c.set&optProfile != 0,
 	}
@@ -218,9 +205,6 @@ func (s Settings) Options() []QueryOption {
 	if s.HasMemoryBudget {
 		opts = append(opts, WithMemoryBudget(s.MemoryBudget))
 	}
-	if s.HasCache {
-		opts = append(opts, WithScoreCache(s.Cache))
-	}
 	if s.HasColstore {
 		opts = append(opts, WithColstore(s.Colstore))
 	}
@@ -241,12 +225,6 @@ func WithDefaultMode(m Mode) OpenOption {
 // default).
 func WithOptimizer(enabled bool) OpenOption {
 	return func(db *DB) { db.Optimize = enabled }
-}
-
-// WithDefaultScoreCache sets the default score-cache mode used by queries
-// that pass no WithScoreCache option.
-func WithDefaultScoreCache(m CacheMode) OpenOption {
-	return func(db *DB) { db.ScoreCache = m }
 }
 
 // WithDefaultColstore sets the default batch-scan storage side used by

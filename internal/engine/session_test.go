@@ -17,7 +17,7 @@ import (
 // TestOptionPrecedence pins the documented resolution chain for every
 // per-query option: Open defaults < session defaults < per-query options.
 // Several "winning" values are deliberately the type's zero value
-// (CacheAuto, ColstoreOff, ModeGBU) so the test fails if resolution ever
+// (ColstoreOff, ModeGBU) so the test fails if resolution ever
 // regresses to zero-value comparison instead of explicit-set tracking.
 func TestOptionPrecedence(t *testing.T) {
 	storeA, storeB := profile.NewStore(), profile.NewStore()
@@ -61,13 +61,6 @@ func TestOptionPrecedence(t *testing.T) {
 			sessOpt: WithMemoryBudget(1 << 20), queryOpt: WithMemoryBudget(2 << 20),
 			get:  func(c queryConfig) any { return c.limits.MemoryBudget },
 			open: int64(0), sess: int64(1 << 20), query: int64(2 << 20),
-		},
-		{
-			name:    "score-cache",
-			openSet: func(db *DB) { db.ScoreCache = CacheOn },
-			sessOpt: WithScoreCache(CacheOff), queryOpt: WithScoreCache(CacheAuto),
-			get:  func(c queryConfig) any { return c.cache },
-			open: CacheOn, sess: CacheOff, query: CacheAuto,
 		},
 		{
 			name:    "colstore",
@@ -114,7 +107,7 @@ func TestSettingsRoundTrip(t *testing.T) {
 	opts := []QueryOption{
 		WithMode(ModeNative), WithTimeout(time.Second),
 		WithMaxRows(7), WithMaxCells(8), WithMemoryBudget(9),
-		WithScoreCache(CacheOff), WithColstore(ColstoreOn),
+		WithColstore(ColstoreOn),
 	}
 	s := CollectSettings(opts...)
 	back := CollectSettings(s.Options()...)
@@ -426,21 +419,19 @@ func TestModeRegistryListings(t *testing.T) {
 	if len(Modes()) != 6 {
 		t.Fatalf("Modes() = %v", Modes())
 	}
-	if len(CacheModes()) != 3 || len(ColstoreModes()) != 2 {
-		t.Fatalf("listings: cache %v colstore %v", CacheModes(), ColstoreModes())
+	if len(ColstoreModes()) != 2 {
+		t.Fatalf("ColstoreModes() = %v", ColstoreModes())
 	}
 	for _, m := range Modes() {
 		if got, err := ParseMode(m.String()); err != nil || got != m {
 			t.Fatalf("ParseMode(%q) = %v, %v", m.String(), got, err)
 		}
 	}
-	for _, name := range []string{"mode", "cache mode", "colstore mode"} {
+	for _, name := range []string{"mode", "colstore mode"} {
 		var err error
 		switch name {
 		case "mode":
 			_, err = ParseMode("bogus")
-		case "cache mode":
-			_, err = ParseCacheMode("bogus")
 		case "colstore mode":
 			_, err = ParseColstoreMode("bogus")
 		}

@@ -412,7 +412,7 @@ func (e *Executor) compileSegOps(chain []algebra.Node, s *schema.Schema) ([]segO
 			if sErr != nil {
 				return nil, fmt.Errorf("prefer %s (scoring part): %w", x.P.Label(), sErr)
 			}
-			ops = append(ops, segOp{cond: cond, score: score, conf: x.P.Conf, cache: e.scoreCacheOn(x), p: x.P})
+			ops = append(ops, segOp{cond: cond, score: score, conf: x.P.Conf, cache: x.CacheHint, p: x.P})
 		}
 	}
 	return ops, nil

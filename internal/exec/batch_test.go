@@ -18,9 +18,9 @@ import (
 )
 
 // TestBatchRowEquivalence is the acceptance contract of the pipeline:
-// for named and randomized plans, every strategy × cache mode must agree
-// with the tuple-at-a-time oracle, and every physical arm (colstore ×
-// batch size) must reproduce the reference run's rows, row
+// for named and randomized plans, every strategy × cache hint (prefer
+// operators unmarked or all marked) must agree with the tuple-at-a-time
+// oracle, and every physical arm (colstore × batch size) must reproduce the reference run's rows, row
 // order and Stats byte-for-byte (see crossCheck). The fixture carries
 // NULLs (nullMovieDB).
 func TestBatchRowEquivalence(t *testing.T) {
@@ -49,9 +49,9 @@ func TestBatchRowEquivalence(t *testing.T) {
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {
 			for _, strategy := range Strategies() {
-				for _, cache := range []CacheMode{CacheOff, CacheOn} {
-					crossCheck(t, cat, plan, strategy, func(e *Executor) { e.ScoreCache = cache },
-						fmt.Sprintf("%v cache=%v", strategy, cache))
+				for _, hint := range []bool{false, true} {
+					crossCheck(t, cat, withCacheHint(plan, hint), strategy,
+						fmt.Sprintf("%v cache-hint=%v", strategy, hint))
 				}
 			}
 		})
@@ -146,15 +146,12 @@ func nullMovieDB(t testing.TB) *catalog.Catalog {
 // the result against the oracle, then requires every arm of colstore
 // {off, on} × batch size {1, 7, default} to
 // reproduce the reference's rows, order and Stats (modulo the diagnostic
-// counters) exactly. setup, when non-nil, configures every executor.
-func crossCheck(t *testing.T, cat *catalog.Catalog, plan algebra.Node, strategy Strategy, setup func(*Executor), label string) {
+// counters) exactly.
+func crossCheck(t *testing.T, cat *catalog.Catalog, plan algebra.Node, strategy Strategy, label string) {
 	t.Helper()
 	arm := func(mode ColstoreMode, size int) *Executor {
 		e := New(cat)
 		e.Colstore, e.BatchSize = mode, size
-		if setup != nil {
-			setup(e)
-		}
 		return e
 	}
 	ref := arm(ColstoreOff, 0)
@@ -277,7 +274,7 @@ func TestBuildSideEquivalence(t *testing.T) {
 	}
 	for i, plan := range plans {
 		for _, strategy := range Strategies() {
-			crossCheck(t, cat, plan, strategy, nil, fmt.Sprintf("plan %d %v", i, strategy))
+			crossCheck(t, cat, plan, strategy, fmt.Sprintf("plan %d %v", i, strategy))
 		}
 	}
 

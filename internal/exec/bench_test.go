@@ -144,7 +144,6 @@ func BenchmarkBatchFilterPrefer(b *testing.B) {
 		}
 		run := func(b *testing.B, size int) {
 			e := New(cat)
-			e.ScoreCache = CacheOff
 			e.BatchSize = size
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

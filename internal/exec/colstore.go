@@ -11,9 +11,6 @@
 package exec
 
 import (
-	"fmt"
-	"strings"
-
 	"prefdb/internal/colstore"
 	"prefdb/internal/prel"
 	"prefdb/internal/storage"
@@ -42,18 +39,6 @@ func (m ColstoreMode) String() string {
 		return "on"
 	}
 	return "off"
-}
-
-// ParseColstoreMode resolves a colstore mode by name.
-func ParseColstoreMode(name string) (ColstoreMode, error) {
-	switch strings.ToLower(name) {
-	case "on":
-		return ColstoreOn, nil
-	case "off":
-		return ColstoreOff, nil
-	default:
-		return 0, fmt.Errorf("exec: unknown colstore mode %q (on, off)", name)
-	}
 }
 
 // colstoreOK reports whether batch scans may read columnar segments.

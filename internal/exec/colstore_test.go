@@ -132,7 +132,7 @@ func colstorePlans() map[string]algebra.Node {
 }
 
 // TestColstoreHeapEquivalence is the acceptance contract of the columnar
-// store: across strategies × cache modes × batch sizes, reading
+// store: across strategies × cache hints × batch sizes, reading
 // segments with zone-map pruning must produce byte-identical rows, order
 // and Stats (modulo the diagnostic Batches / segment counters) to the
 // heap batch path.
@@ -141,15 +141,15 @@ func TestColstoreHeapEquivalence(t *testing.T) {
 	for name, plan := range colstorePlans() {
 		t.Run(name, func(t *testing.T) {
 			for _, strategy := range Strategies() {
-				for _, cache := range []CacheMode{CacheOff, CacheOn} {
+				for _, hint := range []bool{false, true} {
+					hinted := withCacheHint(plan, hint)
 					for _, size := range []int{3, 1024} {
-						label := fmt.Sprintf("%v cache=%v size=%d", strategy, cache, size)
+						label := fmt.Sprintf("%v cache-hint=%v size=%d", strategy, hint, size)
 
 						ref := New(cat)
-						ref.ScoreCache = cache
 						ref.BatchSize = size
 						ref.Colstore = ColstoreOff
-						want, err := ref.Run(plan, strategy)
+						want, err := ref.Run(hinted, strategy)
 						if err != nil {
 							t.Fatalf("%s heap path: %v", label, err)
 						}
@@ -159,10 +159,9 @@ func TestColstoreHeapEquivalence(t *testing.T) {
 						}
 
 						e := New(cat)
-						e.ScoreCache = cache
 						e.BatchSize = size
 						e.Colstore = ColstoreOn
-						got, err := e.Run(plan, strategy)
+						got, err := e.Run(hinted, strategy)
 						if err != nil {
 							t.Fatalf("%s colstore path: %v", label, err)
 						}
@@ -300,20 +299,5 @@ func TestHeapBatchSrcCompactsAcrossPages(t *testing.T) {
 	}
 	if len(sizes) != 2 {
 		t.Fatalf("%d live rows at size %d should yield 2 full batches, got %v", live, storage.PageSize, sizes)
-	}
-}
-
-// TestParseColstoreMode covers the flag surface.
-func TestParseColstoreMode(t *testing.T) {
-	for name, want := range map[string]ColstoreMode{"on": ColstoreOn, "Off": ColstoreOff} {
-		got, err := ParseColstoreMode(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseColstoreMode(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	for _, name := range []string{"maybe", "rows"} {
-		if _, err := ParseColstoreMode(name); err == nil {
-			t.Fatalf("ParseColstoreMode accepted unknown mode %q", name)
-		}
 	}
 }

@@ -443,7 +443,7 @@ func FuzzDirectJoinEquivalence(f *testing.F) {
 		g := &djGen{r: rand.New(rand.NewSource(seed))}
 		strategies := Strategies()
 		s := strategies[int(strategyPick)%len(strategies)]
-		crossCheck(t, directJoinFuzzDB(t), g.plan(), s, nil, s.String())
+		crossCheck(t, directJoinFuzzDB(t), g.plan(), s, s.String())
 	})
 }
 
@@ -519,7 +519,7 @@ func TestGroupAggEquivalence(t *testing.T) {
 	cat := directJoinDB(t)
 	for name, plan := range groupAggPlans() {
 		t.Run(name, func(t *testing.T) {
-			crossCheck(t, cat, plan, Native, nil, name)
+			crossCheck(t, cat, plan, Native, name)
 		})
 	}
 }

@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"prefdb/internal/algebra"
 	"prefdb/internal/prel"
@@ -44,22 +43,6 @@ func (s Strategy) String() string {
 		return "ftp"
 	default:
 		return fmt.Sprintf("Strategy(%d)", uint8(s))
-	}
-}
-
-// ParseStrategy resolves a strategy by name.
-func ParseStrategy(name string) (Strategy, error) {
-	switch strings.ToLower(name) {
-	case "native":
-		return Native, nil
-	case "bu", "bottom-up":
-		return BU, nil
-	case "gbu", "group-bottom-up":
-		return GBU, nil
-	case "ftp", "filter-then-prefer":
-		return FtP, nil
-	default:
-		return 0, fmt.Errorf("exec: unknown strategy %q (native, bu, gbu, ftp)", name)
 	}
 }
 

@@ -149,10 +149,6 @@ type Executor struct {
 	// Limits bounds the next guarded run (RunContext / Begin); the zero
 	// value imposes no bounds.
 	Limits Limits
-	// ScoreCache selects preference score memoization: CacheAuto (the zero
-	// value) follows the optimizer's per-operator hints, CacheOff forces
-	// the direct path, CacheOn memoizes every prefer operator.
-	ScoreCache CacheMode
 	// BatchSize overrides the rows-per-batch block size (0 =
 	// defaultBatchSize); tests set it to drive batch-boundary cases.
 	BatchSize int

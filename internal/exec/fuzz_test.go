@@ -193,7 +193,7 @@ func FuzzBatchRowEquivalence(f *testing.F) {
 		plan := g.genPlan()
 		strategies := Strategies()
 		s := strategies[int(strategyPick)%len(strategies)]
-		crossCheck(t, nullMovieDB(t), plan, s, nil, s.String())
+		crossCheck(t, nullMovieDB(t), plan, s, s.String())
 	})
 }
 

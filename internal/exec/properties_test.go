@@ -250,21 +250,6 @@ func TestRunUnknownStrategy(t *testing.T) {
 	if _, err := e.Run(&algebra.Scan{Table: "movies"}, Strategy(99)); err == nil {
 		t.Error("unknown strategy should error")
 	}
-}
-
-func TestParseStrategy(t *testing.T) {
-	for _, s := range Strategies() {
-		got, err := ParseStrategy(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseStrategy(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	if _, err := ParseStrategy("warp"); err == nil {
-		t.Error("unknown name should error")
-	}
-	if s, err := ParseStrategy("Filter-then-Prefer"); err != nil || s != FtP {
-		t.Errorf("long name = %v, %v", s, err)
-	}
 	if Strategy(99).String() == "" {
 		t.Error("unknown strategy String should not be empty")
 	}

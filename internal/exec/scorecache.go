@@ -5,7 +5,9 @@
 // (cond.Columns() ∪ score.Columns()): tuples that agree there get the same
 // pair. When that projection has few distinct values — the GBU "group"
 // observation of the paper — memoizing the contribution per distinct key
-// replaces most expression evaluations with a hash lookup.
+// replaces most expression evaluations with a hash lookup. The optimizer
+// decides where that pays: a prefer operator memoizes exactly when its
+// plan node carries Prefer.CacheHint.
 //
 // Level 1 is a per-query memo (scoreMemo): each prefer operator owns a
 // private bounded hash table so lookups take no locks. When the bound is exceeded new keys degrade to
@@ -25,12 +27,9 @@
 package exec
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
-	"prefdb/internal/algebra"
 	"prefdb/internal/debug"
 	"prefdb/internal/expr"
 	"prefdb/internal/pref"
@@ -38,47 +37,6 @@ import (
 	"prefdb/internal/schema"
 	"prefdb/internal/types"
 )
-
-// CacheMode selects whether prefer operators memoize per-key ⟨S,C⟩
-// contributions.
-type CacheMode uint8
-
-const (
-	// CacheAuto follows the optimizer's per-operator hint (Prefer.CacheHint),
-	// set when catalog statistics say ndv(attrs) ≪ |R|.
-	CacheAuto CacheMode = iota
-	// CacheOff disables memoization; execution is byte-identical to the
-	// pre-cache engine.
-	CacheOff
-	// CacheOn memoizes every prefer operator regardless of the hint.
-	CacheOn
-)
-
-// String implements fmt.Stringer.
-func (m CacheMode) String() string {
-	switch m {
-	case CacheOff:
-		return "off"
-	case CacheOn:
-		return "on"
-	default:
-		return "auto"
-	}
-}
-
-// ParseCacheMode resolves a cache mode by name.
-func ParseCacheMode(name string) (CacheMode, error) {
-	switch strings.ToLower(name) {
-	case "auto":
-		return CacheAuto, nil
-	case "off":
-		return CacheOff, nil
-	case "on":
-		return CacheOn, nil
-	default:
-		return 0, fmt.Errorf("exec: unknown cache mode %q (auto, off, on)", name)
-	}
-}
 
 const (
 	// scoreMemoLimit bounds a per-operator level-1 memo. Beyond it new keys
@@ -224,19 +182,6 @@ func (d *ScoreDict) publish(h uint64, e memoEntry) {
 	}
 	d.buckets[h] = append(d.buckets[h], e)
 	d.n++
-}
-
-// scoreCacheOn resolves the executor's cache mode against a prefer
-// operator's optimizer hint.
-func (e *Executor) scoreCacheOn(p *algebra.Prefer) bool {
-	switch e.ScoreCache {
-	case CacheOff:
-		return false
-	case CacheOn:
-		return true
-	default:
-		return p.CacheHint
-	}
 }
 
 // newScoreMemo builds a level-1 memo for one prefer operator compiled

@@ -22,24 +22,37 @@ func statsSansCache(s Stats) Stats {
 	return s
 }
 
-// TestScoreCacheEquivalence is the PR's core property: with the cache
-// forced on, every strategy returns exactly the
-// rows, row order and ⟨S,C⟩ pairs of the uncached engine, and the same
-// Stats modulo the cache counters.
+// withCacheHint returns plan with every prefer operator's CacheHint set to
+// on: tests mark the plan the way the optimizer would instead of
+// overriding the executor.
+func withCacheHint(plan algebra.Node, on bool) algebra.Node {
+	return algebra.Transform(plan, func(n algebra.Node) algebra.Node {
+		p, ok := n.(*algebra.Prefer)
+		if !ok || p.CacheHint == on {
+			return n
+		}
+		cp := *p
+		cp.CacheHint = on
+		return &cp
+	})
+}
+
+// TestScoreCacheEquivalence is the cache's core property: with every
+// prefer operator hinted, each strategy returns exactly the rows, row
+// order and ⟨S,C⟩ pairs of the unhinted plan, and the same Stats modulo
+// the cache counters.
 func TestScoreCacheEquivalence(t *testing.T) {
 	cat := imdbCatalog(t)
 	for name, plan := range planShapes() {
 		t.Run(name, func(t *testing.T) {
 			for _, strategy := range Strategies() {
 				ref := New(cat)
-				ref.ScoreCache = CacheOff
-				want, err := ref.Run(plan, strategy)
+				want, err := ref.Run(withCacheHint(plan, false), strategy)
 				if err != nil {
 					t.Fatalf("%v uncached: %v", strategy, err)
 				}
 				e := New(cat)
-				e.ScoreCache = CacheOn
-				got, err := e.Run(plan, strategy)
+				got, err := e.Run(withCacheHint(plan, true), strategy)
 				if err != nil {
 					t.Fatalf("%v cached: %v", strategy, err)
 				}
@@ -61,7 +74,7 @@ func TestScoreCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestScoreCacheAutoFollowsHint pins the CacheAuto contract: the cache
+// TestScoreCacheAutoFollowsHint pins the executor's one rule: the cache
 // engages exactly when the optimizer marked the operator.
 func TestScoreCacheAutoFollowsHint(t *testing.T) {
 	cat := imdbCatalog(t)
@@ -74,7 +87,7 @@ func TestScoreCacheAutoFollowsHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s := e.Stats(); s.CacheHits+s.CacheMisses != 0 {
-		t.Errorf("unhinted plan under CacheAuto used the cache: %+v", s)
+		t.Errorf("unhinted plan used the cache: %+v", s)
 	}
 
 	e = New(cat)
@@ -82,17 +95,7 @@ func TestScoreCacheAutoFollowsHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s := e.Stats(); s.CacheHits+s.CacheMisses == 0 {
-		t.Errorf("hinted plan under CacheAuto ignored the hint: %+v", s)
-	}
-
-	// CacheOff wins over the hint.
-	e = New(cat)
-	e.ScoreCache = CacheOff
-	if _, err := e.Run(hinted, Native); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.Stats(); s.CacheHits+s.CacheMisses != 0 {
-		t.Errorf("CacheOff still cached: %+v", s)
+		t.Errorf("hinted plan ignored the hint: %+v", s)
 	}
 }
 
@@ -109,13 +112,11 @@ func TestScoreCacheHitAccounting(t *testing.T) {
 	// The executor is single-worker; the subtest keeps that case's name.
 	t.Run("workers=1", func(t *testing.T) {
 		ref := New(cat)
-		ref.ScoreCache = CacheOff
 		if _, err := ref.Run(plan, Native); err != nil {
 			t.Fatal(err)
 		}
 		e := New(cat)
-		e.ScoreCache = CacheOn
-		out, err := e.Run(plan, Native)
+		out, err := e.Run(withCacheHint(plan, true), Native)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,17 +248,16 @@ func TestScoreDictCrossQueryReuse(t *testing.T) {
 	mu.Unlock()
 
 	ref := New(cat)
-	ref.ScoreCache = CacheOff
 	want, err := ref.Run(plan, GBU)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	hinted := withCacheHint(plan, true)
 	run := func() (Stats, error) {
 		e := New(cat)
-		e.ScoreCache = CacheOn
 		e.DictFor = dictFor
-		got, err := e.Run(plan, GBU)
+		got, err := e.Run(hinted, GBU)
 		if err != nil {
 			return Stats{}, err
 		}
@@ -283,20 +283,23 @@ func TestScoreDictCrossQueryReuse(t *testing.T) {
 	}
 }
 
-// BenchmarkPreferScoreCache compares cached vs uncached prefer over a
-// low-cardinality key (year: ~60 distinct values over 5 000 movies). The
+// BenchmarkPreferScoreCache compares an unhinted and a hinted prefer over
+// a low-cardinality key (year: ~60 distinct values over 5 000 movies). The
 // CI bench-smoke job runs this via -bench BenchmarkPrefer.
 func BenchmarkPreferScoreCache(b *testing.B) {
 	cat := imdbCatalog(b)
 	p := pref.New("recent", "movies", expr.Cmp("year", expr.OpGe, types.Int(2000)), pref.Recency("year", 2011), 0.9)
 	plan := &algebra.Prefer{P: p, Input: &algebra.Scan{Table: "movies"}}
-	for _, mode := range []CacheMode{CacheOff, CacheOn} {
-		b.Run(mode.String(), func(b *testing.B) {
+	for _, arm := range []struct {
+		name string
+		hint bool
+	}{{"off", false}, {"on", true}} {
+		hinted := withCacheHint(plan, arm.hint)
+		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				e := New(cat)
-				e.ScoreCache = mode
-				if _, err := e.Run(plan, Native); err != nil {
+				if _, err := e.Run(hinted, Native); err != nil {
 					b.Fatal(err)
 				}
 			}

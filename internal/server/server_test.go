@@ -198,9 +198,10 @@ func TestWireMatchesEmbedded(t *testing.T) {
 
 // TestUnknownSettingRejected drives the protocol with hand-written frames
 // whose settings this build does not define — Colstore=2 (the retired
-// row-packing mode), mask bit 1 (the retired worker count) and mask bit 7
-// (the retired batch mode), both now reserved bits. Each statement must fail with an error frame naming the
-// setting, and the connection must go on serving.
+// row-packing mode), and the reserved mask bits 1 (the retired worker
+// count), 7 (the retired batch mode) and 6 (the retired score-cache
+// mode). Each statement must fail with an error frame naming the setting,
+// and the connection must go on serving.
 func TestUnknownSettingRejected(t *testing.T) {
 	db := testDB(t)
 	_, addr := startServer(t, db, Options{})
@@ -220,6 +221,7 @@ func TestUnknownSettingRejected(t *testing.T) {
 		func(e *wire.Encoder) { e.Settings(engine.Settings{HasColstore: true, Colstore: 2}) },
 		func(e *wire.Encoder) { e.Uvarint(1 << 1); e.Varint(4) },  // four workers as an older build sent it
 		func(e *wire.Encoder) { e.Uvarint(1 << 7); e.Uvarint(1) }, // batch mode "off" as an older build sent it
+		func(e *wire.Encoder) { e.Uvarint(1 << 6); e.Uvarint(1) }, // score-cache mode "off" as an older build sent it
 	}
 	for i, settings := range bad {
 		qid := uint64(i + 1)

@@ -21,7 +21,7 @@ import (
 // ErrTruncated reports a payload that ended before its encoded content.
 var ErrTruncated = errors.New("wire: truncated payload")
 
-// ErrUnknownSetting reports an enumerated setting (mode, cache, colstore)
+// ErrUnknownSetting reports an enumerated setting (mode, colstore)
 // whose value this build does not define, or a settings mask that sets a
 // reserved bit — typically one sent by a build that had a mode or an
 // option this one removed.
@@ -145,9 +145,6 @@ func (e *Encoder) Settings(s engine.Settings) {
 	if s.HasMemoryBudget {
 		e.Varint(s.MemoryBudget)
 	}
-	if s.HasCache {
-		e.Uvarint(uint64(s.Cache))
-	}
 	if s.HasColstore {
 		e.Uvarint(uint64(s.Colstore))
 	}
@@ -157,13 +154,13 @@ func (e *Encoder) Settings(s engine.Settings) {
 
 // settingsPresence enumerates the Has* fields in mask-bit order; encoder
 // and decoder share it so the bit assignment cannot drift. A nil entry is
-// a reserved bit: bit 1 carried the retired worker-count option, bits 7
-// and 8 the retired batch-mode and batch-size options, and a mask setting
-// any of them fails the decode.
+// a reserved bit: bit 1 carried the retired worker-count option, bit 6
+// the retired score-cache mode, bits 7 and 8 the retired batch-mode and
+// batch-size options, and a mask setting any of them fails the decode.
 func settingsPresence(s *engine.Settings) []*bool {
 	return []*bool{
 		&s.HasMode, nil, &s.HasTimeout, &s.HasMaxRows,
-		&s.HasMaxCells, &s.HasMemoryBudget, &s.HasCache, nil,
+		&s.HasMaxCells, &s.HasMemoryBudget, nil, nil,
 		nil, &s.HasColstore, &s.HasProfile,
 	}
 }
@@ -407,9 +404,6 @@ func (d *Decoder) Settings() engine.Settings {
 	}
 	if s.HasMemoryBudget {
 		s.MemoryBudget = d.Varint()
-	}
-	if s.HasCache {
-		s.Cache = decodeEnum(d, "cache mode", engine.CacheModes())
 	}
 	if s.HasColstore {
 		s.Colstore = decodeEnum(d, "colstore mode", engine.ColstoreModes())

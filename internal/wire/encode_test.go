@@ -138,10 +138,10 @@ func TestSettingsRoundTrip(t *testing.T) {
 			engine.WithMode(engine.ModeFtP),
 			engine.WithTimeout(90*time.Second), engine.WithMaxRows(10),
 			engine.WithMaxCells(20), engine.WithMemoryBudget(1<<30),
-			engine.WithScoreCache(engine.CacheOff), engine.WithColstore(engine.ColstoreOn),
+			engine.WithColstore(engine.ColstoreOn),
 		),
 		// Explicit zero values must stay distinguishable from absent ones.
-		engine.CollectSettings(engine.WithMaxRows(0), engine.WithScoreCache(engine.CacheAuto)),
+		engine.CollectSettings(engine.WithMaxRows(0), engine.WithColstore(engine.ColstoreOff)),
 	}
 	for i, want := range cases {
 		var e Encoder
@@ -209,8 +209,8 @@ func TestStatsRoundTrip(t *testing.T) {
 
 // TestSettingsRejectUnknownEnums pins that an enumerated setting outside
 // the engine's registry — or a mask setting a reserved bit (1, the
-// retired worker count; 7 and 8, the retired batch mode and batch size) —
-// fails the decode with
+// retired worker count; 6, the retired score-cache mode; 7 and 8, the
+// retired batch mode and batch size) — fails the decode with
 // ErrUnknownSetting instead of being cast into some other option.
 func TestSettingsRejectUnknownEnums(t *testing.T) {
 	frame := func(s engine.Settings) []byte {
@@ -226,7 +226,7 @@ func TestSettingsRejectUnknownEnums(t *testing.T) {
 	}
 	cases := map[string][]byte{
 		"mode":       frame(engine.Settings{HasMode: true, Mode: 200}),
-		"cache":      frame(engine.Settings{HasCache: true, Cache: 9}),
+		"cache":      reserved(6),
 		"colstore":   frame(engine.Settings{HasColstore: true, Colstore: 2}), // the retired "rows" mode
 		"workers":    reserved(1),
 		"batch":      reserved(7),

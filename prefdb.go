@@ -273,30 +273,6 @@ func WithProfile(store *ProfileStore, user string, contexts ...string) QueryOpti
 	return engine.WithProfile(store, user, contexts...)
 }
 
-// CacheMode selects whether prefer operators memoize per-key score
-// contributions (the preference score cache).
-type CacheMode = engine.CacheMode
-
-// Score-cache modes.
-const (
-	// CacheAuto follows the optimizer's per-operator hints (default).
-	CacheAuto = engine.CacheAuto
-	// CacheOff disables score memoization.
-	CacheOff = engine.CacheOff
-	// CacheOn forces score memoization on every prefer operator.
-	CacheOn = engine.CacheOn
-)
-
-// ParseCacheMode resolves a score-cache mode by name ("auto", "off", "on").
-func ParseCacheMode(name string) (CacheMode, error) { return engine.ParseCacheMode(name) }
-
-// CacheModes lists every score-cache mode.
-func CacheModes() []CacheMode { return engine.CacheModes() }
-
-// WithScoreCache selects the preference score-cache mode for one query,
-// overriding the database default.
-func WithScoreCache(m CacheMode) QueryOption { return engine.WithScoreCache(m) }
-
 // ColstoreMode selects the storage side batch scans read: the columnar
 // segment store with zone-map pruning, or the row heap.
 type ColstoreMode = engine.ColstoreMode
@@ -327,9 +303,6 @@ func WithDefaultMode(m Mode) OpenOption { return engine.WithDefaultMode(m) }
 // WithOptimizer toggles the preference-aware query optimizer (on by
 // default).
 func WithOptimizer(enabled bool) OpenOption { return engine.WithOptimizer(enabled) }
-
-// WithDefaultScoreCache sets the database's default score-cache mode.
-func WithDefaultScoreCache(m CacheMode) OpenOption { return engine.WithDefaultScoreCache(m) }
 
 // WithDefaultColstore sets the database's default batch-scan storage side.
 func WithDefaultColstore(m ColstoreMode) OpenOption { return engine.WithDefaultColstore(m) }
