@@ -12,9 +12,9 @@
 // exit the shell with Ctrl-D or \quit.
 //
 // With -connect, statements run on a prefdbserver instead of an embedded
-// database: the -mode and -colstore flags the user sets become the remote
-// session's defaults (unset ones leave the server's defaults in force)
-// and everything else — results, options, cancel
+// database: a -mode flag the user sets becomes the remote session's
+// default (left unset, the server's default stays in force) and
+// everything else — results, options, cancel
 // behavior — works identically (the shell talks to the same Session
 // interface either way). Dataset and snapshot flags (-load, -open, -save)
 // are embedded-only.
@@ -53,7 +53,6 @@ func main() {
 		scale    = flag.Float64("scale", 0.1, "dataset scale factor (1.0 ≈ 20k movies)")
 		seed     = flag.Int64("seed", 42, "dataset generator seed")
 		mode     = flag.String("mode", "gbu", "evaluation strategy: native, bu, gbu, ftp, plugin-naive, plugin-merged")
-		colstore = flag.String("colstore", "off", "columnar segment scans with zone-map pruning and direct column kernels: on, off")
 		timeout  = flag.Duration("timeout", 0, "per-statement wall-clock deadline (0 = none)")
 		rowLimit = flag.Int("max-rows", 0, "per-statement materialized-row budget (0 = unlimited)")
 		explain  = flag.Bool("explain", false, "print the optimized plan and execution stats")
@@ -130,11 +129,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	csm, err := prefdb.ParseColstoreMode(*colstore)
-	if err != nil {
-		fatal(err)
-	}
-	openOpts := []prefdb.OpenOption{prefdb.WithDefaultMode(m), prefdb.WithDefaultColstore(csm)}
+	openOpts := []prefdb.OpenOption{prefdb.WithDefaultMode(m)}
 	db := prefdb.Open(openOpts...)
 	if *open != "" {
 		f, err := os.Open(*open)
@@ -195,9 +190,9 @@ func main() {
 	shell(db, sess, cfg)
 }
 
-// sessionDefaults turns the -mode and -colstore flags the user actually
-// set on fs into session default options for a remote connection; a flag
-// left at its default sends nothing, so the server's own default holds.
+// sessionDefaults turns the -mode flag, if the user actually set it on
+// fs, into a session default option for a remote connection; a flag left
+// at its default sends nothing, so the server's own default holds.
 func sessionDefaults(fs *flag.FlagSet) ([]prefdb.QueryOption, error) {
 	set := map[string]string{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = f.Value.String() })
@@ -208,13 +203,6 @@ func sessionDefaults(fs *flag.FlagSet) ([]prefdb.QueryOption, error) {
 			return nil, err
 		}
 		opts = append(opts, prefdb.WithMode(m))
-	}
-	if name, ok := set["colstore"]; ok {
-		csm, err := prefdb.ParseColstoreMode(name)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, prefdb.WithColstore(csm))
 	}
 	return opts, nil
 }

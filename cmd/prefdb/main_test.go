@@ -15,7 +15,6 @@ func shellFlags(t *testing.T, args ...string) *flag.FlagSet {
 	fs := flag.NewFlagSet("prefdb", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	fs.String("mode", "gbu", "")
-	fs.String("colstore", "off", "")
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -30,28 +29,16 @@ func TestSessionDefaultsSendOnlySetFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := engine.CollectSettings(opts...); s.HasMode || s.HasColstore {
-		t.Fatalf("no flags given, yet settings carry mode=%v colstore=%v", s.HasMode, s.HasColstore)
+	if s := engine.CollectSettings(opts...); s != (engine.Settings{}) {
+		t.Fatalf("no flags given, yet settings carry %+v", s)
 	}
 
 	opts, err = sessionDefaults(shellFlags(t, "-mode", "ftp"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := engine.CollectSettings(opts...)
-	if !s.HasMode || s.Mode != engine.ModeFtP {
-		t.Fatalf("-mode ftp: settings mode = %v (set %v), want ftp", s.Mode, s.HasMode)
-	}
-	if s.HasColstore {
-		t.Fatal("-mode ftp alone should not send a colstore option")
-	}
-
-	opts, err = sessionDefaults(shellFlags(t, "-colstore", "on"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := engine.CollectSettings(opts...); s.HasMode || !s.HasColstore || s.Colstore != engine.ColstoreOn {
-		t.Fatalf("-colstore on: settings %+v", s)
+	if s := engine.CollectSettings(opts...); s != (engine.Settings{HasMode: true, Mode: engine.ModeFtP}) {
+		t.Fatalf("-mode ftp: settings %+v, want mode ftp alone", s)
 	}
 
 	if _, err := sessionDefaults(shellFlags(t, "-mode", "warp")); err == nil {

@@ -31,23 +31,14 @@ type Table struct {
 	col   *colstore.Store // prefdb:guarded-by colMu
 
 	// colDict is the table-level shared string dictionary every columnar
-	// build interns through (lazy and background alike), so dictionary
-	// codes stay comparable across segments and across rebuilds. It has
-	// its own lock — the background builder interns off colMu.
+	// build interns through, so dictionary codes stay comparable across
+	// segments and across rebuilds.
 	colDict *colstore.TableDict
 
 	// version counts DML batches applied to the table; cross-query caches
 	// (e.g. the engine's prepared-statement score dictionaries) snapshot it
 	// and discard their entries when it moves.
 	version atomic.Uint64 // prefdb:atomic
-
-	// Background compaction (see compact.go): autoCompact gates the
-	// feature, compacting admits one in-flight builder, compactWG lets
-	// tests and shutdown wait it out.
-	compactWG   sync.WaitGroup
-	autoCompact atomic.Bool  // prefdb:atomic
-	compacting  atomic.Bool  // prefdb:atomic
-	compactAt   atomic.Int64 // prefdb:atomic
 }
 
 // Version returns the table's DML version counter. It is bumped by every
@@ -76,7 +67,6 @@ func (t *Table) Insert(tuple []types.Value) error {
 	t.stats = nil // invalidate
 	t.statsMu.Unlock()
 	t.version.Add(1)
-	t.maybeCompactAsync()
 	return nil
 }
 
@@ -202,8 +192,6 @@ func (t *Table) IndexedColumns() []string {
 // Catalog is the set of tables in a database.
 type Catalog struct {
 	tables map[string]*Table
-	// autoCompact is inherited by tables created after SetAutoCompact.
-	autoCompact bool
 }
 
 // New returns an empty catalog.
@@ -223,7 +211,6 @@ func (c *Catalog) CreateTable(name string, s *schema.Schema) (*Table, error) {
 		btreeIdx: map[string]*storage.BTreeIndex{},
 		colDict:  colstore.NewTableDict(),
 	}
-	t.autoCompact.Store(c.autoCompact)
 	c.tables[key] = t
 	return t, nil
 }
@@ -295,11 +282,13 @@ func (t *Table) Stats() *TableStats {
 	return t.stats
 }
 
-// ColStore returns the table's columnar segment store, compacting sealed
-// heap pages lazily on first use and rebuilding whenever the DML version
-// counter has moved since the cached image was taken. Like Stats it is
-// safe under concurrent read-only queries; writes are serialized by the
-// engine and invalidate by bumping the version.
+// ColStore makes the table columnar and returns its current segment
+// store: the first call compacts the sealed heap pages, and any call after
+// DML has moved the version counter rebuilds the image. Once a table is
+// columnar (see Columnar) every batch scan of it goes through here, so the
+// image a scan reads is never stale. Like Stats it is safe under
+// concurrent read-only queries; writes are serialized by the engine and
+// invalidate by bumping the version.
 func (t *Table) ColStore() *colstore.Store {
 	t.colMu.Lock()
 	defer t.colMu.Unlock()
@@ -309,10 +298,19 @@ func (t *Table) ColStore() *colstore.Store {
 	return t.col
 }
 
+// Columnar reports whether ColStore has ever been called on the table.
+// Batch scans of a columnar table read its segment store; every other
+// table's scans read the heap. It is the one answer the executor's scan
+// builder and the optimizer's columnar rewrites share.
+func (t *Table) Columnar() bool {
+	t.colMu.Lock()
+	defer t.colMu.Unlock()
+	return t.col != nil
+}
+
 // ColStoreIfBuilt returns the columnar store only when a fresh one is
-// already built, never triggering compaction — for plan annotation, which
-// must not pay (or force) a build on tables the query may not even scan
-// columnar.
+// already built, never triggering compaction — for plan annotations that
+// read segment metadata and must not pay for a build.
 func (t *Table) ColStoreIfBuilt() *colstore.Store {
 	t.colMu.Lock()
 	defer t.colMu.Unlock()
@@ -321,3 +319,8 @@ func (t *Table) ColStoreIfBuilt() *colstore.Store {
 	}
 	return nil
 }
+
+// WaitCompaction is kept so existing callers compile.
+//
+// Deprecated: has no effect; ColStore builds synchronously.
+func (t *Table) WaitCompaction() {}

@@ -44,9 +44,7 @@ const packMaxWidth = 32
 const rleMinRun = 8
 
 // BlockSource is the page-oriented view of row storage the compactor
-// consumes: *storage.Heap satisfies it directly, and the catalog's
-// background builder feeds a stable snapshot of sealed pages through the
-// same interface so builds can proceed off the DML lock.
+// consumes; *storage.Heap satisfies it directly.
 type BlockSource interface {
 	Schema() *schema.Schema
 	Blocks() int
@@ -396,17 +394,17 @@ func (st *Store) Live() int {
 
 // Build compacts h's sealed pages (every page except a trailing partial
 // one) into a columnar store stamped with the table version the caller
-// read. The source must not be mutated concurrently: either the engine
-// serializes writes per table (the lazy first-scan build), or the caller
-// hands in a stable snapshot (the catalog's background builder).
+// read. The source must not be mutated concurrently; the engine
+// serializes writes against queries, so the catalog's scan-time build
+// reads a stable heap.
 func Build(h BlockSource, version uint64) *Store {
 	return BuildShared(h, version, nil)
 }
 
 // BuildShared is Build with a table-level shared string dictionary: every
 // string column's codes are drawn from dict (when non-nil), so segments of
-// this build — and of every other build over the same dict, including the
-// background compactor's — agree on what each code means. Kernels may then
+// this build — and of every other build over the same dict — agree on
+// what each code means. Kernels may then
 // compare codes across segments directly. A nil dict falls back to
 // per-segment dictionaries.
 func BuildShared(h BlockSource, version uint64, dict *TableDict) *Store {

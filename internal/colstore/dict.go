@@ -1,7 +1,7 @@
 // Shared string dictionaries: a TableDict interns every string a table's
 // columnar builds encounter, so segments built at different times — the
-// lazy first-scan build and the background compactor alike — assign the
-// same code to the same string. Cross-segment (and cross-store) code
+// first compaction and every rebuild after DML — assign the same code to
+// the same string. Cross-segment (and cross-store) code
 // comparisons are then valid by construction: two codes drawn from the
 // same TableDict column are equal iff their strings are, which is what
 // lets join and filter kernels compare dictionary codes directly instead
@@ -18,8 +18,8 @@ package colstore
 import "sync"
 
 // TableDict interns strings per column ordinal for one table's columnar
-// builds. Safe for concurrent use: the lazy ColStore build and the
-// background compactor may intern at the same time.
+// builds. Safe for concurrent use, although the catalog runs one table's
+// builds one at a time under its colMu.
 type TableDict struct {
 	mu   sync.Mutex
 	cols map[int]*colDict

@@ -71,28 +71,11 @@ type DB struct {
 	Mode Mode
 	// Optimize toggles the preference-aware query optimizer.
 	Optimize bool
-	// Colstore is the default storage side for batch scans of queries that
-	// pass no WithColstore option: ColstoreOff (the zero value) reads the
-	// row heap, ColstoreOn reads the columnar segment store with zone-map
-	// pruning and direct column kernels. Results, order and stats (modulo
-	// the diagnostic segment/columnar counters) are identical in both
-	// modes.
-	Colstore ColstoreMode
 
 	// dicts holds the cross-query (level-2) score dictionaries used by
 	// prepared statements; see dicts.go.
 	dicts *dictCache
 }
-
-// ColstoreMode re-exports the executor's columnar-storage mode for option
-// values.
-type ColstoreMode = exec.ColstoreMode
-
-// Colstore modes (see exec.ColstoreMode).
-const (
-	ColstoreOff = exec.ColstoreOff
-	ColstoreOn  = exec.ColstoreOn
-)
 
 // Open creates an empty database. Options override the defaults (GBU
 // strategy, optimizer on).
@@ -306,7 +289,6 @@ func (db *DB) executorFor(cfg *queryConfig, agg pref.Aggregate, dictFor func(pre
 	ex := exec.New(db.cat)
 	ex.Agg = agg
 	ex.Limits = cfg.limits
-	ex.Colstore = cfg.colstore
 	ex.DictFor = dictFor
 	return ex
 }

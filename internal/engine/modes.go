@@ -1,8 +1,3 @@
-// Generic mode registry: one table per enumerated option (evaluation
-// mode, colstore side) resolving names to values with
-// uniform error text and a uniform listing, replacing the hand-written
-// Parse*Mode switches that had drifted apart in error wording. The exported Parse*/*Modes functions remain thin wrappers so
-// existing call sites and flag parsing keep compiling unchanged.
 package engine
 
 import (
@@ -10,87 +5,48 @@ import (
 	"strings"
 )
 
-// modeRegistry resolves the names of one enumerated option. Entries are
-// listed in presentation order; the first name of an entry is canonical
-// (used in listings and error text), the rest are accepted aliases.
-type modeRegistry[T any] struct {
-	// option names the setting in error messages ("mode", "colstore mode").
-	option string
-	// empty, when set, is the value resolved for the empty string (the
-	// "flag left at its default" convention of the evaluation mode).
-	empty   *T
-	entries []modeEntry[T]
+// modeTable lists every evaluation mode in presentation order with the
+// names it parses from; names[0] is canonical (used in listings and error
+// text), the rest are accepted aliases.
+var modeTable = []struct {
+	names []string
+	value Mode
+}{
+	{[]string{"native"}, ModeNative},
+	{[]string{"bu", "bottom-up"}, ModeBU},
+	{[]string{"gbu", "group-bottom-up"}, ModeGBU},
+	{[]string{"ftp", "filter-then-prefer"}, ModeFtP},
+	{[]string{"plugin-naive", "plugin"}, ModePluginNaive},
+	{[]string{"plugin-merged"}, ModePluginMerged},
 }
 
-type modeEntry[T any] struct {
-	names []string // names[0] is canonical
-	value T
-}
-
-// parse resolves a name (case-insensitive) to its value. Unknown names
-// fail with the uniform shape:
+// ParseMode resolves an evaluation mode by name ("gbu", "ftp", ...),
+// case-insensitively; the empty string resolves to the default, ModeGBU.
+// Unknown names fail with
 //
-//	engine: unknown <option> "<name>" (valid: a, b, c)
-func (r *modeRegistry[T]) parse(name string) (T, error) {
-	if name == "" && r.empty != nil {
-		return *r.empty, nil
+//	engine: unknown mode "<name>" (valid: native, bu, ...)
+func ParseMode(name string) (Mode, error) {
+	if name == "" {
+		return ModeGBU, nil
 	}
 	lower := strings.ToLower(name)
-	for _, e := range r.entries {
+	canonical := make([]string, len(modeTable))
+	for i, e := range modeTable {
 		for _, n := range e.names {
 			if n == lower {
 				return e.value, nil
 			}
 		}
+		canonical[i] = e.names[0]
 	}
-	var zero T
-	return zero, fmt.Errorf("engine: unknown %s %q (valid: %s)", r.option, name, strings.Join(r.names(), ", "))
+	return 0, fmt.Errorf("engine: unknown mode %q (valid: %s)", name, strings.Join(canonical, ", "))
 }
 
-// names lists the canonical name of every entry in presentation order.
-func (r *modeRegistry[T]) names() []string {
-	out := make([]string, len(r.entries))
-	for i, e := range r.entries {
-		out[i] = e.names[0]
-	}
-	return out
-}
-
-// values lists every value in presentation order.
-func (r *modeRegistry[T]) values() []T {
-	out := make([]T, len(r.entries))
-	for i, e := range r.entries {
+// Modes lists every evaluation mode in presentation order.
+func Modes() []Mode {
+	out := make([]Mode, len(modeTable))
+	for i, e := range modeTable {
 		out[i] = e.value
 	}
 	return out
 }
-
-var (
-	modeReg = &modeRegistry[Mode]{option: "mode", empty: ptr(ModeGBU), entries: []modeEntry[Mode]{
-		{names: []string{"native"}, value: ModeNative},
-		{names: []string{"bu", "bottom-up"}, value: ModeBU},
-		{names: []string{"gbu", "group-bottom-up"}, value: ModeGBU},
-		{names: []string{"ftp", "filter-then-prefer"}, value: ModeFtP},
-		{names: []string{"plugin-naive", "plugin"}, value: ModePluginNaive},
-		{names: []string{"plugin-merged"}, value: ModePluginMerged},
-	}}
-	colstoreReg = &modeRegistry[ColstoreMode]{option: "colstore mode", entries: []modeEntry[ColstoreMode]{
-		{names: []string{"off"}, value: ColstoreOff},
-		{names: []string{"on"}, value: ColstoreOn},
-	}}
-)
-
-func ptr[T any](v T) *T { return &v }
-
-// ParseMode resolves an evaluation mode by name ("gbu", "ftp", ...); the
-// empty string resolves to the default, ModeGBU.
-func ParseMode(name string) (Mode, error) { return modeReg.parse(name) }
-
-// Modes lists every evaluation mode in presentation order.
-func Modes() []Mode { return modeReg.values() }
-
-// ParseColstoreMode resolves a colstore mode by name ("on", "off").
-func ParseColstoreMode(name string) (ColstoreMode, error) { return colstoreReg.parse(name) }
-
-// ColstoreModes lists every colstore mode in presentation order.
-func ColstoreModes() []ColstoreMode { return colstoreReg.values() }

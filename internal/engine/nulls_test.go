@@ -36,8 +36,8 @@ func nullKeyTable(t *testing.T, db *DB, name string, n, nullEvery int) {
 // TestJoinNullKeysDoNotMatch pins σ_φ(R×S) ≡ R ⋈_φ S (§IV-B) for NULL join
 // keys: NULL = NULL is not true, so the hash join must not pair two NULL
 // keys. The small case is a heap-tail table on both sides; the large one
-// spans sealed segments, so with the colstore on both the build and the
-// probe hash their keys off column vectors.
+// spans sealed segments, so once both tables are columnar the build and
+// the probe hash their keys off column vectors.
 func TestJoinNullKeysDoNotMatch(t *testing.T) {
 	large := 2*colstore.SegmentPages*storage.PageSize + 10
 	cases := []struct {
@@ -50,24 +50,36 @@ func TestJoinNullKeysDoNotMatch(t *testing.T) {
 		{"large", large, 1000},
 	}
 	for _, tc := range cases {
-		db := Open()
-		nullKeyTable(t, db, "a", tc.n, tc.nullEvery)
-		nullKeyTable(t, db, "b", tc.n, tc.nullEvery)
 		want := tc.n - tc.n/tc.nullEvery
-		for _, cs := range ColstoreModes() {
+		for _, columnar := range []bool{false, true} {
+			db := Open()
+			nullKeyTable(t, db, "a", tc.n, tc.nullEvery)
+			nullKeyTable(t, db, "b", tc.n, tc.nullEvery)
+			if columnar {
+				for _, name := range []string{"a", "b"} {
+					tbl, err := db.Catalog().Table(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tbl.ColStore()
+				}
+			}
 			for _, mode := range Modes() {
-				label := fmt.Sprintf("%s colstore=%v mode=%v", tc.name, cs, mode)
-				res, err := db.QueryContext(context.Background(), `SELECT a.id, b.id FROM a JOIN b ON a.k = b.k`, WithMode(mode), WithColstore(cs))
+				label := fmt.Sprintf("%s columnar=%v mode=%v", tc.name, columnar, mode)
+				res, err := db.QueryContext(context.Background(), `SELECT a.id, b.id FROM a JOIN b ON a.k = b.k`, WithMode(mode))
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				if got := res.Rel.Len(); got != want {
 					t.Fatalf("%s: join returned %d rows, want %d", label, got, want)
 				}
+				if segs := res.Stats.SegmentsScanned; (segs > 0) != (columnar && tc.n == large) {
+					t.Fatalf("%s: join scanned %d segments", label, segs)
+				}
 				if tc.n > 2 {
 					continue // σ over × of the large tables is too big to run
 				}
-				cross, err := db.QueryContext(context.Background(), `SELECT a.id, b.id FROM a, b WHERE a.k = b.k`, WithMode(mode), WithColstore(cs))
+				cross, err := db.QueryContext(context.Background(), `SELECT a.id, b.id FROM a, b WHERE a.k = b.k`, WithMode(mode))
 				if err != nil {
 					t.Fatalf("%s σ over ×: %v", label, err)
 				}

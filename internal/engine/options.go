@@ -27,7 +27,6 @@ const (
 	optMaxRows
 	optMaxCells
 	optMemory
-	optColstore
 	optProfile
 )
 
@@ -42,18 +41,17 @@ type profileBinding struct {
 
 // queryConfig is the resolved per-query configuration.
 type queryConfig struct {
-	mode     Mode
-	timeout  time.Duration
-	limits   exec.Limits
-	colstore ColstoreMode
-	prof     *profileBinding
+	mode    Mode
+	timeout time.Duration
+	limits  exec.Limits
+	prof    *profileBinding
 
 	set optMask
 }
 
 // queryConfig resolves the options against the database defaults.
 func (db *DB) queryConfig(opts []QueryOption) queryConfig {
-	cfg := queryConfig{mode: db.Mode, colstore: db.Colstore}
+	cfg := queryConfig{mode: db.Mode}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -100,15 +98,6 @@ func WithMaxCells(n int) QueryOption {
 // ErrResourceExhausted. 0 means unlimited.
 func WithMemoryBudget(bytes int64) QueryOption {
 	return func(c *queryConfig) { c.limits.MemoryBudget = bytes; c.set |= optMemory }
-}
-
-// WithColstore selects the storage side batch scans read for this query
-// (ColstoreOn serves sealed pages from the columnar segment store with
-// zone-map pruning, ColstoreOff reads the row heap), overriding the
-// database default. Results, order and stats (modulo the diagnostic
-// segment counters) are identical in both modes.
-func WithColstore(m ColstoreMode) QueryOption {
-	return func(c *queryConfig) { c.colstore = m; c.set |= optColstore }
 }
 
 // WithProfile binds a per-user preference profile: queries plan with the
@@ -158,9 +147,6 @@ type Settings struct {
 	HasMemoryBudget bool
 	MemoryBudget    int64
 
-	HasColstore bool
-	Colstore    ColstoreMode
-
 	// HasProfile reports that a WithProfile option was present. Settings
 	// cannot carry the binding itself; network clients use this to reject
 	// the option with a clear error instead of silently dropping it.
@@ -180,7 +166,6 @@ func CollectSettings(opts ...QueryOption) Settings {
 		HasMaxRows: c.set&optMaxRows != 0, MaxRows: c.limits.MaxRows,
 		HasMaxCells: c.set&optMaxCells != 0, MaxCells: c.limits.MaxCells,
 		HasMemoryBudget: c.set&optMemory != 0, MemoryBudget: c.limits.MemoryBudget,
-		HasColstore: c.set&optColstore != 0, Colstore: c.colstore,
 		HasProfile: c.set&optProfile != 0,
 	}
 }
@@ -205,9 +190,6 @@ func (s Settings) Options() []QueryOption {
 	if s.HasMemoryBudget {
 		opts = append(opts, WithMemoryBudget(s.MemoryBudget))
 	}
-	if s.HasColstore {
-		opts = append(opts, WithColstore(s.Colstore))
-	}
 	return opts
 }
 
@@ -225,10 +207,4 @@ func WithDefaultMode(m Mode) OpenOption {
 // default).
 func WithOptimizer(enabled bool) OpenOption {
 	return func(db *DB) { db.Optimize = enabled }
-}
-
-// WithDefaultColstore sets the default batch-scan storage side used by
-// queries that pass no WithColstore option.
-func WithDefaultColstore(m ColstoreMode) OpenOption {
-	return func(db *DB) { db.Colstore = m }
 }

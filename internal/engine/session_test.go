@@ -16,9 +16,9 @@ import (
 
 // TestOptionPrecedence pins the documented resolution chain for every
 // per-query option: Open defaults < session defaults < per-query options.
-// Several "winning" values are deliberately the type's zero value
-// (ColstoreOff, ModeGBU) so the test fails if resolution ever
-// regresses to zero-value comparison instead of explicit-set tracking.
+// A "winning" value is deliberately the type's zero value (ModeGBU) so
+// the test fails if resolution ever regresses to zero-value comparison
+// instead of explicit-set tracking.
 func TestOptionPrecedence(t *testing.T) {
 	storeA, storeB := profile.NewStore(), profile.NewStore()
 	cases := []struct {
@@ -63,13 +63,6 @@ func TestOptionPrecedence(t *testing.T) {
 			open: int64(0), sess: int64(1 << 20), query: int64(2 << 20),
 		},
 		{
-			name:    "colstore",
-			openSet: func(db *DB) { db.Colstore = ColstoreOn },
-			sessOpt: WithColstore(ColstoreOn), queryOpt: WithColstore(ColstoreOff),
-			get:  func(c queryConfig) any { return c.colstore },
-			open: ColstoreOn, sess: ColstoreOn, query: ColstoreOff,
-		},
-		{
 			name:    "profile",
 			sessOpt: WithProfile(storeA, "alice"), queryOpt: WithProfile(storeB, "bob"),
 			get: func(c queryConfig) any {
@@ -107,7 +100,6 @@ func TestSettingsRoundTrip(t *testing.T) {
 	opts := []QueryOption{
 		WithMode(ModeNative), WithTimeout(time.Second),
 		WithMaxRows(7), WithMaxCells(8), WithMemoryBudget(9),
-		WithColstore(ColstoreOn),
 	}
 	s := CollectSettings(opts...)
 	back := CollectSettings(s.Options()...)
@@ -412,40 +404,20 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestModeRegistryListings pins the uniform parse/list surface of the
-// generic mode registry: every listed value round-trips through its
-// parser and unknown names share one error shape.
+// TestModeRegistryListings pins the parse/list surface of the mode
+// table: every listed value round-trips through ParseMode and an unknown
+// name fails with the documented error text.
 func TestModeRegistryListings(t *testing.T) {
 	if len(Modes()) != 6 {
 		t.Fatalf("Modes() = %v", Modes())
-	}
-	if len(ColstoreModes()) != 2 {
-		t.Fatalf("ColstoreModes() = %v", ColstoreModes())
 	}
 	for _, m := range Modes() {
 		if got, err := ParseMode(m.String()); err != nil || got != m {
 			t.Fatalf("ParseMode(%q) = %v, %v", m.String(), got, err)
 		}
 	}
-	for _, name := range []string{"mode", "colstore mode"} {
-		var err error
-		switch name {
-		case "mode":
-			_, err = ParseMode("bogus")
-		case "colstore mode":
-			_, err = ParseColstoreMode("bogus")
-		}
-		if err == nil {
-			t.Fatalf("%s: no error for bogus name", name)
-		}
-		want := fmt.Sprintf("engine: unknown %s %q", name, "bogus")
-		if got := err.Error(); len(got) < len(want) || got[:len(want)] != want {
-			t.Fatalf("%s error %q does not begin with %q", name, got, want)
-		}
-	}
-	// The retired row-packing baseline is an unknown name like any other.
-	want := `engine: unknown colstore mode "rows"`
-	if _, err := ParseColstoreMode("rows"); err == nil || len(err.Error()) < len(want) || err.Error()[:len(want)] != want {
-		t.Fatalf(`ParseColstoreMode("rows") error = %v, want prefix %q`, err, want)
+	want := `engine: unknown mode "bogus" (valid: native, bu, gbu, ftp, plugin-naive, plugin-merged)`
+	if _, err := ParseMode("bogus"); err == nil || err.Error() != want {
+		t.Fatalf(`ParseMode("bogus") error = %v, want %q`, err, want)
 	}
 }

@@ -37,8 +37,5 @@ func openWith(cat *catalog.Catalog, opts ...OpenOption) *DB {
 	for _, o := range opts {
 		o(db)
 	}
-	// Engine-owned catalogs compact sealed pages into columnar segments in
-	// the background, so a colstore-enabled scan rarely pays the build.
-	cat.SetAutoCompact(true)
 	return db
 }

@@ -19,7 +19,7 @@
 //     the index rowIDIter sources — read batch children through batchToRow
 //     and hand their rows on through rowBatchSrc.
 //   - Results, row order and the non-diagnostic Stats do not depend on the
-//     batch size or colstore mode (see Executor). The suites
+//     batch size or on whether a table is columnar (see Executor). The suites
 //     in batch_test.go enforce this and check every result against the
 //     tuple-at-a-time oracle in oracle_test.go.
 package exec
@@ -436,8 +436,8 @@ func (e *Executor) segMemos(ops []segOp, s *schema.Schema) []*scoreMemo {
 }
 
 // segBatchIter is the fused filter→prefer kernel: one virtual call per batch runs the whole compiled chain. It is the one σ/λ
-// implementation over both batch sources (segBatchSrc windows with the
-// colstore on, heapBatchSrc on the heap).
+// implementation over both batch sources (segBatchSrc windows over a
+// columnar table, heapBatchSrc over any other).
 type segBatchIter struct {
 	in    batchIter
 	ops   []segOp
@@ -885,10 +885,11 @@ func (e *Executor) buildBlocking(n algebra.Node) (batchIter, *schema.Schema, err
 // filter conjunct allows, an index access path (a rowIDIter) replaces the
 // sequential scan; the remaining conjuncts run as a residual
 // selection-vector kernel. A full-table access (no index path taken, so
-// every conjunct is residual) streams the heap — or, in colstore mode,
-// the columnar segment store, pruning segments on zone maps against the
-// sargable conjuncts, which is sound precisely because the full
-// conjunction still runs as the residual kernel over whatever survives.
+// every conjunct is residual) streams the heap — or, when the table is
+// columnar (catalog.Table.Columnar), its segment store, pruning segments
+// on zone maps against the sargable conjuncts, which is sound precisely
+// because the full conjunction still runs as the residual kernel over
+// whatever survives.
 func (e *Executor) buildBatchScan(scan *algebra.Scan, conjuncts []expr.Node) (batchIter, *schema.Schema, error) {
 	t, err := e.Cat.Table(scan.Table)
 	if err != nil {
@@ -918,7 +919,7 @@ func (e *Executor) buildBatchScan(scan *algebra.Scan, conjuncts []expr.Node) (ba
 	switch {
 	case index != nil:
 		bi = &rowBatchSrc{in: index, size: e.batchSize()}
-	case e.colstoreOK():
+	case t.Columnar():
 		preds := colstore.PredsFrom(s, conjuncts)
 		bi = newSegBatchSrc(t.ColStore(), t.Heap, preds, &e.stats, tick, e.batchSize())
 	default:
@@ -932,7 +933,7 @@ func (e *Executor) buildBatchScan(scan *algebra.Scan, conjuncts []expr.Node) (ba
 
 // buildBatchSegment compiles a σ/λ chain: the whole chain fuses into one
 // segBatchIter kernel over the leaf's batch source — segBatchSrc windows
-// with the colstore on, heapBatchSrc otherwise.
+// over a columnar table, heapBatchSrc otherwise.
 func (e *Executor) buildBatchSegment(n algebra.Node) (batchIter, *schema.Schema, error) {
 	chain, cur := collectChain(n)
 	var base batchIter

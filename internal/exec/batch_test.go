@@ -20,11 +20,13 @@ import (
 // TestBatchRowEquivalence is the acceptance contract of the pipeline:
 // for named and randomized plans, every strategy × cache hint (prefer
 // operators unmarked or all marked) must agree with the tuple-at-a-time
-// oracle, and every physical arm (colstore × batch size) must reproduce the reference run's rows, row
-// order and Stats byte-for-byte (see crossCheck). The fixture carries
-// NULLs (nullMovieDB).
+// oracle, and every batch size must reproduce the reference run's rows,
+// row order and Stats byte-for-byte (see crossCheck). The fixture carries
+// NULLs (nullMovieDB); its tables are too small to hold a segment, so the
+// columnar arms live in the segment-scale suites (colstore_test.go,
+// directjoin_test.go).
 func TestBatchRowEquivalence(t *testing.T) {
-	cat := nullMovieDB(t)
+	fx := fixture{heap: nullMovieDB(t)}
 	plans := map[string]algebra.Node{
 		"q1-topk-joins": q1Plan(),
 		"q2-threshold":  q2Plan(),
@@ -50,7 +52,7 @@ func TestBatchRowEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, strategy := range Strategies() {
 				for _, hint := range []bool{false, true} {
-					crossCheck(t, cat, withCacheHint(plan, hint), strategy,
+					crossCheck(t, fx, withCacheHint(plan, hint), strategy,
 						fmt.Sprintf("%v cache-hint=%v", strategy, hint))
 				}
 			}
@@ -142,36 +144,44 @@ func nullMovieDB(t testing.TB) *catalog.Catalog {
 }
 
 // crossCheck is the shared differential harness. It runs plan under
-// strategy on the reference arm (row heap, default batch size), checks
-// the result against the oracle, then requires every arm of colstore
-// {off, on} × batch size {1, 7, default} to
-// reproduce the reference's rows, order and Stats (modulo the diagnostic
-// counters) exactly.
-func crossCheck(t *testing.T, cat *catalog.Catalog, plan algebra.Node, strategy Strategy, label string) {
+// strategy on the reference arm (fx.heap, default batch size), checks
+// the result against the oracle, then requires every arm of storage
+// {heap, columnar} × batch size {1, 7, default} to reproduce the
+// reference's rows, order and Stats (modulo the diagnostic counters)
+// exactly. The columnar arms run when fx.col is set, and each must read
+// at least one segment.
+func crossCheck(t *testing.T, fx fixture, plan algebra.Node, strategy Strategy, label string) {
 	t.Helper()
-	arm := func(mode ColstoreMode, size int) *Executor {
+	arm := func(cat *catalog.Catalog, size int) *Executor {
 		e := New(cat)
-		e.Colstore, e.BatchSize = mode, size
+		e.BatchSize = size
 		return e
 	}
-	ref := arm(ColstoreOff, 0)
+	ref := arm(fx.heap, 0)
 	want, err := ref.Run(plan, strategy)
 	if err != nil {
 		t.Fatalf("%s failed on\n%s\n%v", label, algebra.Format(plan), err)
 	}
-	mustMatchOracle(t, cat, plan, want, label)
+	mustMatchOracle(t, fx.heap, plan, want, label)
 	refStats := ref.Stats()
 	zeroDiagnostics(&refStats)
-	for _, mode := range []ColstoreMode{ColstoreOff, ColstoreOn} {
+	cats := []*catalog.Catalog{fx.heap}
+	if fx.col != nil {
+		cats = append(cats, fx.col)
+	}
+	for _, cat := range cats {
 		for _, size := range []int{1, 7, 0} {
-			name := fmt.Sprintf("%s colstore=%v size=%d", label, mode, size)
-			e := arm(mode, size)
+			name := fmt.Sprintf("%s columnar=%v size=%d", label, cat == fx.col, size)
+			e := arm(cat, size)
 			got, err := e.Run(plan, strategy)
 			if err != nil {
 				t.Fatalf("%s failed on\n%s\n%v", name, algebra.Format(plan), err)
 			}
 			mustIdentical(t, want, got, name)
 			gotStats := e.Stats()
+			if cat == fx.col && gotStats.SegmentsScanned == 0 {
+				t.Fatalf("%s read no segments on\n%s", name, algebra.Format(plan))
+			}
 			zeroDiagnostics(&gotStats)
 			if gotStats != refStats {
 				t.Fatalf("%s: Stats differ on\n%s\nref: %v\ngot: %v", name, algebra.Format(plan), refStats, gotStats)
@@ -185,9 +195,9 @@ func crossCheck(t *testing.T, cat *catalog.Catalog, plan algebra.Node, strategy 
 		if !changed {
 			continue
 		}
-		for _, mode := range []ColstoreMode{ColstoreOff, ColstoreOn} {
-			name := fmt.Sprintf("%s build-right=%v colstore=%v", label, right, mode)
-			got, err := arm(mode, 0).Run(forced, strategy)
+		for _, cat := range cats {
+			name := fmt.Sprintf("%s build-right=%v columnar=%v", label, right, cat == fx.col)
+			got, err := arm(cat, 0).Run(forced, strategy)
 			if err != nil {
 				t.Fatalf("%s failed on\n%s\n%v", name, algebra.Format(forced), err)
 			}
@@ -253,6 +263,7 @@ func bitwiseDiff(want, got *prel.PRelation) string {
 // WithMaxRows budget below the smaller input trips on the build alone.
 func TestBuildSideEquivalence(t *testing.T) {
 	cat := nullMovieDB(t)
+	fx := fixture{heap: cat}
 	projected := &algebra.Project{
 		Cols: []expr.Col{expr.ColRef("directors.director"), expr.ColRef("movies.title"), expr.ColRef("movies.year"), expr.ColRef("genres.genre")},
 		Input: &algebra.Join{
@@ -274,7 +285,7 @@ func TestBuildSideEquivalence(t *testing.T) {
 	}
 	for i, plan := range plans {
 		for _, strategy := range Strategies() {
-			crossCheck(t, cat, plan, strategy, fmt.Sprintf("plan %d %v", i, strategy))
+			crossCheck(t, fx, plan, strategy, fmt.Sprintf("plan %d %v", i, strategy))
 		}
 	}
 
@@ -400,35 +411,41 @@ func oracleDiff(o *oracle, plan algebra.Node, got *prel.PRelation) (string, erro
 // it scores only the batches it pulls — exactly five rows with 1-row
 // batches.
 func TestLimitStopsScanEarly(t *testing.T) {
-	cat := catalog.New()
-	tbl, err := cat.CreateTable("wide", schema.New(schema.Column{Name: "id", Kind: types.KindInt}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200_000; i++ {
-		if err := tbl.Insert([]types.Value{types.Int(int64(i))}); err != nil {
+	fx := loadTwice(t, func(t testing.TB) *catalog.Catalog {
+		cat := catalog.New()
+		tbl, err := cat.CreateTable("wide", schema.New(schema.Column{Name: "id", Kind: types.KindInt}))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
+		for i := 0; i < 200_000; i++ {
+			if err := tbl.Insert([]types.Value{types.Int(int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cat
+	})
 	scan := &algebra.Limit{N: 5, Input: &algebra.Scan{Table: "wide"}}
 	prefer := &algebra.Limit{N: 5, Input: &algebra.Prefer{
 		P:     pref.New("all", "wide", expr.TrueLiteral(), pref.Around("id", 100), 0.9),
 		Input: &algebra.Scan{Table: "wide"},
 	}}
-	for _, mode := range []ColstoreMode{ColstoreOff, ColstoreOn} {
+	for _, cat := range []*catalog.Catalog{fx.heap, fx.col} {
 		for _, size := range []int{1, 0} {
 			for _, plan := range []algebra.Node{scan, prefer} {
 				e := New(cat)
-				e.Colstore, e.BatchSize = mode, size
+				e.BatchSize = size
 				got, err := e.Run(plan, Native)
 				if err != nil {
 					t.Fatal(err)
 				}
-				label := fmt.Sprintf("colstore=%v size=%d %s", mode, size, algebra.Format(plan))
+				label := fmt.Sprintf("columnar=%v size=%d %s", cat == fx.col, size, algebra.Format(plan))
 				if got.Len() != 5 {
 					t.Fatalf("%s: %d rows, want 5", label, got.Len())
 				}
 				st := e.Stats()
+				if (st.SegmentsScanned > 0) != (cat == fx.col) {
+					t.Fatalf("%s: scanned %d segments", label, st.SegmentsScanned)
+				}
 				if st.RowsScanned > defaultBatchSize {
 					t.Fatalf("%s: scanned=%d, want <= %d", label, st.RowsScanned, defaultBatchSize)
 				}

@@ -1,7 +1,11 @@
-// Columnar scan path: segBatchSrc streams a table's columnar segment
+// Columnar scan path: segBatchSrc streams a columnar table's segment
 // store (internal/colstore) plus the heap tail into the vectorized
 // pipeline, consulting per-segment zone maps to skip whole segments
-// against the pushed-down filter conjuncts before any kernel runs.
+// against the pushed-down filter conjuncts before any kernel runs. A
+// table is columnar once catalog.Table.ColStore has compacted it; scans
+// of every other table read the heap. Results, order and Stats — modulo
+// the diagnostic Batches / ColBatches / RowsMaterialized /
+// SegmentsScanned / SegmentsSkipped counters — are identical on both.
 //
 // Each segment batch is one window of one segment carrying borrowed
 // column vectors (prel.Batch.Cols) next to the decoded row views, so
@@ -16,33 +20,6 @@ import (
 	"prefdb/internal/storage"
 	"prefdb/internal/types"
 )
-
-// ColstoreMode selects whether batch scans read the columnar segment
-// store (with zone-map pruning) or the row heap.
-type ColstoreMode uint8
-
-const (
-	// ColstoreOff (the zero value) keeps batch scans on the row heap.
-	ColstoreOff ColstoreMode = iota
-	// ColstoreOn serves batch scans from the table's columnar segments
-	// (built lazily, invalidated by DML version counters) plus the heap
-	// tail, handing kernels direct column vectors with late
-	// materialization. Results, order and Stats — modulo the diagnostic
-	// Batches / ColBatches / RowsMaterialized / SegmentsScanned /
-	// SegmentsSkipped counters — are identical to the heap path.
-	ColstoreOn
-)
-
-// String implements fmt.Stringer.
-func (m ColstoreMode) String() string {
-	if m == ColstoreOn {
-		return "on"
-	}
-	return "off"
-}
-
-// colstoreOK reports whether batch scans may read columnar segments.
-func (e *Executor) colstoreOK() bool { return e.Colstore != ColstoreOff }
 
 // segBatchSrc streams a columnar segment store and then the heap tail
 // (pages the compaction has not sealed) into a reused batch. Tuples alias

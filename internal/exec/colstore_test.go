@@ -78,6 +78,31 @@ func colstoreDB(t testing.TB) *catalog.Catalog {
 	return c
 }
 
+// fixture is one dataset loaded twice for heap↔segments differentials:
+// heap is never compacted, every table of col is made columnar by
+// catalog.Table.ColStore. A nil col means the dataset is too small to
+// hold a segment, so a columnar arm would read the heap tail alone.
+type fixture struct{ heap, col *catalog.Catalog }
+
+// loadTwice builds the heap and columnar fixtures of one dataset.
+func loadTwice(t testing.TB, load func(testing.TB) *catalog.Catalog) fixture {
+	t.Helper()
+	return fixture{heap: load(t), col: compacted(t, load(t))}
+}
+
+// compacted makes every table of cat columnar and returns cat.
+func compacted(t testing.TB, cat *catalog.Catalog) *catalog.Catalog {
+	t.Helper()
+	for _, name := range cat.Tables() {
+		tbl, err := cat.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl.ColStore()
+	}
+	return cat
+}
+
 func itemsPref() pref.Preference {
 	return pref.Preference{
 		Name: "hot", On: []string{"items"},
@@ -137,7 +162,7 @@ func colstorePlans() map[string]algebra.Node {
 // and Stats (modulo the diagnostic Batches / segment counters) to the
 // heap batch path.
 func TestColstoreHeapEquivalence(t *testing.T) {
-	cat := colstoreDB(t)
+	fx := loadTwice(t, colstoreDB)
 	for name, plan := range colstorePlans() {
 		t.Run(name, func(t *testing.T) {
 			for _, strategy := range Strategies() {
@@ -146,9 +171,8 @@ func TestColstoreHeapEquivalence(t *testing.T) {
 					for _, size := range []int{3, 1024} {
 						label := fmt.Sprintf("%v cache-hint=%v size=%d", strategy, hint, size)
 
-						ref := New(cat)
+						ref := New(fx.heap)
 						ref.BatchSize = size
-						ref.Colstore = ColstoreOff
 						want, err := ref.Run(hinted, strategy)
 						if err != nil {
 							t.Fatalf("%s heap path: %v", label, err)
@@ -158,9 +182,8 @@ func TestColstoreHeapEquivalence(t *testing.T) {
 							t.Fatalf("%s: heap path touched segments: %+v", label, refStats)
 						}
 
-						e := New(cat)
+						e := New(fx.col)
 						e.BatchSize = size
-						e.Colstore = ColstoreOn
 						got, err := e.Run(hinted, strategy)
 						if err != nil {
 							t.Fatalf("%s colstore path: %v", label, err)
@@ -168,6 +191,9 @@ func TestColstoreHeapEquivalence(t *testing.T) {
 
 						mustIdentical(t, want, got, label)
 						gotStats := e.Stats()
+						if gotStats.SegmentsScanned == 0 {
+							t.Fatalf("%s: colstore path read no segments: %+v", label, gotStats)
+						}
 						refStats.Batches, gotStats.Batches = 0, 0
 						gotStats.SegmentsScanned, gotStats.SegmentsSkipped = 0, 0
 						gotStats.ColBatches, gotStats.RowsMaterialized = 0, 0
@@ -186,11 +212,10 @@ func TestColstoreHeapEquivalence(t *testing.T) {
 // vacuously: the selective plan must actually read segments and skip most
 // of them on zone maps alone.
 func TestColstoreEngagesAndPrunes(t *testing.T) {
-	cat := colstoreDB(t)
+	fx := loadTwice(t, colstoreDB)
 	// The executor is single-worker; the subtest keeps that case's name.
 	t.Run("workers=1", func(t *testing.T) {
-		e := New(cat)
-		e.Colstore = ColstoreOn
+		e := New(fx.col)
 		if _, err := e.Run(colstorePlans()["prune-low-sel"], Native); err != nil {
 			t.Fatal(err)
 		}
@@ -203,8 +228,7 @@ func TestColstoreEngagesAndPrunes(t *testing.T) {
 		}
 		// RowsScanned must credit skipped segments' live rows, keeping
 		// parity with the heap path.
-		ref := New(cat)
-		ref.Colstore = ColstoreOff
+		ref := New(fx.heap)
 		if _, err := ref.Run(colstorePlans()["prune-low-sel"], Native); err != nil {
 			t.Fatal(err)
 		}
@@ -214,18 +238,17 @@ func TestColstoreEngagesAndPrunes(t *testing.T) {
 	})
 }
 
-// TestColstoreSeesHeapTailWrites pins invalidation: rows inserted after a
-// store is built live on the heap tail and must be visible immediately,
-// and further DML must trigger a version-checked rebuild.
+// TestColstoreSeesHeapTailWrites pins invalidation: rows inserted into a
+// columnar table after its store is built must be visible to the next
+// scan, and further DML must trigger a version-checked rebuild.
 func TestColstoreSeesHeapTailWrites(t *testing.T) {
-	cat := colstoreDB(t)
+	cat := compacted(t, colstoreDB(t))
 	plan := &algebra.Select{
 		Cond:  expr.Cmp("id", expr.OpGe, types.Int(1_000_000)),
 		Input: &algebra.Scan{Table: "items"},
 	}
 	run := func() int {
 		e := New(cat)
-		e.Colstore = ColstoreOn
 		rel, err := e.Run(plan, Native)
 		if err != nil {
 			t.Fatal(err)

@@ -8,20 +8,19 @@ import (
 // TestDirectColRowsEquivalence is the acceptance contract of the
 // direct-on-column path: across the full plan × strategy × batch-size
 // grid, handing kernels borrowed column vectors with late materialization
-// (ColstoreOn) must produce byte-identical rows, order and Stats — modulo
-// the diagnostic counters — to the heap rows (ColstoreOff), the reference
-// path.
+// (a columnar table) must produce byte-identical rows, order and Stats —
+// modulo the diagnostic counters — to the heap rows (the same data never
+// compacted), the reference path.
 func TestDirectColRowsEquivalence(t *testing.T) {
-	cat := colstoreDB(t)
+	fx := loadTwice(t, colstoreDB)
 	for name, plan := range colstorePlans() {
 		t.Run(name, func(t *testing.T) {
 			for _, strategy := range Strategies() {
 				for _, size := range []int{3, 1024} {
 					label := fmt.Sprintf("%v size=%d", strategy, size)
 
-					ref := New(cat)
+					ref := New(fx.heap)
 					ref.BatchSize = size
-					ref.Colstore = ColstoreOff
 					want, err := ref.Run(plan, strategy)
 					if err != nil {
 						t.Fatalf("%s heap path: %v", label, err)
@@ -31,9 +30,8 @@ func TestDirectColRowsEquivalence(t *testing.T) {
 						t.Fatalf("%s: heap path counted columnar batches: %+v", label, refStats)
 					}
 
-					e := New(cat)
+					e := New(fx.col)
 					e.BatchSize = size
-					e.Colstore = ColstoreOn
 					got, err := e.Run(plan, strategy)
 					if err != nil {
 						t.Fatalf("%s direct path: %v", label, err)
@@ -41,6 +39,9 @@ func TestDirectColRowsEquivalence(t *testing.T) {
 
 					mustIdentical(t, want, got, label)
 					gotStats := e.Stats()
+					if gotStats.SegmentsScanned == 0 {
+						t.Fatalf("%s: direct path read no segments: %+v", label, gotStats)
+					}
 					zeroDiagnostics(&refStats)
 					zeroDiagnostics(&gotStats)
 					if refStats != gotStats {
@@ -57,11 +58,10 @@ func TestDirectColRowsEquivalence(t *testing.T) {
 // only the rows that survive the filter ever cross the materialization
 // boundary, so RowsMaterialized is a small fraction of RowsScanned.
 func TestDirectColLateMaterialization(t *testing.T) {
-	cat := colstoreDB(t)
+	cat := compacted(t, colstoreDB(t))
 	// The executor is single-worker; the subtest keeps that case's name.
 	t.Run("workers=1", func(t *testing.T) {
 		e := New(cat)
-		e.Colstore = ColstoreOn
 		if _, err := e.Run(colstorePlans()["prune-low-sel"], Native); err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 	"prefdb/internal/colstore"
 	"prefdb/internal/expr"
 	"prefdb/internal/pref"
-	"prefdb/internal/prel"
 	"prefdb/internal/schema"
 	"prefdb/internal/storage"
 	"prefdb/internal/types"
@@ -174,18 +173,17 @@ func zeroDiagnostics(s *Stats) {
 // sizes, probing (and building) straight off borrowed column vectors —
 // including dictionary-code and run-length-encoded keys — must produce
 // byte-identical rows, order and Stats (modulo diagnostic counters) to
-// the heap path (ColstoreOff).
+// the heap path over the same data never compacted.
 func TestDirectJoinRowsEquivalence(t *testing.T) {
-	cat := directJoinDB(t)
+	fx := loadTwice(t, directJoinDB)
 	for name, plan := range directJoinPlans() {
 		t.Run(name, func(t *testing.T) {
 			for _, strategy := range Strategies() {
 				for _, size := range []int{3, 1024} {
 					label := fmt.Sprintf("%v size=%d", strategy, size)
 
-					ref := New(cat)
+					ref := New(fx.heap)
 					ref.BatchSize = size
-					ref.Colstore = ColstoreOff
 					want, err := ref.Run(plan, strategy)
 					if err != nil {
 						t.Fatalf("%s heap path: %v", label, err)
@@ -193,15 +191,17 @@ func TestDirectJoinRowsEquivalence(t *testing.T) {
 					refStats := ref.Stats()
 					zeroDiagnostics(&refStats)
 
-					e := New(cat)
+					e := New(fx.col)
 					e.BatchSize = size
-					e.Colstore = ColstoreOn
 					got, err := e.Run(plan, strategy)
 					if err != nil {
 						t.Fatalf("%s direct path: %v", label, err)
 					}
 					mustIdentical(t, want, got, label)
 					gotStats := e.Stats()
+					if gotStats.SegmentsScanned == 0 {
+						t.Fatalf("%s: direct path read no segments: %+v", label, gotStats)
+					}
 					zeroDiagnostics(&gotStats)
 					if refStats != gotStats {
 						t.Fatalf("%s: stats %+v, want %+v", label, gotStats, refStats)
@@ -216,18 +216,21 @@ func TestDirectJoinRowsEquivalence(t *testing.T) {
 // tuple-at-a-time oracle directly, over the heap and over borrowed column
 // vectors, under every strategy.
 func TestDirectJoinBatchOffEquivalence(t *testing.T) {
-	cat := directJoinDB(t)
+	fx := loadTwice(t, directJoinDB)
 	for name, plan := range directJoinPlans() {
 		t.Run(name, func(t *testing.T) {
 			for _, strategy := range Strategies() {
-				for _, mode := range []ColstoreMode{ColstoreOff, ColstoreOn} {
+				for _, cat := range []*catalog.Catalog{fx.heap, fx.col} {
+					label := fmt.Sprintf("%v columnar=%v", strategy, cat == fx.col)
 					e := New(cat)
-					e.Colstore = mode
 					got, err := e.Run(plan, strategy)
 					if err != nil {
-						t.Fatalf("%v colstore=%v: %v", strategy, mode, err)
+						t.Fatalf("%s: %v", label, err)
 					}
-					mustMatchOracle(t, cat, plan, got, fmt.Sprintf("%v colstore=%v", strategy, mode))
+					if segs := e.Stats().SegmentsScanned; (segs > 0) != (cat == fx.col) {
+						t.Fatalf("%s: scanned %d segments", label, segs)
+					}
+					mustMatchOracle(t, fx.heap, plan, got, label)
 				}
 			}
 		})
@@ -241,14 +244,13 @@ func TestDirectJoinBatchOffEquivalence(t *testing.T) {
 // ~9k probe rows scanned only the handful whose id appears in cats
 // materialize.
 func TestDirectJoinLateMaterialization(t *testing.T) {
-	cat := directJoinDB(t)
+	cat := compacted(t, directJoinDB(t))
 	plan := &algebra.Join{
 		Cond:  expr.Bin{Op: expr.OpEq, L: expr.ColRef("cats.c_id"), R: expr.ColRef("items.id")},
 		Left:  &algebra.Scan{Table: "cats"},
 		Right: &algebra.Scan{Table: "items"},
 	}
 	e := New(cat)
-	e.Colstore = ColstoreOn
 	got, err := e.Run(plan, Native)
 	if err != nil {
 		t.Fatal(err)
@@ -269,103 +271,17 @@ func TestDirectJoinLateMaterialization(t *testing.T) {
 	}
 }
 
-// TestBackgroundCompactionJoinStable pins direct-join results across the
-// compaction lifecycle: a join probing a run-heavy, dictionary-encoded
-// table must return byte-identical rows whether its store was just
-// installed by the background builder, rebuilt lazily, or invalidated by
-// DML in between — the RLE round-trip and the shared-dictionary rebuild
-// sit under the same version-guarded install as the rest of the store.
-func TestBackgroundCompactionJoinStable(t *testing.T) {
-	c := catalog.New()
-	c.SetAutoCompact(true)
-
-	ev := schema.New(
-		schema.Column{Name: "e_id", Kind: types.KindInt},
-		schema.Column{Name: "e_grp", Kind: types.KindInt},
-		schema.Column{Name: "e_tag", Kind: types.KindString},
-	).WithKey("e_id")
-	et, err := c.CreateTable("ev", ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := colstore.SegmentPages*storage.PageSize + storage.PageSize/2
-	for i := 0; i < rows; i++ {
-		err := et.Insert([]types.Value{
-			types.Int(int64(i)),
-			types.Int(int64(i / 256 % 5)),
-			types.Str(fmt.Sprintf("tag-%d", i/512%3)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys := schema.New(
-		schema.Column{Name: "k_grp", Kind: types.KindInt},
-		schema.Column{Name: "k_tag", Kind: types.KindString},
-	)
-	kt, err := c.CreateTable("keys", keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g := 0; g < 5; g += 2 {
-		err := kt.Insert([]types.Value{types.Int(int64(g)), types.Str(fmt.Sprintf("tag-%d", g%3))})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	plan := &algebra.Join{
-		Cond: expr.Bin{Op: expr.OpAnd,
-			L: expr.Bin{Op: expr.OpEq, L: expr.ColRef("keys.k_grp"), R: expr.ColRef("ev.e_grp")},
-			R: expr.Bin{Op: expr.OpEq, L: expr.ColRef("keys.k_tag"), R: expr.ColRef("ev.e_tag")}},
-		Left:  &algebra.Scan{Table: "keys"},
-		Right: &algebra.Scan{Table: "ev"},
-	}
-	run := func(mode ColstoreMode, label string) *prel.PRelation {
-		e := New(c)
-		e.Colstore = mode
-		got, err := e.Run(plan, Native)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		return got
-	}
-
-	want := run(ColstoreOff, "heap reference")
-	if want.Len() == 0 {
-		t.Fatal("join matched nothing; the stability test would pass vacuously")
-	}
-	// Possibly mid-build: the query either races the installer (and falls
-	// back to a lazy, version-checked build) or reads the installed image.
-	mustIdentical(t, want, run(ColstoreOn, "mid-compaction"), "mid-compaction")
-	et.WaitCompaction()
-	mustIdentical(t, want, run(ColstoreOn, "post-compaction"), "post-compaction")
-
-	// DML invalidates the installed image; the next direct read rebuilds
-	// the dictionary and the run encodings from scratch.
-	if n := et.DeleteWhere(func(tu []types.Value) bool { return tu[0].AsInt()%257 == 0 }); n == 0 {
-		t.Fatal("delete removed nothing; version guard untested")
-	}
-	want2 := run(ColstoreOff, "heap reference after DML")
-	if want2.Len() == want.Len() {
-		t.Fatal("DML did not change the join result; rebuild untested")
-	}
-	mustIdentical(t, want2, run(ColstoreOn, "post-DML"), "post-DML")
-	et.WaitCompaction()
-	mustIdentical(t, want2, run(ColstoreOn, "post-DML settled"), "post-DML settled")
-}
-
-// The fuzz catalog is segment-scale (unlike movieDB, whose tables are too
-// small to build a columnar store, so FuzzBatchRowEquivalence's colstore
-// arms run heap-backed there). Built once: executions are read-only.
+// The fuzz fixture is segment-scale (unlike movieDB, whose tables are too
+// small to hold a segment, so FuzzBatchRowEquivalence runs heap arms
+// only). Built once: executions are read-only.
 var (
 	djFuzzOnce sync.Once
-	djFuzzCat  *catalog.Catalog
+	djFuzzFx   fixture
 )
 
-func directJoinFuzzDB(t testing.TB) *catalog.Catalog {
-	djFuzzOnce.Do(func() { djFuzzCat = directJoinDB(t) })
-	return djFuzzCat
+func directJoinFuzzDB(t testing.TB) fixture {
+	djFuzzOnce.Do(func() { djFuzzFx = loadTwice(t, directJoinDB) })
+	return djFuzzFx
 }
 
 // djGen generates random join plans over the direct-join fixture: every
@@ -431,8 +347,8 @@ func (g *djGen) plan() algebra.Node {
 }
 
 // FuzzDirectJoinEquivalence is the fuzz arm of the direct-join contract:
-// random join plans over segment-scale columnar tables, checked against
-// the oracle and cross-checked over the heap and the colstore at
+// random join plans over segment-scale tables, checked against the
+// oracle and cross-checked over the heap and columnar copies at
 // degenerate and default batch sizes (crossCheck). Run
 // under `-tags prefdbdebug` to layer the join-table canary over the check.
 func FuzzDirectJoinEquivalence(f *testing.F) {
@@ -516,24 +432,22 @@ func groupAggPlans() map[string]algebra.Node {
 // batch size must all reproduce the reference byte-for-byte — group
 // order (first-seen), sum widening, NULL skipping and all.
 func TestGroupAggEquivalence(t *testing.T) {
-	cat := directJoinDB(t)
+	fx := loadTwice(t, directJoinDB)
 	for name, plan := range groupAggPlans() {
 		t.Run(name, func(t *testing.T) {
-			crossCheck(t, cat, plan, Native, name)
+			crossCheck(t, fx, plan, Native, name)
 		})
 	}
 }
 
-// TestGroupAggDirectStaysColumnar pins that γ over a colstore scan
-// aggregates on borrowed vectors: no fallback materialization of the
-// input's rows (only the emitted groups count), while the same plan in
-// rows mode pays the full width.
+// TestGroupAggDirectStaysColumnar pins that γ over a scan of a columnar
+// table aggregates on borrowed vectors: no fallback materialization of
+// the input's rows (only the emitted groups count).
 func TestGroupAggDirectStaysColumnar(t *testing.T) {
-	cat := directJoinDB(t)
+	cat := compacted(t, directJoinDB(t))
 	plan := groupAggPlans()["rle-group"]
 
 	e := New(cat)
-	e.Colstore = ColstoreOn
 	got, err := e.Run(plan, Native)
 	if err != nil {
 		t.Fatal(err)

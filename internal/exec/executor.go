@@ -131,9 +131,8 @@ func (s Stats) String() string {
 // caller's goroutine and starts none of its own.
 //
 // Contract: results, row order and the non-diagnostic Stats counters are
-// byte-identical at every colstore mode and batch size and on any core
-// count,
-// with one exception: a Limit that stops its input early stops it on a
+// byte-identical over the heap and the columnar segment store, at every
+// batch size and on any core count, with one exception: a Limit that stops its input early stops it on a
 // batch boundary, so the counters of the operators beneath it depend on
 // the batch size. The paper's semantics are pinned separately by a
 // test-only tuple-at-a-time oracle (oracle_test.go).
@@ -152,11 +151,6 @@ type Executor struct {
 	// BatchSize overrides the rows-per-batch block size (0 =
 	// defaultBatchSize); tests set it to drive batch-boundary cases.
 	BatchSize int
-	// Colstore selects the storage side batch scans read: ColstoreOff (the
-	// zero value) stays on the row heap; ColstoreOn serves sealed pages
-	// from the columnar segment store with zone-map pruning (see
-	// colstore.go).
-	Colstore ColstoreMode
 	// DictFor, when set (by the engine for prepared statements), supplies
 	// the cross-query level-2 dictionary for a preference; cols are the
 	// canonical key column names. It must be safe for concurrent calls.

@@ -178,8 +178,7 @@ func contains(ss []string, s string) bool {
 
 // FuzzBatchRowEquivalence fuzzes the pipeline contract (DESIGN.md §10):
 // for any generated plan and any strategy, the result must match the
-// tuple-at-a-time oracle, and every colstore × batch-size arm
-// must reproduce the reference run's exact rows, order and Stats (modulo
+// tuple-at-a-time oracle, and every batch-size arm must reproduce the reference run's exact rows, order and Stats (modulo
 // the diagnostic counters) — including degenerate size 1, where every
 // compaction edge case fires. Run it under `-tags prefdbdebug` to layer
 // the runtime assertions (selection-vector shape, column alignment) over
@@ -193,7 +192,7 @@ func FuzzBatchRowEquivalence(f *testing.F) {
 		plan := g.genPlan()
 		strategies := Strategies()
 		s := strategies[int(strategyPick)%len(strategies)]
-		crossCheck(t, nullMovieDB(t), plan, s, s.String())
+		crossCheck(t, fixture{heap: nullMovieDB(t)}, plan, s, s.String())
 	})
 }
 

@@ -784,7 +784,7 @@ func (fl *lockFlow) lockOp(call *ast.CallExpr) (op string, id lockID, name, cano
 }
 
 // drainCall recognizes blocking waits that must not run under a mutex:
-// WaitGroup.Wait and the catalog's full-table Stats/WaitCompaction.
+// WaitGroup.Wait and the catalog's full-table Stats and ColStore builds.
 func (fl *lockFlow) drainCall(call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -800,9 +800,9 @@ func (fl *lockFlow) drainCall(call *ast.CallExpr) (string, bool) {
 		if tn == "Table" {
 			return "Table.Stats (lazy full-table analyze)", true
 		}
-	case "WaitCompaction":
+	case "ColStore":
 		if tn == "Table" {
-			return "Table.WaitCompaction", true
+			return "Table.ColStore (synchronous full-table build)", true
 		}
 	}
 	return "", false

@@ -19,7 +19,7 @@ import (
 //   - a loop iteration must be lock-neutral (defer-in-loop is the classic
 //     violation);
 //   - blocking drains (WaitGroup.Wait, catalog Table.Stats /
-//     WaitCompaction) must not run while any mutex is held.
+//     ColStore) must not run while any mutex is held.
 //
 // Annotation grammar (DESIGN.md §16):
 //

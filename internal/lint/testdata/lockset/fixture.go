@@ -187,6 +187,19 @@ func badWaitUnderLock(t *table, wg *sync.WaitGroup) {
 	t.mu.Unlock()
 }
 
+// Table stands in for catalog.Table, whose ColStore is a synchronous
+// full-table build.
+type Table struct{}
+
+func (*Table) ColStore() {}
+
+// badColStoreUnderLock builds a columnar image while holding a mutex.
+func badColStoreUnderLock(t *table, ct *Table) {
+	t.mu.Lock()
+	ct.ColStore() // want `blocking Table.ColStore \(synchronous full-table build\) while holding t.mu`
+	t.mu.Unlock()
+}
+
 // goodWaitAfterUnlock releases before draining.
 func goodWaitAfterUnlock(t *table, wg *sync.WaitGroup) {
 	t.mu.Lock()

@@ -315,4 +315,12 @@ func TestBuildSideFollowsEstimates(t *testing.T) {
 	if !j.DirectJoin || j.BuildRight {
 		t.Errorf("direct join: DirectJoin = %v, BuildRight = %v; want a direct join building left", j.DirectJoin, j.BuildRight)
 	}
+	// The mark follows the table, not the freshness of its image: after
+	// DML the next scan of the columnar table rebuilds the image.
+	if err := dt.Insert([]types.Value{types.Int(99), types.Str("new")}); err != nil {
+		t.Fatal(err)
+	}
+	if j := joins(New(small).Optimize(smaller))[0]; !j.DirectJoin {
+		t.Errorf("direct join lost its mark after DML on a columnar table:\n%s", algebra.Format(j))
+	}
 }

@@ -11,8 +11,8 @@ import (
 // store is built and current with the zone-map pruning estimate: how many
 // segments the store holds and how many the filter's conjuncts disqualify
 // on min/max metadata alone (EXPLAIN renders `[segments N skip≈M]`).
-// The pass never builds a store itself — compaction happens on the first
-// colstore-enabled scan — so plans over heap-only tables are unchanged.
+// The pass never builds a store itself — the next scan of a columnar
+// table rebuilds a stale one — so plans over heap tables are unchanged.
 func (o *Optimizer) annotateSegments(n algebra.Node) algebra.Node {
 	return algebra.Transform(n, func(x algebra.Node) algebra.Node {
 		sel, ok := x.(*algebra.Select)
@@ -51,13 +51,13 @@ func (o *Optimizer) annotateSegments(n algebra.Node) algebra.Node {
 }
 
 // pullProbeProjects rewrites Join(L, C[π(X)]) — C a σ/λ chain — into
-// π'(Join(L, C[X])) when the probe side bottoms out in a scan of a table
-// with a built columnar store. The planner narrows every base relation
-// right above its scan, but a projection on the probe side of a hash join
-// forces the batch path to materialize every probe row just to drop
-// columns; pulling it above the join keeps the probe pipeline columnar to
-// the hash lookup, so only matching rows become row views, and the
-// compensating projection π' (the original join output's column list)
+// π'(Join(L, C[X])) when the probe side bottoms out in a scan of a
+// columnar table (catalog.Table.Columnar). The planner narrows every base
+// relation right above its scan, but a projection on the probe side of a
+// hash join forces the batch path to materialize every probe row just to
+// drop columns; pulling it above the join keeps the probe pipeline
+// columnar to the hash lookup, so only matching rows become row views, and
+// the compensating projection π' (the original join output's column list)
 // then narrows the few joined tuples. The rewrite is declined — plan
 // unchanged — whenever either side fails to re-resolve or any output
 // column reference would be ambiguous against the widened join schema
@@ -77,8 +77,7 @@ func (o *Optimizer) pullProbeProjects(n algebra.Node) algebra.Node {
 		if scan == nil {
 			return x
 		}
-		t, err := o.Cat.Table(scan.Table)
-		if err != nil || t.ColStoreIfBuilt() == nil {
+		if !o.columnar(scan) {
 			return x
 		}
 		widened := &algebra.Join{Cond: j.Cond, Left: j.Left, Right: right}
@@ -115,12 +114,11 @@ func spliceProject(n algebra.Node) (algebra.Node, bool) {
 }
 
 // annotateDirectJoin marks equi-joins whose probe (right) side bottoms
-// out in a scan of a table with a built, current columnar store: the
-// batch path can then hash and confirm the join keys on borrowed segment
-// vectors, materializing probe row views only for matching tuples
-// (EXPLAIN renders `[direct-join]`). Like annotateSegments the pass never
-// builds a store, so the mark reflects what the very next execution will
-// actually do.
+// out in a scan of a columnar table: the batch path can then hash and
+// confirm the join keys on borrowed segment vectors, materializing probe
+// row views only for matching tuples (EXPLAIN renders `[direct-join]`).
+// The executor reads segments for exactly the tables this mark checks, so
+// it reflects what the very next execution will actually do.
 func (o *Optimizer) annotateDirectJoin(n algebra.Node) algebra.Node {
 	return algebra.Transform(n, func(x algebra.Node) algebra.Node {
 		j, ok := x.(*algebra.Join)
@@ -131,8 +129,7 @@ func (o *Optimizer) annotateDirectJoin(n algebra.Node) algebra.Node {
 		if scan == nil {
 			return x
 		}
-		t, err := o.Cat.Table(scan.Table)
-		if err != nil || t.ColStoreIfBuilt() == nil {
+		if !o.columnar(scan) {
 			return x
 		}
 		cp := *j
@@ -164,6 +161,13 @@ func (o *Optimizer) annotateBuildSide(n algebra.Node) algebra.Node {
 		cp.BuildRight = true
 		return &cp
 	})
+}
+
+// columnar reports whether scan reads a columnar table, the rule the
+// executor's scan builder applies.
+func (o *Optimizer) columnar(scan *algebra.Scan) bool {
+	t, err := o.Cat.Table(scan.Table)
+	return err == nil && t.Columnar()
 }
 
 // hasEquiPair reports whether at least one conjunct is a column-column

@@ -68,7 +68,7 @@ func TestAnnotateSegments(t *testing.T) {
 	}
 
 	// DML invalidates the store; the stale annotation must disappear until
-	// a colstore scan rebuilds it.
+	// the next scan of the columnar table rebuilds it.
 	if err := et.Insert([]types.Value{types.Int(perSeg * 4), types.Int(2000)}); err != nil {
 		t.Fatal(err)
 	}

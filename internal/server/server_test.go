@@ -101,6 +101,13 @@ func sameResult(t *testing.T, got, want *engine.Result) {
 	if fmt.Sprint(got.Columns()) != fmt.Sprint(want.Columns()) {
 		t.Fatalf("columns: got %v, want %v", got.Columns(), want.Columns())
 	}
+	sameRows(t, got, want)
+}
+
+// sameRows asserts two results hold the same rows in the same order, with
+// the exact float bits of every score and confidence.
+func sameRows(t *testing.T, got, want *engine.Result) {
+	t.Helper()
 	if got.Rel.Len() != want.Rel.Len() {
 		t.Fatalf("rows: got %d, want %d", got.Rel.Len(), want.Rel.Len())
 	}
@@ -157,38 +164,44 @@ func TestWireMatchesEmbedded(t *testing.T) {
 			})
 		}
 	}
-	// Colstore scans fill the columnar counters (ColBatches,
-	// RowsMaterialized); they must cross the wire like every other one.
+	// Scans of a columnar table fill the columnar counters (ColBatches,
+	// RowsMaterialized); they must cross the wire like every other one,
+	// and the rows must match the same data scanned on the heap.
 	t.Run("colstore=on", func(t *testing.T) {
+		const q = `SELECT title, year FROM movies WHERE m_id <= 500
+			PREFERRING year >= 2000 SCORE recency(year, 2011) CONF 0.9 ON movies
+			TOP 10 BY score`
+		embedded := func(db *engine.DB) *engine.Result {
+			sess := db.NewSession()
+			defer sess.Close()
+			res, err := sess.QueryContext(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		heap := embedded(bigDB(t))
+		if heap.Stats.SegmentsScanned != 0 {
+			t.Fatalf("heap arm read segments: %+v", heap.Stats)
+		}
 		big := bigDB(t)
-		// Build the store up front so both sides plan against it (EXPLAIN
-		// annotates segments only once a store exists).
 		movies, err := big.Catalog().Table("movies")
 		if err != nil {
 			t.Fatal(err)
 		}
-		movies.WaitCompaction()
 		movies.ColStore()
 		_, bigAddr := startServer(t, big, Options{})
-		const q = `SELECT title, year FROM movies WHERE m_id <= 500
-			PREFERRING year >= 2000 SCORE recency(year, 2011) CONF 0.9 ON movies
-			TOP 10 BY score`
-		opts := []engine.QueryOption{engine.WithColstore(engine.ColstoreOn)}
-		sess := big.NewSession()
-		want, err := sess.QueryContext(context.Background(), q, opts...)
-		sess.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Stats.ColBatches == 0 || want.Stats.RowsMaterialized == 0 {
+		want := embedded(big)
+		if want.Stats.SegmentsScanned == 0 || want.Stats.ColBatches == 0 || want.Stats.RowsMaterialized == 0 {
 			t.Fatalf("query never reached the columnar path: %+v", want.Stats)
 		}
+		sameRows(t, want, heap)
 		c, err := wire.Dial(bigAddr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		got, err := c.QueryContext(context.Background(), q, opts...)
+		got, err := c.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,10 +210,9 @@ func TestWireMatchesEmbedded(t *testing.T) {
 }
 
 // TestUnknownSettingRejected drives the protocol with hand-written frames
-// whose settings this build does not define — Colstore=2 (the retired
-// row-packing mode), and the reserved mask bits 1 (the retired worker
-// count), 7 (the retired batch mode) and 6 (the retired score-cache
-// mode). Each statement must fail with an error frame naming the setting,
+// whose settings this build does not define — mode 200, and the reserved
+// mask bits 9 (the retired colstore mode), 1 (the retired worker count),
+// 7 (the retired batch mode) and 6 (the retired score-cache mode). Each statement must fail with an error frame naming the setting,
 // and the connection must go on serving.
 func TestUnknownSettingRejected(t *testing.T) {
 	db := testDB(t)
@@ -218,7 +230,8 @@ func TestUnknownSettingRejected(t *testing.T) {
 		}
 	}
 	bad := []func(e *wire.Encoder){
-		func(e *wire.Encoder) { e.Settings(engine.Settings{HasColstore: true, Colstore: 2}) },
+		func(e *wire.Encoder) { e.Settings(engine.Settings{HasMode: true, Mode: 200}) },
+		func(e *wire.Encoder) { e.Uvarint(1 << 9); e.Uvarint(1) }, // colstore "on" as an older build sent it
 		func(e *wire.Encoder) { e.Uvarint(1 << 1); e.Varint(4) },  // four workers as an older build sent it
 		func(e *wire.Encoder) { e.Uvarint(1 << 7); e.Uvarint(1) }, // batch mode "off" as an older build sent it
 		func(e *wire.Encoder) { e.Uvarint(1 << 6); e.Uvarint(1) }, // score-cache mode "off" as an older build sent it
@@ -240,7 +253,7 @@ func TestUnknownSettingRejected(t *testing.T) {
 	}
 	// A well-formed statement on the same connection still runs to End.
 	next := uint64(len(bad) + 1)
-	send(next, func(e *wire.Encoder) { e.Settings(engine.CollectSettings(engine.WithColstore(engine.ColstoreOn))) })
+	send(next, func(e *wire.Encoder) { e.Settings(engine.CollectSettings(engine.WithMode(engine.ModeFtP))) })
 	for {
 		ft, payload, err := wire.ReadFrame(nc)
 		if err != nil {

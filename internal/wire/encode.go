@@ -21,10 +21,9 @@ import (
 // ErrTruncated reports a payload that ended before its encoded content.
 var ErrTruncated = errors.New("wire: truncated payload")
 
-// ErrUnknownSetting reports an enumerated setting (mode, colstore)
-// whose value this build does not define, or a settings mask that sets a
-// reserved bit — typically one sent by a build that had a mode or an
-// option this one removed.
+// ErrUnknownSetting reports an evaluation mode this build does not
+// define, or a settings mask that sets a reserved bit — typically one
+// sent by a build that had a mode or an option this one removed.
 var ErrUnknownSetting = errors.New("wire: unknown setting value")
 
 // Encoder builds a frame payload.
@@ -145,9 +144,6 @@ func (e *Encoder) Settings(s engine.Settings) {
 	if s.HasMemoryBudget {
 		e.Varint(s.MemoryBudget)
 	}
-	if s.HasColstore {
-		e.Uvarint(uint64(s.Colstore))
-	}
 	// HasProfile carries no value: the binding itself cannot travel. The
 	// server rejects statements whose mask sets it.
 }
@@ -156,12 +152,13 @@ func (e *Encoder) Settings(s engine.Settings) {
 // and decoder share it so the bit assignment cannot drift. A nil entry is
 // a reserved bit: bit 1 carried the retired worker-count option, bit 6
 // the retired score-cache mode, bits 7 and 8 the retired batch-mode and
-// batch-size options, and a mask setting any of them fails the decode.
+// batch-size options, bit 9 the retired colstore mode, and a mask setting
+// any of them fails the decode.
 func settingsPresence(s *engine.Settings) []*bool {
 	return []*bool{
 		&s.HasMode, nil, &s.HasTimeout, &s.HasMaxRows,
 		&s.HasMaxCells, &s.HasMemoryBudget, nil, nil,
-		nil, &s.HasColstore, &s.HasProfile,
+		nil, nil, &s.HasProfile,
 	}
 }
 
@@ -391,7 +388,7 @@ func (d *Decoder) Settings() engine.Settings {
 		}
 	}
 	if s.HasMode {
-		s.Mode = decodeEnum(d, "mode", engine.Modes())
+		s.Mode = decodeMode(d)
 	}
 	if s.HasTimeout {
 		s.Timeout = time.Duration(d.Varint())
@@ -405,27 +402,23 @@ func (d *Decoder) Settings() engine.Settings {
 	if s.HasMemoryBudget {
 		s.MemoryBudget = d.Varint()
 	}
-	if s.HasColstore {
-		s.Colstore = decodeEnum(d, "colstore mode", engine.ColstoreModes())
-	}
 	return s
 }
 
-// decodeEnum reads a uvarint-coded enumerated setting and accepts it only
-// if it is one of valid (the engine registry's listing), so a value this
-// build does not define fails the decode instead of running as some other
-// mode.
-func decodeEnum[T ~uint8](d *Decoder, what string, valid []T) T {
+// decodeMode reads a uvarint-coded evaluation mode and accepts it only if
+// engine.Modes lists it, so a value this build does not define fails the
+// decode instead of running as some other mode.
+func decodeMode(d *Decoder) engine.Mode {
 	v := d.Uvarint()
 	if d.err != nil {
 		return 0
 	}
-	for _, m := range valid {
+	for _, m := range engine.Modes() {
 		if uint64(m) == v {
 			return m
 		}
 	}
-	d.fail(fmt.Errorf("%w: %s %d", ErrUnknownSetting, what, v))
+	d.fail(fmt.Errorf("%w: mode %d", ErrUnknownSetting, v))
 	return 0
 }
 

@@ -138,10 +138,9 @@ func TestSettingsRoundTrip(t *testing.T) {
 			engine.WithMode(engine.ModeFtP),
 			engine.WithTimeout(90*time.Second), engine.WithMaxRows(10),
 			engine.WithMaxCells(20), engine.WithMemoryBudget(1<<30),
-			engine.WithColstore(engine.ColstoreOn),
 		),
 		// Explicit zero values must stay distinguishable from absent ones.
-		engine.CollectSettings(engine.WithMaxRows(0), engine.WithColstore(engine.ColstoreOff)),
+		engine.CollectSettings(engine.WithMaxRows(0), engine.WithMode(engine.ModeGBU)),
 	}
 	for i, want := range cases {
 		var e Encoder
@@ -158,9 +157,9 @@ func TestSettingsRoundTrip(t *testing.T) {
 	if got := NewDecoder(e.Bytes()).Settings(); !got.HasProfile {
 		t.Fatal("HasProfile lost in transit")
 	}
-	// The layout keeps its bit positions across the reserved bits 7 and 8:
-	// colstore is bit 9, profile bit 10.
-	for bit, s := range map[uint64]engine.Settings{9: {HasColstore: true}, 10: {HasProfile: true}} {
+	// The layout keeps its bit positions across the reserved bits 6 to 9:
+	// memory budget is bit 5, profile bit 10.
+	for bit, s := range map[uint64]engine.Settings{5: {HasMemoryBudget: true}, 10: {HasProfile: true}} {
 		var e Encoder
 		e.Settings(s)
 		if mask := NewDecoder(e.Bytes()).Uvarint(); mask != 1<<bit {
@@ -207,10 +206,10 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSettingsRejectUnknownEnums pins that an enumerated setting outside
-// the engine's registry — or a mask setting a reserved bit (1, the
-// retired worker count; 6, the retired score-cache mode; 7 and 8, the
-// retired batch mode and batch size) — fails the decode with
+// TestSettingsRejectUnknownEnums pins that a mode outside engine.Modes —
+// or a mask setting a reserved bit (1, the retired worker count; 6, the
+// retired score-cache mode; 7 and 8, the retired batch mode and batch
+// size; 9, the retired colstore mode) — fails the decode with
 // ErrUnknownSetting instead of being cast into some other option.
 func TestSettingsRejectUnknownEnums(t *testing.T) {
 	frame := func(s engine.Settings) []byte {
@@ -227,7 +226,7 @@ func TestSettingsRejectUnknownEnums(t *testing.T) {
 	cases := map[string][]byte{
 		"mode":       frame(engine.Settings{HasMode: true, Mode: 200}),
 		"cache":      reserved(6),
-		"colstore":   frame(engine.Settings{HasColstore: true, Colstore: 2}), // the retired "rows" mode
+		"colstore":   reserved(9),
 		"workers":    reserved(1),
 		"batch":      reserved(7),
 		"batch-size": reserved(8),

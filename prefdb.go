@@ -273,29 +273,16 @@ func WithProfile(store *ProfileStore, user string, contexts ...string) QueryOpti
 	return engine.WithProfile(store, user, contexts...)
 }
 
-// ColstoreMode selects the storage side batch scans read: the columnar
-// segment store with zone-map pruning, or the row heap.
-type ColstoreMode = engine.ColstoreMode
+// ColstoreMode is kept so existing callers compile.
+//
+// Deprecated: has no effect; a table is columnar once
+// Catalog().Table(name) has been compacted by its ColStore method.
+type ColstoreMode uint8
 
-// Colstore modes.
-const (
-	// ColstoreOff keeps batch scans on the row heap (default).
-	ColstoreOff = engine.ColstoreOff
-	// ColstoreOn serves sealed pages from the columnar segment store,
-	// skipping segments whose zone maps disprove the filter.
-	ColstoreOn = engine.ColstoreOn
-)
-
-// ParseColstoreMode resolves a colstore mode by name ("on", "off").
-func ParseColstoreMode(name string) (ColstoreMode, error) { return engine.ParseColstoreMode(name) }
-
-// ColstoreModes lists every colstore mode.
-func ColstoreModes() []ColstoreMode { return engine.ColstoreModes() }
-
-// WithColstore selects the batch-scan storage side for one query,
-// overriding the database default. Results, order and stats (modulo the
-// diagnostic segment counters) are identical in both modes.
-func WithColstore(m ColstoreMode) QueryOption { return engine.WithColstore(m) }
+// ColstoreOn is kept so existing callers compile.
+//
+// Deprecated: has no effect; see ColstoreMode.
+const ColstoreOn ColstoreMode = 1
 
 // WithDefaultMode sets the database's default evaluation strategy.
 func WithDefaultMode(m Mode) OpenOption { return engine.WithDefaultMode(m) }
@@ -304,8 +291,10 @@ func WithDefaultMode(m Mode) OpenOption { return engine.WithDefaultMode(m) }
 // default).
 func WithOptimizer(enabled bool) OpenOption { return engine.WithOptimizer(enabled) }
 
-// WithDefaultColstore sets the database's default batch-scan storage side.
-func WithDefaultColstore(m ColstoreMode) OpenOption { return engine.WithDefaultColstore(m) }
+// WithDefaultColstore is kept so existing callers compile.
+//
+// Deprecated: has no effect; see ColstoreMode.
+func WithDefaultColstore(ColstoreMode) OpenOption { return func(*engine.DB) {} }
 
 // Sentinel errors returned (wrapped in a *GuardError) when a query's
 // lifecycle guard trips; match them with errors.Is. Context-caused
