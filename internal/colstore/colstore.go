@@ -4,7 +4,9 @@
 // column vectors (int64/float64 slices, dictionary-encoded strings, bools)
 // with null and deleted bitmaps, plus a per-column zone map (min/max, null
 // count, live count) that lets scans skip whole segments against sargable
-// filter conjuncts before any kernel runs.
+// filter conjuncts before any kernel runs. Its row views are the heap's
+// own tuples: sealed pages never change, so the store keeps no second copy
+// of the rows.
 //
 // A Store is built from a heap at one table version and never mutated;
 // DML invalidates it through the catalog's atomic version counters and a
@@ -54,7 +56,7 @@ type BlockSource interface {
 // Zone summarizes one column of one segment for pruning: the min/max over
 // the segment's live non-null values plus null/non-null live counts. Valid
 // is true only for typed (uniformly kinded) columns with at least one live
-// non-null value; raw fallback columns never prune.
+// non-null value; mixed-kind columns never prune.
 type Zone struct {
 	Min, Max types.Value
 	Nulls    int // live NULL cells
@@ -62,11 +64,12 @@ type Zone struct {
 	Valid    bool
 }
 
-// Column is one attribute of a segment. Exactly one encoding is populated:
-// a typed vector (Ints, Floats, Codes+Dict or Bools) with the Nulls bitmap
-// marking NULL slots, or Raw when the page held values that do not match
-// the declared kind (dynamic typing permits that), which preserves the
-// cells verbatim. Dead and NULL slots of typed vectors hold zero values.
+// Column is one attribute of a segment: a typed vector (Ints, Floats,
+// Codes+Dict or Bools) with the Nulls bitmap marking NULL slots. Dead and
+// NULL slots hold zero values. When the pages held a live value that does
+// not match the declared kind (dynamic typing permits that), the column
+// carries no vector at all, only its zone counts; kernels then read the
+// segment's row views.
 //
 // An int column whose zone span fits packMaxWidth bits trades Ints for the
 // frame-of-reference encoding: Packed holds Width-bit offsets from Base,
@@ -80,7 +83,6 @@ type Column struct {
 	Codes  []int32 // indexes into Dict
 	Dict   []string
 	Bools  []bool
-	Raw    []types.Value
 	Nulls  []bool // nil when the column has no NULL slot
 	Zone   Zone
 
@@ -97,37 +99,6 @@ type Column struct {
 	RunVals  []int64
 	RunCodes []int32 // code runs of a string column (with Dict)
 	RunEnds  []int32
-}
-
-// Value decodes the cell at slot i back into a scalar. Decoding is exact:
-// rebuilding a tuple from its columns yields values byte-identical to the
-// heap originals (the Raw fallback guarantees this even off the typed
-// encodings).
-func (c *Column) Value(i int) types.Value {
-	if c.Raw != nil {
-		return c.Raw[i]
-	}
-	if c.Nulls != nil && c.Nulls[i] {
-		return types.Null()
-	}
-	switch {
-	case c.Ints != nil:
-		return types.Int(c.Ints[i])
-	case c.Packed != nil:
-		return types.Int(c.Base + int64(c.packedBits(i)))
-	case c.RunVals != nil:
-		return types.Int(c.RunVals[c.runOf(i)])
-	case c.Floats != nil:
-		return types.Float(c.Floats[i])
-	case c.Codes != nil:
-		return types.Str(c.Dict[c.Codes[i]])
-	case c.RunCodes != nil:
-		return types.Str(c.Dict[c.RunCodes[c.runOf(i)]])
-	case c.Bools != nil:
-		return types.Bool(c.Bools[i])
-	default:
-		return types.Null()
-	}
 }
 
 // runOf locates the run covering slot i by binary search over the run
@@ -306,8 +277,10 @@ type Segment struct {
 	Deleted   []bool // nil when every slot is live
 	Cols      []Column
 
-	// tuples are the row views decoded once at build time from the column
-	// vectors into a shared arena; scans alias them without copying.
+	// tuples are the heap's own tuples for the covered pages, in slot
+	// order. Sealed pages never change (the heap only appends and
+	// tombstones, and UPDATE inserts a copied tuple), so scans alias
+	// them without copying.
 	// prefdb:segment-view tuples are immutable for the store's lifetime
 	tuples [][]types.Value
 }
@@ -316,9 +289,9 @@ type Segment struct {
 // callers must not mutate it).
 func (s *Segment) Tuple(i int) []types.Value { return s.tuples[i] }
 
-// Views returns the decoded row views for slots [lo, hi) — the borrowed
-// tuple window a columnar batch carries next to its vectors.
-// prefdb:segment-view the window aliases the segment's immutable arena
+// Views returns the row views for slots [lo, hi) — the borrowed tuple
+// window a columnar batch carries next to its vectors.
+// prefdb:segment-view the window aliases the heap's sealed tuples
 func (s *Segment) Views(lo, hi int) [][]types.Value { return s.tuples[lo:hi] }
 
 // Dead reports whether slot i is tombstoned.
@@ -329,8 +302,8 @@ func (s *Segment) Dead(i int) bool { return s.Deleted != nil && s.Deleted[i] }
 // form batch kernels read. Bit-packed int columns unpack block-wise into
 // scratch[ord] (grown as needed and returned for reuse); every other
 // typed vector is aliased, not copied, under the prefdb:col-view
-// contract. Raw columns leave their ColVec zero, which kernels treat as
-// "fall back to the decoded row views".
+// contract. Mixed-kind columns leave their ColVec zero, which kernels
+// treat as "fall back to the row views".
 func (s *Segment) ColVecs(lo, hi int, vecs []types.ColVec, scratch [][]int64) [][]int64 {
 	if scratch == nil {
 		scratch = make([][]int64, len(s.Cols))
@@ -368,7 +341,7 @@ func (s *Segment) ColVecs(lo, hi int, vecs []types.ColVec, scratch [][]int64) []
 				v.Dict = c.Dict
 			}
 		}
-		if c.Nulls != nil && c.Raw == nil {
+		if c.Nulls != nil {
 			v.Nulls = c.Nulls[lo:hi]
 		}
 		vecs[ord] = v
@@ -435,61 +408,58 @@ func buildSegment(h BlockSource, s *schema.Schema, first, last int, dict *TableD
 		seg.Rows += len(rows)
 		seg.Live += live
 	}
-	anyDead := false
-	deleted := make([]bool, seg.Rows)
-	slot := 0
+	seg.tuples = make([][]types.Value, 0, seg.Rows)
 	for p := first; p < last; p++ {
-		_, dead, _ := h.Block(p)
-		for _, d := range dead {
+		rows, dead, _ := h.Block(p)
+		for i, d := range dead {
 			if d {
-				deleted[slot] = true
-				anyDead = true
+				if seg.Deleted == nil {
+					seg.Deleted = make([]bool, seg.Rows)
+				}
+				seg.Deleted[len(seg.tuples)+i] = true
 			}
-			slot++
 		}
-	}
-	if anyDead {
-		seg.Deleted = deleted
+		seg.tuples = append(seg.tuples, rows...)
 	}
 	seg.Cols = make([]Column, s.Len())
 	for ord := range seg.Cols {
 		buildColumn(h, &seg.Cols[ord], s.Columns[ord].Kind, first, last, ord, seg, dict)
 	}
-	seg.decodeTuples(s.Len())
+	if debug.Enabled {
+		seg.checkZones()
+	}
 	return seg
 }
 
-// buildColumn encodes one attribute of the segment's row range. It tries
-// the typed vector matching the declared kind; any live non-null cell of a
-// different kind demotes the whole column to the Raw encoding so decoding
-// stays exact. String codes come from the shared table dictionary when one
-// is provided (with a segment-local front cache, so the dictionary lock is
-// taken once per distinct string); int and code vectors then trade for the
-// run-length or bit-packed encodings when eligible.
+// buildColumn encodes one attribute of the segment's row range as the
+// typed vector matching the declared kind. Any live non-null cell of a
+// different kind leaves the column without a vector, holding only its
+// zone counts, since no typed vector could represent that cell. String
+// codes come from the shared table dictionary when one is provided (with
+// a segment-local front cache, so the dictionary lock is taken once per
+// distinct string); int and code vectors then trade for the run-length or
+// bit-packed encodings when eligible.
 func buildColumn(h BlockSource, c *Column, kind types.Kind, first, last, ord int, seg *Segment, shared *TableDict) {
 	c.Kind = kind
 	typed := kind == types.KindInt || kind == types.KindFloat || kind == types.KindString || kind == types.KindBool
-	if typed {
-	check:
-		for p := first; p < last; p++ {
-			rows, dead, _ := h.Block(p)
-			for i, row := range rows {
-				if !dead[i] && !row[ord].IsNull() && row[ord].Kind() != kind {
-					typed = false
-					break check
-				}
+	nulls, nonNull := 0, 0
+	for p := first; p < last; p++ {
+		rows, dead, _ := h.Block(p)
+		for i, row := range rows {
+			if dead[i] {
+				continue
+			}
+			if v := row[ord]; v.IsNull() {
+				nulls++
+			} else {
+				nonNull++
+				typed = typed && v.Kind() == kind
 			}
 		}
 	}
+	c.Zone.Nulls = nulls
 	if !typed {
-		c.Raw = make([]types.Value, 0, seg.Rows)
-		for p := first; p < last; p++ {
-			rows, _, _ := h.Block(p)
-			for _, row := range rows {
-				c.Raw = append(c.Raw, row[ord])
-			}
-		}
-		buildZoneRaw(c, seg)
+		c.Zone.NonNull = nonNull
 		return
 	}
 	switch kind {
@@ -517,9 +487,6 @@ func buildColumn(h BlockSource, c *Column, kind types.Kind, first, last, ord int
 						c.Nulls = make([]bool, seg.Rows)
 					}
 					c.Nulls[slot] = true
-					if !dead[i] {
-						c.Zone.Nulls++
-					}
 				}
 				slot++
 				continue
@@ -550,7 +517,7 @@ func buildColumn(h BlockSource, c *Column, kind types.Kind, first, last, ord int
 		}
 	}
 	// Dead slots with NULL cells also set the bitmap above; that is
-	// harmless (dead slots are never decoded into results) and keeps the
+	// harmless (dead slots never reach results) and keeps the
 	// encode loop branch-light.
 	c.Zone.Valid = c.Zone.NonNull > 0
 	if kind == types.KindString && shared != nil {
@@ -565,22 +532,6 @@ func buildColumn(h BlockSource, c *Column, kind types.Kind, first, last, ord int
 		c.packInts(seg) // no-op when RLE claimed the vector
 	case types.KindString:
 		c.runLengthCodes(seg)
-	}
-}
-
-// buildZoneRaw counts live null/non-null cells of a raw column. Raw
-// columns hold mixed kinds, so no min/max is published (Valid stays
-// false and the segment never prunes on this column).
-func buildZoneRaw(c *Column, seg *Segment) {
-	for i, v := range c.Raw {
-		if seg.Dead(i) {
-			continue
-		}
-		if v.IsNull() {
-			c.Zone.Nulls++
-		} else {
-			c.Zone.NonNull++
-		}
 	}
 }
 
@@ -599,28 +550,8 @@ func zoneAdd(z *Zone, v types.Value) {
 	z.NonNull++
 }
 
-// decodeTuples materializes the segment's row views from the column
-// vectors into one arena, so scans hand out tuple slices without per-query
-// transposition or copying. NULL cells of live rows must decode from the
-// bitmap; the cells of dead slots decode as whatever the vector holds
-// (they are never read).
-func (seg *Segment) decodeTuples(width int) {
-	arena := make([]types.Value, seg.Rows*width)
-	seg.tuples = make([][]types.Value, seg.Rows)
-	for i := 0; i < seg.Rows; i++ {
-		t := arena[i*width : (i+1)*width : (i+1)*width]
-		for ord := range seg.Cols {
-			t[ord] = seg.Cols[ord].Value(i)
-		}
-		seg.tuples[i] = t // prefdb:alias-ok build-time initialization; the store is not published yet
-	}
-	if debug.Enabled {
-		seg.checkZones()
-	}
-}
-
 // checkZones asserts zone-map soundness in prefdbdebug builds: every live
-// non-null decoded value lies within its column's [Min, Max] and the
+// non-null heap value lies within its column's [Min, Max] and the
 // null/non-null counts add up to the live count.
 func (seg *Segment) checkZones() {
 	for ord := range seg.Cols {

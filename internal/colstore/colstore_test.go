@@ -2,8 +2,11 @@ package colstore
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
+	"prefdb/internal/debug"
 	"prefdb/internal/expr"
 	"prefdb/internal/schema"
 	"prefdb/internal/storage"
@@ -21,8 +24,8 @@ func testSchema() *schema.Schema {
 
 // fillHeap inserts n rows: sequential ids, a small cyclic string dict,
 // floats with every 5th NULL, and a "tag" column that is declared INT but
-// holds a string in rows where mixed is requested (exercising the Raw
-// fallback).
+// holds a string in rows where mixed is requested (a column no typed
+// vector can hold).
 func fillHeap(t *testing.T, h *storage.Heap, n int, mixed bool) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -107,7 +110,7 @@ func TestBuildEncodings(t *testing.T) {
 	seg := st.Segments[0]
 
 	id := seg.Cols[0]
-	if id.Packed == nil || id.Ints != nil || id.Raw != nil {
+	if id.Packed == nil || id.Ints != nil {
 		t.Fatal("id column should be bit-packed int-encoded")
 	}
 	if id.Width == 0 || id.Width > packMaxWidth {
@@ -130,12 +133,147 @@ func TestBuildEncodings(t *testing.T) {
 		t.Fatalf("score zone counts %d+%d do not cover %d live rows", score.Zone.Nulls, score.Zone.NonNull, seg.Live)
 	}
 
+	// The mixed-kind tag column carries no typed vector: kernels read the
+	// row views, which are the heap's tuples.
 	tag := seg.Cols[3]
-	if tag.Raw == nil {
-		t.Fatal("mixed-kind tag column should fall back to Raw")
+	if tag.Ints != nil || tag.Packed != nil || tag.RunVals != nil || tag.Nulls != nil {
+		t.Fatal("mixed-kind tag column should carry no typed vector")
+	}
+	vecs := make([]types.ColVec, len(seg.Cols))
+	seg.ColVecs(0, seg.Rows, vecs, nil)
+	if !reflect.DeepEqual(vecs[3], types.ColVec{}) {
+		t.Fatalf("mixed-kind tag column window = %+v, want the zero ColVec", vecs[3])
 	}
 	if tag.Zone.Valid {
-		t.Fatal("raw columns must not publish a zone range")
+		t.Fatal("mixed-kind columns must not publish a zone range")
+	}
+	if tag.Zone.Nulls+tag.Zone.NonNull != seg.Live {
+		t.Fatalf("tag zone counts %d+%d do not cover %d live rows", tag.Zone.Nulls, tag.Zone.NonNull, seg.Live)
+	}
+	rows, _, _ := h.Block(0)
+	for i, row := range rows {
+		if got := seg.Tuple(i)[3]; !got.Equal(row[3]) || got.Kind() != row[3].Kind() {
+			t.Fatalf("slot %d: tag view %v (%v), want heap %v (%v)", i, got, got.Kind(), row[3], row[3].Kind())
+		}
+	}
+}
+
+// TestSegmentViewsAliasHeap pins the one-copy layout: a segment's row
+// views are the heap's own tuples, not decoded copies, and a store stays
+// exactly as built when the heap takes later DML (sealed pages are never
+// rewritten; Delete only tombstones).
+func TestSegmentViewsAliasHeap(t *testing.T) {
+	s := testSchema()
+	h := storage.NewHeap(s)
+	n := storage.PageSize*SegmentPages + storage.PageSize + 7
+	fillHeap(t, h, n, true)
+	for i := 0; i < n; i += 13 {
+		h.Delete(storage.RowID{Page: uint32(i / storage.PageSize), Slot: uint32(i % storage.PageSize)})
+	}
+	st := Build(h, 1)
+
+	type segState struct {
+		live  int
+		dead  []bool
+		views [][]types.Value
+		cells [][]types.Value
+		zones []Zone
+	}
+	before := make([]segState, len(st.Segments))
+	for k, seg := range st.Segments {
+		ss := segState{live: seg.Live, views: append([][]types.Value(nil), seg.Views(0, seg.Rows)...)}
+		for i := 0; i < seg.Rows; i++ {
+			ss.dead = append(ss.dead, seg.Dead(i))
+			ss.cells = append(ss.cells, append([]types.Value(nil), seg.Tuple(i)...))
+			rows, dead, _ := h.Block(seg.FirstPage + i/storage.PageSize)
+			if dead[i%storage.PageSize] {
+				continue
+			}
+			if heapRow := rows[i%storage.PageSize]; &seg.Tuple(i)[0] != &heapRow[0] { // prefdb:valueconv-ok pointer identity
+				t.Fatalf("segment %d slot %d: row view is a copy, not the heap tuple", k, i)
+			}
+		}
+		for ord := range seg.Cols {
+			ss.zones = append(ss.zones, seg.Cols[ord].Zone)
+		}
+		before[k] = ss
+	}
+
+	// DML after the build: a delete inside the first segment and enough
+	// inserts to seal further pages, then a fresh build.
+	h.Delete(storage.RowID{Page: 0, Slot: 1})
+	fillHeap(t, h, storage.PageSize, true)
+	if fresh := Build(h, 2); !fresh.Segments[0].Dead(1) || fresh.Live() == st.Live() {
+		t.Fatalf("fresh build missed the DML: dead(1)=%v, live %d vs %d", fresh.Segments[0].Dead(1), fresh.Live(), st.Live())
+	}
+
+	for k, seg := range st.Segments {
+		ss := before[k]
+		if seg.Live != ss.live {
+			t.Fatalf("segment %d: Live %d after DML, want %d", k, seg.Live, ss.live)
+		}
+		views := seg.Views(0, seg.Rows)
+		for i := 0; i < seg.Rows; i++ {
+			if seg.Dead(i) != ss.dead[i] {
+				t.Fatalf("segment %d slot %d: Dead changed to %v after DML", k, i, seg.Dead(i))
+			}
+			if &views[i][0] != &ss.views[i][0] { // prefdb:valueconv-ok pointer identity
+				t.Fatalf("segment %d slot %d: row view moved after DML", k, i)
+			}
+			for ord, v := range ss.cells[i] {
+				if got := views[i][ord]; !got.Equal(v) || got.Kind() != v.Kind() {
+					t.Fatalf("segment %d slot %d col %d: %v after DML, want %v", k, i, ord, got, v)
+				}
+			}
+		}
+		for ord := range seg.Cols {
+			if seg.Cols[ord].Zone != ss.zones[ord] {
+				t.Fatalf("segment %d col %d: zone %+v after DML, want %+v", k, ord, seg.Cols[ord].Zone, ss.zones[ord])
+			}
+		}
+	}
+}
+
+// TestBuildAllocPerRow pins what compaction costs per row on the scan
+// benchmark's events shape (int/int/string/float/int): the typed vectors
+// plus one borrowed tuple header. A second copy of the five 40-byte
+// cells alone would add 200 B/row, so the bound rules it out.
+func TestBuildAllocPerRow(t *testing.T) {
+	if debug.Enabled {
+		t.Skip("prefdbdebug round-trip assertions box their arguments on every slot")
+	}
+	s := schema.New(
+		schema.Column{Table: "events", Name: "id", Kind: types.KindInt},
+		schema.Column{Table: "events", Name: "year", Kind: types.KindInt},
+		schema.Column{Table: "events", Name: "tier", Kind: types.KindString},
+		schema.Column{Table: "events", Name: "rating", Kind: types.KindFloat},
+		schema.Column{Table: "events", Name: "user_id", Kind: types.KindInt},
+	)
+	tiers := []string{"bronze", "silver", "gold", "platinum"}
+	h := storage.NewHeap(s)
+	const rows = 256 * 1024
+	x := uint64(42)
+	for i := 0; i < rows; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		if _, err := h.Insert([]types.Value{
+			types.Int(int64(i)),
+			types.Int(int64(1970 + (x>>33)%42)),
+			types.Str(tiers[(x>>40)%4]),
+			types.Float(float64((x>>44)%101) / 10),
+			types.Int(int64((x >> 20) % 200_000)),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	st := Build(h, 1)
+	runtime.ReadMemStats(&m1)
+	if st.Live() != rows {
+		t.Fatalf("store holds %d live rows, want %d", st.Live(), rows)
+	}
+	if perRow := float64(m1.TotalAlloc-m0.TotalAlloc) / rows; perRow >= 128 {
+		t.Fatalf("Build allocated %.0f B/row, want < 128", perRow)
 	}
 }
 
@@ -366,5 +504,32 @@ func TestColVecsWindows(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Value decodes the cell at slot i of a typed column back into a scalar,
+// the oracle the encoding tests compare against the heap. A column
+// without a typed vector decodes every slot as NULL.
+func (c *Column) Value(i int) types.Value {
+	if c.Nulls != nil && c.Nulls[i] {
+		return types.Null()
+	}
+	switch {
+	case c.Ints != nil:
+		return types.Int(c.Ints[i])
+	case c.Packed != nil:
+		return types.Int(c.Base + int64(c.packedBits(i)))
+	case c.RunVals != nil:
+		return types.Int(c.RunVals[c.runOf(i)])
+	case c.Floats != nil:
+		return types.Float(c.Floats[i])
+	case c.Codes != nil:
+		return types.Str(c.Dict[c.Codes[i]])
+	case c.RunCodes != nil:
+		return types.Str(c.Dict[c.RunCodes[c.runOf(i)]])
+	case c.Bools != nil:
+		return types.Bool(c.Bools[i])
+	default:
+		return types.Null()
 	}
 }

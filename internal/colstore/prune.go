@@ -50,7 +50,7 @@ func PredsFrom(s *schema.Schema, conjuncts []expr.Node) []Pred {
 // kinds yields NULL, which the filter rejects. Hence a segment skips on a
 // conjunct when (a) every live value of the column is NULL, (b) the
 // literal's kind is incomparable with the column's uniformly typed values,
-// or (c) the [Min, Max] range excludes the comparison. Raw-encoded columns
+// or (c) the [Min, Max] range excludes the comparison. Mixed-kind columns
 // publish no range (Zone.Valid is false) and never prune.
 func (seg *Segment) Skip(preds []Pred) bool {
 	if seg.Live == 0 {

@@ -219,7 +219,7 @@ func (e *Executor) drainBatches(bi batchIter) []prel.Row {
 // vector (expr.TruthyBatch); empty batches are skipped, with an amortized
 // guard tick covering the spin over fully rejected blocks. Columnar
 // batches filter through the direct-column kernels first
-// (expr.TruthyBatchCols), touching decoded row views only for conjuncts
+// (expr.TruthyBatchCols), touching the row views only for conjuncts
 // without a kernel — those crossings count as materialized rows.
 type filterBatch struct {
 	in    batchIter

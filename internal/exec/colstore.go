@@ -8,7 +8,7 @@
 // SegmentsScanned / SegmentsSkipped counters — are identical on both.
 //
 // Each segment batch is one window of one segment carrying borrowed
-// column vectors (prel.Batch.Cols) next to the decoded row views, so
+// column vectors (prel.Batch.Cols) next to the segment's row views, so
 // filter and score kernels run on dense typed vectors and tuples are
 // touched only by operators that genuinely need rows (the
 // late-materialization boundary; see Stats.RowsMaterialized).
@@ -23,8 +23,9 @@ import (
 
 // segBatchSrc streams a columnar segment store and then the heap tail
 // (pages the compaction has not sealed) into a reused batch. Tuples alias
-// the store's shared arena-backed row views and the heap's pages — both
-// immutable during execution — so the source copies nothing.
+// the heap's pages, through the segments' row views for sealed pages and
+// directly for the tail — immutable during execution — so the source
+// copies nothing.
 //
 // Zone-map pruning: a segment whose zones prove the pushed-down conjuncts
 // reject every live row is dropped unread. Its live rows are still

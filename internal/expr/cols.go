@@ -1,5 +1,5 @@
 // Direct-on-column kernels: the batch filter and score paths that read
-// borrowed colstore vectors (types.ColVec) instead of decoded tuples.
+// borrowed colstore vectors (types.ColVec) instead of tuples.
 //
 // Every kernel mirrors the scalar evaluator bit-for-bit — the same
 // three-valued comparison semantics as compareFilter (NULL or
@@ -54,7 +54,7 @@ func (d *dictCache) matches(dict []string) bool {
 // with a direct-column kernel compact sel against the borrowed vectors
 // first (AND commutes, so kernel-capable conjuncts running early never
 // changes the accepted set), then any remaining conjuncts run over the
-// decoded row views. The second return value is the number of selected
+// row views. The second return value is the number of selected
 // rows that crossed that materialization boundary (0 when every conjunct
 // ran direct); exec folds it into Stats.RowsMaterialized.
 func (c *Compiled) TruthyBatchCols(cols []types.ColVec, rows [][]types.Value, sel []int32, scr *ColScratch) ([]int32, int) {

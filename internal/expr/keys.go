@@ -153,7 +153,7 @@ func HashCols(cols []types.ColVec, sel []int32, keys []int, out []uint64, ks *Ke
 
 // HasTypedCols reports whether every listed column carries a typed or
 // run-form window — the precondition for reading them slot-wise with
-// ColValue instead of falling back to decoded row views.
+// ColValue instead of falling back to the row views.
 func HasTypedCols(cols []types.ColVec, ords []int) bool {
 	for _, c := range ords {
 		if !hasTyped(&cols[c]) {

@@ -25,12 +25,13 @@ import (
 //
 //	// prefdb:alias-ok <reason>
 //
-// The columnar segment store inverts the contract: its decoded row views
+// The columnar segment store inverts the contract: its row views
 // (Segment.Tuple and fields declared with a `prefdb:segment-view` marker)
-// are immutable shared storage, so aliasing them out zero-copy is exactly
-// their purpose and none of the escape rules apply. What is forbidden for
-// them is mutation — writing through a segment view corrupts every reader
-// of the store — and the analyzer flags element assignments through one.
+// are the heap's sealed tuples, immutable shared storage, so aliasing them
+// out zero-copy is exactly their purpose and none of the escape rules
+// apply. What is forbidden for them is mutation — writing through a
+// segment view corrupts every reader of the store and the heap — and the
+// analyzer flags element assignments through one.
 //
 // Borrowed column vectors obey the same inverted contract (prefdb:col-view):
 // the typed slices of a types.ColVec, a columnar Batch's Cols, and the
@@ -295,9 +296,9 @@ func classifyExpr(pass *Pass, tracked map[types.Object]trackKind, e ast.Expr) tr
 				return trackArena
 			}
 		}
-		// Segment.Tuple hands out a shared immutable row view over the
-		// segment's decode arena (`prefdb:segment-view`); Segment.ColVecs
-		// hands out borrowed typed windows of the same storage
+		// Segment.Tuple hands out a shared immutable row view, a sealed
+		// heap tuple (`prefdb:segment-view`); Segment.ColVecs hands out
+		// borrowed windows of the segment's typed vectors
 		// (`prefdb:col-view`).
 		if sel, ok := x.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Tuple" || sel.Sel.Name == "ColVecs") {
 			if recvName, _ := NamedType(pass.TypesInfo, sel.X); recvName == "Segment" {

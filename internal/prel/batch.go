@@ -18,10 +18,10 @@ import (
 //     Cols and View are nil. This is the only form non-columnar sources
 //     produce.
 //   - Columnar form (SetColumnar): Cols holds borrowed typed column
-//     vectors and View the matching pre-decoded row views, both straight
-//     from a colstore segment; Tuples stays empty. Filter and score
-//     kernels read Cols directly; anything that needs tuples reads
-//     Rows(), which is the late-materialization boundary.
+//     vectors and View the matching row views (the heap's own tuples),
+//     both straight from a colstore segment; Tuples stays empty. Filter
+//     and score kernels read Cols directly; anything that needs tuples
+//     reads Rows(), which is the late-materialization boundary.
 //
 // Layout invariants:
 //
@@ -50,8 +50,8 @@ type Batch struct {
 	Sel   []int32
 
 	// Columnar form. Cols[ord] is the vector window for attribute ord;
-	// View[i] is the pre-decoded row view for slot i. Both borrowed from
-	// the producing segment, nil in row form.
+	// View[i] is the row view for slot i. Both borrowed from the
+	// producing segment, nil in row form.
 	Cols []types.ColVec
 	View [][]types.Value
 
@@ -92,8 +92,8 @@ func (b *Batch) Reset() {
 }
 
 // SetColumnar resets the batch into columnar form over a segment window:
-// cols are the borrowed per-attribute vectors and view the matching
-// pre-decoded row views (len(view) == Cap). The ⟨S,C⟩ columns are zeroed
+// cols are the borrowed per-attribute vectors and view the matching row
+// views (len(view) == Cap). The ⟨S,C⟩ columns are zeroed
 // to ⟨⊥,0⟩; the caller appends the window's live slots to Sel.
 func (b *Batch) SetColumnar(cols []types.ColVec, view [][]types.Value) {
 	b.Reset()

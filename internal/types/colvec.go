@@ -2,9 +2,9 @@ package types
 
 // ColVec is one attribute of a columnar batch: borrowed windows of the
 // typed vectors a colstore segment holds (exactly one of Ints / Floats /
-// Codes / Bools set for a typed column, all nil for a Raw-encoded one).
-// Indices are batch-local: the ColVec slices, the batch's decoded row
-// views and its selection vector all address the same 0..Cap window.
+// Codes / Bools set for a typed column, all nil for a mixed-kind one).
+// Indices are batch-local: the ColVec slices, the batch's row views and
+// its selection vector all address the same 0..Cap window.
 //
 // Borrowed-vector contract (prefdb:col-view): every slice aliases
 // segment storage shared by concurrent readers. Kernels may only read;
