@@ -351,13 +351,17 @@ func trimResult(rel *prel.PRelation, plan *planner.Plan) (*prel.PRelation, error
 			return rel, nil
 		}
 	}
-	out := prel.New(rel.Schema.Project(ords))
-	for _, row := range rel.Rows {
-		tuple := make([]types.Value, len(ords))
+	// One exactly sized row slice, and every tuple carved from one backing
+	// array (capped, so no tuple can grow into its neighbour).
+	w := len(ords)
+	out := &prel.PRelation{Schema: rel.Schema.Project(ords), Rows: make([]prel.Row, len(rel.Rows))}
+	cells := make([]types.Value, len(rel.Rows)*w)
+	for r, row := range rel.Rows {
+		tuple := cells[r*w : (r+1)*w : (r+1)*w]
 		for i, o := range ords {
 			tuple[i] = row.Tuple[o]
 		}
-		out.Append(prel.Row{Tuple: tuple, SC: row.SC})
+		out.Rows[r] = prel.Row{Tuple: tuple, SC: row.SC}
 	}
 	return out, nil
 }

@@ -12,9 +12,11 @@
 //
 //   - buildBatch is the only node dispatcher; no operator has a
 //     row-at-a-time mirror.
-//   - Blocking operators (top-k, skyline, rank, order-by) drain their input
-//     through drainChild → drain and serve the result as a sliceBatchSrc;
-//     set operations drain both children and do the same.
+//   - Top-k streams its input through a bounded heap (prel.TopKHeap) that
+//     keeps k rows. The other blocking operators (skyline, rank, order-by)
+//     drain their input once into an exactly sized slice (drain's
+//     rowSpool); set operations drain both children the same way. Each
+//     serves its result as a sliceBatchSrc.
 //   - Operators that only exist row-wise — Limit, the nested-loop join and
 //     the index rowIDIter sources — read batch children through batchToRow
 //     and hand their rows on through rowBatchSrc.
@@ -197,19 +199,20 @@ func (b *batchToRow) next() (prel.Row, bool) {
 	}
 }
 
-// drainBatches exhausts a batch pipeline into a row slice, counting
-// columnar rows as they cross the late-materialization boundary.
+// drainBatches exhausts a batch pipeline into an exactly sized row slice
+// (rowSpool), counting columnar rows as they cross the
+// late-materialization boundary.
 func (e *Executor) drainBatches(bi batchIter) []prel.Row {
-	var out []prel.Row
+	var sp rowSpool
 	for {
 		b, ok := bi.nextBatch()
 		if !ok {
-			return out
+			return sp.rows()
 		}
 		if b.Columnar() {
 			e.stats.RowsMaterialized += b.Live()
 		}
-		out = b.AppendRows(out)
+		sp.add(b)
 	}
 }
 
@@ -468,10 +471,12 @@ func (s *segBatchIter) nextBatch() (*prel.Batch, bool) {
 // projectBatch narrows the selected rows of each batch into a private
 // output batch, drawing output tuples from a chunked arena (one
 // allocation per projectChunkRows rows; see projectArena for the aliasing
-// contract).
+// contract). With nil ords the projection is the identity: row-form
+// batches pass through untouched and columnar batches cross into row form
+// with their row views as tuples, so no cell is copied.
 type projectBatch struct {
 	in    batchIter
-	ords  []int
+	ords  []int // nil: identity
 	stats *Stats
 	out   *prel.Batch
 	arena projectArena
@@ -484,6 +489,9 @@ func (p *projectBatch) nextBatch() (*prel.Batch, bool) {
 		if !ok {
 			return nil, false
 		}
+		if p.ords == nil && !b.Columnar() {
+			return b, true
+		}
 		if p.out == nil {
 			p.out = prel.NewBatch(b.Live())
 		}
@@ -495,10 +503,13 @@ func (p *projectBatch) nextBatch() (*prel.Batch, bool) {
 		}
 		rows := b.Rows()
 		for _, j := range b.Sel {
-			t := p.arena.tuple()
 			src := rows[j]
-			for i, o := range p.ords {
-				t[i] = src[o]
+			t := src
+			if p.ords != nil {
+				t = p.arena.tuple()
+				for i, o := range p.ords {
+					t[i] = src[o]
+				}
 			}
 			p.out.Push(prel.Row{Tuple: t, SC: b.SCAt(j)})
 		}
@@ -848,19 +859,25 @@ func (e *Executor) buildBatch(n algebra.Node) (batchIter, *schema.Schema, error)
 }
 
 // buildBlocking compiles the operators that need their whole input —
-// top-k, skyline, rank and order-by: the input drains into a relation
-// (re-entering the pipeline through drainChild) and the result is served
-// in batches.
+// top-k, skyline, rank and order-by — and serves the result in batches.
+// Top-k pulls its input's batches through a bounded heap that keeps k
+// rows; the others drain their input once into a relation. Either way the
+// input is charged to Stats as a materialized relation (see pump).
 func (e *Executor) buildBlocking(n algebra.Node) (batchIter, *schema.Schema, error) {
-	rel, err := e.drainChild(n.Children()[0])
+	if x, ok := n.(*algebra.TopK); ok {
+		top := prel.NewTopKHeap(x.K, x.By == algebra.ByConf)
+		s, err := e.pump(x.Input, top.PushBatch)
+		if err != nil {
+			return nil, nil, err
+		}
+		return newSliceBatchSrc(top.Rows(), e.batchSize()), s, nil
+	}
+	rel, err := e.drain(n.Children()[0])
 	if err != nil {
 		return nil, nil, err
 	}
 	rows := rel.Rows
 	switch x := n.(type) {
-	case *algebra.TopK:
-		// Bounded-heap selection: O(n log k) instead of a full sort.
-		rows = prel.TopK(rel.Rows, x.K, x.By == algebra.ByConf)
 	case *algebra.Skyline:
 		if len(x.Dims) == 0 {
 			rows = skyline(rel.Rows)
@@ -1026,15 +1043,32 @@ func (e *Executor) newHashJoin(j *algebra.Join, lBi, rBi batchIter, eqL, eqR []i
 	return h
 }
 
-// projectOver narrows a batch stream to cols through a projectBatch.
+// projectOver narrows a batch stream to cols through a projectBatch, an
+// identity one when cols lists every column of s in order.
 func projectOver(in batchIter, s *schema.Schema, cols []expr.Col, stats *Stats) (batchIter, *schema.Schema, error) {
 	ords, err := ordinalsOf(s, cols)
 	if err != nil {
 		return nil, nil, err
 	}
-	pb := &projectBatch{in: in, ords: ords, stats: stats}
-	pb.arena.width = len(ords)
+	pb := &projectBatch{in: in, stats: stats}
+	if !isIdentity(ords, s.Len()) {
+		pb.ords = ords
+		pb.arena.width = len(ords)
+	}
 	return pb, s.Project(ords), nil
+}
+
+// isIdentity reports whether ords is 0..n-1.
+func isIdentity(ords []int, n int) bool {
+	if len(ords) != n {
+		return false
+	}
+	for i, o := range ords {
+		if o != i {
+			return false
+		}
+	}
+	return true
 }
 
 // ordinalsOf resolves column references against s.

@@ -188,51 +188,41 @@ func (e *Executor) Evaluate(n algebra.Node) (*prel.PRelation, error) {
 	return e.drain(n)
 }
 
-// drain builds and exhausts a pipeline without counting a native call
-// (used by engines for operator-at-a-time execution).
+// drain builds and exhausts a pipeline into a fresh relation without
+// counting a native call (used by engines for operator-at-a-time
+// execution). The rows are spooled and copied once into an exactly sized
+// slice (rowSpool).
+func (e *Executor) drain(n algebra.Node) (*prel.PRelation, error) {
+	var sp rowSpool
+	s, err := e.pump(n, sp.add)
+	if err != nil {
+		return nil, err
+	}
+	return &prel.PRelation{Schema: s, Rows: sp.rows()}, nil
+}
+
+// pump builds n as a batch pipeline and hands every batch to sink, charging
+// Stats and the lifecycle guard as materializing n's result does: each row
+// counts as materialized whether sink keeps it (drain) or only ranks it
+// (top-k, whose counters model the paper's filtering UDF reading its whole
+// input).
 //
 // A prefer operator does not copy its input relation — the paper's
-// implementation updates the score relation R_P in place — so when the
-// drained node is a Prefer, only the rows carrying non-default pairs
-// (the R_P writes) count as materialized.
-func (e *Executor) drain(n algebra.Node) (*prel.PRelation, error) {
+// implementation updates the score relation R_P in place — so when n is a
+// Prefer, only the rows carrying non-default pairs (the R_P writes) count
+// as materialized.
+func (e *Executor) pump(n algebra.Node, sink func(*prel.Batch)) (*schema.Schema, error) {
 	// Strategy loops re-enter drain once per operator/group, so this entry
 	// check bounds how much work a canceled BU/GBU/FtP run still starts.
 	if err := e.gd.poll(); err != nil {
 		return nil, err
 	}
-
-	out, s, err := e.drainPipeline(n)
+	bi, s, err := e.buildBatch(n)
 	if err != nil {
 		return nil, err
 	}
-	// Inner iterators stop yielding (rather than erroring) when the guard
-	// trips mid-stream; surface that here so no partial rows escape.
-	if gErr := e.gd.poll(); gErr != nil {
-		return nil, gErr
-	}
-	if _, isPrefer := n.(*algebra.Prefer); isPrefer {
-		// R_P rows are (pk, score, conf) triples regardless of the base
-		// relation's width.
-		e.stats.TuplesMaterialized += out.ScoredCount()
-		e.stats.CellsMaterialized += out.ScoredCount() * 3
-	} else {
-		e.stats.TuplesMaterialized += out.Len()
-		e.stats.CellsMaterialized += out.Len() * (s.Len() + 2)
-	}
-	e.stats.ScoreRelationRows += out.ScoredCount()
-	return out, nil
-}
-
-// drainPipeline builds n as a batch pipeline and exhausts it into a fresh
-// relation, metering materialization against the lifecycle guard.
-func (e *Executor) drainPipeline(n algebra.Node) (*prel.PRelation, *schema.Schema, error) {
-	bi, s, err := e.buildBatch(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := prel.New(s)
 	meter := matTick{g: e.gd, width: s.Len() + 2}
+	rows, scored := 0, 0
 	for {
 		b, ok := bi.nextBatch()
 		if !ok {
@@ -242,20 +232,79 @@ func (e *Executor) drainPipeline(n algebra.Node) (*prel.PRelation, *schema.Schem
 		if b.Columnar() {
 			e.stats.RowsMaterialized += b.Live()
 		}
-		out.Rows = b.AppendRows(out.Rows)
+		rows += b.Live()
+		for _, j := range b.Sel {
+			if b.Known[j] {
+				scored++
+			}
+		}
+		sink(b)
 		if gErr := meter.rows(b.Live()); gErr != nil {
-			return nil, nil, gErr
+			return nil, gErr
 		}
 	}
 	if gErr := meter.flush(); gErr != nil {
-		return nil, nil, gErr
+		return nil, gErr
 	}
-	return out, s, nil
+	// Inner iterators stop yielding (rather than erroring) when the guard
+	// trips mid-stream; surface that here so no partial rows escape.
+	if gErr := e.gd.poll(); gErr != nil {
+		return nil, gErr
+	}
+	if _, isPrefer := n.(*algebra.Prefer); isPrefer {
+		// R_P rows are (pk, score, conf) triples regardless of the base
+		// relation's width.
+		e.stats.TuplesMaterialized += scored
+		e.stats.CellsMaterialized += scored * 3
+	} else {
+		e.stats.TuplesMaterialized += rows
+		e.stats.CellsMaterialized += rows * (s.Len() + 2)
+	}
+	e.stats.ScoreRelationRows += scored
+	return s, nil
 }
 
-// drainChild materializes a blocking operator's input within the same
-// pipeline (sorting operators need their full input); the rows are counted
-// as materialized but not as a separate native call.
-func (e *Executor) drainChild(n algebra.Node) (*prel.PRelation, error) {
-	return e.drain(n)
+// spoolChunkRows caps the rows of one rowSpool chunk.
+const spoolChunkRows = 8192
+
+// rowSpool collects the selected rows of drained batches into chunks and
+// hands them back as one exactly sized slice. Growing one slice by append
+// would allocate (and clear) about five times the final slice; the spool
+// allocates the rows once in chunks and once in the result. A batch goes
+// whole into a chunk with room for it, else into a new chunk holding as
+// many rows as the spool already has (at least the batch, at most
+// spoolChunkRows otherwise). The first chunk holds exactly the first batch,
+// so a single-batch drain allocates only its result. A spool is local to
+// one drain: nested drains (a blocking operator's input, a set operation's
+// sides) each own theirs.
+type rowSpool struct {
+	chunks [][]prel.Row
+	n      int
+}
+
+// add copies the selected rows of b into the spool.
+func (sp *rowSpool) add(b *prel.Batch) {
+	last := len(sp.chunks) - 1
+	if last < 0 || cap(sp.chunks[last])-len(sp.chunks[last]) < b.Live() {
+		sp.chunks = append(sp.chunks, make([]prel.Row, 0, max(b.Live(), min(sp.n, spoolChunkRows))))
+		last++
+	}
+	sp.chunks[last] = b.AppendRows(sp.chunks[last])
+	sp.n += b.Live()
+}
+
+// rows returns the spooled rows in order as one slice of length and
+// capacity n.
+func (sp *rowSpool) rows() []prel.Row {
+	switch len(sp.chunks) {
+	case 0:
+		return nil
+	case 1:
+		return sp.chunks[0]
+	}
+	out := make([]prel.Row, 0, sp.n)
+	for _, c := range sp.chunks {
+		out = append(out, c...)
+	}
+	return out
 }

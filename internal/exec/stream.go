@@ -146,7 +146,7 @@ func (s *RowStream) pull() (prel.Row, bool) {
 			s.e.stats.RowsMaterialized += b.Live()
 		}
 		// Charge the whole batch when it arrives — the same amortized
-		// pattern drainPipeline uses — so guard trip points match the
+		// pattern pump uses — so guard trip points match the
 		// materialized path.
 		if gErr := s.meter.rows(b.Live()); gErr != nil {
 			s.fail(gErr)

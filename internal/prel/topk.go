@@ -8,39 +8,81 @@ import (
 
 // TopK returns the k best rows under the same ordering as SortByScore /
 // SortByConf (score or confidence descending, ⊥ last, deterministic
-// tie-breaks), in ranked order. It runs in O(n log k) with a bounded heap
-// instead of sorting the whole input, which matters for top-k filtering
-// over large evaluated relations.
+// tie-breaks), in ranked order: the rows pushed through one TopKHeap.
 func TopK(rows []Row, k int, byConf bool) []Row {
-	if k <= 0 {
-		return nil
+	t := NewTopKHeap(k, byConf)
+	for _, r := range rows {
+		t.Push(r)
 	}
-	if k >= len(rows) {
-		out := PRelation{Rows: append([]Row(nil), rows...)}
-		if byConf {
-			out.SortByConf()
-		} else {
-			out.SortByScore()
+	return t.Rows()
+}
+
+// TopKHeap selects the k best rows of a stream while holding at most k of
+// them, so top-k filtering never materializes its input. Until a (k+1)-th
+// row arrives the kept rows stay in arrival order, and Rows ranks them with
+// the stable sort of SortByScore / SortByConf. From then on they form a
+// bounded min-heap whose root is the worst kept row: O(n log k) instead of
+// a full sort.
+type TopKHeap struct {
+	h      rowHeap
+	k      int
+	heaped bool
+}
+
+// NewTopKHeap returns an empty selector of the k best rows by score (or by
+// confidence when byConf).
+func NewTopKHeap(k int, byConf bool) *TopKHeap {
+	return &TopKHeap{h: rowHeap{byConf: byConf}, k: k}
+}
+
+// Push offers one row.
+func (t *TopKHeap) Push(r Row) {
+	if len(t.h.rows) < t.k {
+		t.h.rows = append(t.h.rows, r)
+		return
+	}
+	if t.k <= 0 {
+		return
+	}
+	if !t.heaped {
+		// Heap the kept rows by pushing them in arrival order, which
+		// lays out the heap exactly as pushing each on arrival would
+		// have: Push only sifts within the prefix it has filled.
+		kept := t.h.rows
+		t.h.rows = kept[:0]
+		for _, kr := range kept {
+			heap.Push(&t.h, kr)
 		}
+		t.heaped = true
+	}
+	// Keep r only if it beats the current worst (the heap root).
+	if rowBetter(r, t.h.rows[0], t.h.byConf) {
+		t.h.rows[0] = r
+		heap.Fix(&t.h, 0)
+	}
+}
+
+// PushBatch offers the selected rows of b in order.
+func (t *TopKHeap) PushBatch(b *Batch) {
+	for i := range b.Live() {
+		t.Push(b.Row(i))
+	}
+}
+
+// Rows returns the kept rows in ranked order, emptying the selector.
+func (t *TopKHeap) Rows() []Row {
+	if !t.heaped {
+		out := PRelation{Rows: t.h.rows}
+		t.h.rows = nil
+		out.sortBy(!t.h.byConf)
 		return out.Rows
 	}
-	h := &rowHeap{byConf: byConf, rows: make([]Row, 0, k+1)}
-	for _, r := range rows {
-		if h.Len() < k {
-			heap.Push(h, r)
-			continue
-		}
-		// Keep r only if it beats the current worst (the heap root).
-		if rowBetter(r, h.rows[0], byConf) {
-			h.rows[0] = r
-			heap.Fix(h, 0)
-		}
-	}
 	// Pop into descending rank order.
-	out := make([]Row, h.Len())
+	out := make([]Row, t.h.Len())
 	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(Row)
+		out[i] = heap.Pop(&t.h).(Row)
 	}
+	t.heaped = false
 	return out
 }
 
