@@ -108,8 +108,13 @@ func (r *Result) Columns() []string {
 	if r.Rel == nil {
 		return nil
 	}
-	out := make([]string, 0, r.Rel.Schema.Len()+2)
-	for _, c := range r.Rel.Schema.Columns {
+	return header(r.Rel.Schema)
+}
+
+// header lists a p-relation's columns: its attributes, then score and conf.
+func header(s *schema.Schema) []string {
+	out := make([]string, 0, s.Len()+2)
+	for _, c := range s.Columns {
 		out = append(out, c.QualifiedName())
 	}
 	return append(out, "score", "conf")
@@ -206,7 +211,7 @@ func (db *DB) runSelect(ctx context.Context, q *parser.SelectStmt, opts ...Query
 	if err != nil {
 		return nil, err
 	}
-	return db.runPlanCfg(ctx, plan, &cfg)
+	return db.runPlan(ctx, &cfg, plan, nil)
 }
 
 // planSelect plans a parsed query, injecting the configuration's bound
@@ -218,29 +223,21 @@ func (db *DB) planSelect(q *parser.SelectStmt, cfg *queryConfig) (*planner.Plan,
 	return db.pl.Plan(q)
 }
 
-// RunPlan executes an already-built plan with the given mode; it is
-// RunPlanContext under context.Background with WithMode.
-//
-// Deprecated: use RunPlanContext with WithMode, which adds cancellation,
-// deadlines and per-query options. RunPlan remains as a thin wrapper and
-// will not be removed.
-func (db *DB) RunPlan(plan *planner.Plan, mode Mode) (*Result, error) {
-	return db.RunPlanContext(context.Background(), plan, WithMode(mode))
-}
-
 // RunPlanContext executes an already-built plan under ctx and the given
 // options, applying the optimizer when enabled and trimming the result to
 // the user-requested columns. A WithTimeout option wraps ctx in a
 // deadline for the duration of the execution.
 func (db *DB) RunPlanContext(ctx context.Context, plan *planner.Plan, opts ...QueryOption) (*Result, error) {
 	cfg := db.queryConfig(opts)
-	return db.runPlanCfg(ctx, plan, &cfg)
+	return db.runPlan(ctx, &cfg, plan, nil)
 }
 
-// runPlanCfg executes an already-built plan under an already-resolved
-// configuration — the shared back end of RunPlanContext, runSelect and
-// the session entry points.
-func (db *DB) runPlanCfg(ctx context.Context, plan *planner.Plan, cfg *queryConfig) (*Result, error) {
+// runPlan is the one materialized run path of RunPlanContext, runSelect,
+// the session entry points and prepared statements: under cfg's timeout
+// it optimizes plan (unless prepared, a prepared statement's optimized
+// root, is given), evaluates it on a fresh executor and trims the result
+// to the user's columns.
+func (db *DB) runPlan(ctx context.Context, cfg *queryConfig, plan *planner.Plan, prepared algebra.Node) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -249,18 +246,15 @@ func (db *DB) runPlanCfg(ctx context.Context, plan *planner.Plan, cfg *queryConf
 		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
 		defer cancel()
 	}
-
-	root, err := db.optimizeRoot(ctx, plan)
+	root, err := db.optimizeRoot(ctx, plan, prepared)
 	if err != nil {
 		return nil, err
 	}
-	ex := db.executorFor(cfg, plan.Agg, nil)
+	ex := db.executorFor(cfg, plan.Agg, prepared != nil)
 	rel, err := db.runMaterialized(ctx, ex, cfg, plan.Root, root)
 	if err != nil {
 		return nil, err
 	}
-
-	// Trim the extended projection back to the user's columns.
 	trimmed, err := trimResult(rel, plan)
 	if err != nil {
 		return nil, err
@@ -268,9 +262,13 @@ func (db *DB) runPlanCfg(ctx context.Context, plan *planner.Plan, cfg *queryConf
 	return &Result{Rel: trimmed, Stats: ex.Stats(), Plan: algebra.Format(root)}, nil
 }
 
-// optimizeRoot applies the preference-aware optimizer under ctx when
-// enabled, returning the plan root to execute.
-func (db *DB) optimizeRoot(ctx context.Context, plan *planner.Plan) (algebra.Node, error) {
+// optimizeRoot returns the plan root to execute: prepared when non-nil
+// (already optimized), else plan's root, optimized under ctx when the
+// optimizer is enabled.
+func (db *DB) optimizeRoot(ctx context.Context, plan *planner.Plan, prepared algebra.Node) (algebra.Node, error) {
+	if prepared != nil {
+		return prepared, nil
+	}
 	if !db.Optimize {
 		return plan.Root, nil
 	}
@@ -281,15 +279,18 @@ func (db *DB) optimizeRoot(ctx context.Context, plan *planner.Plan) (algebra.Nod
 	return root, nil
 }
 
-// executorFor builds an executor configured for one query resolution.
-// dictFor, when non-nil, backs the prefer operators the optimizer marked
-// for memoization with the engine's cross-query score dictionaries (the
-// prepared-statement path).
-func (db *DB) executorFor(cfg *queryConfig, agg pref.Aggregate, dictFor func(pref.Preference, []string) *exec.ScoreDict) *exec.Executor {
+// executorFor builds an executor configured for one query resolution. A
+// prepared statement's executor backs the prefer operators the optimizer
+// marked for memoization with the engine's cross-query (level-2) score
+// dictionaries; ad-hoc queries use only the per-query memo since their
+// compiled plans die with the run.
+func (db *DB) executorFor(cfg *queryConfig, agg pref.Aggregate, prepared bool) *exec.Executor {
 	ex := exec.New(db.cat)
 	ex.Agg = agg
 	ex.Limits = cfg.limits
-	ex.DictFor = dictFor
+	if prepared {
+		ex.DictFor = db.dictFor
+	}
 	return ex
 }
 
@@ -334,22 +335,26 @@ func execStrategy(mode Mode) (exec.Strategy, error) {
 	}
 }
 
-func trimResult(rel *prel.PRelation, plan *planner.Plan) (*prel.PRelation, error) {
-	ords, err := plan.TrimToOutput(rel.Schema)
-	if err != nil {
-		return nil, err
+// outputOrds resolves the plan's output columns against s; nil means they
+// are s's columns in order, so the result needs no trim.
+func outputOrds(plan *planner.Plan, s *schema.Schema) ([]int, error) {
+	ords, err := plan.TrimToOutput(s)
+	if err != nil || len(ords) != s.Len() {
+		return ords, err
 	}
-	if len(ords) == rel.Schema.Len() {
-		identity := true
-		for i, o := range ords {
-			if o != i {
-				identity = false
-				break
-			}
+	for i, o := range ords {
+		if o != i {
+			return ords, nil
 		}
-		if identity {
-			return rel, nil
-		}
+	}
+	return nil, nil
+}
+
+// trimResult trims rel to the plan's output columns.
+func trimResult(rel *prel.PRelation, plan *planner.Plan) (*prel.PRelation, error) {
+	ords, err := outputOrds(plan, rel.Schema)
+	if err != nil || ords == nil {
+		return rel, err
 	}
 	// One exactly sized row slice, and every tuple carved from one backing
 	// array (capped, so no tuple can grow into its neighbour).

@@ -61,64 +61,22 @@ func (p *Prepared) Run(mode Mode) (*Result, error) {
 	return p.RunContext(context.Background(), WithMode(mode))
 }
 
-// config resolves the run options through the full precedence chain:
-// database defaults, then the owning session's defaults (if any), then
-// the per-run options.
-func (p *Prepared) config(opts []QueryOption) queryConfig {
-	if len(p.defaults) == 0 {
-		return p.db.queryConfig(opts)
-	}
-	merged := make([]QueryOption, 0, len(p.defaults)+len(opts))
-	merged = append(merged, p.defaults...)
-	merged = append(merged, opts...)
-	return p.db.queryConfig(merged)
-}
-
 // RunContext executes the prepared query under ctx and the given options
 // (mode, timeout, resource budgets). The plan is not re-planned
-// or re-optimized; only execution is guarded. See DB.ExecContext for the
-// error contract.
+// or re-optimized; only execution is guarded. Prepared statements
+// additionally get the engine's cross-query score dictionaries (see
+// executorFor). See DB.ExecContext for the error contract.
 func (p *Prepared) RunContext(ctx context.Context, opts ...QueryOption) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cfg := p.config(opts)
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
-	}
-	// Prepared statements additionally get the engine's cross-query
-	// (level-2) score dictionaries; ad-hoc queries use only the per-query
-	// memo since their compiled plans die with the run.
-	ex := p.db.executorFor(&cfg, p.plan.Agg, p.db.dictFor)
-	rel, err := p.db.runMaterialized(ctx, ex, &cfg, p.plan.Root, p.optimized)
-	if err != nil {
-		return nil, err
-	}
-	trimmed, err := trimResult(rel, p.plan)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Rel: trimmed, Stats: ex.Stats(), Plan: algebra.Format(p.optimized)}, nil
+	cfg := p.db.queryConfig(layered(p.defaults, opts))
+	return p.db.runPlan(ctx, &cfg, p.plan, p.optimized)
 }
 
 // StreamContext executes the prepared query under ctx and the given
 // options, returning a streaming result instead of a materialized one;
 // see Session.StreamContext for the streaming contract.
 func (p *Prepared) StreamContext(ctx context.Context, opts ...QueryOption) (Rows, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cfg := p.config(opts)
-	ctx, cancel := cfg.streamContext(ctx)
-	ex := p.db.executorFor(&cfg, p.plan.Agg, p.db.dictFor)
-	rows, err := p.db.streamPlan(ctx, cancel, ex, &cfg, p.plan, p.optimized)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	return rows, nil
+	cfg := p.db.queryConfig(layered(p.defaults, opts))
+	return p.db.streamPlan(ctx, &cfg, p.plan, p.optimized)
 }
 
 // Plan returns the optimized plan in explain format.

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"prefdb/internal/profile"
 )
 
+// TestQueryForUser runs queries under a user's profile (WithProfile).
 func TestQueryForUser(t *testing.T) {
 	db := setupDB(t)
 	store := profile.NewStore()
@@ -19,7 +21,7 @@ func TestQueryForUser(t *testing.T) {
 	// A query over movies ⋈ genres picks up only the genre preference;
 	// the conferences one is silently skipped as irrelevant.
 	q := `SELECT title FROM movies JOIN genres ON movies.m_id = genres.m_id RANK BY score`
-	res, err := db.QueryForUser(q, store, "alice", ModeGBU)
+	res, err := db.QueryContext(context.Background(), q, WithProfile(store, "alice"), WithMode(ModeGBU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func TestQueryForUser(t *testing.T) {
 	}
 
 	// An unknown user gets plain results.
-	res2, err := db.QueryForUser(q, store, "nobody", ModeGBU)
+	res2, err := db.QueryContext(context.Background(), q, WithProfile(store, "nobody"), WithMode(ModeGBU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestQueryForUser(t *testing.T) {
 	q2 := `SELECT title FROM movies JOIN genres ON movies.m_id = genres.m_id
 	       PREFERRING year >= 2005 SCORE 0.5 CONF 0.5 ON movies
 	       RANK BY score`
-	res3, err := db.QueryForUser(q2, store, "alice", ModeGBU)
+	res3, err := db.QueryContext(context.Background(), q2, WithProfile(store, "alice"), WithMode(ModeGBU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +71,12 @@ func TestQueryForUser(t *testing.T) {
 	}
 
 	// Parse errors propagate.
-	if _, err := db.QueryForUser("SELECT FROM", store, "alice", ModeGBU); err == nil {
+	if _, err := db.QueryContext(context.Background(), "SELECT FROM", WithProfile(store, "alice"), WithMode(ModeGBU)); err == nil {
 		t.Error("bad SQL should error")
 	}
 }
 
+// TestQueryForUserInContext activates context-tagged profile preferences.
 func TestQueryForUserInContext(t *testing.T) {
 	db := setupDB(t)
 	store := profile.NewStore()
@@ -84,11 +87,11 @@ func TestQueryForUserInContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := `SELECT title FROM movies JOIN genres ON movies.m_id = genres.m_id THRESHOLD conf > 0`
-	alone, err := db.QueryForUser(q, store, "alice", ModeGBU)
+	alone, err := db.QueryContext(context.Background(), q, WithProfile(store, "alice"), WithMode(ModeGBU))
 	if err != nil {
 		t.Fatal(err)
 	}
-	social, err := db.QueryForUserInContext(q, store, "alice", []string{"with-friends"}, ModeGBU)
+	social, err := db.QueryContext(context.Background(), q, WithProfile(store, "alice", "with-friends"), WithMode(ModeGBU))
 	if err != nil {
 		t.Fatal(err)
 	}

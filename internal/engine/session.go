@@ -96,13 +96,18 @@ func (s *Session) begin() error {
 // config resolves per-query options through the session's precedence
 // chain.
 func (s *Session) config(opts []QueryOption) queryConfig {
-	if len(s.defaults) == 0 {
-		return s.db.queryConfig(opts)
+	return s.db.queryConfig(layered(s.defaults, opts))
+}
+
+// layered prefixes defaults onto per-query options; queryConfig applies
+// options in order, so the per-query ones win.
+func layered(defaults, opts []QueryOption) []QueryOption {
+	if len(defaults) == 0 {
+		return opts
 	}
-	merged := make([]QueryOption, 0, len(s.defaults)+len(opts))
-	merged = append(merged, s.defaults...)
-	merged = append(merged, opts...)
-	return s.db.queryConfig(merged)
+	merged := make([]QueryOption, 0, len(defaults)+len(opts))
+	merged = append(merged, defaults...)
+	return append(merged, opts...)
 }
 
 // ExecContext parses and executes any statement (DDL, DML or query) under
@@ -112,7 +117,7 @@ func (s *Session) ExecContext(ctx context.Context, sql string, opts ...QueryOpti
 	if err := s.begin(); err != nil {
 		return nil, err
 	}
-	return s.db.ExecContext(ctx, sql, s.layer(opts)...)
+	return s.db.ExecContext(ctx, sql, layered(s.defaults, opts)...)
 }
 
 // QueryContext parses, plans and executes a preferential query under ctx,
@@ -122,7 +127,7 @@ func (s *Session) QueryContext(ctx context.Context, sql string, opts ...QueryOpt
 	if err := s.begin(); err != nil {
 		return nil, err
 	}
-	return s.db.QueryContext(ctx, sql, s.layer(opts)...)
+	return s.db.QueryContext(ctx, sql, layered(s.defaults, opts)...)
 }
 
 // Prepare plans and optimizes a query for repeated execution under the
@@ -132,16 +137,6 @@ func (s *Session) Prepare(sql string) (*Prepared, error) {
 		return nil, ErrSessionClosed
 	}
 	return s.db.prepareWith(sql, s.defaults)
-}
-
-// layer prefixes the session defaults onto per-query options.
-func (s *Session) layer(opts []QueryOption) []QueryOption {
-	if len(s.defaults) == 0 {
-		return opts
-	}
-	merged := make([]QueryOption, 0, len(s.defaults)+len(opts))
-	merged = append(merged, s.defaults...)
-	return append(merged, opts...)
 }
 
 // --- streaming ---
@@ -205,16 +200,13 @@ func (s *Session) StreamContext(ctx context.Context, sql string, opts ...QueryOp
 	if err := s.begin(); err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	stmt, err := parser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
 	q, isQuery := stmt.(*parser.SelectStmt)
 	if !isQuery {
-		res, execErr := s.db.ExecContext(ctx, sql, s.layer(opts)...)
+		res, execErr := s.db.ExecContext(ctx, sql, layered(s.defaults, opts)...)
 		if execErr != nil {
 			return nil, execErr
 		}
@@ -226,72 +218,64 @@ func (s *Session) StreamContext(ctx context.Context, sql string, opts ...QueryOp
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := cfg.streamContext(ctx)
-	ex := s.db.executorFor(&cfg, plan.Agg, nil)
-	rows, err := s.db.streamPlan(ctx, cancel, ex, &cfg, plan, nil)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	return rows, nil
+	return s.db.streamPlan(ctx, &cfg, plan, nil)
 }
 
-// streamContext wraps ctx with the configured per-query timeout. The
-// returned cancel must be called when the stream ends (streamRows.Close
-// does) so timer resources are released.
+// streamPlan starts a streaming evaluation of plan under cfg and the
+// per-query timeout, which the stream holds until it ends. prepared is
+// a prepared statement's optimized root (nil to optimize here). The
+// plug-in modes have no pipeline to stream — they are orchestrations of
+// whole queries — so they run through runPlan and stream the result.
+func (db *DB) streamPlan(ctx context.Context, cfg *queryConfig, plan *planner.Plan, prepared algebra.Node) (_ Rows, err error) {
+	if cfg.mode == ModePluginNaive || cfg.mode == ModePluginMerged {
+		res, err := db.runPlan(ctx, cfg, plan, prepared)
+		if err != nil {
+			return nil, err
+		}
+		return &materialRows{res: res}, nil
+	}
+	strategy, err := execStrategy(cfg.mode)
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := cfg.streamContext(ctx)
+	defer func() {
+		if err != nil {
+			cancel()
+		}
+	}()
+	root, err := db.optimizeRoot(ctx, plan, prepared)
+	if err != nil {
+		return nil, err
+	}
+	ex := db.executorFor(cfg, plan.Agg, prepared != nil)
+	st, err := ex.StreamContext(ctx, root, strategy)
+	if err != nil {
+		return nil, err
+	}
+	r := &streamRows{ex: ex, st: st, cancel: cancel, plan: algebra.Format(root), sch: st.Schema()}
+	if r.ords, err = outputOrds(plan, r.sch); err != nil {
+		st.Close()
+		return nil, err
+	}
+	if r.ords != nil {
+		r.sch = r.sch.Project(r.ords)
+	}
+	return r, nil
+}
+
+// streamContext derives a stream's context from ctx (Background when
+// nil), bounded by the configured per-query timeout. The returned cancel
+// must be called when the stream ends (streamRows.Close does) so timer
+// resources are released.
 func (c *queryConfig) streamContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if c.timeout > 0 {
 		return context.WithTimeout(ctx, c.timeout)
 	}
 	return context.WithCancel(ctx)
-}
-
-// streamPlan starts a streaming evaluation of plan under cfg. optimized
-// is the pre-optimized root for prepared statements (nil to optimize
-// here). The plug-in modes have no pipeline to stream — they are
-// orchestrations of whole queries — so they materialize first and stream
-// the result.
-func (db *DB) streamPlan(ctx context.Context, cancel context.CancelFunc, ex *exec.Executor, cfg *queryConfig, plan *planner.Plan, optimized algebra.Node) (Rows, error) {
-	root := optimized
-	if root == nil {
-		var err error
-		root, err = db.optimizeRoot(ctx, plan)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	switch cfg.mode {
-	case ModePluginNaive, ModePluginMerged:
-		rel, err := db.runMaterialized(ctx, ex, cfg, plan.Root, root)
-		if err != nil {
-			return nil, err
-		}
-		trimmed, err := trimResult(rel, plan)
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{Rel: trimmed, Stats: ex.Stats(), Plan: algebra.Format(root)}
-		return &materialRows{res: res, cancel: cancel}, nil
-	default:
-		strategy, sErr := execStrategy(cfg.mode)
-		if sErr != nil {
-			return nil, sErr
-		}
-		st, err := ex.StreamContext(ctx, root, strategy)
-		if err != nil {
-			return nil, err
-		}
-		ords, err := plan.TrimToOutput(st.Schema())
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		r := &streamRows{ex: ex, st: st, cancel: cancel, plan: algebra.Format(root)}
-		r.project(ords, st.Schema())
-		r.sch = st.Schema().Project(ords)
-		return r, nil
-	}
 }
 
 // streamRows adapts an exec.RowStream into the Rows interface, applying
@@ -303,34 +287,11 @@ type streamRows struct {
 	cancel context.CancelFunc
 	plan   string
 
-	// identity is true when the trim ordinals are 0..n-1 over the full
-	// schema, so rows pass through untouched.
-	identity bool
-	ords     []int
-	cols     []string
-	sch      *schema.Schema
-	buf      []types.Value // reused scratch tuple for projected rows
-	cur      prel.Row
-	closed   bool
-}
-
-// project precomputes the output projection and header.
-func (r *streamRows) project(ords []int, sch *schema.Schema) {
-	r.ords = ords
-	r.identity = len(ords) == sch.Len()
-	if r.identity {
-		for i, o := range ords {
-			if o != i {
-				r.identity = false
-				break
-			}
-		}
-	}
-	r.cols = make([]string, 0, len(ords)+2)
-	for _, o := range ords {
-		r.cols = append(r.cols, sch.Columns[o].QualifiedName())
-	}
-	r.cols = append(r.cols, "score", "conf")
+	ords   []int // output ordinals; nil passes rows through untouched
+	sch    *schema.Schema
+	buf    []types.Value // reused scratch tuple for projected rows
+	cur    prel.Row
+	closed bool
 }
 
 // Next implements Rows.
@@ -343,7 +304,7 @@ func (r *streamRows) Next() bool {
 		return false
 	}
 	row := r.st.Row()
-	if r.identity {
+	if r.ords == nil {
 		r.cur = row
 		return true
 	}
@@ -363,7 +324,7 @@ func (r *streamRows) Next() bool {
 func (r *streamRows) Row() prel.Row { return r.cur }
 
 // Columns implements Rows.
-func (r *streamRows) Columns() []string { return r.cols }
+func (r *streamRows) Columns() []string { return header(r.sch) }
 
 // Schema implements Rows.
 func (r *streamRows) Schema() *schema.Schema { return r.sch }
@@ -401,7 +362,6 @@ func (r *streamRows) Message() string { return "" }
 // (DDL/DML statements and the plug-in modes).
 type materialRows struct {
 	res    *Result
-	cancel context.CancelFunc
 	pos    int
 	cur    prel.Row
 	closed bool
@@ -410,7 +370,6 @@ type materialRows struct {
 // Next implements Rows.
 func (m *materialRows) Next() bool {
 	if m.closed || m.res.Rel == nil || m.pos >= m.res.Rel.Len() {
-		m.release()
 		return false
 	}
 	m.cur = m.res.Rel.Rows[m.pos]
@@ -438,15 +397,7 @@ func (m *materialRows) Err() error { return nil }
 // Close implements Rows.
 func (m *materialRows) Close() error {
 	m.closed = true
-	m.release()
 	return nil
-}
-
-func (m *materialRows) release() {
-	if m.cancel != nil {
-		m.cancel()
-		m.cancel = nil
-	}
 }
 
 // Stats implements Rows.

@@ -17,9 +17,8 @@
 //     drain their input once into an exactly sized slice (drain's
 //     rowSpool); set operations drain both children the same way. Each
 //     serves its result as a sliceBatchSrc.
-//   - Operators that only exist row-wise — Limit, the nested-loop join and
-//     the index rowIDIter sources — read batch children through batchToRow
-//     and hand their rows on through rowBatchSrc.
+//   - Every plan is run by one pipeline root (pipeline, executor.go) that
+//     charges each batch it pulls; drain, top-k and RowStream share it.
 //   - Results, row order and the non-diagnostic Stats do not depend on the
 //     batch size or on whether a table is columnar (see Executor). The suites
 //     in batch_test.go enforce this and check every result against the
@@ -144,59 +143,38 @@ func (h *heapBatchSrc) nextBatch() (*prel.Batch, bool) {
 	return b, true
 }
 
-// rowBatchSrc adapts a row iterator into a batch source: the bridge that
-// lets the row-wise operators (Limit, the nested-loop join, index access
-// paths) feed the pipeline above them.
-type rowBatchSrc struct {
-	in   iter
-	size int
-	buf  *prel.Batch
+// idBatchSrc is the index access path: it fetches the heap tuples of an
+// index lookup's row ids, in id-list order, into a reused batch. Like
+// heapBatchSrc it counts RowsScanned per batch and polls the guard.
+type idBatchSrc struct {
+	heap  *storage.Heap
+	ids   []storage.RowID
+	stats *Stats
+	tick  pollTick
+	size  int
+	buf   *prel.Batch
 }
 
-// prefdb:nolifecycle loop is bounded by r.size; the wrapped row iterator carries the tick
-func (r *rowBatchSrc) nextBatch() (*prel.Batch, bool) {
-	if r.buf == nil {
-		r.buf = prel.NewBatch(r.size)
+func (s *idBatchSrc) nextBatch() (*prel.Batch, bool) {
+	if s.buf == nil {
+		s.buf = prel.NewBatch(s.size)
 	}
-	r.buf.Reset()
-	for r.buf.Cap() < r.size {
-		row, ok := r.in.next()
-		if !ok {
-			break
+	b := s.buf
+	b.Reset()
+	for len(s.ids) > 0 && b.Cap() < s.size {
+		if tuple, ok := s.heap.Get(s.ids[0]); ok {
+			b.PushTuple(tuple)
 		}
-		r.buf.Push(row)
+		s.ids = s.ids[1:]
 	}
-	if r.buf.Cap() == 0 {
+	if b.Cap() == 0 {
 		return nil, false
 	}
-	return r.buf, true
-}
-
-// batchToRow adapts a batch pipeline into a row iterator for the row-wise
-// consumers (Limit, the nested-loop join). Rows returned alias batch tuple storage, which is
-// stable (tuples are immutable and arena-backed); the ⟨S,C⟩ pair is copied
-// by value, so buffering them is safe.
-type batchToRow struct {
-	in  batchIter
-	cur *prel.Batch
-	pos int
-}
-
-// prefdb:nolifecycle each inner pull yields a non-empty batch, so the loop advances every second iteration; the batch producer ticks
-func (b *batchToRow) next() (prel.Row, bool) {
-	for {
-		if b.cur != nil && b.pos < b.cur.Live() {
-			r := b.cur.Row(b.pos)
-			b.pos++
-			return r, true
-		}
-		var ok bool
-		b.cur, ok = b.in.nextBatch()
-		b.pos = 0
-		if !ok {
-			return prel.Row{}, false
-		}
+	s.stats.RowsScanned += b.Cap()
+	if s.tick.stopN(b.Cap()) {
+		s.ids = nil // guard tripped: stop producing, like heapBatchSrc
 	}
+	return b, true
 }
 
 // drainBatches exhausts a batch pipeline into an exactly sized row slice
@@ -566,6 +544,113 @@ func (t *thresholdBatch) nextBatch() (*prel.Batch, bool) {
 	}
 }
 
+// limitBatch skips the first skip rows, then passes at most left more, by
+// trimming the selection vector of the batches they fall in. It pulls no
+// batch once both are used up, so the input stops on the batch boundary
+// after the last row passed.
+type limitBatch struct {
+	in         batchIter
+	skip, left int
+	tick       pollTick
+}
+
+func (l *limitBatch) nextBatch() (*prel.Batch, bool) {
+	for l.skip > 0 || l.left > 0 {
+		b, ok := l.in.nextBatch()
+		if !ok || l.tick.stopN(b.Live()) {
+			return nil, false
+		}
+		n := copy(b.Sel, b.Sel[min(l.skip, len(b.Sel)):])
+		l.skip -= len(b.Sel) - n
+		b.Sel = b.Sel[:min(n, l.left)]
+		l.left -= len(b.Sel)
+		b.Check()
+		if b.Live() > 0 {
+			return b, true
+		}
+	}
+	return nil, false
+}
+
+// nlJoinBatch is the nested-loop join ⋈_{true,F}; a non-equi condition
+// runs as a filter above it. It buffers the right input (materialized
+// state, metered against the guard), then pairs each selected row of each
+// left batch with every buffered right row, in (left order, right order)
+// sequence, writing left ++ right into arena tuples, size rows per output
+// batch.
+type nlJoinBatch struct {
+	left, right batchIter
+	agg         pref.Aggregate
+	stats       *Stats
+	meter       matTick // charges the buffered right rows
+	tick        pollTick
+	size        int
+
+	built  bool
+	rRows  []prel.Row
+	lb     *prel.Batch // current left batch
+	li, ri int         // next pair: selected left row li × buffered right row ri
+	out    *prel.Batch
+	arena  projectArena
+}
+
+// buildRight buffers the right input; a columnar batch's rows cross into
+// row views here.
+func (n *nlJoinBatch) buildRight() {
+	for {
+		b, ok := n.right.nextBatch()
+		if !ok {
+			break
+		}
+		if b.Columnar() {
+			n.stats.RowsMaterialized += b.Live()
+		}
+		n.rRows = b.AppendRows(n.rRows)
+		if n.meter.rows(b.Live()) != nil {
+			break // trip is recorded in the guard; the pipeline root surfaces it
+		}
+	}
+	_ = n.meter.flush()
+	n.built = true
+}
+
+func (n *nlJoinBatch) nextBatch() (*prel.Batch, bool) {
+	if !n.built {
+		n.buildRight()
+		n.out = prel.NewBatch(n.size)
+	}
+	n.out.Reset()
+	for n.out.Cap() < n.size {
+		if n.lb == nil || n.li >= n.lb.Live() {
+			b, ok := n.left.nextBatch()
+			if !ok || n.tick.stopN(b.Live()) {
+				break
+			}
+			if b.Columnar() {
+				n.stats.RowsMaterialized += b.Live()
+			}
+			n.lb, n.li, n.ri = b, 0, 0
+			continue
+		}
+		j := n.lb.Sel[n.li]
+		l, lsc := n.lb.Rows()[j], n.lb.SCAt(j)
+		for ; n.ri < len(n.rRows) && n.out.Cap() < n.size; n.ri++ {
+			r := n.rRows[n.ri]
+			t := n.arena.tuple()
+			copy(t, l)
+			copy(t[len(l):], r.Tuple)
+			n.out.Push(prel.Row{Tuple: t, SC: n.agg.Combine(lsc, r.SC)})
+		}
+		if n.ri == len(n.rRows) {
+			n.li, n.ri = n.li+1, 0
+		}
+	}
+	if n.out.Cap() == 0 {
+		return nil, false
+	}
+	return n.out, true
+}
+
 // hashJoinBatch is the extended hash join ⋈_{φ,F}: the build side is
 // buffered into a bucket table, the probe side streams batches, emitting
 // joined rows into a private output batch in (probe order, build-insert
@@ -847,8 +932,7 @@ func (e *Executor) buildBatch(n algebra.Node) (batchIter, *schema.Schema, error)
 		if err != nil {
 			return nil, nil, err
 		}
-		lim := &limitIter{in: &batchToRow{in: in}, n: x.N, offset: x.Offset}
-		return &rowBatchSrc{in: lim, size: e.batchSize()}, s, nil
+		return &limitBatch{in: in, skip: max(x.Offset, 0), left: max(x.N, 0), tick: pollTick{g: e.gd}}, s, nil
 
 	case nil:
 		return nil, nil, fmt.Errorf("exec: nil plan node")
@@ -899,7 +983,7 @@ func (e *Executor) buildBlocking(n algebra.Node) (batchIter, *schema.Schema, err
 }
 
 // buildBatchScan compiles a (possibly filtered) base-table access. When a
-// filter conjunct allows, an index access path (a rowIDIter) replaces the
+// filter conjunct allows, an index access path (an idBatchSrc) replaces the
 // sequential scan; the remaining conjuncts run as a residual
 // selection-vector kernel. A full-table access (no index path taken, so
 // every conjunct is residual) streams the heap — or, when the table is
@@ -915,7 +999,7 @@ func (e *Executor) buildBatchScan(scan *algebra.Scan, conjuncts []expr.Node) (ba
 	s := t.Schema().Rename(scan.AliasName())
 
 	var residual []expr.Node
-	var index iter
+	var index batchIter
 	for i, c := range conjuncts {
 		if index != nil {
 			residual = append(residual, conjuncts[i:]...)
@@ -935,7 +1019,7 @@ func (e *Executor) buildBatchScan(scan *algebra.Scan, conjuncts []expr.Node) (ba
 	tick := pollTick{g: e.gd}
 	switch {
 	case index != nil:
-		bi = &rowBatchSrc{in: index, size: e.batchSize()}
+		bi = index
 	case t.Columnar():
 		preds := colstore.PredsFrom(s, conjuncts)
 		bi = newSegBatchSrc(t.ColStore(), t.Heap, preds, &e.stats, tick, e.batchSize())
@@ -987,7 +1071,7 @@ func (e *Executor) buildBatchSegment(n algebra.Node) (batchIter, *schema.Schema,
 // the projection proj over it when non-nil. Equi-conjuncts over opposite
 // sides select hashJoinBatch, whose probe side streams batches and which
 // evaluates the projection inside its combine step; with no
-// equi-conjunct a nested-loop join runs behind row adapters. Residual
+// equi-conjunct an nlJoinBatch pairs every row. Residual
 // conditions run as a vectorized filter, and a projection over a
 // residual filter or a nested loop runs as a projectBatch.
 func (e *Executor) buildBatchJoin(j *algebra.Join, proj *algebra.Project) (batchIter, *schema.Schema, error) {
@@ -1013,8 +1097,10 @@ func (e *Executor) buildBatchJoin(j *algebra.Join, proj *algebra.Project) (batch
 	if len(eqL) > 0 {
 		base = e.newHashJoin(j, lBi, rBi, eqL, eqR, lS.Len(), out.Len(), nil)
 	} else {
-		it := newNLJoinIter(&batchToRow{in: lBi}, &batchToRow{in: rBi}, e.Agg, e.gd)
-		base = &rowBatchSrc{in: it, size: e.batchSize()}
+		nl := &nlJoinBatch{left: lBi, right: rBi, agg: e.Agg, stats: &e.stats,
+			meter: matTick{g: e.gd, width: rS.Len() + 2}, tick: pollTick{g: e.gd}, size: e.batchSize()}
+		nl.arena.width = out.Len()
+		base = nl
 	}
 	if residual != nil {
 		cond, cErr := expr.CompileCondition(residual, out, e.Funcs)

@@ -409,7 +409,9 @@ func oracleDiff(o *oracle, plan algebra.Node, got *prel.PRelation) (string, erro
 // five over a 200,000-row scan reads one batch of the heap (or one window
 // of the column store), not the whole table, and a prefer chain beneath
 // it scores only the batches it pulls — exactly five rows with 1-row
-// batches.
+// batches. OFFSETs that cross batch boundaries, over a scan and over an
+// index path, must return the [offset:offset+n] slice of the same plan
+// without the Limit.
 func TestLimitStopsScanEarly(t *testing.T) {
 	fx := loadTwice(t, func(t testing.TB) *catalog.Catalog {
 		cat := catalog.New()
@@ -421,6 +423,9 @@ func TestLimitStopsScanEarly(t *testing.T) {
 			if err := tbl.Insert([]types.Value{types.Int(int64(i))}); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := cat.CreateBTreeIndex("wide", "id"); err != nil {
+			t.Fatal(err)
 		}
 		return cat
 	})
@@ -454,6 +459,89 @@ func TestLimitStopsScanEarly(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	inputs := map[string]algebra.Node{
+		"scan": &algebra.Scan{Table: "wide"},
+		"index": &algebra.Select{ // a B+-tree range
+			Cond:  expr.Cmp("id", expr.OpGe, types.Int(195_000)),
+			Input: &algebra.Scan{Table: "wide"},
+		},
+	}
+	for name, in := range inputs {
+		for _, cat := range []*catalog.Catalog{fx.heap, fx.col} {
+			for _, size := range []int{1, 7, 1024} {
+				run := func(plan algebra.Node) (*prel.PRelation, Stats) {
+					e := New(cat)
+					e.BatchSize = size
+					rel, err := e.Run(plan, Native)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return rel, e.Stats()
+				}
+				all, st := run(in)
+				if (st.IndexProbes > 0) != (name == "index") {
+					t.Fatalf("%s: %d index probes", name, st.IndexProbes)
+				}
+				for _, lim := range [][2]int{{0, 7}, {6, 3}, {7, 7}, {1020, 10}, {1024, 1}, {1030, 1100}, {4990, 20}, {5000, 3}} {
+					off, n := lim[0], lim[1]
+					got, _ := run(&algebra.Limit{N: n, Offset: off, Input: in})
+					lo := min(off, all.Len())
+					want := &prel.PRelation{Schema: all.Schema, Rows: all.Rows[lo:min(lo+n, all.Len())]}
+					mustIdentical(t, want, got, fmt.Sprintf("%s columnar=%v size=%d LIMIT %d OFFSET %d", name, cat == fx.col, size, n, off))
+				}
+			}
+		}
+	}
+}
+
+// TestLimitCountsMaterializedRows pins that columnar rows crossing into
+// row form above a Limit or inside a nested-loop join count in
+// RowsMaterialized like everywhere else: LIMIT 5000 over a compacted
+// 20,000-row table hands 5,000 columnar rows to the pipeline root, and a
+// theta join crosses every row of both (filtered) inputs. The theta join
+// must also match the oracle on every arm.
+func TestLimitCountsMaterializedRows(t *testing.T) {
+	fx := loadTwice(t, func(t testing.TB) *catalog.Catalog {
+		cat := catalog.New()
+		tbl, err := cat.CreateTable("seq", schema.New(schema.Column{Name: "id", Kind: types.KindInt}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20_000; i++ {
+			if err := tbl.Insert([]types.Value{types.Int(int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cat
+	})
+	side := func(alias string, below int64) algebra.Node {
+		return &algebra.Select{Cond: expr.Cmp(alias+".id", expr.OpLt, types.Int(below)),
+			Input: &algebra.Scan{Table: "seq", Alias: alias}}
+	}
+	theta := &algebra.Join{Cond: expr.Bin{Op: expr.OpLt, L: expr.ColRef("a.id"), R: expr.ColRef("b.id")},
+		Left: side("a", 100), Right: side("b", 50)}
+	for _, tc := range []struct {
+		plan algebra.Node
+		rows int // result rows
+		mat  int // columnar rows crossed into row form
+	}{
+		{&algebra.Limit{N: 5000, Input: &algebra.Scan{Table: "seq"}}, 5000, 5000},
+		{theta, 49 * 50 / 2, 100 + 50},
+	} {
+		e := New(fx.col)
+		got, err := e.Run(tc.plan, Native)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := e.Stats(); got.Len() != tc.rows || st.RowsMaterialized != tc.mat {
+			t.Fatalf("%s: %d rows, rowsMaterialized=%d; want %d and %d",
+				algebra.Format(tc.plan), got.Len(), st.RowsMaterialized, tc.rows, tc.mat)
+		}
+	}
+	for _, strategy := range Strategies() {
+		crossCheck(t, fx, theta, strategy, "theta "+strategy.String())
 	}
 }
 

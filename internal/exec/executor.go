@@ -201,19 +201,43 @@ func (e *Executor) drain(n algebra.Node) (*prel.PRelation, error) {
 	return &prel.PRelation{Schema: s, Rows: sp.rows()}, nil
 }
 
-// pump builds n as a batch pipeline and hands every batch to sink, charging
-// Stats and the lifecycle guard as materializing n's result does: each row
-// counts as materialized whether sink keeps it (drain) or only ranks it
-// (top-k, whose counters model the paper's filtering UDF reading its whole
-// input).
-//
-// A prefer operator does not copy its input relation — the paper's
-// implementation updates the score relation R_P in place — so when n is a
-// Prefer, only the rows carrying non-default pairs (the R_P writes) count
-// as materialized.
+// pump runs n through a pipeline root, handing every batch to sink: drain
+// keeps the rows, top-k only ranks them. Either way the root charges them
+// as n's materialized result (top-k's counters model the paper's filtering
+// UDF reading its whole input).
 func (e *Executor) pump(n algebra.Node, sink func(*prel.Batch)) (*schema.Schema, error) {
-	// Strategy loops re-enter drain once per operator/group, so this entry
-	// check bounds how much work a canceled BU/GBU/FtP run still starts.
+	p, err := e.open(n)
+	if err != nil {
+		return nil, err
+	}
+	for b, ok := p.nextBatch(); ok; b, ok = p.nextBatch() {
+		sink(b)
+	}
+	if err := p.close(); err != nil {
+		return nil, err
+	}
+	return p.sch, nil
+}
+
+// pipeline is the root of a running plan: the one place that charges
+// Stats and the lifecycle guard for the batches a consumer pulls (drain,
+// top-k, RowStream). Open it, pull until nextBatch reports false, then
+// close it to settle the accounting.
+type pipeline struct {
+	e   *Executor
+	in  batchIter
+	sch *schema.Schema
+	// prefer marks a Prefer root, which writes R_P instead of copying its
+	// input (see close).
+	prefer       bool
+	meter        matTick
+	rows, scored int
+}
+
+// open polls the guard, then builds n as a batch pipeline. Strategy loops
+// re-enter it once per operator/group, so the entry poll bounds how much
+// work a canceled BU/GBU/FtP run still starts.
+func (e *Executor) open(n algebra.Node) (*pipeline, error) {
 	if err := e.gd.poll(); err != nil {
 		return nil, err
 	}
@@ -221,47 +245,61 @@ func (e *Executor) pump(n algebra.Node, sink func(*prel.Batch)) (*schema.Schema,
 	if err != nil {
 		return nil, err
 	}
-	meter := matTick{g: e.gd, width: s.Len() + 2}
-	rows, scored := 0, 0
-	for {
-		b, ok := bi.nextBatch()
-		if !ok {
-			break
-		}
-		e.stats.Batches++
-		if b.Columnar() {
-			e.stats.RowsMaterialized += b.Live()
-		}
-		rows += b.Live()
-		for _, j := range b.Sel {
-			if b.Known[j] {
-				scored++
-			}
-		}
-		sink(b)
-		if gErr := meter.rows(b.Live()); gErr != nil {
-			return nil, gErr
+	_, prefer := n.(*algebra.Prefer)
+	return &pipeline{e: e, in: bi, sch: s, prefer: prefer, meter: matTick{g: e.gd, width: s.Len() + 2}}, nil
+}
+
+// nextBatch pulls one batch and charges it: the batch count, the columnar
+// rows crossing into row form at the root, and the guard meter. It reports
+// false at exhaustion or when the meter trips; close surfaces the trip.
+func (p *pipeline) nextBatch() (*prel.Batch, bool) {
+	b, ok := p.in.nextBatch()
+	if !ok {
+		return nil, false
+	}
+	st := &p.e.stats
+	st.Batches++
+	if b.Columnar() {
+		st.RowsMaterialized += b.Live()
+	}
+	p.rows += b.Live()
+	for _, j := range b.Sel {
+		if b.Known[j] {
+			p.scored++
 		}
 	}
-	if gErr := meter.flush(); gErr != nil {
-		return nil, gErr
+	if p.meter.rows(b.Live()) != nil {
+		return nil, false
 	}
-	// Inner iterators stop yielding (rather than erroring) when the guard
-	// trips mid-stream; surface that here so no partial rows escape.
-	if gErr := e.gd.poll(); gErr != nil {
-		return nil, gErr
+	return b, true
+}
+
+// close settles an exhausted pipeline: it flushes the guard meter and
+// surfaces a trip (inner operators stop yielding rather than erroring, so
+// no partial result escapes), then charges the rows pulled as
+// materialized. A prefer operator does not copy its input relation — the
+// paper's implementation updates the score relation R_P in place — so a
+// Prefer root counts only the rows carrying non-default pairs (the R_P
+// writes).
+func (p *pipeline) close() error {
+	if err := p.meter.flush(); err != nil {
+		return err
 	}
-	if _, isPrefer := n.(*algebra.Prefer); isPrefer {
+	if err := p.e.gd.poll(); err != nil {
+		return err
+	}
+	st := &p.e.stats
+	if p.prefer {
 		// R_P rows are (pk, score, conf) triples regardless of the base
 		// relation's width.
-		e.stats.TuplesMaterialized += scored
-		e.stats.CellsMaterialized += scored * 3
+		st.TuplesMaterialized += p.scored
+		st.CellsMaterialized += p.scored * 3
 	} else {
-		e.stats.TuplesMaterialized += rows
-		e.stats.CellsMaterialized += rows * (s.Len() + 2)
+		st.TuplesMaterialized += p.rows
+		st.CellsMaterialized += p.rows * (p.sch.Len() + 2)
 	}
-	e.stats.ScoreRelationRows += scored
-	return s, nil
+	st.ScoreRelationRows += p.scored
+	return nil
 }
 
 // spoolChunkRows caps the rows of one rowSpool chunk.

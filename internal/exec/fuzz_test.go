@@ -20,7 +20,9 @@ type planGen struct {
 }
 
 // genPlan produces a plan over movies ⋈ genres [⋈ directors] with random
-// selections, 0–4 preferences and a random filtering operator.
+// selections, 0–4 preferences and a random filtering operator. The
+// directors join is an equi-join (a hash join) or, one time in three, a
+// theta join (a nested-loop join under a filter).
 func (g *planGen) genPlan() algebra.Node {
 	// Join shape.
 	var core algebra.Node = &algebra.Scan{Table: "movies"}
@@ -33,8 +35,12 @@ func (g *planGen) genPlan() algebra.Node {
 		rels = append(rels, "genres")
 	}
 	if g.r.Intn(3) == 0 {
+		op := expr.OpEq
+		if g.r.Intn(3) == 0 {
+			op = expr.OpGt
+		}
 		core = &algebra.Join{
-			Cond: expr.Bin{Op: expr.OpEq, L: expr.ColRef("movies.d_id"), R: expr.ColRef("directors.d_id")},
+			Cond: expr.Bin{Op: op, L: expr.ColRef("movies.d_id"), R: expr.ColRef("directors.d_id")},
 			Left: core, Right: &algebra.Scan{Table: "directors"},
 		}
 		rels = append(rels, "directors")

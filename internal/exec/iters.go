@@ -16,13 +16,6 @@ import (
 	"prefdb/internal/types"
 )
 
-// iter is a pull-based tuple stream: the interface of the row-wise
-// operators (Limit, the nested-loop join, index access paths), which meet
-// the batch pipeline through batchToRow and rowBatchSrc.
-type iter interface {
-	next() (prel.Row, bool)
-}
-
 // projectChunkRows sizes the arena chunks projection allocates: one
 // allocation serves this many output tuples.
 const projectChunkRows = 256
@@ -72,10 +65,10 @@ func cmpFloat(v float64, op expr.Op, ref float64) bool {
 
 // --- scans and access paths ---
 
-// tryIndexPath returns an index-backed iterator for a single conjunct of
-// the form col = lit (hash or btree index) or col <cmp> lit / BETWEEN
+// tryIndexPath returns an index-backed batch source for a single conjunct
+// of the form col = lit (hash or btree index) or col <cmp> lit / BETWEEN
 // (btree index), or nil when no index applies.
-func (e *Executor) tryIndexPath(t *catalog.Table, s *schema.Schema, c expr.Node) iter {
+func (e *Executor) tryIndexPath(t *catalog.Table, s *schema.Schema, c expr.Node) batchIter {
 	switch n := c.(type) {
 	case expr.Bin:
 		col, lit, op, ok := expr.BindColLit(s, n)
@@ -87,12 +80,10 @@ func (e *Executor) tryIndexPath(t *catalog.Table, s *schema.Schema, c expr.Node)
 		name := strings.ToLower(col.Name)
 		if op == expr.OpEq {
 			if ix, ok := t.HashIndexOn(name); ok {
-				e.stats.IndexProbes++
-				return &rowIDIter{heap: t.Heap, ids: ix.Lookup([]types.Value{lit}), stats: &e.stats}
+				return e.fetchIDs(t, ix.Lookup([]types.Value{lit}))
 			}
 			if ix, ok := t.BTreeIndexOn(name); ok {
-				e.stats.IndexProbes++
-				return &rowIDIter{heap: t.Heap, ids: ix.Lookup(lit), stats: &e.stats}
+				return e.fetchIDs(t, ix.Lookup(lit))
 			}
 			return nil
 		}
@@ -114,8 +105,7 @@ func (e *Executor) tryIndexPath(t *catalog.Table, s *schema.Schema, c expr.Node)
 		default:
 			return nil
 		}
-		e.stats.IndexProbes++
-		return e.btreeRangeIter(t, ix, lo, hi, loIncl, hiIncl)
+		return e.btreeRange(t, ix, lo, hi, loIncl, hiIncl)
 
 	case expr.Between:
 		col, okC := n.X.(expr.Col)
@@ -131,41 +121,24 @@ func (e *Executor) tryIndexPath(t *catalog.Table, s *schema.Schema, c expr.Node)
 		if !ok {
 			return nil
 		}
-		e.stats.IndexProbes++
-		return e.btreeRangeIter(t, ix, loLit.Val, hiLit.Val, true, true)
+		return e.btreeRange(t, ix, loLit.Val, hiLit.Val, true, true)
 	}
 	return nil
 }
 
-func (e *Executor) btreeRangeIter(t *catalog.Table, ix *storage.BTreeIndex, lo, hi types.Value, loIncl, hiIncl bool) iter {
+func (e *Executor) btreeRange(t *catalog.Table, ix *storage.BTreeIndex, lo, hi types.Value, loIncl, hiIncl bool) batchIter {
 	var ids []storage.RowID
 	ix.Range(lo, hi, loIncl, hiIncl, func(id storage.RowID) bool {
 		ids = append(ids, id)
 		return true
 	})
-	return &rowIDIter{heap: t.Heap, ids: ids, stats: &e.stats}
+	return e.fetchIDs(t, ids)
 }
 
-// rowIDIter fetches specific rows by RowID (index access path).
-type rowIDIter struct {
-	heap  *storage.Heap
-	ids   []storage.RowID
-	stats *Stats
-	pos   int
-}
-
-func (r *rowIDIter) next() (prel.Row, bool) {
-	for r.pos < len(r.ids) {
-		id := r.ids[r.pos]
-		r.pos++
-		tuple, ok := r.heap.Get(id)
-		if !ok {
-			continue
-		}
-		r.stats.RowsScanned++
-		return prel.Row{Tuple: tuple}, true
-	}
-	return prel.Row{}, false
+// fetchIDs counts one index probe and returns the source fetching ids.
+func (e *Executor) fetchIDs(t *catalog.Table, ids []storage.RowID) batchIter {
+	e.stats.IndexProbes++
+	return &idBatchSrc{heap: t.Heap, ids: ids, stats: &e.stats, tick: pollTick{g: e.gd}, size: e.batchSize()}
 }
 
 // --- joins ---
@@ -229,68 +202,6 @@ func equalOn(l, r []types.Value, eqL, eqR []int) bool {
 		}
 	}
 	return true
-}
-
-// combineRows concatenates tuples and combines their pairs through F, the
-// extended join semantics of §IV-B.
-func combineRows(l, r prel.Row, agg pref.Aggregate) prel.Row {
-	tuple := make([]types.Value, 0, len(l.Tuple)+len(r.Tuple))
-	tuple = append(tuple, l.Tuple...)
-	tuple = append(tuple, r.Tuple...)
-	return prel.Row{Tuple: tuple, SC: agg.Combine(l.SC, r.SC)}
-}
-
-// nlJoinIter is a nested-loop cross join (residual conditions filter above).
-type nlJoinIter struct {
-	left, right iter
-	agg         pref.Aggregate
-	g           *guard
-	tick        pollTick
-
-	built bool
-	rRows []prel.Row
-	lRow  prel.Row
-	lOK   bool
-	rPos  int
-}
-
-func newNLJoinIter(l, r iter, agg pref.Aggregate, g *guard) *nlJoinIter {
-	return &nlJoinIter{left: l, right: r, agg: agg, g: g, tick: pollTick{g: g}}
-}
-
-func (n *nlJoinIter) next() (prel.Row, bool) {
-	if !n.built {
-		// The buffered inner side is materialized state: meter it.
-		meter := matTick{g: n.g}
-		for {
-			row, ok := n.right.next()
-			if !ok {
-				break
-			}
-			n.rRows = append(n.rRows, row)
-			if meter.width == 0 {
-				meter.width = len(row.Tuple) + 2
-			}
-			if meter.row() != nil {
-				break
-			}
-		}
-		_ = meter.flush()
-		n.lRow, n.lOK = n.left.next()
-		n.built = true
-	}
-	for {
-		if !n.lOK || n.tick.stop() {
-			return prel.Row{}, false
-		}
-		if n.rPos < len(n.rRows) {
-			r := n.rRows[n.rPos]
-			n.rPos++
-			return combineRows(n.lRow, r, n.agg), true
-		}
-		n.lRow, n.lOK = n.left.next()
-		n.rPos = 0
-	}
 }
 
 // --- set operations ---
@@ -512,34 +423,6 @@ candidates:
 		window = append(kept, cand)
 	}
 	return window, nil
-}
-
-// limitIter skips offset rows then yields at most n.
-type limitIter struct {
-	in      iter
-	n       int
-	offset  int
-	skipped int
-	yielded int
-}
-
-// prefdb:nolifecycle skip loop is bounded by the plan's OFFSET; the input iterator ticks
-func (l *limitIter) next() (prel.Row, bool) {
-	for l.skipped < l.offset {
-		if _, ok := l.in.next(); !ok {
-			return prel.Row{}, false
-		}
-		l.skipped++
-	}
-	if l.yielded >= l.n {
-		return prel.Row{}, false
-	}
-	row, ok := l.in.next()
-	if !ok {
-		return prel.Row{}, false
-	}
-	l.yielded++
-	return row, true
 }
 
 // orderRows stably sorts a relation by the attribute keys (NULLs first on

@@ -3,14 +3,13 @@
 // network server's result-batch writer, a shell printing rows) can
 // forward rows as they are produced without holding the whole result.
 //
-// Stats parity: a fully drained stream leaves the executor's Stats
-// byte-identical to RunContext for the same plan and strategy. The Native
-// strategy streams its single pipeline end-to-end — the result relation
-// is never built — while mirroring drain's accounting (the native call,
-// per-row materialization counters, the amortized guard meter, the
-// prefer-root R_P counting rule). The materializing strategies (BU, GBU,
-// FtP) run to completion first — materialization boundaries are their
-// semantics — and stream the final relation, which costs no extra copy.
+// Streaming shares the pipeline root with RunContext: the Native strategy
+// opens its plan as a pipeline (executor.go) and the stream is only a row
+// cursor over the batches the root pulls and charges, so a fully drained
+// stream leaves Stats byte-identical to RunContext. The materializing
+// strategies (BU, GBU, FtP) run to completion first — materialization
+// boundaries are their semantics — and stream the final relation through
+// a sliceBatchSrc, which costs no extra copy of the rows.
 package exec
 
 import (
@@ -29,24 +28,13 @@ import (
 type RowStream struct {
 	e   *Executor
 	sch *schema.Schema
+	src batchIter
+	// root is the Native strategy's pipeline root (src itself), settled at
+	// exhaustion; nil when src serves an already materialized result.
+	root *pipeline
 
-	// Exactly one source is active: rows for pre-materialized strategies,
-	// bi for the native pipeline.
-	rows []prel.Row
-	pos  int
-	bi   batchIter
 	b    *prel.Batch
-	bpos int
-
-	// native marks a stream that owns drain-style accounting; the
-	// materializing strategies already accounted everything in Stats.
-	native     bool
-	preferRoot bool
-	meter      matTick
-
-	streamed int
-	scored   int
-
+	pos  int
 	cur  prel.Row
 	err  error
 	done bool
@@ -64,30 +52,21 @@ func (e *Executor) StreamContext(ctx context.Context, plan algebra.Node, strateg
 	}
 	if strategy != Native {
 		rel, err := e.runStrategy(plan, strategy)
-		if gErr := e.GuardErr(); gErr != nil {
-			return nil, gErr
-		}
-		if err != nil {
+		if err = e.guardOr(err); err != nil {
 			return nil, err
 		}
-		return &RowStream{e: e, sch: rel.Schema, rows: rel.Rows}, nil
+		return &RowStream{e: e, sch: rel.Schema, src: newSliceBatchSrc(rel.Rows, e.batchSize())}, nil
 	}
-
-	// Mirror Materialize → drain for the Native strategy, but hand the
-	// pipeline to the caller instead of exhausting it here.
+	// Materialize's native call, with the pipeline handed to the caller.
 	if err := e.gd.poll(); err != nil {
 		return nil, e.guardOr(err)
 	}
 	e.stats.NativeCalls++
-	_, preferRoot := plan.(*algebra.Prefer)
-	s := &RowStream{e: e, native: true, preferRoot: preferRoot}
-	bi, sch, err := e.buildBatch(plan)
+	p, err := e.open(plan)
 	if err != nil {
 		return nil, err
 	}
-	s.bi, s.sch = bi, sch
-	s.meter = matTick{g: e.gd, width: s.sch.Len() + 2}
-	return s, nil
+	return &RowStream{e: e, sch: p.sch, src: p, root: p}, nil
 }
 
 // guardOr returns the stats-filled guard error if the guard tripped, or
@@ -103,94 +82,27 @@ func (e *Executor) guardOr(err error) error {
 func (s *RowStream) Schema() *schema.Schema { return s.sch }
 
 // Next advances to the next row, reporting false at exhaustion or
-// failure; check Err after the loop. On the native path it meters
-// materialization against the lifecycle guard exactly like RunContext.
+// failure; check Err after the loop.
 func (s *RowStream) Next() bool {
-	if s.done || s.err != nil {
+	if s.done {
 		return false
 	}
-	row, ok := s.pull()
-	if !ok {
-		if s.err == nil {
-			s.finish()
-		}
-		return false
-	}
-	s.cur = row
-	if s.native {
-		s.streamed++
-		if !row.SC.IsBottom() {
-			s.scored++
-		}
-	}
-	return true
-}
-
-// pull fetches one row from whichever source feeds the stream.
-func (s *RowStream) pull() (prel.Row, bool) {
-	if s.bi == nil {
-		if s.pos >= len(s.rows) {
-			return prel.Row{}, false
-		}
-		row := s.rows[s.pos]
-		s.pos++
-		return row, true
-	}
-	for s.b == nil || s.bpos >= s.b.Live() {
-		b, ok := s.bi.nextBatch()
+	if s.b == nil || s.pos >= s.b.Live() {
+		b, ok := s.src.nextBatch()
 		if !ok {
-			return prel.Row{}, false
+			s.done = true
+			if s.root != nil {
+				if err := s.root.close(); err != nil {
+					s.err = s.e.guardOr(err)
+				}
+			}
+			return false
 		}
-		s.e.stats.Batches++
-		if b.Columnar() {
-			s.e.stats.RowsMaterialized += b.Live()
-		}
-		// Charge the whole batch when it arrives — the same amortized
-		// pattern pump uses — so guard trip points match the
-		// materialized path.
-		if gErr := s.meter.rows(b.Live()); gErr != nil {
-			s.fail(gErr)
-			return prel.Row{}, false
-		}
-		s.b, s.bpos = b, 0
+		s.b, s.pos = b, 0
 	}
-	row := s.b.Row(s.bpos)
-	s.bpos++
-	return row, true
-}
-
-// finish settles accounting at exhaustion, mirroring drain: flush the
-// guard meter, surface a mid-stream trip (inner iterators stop yielding
-// rather than erroring), then fold the streamed rows into Stats under the
-// prefer-root R_P rule.
-func (s *RowStream) finish() {
-	s.done = true
-	if !s.native {
-		return
-	}
-	if gErr := s.meter.flush(); gErr != nil {
-		s.fail(gErr)
-		return
-	}
-	if gErr := s.e.gd.poll(); gErr != nil {
-		s.fail(gErr)
-		return
-	}
-	if s.preferRoot {
-		// R_P rows are (pk, score, conf) triples regardless of width.
-		s.e.stats.TuplesMaterialized += s.scored
-		s.e.stats.CellsMaterialized += s.scored * 3
-	} else {
-		s.e.stats.TuplesMaterialized += s.streamed
-		s.e.stats.CellsMaterialized += s.streamed * (s.sch.Len() + 2)
-	}
-	s.e.stats.ScoreRelationRows += s.scored
-}
-
-// fail records the stream failure with the executor's Stats filled in.
-func (s *RowStream) fail(err error) {
-	s.done = true
-	s.err = s.e.guardOr(err)
+	s.cur = s.b.Row(s.pos)
+	s.pos++
+	return true
 }
 
 // Row returns the current row; valid only until the next call to Next.
@@ -201,8 +113,9 @@ func (s *RowStream) Row() prel.Row { return s.cur }
 func (s *RowStream) Err() error { return s.err }
 
 // Close stops the stream early. The stream runs on the caller's goroutine,
-// so Close only marks it exhausted; Stats of a stream closed before exhaustion reflect the rows
-// actually streamed. Close is idempotent and returns Err.
+// so Close only marks it exhausted; Stats of a stream closed before
+// exhaustion count the batches pulled but no materialized rows. Close is
+// idempotent and returns Err.
 func (s *RowStream) Close() error {
 	s.done = true
 	return s.err

@@ -355,8 +355,8 @@ func Null() Value { return types.Null() }
 type Preference = pref.Preference
 
 // ProfileStore is a per-user preference repository; applications register
-// collected preferences and QueryForUser integrates the applicable ones
-// automatically.
+// collected preferences and a query under WithProfile integrates the
+// applicable ones automatically.
 type ProfileStore = profile.Store
 
 // NewProfileStore returns an empty preference repository.

@@ -2,6 +2,7 @@ package prefdb
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -112,7 +113,7 @@ func TestRootProfileAndPreferenceAPI(t *testing.T) {
 	if err := store.Add("u", p); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.QueryForUser("SELECT title FROM movies RANK BY score", store, "u", ModeGBU)
+	res, err := db.QueryContext(context.Background(), "SELECT title FROM movies RANK BY score", WithProfile(store, "u"), WithMode(ModeGBU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestRootQualitativeOrder(t *testing.T) {
 	if err := store.Add("alice", ps...); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.QueryForUser("SELECT m_id, genre FROM genres RANK BY score", store, "alice", ModeGBU)
+	res, err := db.QueryContext(context.Background(), "SELECT m_id, genre FROM genres RANK BY score", WithProfile(store, "alice"), WithMode(ModeGBU))
 	if err != nil {
 		t.Fatal(err)
 	}
