@@ -293,7 +293,7 @@ func (t *Table) ColStore() *colstore.Store {
 	t.colMu.Lock()
 	defer t.colMu.Unlock()
 	if v := t.Version(); t.col == nil || t.col.Version != v {
-		t.col = colstore.BuildShared(t.Heap, v, t.colDict)
+		t.col = colstore.Build(t.Heap, v, t.colDict)
 	}
 	return t.col
 }

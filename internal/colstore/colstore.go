@@ -15,9 +15,6 @@
 package colstore
 
 import (
-	"math/bits"
-	"sort"
-
 	"prefdb/internal/debug"
 	"prefdb/internal/schema"
 	"prefdb/internal/storage"
@@ -28,22 +25,6 @@ import (
 // (SegmentPages × storage.PageSize rows), balancing zone-map resolution
 // against per-segment overhead.
 const SegmentPages = 16
-
-// packMaxWidth is the widest frame-of-reference encoding an int column
-// accepts: when the zone's [min, max] span fits in at most this many bits
-// the vector is bit-packed (Packed/Width/Base) instead of stored as raw
-// int64s, halving (or better) its footprint. Wider spans stay on Ints —
-// past 32 bits the space saving no longer pays for the unpack.
-const packMaxWidth = 32
-
-// rleMinRun is the acceptance threshold for run-length encoding: an int or
-// code vector trades its dense form for runs only when the average run is
-// at least this long (run count ≪ length), so run-aware kernels that
-// evaluate once per run always amortize over many rows. The builder
-// attempts the encoding only on columns whose zone map is Valid (a typed
-// column with live non-null values — the same metadata that drives
-// pruning and pack widths).
-const rleMinRun = 8
 
 // BlockSource is the page-oriented view of row storage the compactor
 // consumes; *storage.Heap satisfies it directly.
@@ -69,13 +50,8 @@ type Zone struct {
 // NULL slots hold zero values. When the pages held a live value that does
 // not match the declared kind (dynamic typing permits that), the column
 // carries no vector at all, only its zone counts; kernels then read the
-// segment's row views.
-//
-// An int column whose zone span fits packMaxWidth bits trades Ints for the
-// frame-of-reference encoding: Packed holds Width-bit offsets from Base,
-// densely concatenated into uint64 words. Kernels unpack a block at a time
-// into scratch (Unpack); dead and NULL slots unpack as Base, which is fine
-// because the Nulls bitmap and the deleted bitmap guard every read.
+// segment's row views. The dense vector is the column's only physical
+// form, so every window a scan reads is a slice of it.
 type Column struct {
 	Kind   types.Kind
 	Ints   []int64
@@ -85,188 +61,6 @@ type Column struct {
 	Bools  []bool
 	Nulls  []bool // nil when the column has no NULL slot
 	Zone   Zone
-
-	Packed []uint64 // bit-packed int vector (replaces Ints when set)
-	Width  uint8    // bits per packed value, in (0, packMaxWidth]
-	Base   int64    // frame of reference: value = Base + packed bits
-
-	// Run-length encoding (replaces Ints or Codes when the column's run
-	// count is ≪ its length; see rleMinRun): RunVals/RunCodes hold one
-	// value per run, RunEnds the run's exclusive end slot. Dead and NULL
-	// slots are absorbed into the enclosing run — they decode as the run's
-	// value, which never surfaces because the bitmaps guard every read,
-	// exactly as with the zero filler of dense vectors.
-	RunVals  []int64
-	RunCodes []int32 // code runs of a string column (with Dict)
-	RunEnds  []int32
-}
-
-// runOf locates the run covering slot i by binary search over the run
-// ends (runs are contiguous and cover every slot).
-func (c *Column) runOf(i int) int {
-	return sort.Search(len(c.RunEnds), func(k int) bool { return c.RunEnds[k] > int32(i) })
-}
-
-// packedBits extracts the Width-bit word of slot i (which may straddle a
-// word boundary).
-func (c *Column) packedBits(i int) uint64 {
-	w := uint(c.Width)
-	bit := uint(i) * w
-	word, off := bit/64, bit%64
-	v := c.Packed[word] >> off
-	if off+w > 64 {
-		v |= c.Packed[word+1] << (64 - off)
-	}
-	return v & (1<<w - 1)
-}
-
-// Unpack decodes packed slots [lo, hi) into dst (grown if its capacity
-// is short), returning dst[:hi-lo]. Dead and NULL slots decode as Base;
-// callers mask them via the Nulls/Deleted bitmaps, exactly as they would
-// ignore the zero filler of an unpacked Ints vector.
-func (c *Column) Unpack(lo, hi int, dst []int64) []int64 {
-	if cap(dst) < hi-lo {
-		dst = make([]int64, hi-lo)
-	}
-	dst = dst[:hi-lo]
-	for i := range dst {
-		dst[i] = c.Base + int64(c.packedBits(lo+i))
-	}
-	return dst
-}
-
-// packInts converts an eligible int vector to the frame-of-reference
-// bit-packed encoding. The width comes from the zone's [min, max] span —
-// exact metadata, so the round-trip is lossless for every live non-null
-// slot; other slots pack as zero bits and never surface.
-func (c *Column) packInts(seg *Segment) {
-	if c.Ints == nil || !c.Zone.Valid || c.Zone.Min.Kind() != types.KindInt {
-		return
-	}
-	base := c.Zone.Min.AsInt()
-	span := uint64(c.Zone.Max.AsInt()) - uint64(base) // two's-complement safe
-	width := uint(bits.Len64(span))
-	if width == 0 {
-		width = 1
-	}
-	if width > packMaxWidth {
-		return
-	}
-	packed := make([]uint64, (seg.Rows*int(width)+63)/64)
-	for i, v := range c.Ints {
-		if (c.Nulls != nil && c.Nulls[i]) || seg.Dead(i) {
-			continue // zero bits; guarded by the bitmaps on every read
-		}
-		bitsVal := uint64(v - base)
-		bit := uint(i) * width
-		word, off := bit/64, bit%64
-		packed[word] |= bitsVal << off
-		if off+width > 64 {
-			packed[word+1] |= bitsVal >> (64 - off)
-		}
-	}
-	ints := c.Ints
-	c.Packed, c.Width, c.Base = packed, uint8(width), base
-	c.Ints = nil
-	if debug.Enabled {
-		// Bit-packed widths must round-trip: every live non-null slot
-		// decodes back to the exact int64 the heap held.
-		for i, v := range ints {
-			if (c.Nulls != nil && c.Nulls[i]) || seg.Dead(i) {
-				continue
-			}
-			debug.Assertf(c.Base+int64(c.packedBits(i)) == v,
-				"bit-packed int round-trip failed at slot %d: packed %d, want %d (width %d base %d)",
-				i, c.Base+int64(c.packedBits(i)), v, c.Width, c.Base)
-		}
-	}
-}
-
-// runLength builds the run decomposition of a dense vector: one entry per
-// maximal run of equal live non-null values, with dead and NULL slots
-// absorbed into the enclosing run (leading ones into the first run). It
-// returns nil when the column has no live non-null slot or when the run
-// count misses the rleMinRun acceptance threshold.
-func runLength[T comparable](vec []T, nulls []bool, seg *Segment) (vals []T, ends []int32) {
-	open := false
-	var cur T
-	for i, v := range vec {
-		if (nulls != nil && nulls[i]) || seg.Dead(i) {
-			continue
-		}
-		if !open {
-			open, cur = true, v
-			continue
-		}
-		if v != cur {
-			vals = append(vals, cur)
-			ends = append(ends, int32(i))
-			cur = v
-			if len(vals)*rleMinRun > seg.Rows {
-				return nil, nil // too many runs already: keep the dense form
-			}
-		}
-	}
-	if !open {
-		return nil, nil
-	}
-	vals = append(vals, cur)
-	ends = append(ends, int32(seg.Rows))
-	if len(vals)*rleMinRun > seg.Rows {
-		return nil, nil
-	}
-	return vals, ends
-}
-
-// runLengthInts trades an eligible int vector for the run-length encoding.
-// The round-trip is exact for every live non-null slot (asserted in
-// prefdbdebug builds, like the bit-packed widths).
-func (c *Column) runLengthInts(seg *Segment) {
-	if c.Ints == nil || !c.Zone.Valid {
-		return
-	}
-	vals, ends := runLength(c.Ints, c.Nulls, seg)
-	if vals == nil {
-		return
-	}
-	ints := c.Ints
-	c.RunVals, c.RunEnds = vals, ends
-	c.Ints = nil
-	if debug.Enabled {
-		for i, v := range ints {
-			if (c.Nulls != nil && c.Nulls[i]) || seg.Dead(i) {
-				continue
-			}
-			debug.Assertf(c.RunVals[c.runOf(i)] == v,
-				"RLE int round-trip failed at slot %d: run value %d, want %d (%d runs)",
-				i, c.RunVals[c.runOf(i)], v, len(c.RunVals))
-		}
-	}
-}
-
-// runLengthCodes trades an eligible dictionary-code vector for the
-// run-length encoding; Dict is shared with the dense form it replaces.
-func (c *Column) runLengthCodes(seg *Segment) {
-	if c.Codes == nil || !c.Zone.Valid {
-		return
-	}
-	vals, ends := runLength(c.Codes, c.Nulls, seg)
-	if vals == nil {
-		return
-	}
-	codes := c.Codes
-	c.RunCodes, c.RunEnds = vals, ends
-	c.Codes = nil
-	if debug.Enabled {
-		for i, v := range codes {
-			if (c.Nulls != nil && c.Nulls[i]) || seg.Dead(i) {
-				continue
-			}
-			debug.Assertf(c.RunCodes[c.runOf(i)] == v,
-				"RLE code round-trip failed at slot %d: run code %d, want %d (%d runs)",
-				i, c.RunCodes[c.runOf(i)], v, len(c.RunCodes))
-		}
-	}
 }
 
 // Segment is an immutable page-aligned slab of rows in columnar layout.
@@ -299,27 +93,16 @@ func (s *Segment) Dead(i int) bool { return s.Deleted != nil && s.Deleted[i] }
 
 // ColVecs fills vecs (one slot per attribute, len(s.Cols)) with borrowed
 // windows [lo, hi) of every column's typed vectors, the direct-on-column
-// form batch kernels read. Bit-packed int columns unpack block-wise into
-// scratch[ord] (grown as needed and returned for reuse); every other
-// typed vector is aliased, not copied, under the prefdb:col-view
-// contract. Mixed-kind columns leave their ColVec zero, which kernels
-// treat as "fall back to the row views".
-func (s *Segment) ColVecs(lo, hi int, vecs []types.ColVec, scratch [][]int64) [][]int64 {
-	if scratch == nil {
-		scratch = make([][]int64, len(s.Cols))
-	}
+// form batch kernels read. Every slice aliases segment storage, never a
+// copy, under the prefdb:col-view contract. Mixed-kind columns leave
+// their ColVec zero, which kernels treat as "fall back to the row views".
+func (s *Segment) ColVecs(lo, hi int, vecs []types.ColVec) {
 	for ord := range s.Cols {
 		c := &s.Cols[ord]
 		v := types.ColVec{}
 		switch {
 		case c.Ints != nil:
 			v.Ints = c.Ints[lo:hi]
-		case c.Packed != nil:
-			if cap(scratch[ord]) < hi-lo {
-				scratch[ord] = make([]int64, hi-lo)
-			}
-			scratch[ord] = c.Unpack(lo, hi, scratch[ord][:cap(scratch[ord])])
-			v.Ints = scratch[ord]
 		case c.Floats != nil:
 			v.Floats = c.Floats[lo:hi]
 		case c.Codes != nil:
@@ -327,26 +110,12 @@ func (s *Segment) ColVecs(lo, hi int, vecs []types.ColVec, scratch [][]int64) []
 			v.Dict = c.Dict
 		case c.Bools != nil:
 			v.Bools = c.Bools[lo:hi]
-		case c.RunEnds != nil:
-			// Run-length window: alias the runs overlapping [lo, hi). Ends
-			// stay segment-relative; RunBase maps batch-local slots back.
-			f := c.runOf(lo)
-			l := c.runOf(hi - 1)
-			v.RunEnds = c.RunEnds[f : l+1]
-			v.RunBase = int32(lo)
-			if c.RunVals != nil {
-				v.RunVals = c.RunVals[f : l+1]
-			} else {
-				v.RunCodes = c.RunCodes[f : l+1]
-				v.Dict = c.Dict
-			}
 		}
 		if c.Nulls != nil {
 			v.Nulls = c.Nulls[lo:hi]
 		}
 		vecs[ord] = v
 	}
-	return scratch
 }
 
 // Store is the columnar image of one table's sealed pages at one version.
@@ -367,20 +136,13 @@ func (st *Store) Live() int {
 
 // Build compacts h's sealed pages (every page except a trailing partial
 // one) into a columnar store stamped with the table version the caller
-// read. The source must not be mutated concurrently; the engine
-// serializes writes against queries, so the catalog's scan-time build
-// reads a stable heap.
-func Build(h BlockSource, version uint64) *Store {
-	return BuildShared(h, version, nil)
-}
-
-// BuildShared is Build with a table-level shared string dictionary: every
-// string column's codes are drawn from dict (when non-nil), so segments of
-// this build — and of every other build over the same dict — agree on
-// what each code means. Kernels may then
-// compare codes across segments directly. A nil dict falls back to
-// per-segment dictionaries.
-func BuildShared(h BlockSource, version uint64, dict *TableDict) *Store {
+// read. Every string column draws its codes from dict, the table's
+// shared dictionary, so the segments of this build — and of every other
+// build over the same dict — agree on what each code means, and kernels
+// may compare codes across segments directly. The source must not be
+// mutated concurrently; the engine serializes writes against queries, so
+// the catalog's scan-time build reads a stable heap.
+func Build(h BlockSource, version uint64, dict *TableDict) *Store {
 	st := &Store{Version: version}
 	sealed := h.Blocks()
 	if sealed > 0 {
@@ -435,10 +197,8 @@ func buildSegment(h BlockSource, s *schema.Schema, first, last int, dict *TableD
 // typed vector matching the declared kind. Any live non-null cell of a
 // different kind leaves the column without a vector, holding only its
 // zone counts, since no typed vector could represent that cell. String
-// codes come from the shared table dictionary when one is provided (with
-// a segment-local front cache, so the dictionary lock is taken once per
-// distinct string); int and code vectors then trade for the run-length or
-// bit-packed encodings when eligible.
+// codes come from the shared table dictionary, through a segment-local
+// front cache so the dictionary lock is taken once per distinct string.
 func buildColumn(h BlockSource, c *Column, kind types.Kind, first, last, ord int, seg *Segment, shared *TableDict) {
 	c.Kind = kind
 	typed := kind == types.KindInt || kind == types.KindFloat || kind == types.KindString || kind == types.KindBool
@@ -500,12 +260,7 @@ func buildColumn(h BlockSource, c *Column, kind types.Kind, first, last, ord int
 				sv := v.AsString()
 				code, ok := dict[sv]
 				if !ok {
-					if shared != nil {
-						code = shared.intern(ord, sv)
-					} else {
-						code = int32(len(c.Dict))
-						c.Dict = append(c.Dict, sv)
-					}
+					code = shared.intern(ord, sv)
 					dict[sv] = code
 				}
 				c.Codes[slot] = code
@@ -520,18 +275,11 @@ func buildColumn(h BlockSource, c *Column, kind types.Kind, first, last, ord int
 	// harmless (dead slots never reach results) and keeps the
 	// encode loop branch-light.
 	c.Zone.Valid = c.Zone.NonNull > 0
-	if kind == types.KindString && shared != nil {
+	if kind == types.KindString {
 		// Publish the shared dictionary snapshot covering every code this
 		// segment assigned (it may also cover codes other segments use —
 		// the whole point of sharing).
 		c.Dict = shared.snapshot(ord)
-	}
-	switch kind {
-	case types.KindInt:
-		c.runLengthInts(seg)
-		c.packInts(seg) // no-op when RLE claimed the vector
-	case types.KindString:
-		c.runLengthCodes(seg)
 	}
 }
 

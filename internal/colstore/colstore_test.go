@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"prefdb/internal/debug"
 	"prefdb/internal/expr"
 	"prefdb/internal/schema"
 	"prefdb/internal/storage"
@@ -58,7 +57,7 @@ func TestBuildRoundTripsTuples(t *testing.T) {
 	for i := 0; i < n; i += 13 {
 		h.Delete(storage.RowID{Page: uint32(i / storage.PageSize), Slot: uint32(i % storage.PageSize)})
 	}
-	st := Build(h, 42)
+	st := Build(h, 42, NewTableDict())
 
 	if st.Version != 42 {
 		t.Fatalf("Version = %d, want 42", st.Version)
@@ -103,18 +102,20 @@ func TestBuildEncodings(t *testing.T) {
 	s := testSchema()
 	h := storage.NewHeap(s)
 	fillHeap(t, h, storage.PageSize*SegmentPages, true)
-	st := Build(h, 1)
+	st := Build(h, 1, NewTableDict())
 	if len(st.Segments) != 1 {
 		t.Fatalf("segments = %d, want 1", len(st.Segments))
 	}
 	seg := st.Segments[0]
 
 	id := seg.Cols[0]
-	if id.Packed == nil || id.Ints != nil {
-		t.Fatal("id column should be bit-packed int-encoded")
+	if len(id.Ints) != seg.Rows {
+		t.Fatalf("id column should be a dense int vector of %d slots, got %d", seg.Rows, len(id.Ints))
 	}
-	if id.Width == 0 || id.Width > packMaxWidth {
-		t.Fatalf("packed width = %d, want in (0, %d]", id.Width, packMaxWidth)
+	for i, v := range id.Ints {
+		if v != int64(i) {
+			t.Fatalf("id slot %d holds %d, want %d", i, v, i)
+		}
 	}
 	if !id.Zone.Valid || !id.Zone.Min.Equal(types.Int(0)) || !id.Zone.Max.Equal(types.Int(int64(seg.Rows-1))) {
 		t.Fatalf("id zone = %+v, want valid [0, %d]", id.Zone, seg.Rows-1)
@@ -136,11 +137,11 @@ func TestBuildEncodings(t *testing.T) {
 	// The mixed-kind tag column carries no typed vector: kernels read the
 	// row views, which are the heap's tuples.
 	tag := seg.Cols[3]
-	if tag.Ints != nil || tag.Packed != nil || tag.RunVals != nil || tag.Nulls != nil {
+	if tag.Ints != nil || tag.Nulls != nil {
 		t.Fatal("mixed-kind tag column should carry no typed vector")
 	}
 	vecs := make([]types.ColVec, len(seg.Cols))
-	seg.ColVecs(0, seg.Rows, vecs, nil)
+	seg.ColVecs(0, seg.Rows, vecs)
 	if !reflect.DeepEqual(vecs[3], types.ColVec{}) {
 		t.Fatalf("mixed-kind tag column window = %+v, want the zero ColVec", vecs[3])
 	}
@@ -170,7 +171,7 @@ func TestSegmentViewsAliasHeap(t *testing.T) {
 	for i := 0; i < n; i += 13 {
 		h.Delete(storage.RowID{Page: uint32(i / storage.PageSize), Slot: uint32(i % storage.PageSize)})
 	}
-	st := Build(h, 1)
+	st := Build(h, 1, NewTableDict())
 
 	type segState struct {
 		live  int
@@ -203,7 +204,7 @@ func TestSegmentViewsAliasHeap(t *testing.T) {
 	// inserts to seal further pages, then a fresh build.
 	h.Delete(storage.RowID{Page: 0, Slot: 1})
 	fillHeap(t, h, storage.PageSize, true)
-	if fresh := Build(h, 2); !fresh.Segments[0].Dead(1) || fresh.Live() == st.Live() {
+	if fresh := Build(h, 2, NewTableDict()); !fresh.Segments[0].Dead(1) || fresh.Live() == st.Live() {
 		t.Fatalf("fresh build missed the DML: dead(1)=%v, live %d vs %d", fresh.Segments[0].Dead(1), fresh.Live(), st.Live())
 	}
 
@@ -239,9 +240,6 @@ func TestSegmentViewsAliasHeap(t *testing.T) {
 // plus one borrowed tuple header. A second copy of the five 40-byte
 // cells alone would add 200 B/row, so the bound rules it out.
 func TestBuildAllocPerRow(t *testing.T) {
-	if debug.Enabled {
-		t.Skip("prefdbdebug round-trip assertions box their arguments on every slot")
-	}
 	s := schema.New(
 		schema.Column{Table: "events", Name: "id", Kind: types.KindInt},
 		schema.Column{Table: "events", Name: "year", Kind: types.KindInt},
@@ -267,7 +265,7 @@ func TestBuildAllocPerRow(t *testing.T) {
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	st := Build(h, 1)
+	st := Build(h, 1, NewTableDict())
 	runtime.ReadMemStats(&m1)
 	if st.Live() != rows {
 		t.Fatalf("store holds %d live rows, want %d", st.Live(), rows)
@@ -281,7 +279,7 @@ func TestSkipRules(t *testing.T) {
 	s := testSchema()
 	h := storage.NewHeap(s)
 	fillHeap(t, h, storage.PageSize*SegmentPages, false)
-	seg := Build(h, 1).Segments[0]
+	seg := Build(h, 1, NewTableDict()).Segments[0]
 	idOrd, scoreOrd, tagOrd := 0, 2, 3
 	max := int64(seg.Rows - 1)
 
@@ -330,7 +328,7 @@ func TestSkipAllNullColumn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seg := Build(h, 1).Segments[0]
+	seg := Build(h, 1, NewTableDict()).Segments[0]
 	if !seg.Skip([]Pred{{0, expr.OpEq, types.Int(1)}}) {
 		t.Fatal("all-NULL column should skip any comparison conjunct")
 	}
@@ -361,7 +359,7 @@ func TestEstimateSkip(t *testing.T) {
 	s := testSchema()
 	h := storage.NewHeap(s)
 	fillHeap(t, h, storage.PageSize*SegmentPages*3, false)
-	st := Build(h, 1)
+	st := Build(h, 1, NewTableDict())
 	if len(st.Segments) != 3 {
 		t.Fatalf("segments = %d, want 3", len(st.Segments))
 	}
@@ -379,103 +377,31 @@ func TestEstimateSkip(t *testing.T) {
 
 func TestEmptyAndTailOnlyHeaps(t *testing.T) {
 	s := testSchema()
-	empty := Build(storage.NewHeap(s), 1)
+	empty := Build(storage.NewHeap(s), 1, NewTableDict())
 	if empty.SealedPages != 0 || len(empty.Segments) != 0 || empty.Live() != 0 {
 		t.Fatalf("empty heap built %+v", empty)
 	}
 	h := storage.NewHeap(s)
 	fillHeap(t, h, storage.PageSize-1, false) // one partial page: nothing sealed
-	tail := Build(h, 1)
+	tail := Build(h, 1, NewTableDict())
 	if tail.SealedPages != 0 || len(tail.Segments) != 0 {
 		t.Fatalf("partial-page heap built %+v", tail)
 	}
 }
 
-// TestPackedWidthsRoundTrip sweeps the frame-of-reference widths the
-// bit-packer can emit — 1 bit (near-constant), mid widths that straddle
-// uint64 word boundaries, the packMaxWidth ceiling, and a spread too wide
-// to pack — over negative bases and NULL holes, asserting every window
-// unpacks to the values the heap held.
-func TestPackedWidthsRoundTrip(t *testing.T) {
-	cases := []struct {
-		name string
-		gen  func(i int) int64
-		pack bool
-	}{
-		{"width1", func(i int) int64 { return 5 + int64(i%2) }, true},
-		{"width7-negative-base", func(i int) int64 { return -1000 + int64(i%100) }, true},
-		{"width17-straddle", func(i int) int64 { return int64(i*31) % (1 << 17) }, true},
-		{"width32-ceiling", func(i int) int64 { return int64(i) * ((1<<32 - 1) / int64(storage.PageSize*SegmentPages)) }, true},
-		{"too-wide", func(i int) int64 { return int64(i) << 40 }, false},
-	}
-	n := storage.PageSize * SegmentPages
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := schema.New(schema.Column{Table: "t", Name: "v", Kind: types.KindInt})
-			h := storage.NewHeap(s)
-			for i := 0; i < n; i++ {
-				v := types.Value(types.Int(tc.gen(i)))
-				if i%37 == 0 {
-					v = types.Null()
-				}
-				if _, err := h.Insert([]types.Value{v}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			st := Build(h, 1)
-			c := st.Segments[0].Cols[0]
-			if tc.pack != (c.Packed != nil) {
-				t.Fatalf("packed = %v, want %v (width %d)", c.Packed != nil, tc.pack, c.Width)
-			}
-			if !tc.pack {
-				return
-			}
-			if c.Width == 0 || c.Width > packMaxWidth {
-				t.Fatalf("packed width %d out of range (0, %d]", c.Width, packMaxWidth)
-			}
-			// Per-slot decode.
-			for i := 0; i < n; i++ {
-				got := c.Value(i)
-				if i%37 == 0 {
-					if !got.IsNull() {
-						t.Fatalf("slot %d: %v, want NULL", i, got)
-					}
-					continue
-				}
-				if got.AsInt() != tc.gen(i) {
-					t.Fatalf("slot %d: %d, want %d", i, got.AsInt(), tc.gen(i))
-				}
-			}
-			// Windowed unpack at awkward offsets (word-boundary straddles).
-			for _, win := range [][2]int{{0, n}, {1, 64}, {63, 130}, {n - 65, n}} {
-				dst := c.Unpack(win[0], win[1], nil)
-				for i := win[0]; i < win[1]; i++ {
-					if i%37 == 0 {
-						continue // NULL slots carry garbage; the Nulls bitmap guards them
-					}
-					if dst[i-win[0]] != tc.gen(i) {
-						t.Fatalf("window %v slot %d: %d, want %d", win, i, dst[i-win[0]], tc.gen(i))
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestColVecsWindows pins the borrowed-vector accessor: for every column
-// encoding, the window's typed vector (or unpack scratch) must agree with
-// the decoded row views over several awkward windows.
+// encoding, the window's typed vector must agree with the decoded row
+// views over several awkward windows.
 func TestColVecsWindows(t *testing.T) {
 	s := testSchema()
 	h := storage.NewHeap(s)
 	fillHeap(t, h, storage.PageSize*SegmentPages, true)
-	st := Build(h, 1)
+	st := Build(h, 1, NewTableDict())
 	seg := st.Segments[0]
 	vecs := make([]types.ColVec, len(seg.Cols))
-	var scratch [][]int64
 	for _, win := range [][2]int{{0, seg.Rows}, {5, 6}, {100, 1124}, {seg.Rows - 3, seg.Rows}} {
 		lo, hi := win[0], win[1]
-		scratch = seg.ColVecs(lo, hi, vecs, scratch)
+		seg.ColVecs(lo, hi, vecs)
 		views := seg.Views(lo, hi)
 		for ord := range seg.Cols {
 			cv := vecs[ord]
@@ -507,6 +433,43 @@ func TestColVecsWindows(t *testing.T) {
 	}
 }
 
+// TestColVecsAliasSegment pins that a window is storage, not a copy:
+// every typed slice ColVecs hands out for [lo, hi) starts at &X[lo] of
+// its segment column, for int, string, float and NULL-bitmap vectors
+// alike.
+func TestColVecsAliasSegment(t *testing.T) {
+	s := testSchema()
+	h := storage.NewHeap(s)
+	fillHeap(t, h, storage.PageSize*SegmentPages, false)
+	seg := Build(h, 1, NewTableDict()).Segments[0]
+	vecs := make([]types.ColVec, len(seg.Cols))
+	for _, win := range [][2]int{{0, seg.Rows}, {5, 6}, {100, 1124}, {seg.Rows - 3, seg.Rows}} {
+		lo, hi := win[0], win[1]
+		seg.ColVecs(lo, hi, vecs)
+		for ord := range seg.Cols {
+			c, cv := &seg.Cols[ord], &vecs[ord]
+			if c.Ints == nil && c.Floats == nil && c.Codes == nil && c.Bools == nil {
+				t.Fatalf("col %d: no dense vector in a typed segment", ord)
+			}
+			if c.Ints != nil && (len(cv.Ints) != hi-lo || &cv.Ints[0] != &c.Ints[lo]) {
+				t.Fatalf("window %v col %d: Ints is not a window of the segment's vector", win, ord)
+			}
+			if c.Floats != nil && (len(cv.Floats) != hi-lo || &cv.Floats[0] != &c.Floats[lo]) {
+				t.Fatalf("window %v col %d: Floats is not a window of the segment's vector", win, ord)
+			}
+			if c.Codes != nil && (len(cv.Codes) != hi-lo || &cv.Codes[0] != &c.Codes[lo] || &cv.Dict[0] != &c.Dict[0]) {
+				t.Fatalf("window %v col %d: Codes/Dict are not the segment's", win, ord)
+			}
+			if c.Bools != nil && (len(cv.Bools) != hi-lo || &cv.Bools[0] != &c.Bools[lo]) {
+				t.Fatalf("window %v col %d: Bools is not a window of the segment's vector", win, ord)
+			}
+			if c.Nulls != nil && (len(cv.Nulls) != hi-lo || &cv.Nulls[0] != &c.Nulls[lo]) {
+				t.Fatalf("window %v col %d: Nulls is not a window of the segment's bitmap", win, ord)
+			}
+		}
+	}
+}
+
 // Value decodes the cell at slot i of a typed column back into a scalar,
 // the oracle the encoding tests compare against the heap. A column
 // without a typed vector decodes every slot as NULL.
@@ -517,16 +480,10 @@ func (c *Column) Value(i int) types.Value {
 	switch {
 	case c.Ints != nil:
 		return types.Int(c.Ints[i])
-	case c.Packed != nil:
-		return types.Int(c.Base + int64(c.packedBits(i)))
-	case c.RunVals != nil:
-		return types.Int(c.RunVals[c.runOf(i)])
 	case c.Floats != nil:
 		return types.Float(c.Floats[i])
 	case c.Codes != nil:
 		return types.Str(c.Dict[c.Codes[i]])
-	case c.RunCodes != nil:
-		return types.Str(c.Dict[c.RunCodes[c.runOf(i)]])
 	case c.Bools != nil:
 		return types.Bool(c.Bools[i])
 	default:

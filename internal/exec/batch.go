@@ -619,6 +619,9 @@ func (n *nlJoinBatch) nextBatch() (*prel.Batch, bool) {
 		n.buildRight()
 		n.out = prel.NewBatch(n.size)
 	}
+	if len(n.rRows) == 0 {
+		return nil, false // nothing can join: the left input is never read
+	}
 	n.out.Reset()
 	for n.out.Cap() < n.size {
 		if n.lb == nil || n.li >= n.lb.Live() {

@@ -503,19 +503,7 @@ func TestLimitStopsScanEarly(t *testing.T) {
 // theta join crosses every row of both (filtered) inputs. The theta join
 // must also match the oracle on every arm.
 func TestLimitCountsMaterializedRows(t *testing.T) {
-	fx := loadTwice(t, func(t testing.TB) *catalog.Catalog {
-		cat := catalog.New()
-		tbl, err := cat.CreateTable("seq", schema.New(schema.Column{Name: "id", Kind: types.KindInt}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 20_000; i++ {
-			if err := tbl.Insert([]types.Value{types.Int(int64(i))}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return cat
-	})
+	fx := loadTwice(t, seqDB)
 	side := func(alias string, below int64) algebra.Node {
 		return &algebra.Select{Cond: expr.Cmp(alias+".id", expr.OpLt, types.Int(below)),
 			Input: &algebra.Scan{Table: "seq", Alias: alias}}
@@ -542,6 +530,55 @@ func TestLimitCountsMaterializedRows(t *testing.T) {
 	}
 	for _, strategy := range Strategies() {
 		crossCheck(t, fx, theta, strategy, "theta "+strategy.String())
+	}
+}
+
+// seqRows is the size of seqDB's table.
+const seqRows = 20_000
+
+// seqDB holds one table, seq, whose INT column id runs 0..seqRows-1.
+func seqDB(t testing.TB) *catalog.Catalog {
+	cat := catalog.New()
+	tbl, err := cat.CreateTable("seq", schema.New(schema.Column{Name: "id", Kind: types.KindInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < seqRows; i++ {
+		if err := tbl.Insert([]types.Value{types.Int(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cat
+}
+
+// TestNLJoinEmptyRightSkipsLeft pins that a nested-loop join whose right
+// input is empty ends without reading its left input: the result is empty
+// and RowsScanned counts only the right side's scan, on the heap and on
+// the columnar table alike.
+func TestNLJoinEmptyRightSkipsLeft(t *testing.T) {
+	fx := loadTwice(t, seqDB)
+	theta := &algebra.Join{Cond: expr.Bin{Op: expr.OpLt, L: expr.ColRef("a.id"), R: expr.ColRef("b.id")},
+		Left: &algebra.Scan{Table: "seq", Alias: "a"},
+		// b.id < b.id rejects every row and no zone map can prove it, so
+		// the columnar arm still reads the right side's segments.
+		Right: &algebra.Select{Cond: expr.Bin{Op: expr.OpLt, L: expr.ColRef("b.id"), R: expr.ColRef("b.id")},
+			Input: &algebra.Scan{Table: "seq", Alias: "b"}}}
+	for name, cat := range map[string]*catalog.Catalog{"heap": fx.heap, "columnar": fx.col} {
+		for _, size := range []int{1, 7, 0} {
+			e := New(cat)
+			e.BatchSize = size
+			got, err := e.Run(theta, Native)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := e.Stats(); got.Len() != 0 || st.RowsScanned != seqRows {
+				t.Fatalf("%s size=%d: %d rows, rowsScanned=%d; want 0 and %d (the right side only)",
+					name, size, got.Len(), st.RowsScanned, seqRows)
+			}
+		}
+	}
+	for _, strategy := range Strategies() {
+		crossCheck(t, fx, theta, strategy, "empty-right theta "+strategy.String())
 	}
 }
 

@@ -46,12 +46,11 @@ type segBatchSrc struct {
 	size  int
 	tail  heapBatchSrc // row-form source over the unsealed pages
 
-	buf     *prel.Batch
-	vecs    []types.ColVec
-	scratch [][]int64 // per-column unpack scratch for bit-packed ints
-	seg     int       // current segment ordinal
-	slot    int       // next slot within the current segment
-	done    bool
+	buf  *prel.Batch
+	vecs []types.ColVec
+	seg  int // current segment ordinal
+	slot int // next slot within the current segment
+	done bool
 }
 
 func newSegBatchSrc(store *colstore.Store, heap *storage.Heap, preds []colstore.Pred, stats *Stats, tick pollTick, size int) *segBatchSrc {
@@ -108,9 +107,9 @@ func (s *segBatchSrc) nextDirect(b *prel.Batch) (*prel.Batch, bool) {
 		vecs := s.vecs[:len(seg.Cols)]
 		// Reset first: it runs (and clears) the prefdbdebug borrowed-vector
 		// check against the previous window before ColVecs legitimately
-		// rewrites the shared vecs and unpack scratch for this one.
+		// rewrites the shared vecs for this one.
 		b.Reset()
-		s.scratch = seg.ColVecs(lo, hi, vecs, s.scratch)
+		seg.ColVecs(lo, hi, vecs)
 		b.SetColumnar(vecs, seg.Views(lo, hi))
 		for i := lo; i < hi; i++ {
 			if !seg.Dead(i) {

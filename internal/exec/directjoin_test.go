@@ -20,9 +20,9 @@ import (
 // direct-join path adds: a small heap-side "names" table whose string keys
 // hit the items dictionary (and whose int column pairs up for multi-key
 // joins), and a segment-scale "orders" table whose join-key columns are
-// run-heavy — constant for hundreds of consecutive rows — so its store
-// accepts run-length encoding and the RLE-aware hash/eq kernels engage on
-// the probe side.
+// run-heavy — constant for hundreds of consecutive rows — the
+// low-distinct-value key shape, where every probe batch repeats a handful
+// of keys and every bucket holds many candidates.
 func directJoinDB(t testing.TB) *catalog.Catalog {
 	t.Helper()
 	c := colstoreDB(t)
@@ -72,8 +72,8 @@ func directJoinDB(t testing.TB) *catalog.Catalog {
 			t.Fatal(err)
 		}
 	}
-	// Tombstones inside runs: dead slots must be absorbed by the enclosing
-	// run without changing what live readers decode.
+	// Tombstones inside runs: dead slots between equal keys must never
+	// surface to live readers.
 	ot.DeleteWhere(func(tuple []types.Value) bool {
 		id := tuple[0].AsInt()
 		return id%113 == 0 || (id >= 600 && id < 700)
@@ -92,9 +92,10 @@ func ordersPref() pref.Preference {
 
 // directJoinPlans covers the probe/build/key shapes of the direct join:
 // int and string (dictionary-code) probe keys over the plain columnar
-// table, RLE-encoded int and code probe keys over the run-heavy table,
-// multi-key confirmation, a columnar build side, and a residual condition
-// running above the hash match.
+// table, low-distinct int and code probe keys over the run-heavy table
+// (the rle-* plans: keys that repeat in long runs), multi-key
+// confirmation, a columnar build side, and a residual condition running
+// above the hash match.
 func directJoinPlans() map[string]algebra.Node {
 	return map[string]algebra.Node{
 		"int-probe": &algebra.TopK{K: 12, By: algebra.ByScore, Input: &algebra.Prefer{
@@ -171,9 +172,9 @@ func zeroDiagnostics(s *Stats) {
 // TestDirectJoinRowsEquivalence is the acceptance contract of the
 // direct-column hash join: across plan shapes × strategies × batch
 // sizes, probing (and building) straight off borrowed column vectors —
-// including dictionary-code and run-length-encoded keys — must produce
-// byte-identical rows, order and Stats (modulo diagnostic counters) to
-// the heap path over the same data never compacted.
+// including dictionary-code keys and keys repeating in long runs — must
+// produce byte-identical rows, order and Stats (modulo diagnostic
+// counters) to the heap path over the same data never compacted.
 func TestDirectJoinRowsEquivalence(t *testing.T) {
 	fx := loadTwice(t, directJoinDB)
 	for name, plan := range directJoinPlans() {
@@ -286,9 +287,9 @@ func directJoinFuzzDB(t testing.TB) fixture {
 
 // djGen generates random join plans over the direct-join fixture: every
 // key shape the direct path distinguishes (int, dictionary string,
-// RLE-int, multi-key with RLE codes), random probe filters, the columnar
-// table on either join side, optional residual conjuncts and a random
-// preference/filter stack on top.
+// run-heavy int, multi-key over run-heavy codes), random probe filters,
+// the columnar table on either join side, optional residual conjuncts and
+// a random preference/filter stack on top.
 type djGen struct{ r *rand.Rand }
 
 func (g *djGen) plan() algebra.Node {
@@ -315,11 +316,11 @@ func (g *djGen) plan() algebra.Node {
 		core = &algebra.Join{Cond: eq("names.n_name", "items.name"),
 			Left: &algebra.Scan{Table: "names"}, Right: filt(&algebra.Scan{Table: "items"}, "items.id", 9000)}
 		p = itemsPref()
-	case 2: // RLE int key
+	case 2: // run-heavy int key
 		core = &algebra.Join{Cond: eq("cats.c_id", "orders.o_grp"),
 			Left: &algebra.Scan{Table: "cats"}, Right: filt(&algebra.Scan{Table: "orders"}, "orders.o_id", 4400)}
 		p = ordersPref()
-	case 3: // multi-key over RLE codes and ints, optional residual
+	case 3: // multi-key over run-heavy codes and ints, optional residual
 		cond := expr.Node(expr.Bin{Op: expr.OpAnd,
 			L: eq("names.n_name", "orders.o_cat"), R: eq("names.n_grp", "orders.o_grp")})
 		if g.r.Intn(2) == 0 {

@@ -7,7 +7,7 @@
 // sides are INT, float-wise otherwise; NaN compares equal, matching
 // types.Compare's fallthrough) and the same float arithmetic as
 // arithApply. Kernels report ok=false whenever a needed typed vector is
-// missing (Raw-encoded column), and the caller falls back to the tuple
+// missing (a mixed-kind column), and the caller falls back to the tuple
 // path, so engaging the direct path can never change results.
 //
 // Exactness rule for the score path: an INT-kind arithmetic node
@@ -110,7 +110,7 @@ func (c *Compiled) EvalFloats(cols []types.ColVec, sel []int32, out []float64, n
 }
 
 // CanEvalCols reports whether the expression compiled a direct-column
-// score kernel (EvalFloats may still fall back at runtime on Raw
+// score kernel (EvalFloats may still fall back at runtime on mixed-kind
 // columns). The optimizer uses this for the [direct-col] annotation.
 func (c *Compiled) CanEvalCols() bool { return c.evalC != nil }
 
@@ -159,12 +159,10 @@ func (m acceptMask) ok(cmp int) bool {
 	return (cmp < 0 && m.lt) || (cmp == 0 && m.eq) || (cmp > 0 && m.gt)
 }
 
-// hasTyped reports whether the window carries any typed vector (a Raw or
-// absent column has none, forcing the tuple fallback). Run-length windows
-// count as typed: their kind is known even though the dense slices are
-// absent.
+// hasTyped reports whether the window carries any typed vector (a
+// mixed-kind column has none, forcing the tuple fallback).
 func hasTyped(cv *types.ColVec) bool {
-	return cv.Ints != nil || cv.Floats != nil || cv.Codes != nil || cv.Bools != nil || cv.HasRuns()
+	return cv.Ints != nil || cv.Floats != nil || cv.Codes != nil || cv.Bools != nil
 }
 
 // sameDict reports whether two dictionary slices are the same snapshot of
@@ -273,43 +271,6 @@ func (c *compiler) colLitKernel(col Col, lit Lit, op Op, flip bool) func(cols []
 						out = append(out, i)
 					}
 				}
-			case cv.RunVals != nil:
-				// Run-length int window: the comparison evaluates once per
-				// run; rows merely inherit their run's accept bit.
-				runs := cv.RunVals
-				k, acc := -1, false
-				for _, i := range sel {
-					if nulls != nil && nulls[i] {
-						continue
-					}
-					hint := k
-					if hint < 0 {
-						hint = 0
-					}
-					if nk := cv.RunAt(i, hint); nk != k {
-						k = nk
-						cmp := 0
-						if litInt {
-							switch a := runs[k]; {
-							case a < ri:
-								cmp = -1
-							case a > ri:
-								cmp = 1
-							}
-						} else {
-							switch a := float64(runs[k]); {
-							case a < rf:
-								cmp = -1
-							case a > rf:
-								cmp = 1
-							}
-						}
-						acc = m.ok(cmp)
-					}
-					if acc {
-						out = append(out, i)
-					}
-				}
 			case hasTyped(cv):
 				// Typed non-numeric column: every live value is
 				// incomparable with a numeric literal, so nothing passes.
@@ -323,7 +284,7 @@ func (c *compiler) colLitKernel(col Col, lit Lit, op Op, flip bool) func(cols []
 		rs := v.AsString()
 		return func(cols []types.ColVec, sel []int32, dc *dictCache) ([]int32, bool) {
 			cv := &cols[idx]
-			if cv.Codes == nil && cv.RunCodes == nil {
+			if cv.Codes == nil {
 				if hasTyped(cv) {
 					return sel[:0], true
 				}
@@ -352,28 +313,6 @@ func (c *compiler) colLitKernel(col Col, lit Lit, op Op, flip bool) func(cols []
 			accept := dc.accept
 			nulls := cv.Nulls
 			out := sel[:0]
-			if cv.RunCodes != nil {
-				// Run-length code window: one accept-bit lookup per run.
-				runs := cv.RunCodes
-				k, acc := -1, false
-				for _, i := range sel {
-					if nulls != nil && nulls[i] {
-						continue
-					}
-					hint := k
-					if hint < 0 {
-						hint = 0
-					}
-					if nk := cv.RunAt(i, hint); nk != k {
-						k = nk
-						acc = accept[runs[k]]
-					}
-					if acc {
-						out = append(out, i)
-					}
-				}
-				return out, true
-			}
 			codes := cv.Codes
 			for _, i := range sel {
 				if nulls != nil && nulls[i] {
@@ -434,12 +373,6 @@ func (c *compiler) colColKernel(l, r Col, op Op) func(cols []types.ColVec, sel [
 	codeCmp := op == OpEq || op == OpNe
 	return func(cols []types.ColVec, sel []int32, _ *dictCache) ([]int32, bool) {
 		lv, rv := &cols[li], &cols[ri]
-		if lv.HasRuns() || rv.HasRuns() {
-			// Run-form windows would make the hasTyped fall-through below
-			// reject comparable pairs; column-column predicates over runs
-			// take the tuple path.
-			return nil, false
-		}
 		ln, rn := lv.Nulls, rv.Nulls
 		out := sel[:0]
 		reject := func(i int32) bool {
@@ -579,28 +512,6 @@ func colEvalC(idx int) func(cols []types.ColVec, sel []int32, out []float64, nul
 			for k, i := range sel {
 				out[k] = vec[i]
 				null[k] = nulls != nil && nulls[i]
-			}
-		case cv.RunVals != nil:
-			// Run-length int window: convert once per run. NULL slots were
-			// absorbed into the enclosing run, so the flag must come from
-			// the Nulls bitmap, not the run value.
-			runs := cv.RunVals
-			rk := -1
-			var f float64
-			for k, i := range sel {
-				if nulls != nil && nulls[i] {
-					out[k], null[k] = 0, true
-					continue
-				}
-				hint := rk
-				if hint < 0 {
-					hint = 0
-				}
-				if nk := cv.RunAt(i, hint); nk != rk {
-					rk = nk
-					f = float64(runs[rk])
-				}
-				out[k], null[k] = f, false
 			}
 		default:
 			return false

@@ -44,8 +44,8 @@ type Compiled struct {
 	// filterC, when set, is the direct-column variant of filterB: it
 	// compacts the selection vector by reading borrowed column vectors
 	// (types.ColVec) without decoding tuples. Reports ok=false when a
-	// needed typed vector is missing at runtime (Raw column); the caller
-	// then falls back to the tuple kernel. Set for column-vs-literal and
+	// needed typed vector is missing at runtime (mixed-kind column); the
+	// caller then falls back to the tuple kernel. Set for column-vs-literal and
 	// column-vs-column comparisons; see cols.go.
 	filterC func(cols []types.ColVec, sel []int32, dc *dictCache) ([]int32, bool)
 	// evalC, when set, is the direct-column float evaluator feeding the

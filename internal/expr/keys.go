@@ -54,8 +54,8 @@ func (ks *KeyScratch) dictHashes(k int, dict []string) []uint64 {
 // FNV-style — reusing Value.Hash itself for the per-value digests so the
 // numeric normalization (integral floats hash as ints) and large-int64
 // behaviour collide identically. Returns false (out unspecified) when any
-// key column lacks a typed or run-form window; callers then fall back to
-// the tuple path.
+// key column lacks a typed window; callers then fall back to the tuple
+// path.
 func HashCols(cols []types.ColVec, sel []int32, keys []int, out []uint64, ks *KeyScratch) bool {
 	for _, c := range keys {
 		if !hasTyped(&cols[c]) {
@@ -107,52 +107,13 @@ func HashCols(cols []types.ColVec, sel []int32, keys []int, out []uint64, ks *Ke
 				}
 				out[j] = (out[j] ^ vh) * keyPrime
 			}
-		case cv.RunVals != nil:
-			// Run-length window: hash once per run (sel is ascending, so
-			// the run cursor advances monotonically).
-			runs := cv.RunVals
-			rk, rh := -1, uint64(0)
-			for j, i := range sel {
-				vh := nullValueHash
-				if nulls == nil || !nulls[i] {
-					hint := rk
-					if hint < 0 {
-						hint = 0
-					}
-					if nk := cv.RunAt(i, hint); nk != rk {
-						rk = nk
-						rh = types.Int(runs[rk]).Hash()
-					}
-					vh = rh
-				}
-				out[j] = (out[j] ^ vh) * keyPrime
-			}
-		case cv.RunCodes != nil:
-			hs := ks.dictHashes(k, cv.Dict)
-			runs := cv.RunCodes
-			rk, rh := -1, uint64(0)
-			for j, i := range sel {
-				vh := nullValueHash
-				if nulls == nil || !nulls[i] {
-					hint := rk
-					if hint < 0 {
-						hint = 0
-					}
-					if nk := cv.RunAt(i, hint); nk != rk {
-						rk = nk
-						rh = hs[runs[rk]]
-					}
-					vh = rh
-				}
-				out[j] = (out[j] ^ vh) * keyPrime
-			}
 		}
 	}
 	return true
 }
 
-// HasTypedCols reports whether every listed column carries a typed or
-// run-form window — the precondition for reading them slot-wise with
+// HasTypedCols reports whether every listed column carries a typed
+// window — the precondition for reading them slot-wise with
 // ColValue instead of falling back to the row views.
 func HasTypedCols(cols []types.ColVec, ords []int) bool {
 	for _, c := range ords {
@@ -161,23 +122,6 @@ func HasTypedCols(cols []types.ColVec, ords []int) bool {
 		}
 	}
 	return true
-}
-
-// runIdx locates the run covering batch-local slot i by binary search —
-// the random-access counterpart of ColVec.RunAt for callers (probe
-// confirmation, slot materialization) that don't walk slots in order.
-func runIdx(cv *types.ColVec, i int32) int {
-	abs := cv.RunBase + i
-	lo, hi := 0, len(cv.RunEnds)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cv.RunEnds[mid] <= abs {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // ColValue materializes one slot of a window as a types.Value (a small
@@ -195,10 +139,6 @@ func ColValue(cv *types.ColVec, i int32) (types.Value, bool) {
 		return types.Str(cv.Dict[cv.Codes[i]]), true
 	case cv.Bools != nil:
 		return types.Bool(cv.Bools[i]), true
-	case cv.RunVals != nil:
-		return types.Int(cv.RunVals[runIdx(cv, i)]), true
-	case cv.RunCodes != nil:
-		return types.Str(cv.Dict[cv.RunCodes[runIdx(cv, i)]]), true
 	}
 	return types.Value{}, false
 }

@@ -9,7 +9,7 @@ import (
 
 // keyFixture builds one window per ColVec form — dense ints, floats (with
 // integral values, exercising the numeric hash normalization), dictionary
-// codes, bools, int runs and code runs, all with NULL slots — plus the
+// codes and bools, some with NULL slots — plus the
 // per-slot types.Value each window is expected to decode to.
 func keyFixture(n int, rng *rand.Rand) (cols []types.ColVec, vals [][]types.Value) {
 	dict := []string{"ash", "birch", "cedar", "oak"}
@@ -68,41 +68,6 @@ func keyFixture(n int, rng *rand.Rand) (cols []types.ColVec, vals [][]types.Valu
 		}
 		addVals(types.ColVec{Bools: bs}, vs)
 	}
-	{ // int runs with a nonzero RunBase window
-		base := int32(32)
-		runVals := []int64{-3, 8, 8, 100} // adjacent equal runs stay distinct runs
-		runEnds := []int32{int32(n/4) + base, int32(n / 2) + base, int32(3*n/4) + base, int32(n) + base}
-		nulls := make([]bool, n)
-		vs := make([]types.Value, n)
-		for i := 0; i < n; i++ {
-			abs := base + int32(i)
-			k := 0
-			for runEnds[k] <= abs {
-				k++
-			}
-			vs[i] = types.Int(runVals[k])
-			if i%13 == 2 {
-				nulls[i] = true
-				vs[i] = types.Null()
-			}
-		}
-		addVals(types.ColVec{RunVals: runVals, RunEnds: runEnds, RunBase: base, Nulls: nulls}, vs)
-	}
-	{ // code runs
-		base := int32(5)
-		runCodes := []int32{2, 0, 3}
-		runEnds := []int32{int32(n/3) + base, int32(2*n/3) + base, int32(n) + base}
-		vs := make([]types.Value, n)
-		for i := 0; i < n; i++ {
-			abs := base + int32(i)
-			k := 0
-			for runEnds[k] <= abs {
-				k++
-			}
-			vs[i] = types.Str(dict[runCodes[k]])
-		}
-		addVals(types.ColVec{RunCodes: runCodes, RunEnds: runEnds, RunBase: base, Dict: dict}, vs)
-	}
 	return cols, vals
 }
 
@@ -117,8 +82,8 @@ func refHash(vals [][]types.Value, keys []int, i int32) uint64 {
 }
 
 // TestHashColsMatchesRowFold pins the tentpole equivalence at the unit
-// level: for every window form (dense, dictionary, run-length, with and
-// without NULLs) and several key combinations, HashCols computes exactly
+// level: for every window form (dense, dictionary, with and without
+// NULLs) and several key combinations, HashCols computes exactly
 // the row path's per-tuple fold — on full and on sparse ascending
 // selection vectors.
 func TestHashColsMatchesRowFold(t *testing.T) {
@@ -136,8 +101,8 @@ func TestHashColsMatchesRowFold(t *testing.T) {
 	}
 
 	keySets := [][]int{
-		{0}, {1}, {2}, {3}, {4}, {5},
-		{0, 2}, {4, 5}, {2, 4}, {0, 1, 2, 3, 4, 5},
+		{0}, {1}, {2}, {3},
+		{0, 2}, {1, 3}, {2, 3}, {0, 1, 2, 3},
 	}
 	for _, keys := range keySets {
 		for name, sel := range map[string][]int32{"full": full, "sparse": sparse} {
@@ -168,7 +133,7 @@ func TestHashColsMatchesRowFold(t *testing.T) {
 }
 
 // TestHashColsRefusesUntyped pins the fallback contract: any untyped key
-// column (a Raw-encoded attribute leaves its ColVec zero) makes HashCols
+// column (a mixed-kind attribute leaves its ColVec zero) makes HashCols
 // return false rather than guess.
 func TestHashColsRefusesUntyped(t *testing.T) {
 	cols := []types.ColVec{{Ints: []int64{1, 2}}, {}}
@@ -189,8 +154,7 @@ func TestHashColsRefusesUntyped(t *testing.T) {
 }
 
 // TestColValueDecodesEveryForm pins slot materialization: ColValue must
-// yield the exact value (and kind) for every window form at every slot,
-// and runIdx must agree with the sequential run cursor.
+// yield the exact value (and kind) for every window form at every slot.
 func TestColValueDecodesEveryForm(t *testing.T) {
 	const n = 96
 	rng := rand.New(rand.NewSource(11))
@@ -206,16 +170,6 @@ func TestColValueDecodesEveryForm(t *testing.T) {
 					c, i, v, v.Kind(), vals[c][i], vals[c][i].Kind())
 			}
 		}
-		if cols[c].HasRuns() {
-			hint := 0
-			for i := int32(0); i < n; i++ {
-				seq := cols[c].RunAt(i, hint)
-				hint = seq
-				if bin := runIdx(&cols[c], i); bin != seq {
-					t.Fatalf("col %d slot %d: runIdx %d, RunAt %d", c, i, bin, seq)
-				}
-			}
-		}
 	}
 	if _, ok := ColValue(&types.ColVec{}, 0); ok {
 		t.Fatal("ColValue decoded an untyped window")
@@ -229,8 +183,8 @@ func TestKeyEqCols(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(13))
 	cols, vals := keyFixture(n, rng)
-	keys := []int{0, 2, 4, 5}
-	tupleKeys := []int{0, 1, 2, 3}
+	keys := []int{0, 2, 3}
+	tupleKeys := []int{0, 1, 2}
 	for i := int32(0); i < n; i++ {
 		tuple := make([]types.Value, len(keys))
 		for k, c := range keys {

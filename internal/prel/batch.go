@@ -76,7 +76,7 @@ func NewBatch(n int) *Batch {
 // fingerprint-checked here — the end of their borrow — so a kernel that
 // wrote through the prefdb:col-view contract is caught on the very next
 // refill; the fingerprint is then cleared, letting the producer reuse
-// its vector and scratch buffers for the next window.
+// its vector slots for the next window.
 func (b *Batch) Reset() {
 	if debug.Enabled && b.Cols != nil {
 		b.fp.check(b.Cols)
@@ -243,11 +243,6 @@ type colsFingerprint struct {
 	codes  [][3]int32
 	bools  [][3]bool
 	nulls  [][3]bool
-	// Run-length windows: the run value/end slices are borrowed segment
-	// storage like the dense vectors and get the same treatment.
-	runVals  [][3]int64
-	runCodes [][3]int32
-	runEnds  [][3]int32
 }
 
 func sample3[T comparable](s []T) [3]T {
@@ -260,7 +255,6 @@ func sample3[T comparable](s []T) [3]T {
 
 func (f *colsFingerprint) clear() {
 	f.ints, f.floats, f.codes, f.bools, f.nulls = f.ints[:0], f.floats[:0], f.codes[:0], f.bools[:0], f.nulls[:0]
-	f.runVals, f.runCodes, f.runEnds = f.runVals[:0], f.runCodes[:0], f.runEnds[:0]
 }
 
 func (f *colsFingerprint) capture(cols []types.ColVec) {
@@ -271,9 +265,6 @@ func (f *colsFingerprint) capture(cols []types.ColVec) {
 		f.codes = append(f.codes, sample3(cols[i].Codes))
 		f.bools = append(f.bools, sample3(cols[i].Bools))
 		f.nulls = append(f.nulls, sample3(cols[i].Nulls))
-		f.runVals = append(f.runVals, sample3(cols[i].RunVals))
-		f.runCodes = append(f.runCodes, sample3(cols[i].RunCodes))
-		f.runEnds = append(f.runEnds, sample3(cols[i].RunEnds))
 	}
 }
 
@@ -286,10 +277,7 @@ func (f *colsFingerprint) check(cols []types.ColVec) {
 			f.floats[i] == sample3(cols[i].Floats) &&
 			f.codes[i] == sample3(cols[i].Codes) &&
 			f.bools[i] == sample3(cols[i].Bools) &&
-			f.nulls[i] == sample3(cols[i].Nulls) &&
-			f.runVals[i] == sample3(cols[i].RunVals) &&
-			f.runCodes[i] == sample3(cols[i].RunCodes) &&
-			f.runEnds[i] == sample3(cols[i].RunEnds)
+			f.nulls[i] == sample3(cols[i].Nulls)
 		debug.Assertf(ok, "borrowed column vector %d mutated between SetColumnar and Reset (prefdb:col-view contract)", i)
 	}
 }
