@@ -12,11 +12,15 @@
 //
 //   - buildBatch is the only node dispatcher; no operator has a
 //     row-at-a-time mirror.
-//   - Top-k streams its input through a bounded heap (prel.TopKHeap) that
-//     keeps k rows. The other blocking operators (skyline, rank, order-by)
-//     drain their input once into an exactly sized slice (drain's
-//     rowSpool); set operations drain both children the same way. Each
-//     serves its result as a sliceBatchSrc.
+//   - Rows are copied only where they are kept. Top-k streams its input
+//     through a bounded heap (prel.TopKHeap) that keeps k rows, building a
+//     projected tuple only for a row the heap cannot reject on ⟨S,C⟩; a
+//     threshold filters before the projection over it. The other blocking
+//     operators (skyline, rank, order-by) drain their input once into an
+//     exactly sized slice (drain's rowSpool); set operations drain both
+//     children the same way. Each serves its result as a sliceBatchSrc. A
+//     prefer over a strategy's own intermediate relation scores it in
+//     place (Executor.temp).
 //   - Every plan is run by one pipeline root (pipeline, executor.go) that
 //     charges each batch it pulls; drain, top-k and RowStream share it.
 //   - Results, row order and the non-diagnostic Stats do not depend on the
@@ -799,6 +803,9 @@ func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
 	if !h.built {
 		h.joinBuildCols()
 	}
+	if len(h.table) == 0 {
+		return nil, false // nothing can join: the probe input is never read
+	}
 	for {
 		b, ok := h.probe.nextBatch()
 		if !ok {
@@ -889,17 +896,15 @@ func (e *Executor) buildBatch(n algebra.Node) (batchIter, *schema.Schema, error)
 		return e.buildBatchScan(x, nil)
 
 	case *algebra.Project:
-		if j, ok := x.Input.(*algebra.Join); ok {
-			return e.buildBatchJoin(j, x)
-		}
-		in, s, err := e.buildBatch(x.Input)
+		in, s, ords, err := e.buildUnprojected(x)
 		if err != nil {
 			return nil, nil, err
 		}
-		return projectOver(in, s, x.Cols, &e.stats)
+		in, s = e.project(in, s, ords)
+		return in, s, nil
 
 	case *algebra.Join:
-		return e.buildBatchJoin(x, nil)
+		return e.buildBatchJoin(x)
 
 	case *algebra.GroupAgg:
 		in, s, err := e.buildBatch(x.Input)
@@ -915,14 +920,17 @@ func (e *Executor) buildBatch(n algebra.Node) (batchIter, *schema.Schema, error)
 			size: e.batchSize()}, out, nil
 
 	case *algebra.Threshold:
-		in, s, err := e.buildBatch(x.Input)
+		// A threshold reads only ⟨S,C⟩, so it filters below the projections
+		// of its input and only the rows it keeps are projected.
+		in, s, ords, err := e.buildUnprojected(x.Input)
 		if err != nil {
 			return nil, nil, err
 		}
 		if !x.Op.IsComparison() {
 			return nil, nil, fmt.Errorf("exec: threshold operator %s is not a comparison", x.Op)
 		}
-		return &thresholdBatch{in: in, by: x.By, op: x.Op, value: x.Value, tick: pollTick{g: e.gd}}, s, nil
+		in, s = e.project(&thresholdBatch{in: in, by: x.By, op: x.Op, value: x.Value, tick: pollTick{g: e.gd}}, s, ords)
+		return in, s, nil
 
 	case *algebra.Set:
 		return e.buildSet(x)
@@ -948,16 +956,16 @@ func (e *Executor) buildBatch(n algebra.Node) (batchIter, *schema.Schema, error)
 // buildBlocking compiles the operators that need their whole input —
 // top-k, skyline, rank and order-by — and serves the result in batches.
 // Top-k pulls its input's batches through a bounded heap that keeps k
-// rows; the others drain their input once into a relation. Either way the
-// input is charged to Stats as a materialized relation (see pump).
+// rows (topK); the others drain their input once into a relation. Either
+// way the pipeline root charges the input to Stats as a materialized
+// relation.
 func (e *Executor) buildBlocking(n algebra.Node) (batchIter, *schema.Schema, error) {
 	if x, ok := n.(*algebra.TopK); ok {
-		top := prel.NewTopKHeap(x.K, x.By == algebra.ByConf)
-		s, err := e.pump(x.Input, top.PushBatch)
+		rows, s, err := e.topK(x)
 		if err != nil {
 			return nil, nil, err
 		}
-		return newSliceBatchSrc(top.Rows(), e.batchSize()), s, nil
+		return newSliceBatchSrc(rows, e.batchSize()), s, nil
 	}
 	rel, err := e.drain(n.Children()[0])
 	if err != nil {
@@ -983,6 +991,59 @@ func (e *Executor) buildBlocking(n algebra.Node) (batchIter, *schema.Schema, err
 		}
 	}
 	return newSliceBatchSrc(rows, e.batchSize()), rel.Schema, nil
+}
+
+// topK streams x's input through a bounded heap (prel.TopKHeap). The
+// projections at the top of the input do not run as an operator
+// (buildUnprojected): the heap reads the batches beneath them and builds a
+// row's projected tuple only when it cannot reject the row on ⟨S,C⟩ alone
+// (TopKHeap.Rejects), so only rows that beat or tie the current cut are
+// copied, into one spare tuple the heap hands back when it lets a row go.
+// The root still charges every input row at the projection's width: the
+// paper's filtering UDF reads its whole input.
+func (e *Executor) topK(x *algebra.TopK) ([]prel.Row, *schema.Schema, error) {
+	if err := e.gd.poll(); err != nil {
+		return nil, nil, err
+	}
+	in, s, ords, err := e.buildUnprojected(x.Input)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := s
+	if ords != nil {
+		out = s.Project(ords)
+		if isIdentity(ords, s.Len()) {
+			ords = nil
+		}
+	}
+	top := prel.NewTopKHeap(x.K, x.By == algebra.ByConf)
+	var spare []types.Value // nil ords: rows are offered as their own tuples
+	err = e.root(x.Input, in, out).drive(func(b *prel.Batch) {
+		rows := b.Rows()
+		for _, j := range b.Sel {
+			sc := b.SCAt(j)
+			if top.Rejects(sc) {
+				continue
+			}
+			t := rows[j]
+			if ords != nil {
+				if spare == nil {
+					spare = make([]types.Value, len(ords))
+				}
+				for i, o := range ords {
+					spare[i] = t[o]
+				}
+				t = spare
+			}
+			if gone := top.Push(prel.Row{Tuple: t, SC: sc}); ords != nil {
+				spare = gone.Tuple
+			}
+		}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return top.Rows(), out, nil
 }
 
 // buildBatchScan compiles a (possibly filtered) base-table access. When a
@@ -1070,14 +1131,13 @@ func (e *Executor) buildBatchSegment(n algebra.Node) (batchIter, *schema.Schema,
 		stats: &e.stats, tick: pollTick{g: e.gd}}, s, nil
 }
 
-// buildBatchJoin compiles the extended inner join ⋈_{φ,F}, followed by
-// the projection proj over it when non-nil. Equi-conjuncts over opposite
-// sides select hashJoinBatch, whose probe side streams batches and which
-// evaluates the projection inside its combine step; with no
-// equi-conjunct an nlJoinBatch pairs every row. Residual
-// conditions run as a vectorized filter, and a projection over a
-// residual filter or a nested loop runs as a projectBatch.
-func (e *Executor) buildBatchJoin(j *algebra.Join, proj *algebra.Project) (batchIter, *schema.Schema, error) {
+// buildBatchJoin compiles the extended inner join ⋈_{φ,F}. Equi-conjuncts
+// over opposite sides select hashJoinBatch, whose probe side streams
+// batches; with no equi-conjunct an nlJoinBatch pairs every row. Residual
+// conditions run as a vectorized filter. A projection over the join is
+// applied by the caller (project), inside the hash join when no residual
+// filter sits between them.
+func (e *Executor) buildBatchJoin(j *algebra.Join) (batchIter, *schema.Schema, error) {
 	lBi, lS, err := e.buildBatch(j.Left)
 	if err != nil {
 		return nil, nil, err
@@ -1089,16 +1149,9 @@ func (e *Executor) buildBatchJoin(j *algebra.Join, proj *algebra.Project) (batch
 	out := lS.Concat(rS)
 
 	eqL, eqR, residual := splitEquiJoin(j.Cond, lS, rS)
-	if len(eqL) > 0 && residual == nil && proj != nil {
-		ords, err := ordinalsOf(out, proj.Cols)
-		if err != nil {
-			return nil, nil, err
-		}
-		return e.newHashJoin(j, lBi, rBi, eqL, eqR, lS.Len(), len(ords), ords), out.Project(ords), nil
-	}
 	var base batchIter
 	if len(eqL) > 0 {
-		base = e.newHashJoin(j, lBi, rBi, eqL, eqR, lS.Len(), out.Len(), nil)
+		base = e.newHashJoin(j, lBi, rBi, eqL, eqR, lS.Len(), out.Len())
 	} else {
 		nl := &nlJoinBatch{left: lBi, right: rBi, agg: e.Agg, stats: &e.stats,
 			meter: matTick{g: e.gd, width: rS.Len() + 2}, tick: pollTick{g: e.gd}, size: e.batchSize()}
@@ -1112,18 +1165,15 @@ func (e *Executor) buildBatchJoin(j *algebra.Join, proj *algebra.Project) (batch
 		}
 		base = &filterBatch{in: base, cond: cond, stats: &e.stats, tick: pollTick{g: e.gd}}
 	}
-	if proj != nil {
-		return projectOver(base, out, proj.Cols, &e.stats)
-	}
 	return base, out, nil
 }
 
 // newHashJoin wires a hash join over the compiled inputs, building on the
-// side the plan marks (left unless BuildRight) and emitting ords of
-// left ++ right (every column when ords is nil) as width-column tuples.
-func (e *Executor) newHashJoin(j *algebra.Join, lBi, rBi batchIter, eqL, eqR []int, leftWidth, width int, ords []int) *hashJoinBatch {
+// side the plan marks (left unless BuildRight) and emitting left ++ right
+// as width-column tuples.
+func (e *Executor) newHashJoin(j *algebra.Join, lBi, rBi batchIter, eqL, eqR []int, leftWidth, width int) *hashJoinBatch {
 	h := &hashJoinBatch{build: lBi, probe: rBi, buildKeys: eqL, probeKeys: eqR,
-		buildRight: j.BuildRight, leftWidth: leftWidth, ords: ords,
+		buildRight: j.BuildRight, leftWidth: leftWidth,
 		agg: e.Agg, stats: &e.stats, g: e.gd, tick: pollTick{g: e.gd}}
 	h.arena.width = width
 	if j.BuildRight {
@@ -1132,19 +1182,65 @@ func (e *Executor) newHashJoin(j *algebra.Join, lBi, rBi batchIter, eqL, eqR []i
 	return h
 }
 
-// projectOver narrows a batch stream to cols through a projectBatch, an
-// identity one when cols lists every column of s in order.
-func projectOver(in batchIter, s *schema.Schema, cols []expr.Col, stats *Stats) (batchIter, *schema.Schema, error) {
-	ords, err := ordinalsOf(s, cols)
-	if err != nil {
-		return nil, nil, err
+// buildUnprojected compiles n with the projections at its top left
+// unapplied: it returns the pipeline beneath them, that pipeline's schema
+// and the projections composed into one list of ordinals over it (nil
+// when n is not a projection). A stack of projections thus costs at most
+// one copy, and a consumer that reads only ⟨S,C⟩ or keeps few rows (a
+// threshold, top-k) can copy only the rows it keeps. A projection over a
+// hash join is the exception: it runs inside the join (see
+// hashJoinBatch), which then writes each match already narrowed.
+func (e *Executor) buildUnprojected(n algebra.Node) (batchIter, *schema.Schema, []int, error) {
+	p, ok := n.(*algebra.Project)
+	if !ok {
+		in, s, err := e.buildBatch(n)
+		return in, s, nil, err
 	}
-	pb := &projectBatch{in: in, stats: stats}
+	in, s, inner, err := e.buildUnprojected(p.Input)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	cur := s // the schema p reads
+	if inner != nil {
+		cur = s.Project(inner)
+	}
+	ords, err := ordinalsOf(cur, p.Cols)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if h, ok := in.(*hashJoinBatch); ok {
+		h.ords, h.arena.width = composeOrds(h.ords, ords), len(ords)
+		return h, cur.Project(ords), nil, nil
+	}
+	return in, s, composeOrds(inner, ords), nil
+}
+
+// composeOrds returns the ordinals of outer∘inner: column i of the result
+// is column inner[outer[i]] (outer[i] when inner is nil).
+func composeOrds(inner, outer []int) []int {
+	if inner == nil {
+		return outer
+	}
+	out := make([]int, len(outer))
+	for i, o := range outer {
+		out[i] = inner[o]
+	}
+	return out
+}
+
+// project applies the ordinals buildUnprojected left unapplied: nil ords
+// pass in through, other ords narrow it through a projectBatch (an
+// identity one when ords lists every column of s in order).
+func (e *Executor) project(in batchIter, s *schema.Schema, ords []int) (batchIter, *schema.Schema) {
+	if ords == nil {
+		return in, s
+	}
+	pb := &projectBatch{in: in, stats: &e.stats}
 	if !isIdentity(ords, s.Len()) {
 		pb.ords = ords
 		pb.arena.width = len(ords)
 	}
-	return pb, s.Project(ords), nil
+	return pb, s.Project(ords)
 }
 
 // isIdentity reports whether ords is 0..n-1.

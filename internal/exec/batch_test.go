@@ -582,6 +582,37 @@ func TestNLJoinEmptyRightSkipsLeft(t *testing.T) {
 	}
 }
 
+// TestHashJoinEmptyBuildSkipsProbe pins that a hash join whose build
+// table is empty ends without reading its probe input: the result is
+// empty and RowsScanned counts only the build side's scan, on the heap
+// and on the columnar table alike.
+func TestHashJoinEmptyBuildSkipsProbe(t *testing.T) {
+	fx := loadTwice(t, seqDB)
+	equi := &algebra.Join{Cond: expr.Bin{Op: expr.OpEq, L: expr.ColRef("a.id"), R: expr.ColRef("b.id")},
+		// a.id < a.id rejects every row and no zone map can prove it, so
+		// the columnar arm still reads the build side's segments.
+		Left: &algebra.Select{Cond: expr.Bin{Op: expr.OpLt, L: expr.ColRef("a.id"), R: expr.ColRef("a.id")},
+			Input: &algebra.Scan{Table: "seq", Alias: "a"}},
+		Right: &algebra.Scan{Table: "seq", Alias: "b"}}
+	for name, cat := range map[string]*catalog.Catalog{"heap": fx.heap, "columnar": fx.col} {
+		for _, size := range []int{1, 7, 0} {
+			e := New(cat)
+			e.BatchSize = size
+			got, err := e.Run(equi, Native)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := e.Stats(); got.Len() != 0 || st.RowsScanned != seqRows {
+				t.Fatalf("%s size=%d: %d rows, rowsScanned=%d; want 0 and %d (the build side only)",
+					name, size, got.Len(), st.RowsScanned, seqRows)
+			}
+		}
+	}
+	for _, strategy := range Strategies() {
+		crossCheck(t, fx, equi, strategy, "empty-build equi-join "+strategy.String())
+	}
+}
+
 // TestBatchCountsBatches pins that a pipeline root counts the batches it
 // drains.
 func TestBatchCountsBatches(t *testing.T) {

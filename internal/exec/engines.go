@@ -74,6 +74,7 @@ func (e *Executor) RunContext(ctx context.Context, plan algebra.Node, strategy S
 }
 
 func (e *Executor) runStrategy(plan algebra.Node, strategy Strategy) (*prel.PRelation, error) {
+	defer func() { e.own = nil }()
 	if plan == nil {
 		return nil, fmt.Errorf("exec: nil plan")
 	}
@@ -111,7 +112,8 @@ func (e *Executor) runBU(plan algebra.Node) (*prel.PRelation, error) {
 
 // buNode executes one operator over already-materialized inputs. Leaves
 // (base relations and materialized values) are not copied — only operator
-// outputs become temporary relations.
+// outputs become temporary relations (temp), which a prefer over them
+// scores in place.
 func (e *Executor) buNode(n algebra.Node) (algebra.Node, error) {
 	switch n.(type) {
 	case *algebra.Scan, *algebra.Values:
@@ -142,7 +144,7 @@ func (e *Executor) buNode(n algebra.Node) (algebra.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &algebra.Values{Rel: rel, Label: "R"}, nil
+	return e.temp(rel, "R"), nil
 }
 
 // --- Group Bottom-Up ---
@@ -188,16 +190,17 @@ func (e *Executor) gbu(n algebra.Node) (algebra.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			input = &algebra.Values{Rel: childRel, Label: "G"}
+			input = e.temp(childRel, "G")
 		}
 		node := n.WithChildren([]algebra.Node{input})
 		// Prefer and filtering operators run in the preference engine (the
-		// paper's UDF layer), not as delegated native queries.
+		// paper's UDF layer), not as delegated native queries; a prefer
+		// over a G relation scores it in place.
 		rel, err := e.drain(node)
 		if err != nil {
 			return nil, err
 		}
-		return &algebra.Values{Rel: rel, Label: "G"}, nil
+		return e.temp(rel, "G"), nil
 	default:
 		children := n.Children()
 		newChildren := make([]algebra.Node, len(children))
@@ -294,12 +297,13 @@ func (e *Executor) runFtP(plan algebra.Node) (*prel.PRelation, error) {
 		return nil, err
 	}
 
-	// Evaluate all prefer operators on R_NP.
+	// Evaluate all prefer operators on R_NP, in place: R_NP is the
+	// executor's own relation.
 	cur := rnp
 	for _, p := range prefers {
 		// WithChildren (not a fresh literal) keeps the optimizer's cache
 		// annotations on the rebuilt operator.
-		node := p.WithChildren([]algebra.Node{&algebra.Values{Rel: cur, Label: "R_NP"}})
+		node := p.WithChildren([]algebra.Node{e.temp(cur, "R_NP")})
 		cur, err = e.drain(node)
 		if err != nil {
 			return nil, fmt.Errorf("ftp: evaluating %s on R_NP: %w", p.P.Label(), err)

@@ -10,6 +10,7 @@ import (
 
 	"prefdb/internal/algebra"
 	"prefdb/internal/catalog"
+	"prefdb/internal/debug"
 	"prefdb/internal/expr"
 	"prefdb/internal/pref"
 	"prefdb/internal/prel"
@@ -160,6 +161,11 @@ type Executor struct {
 	// gd is the lifecycle guard of the current run; nil (the default)
 	// disables all cancellation and budget checks.
 	gd *guard
+	// own is the intermediate relation the running strategy created last
+	// (see temp), the one relation drain may score in place. It is
+	// cleared when the run ends, so a relation handed to the caller is
+	// never written again.
+	own *prel.PRelation
 }
 
 // New returns an executor using the scoring-function registry and F_S.
@@ -191,8 +197,13 @@ func (e *Executor) Evaluate(n algebra.Node) (*prel.PRelation, error) {
 // drain builds and exhausts a pipeline into a fresh relation without
 // counting a native call (used by engines for operator-at-a-time
 // execution). The rows are spooled and copied once into an exactly sized
-// slice (rowSpool).
+// slice (rowSpool). A chain of prefer operators over a relation the
+// running strategy created is the exception: it is scored in place
+// (scoreInPlace) and drain returns that relation.
 func (e *Executor) drain(n algebra.Node) (*prel.PRelation, error) {
+	if rel := e.inPlace(n); rel != nil {
+		return e.scoreInPlace(n, rel)
+	}
 	var sp rowSpool
 	s, err := e.pump(n, sp.add)
 	if err != nil {
@@ -201,22 +212,81 @@ func (e *Executor) drain(n algebra.Node) (*prel.PRelation, error) {
 	return &prel.PRelation{Schema: s, Rows: sp.rows()}, nil
 }
 
-// pump runs n through a pipeline root, handing every batch to sink: drain
-// keeps the rows, top-k only ranks them. Either way the root charges them
-// as n's materialized result (top-k's counters model the paper's filtering
-// UDF reading its whole input).
+// temp wraps a relation the running strategy created — BU's R, GBU's G,
+// FtP's R_NP — in a Values leaf and records it as the executor's own, so
+// a prefer over it may write ⟨S,C⟩ into its rows. Ownership is this
+// record, never the label: a Values the caller built is only ever read.
+// The record holds one relation, the last created: every strategy feeds a
+// prefer the temporary it has just made, and a longer record would keep
+// every consumed temporary alive until the run ends.
+func (e *Executor) temp(rel *prel.PRelation, label string) *algebra.Values {
+	e.own = rel
+	return &algebra.Values{Rel: rel, Label: label}
+}
+
+// inPlace returns the relation n scores in place: n is a chain of prefer
+// operators (no selection, so every row survives) directly over a Values
+// leaf of the relation the executor owns. It returns nil for any other
+// plan.
+func (e *Executor) inPlace(n algebra.Node) *prel.PRelation {
+	chain, leaf := collectChain(n)
+	v, ok := leaf.(*algebra.Values)
+	if !ok || len(chain) == 0 || e.own == nil || v.Rel != e.own {
+		return nil
+	}
+	for _, op := range chain {
+		if _, ok := op.(*algebra.Prefer); !ok {
+			return nil
+		}
+	}
+	return v.Rel
+}
+
+// scoreInPlace runs a prefer chain over rel and writes each batch's ⟨S,C⟩
+// back into rel's rows — the paper's in-place update of the score
+// relation R_P (§VI) — instead of spooling a copy. The Values source
+// serves rel's rows in order and a prefer chain drops none, so batch slot
+// j of the i-th batch is row offset+j. The pipeline root charges the run
+// exactly as it charges a copying drain.
+func (e *Executor) scoreInPlace(n algebra.Node, rel *prel.PRelation) (*prel.PRelation, error) {
+	off := 0
+	_, err := e.pump(n, func(b *prel.Batch) {
+		if debug.Enabled {
+			debug.Assertf(b.Live() == b.Cap() && off+b.Cap() <= len(rel.Rows),
+				"in-place prefer batch at row %d: %d of %d slots live", off, b.Live(), b.Cap())
+		}
+		rows := rel.Rows[off : off+b.Cap()]
+		for j := range rows {
+			rows[j].SC = b.SCAt(int32(j))
+		}
+		off += b.Cap()
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rel, nil
+}
+
+// pump runs n through a pipeline root, handing every batch to sink: a
+// copying drain spools the rows, an in-place one writes their pairs back.
+// Either way the root charges them as n's materialized result.
 func (e *Executor) pump(n algebra.Node, sink func(*prel.Batch)) (*schema.Schema, error) {
 	p, err := e.open(n)
 	if err != nil {
 		return nil, err
 	}
-	for b, ok := p.nextBatch(); ok; b, ok = p.nextBatch() {
-		sink(b)
-	}
-	if err := p.close(); err != nil {
+	if err := p.drive(sink); err != nil {
 		return nil, err
 	}
 	return p.sch, nil
+}
+
+// drive hands every batch the pipeline yields to sink, then closes it.
+func (p *pipeline) drive(sink func(*prel.Batch)) error {
+	for b, ok := p.nextBatch(); ok; b, ok = p.nextBatch() {
+		sink(b)
+	}
+	return p.close()
 }
 
 // pipeline is the root of a running plan: the one place that charges
@@ -245,8 +315,13 @@ func (e *Executor) open(n algebra.Node) (*pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.root(n, bi, s), nil
+}
+
+// root makes bi, the compiled n with output schema s, a pipeline root.
+func (e *Executor) root(n algebra.Node, bi batchIter, s *schema.Schema) *pipeline {
 	_, prefer := n.(*algebra.Prefer)
-	return &pipeline{e: e, in: bi, sch: s, prefer: prefer, meter: matTick{g: e.gd, width: s.Len() + 2}}, nil
+	return &pipeline{e: e, in: bi, sch: s, prefer: prefer, meter: matTick{g: e.gd, width: s.Len() + 2}}
 }
 
 // nextBatch pulls one batch and charges it: the batch count, the columnar

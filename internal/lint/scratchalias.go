@@ -34,13 +34,13 @@ import (
 // analyzer flags element assignments through one.
 //
 // Borrowed column vectors obey the same inverted contract (prefdb:col-view):
-// the typed slices of a types.ColVec, a columnar Batch's Cols, and the
-// windows Segment.ColVecs hands out all alias segment storage shared by
-// concurrent queries. Kernels may hold and pass them freely — borrowing is
-// the point of the direct-on-column path — but an element write through one
-// corrupts the store, so the analyzer flags it. Sources are matched by type
-// (types.ColVec fields, prel.Batch.Cols, Segment.ColVecs calls) and by
-// fields declared with a `prefdb:col-view` marker.
+// the typed slices of a types.ColVec and a columnar Batch's Cols alias
+// segment storage shared by concurrent queries (Segment.ColVecs fills them
+// in, returning nothing). Kernels may hold and pass them freely — borrowing
+// is the point of the direct-on-column path — but an element write through
+// one corrupts the store, so the analyzer flags it. Sources are matched by
+// type (types.ColVec fields, prel.Batch.Cols) and by fields declared with a
+// `prefdb:col-view` marker.
 //
 // One refinement on top of that freedom: structs that buffer state across
 // batches — hash-join build tables, aggregation accumulators — declare the
@@ -297,22 +297,17 @@ func classifyExpr(pass *Pass, tracked map[types.Object]trackKind, e ast.Expr) tr
 			}
 		}
 		// Segment.Tuple hands out a shared immutable row view, a sealed
-		// heap tuple (`prefdb:segment-view`); Segment.ColVecs hands out
-		// borrowed windows of the segment's typed vectors
-		// (`prefdb:col-view`).
-		if sel, ok := x.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Tuple" || sel.Sel.Name == "ColVecs") {
+		// heap tuple (`prefdb:segment-view`).
+		if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Tuple" {
 			if recvName, _ := NamedType(pass.TypesInfo, sel.X); recvName == "Segment" {
-				if sel.Sel.Name == "ColVecs" {
-					return trackColView
-				}
 				return trackSegView
 			}
 		}
 		return trackNone
 	case *ast.IndexExpr:
 		// Indexing a shared-view container (the marked tuples field, a
-		// batch's Cols, ColVecs scratch) yields another shared view; other
-		// tracked kinds index to scalars, which copy.
+		// batch's Cols) yields another shared view; other tracked kinds
+		// index to scalars, which copy.
 		if k := classifyExpr(pass, tracked, x.X); isView(k) {
 			return k
 		}

@@ -87,11 +87,13 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, plan algebra.Node) (alg
 		{!o.DisableJoinReorder && !o.DisablePreferPushdown, o.pushPrefers},
 		{!o.DisableJoinReorder && !o.DisablePreferReorder, o.orderPreferChains},
 		{!o.DisableProjectionPushdown, o.pruneColumns},
-		// Late materialization: probe-side projections under an equi-join
-		// over a columnar-backed scan are pulled above the join, so the
-		// batch path hashes borrowed vectors and materializes only matches.
-		{true, o.pullProbeProjects},
 		{!o.DisableProjectionPushdown, o.collapseProjections},
+		// Late materialization: the projection over a scan of a columnar
+		// table moves above the preferences over it and above an equi-join
+		// it feeds as the probe side, so they run on borrowed vectors and
+		// only surviving rows are copied. It runs after the collapse so the
+		// moved projection stays one operator of its own.
+		{true, o.pullProbeProjects},
 		// Annotation passes run last so rewrites cannot drop their marks.
 		{true, o.annotateScoreCache},
 		{true, o.annotateSegments},

@@ -50,38 +50,55 @@ func (o *Optimizer) annotateSegments(n algebra.Node) algebra.Node {
 	})
 }
 
-// pullProbeProjects rewrites Join(L, C[π(X)]) — C a σ/λ chain — into
-// π'(Join(L, C[X])) when the probe side bottoms out in a scan of a
-// columnar table (catalog.Table.Columnar). The planner narrows every base
-// relation right above its scan, but a projection on the probe side of a
-// hash join forces the batch path to materialize every probe row just to
-// drop columns; pulling it above the join keeps the probe pipeline
-// columnar to the hash lookup, so only matching rows become row views, and
-// the compensating projection π' (the original join output's column list)
-// then narrows the few joined tuples. The rewrite is declined — plan
-// unchanged — whenever either side fails to re-resolve or any output
-// column reference would be ambiguous against the widened join schema
-// (restoreColumnOrder's bail-out), so it can never change the plan's
-// output schema or semantics.
+// pullProbeProjects moves the projection the planner puts right above a
+// scan of a columnar table (catalog.Table.Columnar) to above the operators
+// that do not need it narrowed, so they run on the scan's batches and only
+// the rows that survive them are copied:
+//
+//   - λ…(C[π(X)]) → π′(λ…(C[X])), C a σ chain and X a scan: the
+//     preferences score straight off the column vectors (the direct-column
+//     score path) and the narrowing copy happens above them, where the
+//     filter stage (top-k, threshold) copies only the rows it keeps.
+//   - Join(L, C[π(X)]) → π′(Join(L, C[X])), C a σ/λ chain: the probe
+//     pipeline stays columnar to the hash lookup, so only matching rows
+//     become row views, and π′ narrows the few joined tuples.
+//
+// π′ is the rewritten operator's original column list. The rewrite is
+// declined — plan unchanged — whenever either side fails to re-resolve or
+// any output column reference would be ambiguous against the widened
+// schema (restoreColumnOrder's bail-out), so it can never change the
+// plan's output schema or semantics. Plans over heap tables are
+// unchanged. The pass runs after collapseProjections, so π′ stays its own
+// operator: a strategy that materializes every operator (BU) copies it
+// where it copied the π it replaces, and the executor composes stacked
+// projections into one copy.
 func (o *Optimizer) pullProbeProjects(n algebra.Node) algebra.Node {
 	return algebra.Transform(n, func(x algebra.Node) algebra.Node {
-		j, ok := x.(*algebra.Join)
-		if !ok || j.Cond == nil || !hasEquiPair(j.Cond) {
+		var widened, probe algebra.Node
+		switch y := x.(type) {
+		case *algebra.Prefer:
+			chain, spliced := spliceProject(y)
+			if !spliced {
+				return x
+			}
+			widened, probe = chain, chain
+		case *algebra.Join:
+			if y.Cond == nil || !hasEquiPair(y.Cond) {
+				return x
+			}
+			right, spliced := spliceProject(y.Right)
+			if !spliced {
+				return x
+			}
+			widened, probe = &algebra.Join{Cond: y.Cond, Left: y.Left, Right: right}, right
+		default:
 			return x
 		}
-		right, spliced := spliceProject(j.Right)
-		if !spliced {
+		scan := probeScan(probe)
+		if scan == nil || !o.columnar(scan) {
 			return x
 		}
-		scan := probeScan(right)
-		if scan == nil {
-			return x
-		}
-		if !o.columnar(scan) {
-			return x
-		}
-		widened := &algebra.Join{Cond: j.Cond, Left: j.Left, Right: right}
-		return o.restoreColumnOrder(j, widened)
+		return o.restoreColumnOrder(x, widened)
 	})
 }
 

@@ -35,38 +35,60 @@ func NewTopKHeap(k int, byConf bool) *TopKHeap {
 	return &TopKHeap{h: rowHeap{byConf: byConf}, k: k}
 }
 
-// Push offers one row.
-func (t *TopKHeap) Push(r Row) {
-	if len(t.h.rows) < t.k {
-		t.h.rows = append(t.h.rows, r)
-		return
-	}
+// Rejects reports whether a row with pair sc cannot be kept whatever its
+// tuple: the selector is full and sc ranks strictly below the worst kept
+// row. A tie on ⟨S,C⟩ is decided by the tuples, so it is not rejected and
+// must reach Push. Callers use it to skip building a row the selector
+// would drop. Once the selector is full it arranges the kept rows into the
+// heap, as the next Push would.
+func (t *TopKHeap) Rejects(sc types.SC) bool {
 	if t.k <= 0 {
-		return
+		return true
 	}
-	if !t.heaped {
-		// Heap the kept rows by pushing them in arrival order, which
-		// lays out the heap exactly as pushing each on arrival would
-		// have: Push only sifts within the prefix it has filled.
-		kept := t.h.rows
-		t.h.rows = kept[:0]
-		for _, kr := range kept {
-			heap.Push(&t.h, kr)
-		}
-		t.heaped = true
+	if len(t.h.rows) < t.k {
+		return false
 	}
-	// Keep r only if it beats the current worst (the heap root).
-	if rowBetter(r, t.h.rows[0], t.h.byConf) {
-		t.h.rows[0] = r
-		heap.Fix(&t.h, 0)
-	}
+	t.heapify()
+	return compareSC(sc, t.h.rows[0].SC, t.h.byConf) < 0
 }
 
-// PushBatch offers the selected rows of b in order.
-func (t *TopKHeap) PushBatch(b *Batch) {
-	for i := range b.Live() {
-		t.Push(b.Row(i))
+// Push offers one row and returns the row it lets go: r itself when r
+// does not make the cut, the evicted worst row when r displaces it, and
+// the zero Row while the selector is still filling. A caller that builds
+// its own tuples may reuse the returned tuple for the next row.
+func (t *TopKHeap) Push(r Row) Row {
+	if len(t.h.rows) < t.k {
+		t.h.rows = append(t.h.rows, r)
+		return Row{}
 	}
+	if t.k <= 0 {
+		return r
+	}
+	t.heapify()
+	// Keep r only if it beats the current worst (the heap root).
+	if !rowBetter(r, t.h.rows[0], t.h.byConf) {
+		return r
+	}
+	worst := t.h.rows[0]
+	t.h.rows[0] = r
+	heap.Fix(&t.h, 0)
+	return worst
+}
+
+// heapify turns the kept rows into the bounded heap once the selector is
+// full. Pushing them in arrival order lays out the heap exactly as pushing
+// each on arrival would have: Push only sifts within the prefix it has
+// filled.
+func (t *TopKHeap) heapify() {
+	if t.heaped {
+		return
+	}
+	kept := t.h.rows
+	t.h.rows = kept[:0]
+	for _, kr := range kept {
+		heap.Push(&t.h, kr)
+	}
+	t.heaped = true
 }
 
 // Rows returns the kept rows in ranked order, emptying the selector.
@@ -89,25 +111,41 @@ func (t *TopKHeap) Rows() []Row {
 // rowBetter reports whether a ranks strictly before b under the score (or
 // confidence) ordering used by SortByScore/SortByConf.
 func rowBetter(a, b Row, byConf bool) bool {
-	if a.SC.Known != b.SC.Known {
-		return a.SC.Known
-	}
-	if !a.SC.Known {
-		return compareTuplesLess(a, b)
-	}
-	p1, s1 := a.SC.Score, a.SC.Conf
-	p2, s2 := b.SC.Score, b.SC.Conf
-	if byConf {
-		p1, s1 = a.SC.Conf, a.SC.Score
-		p2, s2 = b.SC.Conf, b.SC.Score
-	}
-	if p1 != p2 {
-		return p1 > p2
-	}
-	if s1 != s2 {
-		return s1 > s2
+	if c := compareSC(a.SC, b.SC, byConf); c != 0 {
+		return c > 0
 	}
 	return compareTuplesLess(a, b)
+}
+
+// compareSC orders two pairs by the ranking alone: +1 when a ranks before
+// b, -1 when after, 0 when the tuples must decide (equal pairs, or both ⊥).
+// A scored pair ranks before ⊥; two scored pairs compare by score, then
+// confidence (the other way round when byConf).
+func compareSC(a, b types.SC, byConf bool) int {
+	if a.Known != b.Known {
+		return sign(a.Known)
+	}
+	if !a.Known {
+		return 0
+	}
+	p1, s1, p2, s2 := a.Score, a.Conf, b.Score, b.Conf
+	if byConf {
+		p1, s1, p2, s2 = a.Conf, a.Score, b.Conf, b.Score
+	}
+	switch {
+	case p1 != p2:
+		return sign(p1 > p2)
+	case s1 != s2:
+		return sign(s1 > s2)
+	}
+	return 0
+}
+
+func sign(better bool) int {
+	if better {
+		return 1
+	}
+	return -1
 }
 
 func compareTuplesLess(a, b Row) bool {
