@@ -115,14 +115,6 @@ type Set struct {
 type Prefer struct {
 	P     pref.Preference
 	Input Node
-
-	// CacheHint is set by the optimizer when the score-cache heuristic
-	// decides memoizing ⟨S,C⟩ per distinct key is profitable (the
-	// preference reads a low-cardinality attribute set); the executor
-	// memoizes exactly the operators so marked. CacheNDV records the
-	// estimated number of distinct keys behind the decision, for EXPLAIN.
-	CacheHint bool
-	CacheNDV  int
 }
 
 // RankBy selects which dimension a filtering operator orders or thresholds
@@ -299,16 +291,9 @@ func (s *Set) String() string { return s.Op.String() + "()" }
 func (p *Prefer) Children() []Node { return []Node{p.Input} }
 func (p *Prefer) WithChildren(c []Node) Node {
 	mustArity(c, 1)
-	cp := *p // preserve cache annotations across plan rewrites
-	cp.Input = c[0]
-	return &cp
+	return &Prefer{P: p.P, Input: c[0]}
 }
-func (p *Prefer) String() string {
-	if p.CacheHint {
-		return fmt.Sprintf("Prefer(%s) [cache ndv≈%d]", p.P.Label(), p.CacheNDV)
-	}
-	return fmt.Sprintf("Prefer(%s)", p.P.Label())
-}
+func (p *Prefer) String() string { return fmt.Sprintf("Prefer(%s)", p.P.Label()) }
 
 func (t *TopK) Children() []Node { return []Node{t.Input} }
 func (t *TopK) WithChildren(c []Node) Node {

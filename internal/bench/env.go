@@ -95,9 +95,8 @@ func Measure(ctx context.Context, db *engine.DB, sql string, mode engine.Mode, r
 }
 
 // MeasurePrepared times repeated runs of a prepared statement under the
-// given options (best-of-repeats, like Measure). Repetition matters for
-// the score cache: from the second run on, a prepared statement serves
-// scores from the engine's cross-query dictionary.
+// given options (best-of-repeats, like Measure). The plan is compiled
+// once, so the runs time execution alone.
 func MeasurePrepared(ctx context.Context, p *engine.Prepared, repeats int, opts ...engine.QueryOption) (Measurement, error) {
 	if repeats < 1 {
 		repeats = 1

@@ -35,9 +35,8 @@ type Table struct {
 	// segments and across rebuilds.
 	colDict *colstore.TableDict
 
-	// version counts DML batches applied to the table; cross-query caches
-	// (e.g. the engine's prepared-statement score dictionaries) snapshot it
-	// and discard their entries when it moves.
+	// version counts DML batches applied to the table; the columnar image
+	// records the version it was built at and is rebuilt when it moves.
 	version atomic.Uint64 // prefdb:atomic
 }
 

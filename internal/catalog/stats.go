@@ -61,15 +61,6 @@ func (cs *ColumnStats) MCVFreq(v types.Value) (int, bool) {
 	return 0, false
 }
 
-// DistinctSaturated reports whether the column hit the distinct-tracking
-// cap, meaning Distinct is a lower bound on an unknown-large cardinality
-// rather than an exact count. Consumers that need ndv ≪ |R| (e.g. the
-// optimizer's score-cache heuristic) must treat a saturated count as "too
-// many".
-func (cs *ColumnStats) DistinctSaturated() bool {
-	return cs.Distinct >= maxDistinctTracked
-}
-
 // CDF estimates the fraction of non-null values ≤ x from the equi-depth
 // histogram, interpolating linearly within a bucket. It reports ok=false
 // when no histogram is available.

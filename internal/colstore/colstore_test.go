@@ -337,10 +337,10 @@ func TestSkipAllNullColumn(t *testing.T) {
 func TestPredsFrom(t *testing.T) {
 	s := testSchema()
 	conjuncts := []expr.Node{
-		expr.Cmp("id", expr.OpGe, types.Int(5)),                                    // sargable
-		expr.Bin{Op: expr.OpLt, L: expr.Lit{Val: types.Int(9)}, R: expr.ColRef("id")}, // flipped: id > 9
-		expr.Cmp("id", expr.OpEq, types.Null()),                                    // NULL literal: excluded
-		expr.Cmp("nosuch", expr.OpEq, types.Int(1)),                                // unresolved: excluded
+		expr.Cmp("id", expr.OpGe, types.Int(5)),                                                                          // sargable
+		expr.Bin{Op: expr.OpLt, L: expr.Lit{Val: types.Int(9)}, R: expr.ColRef("id")},                                    // flipped: id > 9
+		expr.Cmp("id", expr.OpEq, types.Null()),                                                                          // NULL literal: excluded
+		expr.Cmp("nosuch", expr.OpEq, types.Int(1)),                                                                      // unresolved: excluded
 		expr.Bin{Op: expr.OpAnd, L: expr.Cmp("id", expr.OpGe, types.Int(1)), R: expr.Cmp("id", expr.OpLe, types.Int(2))}, // not a comparison
 	}
 	preds := PredsFrom(s, conjuncts)

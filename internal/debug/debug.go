@@ -3,7 +3,7 @@
 // Package debug is prefdb's build-tagged runtime assertion layer: the
 // invariants prefdbvet checks statically (DESIGN.md §11) have dynamic
 // counterparts — selection vectors sorted, unique and in bounds; batch
-// columns aligned; memo keys the width of their column set — that only
+// columns aligned; zone maps covering their segment's rows — that only
 // a running query can confirm. Under the `prefdbdebug` build tag every
 // assertion panics with a diagnostic on violation; in normal builds the
 // package compiles to empty inlineable functions, so the hot paths pay

@@ -71,10 +71,6 @@ type DB struct {
 	Mode Mode
 	// Optimize toggles the preference-aware query optimizer.
 	Optimize bool
-
-	// dicts holds the cross-query (level-2) score dictionaries used by
-	// prepared statements; see dicts.go.
-	dicts *dictCache
 }
 
 // Open creates an empty database. Options override the defaults (GBU
@@ -250,7 +246,7 @@ func (db *DB) runPlan(ctx context.Context, cfg *queryConfig, plan *planner.Plan,
 	if err != nil {
 		return nil, err
 	}
-	ex := db.executorFor(cfg, plan.Agg, prepared != nil)
+	ex := db.executorFor(cfg, plan.Agg)
 	rel, err := db.runMaterialized(ctx, ex, cfg, plan.Root, root)
 	if err != nil {
 		return nil, err
@@ -279,18 +275,11 @@ func (db *DB) optimizeRoot(ctx context.Context, plan *planner.Plan, prepared alg
 	return root, nil
 }
 
-// executorFor builds an executor configured for one query resolution. A
-// prepared statement's executor backs the prefer operators the optimizer
-// marked for memoization with the engine's cross-query (level-2) score
-// dictionaries; ad-hoc queries use only the per-query memo since their
-// compiled plans die with the run.
-func (db *DB) executorFor(cfg *queryConfig, agg pref.Aggregate, prepared bool) *exec.Executor {
+// executorFor builds an executor configured for one query resolution.
+func (db *DB) executorFor(cfg *queryConfig, agg pref.Aggregate) *exec.Executor {
 	ex := exec.New(db.cat)
 	ex.Agg = agg
 	ex.Limits = cfg.limits
-	if prepared {
-		ex.DictFor = db.dictFor
-	}
 	return ex
 }
 

@@ -63,9 +63,8 @@ func (p *Prepared) Run(mode Mode) (*Result, error) {
 
 // RunContext executes the prepared query under ctx and the given options
 // (mode, timeout, resource budgets). The plan is not re-planned
-// or re-optimized; only execution is guarded. Prepared statements
-// additionally get the engine's cross-query score dictionaries (see
-// executorFor). See DB.ExecContext for the error contract.
+// or re-optimized; only execution is guarded. See DB.ExecContext for the
+// error contract.
 func (p *Prepared) RunContext(ctx context.Context, opts ...QueryOption) (*Result, error) {
 	cfg := p.db.queryConfig(layered(p.defaults, opts))
 	return p.db.runPlan(ctx, &cfg, p.plan, p.optimized)

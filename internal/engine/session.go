@@ -248,7 +248,7 @@ func (db *DB) streamPlan(ctx context.Context, cfg *queryConfig, plan *planner.Pl
 	if err != nil {
 		return nil, err
 	}
-	ex := db.executorFor(cfg, plan.Agg, prepared != nil)
+	ex := db.executorFor(cfg, plan.Agg)
 	st, err := ex.StreamContext(ctx, root, strategy)
 	if err != nil {
 		return nil, err

@@ -32,7 +32,6 @@ func openWith(cat *catalog.Catalog, opts ...OpenOption) *DB {
 		opt:      optimizer.New(cat),
 		Mode:     ModeGBU,
 		Optimize: true,
-		dicts:    newDictCache(),
 	}
 	for _, o := range opts {
 		o(db)

@@ -6,7 +6,8 @@
 // copying rows, so interface dispatch, guard polling and stats accounting
 // amortize over the batch. σ/λ chains fuse into a single kernel
 // (applySegOps) that filters via the conjunct-wise expr.TruthyBatch and
-// scores only surviving rows, consulting the score cache batch-wise.
+// scores only surviving rows: on columnar batches through the typed-float
+// kernel (expr.EvalFloats), on row batches through expr.EvalBatch.
 //
 // Rules:
 //
@@ -261,7 +262,7 @@ type segScratch struct {
 // batch-wise (expr.EvalBatch), hoisting per-row scratch out of the row
 // loop. Per row this is σ and λ_{p,F} of §IV: a NULL or non-numeric score
 // leaves the pair unchanged and scores clamp to [0,1].
-func applySegOps(b *prel.Batch, ops []segOp, memos []*scoreMemo, agg pref.Aggregate, stats *Stats, scr *segScratch) {
+func applySegOps(b *prel.Batch, ops []segOp, agg pref.Aggregate, stats *Stats, scr *segScratch) {
 	columnar := b.Columnar()
 	if columnar && scr.colScr == nil {
 		scr.colScr = make([]expr.ColScratch, len(ops))
@@ -281,16 +282,6 @@ func applySegOps(b *prel.Batch, ops []segOp, memos []*scoreMemo, agg pref.Aggreg
 			continue
 		}
 		stats.PreferEvals += len(b.Sel)
-		if memos != nil && memos[i] != nil {
-			// The memo keys on projected tuples, so the memo path reads
-			// row views even on the direct-column path (consulted
-			// batch-wise either way).
-			if columnar {
-				stats.RowsMaterialized += len(b.Sel)
-			}
-			memos[i].combineBatch(b, agg, stats)
-			continue
-		}
 		scr.sel = append(scr.sel[:0], b.Sel...)
 		if columnar {
 			var mat int
@@ -347,11 +338,6 @@ type segOp struct {
 	cond  *expr.Compiled // prefer conditional part
 	score *expr.Compiled // prefer scoring part
 	conf  float64
-	// cache marks a prefer whose ⟨S,C⟩ contributions are memoized in a
-	// scoreMemo built from p (the preference identifies the shared
-	// level-2 dictionary).
-	cache bool
-	p     pref.Preference
 }
 
 // collectChain walks the maximal σ/λ chain rooted at n, returning the
@@ -397,27 +383,10 @@ func (e *Executor) compileSegOps(chain []algebra.Node, s *schema.Schema) ([]segO
 			if sErr != nil {
 				return nil, fmt.Errorf("prefer %s (scoring part): %w", x.P.Label(), sErr)
 			}
-			ops = append(ops, segOp{cond: cond, score: score, conf: x.P.Conf, cache: x.CacheHint, p: x.P})
+			ops = append(ops, segOp{cond: cond, score: score, conf: x.P.Conf})
 		}
 	}
 	return ops, nil
-}
-
-// segMemos builds the scoreMemo slice (aligned with ops; nil for filters
-// and uncached prefers) of one fused kernel. Returns nil when no op
-// caches.
-func (e *Executor) segMemos(ops []segOp, s *schema.Schema) []*scoreMemo {
-	var memos []*scoreMemo
-	for i, op := range ops {
-		if !op.cache {
-			continue
-		}
-		if memos == nil {
-			memos = make([]*scoreMemo, len(ops))
-		}
-		memos[i] = e.newScoreMemo(op.cond, op.score, op.p, s)
-	}
-	return memos
 }
 
 // segBatchIter is the fused filter→prefer kernel: one virtual call per batch runs the whole compiled chain. It is the one σ/λ
@@ -426,7 +395,6 @@ func (e *Executor) segMemos(ops []segOp, s *schema.Schema) []*scoreMemo {
 type segBatchIter struct {
 	in    batchIter
 	ops   []segOp
-	memos []*scoreMemo
 	agg   pref.Aggregate
 	stats *Stats
 	tick  pollTick
@@ -442,7 +410,7 @@ func (s *segBatchIter) nextBatch() (*prel.Batch, bool) {
 		if s.tick.stopN(b.Live()) {
 			return nil, false
 		}
-		applySegOps(b, s.ops, s.memos, s.agg, s.stats, &s.scr)
+		applySegOps(b, s.ops, s.agg, s.stats, &s.scr)
 		b.Check()
 		if b.Live() > 0 {
 			return b, true
@@ -1127,7 +1095,7 @@ func (e *Executor) buildBatchSegment(n algebra.Node) (batchIter, *schema.Schema,
 	if len(ops) == 0 {
 		return base, s, nil
 	}
-	return &segBatchIter{in: base, ops: ops, memos: e.segMemos(ops, s), agg: e.Agg,
+	return &segBatchIter{in: base, ops: ops, agg: e.Agg,
 		stats: &e.stats, tick: pollTick{g: e.gd}}, s, nil
 }
 

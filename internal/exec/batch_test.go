@@ -18,9 +18,8 @@ import (
 )
 
 // TestBatchRowEquivalence is the acceptance contract of the pipeline:
-// for named and randomized plans, every strategy × cache hint (prefer
-// operators unmarked or all marked) must agree with the tuple-at-a-time
-// oracle, and every batch size must reproduce the reference run's rows,
+// for named and randomized plans, every strategy must agree with the
+// tuple-at-a-time oracle, and every batch size must reproduce the reference run's rows,
 // row order and Stats byte-for-byte (see crossCheck). The fixture carries
 // NULLs (nullMovieDB); its tables are too small to hold a segment, so the
 // columnar arms live in the segment-scale suites (colstore_test.go,
@@ -51,10 +50,7 @@ func TestBatchRowEquivalence(t *testing.T) {
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {
 			for _, strategy := range Strategies() {
-				for _, hint := range []bool{false, true} {
-					crossCheck(t, fx, withCacheHint(plan, hint), strategy,
-						fmt.Sprintf("%v cache-hint=%v", strategy, hint))
-				}
+				crossCheck(t, fx, plan, strategy, strategy.String())
 			}
 		})
 	}

@@ -157,7 +157,7 @@ func colstorePlans() map[string]algebra.Node {
 }
 
 // TestColstoreHeapEquivalence is the acceptance contract of the columnar
-// store: across strategies × cache hints × batch sizes, reading
+// store: across strategies × batch sizes, reading
 // segments with zone-map pruning must produce byte-identical rows, order
 // and Stats (modulo the diagnostic Batches / segment counters) to the
 // heap batch path.
@@ -166,41 +166,38 @@ func TestColstoreHeapEquivalence(t *testing.T) {
 	for name, plan := range colstorePlans() {
 		t.Run(name, func(t *testing.T) {
 			for _, strategy := range Strategies() {
-				for _, hint := range []bool{false, true} {
-					hinted := withCacheHint(plan, hint)
-					for _, size := range []int{3, 1024} {
-						label := fmt.Sprintf("%v cache-hint=%v size=%d", strategy, hint, size)
+				for _, size := range []int{3, 1024} {
+					label := fmt.Sprintf("%v size=%d", strategy, size)
 
-						ref := New(fx.heap)
-						ref.BatchSize = size
-						want, err := ref.Run(hinted, strategy)
-						if err != nil {
-							t.Fatalf("%s heap path: %v", label, err)
-						}
-						refStats := ref.Stats()
-						if refStats.SegmentsScanned != 0 || refStats.SegmentsSkipped != 0 {
-							t.Fatalf("%s: heap path touched segments: %+v", label, refStats)
-						}
+					ref := New(fx.heap)
+					ref.BatchSize = size
+					want, err := ref.Run(plan, strategy)
+					if err != nil {
+						t.Fatalf("%s heap path: %v", label, err)
+					}
+					refStats := ref.Stats()
+					if refStats.SegmentsScanned != 0 || refStats.SegmentsSkipped != 0 {
+						t.Fatalf("%s: heap path touched segments: %+v", label, refStats)
+					}
 
-						e := New(fx.col)
-						e.BatchSize = size
-						got, err := e.Run(hinted, strategy)
-						if err != nil {
-							t.Fatalf("%s colstore path: %v", label, err)
-						}
+					e := New(fx.col)
+					e.BatchSize = size
+					got, err := e.Run(plan, strategy)
+					if err != nil {
+						t.Fatalf("%s colstore path: %v", label, err)
+					}
 
-						mustIdentical(t, want, got, label)
-						gotStats := e.Stats()
-						if gotStats.SegmentsScanned == 0 {
-							t.Fatalf("%s: colstore path read no segments: %+v", label, gotStats)
-						}
-						refStats.Batches, gotStats.Batches = 0, 0
-						gotStats.SegmentsScanned, gotStats.SegmentsSkipped = 0, 0
-						gotStats.ColBatches, gotStats.RowsMaterialized = 0, 0
-						refStats.JoinProbeBatches, gotStats.JoinProbeBatches = 0, 0
-						if refStats != gotStats {
-							t.Fatalf("%s: colstore stats %+v, want %+v", label, gotStats, refStats)
-						}
+					mustIdentical(t, want, got, label)
+					gotStats := e.Stats()
+					if gotStats.SegmentsScanned == 0 {
+						t.Fatalf("%s: colstore path read no segments: %+v", label, gotStats)
+					}
+					refStats.Batches, gotStats.Batches = 0, 0
+					gotStats.SegmentsScanned, gotStats.SegmentsSkipped = 0, 0
+					gotStats.ColBatches, gotStats.RowsMaterialized = 0, 0
+					refStats.JoinProbeBatches, gotStats.JoinProbeBatches = 0, 0
+					if refStats != gotStats {
+						t.Fatalf("%s: colstore stats %+v, want %+v", label, gotStats, refStats)
 					}
 				}
 			}

@@ -563,3 +563,34 @@ func TestEvaluateDoesNotCountNativeCall(t *testing.T) {
 		t.Error("Evaluate should still count materialization")
 	}
 }
+
+// TestPassThroughProjectKeepsScoreRelationRows: ScoreRelationRows counts
+// the R_P writes of prefer operators only. A π over a λ chain carries the
+// chain's pairs without writing any, so under BU, GBU and FtP wrapping the
+// chain in a π that keeps every column leaves the count unchanged.
+func TestPassThroughProjectKeepsScoreRelationRows(t *testing.T) {
+	cat := movieDB(t)
+	chain := &algebra.Prefer{P: pbMovies(), Input: &algebra.Prefer{
+		P: paMovies(), Input: &algebra.Scan{Table: "movies"}}}
+	var cols []expr.Col
+	for _, c := range []string{"m_id", "title", "year", "duration", "d_id"} {
+		cols = append(cols, expr.ColRef("movies."+c))
+	}
+	wrapped := &algebra.Project{Cols: cols, Input: chain}
+	for _, strategy := range []Strategy{BU, GBU, FtP} {
+		count := func(plan algebra.Node) int {
+			e := New(cat)
+			if _, err := e.Run(plan, strategy); err != nil {
+				t.Fatalf("%v: %v", strategy, err)
+			}
+			return e.Stats().ScoreRelationRows
+		}
+		want := count(chain)
+		if want == 0 {
+			t.Fatalf("%v: the λ chain wrote no R_P rows", strategy)
+		}
+		if got := count(wrapped); got != want {
+			t.Errorf("%v: ScoreRelationRows = %d under a pass-through π, %d without", strategy, got, want)
+		}
+	}
+}

@@ -43,16 +43,12 @@ type Stats struct {
 	// ScoreRelationRows counts rows held in score relations R_P (only
 	// non-default pairs are stored).
 	ScoreRelationRows int
-	// ScoreEvals counts actual score-expression evaluations by prefer
-	// operators (tuples whose conditional part held and whose ⟨S,C⟩ was
-	// computed rather than served from the score cache) — the work the
-	// cache exists to avoid.
+	// ScoreEvals counts score-expression evaluations by prefer operators:
+	// one per tuple whose conditional part held.
 	ScoreEvals int
-	// CacheHits counts prefer tuples whose contribution came from the
-	// score cache (level-1 memo or level-2 dictionary).
-	CacheHits int
-	// CacheMisses counts prefer tuples that probed the score cache and had
-	// to compute.
+	// CacheHits and CacheMisses are always zero; kept until a benchmark
+	// PR retires exec.score_cache_hit_ratio.
+	CacheHits   int
 	CacheMisses int
 	// Batches counts the row batches drained at a pipeline root. The
 	// counters from here down are diagnostic, not cost drivers: they
@@ -102,14 +98,13 @@ func (s *Stats) Add(o Stats) {
 	s.JoinProbeBatches += o.JoinProbeBatches
 }
 
-// String renders the counters compactly. The scoring counters only appear
-// when a prefer operator ran, keeping the rendering stable for queries
-// that predate the score cache.
+// String renders the counters compactly. The scoring counter only appears
+// when a prefer operator scored a tuple.
 func (s Stats) String() string {
 	out := fmt.Sprintf("scanned=%d materialized=%d cells=%d nativeCalls=%d indexProbes=%d preferEvals=%d scoreRows=%d",
 		s.RowsScanned, s.TuplesMaterialized, s.CellsMaterialized, s.NativeCalls, s.IndexProbes, s.PreferEvals, s.ScoreRelationRows)
-	if s.ScoreEvals != 0 || s.CacheHits != 0 || s.CacheMisses != 0 {
-		out += fmt.Sprintf(" scoreEvals=%d cacheHits=%d cacheMisses=%d", s.ScoreEvals, s.CacheHits, s.CacheMisses)
+	if s.ScoreEvals != 0 {
+		out += fmt.Sprintf(" scoreEvals=%d", s.ScoreEvals)
 	}
 	if s.Batches != 0 {
 		out += fmt.Sprintf(" batches=%d", s.Batches)
@@ -152,10 +147,6 @@ type Executor struct {
 	// BatchSize overrides the rows-per-batch block size (0 =
 	// defaultBatchSize); tests set it to drive batch-boundary cases.
 	BatchSize int
-	// DictFor, when set (by the engine for prepared statements), supplies
-	// the cross-query level-2 dictionary for a preference; cols are the
-	// canonical key column names. It must be safe for concurrent calls.
-	DictFor func(p pref.Preference, cols []string) *ScoreDict
 
 	stats Stats
 	// gd is the lifecycle guard of the current run; nil (the default)
@@ -338,9 +329,11 @@ func (p *pipeline) nextBatch() (*prel.Batch, bool) {
 		st.RowsMaterialized += b.Live()
 	}
 	p.rows += b.Live()
-	for _, j := range b.Sel {
-		if b.Known[j] {
-			p.scored++
+	if p.prefer {
+		for _, j := range b.Sel {
+			if b.Known[j] {
+				p.scored++
+			}
 		}
 	}
 	if p.meter.rows(b.Live()) != nil {
@@ -355,7 +348,8 @@ func (p *pipeline) nextBatch() (*prel.Batch, bool) {
 // materialized. A prefer operator does not copy its input relation — the
 // paper's implementation updates the score relation R_P in place — so a
 // Prefer root counts only the rows carrying non-default pairs (the R_P
-// writes).
+// writes), and only a Prefer root adds to ScoreRelationRows: any other
+// root merely carries pairs an earlier R_P already counted.
 func (p *pipeline) close() error {
 	if err := p.meter.flush(); err != nil {
 		return err
@@ -369,11 +363,11 @@ func (p *pipeline) close() error {
 		// relation's width.
 		st.TuplesMaterialized += p.scored
 		st.CellsMaterialized += p.scored * 3
+		st.ScoreRelationRows += p.scored
 	} else {
 		st.TuplesMaterialized += p.rows
 		st.CellsMaterialized += p.rows * (p.sch.Len() + 2)
 	}
-	st.ScoreRelationRows += p.scored
 	return nil
 }
 

@@ -12,7 +12,7 @@ func goodEqual(a, b types.Value) bool {
 	return a.Equal(b) && types.TupleEqual([]types.Value{a}, []types.Value{b})
 }
 
-// goodIndex keys by Value.Hash with an Equal confirm, the scoreMemo way.
+// goodIndex keys by Value.Hash with an Equal confirm, the hash join way.
 type goodIndex struct {
 	buckets map[uint64][]types.Value
 }

@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// ValueConv enforces the value-comparison conventions of the scoring hot
-// paths (DESIGN.md §9):
+// ValueConv enforces the value-comparison conventions of the hashing and
+// scoring hot paths (DESIGN.md §11):
 //
 //   - types.Value operands must not be compared with == or != — Value
 //     holds a float64 payload, so struct equality diverges from SQL
@@ -16,7 +16,7 @@ import (
 //   - map keys must not contain types.Value for the same reason (and
 //     because hashing the struct bypasses the numeric normalization of
 //     Value.Hash); key by Value.Hash/HashTuple with a TupleEqual confirm,
-//     the way scoreMemo and the hash join do.
+//     the way the hash join and set operations do.
 //   - an expr.Func literal that provides the vectorized Floats kernel must
 //     also provide the scalar Eval — the kernel convention pairs them, and
 //     the batch≡row equivalence suite assumes Eval is authoritative.

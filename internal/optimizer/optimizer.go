@@ -95,7 +95,6 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, plan algebra.Node) (alg
 		// moved projection stays one operator of its own.
 		{true, o.pullProbeProjects},
 		// Annotation passes run last so rewrites cannot drop their marks.
-		{true, o.annotateScoreCache},
 		{true, o.annotateSegments},
 		{true, o.annotateDirectJoin},
 		// Build sides are a join-order decision: the ablation that keeps

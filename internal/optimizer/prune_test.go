@@ -14,6 +14,16 @@ import (
 	"prefdb/internal/types"
 )
 
+// imdbDB loads the synthetic IMDB schema at scale 0.25 (≈5 000 movies).
+func imdbDB(t testing.TB) *catalog.Catalog {
+	t.Helper()
+	c := catalog.New()
+	if _, err := datagen.LoadIMDB(c, datagen.Config{Scale: 0.25, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // imdb3SQL and dblp3SQL have the shapes of Table II's IMDB-3 and DBLP-3:
 // four- and three-way joins the optimizer reorders, unqualified
 // references in SELECT, WHERE and PREFERRING.

@@ -26,10 +26,8 @@
 //   - a slow-query log for statements exceeding a latency threshold.
 //
 // Prepared statements are compiled once per SQL text in a cross-session
-// LRU cache — the serving-layer generalization of the engine's
-// cross-query score dictionaries — and flushed on DDL (plans reference
-// tables by name, so DML needs no flush; score dictionaries already
-// invalidate via per-table versions).
+// LRU cache and flushed on DDL (plans reference tables by name and every
+// run reads the tables as they are, so DML needs no flush).
 package server
 
 import (

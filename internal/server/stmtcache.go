@@ -1,8 +1,7 @@
 // Cross-session prepared-statement cache: one compiled plan per SQL text,
-// shared by every session, LRU-bounded. It generalizes the engine's
-// cross-query score dictionaries to the serving layer — the expensive
-// artifact (parse + plan + optimize) is keyed by the query text and
-// reused across connections. Plans reference tables by name, so DML never
+// shared by every session, LRU-bounded. The expensive artifact (parse +
+// plan + optimize) is keyed by the query text and reused across
+// connections. Plans reference tables by name, so DML never
 // invalidates an entry; DDL flushes the whole cache (schema changes can
 // re-resolve columns), mirroring the engine's re-prepare rule.
 package server

@@ -233,7 +233,7 @@ const (
 //
 // The digest is the FNV-1a hash of a tag byte followed by the payload
 // (little-endian for numerics), inlined so the hot paths — hash joins,
-// dedup, the preference score cache — never allocate a hasher.
+// dedup, set operations — never allocate a hasher.
 func (v Value) Hash() uint64 {
 	h := fnvOffset64
 	switch v.kind {
