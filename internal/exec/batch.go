@@ -32,6 +32,7 @@ package exec
 
 import (
 	"fmt"
+	"math/bits"
 
 	"prefdb/internal/algebra"
 	"prefdb/internal/colstore"
@@ -627,12 +628,20 @@ func (n *nlJoinBatch) nextBatch() (*prel.Batch, bool) {
 }
 
 // hashJoinBatch is the extended hash join ⋈_{φ,F}: the build side is
-// buffered into a bucket table, the probe side streams batches, emitting
-// joined rows into a private output batch in (probe order, build-insert
-// order) sequence. The build side is the left input unless the optimizer
-// marked the join BuildRight (the right input has the smaller estimate);
-// either way every output tuple is laid out left ++ right and its pair is
-// F(left, right), so only the row order depends on the build side.
+// buffered into a flat join table (joinTable), the probe side streams
+// batches, emitting joined rows into a private output batch in (probe
+// order, build-insert order) sequence. The build side is the left input
+// unless the optimizer marked the join BuildRight (the right input has the
+// smaller estimate); either way every output tuple is laid out left ++
+// right and its pair is F(left, right), so only the row order depends on
+// the build side.
+//
+// The probe takes a whole batch through three phases: hash every selected
+// row; collect the (probe slot, build row) candidates whose full hash
+// matches (joinTable.candidates); confirm the candidates on their key
+// values, then emit the confirmed ones. The loads of the bucket lookups,
+// and then of the confirms, do not depend on one another across rows, so
+// their cache misses overlap instead of stalling once per probe row.
 //
 // A projection directly above the join is evaluated inside it (ords):
 // each match is written once, already narrowed, into an arena tuple —
@@ -646,7 +655,7 @@ func (n *nlJoinBatch) nextBatch() (*prel.Batch, bool) {
 // late-materialization boundary moves past the join, and only matching
 // probe rows count into Stats.RowsMaterialized.
 //
-// Borrow contract (build side): the bucket table retains key hashes and
+// Borrow contract (build side): the join table retains key hashes and
 // row views — which alias stable, store-owned tuple arenas — but never
 // types.ColVec windows, which die at the producer's next nextBatch. The
 // scratchalias analyzer enforces this on the prefdb:col-transient marker;
@@ -669,32 +678,138 @@ type hashJoinBatch struct {
 	g         *guard
 	tick      pollTick
 
-	built  bool
-	table  map[uint64][]prel.Row
-	out    *prel.Batch
-	arena  projectArena
-	hashes []uint64
-	bks    expr.KeyScratch // build-side dictionary hash cache
-	pks    expr.KeyScratch // probe-side dictionary hash cache
+	built bool
+	table joinTable
+	out   *prel.Batch
+	arena projectArena
+	// Probe scratch, reused across batches: the selected rows' key hashes
+	// and the candidate pairs (index into Sel, index into table.rows).
+	hashes           []uint64
+	candSel, candRow []int32
+	bks              expr.KeyScratch // build-side dictionary hash cache
+	pks              expr.KeyScratch // probe-side dictionary hash cache
 }
 
-// keyHashes returns the per-selected-slot key hashes for a columnar batch,
-// or nil when the key columns lack typed vectors (tuple fallback).
-func (h *hashJoinBatch) keyHashes(b *prel.Batch, keys []int, ks *expr.KeyScratch) []uint64 {
-	if !b.Columnar() {
-		return nil
+// joinTable is the hash join's build side laid out flat: the retained
+// build rows sit in rows, grouped by bucket and in insert order within a
+// bucket, each with its full key hash beside it in hashes; bucket b holds
+// rows[start[b]:start[b+1]]. The bucket count is a power of two no
+// smaller than the row count, so a bucket holds at most one row on
+// average, and the table costs the same few allocations whatever the
+// number of distinct keys.
+// prefdb:col-transient
+type joinTable struct {
+	rows   []prel.Row
+	hashes []uint64
+	start  []int32
+	shift  uint // bucket = (hash * fibMul) >> shift
+	// The build appends to pending chunks in insert order; finish lays
+	// the pairs out. Chunks, unlike one growing slice, are never copied.
+	pending []joinChunk
+	n       int // rows appended
+}
+
+// joinChunk is one pending block of (hash, row) pairs. Chunk capacities
+// double from joinChunkMin rows up to joinChunkMax, so the pending
+// storage exceeds the rows it holds by at most one chunk.
+type joinChunk struct {
+	hashes []uint64
+	rows   []prel.Row
+}
+
+const (
+	joinChunkMin = 64
+	joinChunkMax = 4096
+)
+
+// fibMul is 2^64 / φ: Fibonacci hashing takes a bucket from the top bits
+// of hash * fibMul, which every bit of the hash feeds.
+const fibMul = 0x9E3779B97F4A7C15
+
+func (t *joinTable) add(hash uint64, row prel.Row) {
+	last := len(t.pending) - 1
+	if last < 0 || len(t.pending[last].rows) == cap(t.pending[last].rows) {
+		size := min(max(t.n, joinChunkMin), joinChunkMax)
+		t.pending = append(t.pending, joinChunk{hashes: make([]uint64, 0, size), rows: make([]prel.Row, 0, size)})
+		last++
 	}
+	c := &t.pending[last]
+	c.hashes = append(c.hashes, hash)
+	c.rows = append(c.rows, row)
+	t.n++
+}
+
+func (t *joinTable) bucket(hash uint64) int { return int(hash * fibMul >> t.shift) }
+
+// finish sorts the pending pairs into bucket order, stably, so rows of
+// one key keep their insert order: a counting sort whose second pass runs
+// backwards, taking each bucket's slots from its end.
+func (t *joinTable) finish() {
+	if t.n == 0 {
+		return
+	}
+	b := bits.Len(uint(t.n - 1)) // 2^b >= n buckets
+	t.shift = uint(64 - b)
+	t.start = make([]int32, 1<<b+1)
+	for _, c := range t.pending {
+		for _, h := range c.hashes {
+			t.start[t.bucket(h)]++
+		}
+	}
+	sum := int32(0)
+	for i, c := range t.start {
+		sum += c
+		t.start[i] = sum // end of bucket i
+	}
+	t.rows = make([]prel.Row, t.n)
+	t.hashes = make([]uint64, t.n)
+	for ci := len(t.pending) - 1; ci >= 0; ci-- {
+		c := t.pending[ci]
+		for i := len(c.hashes) - 1; i >= 0; i-- {
+			k := t.bucket(c.hashes[i])
+			t.start[k]--
+			t.rows[t.start[k]], t.hashes[t.start[k]] = c.rows[i], c.hashes[i]
+		}
+	}
+	t.pending = nil
+}
+
+// candidates appends to sel and rows the pair (k, i) for every probe hash
+// hs[k] and every build row i of its bucket with the same full hash, in
+// (probe order, build-insert order).
+func (t *joinTable) candidates(hs []uint64, sel, rows []int32) ([]int32, []int32) {
+	start, hashes := t.start, t.hashes
+	for k, h := range hs {
+		b := t.bucket(h)
+		for i := start[b]; i < start[b+1]; i++ {
+			if hashes[i] == h {
+				sel = append(sel, int32(k))
+				rows = append(rows, i)
+			}
+		}
+	}
+	return sel, rows
+}
+
+// keyHashes returns the key hash of every selected slot of b, and whether
+// it hashed straight off typed key vectors (direct) rather than folding
+// each row's tuple.
+func (h *hashJoinBatch) keyHashes(b *prel.Batch, keys []int, ks *expr.KeyScratch) (hs []uint64, direct bool) {
 	if cap(h.hashes) < len(b.Sel) {
 		h.hashes = make([]uint64, len(b.Sel))
 	}
-	hs := h.hashes[:len(b.Sel)]
-	if !expr.HashCols(b.Cols, b.Sel, keys, hs, ks) {
-		return nil
+	hs = h.hashes[:len(b.Sel)]
+	if b.Columnar() && expr.HashCols(b.Cols, b.Sel, keys, hs, ks) {
+		return hs, true
 	}
-	return hs
+	rows := b.Rows()
+	for k, j := range b.Sel {
+		hs[k] = hashCols(rows[j], keys)
+	}
+	return hs, false
 }
 
-// joinBuildCols drains the build side into the bucket table, hashing the
+// joinBuildCols drains the build side into the join table, hashing the
 // key columns off the vectors when a batch is columnar. The retained rows
 // are the batch's row views (stable storage), so the build side counts
 // fully into RowsMaterialized — it is the buffered state of the join.
@@ -703,7 +818,6 @@ func (h *hashJoinBatch) keyHashes(b *prel.Batch, keys []int, ks *expr.KeyScratch
 // keeps both probe paths, whose confirms use Value.Equal (NULL = NULL),
 // from matching it.
 func (h *hashJoinBatch) joinBuildCols() {
-	h.table = map[uint64][]prel.Row{}
 	// The build side is buffered state: charge it against the query's
 	// materialization budgets so a runaway build trips before OOM.
 	meter := matTick{g: h.g}
@@ -713,7 +827,7 @@ func (h *hashJoinBatch) joinBuildCols() {
 		if !ok {
 			break
 		}
-		hs := h.keyHashes(b, h.buildKeys, &h.bks)
+		hs, _ := h.keyHashes(b, h.buildKeys, &h.bks)
 		if b.Columnar() {
 			h.stats.RowsMaterialized += b.Live()
 		}
@@ -722,16 +836,9 @@ func (h *hashJoinBatch) joinBuildCols() {
 			if anyNull(rows[j], h.buildKeys) {
 				continue
 			}
-			row := prel.Row{Tuple: rows[j], SC: b.SCAt(j)}
-			var key uint64
-			if hs != nil {
-				key = hs[k]
-			} else {
-				key = hashCols(row.Tuple, h.buildKeys)
-			}
-			h.table[key] = append(h.table[key], row)
+			h.table.add(hs[k], prel.Row{Tuple: rows[j], SC: b.SCAt(j)})
 			if meter.width == 0 {
-				meter.width = len(row.Tuple) + 2
+				meter.width = len(rows[j]) + 2
 			}
 			if meter.row() != nil {
 				tripped = true // trip is recorded in the guard; drain surfaces it
@@ -740,7 +847,8 @@ func (h *hashJoinBatch) joinBuildCols() {
 		}
 	}
 	_ = meter.flush()
-	debugCheckJoinTable(h.table, h.buildKeys)
+	h.table.finish()
+	debugCheckJoinTable(&h.table, h.buildKeys)
 	h.built = true
 }
 
@@ -771,7 +879,7 @@ func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
 	if !h.built {
 		h.joinBuildCols()
 	}
-	if len(h.table) == 0 {
+	if len(h.table.rows) == 0 {
 		return nil, false // nothing can join: the probe input is never read
 	}
 	for {
@@ -787,42 +895,43 @@ func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
 			h.out = prel.NewBatch(b.Live())
 		}
 		h.out.Reset()
-		if hs := h.keyHashes(b, h.probeKeys, &h.pks); hs != nil {
-			// Direct probe: hash and confirm on the vectors; a probe row
-			// materializes (and is counted) only when it joins.
-			var rows [][]types.Value
-			for k, j := range b.Sel {
-				candidates := h.table[hs[k]]
-				if len(candidates) == 0 {
-					continue
-				}
-				matched := false
-				for _, bRow := range candidates {
-					if !expr.KeyEqCols(b.Cols, j, h.probeKeys, bRow.Tuple, h.buildKeys) {
-						continue
-					}
-					if !matched {
-						matched = true
-						h.stats.RowsMaterialized++
-						rows = b.Rows()
-					}
-					h.emit(bRow, rows[j], b.SCAt(j))
-				}
+		hs, direct := h.keyHashes(b, h.probeKeys, &h.pks)
+		if b.Columnar() && !direct {
+			// Probing hashes full tuples, so the probe side materializes.
+			h.stats.RowsMaterialized += b.Live()
+		}
+		if cap(h.candSel) < len(hs) {
+			// Room for one candidate per probe row, the common case.
+			h.candSel, h.candRow = make([]int32, 0, len(hs)), make([]int32, 0, len(hs))
+		}
+		h.candSel, h.candRow = h.table.candidates(hs, h.candSel[:0], h.candRow[:0])
+		// Confirm every candidate, compacting the confirmed pairs in
+		// place, before emitting any: the confirms' loads of build tuples
+		// then overlap as the bucket lookups' did.
+		rows, confirmed := b.Rows(), 0
+		for c, k := range h.candSel {
+			j, built := b.Sel[k], h.table.rows[h.candRow[c]].Tuple
+			var eq bool
+			if direct {
+				eq = expr.KeyEqCols(b.Cols, j, h.probeKeys, built, h.buildKeys)
+			} else {
+				eq = equalOn(built, rows[j], h.buildKeys, h.probeKeys)
 			}
-		} else {
-			if b.Columnar() {
-				// Probing hashes full tuples, so the probe side materializes.
-				h.stats.RowsMaterialized += b.Live()
+			if eq {
+				h.candSel[confirmed], h.candRow[confirmed] = k, h.candRow[c]
+				confirmed++
 			}
-			rows := b.Rows()
-			for _, j := range b.Sel {
-				key := hashCols(rows[j], h.probeKeys)
-				for _, bRow := range h.table[key] {
-					if equalOn(bRow.Tuple, rows[j], h.buildKeys, h.probeKeys) {
-						h.emit(bRow, rows[j], b.SCAt(j))
-					}
-				}
+		}
+		joined := int32(-1)
+		for c, k := range h.candSel[:confirmed] {
+			j := b.Sel[k]
+			if direct && k != joined {
+				// A direct probe row materializes (and is counted) only
+				// when it joins.
+				joined = k
+				h.stats.RowsMaterialized++
 			}
+			h.emit(h.table.rows[h.candRow[c]], rows[j], b.SCAt(j))
 		}
 		if h.out.Live() > 0 {
 			return h.out, true
@@ -830,20 +939,22 @@ func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
 	}
 }
 
-// debugCheckJoinTable re-hashes every retained build-table entry from its
-// tuple in prefdbdebug builds: a bucket key that disagrees with hashCols
-// exposes either a vector/tuple hash divergence in
-// expr.HashCols or a build row that retained transient window state
-// instead of stable tuple storage (the build-side borrow contract). A
-// no-op in normal builds.
-func debugCheckJoinTable(table map[uint64][]prel.Row, eqL []int) {
+// debugCheckJoinTable re-hashes every retained build row from its tuple
+// in prefdbdebug builds and checks that it sits in its hash's bucket: a
+// stored hash that disagrees with hashCols exposes either a vector/tuple
+// hash divergence in expr.HashCols or a build row that retained transient
+// window state instead of stable tuple storage (the build-side borrow
+// contract). A no-op in normal builds.
+func debugCheckJoinTable(t *joinTable, eqL []int) {
 	if !debug.Enabled {
 		return
 	}
-	for key, rows := range table {
-		for _, r := range rows {
-			debug.Assertf(hashCols(r.Tuple, eqL) == key,
-				"hash-join build entry under key %#x re-hashes differently from its tuple (vector/tuple hash divergence or retained transient window)", key)
+	for b := 0; b+1 < len(t.start); b++ {
+		for i := t.start[b]; i < t.start[b+1]; i++ {
+			h := t.hashes[i]
+			debug.Assertf(hashCols(t.rows[i].Tuple, eqL) == h,
+				"hash-join build row %d under hash %#x re-hashes differently from its tuple (vector/tuple hash divergence or retained transient window)", i, h)
+			debug.Assertf(t.bucket(h) == b, "hash-join build row %d sits in bucket %d, its hash maps to bucket %d", i, b, t.bucket(h))
 		}
 	}
 }

@@ -550,10 +550,11 @@ func binEvalC(op Op, l, r *Compiled) func(cols []types.ColVec, sel []int32, out 
 	if l.evalC == nil || r.evalC == nil {
 		return nil
 	}
+	var rOut []float64
+	var rNull []bool
 	return func(cols []types.ColVec, sel []int32, out []float64, null []bool) bool {
 		n := len(sel)
-		rOut := make([]float64, n)
-		rNull := make([]bool, n)
+		rOut, rNull = grow(rOut, n), grow(rNull, n)
 		if !l.evalC(cols, sel, out, null) || !r.evalC(cols, sel, rOut, rNull) {
 			return false
 		}
@@ -616,18 +617,18 @@ func callEvalC(ff func([]float64) float64, args []*Compiled) func(cols []types.C
 			return nil
 		}
 	}
+	// Batch scratch, kept across batches like the tuple evalB's.
+	argOut := make([][]float64, len(args))
+	argNull := make([][]bool, len(args))
+	fvals := make([]float64, len(args))
 	return func(cols []types.ColVec, sel []int32, out []float64, null []bool) bool {
 		n := len(sel)
-		argOut := make([][]float64, len(args))
-		argNull := make([][]bool, len(args))
 		for j, a := range args {
-			argOut[j] = make([]float64, n)
-			argNull[j] = make([]bool, n)
+			argOut[j], argNull[j] = grow(argOut[j], n), grow(argNull[j], n)
 			if !a.evalC(cols, sel, argOut[j], argNull[j]) {
 				return false
 			}
 		}
-		fvals := make([]float64, len(args))
 	rows:
 		for k := 0; k < n; k++ {
 			for j := range args {

@@ -15,10 +15,13 @@ import (
 // incomparable kinds) yield NULL, AND/OR propagate unknowns, and a WHERE
 // condition accepts a tuple only when it evaluates to TRUE.
 //
-// A Compiled expression is immutable once Compile returns: the closure
-// tree only reads its captured state and allocates per call, so a single
-// Compiled may be evaluated concurrently from many goroutines; keep
-// registered functions (Func.Eval) pure for the same reason.
+// The scalar evaluators (Eval, Truthy) only read the closure tree's
+// captured state, so they may run concurrently from many goroutines; keep
+// registered functions (Func.Eval) pure for the same reason. The batch
+// evaluators (EvalBatch, EvalFloats) reuse scratch held in the tree —
+// function calls and arithmetic over them keep their argument columns
+// across batches — so a Compiled serves one batch caller at a time; each
+// query compiles its own.
 type Compiled struct {
 	eval func(row []types.Value) types.Value
 	kind types.Kind
@@ -330,9 +333,9 @@ func (c *compiler) compileBin(x Bin) (*Compiled, error) {
 			// loop), then the scalar kernel combines per row. Pure
 			// column/literal arithmetic stays on the allocation-free
 			// fallback loop.
+			var lcol, rcol []types.Value
 			out.evalB = func(tuples [][]types.Value, sel []int32, res []types.Value) {
-				lcol := make([]types.Value, len(sel))
-				rcol := make([]types.Value, len(sel))
+				lcol, rcol = grow(lcol, len(sel)), grow(rcol, len(sel))
 				l.EvalBatch(tuples, sel, lcol)
 				r.EvalBatch(tuples, sel, rcol)
 				for k := range lcol {
@@ -588,7 +591,11 @@ func (c *compiler) compileCall(x Call) (*Compiled, error) {
 	}
 	fn := f.Eval
 	ff := f.Floats
-	nargs := len(args)
+	// Batch scratch: one column per argument, grown to the largest batch
+	// seen, and one row of arguments for the kernel.
+	cols := make([][]types.Value, len(args))
+	fvals := make([]float64, len(args))
+	argRow := make([]types.Value, len(args))
 	return &Compiled{kind: f.Kind, evalC: callEvalC(ff, args),
 		eval: func(row []types.Value) types.Value {
 			vals := make([]types.Value, len(args))
@@ -598,18 +605,14 @@ func (c *compiler) compileCall(x Call) (*Compiled, error) {
 			return fn(vals)
 		},
 		evalB: func(tuples [][]types.Value, sel []int32, out []types.Value) {
-			// Arguments evaluate column-wise (vectorizing nested calls);
-			// the argument scratch lives for the batch, not one row.
-			cols := make([][]types.Value, nargs)
+			// Arguments evaluate column-wise (vectorizing nested calls).
 			for j, a := range args {
-				col := make([]types.Value, len(sel))
-				a.EvalBatch(tuples, sel, col)
-				cols[j] = col
+				cols[j] = grow(cols[j], len(sel))
+				a.EvalBatch(tuples, sel, cols[j])
 			}
 			if ff != nil {
 				// Float-kernel fast path (Func.Floats): skips Eval's
 				// per-row []types.Value → []float64 conversion allocation.
-				fvals := make([]float64, nargs)
 			rows:
 				for k := range sel {
 					for j := range cols {
@@ -624,12 +627,11 @@ func (c *compiler) compileCall(x Call) (*Compiled, error) {
 				}
 				return
 			}
-			vals := make([]types.Value, nargs)
 			for k := range sel {
 				for j := range cols {
-					vals[j] = cols[j][k]
+					argRow[j] = cols[j][k]
 				}
-				out[k] = fn(vals)
+				out[k] = fn(argRow)
 			}
 		},
 	}, nil
@@ -747,4 +749,13 @@ func likeMatch(s, pat string) bool {
 		pi++
 	}
 	return pi == len(pr)
+}
+
+// grow returns buf resliced to n, reallocated only when it is too short:
+// the batch evaluators' scratch grows to the largest batch and stays.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

@@ -321,3 +321,44 @@ func TestClamp01(t *testing.T) {
 		}
 	}
 }
+
+// TestScoringCallBatchAllocFree pins that a scoring call's batch
+// evaluators keep their argument scratch across batches: after the
+// first batch, EvalBatch of linear(id, 0.001) over 1,024 rows, and its
+// direct-column twin EvalFloats, allocate nothing, and both still agree
+// with the scalar evaluator.
+func TestScoringCallBatchAllocFree(t *testing.T) {
+	const n = 1024
+	s := schema.New(schema.Column{Table: "t", Name: "id", Kind: types.KindInt})
+	c, err := expr.Compile(Linear("id", 0.001), s, Functions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples := make([][]types.Value, n)
+	ints := make([]int64, n)
+	sel := make([]int32, n)
+	for i := range tuples {
+		tuples[i] = []types.Value{types.Int(int64(i))}
+		ints[i] = int64(i)
+		sel[i] = int32(i)
+	}
+	out := make([]types.Value, n)
+	if allocs := testing.AllocsPerRun(20, func() { c.EvalBatch(tuples, sel, out) }); allocs != 0 {
+		t.Errorf("EvalBatch allocates %.0f objects per %d-row batch, want 0", allocs, n)
+	}
+	cols := []types.ColVec{{Ints: ints}}
+	fout, null := make([]float64, n), make([]bool, n)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if !c.EvalFloats(cols, sel, fout, null) {
+			t.Fatal("linear(id, 0.001) has no direct-column kernel")
+		}
+	}); allocs != 0 {
+		t.Errorf("EvalFloats allocates %.0f objects per %d-row batch, want 0", allocs, n)
+	}
+	for i, tuple := range tuples {
+		want := c.Eval(tuple)
+		if !out[i].Equal(want) || null[i] || fout[i] != want.AsFloat() {
+			t.Fatalf("row %d: EvalBatch %v, EvalFloats (%v, null=%v), want %v", i, out[i], fout[i], null[i], want)
+		}
+	}
+}
