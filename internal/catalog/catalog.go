@@ -94,8 +94,9 @@ func (t *Table) DeleteWhere(pred func(tuple []types.Value) bool) int {
 
 // UpdateWhere replaces every live tuple matched by pred with apply(tuple)
 // (delete + re-insert, so all indexes stay correct) and returns the number
-// updated. All replacement tuples are computed and validated before any
-// mutation, so an apply error leaves the table unchanged.
+// updated. All replacement tuples are computed and checked against the
+// schema (arity and kinds, schema.CheckTuple) before any mutation, so an
+// apply error or a wrong-kind replacement leaves the table unchanged.
 func (t *Table) UpdateWhere(pred func(tuple []types.Value) bool, apply func(tuple []types.Value) ([]types.Value, error)) (int, error) {
 	type change struct {
 		id  storage.RowID
@@ -112,8 +113,8 @@ func (t *Table) UpdateWhere(pred func(tuple []types.Value) bool, apply func(tupl
 			applyErr = err
 			return false
 		}
-		if len(newTuple) != t.Schema().Len() {
-			applyErr = fmt.Errorf("catalog: update produced arity %d, want %d", len(newTuple), t.Schema().Len())
+		if err := t.Schema().CheckTuple(newTuple); err != nil {
+			applyErr = fmt.Errorf("catalog: update: %w", err)
 			return false
 		}
 		changes = append(changes, change{id: id, new: newTuple})
@@ -197,11 +198,17 @@ type Catalog struct {
 func New() *Catalog { return &Catalog{tables: map[string]*Table{}} }
 
 // CreateTable registers a new empty table. Column qualifiers in the schema
-// are forced to the table name so unqualified references resolve.
+// are forced to the table name so unqualified references resolve. Every
+// column must be declared INT, FLOAT, TEXT or BOOL (schema.StoredKind).
 func (c *Catalog) CreateTable(name string, s *schema.Schema) (*Table, error) {
 	key := strings.ToLower(name)
 	if _, dup := c.tables[key]; dup {
 		return nil, fmt.Errorf("catalog: table %q already exists", name)
+	}
+	for _, col := range s.Columns {
+		if !schema.StoredKind(col.Kind) {
+			return nil, fmt.Errorf("catalog: column %s.%s: kind %s is not INT, FLOAT, TEXT or BOOL", key, col.Name, col.Kind)
+		}
 	}
 	t := &Table{
 		Name:     key,

@@ -2,10 +2,12 @@ package catalog
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"prefdb/internal/expr"
 	"prefdb/internal/schema"
+	"prefdb/internal/storage"
 	"prefdb/internal/types"
 )
 
@@ -372,6 +374,72 @@ func TestUpdateWhere(t *testing.T) {
 }
 
 var errBoom = fmt.Errorf("boom")
+
+// TestUpdateWhereRejectsWrongKind pins that a replacement tuple is checked
+// against the column kinds before anything changes: a wrong-kind value
+// fails the update and leaves the rows, the indexes and Version() as they
+// were.
+func TestUpdateWhereRejectsWrongKind(t *testing.T) {
+	c, tbl := newMovies(t)
+	if err := c.CreateBTreeIndex("movies", "year"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateHashIndex("movies", "genre"); err != nil {
+		t.Fatal(err)
+	}
+	v0, n0 := tbl.Version(), tbl.Len()
+	bi, _ := tbl.BTreeIndexOn("year")
+	hi, _ := tbl.HashIndexOn("genre")
+	years, dramas := len(bi.Lookup(types.Int(1987))), len(hi.Lookup([]types.Value{types.Str("Drama")}))
+	for name, set := range map[string]func(out []types.Value){
+		"text into INT":  func(out []types.Value) { out[1] = types.Str("1987") },
+		"int into TEXT":  func(out []types.Value) { out[2] = types.Int(3) },
+		"int into FLOAT": func(out []types.Value) { out[3] = types.Int(3) },
+	} {
+		_, err := tbl.UpdateWhere(
+			func(tuple []types.Value) bool { return tuple[0].AsInt() >= 50 },
+			func(tuple []types.Value) ([]types.Value, error) {
+				out := append([]types.Value(nil), tuple...)
+				set(out)
+				return out, nil
+			})
+		if err == nil || !strings.Contains(err.Error(), "catalog: update: column movies.") {
+			t.Errorf("%s: err = %v, want a catalog: update error naming the column", name, err)
+		}
+		if tbl.Version() != v0 || tbl.Len() != n0 {
+			t.Errorf("%s: failed update moved Version %d→%d, Len %d→%d", name, v0, tbl.Version(), n0, tbl.Len())
+		}
+		if len(bi.Lookup(types.Int(1987))) != years || len(hi.Lookup([]types.Value{types.Str("Drama")})) != dramas {
+			t.Errorf("%s: failed update changed the indexes", name)
+		}
+	}
+	tbl.Heap.Scan(func(_ storage.RowID, tuple []types.Value) bool {
+		for i, v := range tuple {
+			if k := tbl.Schema().Columns[i].Kind; v.Kind() != k {
+				t.Fatalf("row %v holds a %s in %s column %d", tuple, v.Kind(), k, i)
+			}
+		}
+		return true
+	})
+}
+
+// TestCreateTableRejectsWrongKind pins that a base table declares only
+// the four stored kinds.
+func TestCreateTableRejectsWrongKind(t *testing.T) {
+	c := New()
+	for _, k := range []types.Kind{types.KindNull, types.Kind(9)} {
+		_, err := c.CreateTable("bad", schema.New(
+			schema.Column{Name: "id", Kind: types.KindInt},
+			schema.Column{Name: "x", Kind: k},
+		))
+		if err == nil || !strings.Contains(err.Error(), "column bad.x") {
+			t.Errorf("kind %s: err = %v, want an error naming column bad.x", k, err)
+		}
+	}
+	if len(c.Tables()) != 0 {
+		t.Errorf("rejected tables were registered: %v", c.Tables())
+	}
+}
 
 func TestVersionCounter(t *testing.T) {
 	_, tbl := newMovies(t)

@@ -4,9 +4,10 @@
 // column vectors (int64/float64 slices, dictionary-encoded strings, bools)
 // with null and deleted bitmaps, plus a per-column zone map (min/max, null
 // count, live count) that lets scans skip whole segments against sargable
-// filter conjuncts before any kernel runs. Its row views are the heap's
-// own tuples: sealed pages never change, so the store keeps no second copy
-// of the rows.
+// filter conjuncts before any kernel runs. The heap admits only NULL or a
+// column's declared kind, so every column is exactly one vector of that
+// kind. Its row views are the heap's own tuples: sealed pages never
+// change, so the store keeps no second copy of the rows.
 //
 // A Store is built from a heap at one table version and never mutated;
 // DML invalidates it through the catalog's atomic version counters and a
@@ -35,23 +36,20 @@ type BlockSource interface {
 }
 
 // Zone summarizes one column of one segment for pruning: the min/max over
-// the segment's live non-null values plus null/non-null live counts. Valid
-// is true only for typed (uniformly kinded) columns with at least one live
-// non-null value; mixed-kind columns never prune.
+// the segment's live non-null values plus null/non-null live counts. Min
+// and Max are set only when NonNull > 0.
 type Zone struct {
 	Min, Max types.Value
 	Nulls    int // live NULL cells
 	NonNull  int // live non-NULL cells
-	Valid    bool
 }
 
-// Column is one attribute of a segment: a typed vector (Ints, Floats,
-// Codes+Dict or Bools) with the Nulls bitmap marking NULL slots. Dead and
-// NULL slots hold zero values. When the pages held a live value that does
-// not match the declared kind (dynamic typing permits that), the column
-// carries no vector at all, only its zone counts; kernels then read the
-// segment's row views. The dense vector is the column's only physical
-// form, so every window a scan reads is a slice of it.
+// Column is one attribute of a segment: the dense vector of its declared
+// kind (Ints, Floats, Codes+Dict or Bools) with the Nulls bitmap marking
+// NULL slots. Dead and NULL slots hold zero values. The heap admits only
+// NULL or the declared kind in a column, so every column has its vector,
+// and the vector is the column's only physical form: every window a scan
+// reads is a slice of it.
 type Column struct {
 	Kind   types.Kind
 	Ints   []int64
@@ -94,21 +92,20 @@ func (s *Segment) Dead(i int) bool { return s.Deleted != nil && s.Deleted[i] }
 // ColVecs fills vecs (one slot per attribute, len(s.Cols)) with borrowed
 // windows [lo, hi) of every column's typed vectors, the direct-on-column
 // form batch kernels read. Every slice aliases segment storage, never a
-// copy, under the prefdb:col-view contract. Mixed-kind columns leave
-// their ColVec zero, which kernels treat as "fall back to the row views".
+// copy, under the prefdb:col-view contract.
 func (s *Segment) ColVecs(lo, hi int, vecs []types.ColVec) {
 	for ord := range s.Cols {
 		c := &s.Cols[ord]
 		v := types.ColVec{}
-		switch {
-		case c.Ints != nil:
+		switch c.Kind {
+		case types.KindInt:
 			v.Ints = c.Ints[lo:hi]
-		case c.Floats != nil:
+		case types.KindFloat:
 			v.Floats = c.Floats[lo:hi]
-		case c.Codes != nil:
+		case types.KindString:
 			v.Codes = c.Codes[lo:hi]
 			v.Dict = c.Dict
-		case c.Bools != nil:
+		case types.KindBool:
 			v.Bools = c.Bools[lo:hi]
 		}
 		if c.Nulls != nil {
@@ -188,40 +185,18 @@ func buildSegment(h BlockSource, s *schema.Schema, first, last int, dict *TableD
 		buildColumn(h, &seg.Cols[ord], s.Columns[ord].Kind, first, last, ord, seg, dict)
 	}
 	if debug.Enabled {
-		seg.checkZones()
+		seg.checkColumns()
 	}
 	return seg
 }
 
 // buildColumn encodes one attribute of the segment's row range as the
-// typed vector matching the declared kind. Any live non-null cell of a
-// different kind leaves the column without a vector, holding only its
-// zone counts, since no typed vector could represent that cell. String
-// codes come from the shared table dictionary, through a segment-local
-// front cache so the dictionary lock is taken once per distinct string.
+// typed vector of its declared kind, in one pass: the heap holds only
+// NULL or that kind in the column. String codes come from the shared
+// table dictionary, through a segment-local front cache so the dictionary
+// lock is taken once per distinct string.
 func buildColumn(h BlockSource, c *Column, kind types.Kind, first, last, ord int, seg *Segment, shared *TableDict) {
 	c.Kind = kind
-	typed := kind == types.KindInt || kind == types.KindFloat || kind == types.KindString || kind == types.KindBool
-	nulls, nonNull := 0, 0
-	for p := first; p < last; p++ {
-		rows, dead, _ := h.Block(p)
-		for i, row := range rows {
-			if dead[i] {
-				continue
-			}
-			if v := row[ord]; v.IsNull() {
-				nulls++
-			} else {
-				nonNull++
-				typed = typed && v.Kind() == kind
-			}
-		}
-	}
-	c.Zone.Nulls = nulls
-	if !typed {
-		c.Zone.NonNull = nonNull
-		return
-	}
 	switch kind {
 	case types.KindInt:
 		c.Ints = make([]int64, seg.Rows)
@@ -240,41 +215,40 @@ func buildColumn(h BlockSource, c *Column, kind types.Kind, first, last, ord int
 	for p := first; p < last; p++ {
 		rows, dead, _ := h.Block(p)
 		for i, row := range rows {
-			v := row[ord]
-			if dead[i] || v.IsNull() {
-				if v.IsNull() {
-					if c.Nulls == nil {
-						c.Nulls = make([]bool, seg.Rows)
+			switch v := row[ord]; {
+			case v.IsNull():
+				if c.Nulls == nil {
+					c.Nulls = make([]bool, seg.Rows)
+				}
+				c.Nulls[slot] = true
+				if !dead[i] {
+					c.Zone.Nulls++
+				}
+			case !dead[i]:
+				switch kind {
+				case types.KindInt:
+					c.Ints[slot] = v.AsInt()
+				case types.KindFloat:
+					c.Floats[slot] = v.AsFloat()
+				case types.KindString:
+					sv := v.AsString()
+					code, ok := dict[sv]
+					if !ok {
+						code = shared.intern(ord, sv)
+						dict[sv] = code
 					}
-					c.Nulls[slot] = true
+					c.Codes[slot] = code
+				case types.KindBool:
+					c.Bools[slot] = v.AsBool()
 				}
-				slot++
-				continue
+				zoneAdd(&c.Zone, v)
 			}
-			switch kind {
-			case types.KindInt:
-				c.Ints[slot] = v.AsInt()
-			case types.KindFloat:
-				c.Floats[slot] = v.AsFloat()
-			case types.KindString:
-				sv := v.AsString()
-				code, ok := dict[sv]
-				if !ok {
-					code = shared.intern(ord, sv)
-					dict[sv] = code
-				}
-				c.Codes[slot] = code
-			case types.KindBool:
-				c.Bools[slot] = v.AsBool()
-			}
-			zoneAdd(&c.Zone, v)
 			slot++
 		}
 	}
 	// Dead slots with NULL cells also set the bitmap above; that is
 	// harmless (dead slots never reach results) and keeps the
 	// encode loop branch-light.
-	c.Zone.Valid = c.Zone.NonNull > 0
 	if kind == types.KindString {
 		// Publish the shared dictionary snapshot covering every code this
 		// segment assigned (it may also cover codes other segments use —
@@ -298,16 +272,27 @@ func zoneAdd(z *Zone, v types.Value) {
 	z.NonNull++
 }
 
-// checkZones asserts zone-map soundness in prefdbdebug builds: every live
-// non-null heap value lies within its column's [Min, Max] and the
+// checkColumns asserts in prefdbdebug builds that every column carries
+// the vector of its declared kind over every slot, and that its zone map
+// is sound: every live non-null heap value lies within [Min, Max] and the
 // null/non-null counts add up to the live count.
-func (seg *Segment) checkZones() {
+func (seg *Segment) checkColumns() {
 	for ord := range seg.Cols {
-		z := &seg.Cols[ord].Zone
-		debug.SameLen("segment zone live coverage", z.Nulls+z.NonNull, seg.Live)
-		if !z.Valid {
-			continue
+		c := &seg.Cols[ord]
+		n := -1
+		switch c.Kind {
+		case types.KindInt:
+			n = len(c.Ints)
+		case types.KindFloat:
+			n = len(c.Floats)
+		case types.KindString:
+			n = len(c.Codes)
+		case types.KindBool:
+			n = len(c.Bools)
 		}
+		debug.Assertf(n == seg.Rows, "segment column %d (%s) carries %d slots of its vector, want %d", ord, c.Kind, n, seg.Rows)
+		z := &c.Zone
+		debug.SameLen("segment zone live coverage", z.Nulls+z.NonNull, seg.Live)
 		for i := 0; i < seg.Rows; i++ {
 			if seg.Dead(i) {
 				continue

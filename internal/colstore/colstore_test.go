@@ -2,7 +2,6 @@ package colstore
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -22,10 +21,9 @@ func testSchema() *schema.Schema {
 }
 
 // fillHeap inserts n rows: sequential ids, a small cyclic string dict,
-// floats with every 5th NULL, and a "tag" column that is declared INT but
-// holds a string in rows where mixed is requested (a column no typed
-// vector can hold).
-func fillHeap(t *testing.T, h *storage.Heap, n int, mixed bool) {
+// floats with every 5th NULL, and an INT "tag" column that is NULL in
+// every 11th row when nullTags is set.
+func fillHeap(t *testing.T, h *storage.Heap, n int, nullTags bool) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		score := types.Value(types.Float(float64(i) / 2))
@@ -33,8 +31,8 @@ func fillHeap(t *testing.T, h *storage.Heap, n int, mixed bool) {
 			score = types.Null()
 		}
 		tag := types.Value(types.Int(int64(i % 7)))
-		if mixed && i%11 == 0 {
-			tag = types.Str("odd-one-out")
+		if nullTags && i%11 == 0 {
+			tag = types.Null()
 		}
 		_, err := h.Insert([]types.Value{
 			types.Int(int64(i)),
@@ -117,8 +115,8 @@ func TestBuildEncodings(t *testing.T) {
 			t.Fatalf("id slot %d holds %d, want %d", i, v, i)
 		}
 	}
-	if !id.Zone.Valid || !id.Zone.Min.Equal(types.Int(0)) || !id.Zone.Max.Equal(types.Int(int64(seg.Rows-1))) {
-		t.Fatalf("id zone = %+v, want valid [0, %d]", id.Zone, seg.Rows-1)
+	if id.Zone.NonNull == 0 || !id.Zone.Min.Equal(types.Int(0)) || !id.Zone.Max.Equal(types.Int(int64(seg.Rows-1))) {
+		t.Fatalf("id zone = %+v, want [0, %d]", id.Zone, seg.Rows-1)
 	}
 
 	name := seg.Cols[1]
@@ -134,28 +132,8 @@ func TestBuildEncodings(t *testing.T) {
 		t.Fatalf("score zone counts %d+%d do not cover %d live rows", score.Zone.Nulls, score.Zone.NonNull, seg.Live)
 	}
 
-	// The mixed-kind tag column carries no typed vector: kernels read the
-	// row views, which are the heap's tuples.
-	tag := seg.Cols[3]
-	if tag.Ints != nil || tag.Nulls != nil {
-		t.Fatal("mixed-kind tag column should carry no typed vector")
-	}
-	vecs := make([]types.ColVec, len(seg.Cols))
-	seg.ColVecs(0, seg.Rows, vecs)
-	if !reflect.DeepEqual(vecs[3], types.ColVec{}) {
-		t.Fatalf("mixed-kind tag column window = %+v, want the zero ColVec", vecs[3])
-	}
-	if tag.Zone.Valid {
-		t.Fatal("mixed-kind columns must not publish a zone range")
-	}
-	if tag.Zone.Nulls+tag.Zone.NonNull != seg.Live {
-		t.Fatalf("tag zone counts %d+%d do not cover %d live rows", tag.Zone.Nulls, tag.Zone.NonNull, seg.Live)
-	}
-	rows, _, _ := h.Block(0)
-	for i, row := range rows {
-		if got := seg.Tuple(i)[3]; !got.Equal(row[3]) || got.Kind() != row[3].Kind() {
-			t.Fatalf("slot %d: tag view %v (%v), want heap %v (%v)", i, got, got.Kind(), row[3], row[3].Kind())
-		}
+	if tag := seg.Cols[3]; len(tag.Ints) != seg.Rows || tag.Nulls == nil {
+		t.Fatal("tag column should be an int vector with a null bitmap")
 	}
 }
 
@@ -408,7 +386,7 @@ func TestColVecsWindows(t *testing.T) {
 			for i := 0; i < hi-lo; i++ {
 				want := views[i][ord]
 				null := cv.Nulls != nil && cv.Nulls[i]
-				if want.IsNull() != null && cv.Ints != nil {
+				if want.IsNull() != null {
 					t.Fatalf("window %v col %d slot %d: null %v, want %v", win, ord, i, null, want.IsNull())
 				}
 				if null || want.IsNull() {

@@ -49,9 +49,9 @@ func PredsFrom(s *schema.Schema, conjuncts []expr.Node) []Pred {
 // (internal/expr): a comparison with a NULL operand or between incomparable
 // kinds yields NULL, which the filter rejects. Hence a segment skips on a
 // conjunct when (a) every live value of the column is NULL, (b) the
-// literal's kind is incomparable with the column's uniformly typed values,
-// or (c) the [Min, Max] range excludes the comparison. Mixed-kind columns
-// publish no range (Zone.Valid is false) and never prune.
+// literal's kind is incomparable with the column's declared kind, which
+// every non-NULL value has, or (c) the [Min, Max] range excludes the
+// comparison.
 func (seg *Segment) Skip(preds []Pred) bool {
 	if seg.Live == 0 {
 		return false // empty segments are elided by the scan itself
@@ -61,15 +61,11 @@ func (seg *Segment) Skip(preds []Pred) bool {
 		if z.NonNull == 0 {
 			return true // all live rows NULL in this column: conjunct rejects all
 		}
-		if !z.Valid {
-			continue
-		}
 		cmpMin, okMin := types.Compare(p.Lit, z.Min)
 		cmpMax, okMax := types.Compare(p.Lit, z.Max)
 		if !okMin || !okMax {
-			// The column is uniformly kinded (Valid implies the typed
-			// encoding), so one incomparable bound means every row
-			// comparison yields NULL and rejects.
+			// Every value has the bounds' kind, so one incomparable bound
+			// means every row comparison yields NULL and rejects.
 			return true
 		}
 		switch p.Op {

@@ -412,7 +412,7 @@ func (db *DB) insert(ctx context.Context, s *parser.InsertStmt, opts ...QueryOpt
 		}
 		coerced := make([]types.Value, len(row))
 		for i, v := range row {
-			cv, err := coerce(v, sch.Columns[i].Kind)
+			cv, err := schema.Coerce(v, sch.Columns[i].Kind)
 			if err != nil {
 				return nil, fmt.Errorf("engine: row %d column %s: %w", ri+1, sch.Columns[i].Name, err)
 			}
@@ -476,7 +476,7 @@ func (db *DB) update(s *parser.UpdateStmt) (*Result, error) {
 	n, err := t.UpdateWhere(pred, func(tuple []types.Value) ([]types.Value, error) {
 		out := append([]types.Value(nil), tuple...)
 		for _, st := range setters {
-			v, cErr := coerce(st.eval.Eval(tuple), st.kind)
+			v, cErr := schema.Coerce(st.eval.Eval(tuple), st.kind)
 			if cErr != nil {
 				return nil, fmt.Errorf("engine: column %s: %w", sch.Columns[st.ord].Name, cErr)
 			}
@@ -508,7 +508,7 @@ func (db *DB) insertSelect(ctx context.Context, t *catalog.Table, s *parser.Inse
 	for ri, row := range res.Rel.Rows {
 		coerced := make([]types.Value, len(row.Tuple))
 		for i, v := range row.Tuple {
-			cv, err := coerce(v, sch.Columns[i].Kind)
+			cv, err := schema.Coerce(v, sch.Columns[i].Kind)
 			if err != nil {
 				return nil, fmt.Errorf("engine: row %d column %s: %w", ri+1, sch.Columns[i].Name, err)
 			}
@@ -535,25 +535,6 @@ func (db *DB) explain(s *parser.ExplainStmt) (*Result, error) {
 		root = db.opt.Optimize(root)
 	}
 	return &Result{Message: "plan:\n" + algebra.Format(root), Plan: algebra.Format(root)}, nil
-}
-
-// coerce converts a literal to the declared column kind where lossless.
-func coerce(v types.Value, kind types.Kind) (types.Value, error) {
-	if v.IsNull() || v.Kind() == kind {
-		return v, nil
-	}
-	switch {
-	case kind == types.KindFloat && v.Kind() == types.KindInt:
-		return types.Float(float64(v.AsInt())), nil
-	case kind == types.KindInt && v.Kind() == types.KindFloat:
-		f := v.AsFloat()
-		if f == float64(int64(f)) {
-			return types.Int(int64(f)), nil
-		}
-		return types.Value{}, fmt.Errorf("value %v is not an integer", v)
-	default:
-		return types.Value{}, fmt.Errorf("cannot store %s value in %s column", v.Kind(), kind)
-	}
 }
 
 // --- plug-in bridge (avoids exposing internal/plugin in the public API) ---

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"prefdb/internal/types"
 )
 
 // setupDB builds the movie database end-to-end through SQL.
@@ -437,6 +439,71 @@ func TestUpdateStatement(t *testing.T) {
 	after, _ := db.Exec("SELECT year FROM movies WHERE m_id = 2")
 	if before.Rel.Rows[0].Tuple[0].AsInt() != after.Rel.Rows[0].Tuple[0].AsInt() {
 		t.Error("failed update mutated rows (should be atomic)")
+	}
+}
+
+// TestInsertRejectsWrongKind pins the kind invariant on every write path
+// into a table: the catalog API stores only NULL or the declared kind,
+// while SQL INSERT, INSERT … SELECT and UPDATE still coerce losslessly
+// (INT into FLOAT, an integral FLOAT into INT) and keep their error texts.
+func TestInsertRejectsWrongKind(t *testing.T) {
+	db := setupDB(t)
+	dirs, err := db.Catalog().Table("directors")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v0, n0 := dirs.Version(), dirs.Len()
+	for _, tuple := range [][]types.Value{
+		{types.Str("7"), types.Str("X")},
+		{types.Int(7), types.Int(7)},
+		{types.Float(7), types.Str("X")},
+	} {
+		if err := dirs.Insert(tuple); err == nil || !strings.Contains(err.Error(), "cannot store") {
+			t.Errorf("catalog Insert(%v): err = %v, want a kind error", tuple, err)
+		}
+	}
+	if dirs.Version() != v0 || dirs.Len() != n0 {
+		t.Errorf("rejected inserts moved Version %d→%d, Len %d→%d", v0, dirs.Version(), n0, dirs.Len())
+	}
+	if _, err := db.Exec(`CREATE TABLE recent (m_id INT, title TEXT, PRIMARY KEY (m_id))`); err != nil {
+		t.Fatal(err)
+	}
+	for stmt, want := range map[string]string{
+		`INSERT INTO directors VALUES ('x', 'y')`:             "engine: row 1 column d_id: cannot store TEXT value in INT column",
+		`INSERT INTO directors VALUES (4.5, 'Z')`:             "engine: row 1 column d_id: value 4.5 is not an integer",
+		`INSERT INTO recent SELECT title, m_id FROM movies`:   "engine: row 1 column m_id: cannot store TEXT value in INT column",
+		`UPDATE movies SET year = 'nineteen'`:                 "engine: column year: cannot store TEXT value in INT column",
+		`UPDATE movies SET title = year WHERE m_id = 1`:       "engine: column title: cannot store INT value in TEXT column",
+		`UPDATE ratings SET votes = rating WHERE m_id = 1`:    "engine: column votes: value 8.2 is not an integer",
+		`INSERT INTO ratings VALUES (9, 'high', 1)`:           "engine: row 1 column rating: cannot store TEXT value in FLOAT column",
+		`INSERT INTO recent SELECT d_id, d_id FROM directors`: "engine: row 1 column title: cannot store INT value in TEXT column",
+	} {
+		if _, err := db.Exec(stmt); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", stmt, err, want)
+		}
+	}
+	// Lossless conversions still land, stored as the column's kind.
+	for _, stmt := range []string{
+		`CREATE TABLE scores (id INT, s FLOAT)`,
+		`INSERT INTO scores VALUES (2.0, 7)`,
+		`INSERT INTO scores SELECT d_id, d_id FROM directors`,
+		`UPDATE scores SET s = id, id = 4.0 WHERE id = 2`,
+	} {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	res, err := db.Exec(`SELECT id, s FROM scores`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rel.Len() != 4 {
+		t.Fatalf("coerced rows: got %d, want 4", res.Rel.Len())
+	}
+	for _, row := range res.Rel.Rows {
+		if row.Tuple[0].Kind() != types.KindInt || row.Tuple[1].Kind() != types.KindFloat {
+			t.Errorf("row %v: kinds %s/%s, want INT/FLOAT", row.Tuple, row.Tuple[0].Kind(), row.Tuple[1].Kind())
+		}
 	}
 }
 

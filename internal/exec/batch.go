@@ -295,7 +295,7 @@ func applySegOps(b *prel.Batch, ops []segOp, agg pref.Aggregate, stats *Stats, s
 			continue
 		}
 		stats.ScoreEvals += len(scr.sel)
-		if columnar {
+		if columnar && op.score.CanEvalCols() {
 			// Float fast path: the score evaluates straight off the column
 			// vectors into a float column, and the ⟨S,C⟩ vectors update in
 			// place — no types.Value boxing anywhere in the loop.
@@ -305,16 +305,18 @@ func applySegOps(b *prel.Batch, ops []segOp, agg pref.Aggregate, stats *Stats, s
 				scr.null = make([]bool, n)
 			}
 			f, null := scr.f[:n], scr.null[:n]
-			if op.score.EvalFloats(b.Cols, scr.sel, f, null) {
-				for k, j := range scr.sel {
-					if !null[k] {
-						s := pref.Clamp01(f[k])
-						sc := agg.Combine(b.SCAt(j), types.NewSC(s, op.conf))
-						b.S[j], b.C[j], b.Known[j] = sc.Score, sc.Conf, sc.Known
-					}
+			op.score.EvalFloats(b.Cols, scr.sel, f, null)
+			for k, j := range scr.sel {
+				if !null[k] {
+					s := pref.Clamp01(f[k])
+					sc := agg.Combine(b.SCAt(j), types.NewSC(s, op.conf))
+					b.S[j], b.C[j], b.Known[j] = sc.Score, sc.Conf, sc.Known
 				}
-				continue
 			}
+			continue
+		}
+		if columnar {
+			// A score with no direct-column kernel reads the row views.
 			stats.RowsMaterialized += len(scr.sel)
 		}
 		if cap(scr.scores) < len(scr.sel) {
@@ -647,8 +649,8 @@ func (n *nlJoinBatch) nextBatch() (*prel.Batch, bool) {
 // each match is written once, already narrowed, into an arena tuple —
 // no concatenated intermediate tuple and no second copy.
 //
-// Both sides run direct-on-column when their batches are columnar with
-// typed key vectors: the build hashes keys straight off the vectors
+// Both sides run direct-on-column when their batches are columnar: the
+// build hashes keys straight off the vectors
 // (joinBuildCols) and the probe hashes each batch with expr.HashCols,
 // confirming candidates against the vector slots (expr.KeyEqCols) so a
 // probe row's tuple view is touched only when it actually joins — the
@@ -791,22 +793,22 @@ func (t *joinTable) candidates(hs []uint64, sel, rows []int32) ([]int32, []int32
 	return sel, rows
 }
 
-// keyHashes returns the key hash of every selected slot of b, and whether
-// it hashed straight off typed key vectors (direct) rather than folding
-// each row's tuple.
-func (h *hashJoinBatch) keyHashes(b *prel.Batch, keys []int, ks *expr.KeyScratch) (hs []uint64, direct bool) {
+// keyHashes returns the key hash of every selected slot of b: straight
+// off the key vectors when b is columnar, else folding each row's tuple.
+func (h *hashJoinBatch) keyHashes(b *prel.Batch, keys []int, ks *expr.KeyScratch) []uint64 {
 	if cap(h.hashes) < len(b.Sel) {
 		h.hashes = make([]uint64, len(b.Sel))
 	}
-	hs = h.hashes[:len(b.Sel)]
-	if b.Columnar() && expr.HashCols(b.Cols, b.Sel, keys, hs, ks) {
-		return hs, true
+	hs := h.hashes[:len(b.Sel)]
+	if b.Columnar() {
+		expr.HashCols(b.Cols, b.Sel, keys, hs, ks)
+		return hs
 	}
 	rows := b.Rows()
 	for k, j := range b.Sel {
 		hs[k] = hashCols(rows[j], keys)
 	}
-	return hs, false
+	return hs
 }
 
 // joinBuildCols drains the build side into the join table, hashing the
@@ -827,7 +829,7 @@ func (h *hashJoinBatch) joinBuildCols() {
 		if !ok {
 			break
 		}
-		hs, _ := h.keyHashes(b, h.buildKeys, &h.bks)
+		hs := h.keyHashes(b, h.buildKeys, &h.bks)
 		if b.Columnar() {
 			h.stats.RowsMaterialized += b.Live()
 		}
@@ -895,11 +897,7 @@ func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
 			h.out = prel.NewBatch(b.Live())
 		}
 		h.out.Reset()
-		hs, direct := h.keyHashes(b, h.probeKeys, &h.pks)
-		if b.Columnar() && !direct {
-			// Probing hashes full tuples, so the probe side materializes.
-			h.stats.RowsMaterialized += b.Live()
-		}
+		hs, direct := h.keyHashes(b, h.probeKeys, &h.pks), b.Columnar()
 		if cap(h.candSel) < len(hs) {
 			// Room for one candidate per probe row, the common case.
 			h.candSel, h.candRow = make([]int32, 0, len(hs)), make([]int32, 0, len(hs))
@@ -995,7 +993,7 @@ func (e *Executor) buildBatch(n algebra.Node) (batchIter, *schema.Schema, error)
 			return nil, nil, err
 		}
 		tab := newAggTable(byOrds, aggOrds, x.Aggs, e.gd)
-		return &groupAggBatch{in: in, tab: tab, stats: &e.stats, tick: pollTick{g: e.gd},
+		return &groupAggBatch{in: in, tab: tab, tick: pollTick{g: e.gd},
 			size: e.batchSize()}, out, nil
 
 	case *algebra.Threshold:

@@ -17,9 +17,9 @@ import (
 // colstoreDB builds a catalog whose "items" table spans multiple columnar
 // segments (2 full segments plus a sealed remainder and an unsealed heap
 // tail), with every encoding the store supports: sequential ints (tight
-// zones), a small string dictionary, floats with NULLs, a declared-INT
-// column holding occasional strings (Raw fallback), plus tombstones from
-// two DELETE patterns. A small "cats" table joins against grp.
+// zones), a small string dictionary, floats with NULLs, an INT column
+// with occasional NULLs, plus tombstones from two DELETE patterns. A small
+// "cats" table joins against grp.
 func colstoreDB(t testing.TB) *catalog.Catalog {
 	t.Helper()
 	c := catalog.New()
@@ -42,7 +42,7 @@ func colstoreDB(t testing.TB) *catalog.Catalog {
 		}
 		tag := types.Value(types.Int(int64(i % 13)))
 		if i%701 == 0 {
-			tag = types.Str("stray")
+			tag = types.Null()
 		}
 		err := it.Insert([]types.Value{
 			types.Int(int64(i)),

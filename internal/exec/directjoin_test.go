@@ -413,10 +413,8 @@ func groupAggPlans() map[string]algebra.Node {
 				},
 			},
 		},
-		// Mixed-type aggregation: tag holds occasional strings in a
-		// declared-INT column (Raw fallback in the store), so sum must skip
-		// non-numerics and min/max must skip incomparable pairs identically
-		// on both paths.
+		// Aggregation over a nullable column: tag holds occasional NULLs,
+		// so sum and max must skip them identically on both paths.
 		"raw-col-aggs": &algebra.GroupAgg{
 			By: []expr.Col{expr.ColRef("items.grp")},
 			Aggs: []algebra.AggSpec{

@@ -71,10 +71,9 @@ type Stats struct {
 	ColBatches       int
 	RowsMaterialized int
 	// JoinProbeBatches counts probe-side batches processed by the hash
-	// join; together with
-	// RowsMaterialized it shows whether the join probed direct-on-column
-	// (probe batches high, materialized rows only at match emit) or fell
-	// back to tuples.
+	// join; together with RowsMaterialized it shows whether the join
+	// probed direct-on-column (probe batches high, materialized rows only
+	// at match emit) or probed row batches.
 	JoinProbeBatches int
 }
 

@@ -8,8 +8,6 @@
 // values materialized as types.Value structs from the vectors
 // (expr.ColValue) — so a columnar input aggregates without ever crossing
 // the row-view boundary, with results byte-identical to the tuple form.
-// Batches without typed vectors fall back to row views and count into
-// Stats.RowsMaterialized.
 package exec
 
 import (
@@ -167,8 +165,7 @@ func (t *aggTable) group(hash uint64, keyAt func(k int) types.Value) *aggGroup {
 	return g
 }
 
-// addTuple folds one row-form tuple into the table (the fallback for
-// batches without typed vectors).
+// addTuple folds one tuple of a row-form batch into the table.
 func (t *aggTable) addTuple(tuple []types.Value) bool {
 	g := t.group(hashCols(tuple, t.byOrds), func(k int) types.Value { return tuple[t.byOrds[k]] })
 	if g == nil {
@@ -204,10 +201,9 @@ func (t *aggTable) emit() []prel.Row {
 // upholding the build-side borrow contract.
 // prefdb:col-transient
 type groupAggBatch struct {
-	in    batchIter
-	tab   *aggTable
-	stats *Stats
-	tick  pollTick
+	in   batchIter
+	tab  *aggTable
+	tick pollTick
 
 	built  bool
 	src    batchIter
@@ -225,36 +221,27 @@ func (g *groupAggBatch) drain() {
 		if g.tick.stopN(b.Live()) {
 			break
 		}
-		direct := false
-		var hs []uint64
-		if b.Columnar() && expr.HasTypedCols(b.Cols, g.tab.aggOrds) {
+		tripped := false
+		if b.Columnar() {
 			if cap(g.hashes) < len(b.Sel) {
 				g.hashes = make([]uint64, len(b.Sel))
 			}
-			hs = g.hashes[:len(b.Sel)]
-			direct = expr.HashCols(b.Cols, b.Sel, g.tab.byOrds, hs, &g.ks)
-		}
-		tripped := false
-		if direct {
+			hs := g.hashes[:len(b.Sel)]
+			expr.HashCols(b.Cols, b.Sel, g.tab.byOrds, hs, &g.ks)
 			cols := b.Cols
 			for i, j := range b.Sel {
 				grp := g.tab.group(hs[i], func(k int) types.Value {
-					v, _ := expr.ColValue(&cols[g.tab.byOrds[k]], j)
-					return v
+					return expr.ColValue(&cols[g.tab.byOrds[k]], j)
 				})
 				if grp == nil {
 					tripped = true
 					break
 				}
 				for a, spec := range g.tab.aggs {
-					v, _ := expr.ColValue(&cols[g.tab.aggOrds[a]], j)
-					grp.update(a, spec.Fn, v)
+					grp.update(a, spec.Fn, expr.ColValue(&cols[g.tab.aggOrds[a]], j))
 				}
 			}
 		} else {
-			if b.Columnar() {
-				g.stats.RowsMaterialized += b.Live()
-			}
 			rows := b.Rows()
 			for _, j := range b.Sel {
 				if !g.tab.addTuple(rows[j]) {

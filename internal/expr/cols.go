@@ -6,9 +6,10 @@
 // incomparable kinds reject; numerics compare int-wise only when both
 // sides are INT, float-wise otherwise; NaN compares equal, matching
 // types.Compare's fallthrough) and the same float arithmetic as
-// arithApply. Kernels report ok=false whenever a needed typed vector is
-// missing (a mixed-kind column), and the caller falls back to the tuple
-// path, so engaging the direct path can never change results.
+// arithApply. Each kernel picks the vector it reads once, at compile
+// time, from the column's declared kind: the heap admits only NULL or
+// that kind, so a columnar batch always carries that vector
+// (types.ColVec).
 //
 // Exactness rule for the score path: an INT-kind arithmetic node
 // evaluates with wrapping int64 semantics on the row path
@@ -28,7 +29,6 @@ import (
 // One ColScratch per compiled condition per goroutine; zero value ready.
 type ColScratch struct {
 	perConj []dictCache
-	pending []*Compiled
 }
 
 func (s *ColScratch) cacheFor(i int) *dictCache {
@@ -50,83 +50,52 @@ func (d *dictCache) matches(dict []string) bool {
 	return len(d.dict) == len(dict) && (len(dict) == 0 || &d.dict[0] == &dict[0])
 }
 
-// TruthyBatchCols applies the condition over a columnar batch: conjuncts
-// with a direct-column kernel compact sel against the borrowed vectors
-// first (AND commutes, so kernel-capable conjuncts running early never
-// changes the accepted set), then any remaining conjuncts run over the
-// row views. The second return value is the number of selected
-// rows that crossed that materialization boundary (0 when every conjunct
-// ran direct); exec folds it into Stats.RowsMaterialized.
+// TruthyBatchCols applies the condition over a columnar batch: the
+// conjuncts with a direct-column kernel compact sel against the borrowed
+// vectors first (AND commutes, so kernel-capable conjuncts running early
+// never changes the accepted set), then the remaining conjuncts run over
+// the row views. The split is made at compile time (CompileCondition), so
+// c must come from CompileCondition. The second return value is the
+// number of selected rows that crossed that materialization boundary (0
+// when every conjunct ran direct); exec folds it into
+// Stats.RowsMaterialized.
 func (c *Compiled) TruthyBatchCols(cols []types.ColVec, rows [][]types.Value, sel []int32, scr *ColScratch) ([]int32, int) {
-	if len(c.conj) > 1 {
-		pending := scr.pending[:0]
-		for i, p := range c.conj {
-			if len(sel) == 0 {
-				scr.pending = pending
-				return sel, 0
-			}
-			if p.filterC != nil {
-				if ns, ok := p.filterC(cols, sel, scr.cacheFor(i)); ok {
-					sel = ns
-					continue
-				}
-			}
-			pending = append(pending, p)
-		}
-		scr.pending = pending
-		if len(pending) == 0 || len(sel) == 0 {
+	for i, p := range c.colConj {
+		if len(sel) == 0 {
 			return sel, 0
 		}
-		mat := len(sel)
-		for _, p := range pending {
-			sel = p.truthyFilter(rows, sel)
-			if len(sel) == 0 {
-				break
-			}
-		}
-		return sel, mat
+		sel = p.filterC(cols, sel, scr.cacheFor(i))
 	}
-	if c.filterC != nil {
-		if ns, ok := c.filterC(cols, sel, scr.cacheFor(0)); ok {
-			return ns, 0
-		}
+	if len(c.rowConj) == 0 || len(sel) == 0 {
+		return sel, 0
 	}
 	mat := len(sel)
-	return c.truthyFilter(rows, sel), mat
+	for _, p := range c.rowConj {
+		sel = p.truthyFilter(rows, sel)
+		if len(sel) == 0 {
+			break
+		}
+	}
+	return sel, mat
 }
 
 // EvalFloats evaluates the expression over borrowed column vectors as a
 // float column: out[k] (and its NULL flag null[k]) for row sel[k], both
-// len(sel). It reports false when the expression has no direct-column
-// form or a needed typed vector is missing at runtime; the caller must
-// then fall back to EvalBatch over tuples. On success the results are
-// exactly EvalBatch's: a numeric value v becomes (v.AsFloat(), false)
-// and NULL becomes (_, true).
-func (c *Compiled) EvalFloats(cols []types.ColVec, sel []int32, out []float64, null []bool) bool {
-	if c.evalC == nil {
-		return false
-	}
-	return c.evalC(cols, sel, out, null)
+// len(sel). The expression must have a direct-column form (CanEvalCols).
+// The results are exactly EvalBatch's: a numeric value v becomes
+// (v.AsFloat(), false) and NULL becomes (_, true).
+func (c *Compiled) EvalFloats(cols []types.ColVec, sel []int32, out []float64, null []bool) {
+	c.evalC(cols, sel, out, null)
 }
 
 // CanEvalCols reports whether the expression compiled a direct-column
-// score kernel (EvalFloats may still fall back at runtime on mixed-kind
-// columns). The optimizer uses this for the [direct-col] annotation.
+// score kernel; the executor scores columnar batches through EvalFloats
+// when it did.
 func (c *Compiled) CanEvalCols() bool { return c.evalC != nil }
 
 // CanFilterCols reports whether the condition has at least one conjunct
 // with a direct-column filter kernel.
-func (c *Compiled) CanFilterCols() bool {
-	if c.filterC != nil {
-		return true
-	}
-	for _, p := range c.conj {
-		if p.filterC != nil {
-			return true
-		}
-	}
-	return false
-}
+func (c *Compiled) CanFilterCols() bool { return len(c.colConj) > 0 }
 
 // acceptMask is the lt/eq/gt accept-bit decomposition of a comparison
 // operator (compareFilter's decomposition, factored for reuse by the
@@ -159,11 +128,17 @@ func (m acceptMask) ok(cmp int) bool {
 	return (cmp < 0 && m.lt) || (cmp == 0 && m.eq) || (cmp > 0 && m.gt)
 }
 
-// hasTyped reports whether the window carries any typed vector (a
-// mixed-kind column has none, forcing the tuple fallback).
-func hasTyped(cv *types.ColVec) bool {
-	return cv.Ints != nil || cv.Floats != nil || cv.Codes != nil || cv.Bools != nil
-}
+// colFilter is a direct-column filter kernel: it compacts sel to the rows
+// whose column values the condition accepts.
+type colFilter func(cols []types.ColVec, sel []int32, dc *dictCache) []int32
+
+// colEval is a direct-column score kernel: out[k] and null[k] for row
+// sel[k].
+type colEval func(cols []types.ColVec, sel []int32, out []float64, null []bool)
+
+// rejectCols is the kernel of a comparison that is NULL for every row (a
+// NULL comparand, or operands of incomparable kinds): nothing passes.
+func rejectCols(_ []types.ColVec, sel []int32, _ *dictCache) []int32 { return sel[:0] }
 
 // sameDict reports whether two dictionary slices are the same snapshot of
 // a shared table dictionary (slice identity). Only then is code-vs-code
@@ -175,7 +150,7 @@ func sameDict(a, b []string) bool {
 // compareFilterCols builds the direct-column kernel for a comparison:
 // column-vs-literal (either orientation) or column-vs-column. Returns nil
 // when the operands don't match those shapes.
-func (c *compiler) compareFilterCols(x Bin) func(cols []types.ColVec, sel []int32, dc *dictCache) ([]int32, bool) {
+func (c *compiler) compareFilterCols(x Bin) colFilter {
 	if col, okC := x.L.(Col); okC {
 		if lit, okL := x.R.(Lit); okL {
 			return c.colLitKernel(col, lit, x.Op, false)
@@ -193,7 +168,7 @@ func (c *compiler) compareFilterCols(x Bin) func(cols []types.ColVec, sel []int3
 	return nil
 }
 
-func (c *compiler) colLitKernel(col Col, lit Lit, op Op, flip bool) func(cols []types.ColVec, sel []int32, dc *dictCache) ([]int32, bool) {
+func (c *compiler) colLitKernel(col Col, lit Lit, op Op, flip bool) colFilter {
 	idx, err := c.schema.IndexOf(col.Table, col.Name)
 	if err != nil {
 		return nil
@@ -202,24 +177,19 @@ func (c *compiler) colLitKernel(col Col, lit Lit, op Op, flip bool) func(cols []
 	if v.IsNull() {
 		// NULL comparand: the comparison is NULL for every row, so the
 		// condition accepts nothing — no vector needed.
-		return func(_ []types.ColVec, sel []int32, _ *dictCache) ([]int32, bool) { return sel[:0], true }
+		return rejectCols
 	}
 	m := opAccept(op, flip)
+	kind := c.schema.Columns[idx].Kind
 	switch v.Kind() {
 	case types.KindInt, types.KindFloat:
-		litInt := v.Kind() == types.KindInt
-		ri := int64(0)
-		if litInt {
-			ri = v.AsInt()
-		}
 		rf := v.AsFloat()
-		return func(cols []types.ColVec, sel []int32, _ *dictCache) ([]int32, bool) {
-			cv := &cols[idx]
-			nulls := cv.Nulls
-			out := sel[:0]
-			switch {
-			case cv.Ints != nil && litInt:
-				vec := cv.Ints
+		switch {
+		case kind == types.KindInt && v.Kind() == types.KindInt:
+			ri := v.AsInt()
+			return func(cols []types.ColVec, sel []int32, _ *dictCache) []int32 {
+				vec, nulls := cols[idx].Ints, cols[idx].Nulls
+				out := sel[:0]
 				for _, i := range sel {
 					if nulls != nil && nulls[i] {
 						continue
@@ -235,10 +205,14 @@ func (c *compiler) colLitKernel(col Col, lit Lit, op Op, flip bool) func(cols []
 						out = append(out, i)
 					}
 				}
-			case cv.Ints != nil:
-				// INT column vs FLOAT literal: mixed numerics compare
-				// float-wise, exactly types.Compare.
-				vec := cv.Ints
+				return out
+			}
+		case kind == types.KindInt:
+			// INT column vs FLOAT literal: mixed numerics compare
+			// float-wise, exactly types.Compare.
+			return func(cols []types.ColVec, sel []int32, _ *dictCache) []int32 {
+				vec, nulls := cols[idx].Ints, cols[idx].Nulls
+				out := sel[:0]
 				for _, i := range sel {
 					if nulls != nil && nulls[i] {
 						continue
@@ -254,8 +228,12 @@ func (c *compiler) colLitKernel(col Col, lit Lit, op Op, flip bool) func(cols []
 						out = append(out, i)
 					}
 				}
-			case cv.Floats != nil:
-				vec := cv.Floats
+				return out
+			}
+		case kind == types.KindFloat:
+			return func(cols []types.ColVec, sel []int32, _ *dictCache) []int32 {
+				vec, nulls := cols[idx].Floats, cols[idx].Nulls
+				out := sel[:0]
 				for _, i := range sel {
 					if nulls != nil && nulls[i] {
 						continue
@@ -271,25 +249,16 @@ func (c *compiler) colLitKernel(col Col, lit Lit, op Op, flip bool) func(cols []
 						out = append(out, i)
 					}
 				}
-			case hasTyped(cv):
-				// Typed non-numeric column: every live value is
-				// incomparable with a numeric literal, so nothing passes.
-				return sel[:0], true
-			default:
-				return nil, false
+				return out
 			}
-			return out, true
 		}
 	case types.KindString:
+		if kind != types.KindString {
+			break
+		}
 		rs := v.AsString()
-		return func(cols []types.ColVec, sel []int32, dc *dictCache) ([]int32, bool) {
+		return func(cols []types.ColVec, sel []int32, dc *dictCache) []int32 {
 			cv := &cols[idx]
-			if cv.Codes == nil {
-				if hasTyped(cv) {
-					return sel[:0], true
-				}
-				return nil, false
-			}
 			// Evaluate the predicate once per segment against the
 			// dictionary: consecutive windows share the Dict slice, so the
 			// accept bits are cached on identity.
@@ -322,20 +291,15 @@ func (c *compiler) colLitKernel(col Col, lit Lit, op Op, flip bool) func(cols []
 					out = append(out, i)
 				}
 			}
-			return out, true
+			return out
 		}
 	case types.KindBool:
+		if kind != types.KindBool {
+			break
+		}
 		rb := v.AsBool()
-		return func(cols []types.ColVec, sel []int32, _ *dictCache) ([]int32, bool) {
-			cv := &cols[idx]
-			if cv.Bools == nil {
-				if hasTyped(cv) {
-					return sel[:0], true
-				}
-				return nil, false
-			}
-			vec := cv.Bools
-			nulls := cv.Nulls
+		return func(cols []types.ColVec, sel []int32, _ *dictCache) []int32 {
+			vec, nulls := cols[idx].Bools, cols[idx].Nulls
 			out := sel[:0]
 			for _, i := range sel {
 				if nulls != nil && nulls[i] {
@@ -352,14 +316,26 @@ func (c *compiler) colLitKernel(col Col, lit Lit, op Op, flip bool) func(cols []
 					out = append(out, i)
 				}
 			}
-			return out, true
+			return out
 		}
 	default:
 		return nil
 	}
+	// The column's kind is incomparable with the literal's: every
+	// comparison is NULL, so nothing passes.
+	return rejectCols
 }
 
-func (c *compiler) colColKernel(l, r Col, op Op) func(cols []types.ColVec, sel []int32, dc *dictCache) ([]int32, bool) {
+// Arms of a column-vs-column kernel, chosen at compile time from the two
+// columns' declared kinds.
+const (
+	armInts    = iota // INT vs INT: exact int64 comparison
+	armNumeric        // any other numeric pair: float-wise
+	armStrings        // TEXT vs TEXT
+	armBools          // BOOL vs BOOL
+)
+
+func (c *compiler) colColKernel(l, r Col, op Op) colFilter {
 	li, err := c.schema.IndexOf(l.Table, l.Name)
 	if err != nil {
 		return nil
@@ -368,10 +344,27 @@ func (c *compiler) colColKernel(l, r Col, op Op) func(cols []types.ColVec, sel [
 	if err != nil {
 		return nil
 	}
+	lk, rk := c.schema.Columns[li].Kind, c.schema.Columns[ri].Kind
+	var arm int
+	switch {
+	case lk == types.KindInt && rk == types.KindInt:
+		arm = armInts
+	case numericKind(lk) && numericKind(rk):
+		arm = armNumeric
+	case lk == types.KindString && rk == types.KindString:
+		arm = armStrings
+	case lk == types.KindBool && rk == types.KindBool:
+		arm = armBools
+	default:
+		// Two columns of incomparable kinds: no live pair can ever
+		// compare, so nothing passes.
+		return rejectCols
+	}
+	lInt, rInt := lk == types.KindInt, rk == types.KindInt
 	m := opAccept(op, false)
 	wantEq := op == OpEq
 	codeCmp := op == OpEq || op == OpNe
-	return func(cols []types.ColVec, sel []int32, _ *dictCache) ([]int32, bool) {
+	return func(cols []types.ColVec, sel []int32, _ *dictCache) []int32 {
 		lv, rv := &cols[li], &cols[ri]
 		ln, rn := lv.Nulls, rv.Nulls
 		out := sel[:0]
@@ -379,7 +372,7 @@ func (c *compiler) colColKernel(l, r Col, op Op) func(cols []types.ColVec, sel [
 			return (ln != nil && ln[i]) || (rn != nil && rn[i])
 		}
 		switch {
-		case lv.Ints != nil && rv.Ints != nil:
+		case arm == armInts:
 			a, b := lv.Ints, rv.Ints
 			for _, i := range sel {
 				if reject(i) {
@@ -396,19 +389,19 @@ func (c *compiler) colColKernel(l, r Col, op Op) func(cols []types.ColVec, sel [
 					out = append(out, i)
 				}
 			}
-		case (lv.Ints != nil || lv.Floats != nil) && (rv.Ints != nil || rv.Floats != nil):
+		case arm == armNumeric:
 			// Mixed numerics compare float-wise (types.Compare).
 			for _, i := range sel {
 				if reject(i) {
 					continue
 				}
 				var a, b float64
-				if lv.Ints != nil {
+				if lInt {
 					a = float64(lv.Ints[i])
 				} else {
 					a = lv.Floats[i]
 				}
-				if rv.Ints != nil {
+				if rInt {
 					b = float64(rv.Ints[i])
 				} else {
 					b = rv.Floats[i]
@@ -424,7 +417,7 @@ func (c *compiler) colColKernel(l, r Col, op Op) func(cols []types.ColVec, sel [
 					out = append(out, i)
 				}
 			}
-		case lv.Codes != nil && rv.Codes != nil && codeCmp && sameDict(lv.Dict, rv.Dict):
+		case arm == armStrings && codeCmp && sameDict(lv.Dict, rv.Dict):
 			// Both columns were encoded through the same shared table
 			// dictionary (slice identity), so equal codes iff equal
 			// strings — eq/ne compares codes without touching the
@@ -440,7 +433,7 @@ func (c *compiler) colColKernel(l, r Col, op Op) func(cols []types.ColVec, sel [
 					out = append(out, i)
 				}
 			}
-		case lv.Codes != nil && rv.Codes != nil:
+		case arm == armStrings:
 			// Dictionaries differ per column, so codes are not comparable
 			// directly; compare the dictionary strings (still no
 			// types.Value decoding).
@@ -461,7 +454,7 @@ func (c *compiler) colColKernel(l, r Col, op Op) func(cols []types.ColVec, sel [
 					out = append(out, i)
 				}
 			}
-		case lv.Bools != nil && rv.Bools != nil:
+		default: // armBools
 			a, b := lv.Bools, rv.Bools
 			for _, i := range sel {
 				if reject(i) {
@@ -478,67 +471,54 @@ func (c *compiler) colColKernel(l, r Col, op Op) func(cols []types.ColVec, sel [
 					out = append(out, i)
 				}
 			}
-		case hasTyped(lv) && hasTyped(rv):
-			// Two typed columns of incomparable kinds: no live pair can
-			// ever compare, so nothing passes.
-			return sel[:0], true
-		default:
-			return nil, false
 		}
-		return out, true
+		return out
 	}
 }
 
-// evalCKind reports whether a column of this kind can feed the float
+// numericKind reports whether a column of this kind can feed the float
 // score path.
 func numericKind(k types.Kind) bool { return k == types.KindInt || k == types.KindFloat }
 
-// colEvalC builds the score kernel for a column leaf: the vector loads as
-// float64 with its NULL flags. INT columns convert exactly as
-// Value.AsFloat does (float64(i)).
-func colEvalC(idx int) func(cols []types.ColVec, sel []int32, out []float64, null []bool) bool {
-	return func(cols []types.ColVec, sel []int32, out []float64, null []bool) bool {
-		cv := &cols[idx]
-		nulls := cv.Nulls
-		switch {
-		case cv.Ints != nil:
-			vec := cv.Ints
+// colEvalC builds the score kernel for a column leaf of a numeric kind:
+// the vector loads as float64 with its NULL flags. INT columns convert
+// exactly as Value.AsFloat does (float64(i)).
+func colEvalC(idx int, kind types.Kind) colEval {
+	if kind == types.KindInt {
+		return func(cols []types.ColVec, sel []int32, out []float64, null []bool) {
+			vec, nulls := cols[idx].Ints, cols[idx].Nulls
 			for k, i := range sel {
 				out[k] = float64(vec[i])
 				null[k] = nulls != nil && nulls[i]
 			}
-		case cv.Floats != nil:
-			vec := cv.Floats
-			for k, i := range sel {
-				out[k] = vec[i]
-				null[k] = nulls != nil && nulls[i]
-			}
-		default:
-			return false
 		}
-		return true
+	}
+	return func(cols []types.ColVec, sel []int32, out []float64, null []bool) {
+		vec, nulls := cols[idx].Floats, cols[idx].Nulls
+		for k, i := range sel {
+			out[k] = vec[i]
+			null[k] = nulls != nil && nulls[i]
+		}
 	}
 }
 
 // litEvalC builds the score kernel for a numeric or NULL literal.
-func litEvalC(v types.Value) func(cols []types.ColVec, sel []int32, out []float64, null []bool) bool {
+func litEvalC(v types.Value) colEval {
 	if v.IsNull() {
-		return func(_ []types.ColVec, sel []int32, out []float64, null []bool) bool {
+		return func(_ []types.ColVec, sel []int32, out []float64, null []bool) {
 			for k := range sel {
 				out[k], null[k] = 0, true
 			}
-			return true
 		}
 	}
 	if !v.IsNumeric() {
 		return nil
 	}
 	f := v.AsFloat()
-	return func(_ []types.ColVec, sel []int32, out []float64, null []bool) bool {
+	return func(_ []types.ColVec, sel []int32, out []float64, null []bool) {
 		for k := range sel {
 			out[k], null[k] = f, false
 		}
-		return true
 	}
 }
 
@@ -546,18 +526,17 @@ func litEvalC(v types.Value) func(cols []types.ColVec, sel []int32, out []float6
 // nodes wrap int64 on the row path, which float64 cannot reproduce, so
 // they never compile a kernel). Division by zero and float modulo yield
 // NULL, exactly arithApply at KindFloat.
-func binEvalC(op Op, l, r *Compiled) func(cols []types.ColVec, sel []int32, out []float64, null []bool) bool {
+func binEvalC(op Op, l, r *Compiled) colEval {
 	if l.evalC == nil || r.evalC == nil {
 		return nil
 	}
 	var rOut []float64
 	var rNull []bool
-	return func(cols []types.ColVec, sel []int32, out []float64, null []bool) bool {
+	return func(cols []types.ColVec, sel []int32, out []float64, null []bool) {
 		n := len(sel)
 		rOut, rNull = grow(rOut, n), grow(rNull, n)
-		if !l.evalC(cols, sel, out, null) || !r.evalC(cols, sel, rOut, rNull) {
-			return false
-		}
+		l.evalC(cols, sel, out, null)
+		r.evalC(cols, sel, rOut, rNull)
 		for k := 0; k < n; k++ {
 			if null[k] || rNull[k] {
 				null[k] = true
@@ -581,26 +560,22 @@ func binEvalC(op Op, l, r *Compiled) func(cols []types.ColVec, sel []int32, out 
 				null[k] = true
 			}
 		}
-		return true
 	}
 }
 
 // negEvalC builds the score kernel for FLOAT-kind negation (INT-kind
 // negation can wrap at MinInt64 on the row path, so it stays scalar).
-func negEvalC(inner *Compiled) func(cols []types.ColVec, sel []int32, out []float64, null []bool) bool {
+func negEvalC(inner *Compiled) colEval {
 	if inner.evalC == nil {
 		return nil
 	}
-	return func(cols []types.ColVec, sel []int32, out []float64, null []bool) bool {
-		if !inner.evalC(cols, sel, out, null) {
-			return false
-		}
+	return func(cols []types.ColVec, sel []int32, out []float64, null []bool) {
+		inner.evalC(cols, sel, out, null)
 		for k := range out {
 			if !null[k] {
 				out[k] = -out[k]
 			}
 		}
-		return true
 	}
 }
 
@@ -608,7 +583,7 @@ func negEvalC(inner *Compiled) func(cols []types.ColVec, sel []int32, out []floa
 // kernel (Func.Floats) and direct-column arguments: argument columns
 // evaluate kernel-wise, a NULL argument yields a NULL result, exactly
 // the Floats fast path of the tuple evalB.
-func callEvalC(ff func([]float64) float64, args []*Compiled) func(cols []types.ColVec, sel []int32, out []float64, null []bool) bool {
+func callEvalC(ff func([]float64) float64, args []*Compiled) colEval {
 	if ff == nil {
 		return nil
 	}
@@ -621,13 +596,11 @@ func callEvalC(ff func([]float64) float64, args []*Compiled) func(cols []types.C
 	argOut := make([][]float64, len(args))
 	argNull := make([][]bool, len(args))
 	fvals := make([]float64, len(args))
-	return func(cols []types.ColVec, sel []int32, out []float64, null []bool) bool {
+	return func(cols []types.ColVec, sel []int32, out []float64, null []bool) {
 		n := len(sel)
 		for j, a := range args {
 			argOut[j], argNull[j] = grow(argOut[j], n), grow(argNull[j], n)
-			if !a.evalC(cols, sel, argOut[j], argNull[j]) {
-				return false
-			}
+			a.evalC(cols, sel, argOut[j], argNull[j])
 		}
 	rows:
 		for k := 0; k < n; k++ {
@@ -640,6 +613,5 @@ func callEvalC(ff func([]float64) float64, args []*Compiled) func(cols []types.C
 			}
 			out[k], null[k] = ff(fvals), false
 		}
-		return true
 	}
 }

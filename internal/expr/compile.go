@@ -46,17 +46,20 @@ type Compiled struct {
 	filterB func(tuples [][]types.Value, sel []int32) []int32
 	// filterC, when set, is the direct-column variant of filterB: it
 	// compacts the selection vector by reading borrowed column vectors
-	// (types.ColVec) without decoding tuples. Reports ok=false when a
-	// needed typed vector is missing at runtime (mixed-kind column); the
-	// caller then falls back to the tuple kernel. Set for column-vs-literal and
-	// column-vs-column comparisons; see cols.go.
-	filterC func(cols []types.ColVec, sel []int32, dc *dictCache) ([]int32, bool)
+	// (types.ColVec) without decoding tuples. Set for column-vs-literal
+	// and column-vs-column comparisons; see cols.go.
+	filterC colFilter
+	// colConj and rowConj split a condition's conjuncts (the condition
+	// itself when it is not an AND) at compile time, set by
+	// CompileCondition: those with a filterC kernel, and the rest, which
+	// TruthyBatchCols runs over the row views.
+	colConj, rowConj []*Compiled
 	// evalC, when set, is the direct-column float evaluator feeding the
 	// in-place ⟨S,C⟩ score path: out[k]/null[k] for row sel[k], read
 	// straight from column vectors. Only built for nodes whose row-path
 	// evaluation is already float-wise (see cols.go for the exactness
 	// rule), so results are bit-identical to eval + AsFloat.
-	evalC func(cols []types.ColVec, sel []int32, out []float64, null []bool) bool
+	evalC colEval
 }
 
 // Eval evaluates the expression over a tuple.
@@ -149,7 +152,8 @@ func Compile(n Node, s *schema.Schema, funcs *Registry) (*Compiled, error) {
 // CompileCondition compiles n and verifies it yields a boolean. When the
 // condition's root is a conjunction, the top-level conjuncts are also
 // compiled individually so TruthyBatch can evaluate them one at a time
-// over a shrinking selection vector.
+// over a shrinking selection vector, and TruthyBatchCols those with a
+// direct-column kernel first.
 func CompileCondition(n Node, s *schema.Schema, funcs *Registry) (*Compiled, error) {
 	out, err := Compile(n, s, funcs)
 	if err != nil {
@@ -168,6 +172,17 @@ func CompileCondition(n Node, s *schema.Schema, funcs *Registry) (*Compiled, err
 				return nil, cErr
 			}
 			out.conj[i] = cp
+		}
+	}
+	parts := []*Compiled{out}
+	if len(out.conj) > 0 {
+		parts = out.conj
+	}
+	for _, p := range parts {
+		if p.filterC != nil {
+			out.colConj = append(out.colConj, p)
+		} else {
+			out.rowConj = append(out.rowConj, p)
 		}
 	}
 	return out, nil
@@ -190,7 +205,7 @@ func (c *compiler) compile(n Node) (*Compiled, error) {
 		kind := c.schema.Columns[idx].Kind
 		out := &Compiled{kind: kind, eval: func(row []types.Value) types.Value { return row[idx] }}
 		if numericKind(kind) {
-			out.evalC = colEvalC(idx)
+			out.evalC = colEvalC(idx, kind)
 		}
 		return out, nil
 

@@ -53,15 +53,8 @@ func (ks *KeyScratch) dictHashes(k int, dict []string) []uint64 {
 // the row path's hashCols fold exactly — Value.Hash per key column folded
 // FNV-style — reusing Value.Hash itself for the per-value digests so the
 // numeric normalization (integral floats hash as ints) and large-int64
-// behaviour collide identically. Returns false (out unspecified) when any
-// key column lacks a typed window; callers then fall back to the tuple
-// path.
-func HashCols(cols []types.ColVec, sel []int32, keys []int, out []uint64, ks *KeyScratch) bool {
-	for _, c := range keys {
-		if !hasTyped(&cols[c]) {
-			return false
-		}
-	}
+// behaviour collide identically.
+func HashCols(cols []types.ColVec, sel []int32, keys []int, out []uint64, ks *KeyScratch) {
 	for j := range sel {
 		out[j] = keySeed
 	}
@@ -98,7 +91,7 @@ func HashCols(cols []types.ColVec, sel []int32, keys []int, out []uint64, ks *Ke
 				}
 				out[j] = (out[j] ^ vh) * keyPrime
 			}
-		case cv.Bools != nil:
+		default: // Bools
 			vec := cv.Bools
 			for j, i := range sel {
 				vh := nullValueHash
@@ -109,48 +102,31 @@ func HashCols(cols []types.ColVec, sel []int32, keys []int, out []uint64, ks *Ke
 			}
 		}
 	}
-	return true
-}
-
-// HasTypedCols reports whether every listed column carries a typed
-// window — the precondition for reading them slot-wise with
-// ColValue instead of falling back to the row views.
-func HasTypedCols(cols []types.ColVec, ords []int) bool {
-	for _, c := range ords {
-		if !hasTyped(&cols[c]) {
-			return false
-		}
-	}
-	return true
 }
 
 // ColValue materializes one slot of a window as a types.Value (a small
-// value struct — no allocation). ok=false when the window is untyped.
-func ColValue(cv *types.ColVec, i int32) (types.Value, bool) {
-	if cv.Nulls != nil && cv.Nulls[i] {
-		return types.Null(), true
-	}
+// value struct — no allocation).
+func ColValue(cv *types.ColVec, i int32) types.Value {
 	switch {
+	case cv.Nulls != nil && cv.Nulls[i]:
+		return types.Null()
 	case cv.Ints != nil:
-		return types.Int(cv.Ints[i]), true
+		return types.Int(cv.Ints[i])
 	case cv.Floats != nil:
-		return types.Float(cv.Floats[i]), true
+		return types.Float(cv.Floats[i])
 	case cv.Codes != nil:
-		return types.Str(cv.Dict[cv.Codes[i]]), true
-	case cv.Bools != nil:
-		return types.Bool(cv.Bools[i]), true
+		return types.Str(cv.Dict[cv.Codes[i]])
+	default: // Bools
+		return types.Bool(cv.Bools[i])
 	}
-	return types.Value{}, false
 }
 
 // KeyEqCols confirms that the probe window's key columns at slot equal
 // the build tuple's key values, with exact Value.Equal semantics (NULL
-// equals NULL, int-int exact, mixed numerics float-wise). Key columns
-// must be typed — callers only reach here after HashCols returned true.
+// equals NULL, int-int exact, mixed numerics float-wise).
 func KeyEqCols(cols []types.ColVec, slot int32, keys []int, tuple []types.Value, tupleKeys []int) bool {
 	for k, c := range keys {
-		v, ok := ColValue(&cols[c], slot)
-		if !ok || !v.Equal(tuple[tupleKeys[k]]) {
+		if !ColValue(&cols[c], slot).Equal(tuple[tupleKeys[k]]) {
 			return false
 		}
 	}

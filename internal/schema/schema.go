@@ -173,6 +173,51 @@ func (s *Schema) EqualLayout(o *Schema) bool {
 	return true
 }
 
+// StoredKind reports whether a base-table column may be declared with kind
+// k: INT, FLOAT, TEXT or BOOL.
+func StoredKind(k types.Kind) bool {
+	return k == types.KindInt || k == types.KindFloat || k == types.KindString || k == types.KindBool
+}
+
+// Coerce returns v as a cell of a column of the given kind. NULL and a
+// value of that kind pass unchanged; the numeric kinds convert where
+// lossless (INT to FLOAT, an integral FLOAT to INT). Any other value is an
+// error. This is the one rule every write path applies: storage admits
+// exactly the cells Coerce returns unchanged (CheckTuple), and SQL DML
+// converts its values through it first.
+func Coerce(v types.Value, kind types.Kind) (types.Value, error) {
+	if v.IsNull() || v.Kind() == kind {
+		return v, nil
+	}
+	switch {
+	case kind == types.KindFloat && v.Kind() == types.KindInt:
+		return types.Float(float64(v.AsInt())), nil
+	case kind == types.KindInt && v.Kind() == types.KindFloat:
+		f := v.AsFloat()
+		if f == float64(int64(f)) {
+			return types.Int(int64(f)), nil
+		}
+		return types.Value{}, fmt.Errorf("value %v is not an integer", v)
+	default:
+		return types.Value{}, fmt.Errorf("cannot store %s value in %s column", v.Kind(), kind)
+	}
+}
+
+// CheckTuple returns an error unless tuple has one cell per column and
+// every cell is NULL or of its column's declared kind: storage converts
+// nothing, so a cell Coerce would change is rejected too.
+func (s *Schema) CheckTuple(tuple []types.Value) error {
+	if len(tuple) != len(s.Columns) {
+		return fmt.Errorf("tuple arity %d does not match schema arity %d", len(tuple), len(s.Columns))
+	}
+	for i, v := range tuple {
+		if k := s.Columns[i].Kind; !v.IsNull() && v.Kind() != k {
+			return fmt.Errorf("column %s: cannot store %s value in %s column", s.Columns[i].QualifiedName(), v.Kind(), k)
+		}
+	}
+	return nil
+}
+
 // HasKey reports whether a primary key is known.
 func (s *Schema) HasKey() bool { return len(s.Key) > 0 }
 

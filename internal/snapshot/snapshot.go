@@ -116,6 +116,9 @@ func Save(cat *catalog.Catalog, w io.Writer) error {
 }
 
 // Load restores a catalog from a snapshot stream, rebuilding all indexes.
+// A column declared outside INT, FLOAT, TEXT and BOOL, or a cell whose
+// kind disagrees with its column, fails the whole load with an error
+// naming the table (and row) and the column; no catalog is returned.
 func Load(r io.Reader) (*catalog.Catalog, error) {
 	var dto dbDTO
 	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
@@ -140,7 +143,7 @@ func Load(r io.Reader) (*catalog.Catalog, error) {
 		}
 		t, err := cat.CreateTable(td.Name, s)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("snapshot: table %s: %w", td.Name, err)
 		}
 		for ri, row := range td.Rows {
 			tuple := make([]types.Value, len(row))

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"strings"
 	"testing"
 
@@ -141,6 +142,57 @@ func TestLoadErrors(t *testing.T) {
 	_, err := Load(&buf)
 	if err == nil || !strings.Contains(err.Error(), "snapshot: table t:") || !strings.Contains(err.Error(), "nope") {
 		t.Errorf("unknown key column: err = %v, want a snapshot: table t: error naming the column", err)
+	}
+}
+
+// TestLoadRejectsWrongKind pins how Load fails on a hand-built corrupt
+// snapshot: a cell whose kind disagrees with its column, or a column kind
+// outside INT/FLOAT/TEXT/BOOL, fails the whole load with a wrapped error
+// naming the table, the row (for a cell) and the column, and returns no
+// catalog.
+func TestLoadRejectsWrongKind(t *testing.T) {
+	cols := []colDTO{{Name: "id", Kind: uint8(types.KindInt)}, {Name: "score", Kind: uint8(types.KindFloat)}}
+	ok := []valDTO{{K: uint8(types.KindInt), I: 1}, {K: uint8(types.KindFloat), F: 0.5}}
+	cases := map[string]struct {
+		tables []tableDTO
+		want   []string
+	}{
+		"cell": {
+			tables: []tableDTO{
+				{Name: "good", Columns: cols, Rows: [][]valDTO{ok}},
+				{Name: "t", Columns: cols, Rows: [][]valDTO{ok, {{K: uint8(types.KindInt), I: 2}, {K: uint8(types.KindString), S: "x"}}}},
+			},
+			want: []string{"snapshot: table t row 1:", "column t.score", "cannot store TEXT value in FLOAT column"},
+		},
+		"column kind": {
+			tables: []tableDTO{
+				{Name: "good", Columns: cols, Rows: [][]valDTO{ok}},
+				{Name: "t", Columns: []colDTO{{Name: "id", Kind: uint8(types.KindInt)}, {Name: "x", Kind: 9}}},
+			},
+			want: []string{"snapshot: table t:", "column t.x", "Kind(9)"},
+		},
+		"null column kind": {
+			tables: []tableDTO{{Name: "t", Columns: []colDTO{{Name: "x", Kind: uint8(types.KindNull)}}}},
+			want:   []string{"snapshot: table t:", "column t.x", "kind NULL"},
+		},
+	}
+	for name, c := range cases {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(dbDTO{Version: formatVersion, Tables: c.tables}); err != nil {
+			t.Fatal(err)
+		}
+		cat, err := Load(&buf)
+		if err == nil || cat != nil {
+			t.Fatalf("%s: Load = (%v, %v), want no catalog and an error", name, cat, err)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not contain %q", name, err, w)
+			}
+		}
+		if errors.Unwrap(err) == nil {
+			t.Errorf("%s: error %q wraps nothing", name, err)
+		}
 	}
 }
 

@@ -53,11 +53,13 @@ func (h *Heap) Len() int { return h.count }
 func (h *Heap) Pages() int { return len(h.pages) }
 
 // Insert appends a tuple and returns its RowID. The tuple must match the
-// schema arity; storage does not copy the slice, so callers must not mutate
-// it afterwards.
+// schema arity, and every cell must be NULL or of its column's declared
+// kind (schema.CheckTuple), so every reader may rely on a column holding
+// its kind; storage does not copy the slice, so callers must not mutate it
+// afterwards.
 func (h *Heap) Insert(tuple []types.Value) (RowID, error) {
-	if len(tuple) != h.schema.Len() {
-		return RowID{}, fmt.Errorf("storage: tuple arity %d does not match schema arity %d", len(tuple), h.schema.Len())
+	if err := h.schema.CheckTuple(tuple); err != nil {
+		return RowID{}, fmt.Errorf("storage: %w", err)
 	}
 	var p *page
 	if n := len(h.pages); n > 0 && len(h.pages[n-1].rows) < PageSize {

@@ -3,6 +3,7 @@ package storage
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -57,6 +58,36 @@ func TestHeapArityCheck(t *testing.T) {
 	h := NewHeap(intSchema())
 	if _, err := h.Insert([]types.Value{types.Int(1)}); err == nil {
 		t.Error("arity mismatch should error")
+	}
+}
+
+// TestHeapRejectsWrongKind pins the heap's kind check: a cell must be
+// NULL or of its column's declared kind, storage converts nothing (an INT
+// is not admitted into a FLOAT column), and a rejected tuple leaves the
+// heap as it was.
+func TestHeapRejectsWrongKind(t *testing.T) {
+	h := NewHeap(schema.New(
+		schema.Column{Table: "t", Name: "id", Kind: types.KindInt},
+		schema.Column{Table: "t", Name: "f", Kind: types.KindFloat},
+	))
+	if _, err := h.Insert([]types.Value{types.Int(1), types.Null()}); err != nil {
+		t.Fatalf("NULL cell rejected: %v", err)
+	}
+	for _, tuple := range [][]types.Value{
+		{types.Str("x"), types.Float(1)},
+		{types.Int(2), types.Int(2)},
+		{types.Bool(true), types.Float(1)},
+	} {
+		_, err := h.Insert(tuple)
+		if err == nil {
+			t.Fatalf("Insert(%v) admitted a wrong-kind cell", tuple)
+		}
+		if !strings.Contains(err.Error(), "storage: column t.") || !strings.Contains(err.Error(), "cannot store") {
+			t.Errorf("Insert(%v) error %q does not name the column", tuple, err)
+		}
+	}
+	if h.Len() != 1 || h.Pages() != 1 {
+		t.Errorf("rejected inserts changed the heap: %d rows, %d pages", h.Len(), h.Pages())
 	}
 }
 

@@ -1,10 +1,11 @@
 package types
 
-// ColVec is one attribute of a columnar batch: borrowed windows of the
-// dense typed vectors a colstore segment holds (exactly one of Ints /
-// Floats / Codes / Bools set for a typed column, all nil for a mixed-kind
-// one). Indices are batch-local: the ColVec slices, the batch's row views
-// and its selection vector all address the same 0..Cap window.
+// ColVec is one attribute of a columnar batch: a borrowed window of the
+// dense typed vector a colstore segment holds. Exactly one of Ints /
+// Floats / Codes / Bools is set, the one of the column's declared kind
+// (INT, FLOAT, TEXT, BOOL), so a kernel compiled against the schema knows
+// which to read. Indices are batch-local: the ColVec slices, the batch's
+// row views and its selection vector all address the same 0..Cap window.
 //
 // Borrowed-vector contract (prefdb:col-view): every slice aliases
 // segment storage shared by concurrent readers. Kernels may only read;
