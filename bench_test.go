@@ -1,6 +1,7 @@
 package prefdb
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -31,7 +32,7 @@ func benchQuery(b *testing.B, db *engine.DB, sql string, mode engine.Mode) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := db.Query(sql, mode)
+		res, err := db.QueryContext(context.Background(), sql, WithMode(mode))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -65,12 +65,6 @@ type Project struct {
 type Join struct {
 	Cond        expr.Node
 	Left, Right Node
-	// DirectJoin marks that the join qualifies for direct-on-column
-	// execution: an equi-join whose probe side is a colstore-backed scan
-	// with typed key vectors, so the hash probe runs on borrowed segment
-	// vectors and materializes row views only for matching tuples
-	// (EXPLAIN renders `[direct-join]`).
-	DirectJoin bool
 	// BuildRight marks an equi-join whose hash table is built on the right
 	// input (the one with the smaller estimate) and probed with the left.
 	// The output layout stays left ++ right and pairs still combine as
@@ -269,11 +263,8 @@ func (j *Join) WithChildren(c []Node) Node {
 }
 func (j *Join) String() string {
 	var suffix string
-	if j.DirectJoin {
-		suffix = " [direct-join]"
-	}
 	if j.BuildRight {
-		suffix += " [build-right]"
+		suffix = " [build-right]"
 	}
 	if j.Cond == nil {
 		return "Join(cross)" + suffix

@@ -19,7 +19,7 @@ func TestWorkloadQueriesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := db.Query(q.SQL, engine.ModeGBU)
+		res, err := db.QueryContext(context.Background(), q.SQL, engine.WithMode(engine.ModeGBU))
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
@@ -36,12 +36,12 @@ func TestWorkloadModesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := db.Query(q.SQL, engine.ModeNative)
+		ref, err := db.QueryContext(context.Background(), q.SQL, engine.WithMode(engine.ModeNative))
 		if err != nil {
 			t.Fatalf("%s native: %v", q.Name, err)
 		}
 		for _, m := range ReportModes() {
-			res, err := db.Query(q.SQL, m)
+			res, err := db.QueryContext(context.Background(), q.SQL, engine.WithMode(m))
 			if err != nil {
 				t.Fatalf("%s %v: %v", q.Name, m, err)
 			}
@@ -153,7 +153,7 @@ func TestQueryWithNPreferences(t *testing.T) {
 		if got := strings.Count(sql, "ON genres"); got != n {
 			t.Errorf("λ=%d: %d preferences in SQL", n, got)
 		}
-		if _, err := db.Query(sql, engine.ModeGBU); err != nil {
+		if _, err := db.QueryContext(context.Background(), sql, engine.WithMode(engine.ModeGBU)); err != nil {
 			t.Errorf("λ=%d: %v", n, err)
 		}
 	}
@@ -168,7 +168,7 @@ func TestPluginNaiveDegradesWithLambda(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := func(mode engine.Mode, lambda int) int {
-		res, err := db.Query(QueryWithNPreferences(lambda), mode)
+		res, err := db.QueryContext(context.Background(), QueryWithNPreferences(lambda), engine.WithMode(mode))
 		if err != nil {
 			t.Fatal(err)
 		}

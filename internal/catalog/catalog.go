@@ -52,6 +52,15 @@ func (t *Table) Len() int { return t.Heap.Len() }
 
 // Insert appends a tuple, maintaining all indexes.
 func (t *Table) Insert(tuple []types.Value) error {
+	if err := t.store(tuple); err != nil {
+		return err
+	}
+	t.changed()
+	return nil
+}
+
+// store appends a tuple to the heap and every index.
+func (t *Table) store(tuple []types.Value) error {
 	id, err := t.Heap.Insert(tuple)
 	if err != nil {
 		return err
@@ -62,11 +71,16 @@ func (t *Table) Insert(tuple []types.Value) error {
 	for _, ix := range t.btreeIdx {
 		ix.Add(id, tuple)
 	}
+	return nil
+}
+
+// changed records one DML batch: the statistics are invalidated and the
+// version moves.
+func (t *Table) changed() {
 	t.statsMu.Lock()
-	t.stats = nil // invalidate
+	t.stats = nil
 	t.statsMu.Unlock()
 	t.version.Add(1)
-	return nil
 }
 
 // DeleteWhere tombstones every live tuple matched by pred and returns the
@@ -84,10 +98,7 @@ func (t *Table) DeleteWhere(pred func(tuple []types.Value) bool) int {
 		t.Heap.Delete(id)
 	}
 	if len(ids) > 0 {
-		t.statsMu.Lock()
-		t.stats = nil
-		t.statsMu.Unlock()
-		t.version.Add(1)
+		t.changed()
 	}
 	return len(ids)
 }
@@ -125,15 +136,12 @@ func (t *Table) UpdateWhere(pred func(tuple []types.Value) bool, apply func(tupl
 	}
 	for _, c := range changes {
 		t.Heap.Delete(c.id)
-		if err := t.Insert(c.new); err != nil {
+		if err := t.store(c.new); err != nil {
 			return 0, err
 		}
 	}
 	if len(changes) > 0 {
-		t.statsMu.Lock()
-		t.stats = nil
-		t.statsMu.Unlock()
-		t.version.Add(1)
+		t.changed()
 	}
 	return len(changes), nil
 }

@@ -464,17 +464,18 @@ func TestVersionCounter(t *testing.T) {
 		t.Errorf("Version after delete = %d, want > %d", v1, v0)
 	}
 
+	// An update is one DML batch however many rows it replaces.
 	n, err := tbl.UpdateWhere(
-		func(tuple []types.Value) bool { return tuple[0].AsInt() == 1 },
+		func(tuple []types.Value) bool { return tuple[0].AsInt() <= 50 },
 		func(tuple []types.Value) ([]types.Value, error) {
 			out := append([]types.Value(nil), tuple...)
 			out[3] = types.Float(9.9)
 			return out, nil
 		})
-	if err != nil || n != 1 {
-		t.Fatalf("update: n=%d err=%v", n, err)
+	if err != nil || n != 50 {
+		t.Fatalf("update: n=%d err=%v, want 50 rows", n, err)
 	}
-	if got := tbl.Version(); got <= v1 {
-		t.Errorf("Version after update = %d, want > %d", got, v1)
+	if got := tbl.Version(); got != v1+1 {
+		t.Errorf("Version after updating 50 rows = %d, want %d", got, v1+1)
 	}
 }

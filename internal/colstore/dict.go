@@ -3,16 +3,14 @@
 // first compaction and every rebuild after DML — assign the same code to
 // the same string. Cross-segment (and cross-store) code
 // comparisons are then valid by construction: two codes drawn from the
-// same TableDict column are equal iff their strings are, which is what
-// lets join and filter kernels compare dictionary codes directly instead
-// of re-decoding strings.
+// same TableDict column are equal iff their strings are.
 //
 // Each segment snapshots the dictionary slice after encoding. The backing
 // array is append-only between reallocations, so an older segment's
-// shorter snapshot stays a valid prefix of a newer one; kernels that
-// require *identity* (the accept-bit and hash caches) still match
-// whenever no new string appeared in between, and fall back to string
-// comparison otherwise — never to a wrong answer.
+// shorter snapshot stays a valid prefix of a newer one; the string filter
+// kernels' accept-bit cache, keyed on snapshot identity, carries over
+// from segment to segment whenever no new string appeared in between, and
+// is recomputed against the dictionary otherwise — never a wrong answer.
 package colstore
 
 import "sync"

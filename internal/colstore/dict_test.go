@@ -41,8 +41,8 @@ func fillDictHeap(t *testing.T, h *storage.Heap, n int) {
 	}
 }
 
-// TestSharedDictCrossSegmentCodes pins the property the direct join
-// leans on: under one TableDict, segments built at different times give
+// TestSharedDictCrossSegmentCodes pins the shared dictionary's contract:
+// under one TableDict, segments built at different times give
 // the same string the same code and publish snapshots of the same
 // backing array — so code-vs-code equality across segments is string
 // equality, and an older snapshot stays a prefix of a newer one.

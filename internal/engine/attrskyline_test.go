@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -12,7 +13,7 @@ func TestAttributeSkyline(t *testing.T) {
 	q := `SELECT title, duration, rating FROM movies
 	      JOIN ratings ON movies.m_id = ratings.m_id
 	      SKYLINE OF rating MAX, duration MIN`
-	res, err := db.Exec(q)
+	res, err := db.ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,20 +33,20 @@ func TestAttributeSkyline(t *testing.T) {
 func TestAttributeSkylineBruteForce(t *testing.T) {
 	// Oracle check on the generated dataset: BNL result = pairwise scan.
 	db := Open()
-	if _, err := db.Exec(`CREATE TABLE pts (id INT, x INT, y INT, PRIMARY KEY (id))`); err != nil {
+	if _, err := db.ExecContext(context.Background(), `CREATE TABLE pts (id INT, x INT, y INT, PRIMARY KEY (id))`); err != nil {
 		t.Fatal(err)
 	}
 	// Deterministic pseudo-random points, including ties and duplicates.
 	xs := []int64{3, 7, 7, 1, 9, 4, 9, 2, 5, 5, 8, 0, 6, 3, 9}
 	ys := []int64{4, 2, 2, 9, 1, 4, 5, 8, 5, 5, 3, 9, 1, 7, 1}
 	for i := range xs {
-		if _, err := db.Exec(
-			"INSERT INTO pts VALUES (" +
-				itoa(int64(i)) + ", " + itoa(xs[i]) + ", " + itoa(ys[i]) + ")"); err != nil {
+		if _, err := db.ExecContext(context.Background(),
+			"INSERT INTO pts VALUES ("+
+				itoa(int64(i))+", "+itoa(xs[i])+", "+itoa(ys[i])+")"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := db.Exec(`SELECT id, x, y FROM pts SKYLINE OF x MAX, y MAX`)
+	res, err := db.ExecContext(context.Background(), `SELECT id, x, y FROM pts SKYLINE OF x MAX, y MAX`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +81,13 @@ func TestAttributeSkylineBruteForce(t *testing.T) {
 func TestAttributeSkylineNullsRankWorst(t *testing.T) {
 	db := Open()
 	must := func(s string) {
-		if _, err := db.Exec(s); err != nil {
+		if _, err := db.ExecContext(context.Background(), s); err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
 	}
 	must(`CREATE TABLE v (id INT, x INT, PRIMARY KEY (id))`)
 	must(`INSERT INTO v VALUES (1, 5), (2, NULL), (3, 5)`)
-	res, err := db.Exec(`SELECT id FROM v SKYLINE OF x MAX`)
+	res, err := db.ExecContext(context.Background(), `SELECT id FROM v SKYLINE OF x MAX`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestAttributeSkylineNullsRankWorst(t *testing.T) {
 	// All-NULL input: nothing dominates, everything survives.
 	must(`CREATE TABLE w (id INT, x INT, PRIMARY KEY (id))`)
 	must(`INSERT INTO w VALUES (1, NULL), (2, NULL)`)
-	res2, err := db.Exec(`SELECT id FROM w SKYLINE OF x MAX`)
+	res2, err := db.ExecContext(context.Background(), `SELECT id FROM w SKYLINE OF x MAX`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,23 +113,23 @@ func TestAttributeSkylineNullsRankWorst(t *testing.T) {
 
 func TestAttributeSkylineErrorsAndModes(t *testing.T) {
 	db := setupDB(t)
-	if _, err := db.Exec(`SELECT title FROM movies SKYLINE OF ghost MAX`); err == nil {
+	if _, err := db.ExecContext(context.Background(), `SELECT title FROM movies SKYLINE OF ghost MAX`); err == nil {
 		t.Error("unknown dimension should fail")
 	}
-	if _, err := db.Exec(`SELECT title FROM movies SKYLINE OF title MAX`); err == nil {
+	if _, err := db.ExecContext(context.Background(), `SELECT title FROM movies SKYLINE OF title MAX`); err == nil {
 		t.Error("non-numeric dimension should fail")
 	}
-	if _, err := db.Exec(`SELECT title FROM movies SKYLINE OF year`); err == nil {
+	if _, err := db.ExecContext(context.Background(), `SELECT title FROM movies SKYLINE OF year`); err == nil {
 		t.Error("missing MAX/MIN should fail to parse")
 	}
 	// All strategies agree on attribute skylines.
 	q := `SELECT title, year, duration FROM movies SKYLINE OF year MAX, duration MIN`
-	ref, err := db.Query(q, ModeNative)
+	ref, err := db.QueryContext(context.Background(), q, WithMode(ModeNative))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range Modes() {
-		res, err := db.Query(q, m)
+		res, err := db.QueryContext(context.Background(), q, WithMode(m))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}

@@ -28,7 +28,7 @@ func TestColumnarIsPerTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.ColStore()
-	if _, err := db.Exec(fmt.Sprintf("INSERT INTO a VALUES (%d, 7)", n+1)); err != nil {
+	if _, err := db.ExecContext(context.Background(), fmt.Sprintf("INSERT INTO a VALUES (%d, 7)", n+1)); err != nil {
 		t.Fatal(err)
 	}
 	if a.ColStoreIfBuilt() != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -36,7 +37,7 @@ func TestConcurrentReadOnlyQueries(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				q := queries[(w+i)%len(queries)]
 				m := modes[(w+i)%len(modes)]
-				res, err := db.Query(q, m)
+				res, err := db.QueryContext(context.Background(), q, WithMode(m))
 				if err != nil {
 					errs <- err
 					return
@@ -152,7 +153,7 @@ func TestConcurrentParallelWorkload(t *testing.T) {
 	for name, sql := range workloadQueries {
 		names = append(names, name)
 		for _, m := range modes {
-			res, err := dbFor(name).Query(sql, m)
+			res, err := dbFor(name).QueryContext(context.Background(), sql, WithMode(m))
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, m, err)
 			}
@@ -169,7 +170,7 @@ func TestConcurrentParallelWorkload(t *testing.T) {
 			for i := 0; i < 2*len(names); i++ {
 				name := names[(w+i)%len(names)]
 				m := modes[(w+i)%len(modes)]
-				res, err := dbFor(name).Query(workloadQueries[name], m)
+				res, err := dbFor(name).QueryContext(context.Background(), workloadQueries[name], WithMode(m))
 				if err != nil {
 					errs <- fmt.Errorf("%s %v: %w", name, m, err)
 					return

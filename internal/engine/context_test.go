@@ -40,7 +40,7 @@ func TestQueryContextCancellation(t *testing.T) {
 	}
 	// A live context behaves exactly like the legacy positional API.
 	for _, mode := range Modes() {
-		want, err := db.Query(prefQuery, mode)
+		want, err := db.QueryContext(context.Background(), prefQuery, WithMode(mode))
 		if err != nil {
 			t.Fatalf("%v legacy: %v", mode, err)
 		}
@@ -134,7 +134,7 @@ func TestPreparedRunContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.Run(ModeGBU)
+	want, err := p.RunContext(context.Background(), WithMode(ModeGBU))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,17 +116,6 @@ func header(s *schema.Schema) []string {
 	return append(out, "score", "conf")
 }
 
-// Exec parses and executes any statement (DDL, DML or query) with the
-// database defaults and no cancellation; it is ExecContext under
-// context.Background.
-//
-// Deprecated: use ExecContext (or a Session from NewSession), which adds
-// cancellation, deadlines and per-query options. Exec remains as a thin
-// wrapper and will not be removed.
-func (db *DB) Exec(sql string) (*Result, error) {
-	return db.ExecContext(context.Background(), sql)
-}
-
 // ExecContext parses and executes any statement (DDL, DML or query)
 // under ctx and the given per-query options. Queries observe
 // cancellation, deadlines and resource budgets cooperatively (see
@@ -165,17 +154,6 @@ func (db *DB) ExecContext(ctx context.Context, sql string, opts ...QueryOption) 
 	default:
 		return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
 	}
-}
-
-// Query parses, plans and executes a preferential query with the given
-// mode and no cancellation; it is QueryContext under context.Background
-// with WithMode.
-//
-// Deprecated: use QueryContext with WithMode (or a Session from
-// NewSession), which adds cancellation, deadlines and per-query options.
-// Query remains as a thin wrapper and will not be removed.
-func (db *DB) Query(sql string, mode Mode) (*Result, error) {
-	return db.QueryContext(context.Background(), sql, WithMode(mode))
 }
 
 // QueryContext parses, plans and executes a preferential query under ctx
@@ -402,27 +380,37 @@ func (db *DB) insert(ctx context.Context, s *parser.InsertStmt, opts ...QueryOpt
 	if err != nil {
 		return nil, err
 	}
-	sch := t.Schema()
 	if s.Query != nil {
 		return db.insertSelect(ctx, t, s, opts...)
 	}
-	for ri, row := range s.Rows {
+	return insertRows(t, s.Table, s.Rows)
+}
+
+// insertRows checks and coerces every row to the table's column kinds
+// before it inserts any, so a statement that fails on one row leaves the
+// table as it was.
+func insertRows(t *catalog.Table, name string, rows [][]types.Value) (*Result, error) {
+	sch := t.Schema()
+	coerced := make([][]types.Value, len(rows))
+	for ri, row := range rows {
 		if len(row) != sch.Len() {
-			return nil, fmt.Errorf("engine: row %d has %d values, table %s has %d columns", ri+1, len(row), s.Table, sch.Len())
+			return nil, fmt.Errorf("engine: row %d has %d values, table %s has %d columns", ri+1, len(row), name, sch.Len())
 		}
-		coerced := make([]types.Value, len(row))
+		coerced[ri] = make([]types.Value, len(row))
 		for i, v := range row {
 			cv, err := schema.Coerce(v, sch.Columns[i].Kind)
 			if err != nil {
 				return nil, fmt.Errorf("engine: row %d column %s: %w", ri+1, sch.Columns[i].Name, err)
 			}
-			coerced[i] = cv
+			coerced[ri][i] = cv
 		}
-		if err := t.Insert(coerced); err != nil {
+	}
+	for _, row := range coerced {
+		if err := t.Insert(row); err != nil {
 			return nil, err
 		}
 	}
-	return &Result{Message: fmt.Sprintf("inserted %d rows into %s", len(s.Rows), s.Table)}, nil
+	return &Result{Message: fmt.Sprintf("inserted %d rows into %s", len(coerced), name)}, nil
 }
 
 func (db *DB) delete(s *parser.DeleteStmt) (*Result, error) {
@@ -498,30 +486,15 @@ func (db *DB) insertSelect(ctx context.Context, t *catalog.Table, s *parser.Inse
 	if err != nil {
 		return nil, err
 	}
-	sch := t.Schema()
-	if res.Rel.Schema.Len() != sch.Len() {
+	if n := t.Schema().Len(); res.Rel.Schema.Len() != n {
 		return nil, fmt.Errorf("engine: INSERT SELECT yields %d columns, table %s has %d",
-			res.Rel.Schema.Len(), s.Table, sch.Len())
+			res.Rel.Schema.Len(), s.Table, n)
 	}
-	// Validate and coerce everything before mutating (atomicity).
-	coercedRows := make([][]types.Value, 0, res.Rel.Len())
-	for ri, row := range res.Rel.Rows {
-		coerced := make([]types.Value, len(row.Tuple))
-		for i, v := range row.Tuple {
-			cv, err := schema.Coerce(v, sch.Columns[i].Kind)
-			if err != nil {
-				return nil, fmt.Errorf("engine: row %d column %s: %w", ri+1, sch.Columns[i].Name, err)
-			}
-			coerced[i] = cv
-		}
-		coercedRows = append(coercedRows, coerced)
+	tuples := make([][]types.Value, len(res.Rel.Rows))
+	for i, row := range res.Rel.Rows {
+		tuples[i] = row.Tuple
 	}
-	for _, row := range coercedRows {
-		if err := t.Insert(row); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Message: fmt.Sprintf("inserted %d rows into %s", len(coercedRows), s.Table)}, nil
+	return insertRows(t, s.Table, tuples)
 }
 
 // explain plans and optimizes a query without executing it.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func setupDB(t testing.TB, opts ...OpenOption) *DB {
 		`INSERT INTO ratings VALUES (1, 8.2, 900), (2, 7.4, 600), (3, 8.1, 1200), (4, 7.7, 400), (5, 6.8, 300)`,
 	}
 	for _, s := range stmts {
-		if _, err := db.Exec(s); err != nil {
+		if _, err := db.ExecContext(context.Background(), s); err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
 	}
@@ -45,37 +46,37 @@ func TestDDLAndDML(t *testing.T) {
 		t.Fatalf("movies table: %v, %d rows", err, tbl.Len())
 	}
 	// DDL errors surface.
-	if _, err := db.Exec("CREATE TABLE movies (x INT)"); err == nil {
+	if _, err := db.ExecContext(context.Background(), "CREATE TABLE movies (x INT)"); err == nil {
 		t.Error("duplicate table should error")
 	}
-	if _, err := db.Exec("CREATE TABLE bad (x INT, PRIMARY KEY (nope))"); err == nil {
+	if _, err := db.ExecContext(context.Background(), "CREATE TABLE bad (x INT, PRIMARY KEY (nope))"); err == nil {
 		t.Error("bad primary key should error")
 	}
-	if _, err := db.Exec("INSERT INTO nope VALUES (1)"); err == nil {
+	if _, err := db.ExecContext(context.Background(), "INSERT INTO nope VALUES (1)"); err == nil {
 		t.Error("insert into missing table should error")
 	}
-	if _, err := db.Exec("INSERT INTO directors VALUES (9)"); err == nil {
+	if _, err := db.ExecContext(context.Background(), "INSERT INTO directors VALUES (9)"); err == nil {
 		t.Error("arity mismatch should error")
 	}
-	if _, err := db.Exec("INSERT INTO directors VALUES ('x', 'y')"); err == nil {
+	if _, err := db.ExecContext(context.Background(), "INSERT INTO directors VALUES ('x', 'y')"); err == nil {
 		t.Error("type mismatch should error")
 	}
 	// Int literals coerce into FLOAT columns.
-	if _, err := db.Exec("INSERT INTO ratings VALUES (6, 7, 100)"); err != nil {
+	if _, err := db.ExecContext(context.Background(), "INSERT INTO ratings VALUES (6, 7, 100)"); err != nil {
 		t.Errorf("int->float coercion failed: %v", err)
 	}
 	// Exact float->int coercion works; lossy fails.
-	if _, err := db.Exec("INSERT INTO directors VALUES (4.0, 'Z')"); err != nil {
+	if _, err := db.ExecContext(context.Background(), "INSERT INTO directors VALUES (4.0, 'Z')"); err != nil {
 		t.Errorf("float->int exact coercion failed: %v", err)
 	}
-	if _, err := db.Exec("INSERT INTO directors VALUES (4.5, 'Z')"); err == nil {
+	if _, err := db.ExecContext(context.Background(), "INSERT INTO directors VALUES (4.5, 'Z')"); err == nil {
 		t.Error("lossy float->int coercion should error")
 	}
 }
 
 func TestBasicQuery(t *testing.T) {
 	db := setupDB(t)
-	res, err := db.Exec("SELECT title FROM movies WHERE year >= 2005")
+	res, err := db.ExecContext(context.Background(), "SELECT title FROM movies WHERE year >= 2005")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestQ1Example9(t *testing.T) {
 	                 director = 'C. Eastwood' SCORE 0.9 CONF 0.8 ON directors
 	      USING sum
 	      TOP 3 BY score`
-	res, err := db.Exec(q)
+	res, err := db.ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestQ2ConfidenceThreshold(t *testing.T) {
 	      PREFERRING genre = 'Comedy' SCORE 1 CONF 0.9 ON genres,
 	                 year >= 2005 SCORE recency(year, 2011) CONF 0.5 ON movies
 	      THRESHOLD conf >= 1.2`
-	res, err := db.Exec(q)
+	res, err := db.ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,12 +150,12 @@ func TestAllModesAgree(t *testing.T) {
 	      USING sum
 	      RANK BY score`
 	db := setupDB(t)
-	ref, err := db.Query(q, ModeNative)
+	ref, err := db.QueryContext(context.Background(), q, WithMode(ModeNative))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range Modes() {
-		res, err := db.Query(q, m)
+		res, err := db.QueryContext(context.Background(), q, WithMode(m))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -164,7 +165,7 @@ func TestAllModesAgree(t *testing.T) {
 	}
 	// Unoptimized execution agrees too.
 	db.Optimize = false
-	res, err := db.Query(q, ModeGBU)
+	res, err := db.QueryContext(context.Background(), q, WithMode(ModeGBU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestMembershipPreference(t *testing.T) {
 	q := `SELECT title FROM movies JOIN ratings ON movies.m_id = ratings.m_id
 	      PREFERRING true SCORE 1 CONF 0.9 ON (movies, ratings)
 	      RANK BY score`
-	res, err := db.Exec(q)
+	res, err := db.ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestMultiAttributeScoring(t *testing.T) {
 	q := `SELECT title FROM movies
 	      PREFERRING year >= 2000 SCORE 0.5*recency(year,2011) + 0.5*around(duration,120) CONF 0.9 ON movies
 	      TOP 1 BY score`
-	res, err := db.Exec(q)
+	res, err := db.ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestSkylineQuery(t *testing.T) {
 	                 duration <= 120 SCORE around(duration, 120) CONF 1 ON movies
 	      USING max
 	      SKYLINE`
-	res, err := db.Exec(q)
+	res, err := db.ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +235,11 @@ func TestQueryErrors(t *testing.T) {
 		"SELECT title FROM movies WHERE title + 1 = 2",
 	}
 	for _, q := range bad {
-		if _, err := db.Exec(q); err == nil {
+		if _, err := db.ExecContext(context.Background(), q); err == nil {
 			t.Errorf("%q should fail", q)
 		}
 	}
-	if _, err := db.Query("CREATE TABLE t (x INT)", ModeGBU); err == nil {
+	if _, err := db.QueryContext(context.Background(), "CREATE TABLE t (x INT)", WithMode(ModeGBU)); err == nil {
 		t.Error("Query should reject DDL")
 	}
 }
@@ -274,7 +275,7 @@ func TestQueryPlanExplain(t *testing.T) {
 	if len(plan.Preferences) != 1 {
 		t.Errorf("preferences = %d", len(plan.Preferences))
 	}
-	res, err := db.Exec(`SELECT title FROM movies JOIN genres ON movies.m_id = genres.m_id
+	res, err := db.ExecContext(context.Background(), `SELECT title FROM movies JOIN genres ON movies.m_id = genres.m_id
 		PREFERRING genre = 'Comedy' SCORE 1 CONF 0.8 ON genres TOP 2 BY score`)
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +296,7 @@ func TestQueryPlanExplain(t *testing.T) {
 
 func TestSelectStarIncludesSC(t *testing.T) {
 	db := setupDB(t)
-	res, err := db.Exec("SELECT * FROM directors")
+	res, err := db.ExecContext(context.Background(), "SELECT * FROM directors")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestSelectStarIncludesSC(t *testing.T) {
 		t.Errorf("columns = %v", cols)
 	}
 	// DDL results have no columns.
-	r2, _ := db.Exec("CREATE TABLE tmp (x INT)")
+	r2, _ := db.ExecContext(context.Background(), "CREATE TABLE tmp (x INT)")
 	if r2.Columns() != nil || r2.Message == "" {
 		t.Errorf("DDL result = %+v", r2)
 	}
@@ -324,14 +325,14 @@ func TestAggregatesAndFunctionsExported(t *testing.T) {
 
 func TestDeleteStatement(t *testing.T) {
 	db := setupDB(t)
-	res, err := db.Exec("DELETE FROM movies WHERE year < 2000")
+	res, err := db.ExecContext(context.Background(), "DELETE FROM movies WHERE year < 2000")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Message != "deleted 1 rows from movies" {
 		t.Errorf("message = %q", res.Message)
 	}
-	left, err := db.Exec("SELECT title FROM movies")
+	left, err := db.ExecContext(context.Background(), "SELECT title FROM movies")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +340,7 @@ func TestDeleteStatement(t *testing.T) {
 		t.Errorf("rows after delete = %d", left.Rel.Len())
 	}
 	// Indexes skip deleted rows.
-	idx, err := db.Exec("SELECT title FROM movies WHERE year >= 1980")
+	idx, err := db.ExecContext(context.Background(), "SELECT title FROM movies WHERE year >= 1980")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func TestDeleteStatement(t *testing.T) {
 		t.Errorf("index path saw deleted rows: %d", idx.Rel.Len())
 	}
 	// DELETE without WHERE empties the table.
-	if _, err := db.Exec("DELETE FROM genres"); err != nil {
+	if _, err := db.ExecContext(context.Background(), "DELETE FROM genres"); err != nil {
 		t.Fatal(err)
 	}
 	g, _ := db.Catalog().Table("genres")
@@ -355,10 +356,10 @@ func TestDeleteStatement(t *testing.T) {
 		t.Errorf("genres not emptied: %d", g.Len())
 	}
 	// Errors.
-	if _, err := db.Exec("DELETE FROM nope"); err == nil {
+	if _, err := db.ExecContext(context.Background(), "DELETE FROM nope"); err == nil {
 		t.Error("unknown table should error")
 	}
-	if _, err := db.Exec("DELETE FROM movies WHERE ghost = 1"); err == nil {
+	if _, err := db.ExecContext(context.Background(), "DELETE FROM movies WHERE ghost = 1"); err == nil {
 		t.Error("bad condition should error")
 	}
 }
@@ -375,11 +376,11 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	}
 	q := `SELECT title FROM movies JOIN genres ON movies.m_id = genres.m_id
 	      PREFERRING genre = 'Comedy' SCORE 1 CONF 0.9 ON genres TOP 2 BY score`
-	a, err := db.Query(q, ModeGBU)
+	a, err := db.QueryContext(context.Background(), q, WithMode(ModeGBU))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := restored.Query(q, ModeGBU)
+	b, err := restored.QueryContext(context.Background(), q, WithMode(ModeGBU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,53 +391,53 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 
 func TestUpdateStatement(t *testing.T) {
 	db := setupDB(t)
-	res, err := db.Exec("UPDATE movies SET year = year + 1 WHERE m_id = 1")
+	res, err := db.ExecContext(context.Background(), "UPDATE movies SET year = year + 1 WHERE m_id = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Message != "updated 1 rows in movies" {
 		t.Errorf("message = %q", res.Message)
 	}
-	check, _ := db.Exec("SELECT year FROM movies WHERE m_id = 1")
+	check, _ := db.ExecContext(context.Background(), "SELECT year FROM movies WHERE m_id = 1")
 	if check.Rel.Rows[0].Tuple[0].AsInt() != 2009 {
 		t.Errorf("year after update = %v", check.Rel.Rows[0].Tuple[0])
 	}
 	// Indexes reflect the new value.
-	byYear, _ := db.Exec("SELECT title FROM movies WHERE year = 2009")
+	byYear, _ := db.ExecContext(context.Background(), "SELECT title FROM movies WHERE year = 2009")
 	if byYear.Rel.Len() != 1 {
 		t.Errorf("btree index stale after update: %d rows", byYear.Rel.Len())
 	}
-	old, _ := db.Exec("SELECT title FROM movies WHERE year = 2008")
+	old, _ := db.ExecContext(context.Background(), "SELECT title FROM movies WHERE year = 2008")
 	if old.Rel.Len() != 0 {
 		t.Errorf("old index entry still live: %d rows", old.Rel.Len())
 	}
 	// Multi-column update without WHERE touches every row.
-	res2, err := db.Exec("UPDATE directors SET director = upper(director)")
+	res2, err := db.ExecContext(context.Background(), "UPDATE directors SET director = upper(director)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.Message != "updated 3 rows in directors" {
 		t.Errorf("message = %q", res2.Message)
 	}
-	d, _ := db.Exec("SELECT director FROM directors WHERE d_id = 1")
+	d, _ := db.ExecContext(context.Background(), "SELECT director FROM directors WHERE d_id = 1")
 	if d.Rel.Rows[0].Tuple[0].AsString() != "C. EASTWOOD" {
 		t.Errorf("director = %v", d.Rel.Rows[0].Tuple[0])
 	}
 	// Errors: unknown table/column, type mismatch (atomic: no partial writes).
-	if _, err := db.Exec("UPDATE nope SET x = 1"); err == nil {
+	if _, err := db.ExecContext(context.Background(), "UPDATE nope SET x = 1"); err == nil {
 		t.Error("unknown table should error")
 	}
-	if _, err := db.Exec("UPDATE movies SET ghost = 1"); err == nil {
+	if _, err := db.ExecContext(context.Background(), "UPDATE movies SET ghost = 1"); err == nil {
 		t.Error("unknown column should error")
 	}
-	if _, err := db.Exec("UPDATE movies SET year = 'nineteen'"); err == nil {
+	if _, err := db.ExecContext(context.Background(), "UPDATE movies SET year = 'nineteen'"); err == nil {
 		t.Error("type mismatch should error")
 	}
-	before, _ := db.Exec("SELECT year FROM movies WHERE m_id = 2")
-	if _, err := db.Exec("UPDATE movies SET year = 1.5"); err == nil {
+	before, _ := db.ExecContext(context.Background(), "SELECT year FROM movies WHERE m_id = 2")
+	if _, err := db.ExecContext(context.Background(), "UPDATE movies SET year = 1.5"); err == nil {
 		t.Error("lossy coercion should error")
 	}
-	after, _ := db.Exec("SELECT year FROM movies WHERE m_id = 2")
+	after, _ := db.ExecContext(context.Background(), "SELECT year FROM movies WHERE m_id = 2")
 	if before.Rel.Rows[0].Tuple[0].AsInt() != after.Rel.Rows[0].Tuple[0].AsInt() {
 		t.Error("failed update mutated rows (should be atomic)")
 	}
@@ -445,7 +446,8 @@ func TestUpdateStatement(t *testing.T) {
 // TestInsertRejectsWrongKind pins the kind invariant on every write path
 // into a table: the catalog API stores only NULL or the declared kind,
 // while SQL INSERT, INSERT … SELECT and UPDATE still coerce losslessly
-// (INT into FLOAT, an integral FLOAT into INT) and keep their error texts.
+// (INT into FLOAT, an integral FLOAT into INT), keep their error texts and
+// store nothing when any row fails.
 func TestInsertRejectsWrongKind(t *testing.T) {
 	db := setupDB(t)
 	dirs, err := db.Catalog().Table("directors")
@@ -465,11 +467,12 @@ func TestInsertRejectsWrongKind(t *testing.T) {
 	if dirs.Version() != v0 || dirs.Len() != n0 {
 		t.Errorf("rejected inserts moved Version %d→%d, Len %d→%d", v0, dirs.Version(), n0, dirs.Len())
 	}
-	if _, err := db.Exec(`CREATE TABLE recent (m_id INT, title TEXT, PRIMARY KEY (m_id))`); err != nil {
+	if _, err := db.ExecContext(context.Background(), `CREATE TABLE recent (m_id INT, title TEXT, PRIMARY KEY (m_id))`); err != nil {
 		t.Fatal(err)
 	}
 	for stmt, want := range map[string]string{
 		`INSERT INTO directors VALUES ('x', 'y')`:             "engine: row 1 column d_id: cannot store TEXT value in INT column",
+		`INSERT INTO directors VALUES (9, 'a'), ('x', 'y')`:   "engine: row 2 column d_id: cannot store TEXT value in INT column",
 		`INSERT INTO directors VALUES (4.5, 'Z')`:             "engine: row 1 column d_id: value 4.5 is not an integer",
 		`INSERT INTO recent SELECT title, m_id FROM movies`:   "engine: row 1 column m_id: cannot store TEXT value in INT column",
 		`UPDATE movies SET year = 'nineteen'`:                 "engine: column year: cannot store TEXT value in INT column",
@@ -478,9 +481,14 @@ func TestInsertRejectsWrongKind(t *testing.T) {
 		`INSERT INTO ratings VALUES (9, 'high', 1)`:           "engine: row 1 column rating: cannot store TEXT value in FLOAT column",
 		`INSERT INTO recent SELECT d_id, d_id FROM directors`: "engine: row 1 column title: cannot store INT value in TEXT column",
 	} {
-		if _, err := db.Exec(stmt); err == nil || err.Error() != want {
+		if _, err := db.ExecContext(context.Background(), stmt); err == nil || err.Error() != want {
 			t.Errorf("%s: err = %v, want %q", stmt, err, want)
 		}
+	}
+	// Every row is checked before any is stored: no rejected statement
+	// leaves a row behind.
+	if got := dirs.Len(); got != n0 {
+		t.Errorf("directors holds %d rows after the rejected statements, want %d", got, n0)
 	}
 	// Lossless conversions still land, stored as the column's kind.
 	for _, stmt := range []string{
@@ -489,11 +497,11 @@ func TestInsertRejectsWrongKind(t *testing.T) {
 		`INSERT INTO scores SELECT d_id, d_id FROM directors`,
 		`UPDATE scores SET s = id, id = 4.0 WHERE id = 2`,
 	} {
-		if _, err := db.Exec(stmt); err != nil {
+		if _, err := db.ExecContext(context.Background(), stmt); err != nil {
 			t.Fatalf("%s: %v", stmt, err)
 		}
 	}
-	res, err := db.Exec(`SELECT id, s FROM scores`)
+	res, err := db.ExecContext(context.Background(), `SELECT id, s FROM scores`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,12 +524,12 @@ func TestPreparedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := db.Query(q, ModeGBU)
+	ref, err := db.QueryContext(context.Background(), q, WithMode(ModeGBU))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range Modes() {
-		res, err := p.Run(m)
+		res, err := p.RunContext(context.Background(), WithMode(m))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -530,13 +538,13 @@ func TestPreparedQueries(t *testing.T) {
 		}
 	}
 	// Prepared plans see later inserts.
-	if _, err := db.Exec("INSERT INTO movies VALUES (9, 'Midnight in Paris', 2011, 94, 2)"); err != nil {
+	if _, err := db.ExecContext(context.Background(), "INSERT INTO movies VALUES (9, 'Midnight in Paris', 2011, 94, 2)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Exec("INSERT INTO genres VALUES (9, 'Comedy')"); err != nil {
+	if _, err := db.ExecContext(context.Background(), "INSERT INTO genres VALUES (9, 'Comedy')"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(ModeGBU)
+	res, err := p.RunContext(context.Background(), WithMode(ModeGBU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +567,7 @@ func TestPreparedQueries(t *testing.T) {
 
 func TestExplainStatement(t *testing.T) {
 	db := setupDB(t)
-	res, err := db.Exec(`EXPLAIN SELECT title FROM movies JOIN genres ON movies.m_id = genres.m_id
+	res, err := db.ExecContext(context.Background(), `EXPLAIN SELECT title FROM movies JOIN genres ON movies.m_id = genres.m_id
 		PREFERRING genre = 'Comedy' SCORE 1 CONF 0.8 ON genres TOP 2 BY score`)
 	if err != nil {
 		t.Fatal(err)
@@ -570,36 +578,36 @@ func TestExplainStatement(t *testing.T) {
 	if !strings.Contains(res.Plan, "Prefer(") || !strings.Contains(res.Message, "Top(2, score)") {
 		t.Errorf("explain output:\n%s", res.Message)
 	}
-	if _, err := db.Exec("EXPLAIN INSERT INTO movies VALUES (1)"); err == nil {
+	if _, err := db.ExecContext(context.Background(), "EXPLAIN INSERT INTO movies VALUES (1)"); err == nil {
 		t.Error("EXPLAIN of non-SELECT should fail")
 	}
 }
 
 func TestInsertSelect(t *testing.T) {
 	db := setupDB(t)
-	if _, err := db.Exec(`CREATE TABLE recent (m_id INT, title TEXT, PRIMARY KEY (m_id))`); err != nil {
+	if _, err := db.ExecContext(context.Background(), `CREATE TABLE recent (m_id INT, title TEXT, PRIMARY KEY (m_id))`); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Exec(`INSERT INTO recent SELECT m_id, title FROM movies WHERE year >= 2005`)
+	res, err := db.ExecContext(context.Background(), `INSERT INTO recent SELECT m_id, title FROM movies WHERE year >= 2005`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Message != "inserted 3 rows into recent" {
 		t.Errorf("message = %q", res.Message)
 	}
-	check, _ := db.Exec("SELECT title FROM recent")
+	check, _ := db.ExecContext(context.Background(), "SELECT title FROM recent")
 	if check.Rel.Len() != 3 {
 		t.Errorf("rows = %d", check.Rel.Len())
 	}
 	// Preferential source query: scores are dropped, data lands.
-	if _, err := db.Exec(`CREATE TABLE favs (m_id INT, title TEXT, PRIMARY KEY (m_id))`); err != nil {
+	if _, err := db.ExecContext(context.Background(), `CREATE TABLE favs (m_id INT, title TEXT, PRIMARY KEY (m_id))`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Exec(`INSERT INTO favs SELECT m_id, title FROM movies
+	if _, err := db.ExecContext(context.Background(), `INSERT INTO favs SELECT m_id, title FROM movies
 		PREFERRING year >= 2000 SCORE 1 CONF 0.9 ON movies TOP 2 BY score`); err != nil {
 		t.Fatal(err)
 	}
-	favs, _ := db.Exec("SELECT m_id FROM favs")
+	favs, _ := db.ExecContext(context.Background(), "SELECT m_id FROM favs")
 	if favs.Rel.Len() != 2 {
 		t.Errorf("favs rows = %d", favs.Rel.Len())
 	}
@@ -609,16 +617,16 @@ func TestInsertSelect(t *testing.T) {
 		}
 	}
 	// Arity mismatch fails before mutating.
-	before, _ := db.Exec("SELECT m_id FROM recent")
-	if _, err := db.Exec(`INSERT INTO recent SELECT title FROM movies`); err == nil {
+	before, _ := db.ExecContext(context.Background(), "SELECT m_id FROM recent")
+	if _, err := db.ExecContext(context.Background(), `INSERT INTO recent SELECT title FROM movies`); err == nil {
 		t.Error("arity mismatch should fail")
 	}
-	after, _ := db.Exec("SELECT m_id FROM recent")
+	after, _ := db.ExecContext(context.Background(), "SELECT m_id FROM recent")
 	if before.Rel.Len() != after.Rel.Len() {
 		t.Error("failed INSERT SELECT mutated the table")
 	}
 	// Type mismatch fails too.
-	if _, err := db.Exec(`INSERT INTO recent SELECT title, m_id FROM movies`); err == nil {
+	if _, err := db.ExecContext(context.Background(), `INSERT INTO recent SELECT title, m_id FROM movies`); err == nil {
 		t.Error("type mismatch should fail")
 	}
 }

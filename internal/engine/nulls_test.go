@@ -116,17 +116,17 @@ func TestIndexPathNullLiteral(t *testing.T) {
 			`CREATE TABLE t (id INT, k INT)`,
 			`INSERT INTO t VALUES (1, NULL), (2, 5), (3, 7)`,
 		} {
-			if _, err := db.Exec(stmt); err != nil {
+			if _, err := db.ExecContext(context.Background(), stmt); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if index != "" {
-			if _, err := db.Exec(fmt.Sprintf(`CREATE %s INDEX ON t (k)`, index)); err != nil {
+			if _, err := db.ExecContext(context.Background(), fmt.Sprintf(`CREATE %s INDEX ON t (k)`, index)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for cond, want := range queries {
-			res, err := db.Query(`SELECT id FROM t WHERE `+cond, ModeGBU)
+			res, err := db.QueryContext(context.Background(), `SELECT id FROM t WHERE `+cond, WithMode(ModeGBU))
 			if err != nil {
 				t.Fatalf("index=%q %s: %v", index, cond, err)
 			}

@@ -51,16 +51,6 @@ func (db *DB) prepareWith(sql string, defaults []QueryOption) (*Prepared, error)
 	return &Prepared{db: db, plan: plan, optimized: optimized, defaults: defaults}, nil
 }
 
-// Run executes the prepared query with the given mode; it is RunContext
-// under context.Background with WithMode.
-//
-// Deprecated: use RunContext with WithMode, which adds cancellation,
-// deadlines and per-query options. Run remains as a thin wrapper and will
-// not be removed.
-func (p *Prepared) Run(mode Mode) (*Result, error) {
-	return p.RunContext(context.Background(), WithMode(mode))
-}
-
 // RunContext executes the prepared query under ctx and the given options
 // (mode, timeout, resource budgets). The plan is not re-planned
 // or re-optimized; only execution is guarded. See DB.ExecContext for the

@@ -36,7 +36,7 @@ func TestPreparedStatementSeesDML(t *testing.T) {
 	}
 
 	before := run("first run")
-	if _, err := db.Exec("INSERT INTO movies VALUES (9, 'Midnight in Paris', 2011, 94, 2)"); err != nil {
+	if _, err := db.ExecContext(context.Background(), "INSERT INTO movies VALUES (9, 'Midnight in Paris', 2011, 94, 2)"); err != nil {
 		t.Fatal(err)
 	}
 	after := run("post-INSERT run")
@@ -48,7 +48,7 @@ func TestPreparedStatementSeesDML(t *testing.T) {
 		t.Errorf("top row = %q", got)
 	}
 
-	if _, err := db.Exec("UPDATE movies SET year = 2010 WHERE m_id = 2"); err != nil {
+	if _, err := db.ExecContext(context.Background(), "UPDATE movies SET year = 2010 WHERE m_id = 2"); err != nil {
 		t.Fatal(err)
 	}
 	updated := run("post-UPDATE run")

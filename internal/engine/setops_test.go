@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -17,7 +18,7 @@ func TestUnionQuery(t *testing.T) {
 	      PREFERRING duration <= 120 SCORE 1 CONF 0.5 ON movies
 	      USING sum
 	      RANK BY score`
-	res, err := db.Exec(q)
+	res, err := db.ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestUnionQuery(t *testing.T) {
 
 func TestIntersectAndExcept(t *testing.T) {
 	db := setupDB(t)
-	inter, err := db.Exec(`SELECT title FROM movies WHERE year >= 2005
+	inter, err := db.ExecContext(context.Background(), `SELECT title FROM movies WHERE year >= 2005
 	                       INTERSECT
 	                       SELECT title FROM movies WHERE duration <= 120`)
 	if err != nil {
@@ -49,7 +50,7 @@ func TestIntersectAndExcept(t *testing.T) {
 	if inter.Rel.Len() != 2 {
 		t.Errorf("intersect rows = %d", inter.Rel.Len())
 	}
-	except, err := db.Exec(`SELECT title FROM movies WHERE year >= 2005
+	except, err := db.ExecContext(context.Background(), `SELECT title FROM movies WHERE year >= 2005
 	                        EXCEPT
 	                        SELECT title FROM movies WHERE duration <= 120`)
 	if err != nil {
@@ -59,7 +60,7 @@ func TestIntersectAndExcept(t *testing.T) {
 		t.Errorf("except = %v", except.Rel.Rows)
 	}
 	// MINUS is an alias for EXCEPT.
-	minus, err := db.Exec(`SELECT title FROM movies WHERE year >= 2005
+	minus, err := db.ExecContext(context.Background(), `SELECT title FROM movies WHERE year >= 2005
 	                       MINUS
 	                       SELECT title FROM movies WHERE duration <= 120`)
 	if err != nil {
@@ -76,7 +77,7 @@ func TestCompoundChainsLeftToRight(t *testing.T) {
 	q := `SELECT title FROM movies WHERE year >= 2005
 	      UNION SELECT title FROM movies WHERE duration <= 120
 	      EXCEPT SELECT title FROM movies JOIN genres ON movies.m_id = genres.m_id WHERE genre = 'Drama'`
-	res, err := db.Exec(q)
+	res, err := db.ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +100,12 @@ func TestCompoundStrategiesAgree(t *testing.T) {
 	      SELECT title, year FROM movies WHERE duration <= 126
 	      USING sum
 	      TOP 4 BY score`
-	ref, err := db.Query(q, ModeNative)
+	ref, err := db.QueryContext(context.Background(), q, WithMode(ModeNative))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range Modes() {
-		res, err := db.Query(q, m)
+		res, err := db.QueryContext(context.Background(), q, WithMode(m))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -125,19 +126,19 @@ func TestCompoundErrors(t *testing.T) {
 		{`SELECT title FROM movies UNION`, "missing arm"},
 	}
 	for _, c := range bad {
-		if _, err := db.Exec(c.q); err == nil {
+		if _, err := db.ExecContext(context.Background(), c.q); err == nil {
 			t.Errorf("%s: %q should fail", c.reason, c.q)
 		}
 	}
 	// Star-star compound is fine.
-	if _, err := db.Exec(`SELECT * FROM directors UNION SELECT * FROM directors`); err != nil {
+	if _, err := db.ExecContext(context.Background(), `SELECT * FROM directors UNION SELECT * FROM directors`); err != nil {
 		t.Errorf("star union: %v", err)
 	}
 }
 
 func TestCompoundPlanShape(t *testing.T) {
 	db := setupDB(t)
-	res, err := db.Exec(`SELECT title FROM movies WHERE year >= 2005
+	res, err := db.ExecContext(context.Background(), `SELECT title FROM movies WHERE year >= 2005
 	                     UNION SELECT title FROM movies WHERE duration <= 96`)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +150,7 @@ func TestCompoundPlanShape(t *testing.T) {
 
 func TestOrderByAndLimit(t *testing.T) {
 	db := setupDB(t)
-	res, err := db.Exec(`SELECT title, year FROM movies ORDER BY year DESC LIMIT 2`)
+	res, err := db.ExecContext(context.Background(), `SELECT title, year FROM movies ORDER BY year DESC LIMIT 2`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestOrderByAndLimit(t *testing.T) {
 		t.Errorf("order = %v", res.Rel.Rows)
 	}
 	// OFFSET skips; ascending is the default direction.
-	res2, err := db.Exec(`SELECT year FROM movies ORDER BY year LIMIT 2 OFFSET 1`)
+	res2, err := db.ExecContext(context.Background(), `SELECT year FROM movies ORDER BY year LIMIT 2 OFFSET 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestOrderByAndLimit(t *testing.T) {
 		t.Errorf("offset order = %v", res2.Rel.Rows)
 	}
 	// Multi-key ordering with explicit ASC.
-	res3, err := db.Exec(`SELECT d_id, year FROM movies ORDER BY d_id ASC, year DESC`)
+	res3, err := db.ExecContext(context.Background(), `SELECT d_id, year FROM movies ORDER BY d_id ASC, year DESC`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestOrderByAndLimit(t *testing.T) {
 		t.Errorf("multi-key order = %v", res3.Rel.Rows[0].Tuple)
 	}
 	// ORDER BY columns need not be projected.
-	res4, err := db.Exec(`SELECT title FROM movies ORDER BY duration LIMIT 1`)
+	res4, err := db.ExecContext(context.Background(), `SELECT title FROM movies ORDER BY duration LIMIT 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestOrderByAfterPreferenceFilter(t *testing.T) {
 	      PREFERRING year >= 2000 SCORE recency(year, 2011) CONF 0.9 ON movies
 	      TOP 3 BY score
 	      ORDER BY year ASC`
-	res, err := db.Exec(q)
+	res, err := db.ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,12 +208,12 @@ func TestOrderByAfterPreferenceFilter(t *testing.T) {
 		t.Errorf("years = %v", years)
 	}
 	// All strategies agree.
-	ref, err := db.Query(q, ModeNative)
+	ref, err := db.QueryContext(context.Background(), q, WithMode(ModeNative))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range Modes() {
-		got, err := db.Query(q, m)
+		got, err := db.QueryContext(context.Background(), q, WithMode(m))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -224,7 +225,7 @@ func TestOrderByAfterPreferenceFilter(t *testing.T) {
 
 func TestOrderByLimitOnCompound(t *testing.T) {
 	db := setupDB(t)
-	res, err := db.Exec(`SELECT title, year FROM movies WHERE year >= 2005
+	res, err := db.ExecContext(context.Background(), `SELECT title, year FROM movies WHERE year >= 2005
 	                     UNION SELECT title, year FROM movies WHERE duration <= 120
 	                     ORDER BY year DESC LIMIT 2`)
 	if err != nil {
@@ -244,12 +245,12 @@ func TestOrderByLimitErrors(t *testing.T) {
 		"SELECT title FROM movies LIMIT -1",
 		"SELECT title FROM movies LIMIT 2 OFFSET",
 	} {
-		if _, err := db.Exec(q); err == nil {
+		if _, err := db.ExecContext(context.Background(), q); err == nil {
 			t.Errorf("%q should fail", q)
 		}
 	}
 	// LIMIT 0 is valid and empty.
-	res, err := db.Exec("SELECT title FROM movies LIMIT 0")
+	res, err := db.ExecContext(context.Background(), "SELECT title FROM movies LIMIT 0")
 	if err != nil || res.Rel.Len() != 0 {
 		t.Errorf("LIMIT 0 = %v, %v", res, err)
 	}

@@ -649,23 +649,12 @@ func (n *nlJoinBatch) nextBatch() (*prel.Batch, bool) {
 // each match is written once, already narrowed, into an arena tuple —
 // no concatenated intermediate tuple and no second copy.
 //
-// Both sides run direct-on-column when their batches are columnar: the
-// build hashes keys straight off the vectors
-// (joinBuildCols) and the probe hashes each batch with expr.HashCols,
-// confirming candidates against the vector slots (expr.KeyEqCols) so a
-// probe row's tuple view is touched only when it actually joins — the
-// late-materialization boundary moves past the join, and only matching
-// probe rows count into Stats.RowsMaterialized.
-//
-// Borrow contract (build side): the join table retains key hashes and
-// row views — which alias stable, store-owned tuple arenas — but never
-// types.ColVec windows, which die at the producer's next nextBatch. The
-// scratchalias analyzer enforces this on the prefdb:col-transient marker;
-// prefdbdebug builds additionally re-hash every retained entry from its
-// tuple after the build (debugCheckJoinTable), so a window retained (or a
-// vector hash inconsistent with the tuple hash) is caught at build end,
-// not at a wrong join result.
-// prefdb:col-transient
+// The join reads row views on both sides: a columnar batch's selected
+// rows count once into Stats.RowsMaterialized when they enter the join,
+// build side or probe side. The join table retains key hashes and row
+// views, which alias stable, store-owned tuple storage; prefdbdebug builds
+// re-hash every retained entry from its tuple after the build
+// (debugCheckJoinTable).
 type hashJoinBatch struct {
 	build, probe         batchIter
 	buildKeys, probeKeys []int
@@ -688,8 +677,6 @@ type hashJoinBatch struct {
 	// and the candidate pairs (index into Sel, index into table.rows).
 	hashes           []uint64
 	candSel, candRow []int32
-	bks              expr.KeyScratch // build-side dictionary hash cache
-	pks              expr.KeyScratch // probe-side dictionary hash cache
 }
 
 // joinTable is the hash join's build side laid out flat: the retained
@@ -699,7 +686,6 @@ type hashJoinBatch struct {
 // smaller than the row count, so a bucket holds at most one row on
 // average, and the table costs the same few allocations whatever the
 // number of distinct keys.
-// prefdb:col-transient
 type joinTable struct {
 	rows   []prel.Row
 	hashes []uint64
@@ -793,16 +779,16 @@ func (t *joinTable) candidates(hs []uint64, sel, rows []int32) ([]int32, []int32
 	return sel, rows
 }
 
-// keyHashes returns the key hash of every selected slot of b: straight
-// off the key vectors when b is columnar, else folding each row's tuple.
-func (h *hashJoinBatch) keyHashes(b *prel.Batch, keys []int, ks *expr.KeyScratch) []uint64 {
+// keyHashes returns the key hash of every selected row of b, folding the
+// key columns of its tuple. A columnar batch's selected rows count into
+// RowsMaterialized here: this is where they enter the join as row views.
+func (h *hashJoinBatch) keyHashes(b *prel.Batch, keys []int) []uint64 {
 	if cap(h.hashes) < len(b.Sel) {
 		h.hashes = make([]uint64, len(b.Sel))
 	}
 	hs := h.hashes[:len(b.Sel)]
 	if b.Columnar() {
-		expr.HashCols(b.Cols, b.Sel, keys, hs, ks)
-		return hs
+		h.stats.RowsMaterialized += b.Live()
 	}
 	rows := b.Rows()
 	for k, j := range b.Sel {
@@ -811,15 +797,12 @@ func (h *hashJoinBatch) keyHashes(b *prel.Batch, keys []int, ks *expr.KeyScratch
 	return hs
 }
 
-// joinBuildCols drains the build side into the join table, hashing the
-// key columns off the vectors when a batch is columnar. The retained rows
-// are the batch's row views (stable storage), so the build side counts
-// fully into RowsMaterialized — it is the buffered state of the join.
-// A build row with a NULL key column is not inserted: NULL = x is never
-// true, so it cannot join (σ_φ(R×S) ≡ R ⋈_φ S, §IV-B), and leaving it out
-// keeps both probe paths, whose confirms use Value.Equal (NULL = NULL),
-// from matching it.
-func (h *hashJoinBatch) joinBuildCols() {
+// joinBuild drains the build side into the join table, retaining the
+// batches' row views (stable storage). A build row with a NULL key column
+// is not inserted: NULL = x is never true, so it cannot join
+// (σ_φ(R×S) ≡ R ⋈_φ S, §IV-B), and leaving it out keeps the probe's
+// confirm, which uses Value.Equal (NULL = NULL), from matching it.
+func (h *hashJoinBatch) joinBuild() {
 	// The build side is buffered state: charge it against the query's
 	// materialization budgets so a runaway build trips before OOM.
 	meter := matTick{g: h.g}
@@ -829,10 +812,7 @@ func (h *hashJoinBatch) joinBuildCols() {
 		if !ok {
 			break
 		}
-		hs := h.keyHashes(b, h.buildKeys, &h.bks)
-		if b.Columnar() {
-			h.stats.RowsMaterialized += b.Live()
-		}
+		hs := h.keyHashes(b, h.buildKeys)
 		rows := b.Rows()
 		for k, j := range b.Sel {
 			if anyNull(rows[j], h.buildKeys) {
@@ -879,7 +859,7 @@ func (h *hashJoinBatch) emit(built prel.Row, probe []types.Value, probeSC types.
 
 func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
 	if !h.built {
-		h.joinBuildCols()
+		h.joinBuild()
 	}
 	if len(h.table.rows) == 0 {
 		return nil, false // nothing can join: the probe input is never read
@@ -897,7 +877,7 @@ func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
 			h.out = prel.NewBatch(b.Live())
 		}
 		h.out.Reset()
-		hs, direct := h.keyHashes(b, h.probeKeys, &h.pks), b.Columnar()
+		hs := h.keyHashes(b, h.probeKeys)
 		if cap(h.candSel) < len(hs) {
 			// Room for one candidate per probe row, the common case.
 			h.candSel, h.candRow = make([]int32, 0, len(hs)), make([]int32, 0, len(hs))
@@ -908,27 +888,14 @@ func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
 		// then overlap as the bucket lookups' did.
 		rows, confirmed := b.Rows(), 0
 		for c, k := range h.candSel {
-			j, built := b.Sel[k], h.table.rows[h.candRow[c]].Tuple
-			var eq bool
-			if direct {
-				eq = expr.KeyEqCols(b.Cols, j, h.probeKeys, built, h.buildKeys)
-			} else {
-				eq = equalOn(built, rows[j], h.buildKeys, h.probeKeys)
-			}
-			if eq {
+			built := h.table.rows[h.candRow[c]].Tuple
+			if equalOn(built, rows[b.Sel[k]], h.buildKeys, h.probeKeys) {
 				h.candSel[confirmed], h.candRow[confirmed] = k, h.candRow[c]
 				confirmed++
 			}
 		}
-		joined := int32(-1)
 		for c, k := range h.candSel[:confirmed] {
 			j := b.Sel[k]
-			if direct && k != joined {
-				// A direct probe row materializes (and is counted) only
-				// when it joins.
-				joined = k
-				h.stats.RowsMaterialized++
-			}
 			h.emit(h.table.rows[h.candRow[c]], rows[j], b.SCAt(j))
 		}
 		if h.out.Live() > 0 {
@@ -939,10 +906,8 @@ func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
 
 // debugCheckJoinTable re-hashes every retained build row from its tuple
 // in prefdbdebug builds and checks that it sits in its hash's bucket: a
-// stored hash that disagrees with hashCols exposes either a vector/tuple
-// hash divergence in expr.HashCols or a build row that retained transient
-// window state instead of stable tuple storage (the build-side borrow
-// contract). A no-op in normal builds.
+// stored hash that disagrees with hashCols exposes a build row whose
+// tuple changed after it was hashed. A no-op in normal builds.
 func debugCheckJoinTable(t *joinTable, eqL []int) {
 	if !debug.Enabled {
 		return
@@ -951,7 +916,7 @@ func debugCheckJoinTable(t *joinTable, eqL []int) {
 		for i := t.start[b]; i < t.start[b+1]; i++ {
 			h := t.hashes[i]
 			debug.Assertf(hashCols(t.rows[i].Tuple, eqL) == h,
-				"hash-join build row %d under hash %#x re-hashes differently from its tuple (vector/tuple hash divergence or retained transient window)", i, h)
+				"hash-join build row %d under hash %#x re-hashes differently from its tuple", i, h)
 			debug.Assertf(t.bucket(h) == b, "hash-join build row %d sits in bucket %d, its hash maps to bucket %d", i, b, t.bucket(h))
 		}
 	}
@@ -994,7 +959,7 @@ func (e *Executor) buildBatch(n algebra.Node) (batchIter, *schema.Schema, error)
 		}
 		tab := newAggTable(byOrds, aggOrds, x.Aggs, e.gd)
 		return &groupAggBatch{in: in, tab: tab, tick: pollTick{g: e.gd},
-			size: e.batchSize()}, out, nil
+			stats: &e.stats, size: e.batchSize()}, out, nil
 
 	case *algebra.Threshold:
 		// A threshold reads only ⟨S,C⟩, so it filters below the projections

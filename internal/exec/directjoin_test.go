@@ -16,13 +16,13 @@ import (
 	"prefdb/internal/types"
 )
 
-// directJoinDB extends the colstore fixture with the two shapes the
-// direct-join path adds: a small heap-side "names" table whose string keys
-// hit the items dictionary (and whose int column pairs up for multi-key
-// joins), and a segment-scale "orders" table whose join-key columns are
-// run-heavy — constant for hundreds of consecutive rows — the
-// low-distinct-value key shape, where every probe batch repeats a handful
-// of keys and every bucket holds many candidates.
+// directJoinDB extends the colstore fixture with two join shapes: a small
+// heap-side "names" table whose string keys hit the items dictionary (and
+// whose int column pairs up for multi-key joins), and a segment-scale
+// "orders" table whose join-key columns are run-heavy — constant for
+// hundreds of consecutive rows — the low-distinct-value key shape, where
+// every probe batch repeats a handful of keys and every bucket holds many
+// candidates.
 func directJoinDB(t testing.TB) *catalog.Catalog {
 	t.Helper()
 	c := colstoreDB(t)
@@ -90,9 +90,9 @@ func ordersPref() pref.Preference {
 	}
 }
 
-// directJoinPlans covers the probe/build/key shapes of the direct join:
-// int and string (dictionary-code) probe keys over the plain columnar
-// table, low-distinct int and code probe keys over the run-heavy table
+// directJoinPlans covers the probe/build/key shapes of a join over a
+// columnar table: int and string probe keys over the plain columnar
+// table, low-distinct int and string probe keys over the run-heavy table
 // (the rle-* plans: keys that repeat in long runs), multi-key
 // confirmation, a columnar build side, and a residual condition running
 // above the hash match.
@@ -169,12 +169,12 @@ func zeroDiagnostics(s *Stats) {
 	s.JoinProbeBatches = 0
 }
 
-// TestDirectJoinRowsEquivalence is the acceptance contract of the
-// direct-column hash join: across plan shapes × strategies × batch
-// sizes, probing (and building) straight off borrowed column vectors —
-// including dictionary-code keys and keys repeating in long runs — must
-// produce byte-identical rows, order and Stats (modulo diagnostic
-// counters) to the heap path over the same data never compacted.
+// TestDirectJoinRowsEquivalence pins joins over columnar tables to the
+// heap: across plan shapes × strategies × batch sizes, probing (and
+// building) with a columnar table's batches — including string keys and
+// keys repeating in long runs — must produce byte-identical rows, order
+// and Stats (modulo diagnostic counters) to the same data never
+// compacted.
 func TestDirectJoinRowsEquivalence(t *testing.T) {
 	fx := loadTwice(t, directJoinDB)
 	for name, plan := range directJoinPlans() {
@@ -196,12 +196,12 @@ func TestDirectJoinRowsEquivalence(t *testing.T) {
 					e.BatchSize = size
 					got, err := e.Run(plan, strategy)
 					if err != nil {
-						t.Fatalf("%s direct path: %v", label, err)
+						t.Fatalf("%s columnar path: %v", label, err)
 					}
 					mustIdentical(t, want, got, label)
 					gotStats := e.Stats()
 					if gotStats.SegmentsScanned == 0 {
-						t.Fatalf("%s: direct path read no segments: %+v", label, gotStats)
+						t.Fatalf("%s: columnar path read no segments: %+v", label, gotStats)
 					}
 					zeroDiagnostics(&gotStats)
 					if refStats != gotStats {
@@ -214,8 +214,8 @@ func TestDirectJoinRowsEquivalence(t *testing.T) {
 }
 
 // TestDirectJoinBatchOffEquivalence pins the join plans against the
-// tuple-at-a-time oracle directly, over the heap and over borrowed column
-// vectors, under every strategy.
+// tuple-at-a-time oracle directly, over the heap and over the columnar
+// copy, under every strategy.
 func TestDirectJoinBatchOffEquivalence(t *testing.T) {
 	fx := loadTwice(t, directJoinDB)
 	for name, plan := range directJoinPlans() {
@@ -238,40 +238,6 @@ func TestDirectJoinBatchOffEquivalence(t *testing.T) {
 	}
 }
 
-// TestDirectJoinLateMaterialization pins the shape claim behind the direct
-// join: on a selective join the probe side stays columnar to the hash
-// lookup, so only probe rows with at least one build match ever cross the
-// materialization boundary. The build side joins on items.id, so of the
-// ~9k probe rows scanned only the handful whose id appears in cats
-// materialize.
-func TestDirectJoinLateMaterialization(t *testing.T) {
-	cat := compacted(t, directJoinDB(t))
-	plan := &algebra.Join{
-		Cond:  expr.Bin{Op: expr.OpEq, L: expr.ColRef("cats.c_id"), R: expr.ColRef("items.id")},
-		Left:  &algebra.Scan{Table: "cats"},
-		Right: &algebra.Scan{Table: "items"},
-	}
-	e := New(cat)
-	got, err := e.Run(plan, Native)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() == 0 {
-		t.Fatal("selective join matched nothing; the shape test would pass vacuously")
-	}
-	st := e.Stats()
-	if st.JoinProbeBatches == 0 {
-		t.Fatalf("join consumed no probe batches: %+v", st)
-	}
-	if st.RowsMaterialized == 0 {
-		t.Fatalf("matches never crossed the materialization boundary: %+v", st)
-	}
-	if st.RowsMaterialized*10 > st.RowsScanned {
-		t.Fatalf("late materialization did not engage at the join boundary: materialized %d of %d scanned",
-			st.RowsMaterialized, st.RowsScanned)
-	}
-}
-
 // The fuzz fixture is segment-scale (unlike movieDB, whose tables are too
 // small to hold a segment, so FuzzBatchRowEquivalence runs heap arms
 // only). Built once: executions are read-only.
@@ -285,9 +251,9 @@ func directJoinFuzzDB(t testing.TB) fixture {
 	return djFuzzFx
 }
 
-// djGen generates random join plans over the direct-join fixture: every
-// key shape the direct path distinguishes (int, dictionary string,
-// run-heavy int, multi-key over run-heavy codes), random probe filters,
+// djGen generates random join plans over the join fixture: every key
+// shape it holds (int, string, run-heavy int, multi-key over run-heavy
+// strings and ints), random probe filters,
 // the columnar table on either join side, optional residual conjuncts and
 // a random preference/filter stack on top.
 type djGen struct{ r *rand.Rand }
@@ -312,7 +278,7 @@ func (g *djGen) plan() algebra.Node {
 		core = &algebra.Join{Cond: eq("cats.c_id", "items.grp"),
 			Left: &algebra.Scan{Table: "cats"}, Right: filt(&algebra.Scan{Table: "items"}, "items.id", 9000)}
 		p = itemsPref()
-	case 1: // dictionary-string key
+	case 1: // string key
 		core = &algebra.Join{Cond: eq("names.n_name", "items.name"),
 			Left: &algebra.Scan{Table: "names"}, Right: filt(&algebra.Scan{Table: "items"}, "items.id", 9000)}
 		p = itemsPref()
@@ -320,7 +286,7 @@ func (g *djGen) plan() algebra.Node {
 		core = &algebra.Join{Cond: eq("cats.c_id", "orders.o_grp"),
 			Left: &algebra.Scan{Table: "cats"}, Right: filt(&algebra.Scan{Table: "orders"}, "orders.o_id", 4400)}
 		p = ordersPref()
-	case 3: // multi-key over run-heavy codes and ints, optional residual
+	case 3: // multi-key over run-heavy strings and ints, optional residual
 		cond := expr.Node(expr.Bin{Op: expr.OpAnd,
 			L: eq("names.n_name", "orders.o_cat"), R: eq("names.n_grp", "orders.o_grp")})
 		if g.r.Intn(2) == 0 {
@@ -347,7 +313,7 @@ func (g *djGen) plan() algebra.Node {
 	return core
 }
 
-// FuzzDirectJoinEquivalence is the fuzz arm of the direct-join contract:
+// FuzzDirectJoinEquivalence is the fuzz arm of the columnar join contract:
 // random join plans over segment-scale tables, checked against the
 // oracle and cross-checked over the heap and columnar copies at
 // degenerate and default batch sizes (crossCheck). Run
@@ -427,9 +393,9 @@ func groupAggPlans() map[string]algebra.Node {
 }
 
 // TestGroupAggEquivalence pins γ against the oracle and across the
-// physical arms (crossCheck): heap batches and borrowed vectors at every
-// batch size must all reproduce the reference byte-for-byte — group
-// order (first-seen), sum widening, NULL skipping and all.
+// physical arms (crossCheck): heap and columnar batches at every batch
+// size must all reproduce the reference byte-for-byte — group order
+// (first-seen), sum widening, NULL skipping and all.
 func TestGroupAggEquivalence(t *testing.T) {
 	fx := loadTwice(t, directJoinDB)
 	for name, plan := range groupAggPlans() {
@@ -439,26 +405,50 @@ func TestGroupAggEquivalence(t *testing.T) {
 	}
 }
 
-// TestGroupAggDirectStaysColumnar pins that γ over a scan of a columnar
-// table aggregates on borrowed vectors: no fallback materialization of
-// the input's rows (only the emitted groups count).
-func TestGroupAggDirectStaysColumnar(t *testing.T) {
+// TestColumnarInputsCountOnce pins the materialization counter at the
+// operators that read row views: every selected row of a columnar batch
+// that enters a hash join, as probe or as build input, or γ counts once
+// into RowsMaterialized, whether or not it joins. The probe joins on
+// items.id, so only ids 1..7 match cats; all 847 selected rows count.
+func TestColumnarInputsCountOnce(t *testing.T) {
 	cat := compacted(t, directJoinDB(t))
-	plan := groupAggPlans()["rle-group"]
-
-	e := New(cat)
-	got, err := e.Run(plan, Native)
-	if err != nil {
-		t.Fatal(err)
+	// Live items with id < 900 (id%17 == 0 is deleted), and with id < 600.
+	// Both windows lie in the first segment; cats is smaller than a
+	// segment, so its rows stream from the heap tail as row batches.
+	const below900, below600 = 847, 564
+	items := func(max int64) algebra.Node {
+		return &algebra.Select{Cond: expr.Cmp("id", expr.OpLt, types.Int(max)), Input: &algebra.Scan{Table: "items"}}
 	}
-	if got.Len() == 0 {
-		t.Fatal("aggregation produced no groups")
-	}
-	st := e.Stats()
-	if st.ColBatches == 0 {
-		t.Fatalf("direct aggregation saw no columnar batches: %+v", st)
-	}
-	if st.RowsMaterialized != 0 {
-		t.Fatalf("direct aggregation materialized %d input rows; want 0", st.RowsMaterialized)
+	for _, tc := range []struct {
+		name string
+		plan algebra.Node
+		want int
+	}{
+		{"probe", &algebra.Join{
+			Cond: expr.Bin{Op: expr.OpEq, L: expr.ColRef("cats.c_id"), R: expr.ColRef("items.id")},
+			Left: &algebra.Scan{Table: "cats"}, Right: items(900)}, below900},
+		{"build", &algebra.Join{
+			Cond: expr.Bin{Op: expr.OpEq, L: expr.ColRef("items.grp"), R: expr.ColRef("cats.c_id")},
+			Left: items(600), Right: &algebra.Scan{Table: "cats"}}, below600},
+		{"group", &algebra.GroupAgg{
+			By:    []expr.Col{expr.ColRef("items.grp")},
+			Aggs:  []algebra.AggSpec{{Fn: algebra.AggCount, Col: expr.ColRef("items.id"), As: "cnt"}},
+			Input: items(900)}, below900},
+	} {
+		e := New(cat)
+		got, err := e.Run(tc.plan, Native)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.Len() == 0 {
+			t.Fatalf("%s: no rows; the count would pass vacuously", tc.name)
+		}
+		st := e.Stats()
+		if st.ColBatches == 0 {
+			t.Fatalf("%s: read no columnar batches: %+v", tc.name, st)
+		}
+		if st.RowsMaterialized != tc.want {
+			t.Errorf("%s: RowsMaterialized = %d, want %d", tc.name, st.RowsMaterialized, tc.want)
+		}
 	}
 }

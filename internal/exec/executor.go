@@ -65,15 +65,17 @@ type Stats struct {
 	SegmentsSkipped int
 	// ColBatches counts columnar (direct-on-column) batches emitted by
 	// colstore scans; RowsMaterialized counts selected rows of columnar
-	// batches that crossed the late-materialization boundary (Batch.Rows)
-	// because some operator needed tuple views. RowsMaterialized ≪
-	// RowsScanned on selective plans is the direct path's shape signature.
+	// batches that crossed the late-materialization boundary (Batch.Rows):
+	// an operator that reads a columnar batch's row views — row-path
+	// filter conjuncts or scores, a hash join on its build or probe side,
+	// a nested-loop join, γ, a projection, the pipeline root — counts the
+	// rows selected as the batch enters it, whether or not they survive.
+	// RowsMaterialized ≪ RowsScanned on selective plans is the direct
+	// path's shape signature.
 	ColBatches       int
 	RowsMaterialized int
 	// JoinProbeBatches counts probe-side batches processed by the hash
-	// join; together with RowsMaterialized it shows whether the join
-	// probed direct-on-column (probe batches high, materialized rows only
-	// at match emit) or probed row batches.
+	// join, row or columnar alike.
 	JoinProbeBatches int
 }
 

@@ -1,20 +1,13 @@
 // Grouped aggregation over p-relations: γ_{By;Aggs} groups its input by a
 // column list and computes count/sum/min/max per group, emitting one
 // tuple per distinct key in first-seen order with the unknown pair ⟨⊥,0⟩.
-//
-// The accumulator (aggTable) is fed either tuples or values drawn straight
-// from a batch's column vectors — keys hashed per batch with
-// expr.HashCols (the same fold as the tuple hash, hashCols) and per-slot
-// values materialized as types.Value structs from the vectors
-// (expr.ColValue) — so a columnar input aggregates without ever crossing
-// the row-view boundary, with results byte-identical to the tuple form.
+// It reads its input's row views, whether the batches are columnar or not.
 package exec
 
 import (
 	"fmt"
 
 	"prefdb/internal/algebra"
-	"prefdb/internal/expr"
 	"prefdb/internal/prel"
 	"prefdb/internal/schema"
 	"prefdb/internal/types"
@@ -118,7 +111,6 @@ func (g *aggGroup) result(j int, fn algebra.AggFn) types.Value {
 // key confirmation, groups kept in first-seen order. The table is the
 // operator's buffered state and meters each new group against the query's
 // materialization budgets.
-// prefdb:col-transient
 type aggTable struct {
 	byOrds  []int
 	aggs    []algebra.AggSpec
@@ -135,41 +127,33 @@ func newAggTable(byOrds, aggOrds []int, aggs []algebra.AggSpec, g *guard) *aggTa
 	return t
 }
 
-// group finds or creates the group for a precomputed key hash; keyAt
-// yields the k-th By value. Returns nil when the materialization guard
-// tripped on a new group (the trip is recorded in the guard; drain
-// surfaces it).
-func (t *aggTable) group(hash uint64, keyAt func(k int) types.Value) *aggGroup {
-	for _, g := range t.buckets[hash] {
-		match := true
-		for k := range g.key {
-			if !g.key[k].Equal(keyAt(k)) {
-				match = false
-				break
+// addTuple folds one tuple into its group, creating the group on first
+// sight. It returns false when the materialization guard tripped on a new
+// group (the trip is recorded in the guard; drain surfaces it).
+func (t *aggTable) addTuple(tuple []types.Value) bool {
+	hash := hashCols(tuple, t.byOrds)
+	var g *aggGroup
+groups:
+	for _, c := range t.buckets[hash] {
+		for k, o := range t.byOrds {
+			if !c.key[k].Equal(tuple[o]) {
+				continue groups
 			}
 		}
-		if match {
-			return g
-		}
+		g = c
+		break
 	}
-	key := make([]types.Value, len(t.byOrds))
-	for k := range key {
-		key[k] = keyAt(k)
-	}
-	g := newAggGroup(key, len(t.aggs))
-	t.buckets[hash] = append(t.buckets[hash], g)
-	t.order = append(t.order, g)
-	if t.meter.row() != nil {
-		return nil
-	}
-	return g
-}
-
-// addTuple folds one tuple of a row-form batch into the table.
-func (t *aggTable) addTuple(tuple []types.Value) bool {
-	g := t.group(hashCols(tuple, t.byOrds), func(k int) types.Value { return tuple[t.byOrds[k]] })
 	if g == nil {
-		return false
+		key := make([]types.Value, len(t.byOrds))
+		for k, o := range t.byOrds {
+			key[k] = tuple[o]
+		}
+		g = newAggGroup(key, len(t.aggs))
+		t.buckets[hash] = append(t.buckets[hash], g)
+		t.order = append(t.order, g)
+		if t.meter.row() != nil {
+			return false
+		}
 	}
 	for j, a := range t.aggs {
 		g.update(j, a.Fn, tuple[t.aggOrds[j]])
@@ -193,65 +177,35 @@ func (t *aggTable) emit() []prel.Row {
 }
 
 // groupAggBatch is γ over the pipeline: it drains its input batch-wise,
-// hashing the By columns off the vectors (expr.HashCols) and accumulating
-// agg values straight from the vector slots (expr.ColValue), in row order
-// — so the aggTable sees the same update sequence as from tuples. Slot
-// values are small Value structs read from borrowed windows; nothing from
-// the window is retained past the batch (the group keys are copied),
-// upholding the build-side borrow contract.
-// prefdb:col-transient
+// folding each selected row's tuple into the table in row order. A
+// columnar batch's selected rows count into Stats.RowsMaterialized as they
+// enter.
 type groupAggBatch struct {
-	in   batchIter
-	tab  *aggTable
-	tick pollTick
+	in    batchIter
+	tab   *aggTable
+	tick  pollTick
+	stats *Stats
 
-	built  bool
-	src    batchIter
-	hashes []uint64
-	ks     expr.KeyScratch
-	size   int
+	built bool
+	src   batchIter
+	size  int
 }
 
 func (g *groupAggBatch) drain() {
+batches:
 	for {
 		b, ok := g.in.nextBatch()
-		if !ok {
+		if !ok || g.tick.stopN(b.Live()) {
 			break
 		}
-		if g.tick.stopN(b.Live()) {
-			break
-		}
-		tripped := false
 		if b.Columnar() {
-			if cap(g.hashes) < len(b.Sel) {
-				g.hashes = make([]uint64, len(b.Sel))
-			}
-			hs := g.hashes[:len(b.Sel)]
-			expr.HashCols(b.Cols, b.Sel, g.tab.byOrds, hs, &g.ks)
-			cols := b.Cols
-			for i, j := range b.Sel {
-				grp := g.tab.group(hs[i], func(k int) types.Value {
-					return expr.ColValue(&cols[g.tab.byOrds[k]], j)
-				})
-				if grp == nil {
-					tripped = true
-					break
-				}
-				for a, spec := range g.tab.aggs {
-					grp.update(a, spec.Fn, expr.ColValue(&cols[g.tab.aggOrds[a]], j))
-				}
-			}
-		} else {
-			rows := b.Rows()
-			for _, j := range b.Sel {
-				if !g.tab.addTuple(rows[j]) {
-					tripped = true
-					break
-				}
-			}
+			g.stats.RowsMaterialized += b.Live()
 		}
-		if tripped {
-			break
+		rows := b.Rows()
+		for _, j := range b.Sel {
+			if !g.tab.addTuple(rows[j]) {
+				break batches
+			}
 		}
 	}
 	g.src = newSliceBatchSrc(g.tab.emit(), g.size)

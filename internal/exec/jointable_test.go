@@ -117,7 +117,7 @@ func TestJoinTableCollisions(t *testing.T) {
 
 	// The table really is one bucket: build it alone from bk's rows.
 	h := &hashJoinBatch{build: newSliceBatchSrc(build, defaultBatchSize), buildKeys: []int{0}, stats: &Stats{}}
-	h.joinBuildCols()
+	h.joinBuild()
 	if got, want := len(h.table.rows), 3*collideDups; got != want {
 		t.Fatalf("join table holds %d rows, want %d (NULL keys skipped)", got, want)
 	}
@@ -198,7 +198,7 @@ func TestJoinTableBuildAllocs(t *testing.T) {
 	allocs := func(rows []prel.Row) float64 {
 		return testing.AllocsPerRun(5, func() {
 			h := &hashJoinBatch{build: newSliceBatchSrc(rows, defaultBatchSize), buildKeys: []int{0}, stats: &Stats{}}
-			h.joinBuildCols()
+			h.joinBuild()
 		})
 	}
 	distinct := allocs(rowsOf(func(i int) int64 { return int64(i) }))

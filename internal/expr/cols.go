@@ -140,23 +140,14 @@ type colEval func(cols []types.ColVec, sel []int32, out []float64, null []bool)
 // NULL comparand, or operands of incomparable kinds): nothing passes.
 func rejectCols(_ []types.ColVec, sel []int32, _ *dictCache) []int32 { return sel[:0] }
 
-// sameDict reports whether two dictionary slices are the same snapshot of
-// a shared table dictionary (slice identity). Only then is code-vs-code
-// comparison sound: equal codes iff equal strings.
-func sameDict(a, b []string) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// compareFilterCols builds the direct-column kernel for a comparison:
-// column-vs-literal (either orientation) or column-vs-column. Returns nil
-// when the operands don't match those shapes.
+// compareFilterCols builds the direct-column kernel for a column-vs-literal
+// comparison, in either orientation. Returns nil for any other shape: a
+// comparison of two columns runs over the row views with the other row
+// conjuncts.
 func (c *compiler) compareFilterCols(x Bin) colFilter {
 	if col, okC := x.L.(Col); okC {
 		if lit, okL := x.R.(Lit); okL {
 			return c.colLitKernel(col, lit, x.Op, false)
-		}
-		if colR, okR := x.R.(Col); okR {
-			return c.colColKernel(col, colR, x.Op)
 		}
 	}
 	if lit, okL := x.L.(Lit); okL {
@@ -324,156 +315,6 @@ func (c *compiler) colLitKernel(col Col, lit Lit, op Op, flip bool) colFilter {
 	// The column's kind is incomparable with the literal's: every
 	// comparison is NULL, so nothing passes.
 	return rejectCols
-}
-
-// Arms of a column-vs-column kernel, chosen at compile time from the two
-// columns' declared kinds.
-const (
-	armInts    = iota // INT vs INT: exact int64 comparison
-	armNumeric        // any other numeric pair: float-wise
-	armStrings        // TEXT vs TEXT
-	armBools          // BOOL vs BOOL
-)
-
-func (c *compiler) colColKernel(l, r Col, op Op) colFilter {
-	li, err := c.schema.IndexOf(l.Table, l.Name)
-	if err != nil {
-		return nil
-	}
-	ri, err := c.schema.IndexOf(r.Table, r.Name)
-	if err != nil {
-		return nil
-	}
-	lk, rk := c.schema.Columns[li].Kind, c.schema.Columns[ri].Kind
-	var arm int
-	switch {
-	case lk == types.KindInt && rk == types.KindInt:
-		arm = armInts
-	case numericKind(lk) && numericKind(rk):
-		arm = armNumeric
-	case lk == types.KindString && rk == types.KindString:
-		arm = armStrings
-	case lk == types.KindBool && rk == types.KindBool:
-		arm = armBools
-	default:
-		// Two columns of incomparable kinds: no live pair can ever
-		// compare, so nothing passes.
-		return rejectCols
-	}
-	lInt, rInt := lk == types.KindInt, rk == types.KindInt
-	m := opAccept(op, false)
-	wantEq := op == OpEq
-	codeCmp := op == OpEq || op == OpNe
-	return func(cols []types.ColVec, sel []int32, _ *dictCache) []int32 {
-		lv, rv := &cols[li], &cols[ri]
-		ln, rn := lv.Nulls, rv.Nulls
-		out := sel[:0]
-		reject := func(i int32) bool {
-			return (ln != nil && ln[i]) || (rn != nil && rn[i])
-		}
-		switch {
-		case arm == armInts:
-			a, b := lv.Ints, rv.Ints
-			for _, i := range sel {
-				if reject(i) {
-					continue
-				}
-				cmp := 0
-				switch {
-				case a[i] < b[i]:
-					cmp = -1
-				case a[i] > b[i]:
-					cmp = 1
-				}
-				if m.ok(cmp) {
-					out = append(out, i)
-				}
-			}
-		case arm == armNumeric:
-			// Mixed numerics compare float-wise (types.Compare).
-			for _, i := range sel {
-				if reject(i) {
-					continue
-				}
-				var a, b float64
-				if lInt {
-					a = float64(lv.Ints[i])
-				} else {
-					a = lv.Floats[i]
-				}
-				if rInt {
-					b = float64(rv.Ints[i])
-				} else {
-					b = rv.Floats[i]
-				}
-				cmp := 0
-				switch {
-				case a < b:
-					cmp = -1
-				case a > b:
-					cmp = 1
-				}
-				if m.ok(cmp) {
-					out = append(out, i)
-				}
-			}
-		case arm == armStrings && codeCmp && sameDict(lv.Dict, rv.Dict):
-			// Both columns were encoded through the same shared table
-			// dictionary (slice identity), so equal codes iff equal
-			// strings — eq/ne compares codes without touching the
-			// dictionary. Codes are first-sight ordered, not
-			// lexicographic, so ordered comparisons stay on the
-			// string arm below.
-			a, b := lv.Codes, rv.Codes
-			for _, i := range sel {
-				if reject(i) {
-					continue
-				}
-				if (a[i] == b[i]) == wantEq {
-					out = append(out, i)
-				}
-			}
-		case arm == armStrings:
-			// Dictionaries differ per column, so codes are not comparable
-			// directly; compare the dictionary strings (still no
-			// types.Value decoding).
-			ld, rd := lv.Dict, rv.Dict
-			for _, i := range sel {
-				if reject(i) {
-					continue
-				}
-				a, b := ld[lv.Codes[i]], rd[rv.Codes[i]]
-				cmp := 0
-				switch {
-				case a < b:
-					cmp = -1
-				case a > b:
-					cmp = 1
-				}
-				if m.ok(cmp) {
-					out = append(out, i)
-				}
-			}
-		default: // armBools
-			a, b := lv.Bools, rv.Bools
-			for _, i := range sel {
-				if reject(i) {
-					continue
-				}
-				cmp := 0
-				switch {
-				case !a[i] && b[i]:
-					cmp = -1
-				case a[i] && !b[i]:
-					cmp = 1
-				}
-				if m.ok(cmp) {
-					out = append(out, i)
-				}
-			}
-		}
-		return out
-	}
 }
 
 // numericKind reports whether a column of this kind can feed the float

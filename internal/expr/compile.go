@@ -47,7 +47,7 @@ type Compiled struct {
 	// filterC, when set, is the direct-column variant of filterB: it
 	// compacts the selection vector by reading borrowed column vectors
 	// (types.ColVec) without decoding tuples. Set for column-vs-literal
-	// and column-vs-column comparisons; see cols.go.
+	// comparisons only; see cols.go.
 	filterC colFilter
 	// colConj and rowConj split a condition's conjuncts (the condition
 	// itself when it is not an AND) at compile time, set by

@@ -41,18 +41,9 @@ import (
 // one corrupts the store, so the analyzer flags it. Sources are matched by
 // type (types.ColVec fields, prel.Batch.Cols) and by fields declared with a
 // `prefdb:col-view` marker.
-//
-// One refinement on top of that freedom: structs that buffer state across
-// batches — hash-join build tables, aggregation accumulators — declare the
-// build-side borrow contract with a `prefdb:col-transient` marker on their
-// type declaration. A column window is only valid until the producer's next
-// nextBatch, so parking one in such a struct's fields is a use-after-reset
-// waiting to happen; the analyzer reports it. Values *copied out* of the
-// window (key hashes, dictionary codes, row views over the stable decode
-// arena) are exactly what these structs are meant to retain and stay clean.
 var ScratchAlias = &Analyzer{
 	Name: "scratchalias",
-	Doc:  "selection vectors, segScratch buffers and arena tuples must not escape their operator without a copy; segment views and borrowed column vectors may escape but not be written through, and prefdb:col-transient structs must not retain column windows across batches",
+	Doc:  "selection vectors, segScratch buffers and arena tuples must not escape their operator without a copy; segment views and borrowed column vectors may escape but not be written through",
 	Run:  runScratchAlias,
 }
 
@@ -161,23 +152,10 @@ func runScratchAlias(pass *Pass) error {
 				if k == trackNone {
 					continue
 				}
-				recvName, _ := namedOf(selection.Recv())
 				if isView(k) {
-					// Shared views normally escape freely. The exception is
-					// the build-side borrow contract: a `prefdb:col-transient`
-					// struct buffers state across batches, and a column window
-					// dies at the producer's next nextBatch — retaining one in
-					// its fields is a use-after-reset.
-					if k == trackColView && colTransient(pass, selection.Recv()) {
-						if _, ok := pass.Marker(x.Pos(), "alias-ok"); ok {
-							continue
-						}
-						pass.Reportf(x.Pos(),
-							"borrowed column vector stored into field %s.%s of a prefdb:col-transient struct; windows die at the producer's next batch — retain hashes, codes or row views instead",
-							recvName, sel.Sel.Name)
-					}
-					continue
+					continue // shared views escape freely
 				}
+				recvName, _ := namedOf(selection.Recv())
 				if blessedFields[recvName][sel.Sel.Name] {
 					continue
 				}
@@ -219,26 +197,6 @@ func kindNoun(k trackKind) string {
 		return "borrowed column vector"
 	}
 	return "selection-vector/scratch slice"
-}
-
-// colTransient reports whether t (pointers and aliases stripped) is a named
-// type whose declaration carries a `prefdb:col-transient` marker. Like the
-// field markers, the annotation is only visible when the declaring package
-// is the one under analysis.
-func colTransient(pass *Pass, t types.Type) bool {
-	for {
-		switch x := t.(type) {
-		case *types.Pointer:
-			t = x.Elem()
-		case *types.Alias:
-			t = types.Unalias(t)
-		case *types.Named:
-			_, ok := pass.Marker(x.Obj().Pos(), "col-transient")
-			return ok
-		default:
-			return false
-		}
-	}
 }
 
 // classifyExpr reports whether e derives from a tracked scratch source.

@@ -139,44 +139,3 @@ func badColWriteMarked(o *colOp) {
 func sanctionedColWrite(v types.ColVec) {
 	v.Bools[0] = true // prefdb:alias-ok vector built locally for the test, no segment behind it
 }
-
-// buildTab is a stand-in for a hash-join build table: it buffers state
-// across batches, so it declares the build-side borrow contract — hashes
-// and codes copied out of a window may be retained, the window itself not.
-// prefdb:col-transient
-type buildTab struct {
-	hashes []uint64
-	codes  []int32
-	window []int64
-	vec    types.ColVec
-}
-
-// goodBuildHashes retains values computed from the window, not the window:
-// clean — this is exactly what the contract is for.
-func goodBuildHashes(t *buildTab, b *prel.Batch) {
-	for _, v := range b.Cols[0].Ints {
-		t.hashes = append(t.hashes, uint64(v))
-	}
-}
-
-// goodBuildCodes copies dictionary codes out of the borrowed vector: clean.
-func goodBuildCodes(t *buildTab, v types.ColVec) {
-	t.codes = append(t.codes[:0], v.Codes...)
-}
-
-// badBuildWindow parks a borrowed typed slice in build-table state; the
-// producer invalidates it at its next batch.
-func badBuildWindow(t *buildTab, b *prel.Batch) {
-	t.window = b.Cols[0].Ints // want `prefdb:col-transient`
-}
-
-// badBuildVec parks the whole vector, through a local chain.
-func badBuildVec(t *buildTab, b *prel.Batch) {
-	cv := b.Cols[1]
-	t.vec = cv // want `prefdb:col-transient`
-}
-
-// sanctionedBuildWindow documents a deliberate retention.
-func sanctionedBuildWindow(t *buildTab, v types.ColVec) {
-	t.window = v.Ints // prefdb:alias-ok vector pinned for the test's lifetime, no reset behind it
-}

@@ -89,14 +89,13 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, plan algebra.Node) (alg
 		{!o.DisableProjectionPushdown, o.pruneColumns},
 		{!o.DisableProjectionPushdown, o.collapseProjections},
 		// Late materialization: the projection over a scan of a columnar
-		// table moves above the preferences over it and above an equi-join
-		// it feeds as the probe side, so they run on borrowed vectors and
-		// only surviving rows are copied. It runs after the collapse so the
-		// moved projection stays one operator of its own.
-		{true, o.pullProbeProjects},
+		// table moves above the preferences over it, so they score on
+		// borrowed vectors and only surviving rows are copied. It runs
+		// after the collapse so the moved projection stays one operator of
+		// its own.
+		{true, o.pullScanProjects},
 		// Annotation passes run last so rewrites cannot drop their marks.
 		{true, o.annotateSegments},
-		{true, o.annotateDirectJoin},
 		// Build sides are a join-order decision: the ablation that keeps
 		// the query's join order keeps every build on the left.
 		{!o.DisableJoinReorder, o.annotateBuildSide},

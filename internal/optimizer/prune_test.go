@@ -258,8 +258,9 @@ func TestCollapseStackedProjections(t *testing.T) {
 // TestBuildSideFollowsEstimates pins the build-side annotation: on the
 // Table II shapes every join after the first builds on its base table
 // (`[build-right]`) while DBLP-3's join with the larger citations keeps
-// building left; ties, fallback estimates, [direct-join] joins and the
-// join-order ablation keep building left too.
+// building left; ties, fallback estimates and the join-order ablation
+// keep building left too, and a columnar right input builds right by its
+// estimate like a heap one.
 func TestBuildSideFollowsEstimates(t *testing.T) {
 	imdb := imdbDB(t)
 	joins := func(n algebra.Node) []*algebra.Join {
@@ -316,21 +317,20 @@ func TestBuildSideFollowsEstimates(t *testing.T) {
 			t.Errorf("%s: BuildRight = %v, want %v", tc.name, got, tc.want)
 		}
 	}
+	// A columnar right input is estimated like a heap one, so it builds
+	// right by the same rule, and still does after DML moves its image.
 	dt, err := small.Table("directors")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dt.ColStore()
-	j := joins(New(small).Optimize(smaller))[0]
-	if !j.DirectJoin || j.BuildRight {
-		t.Errorf("direct join: DirectJoin = %v, BuildRight = %v; want a direct join building left", j.DirectJoin, j.BuildRight)
+	if j := joins(New(small).Optimize(smaller))[0]; !j.BuildRight {
+		t.Errorf("columnar right input: BuildRight = false, want true\n%s", algebra.Format(j))
 	}
-	// The mark follows the table, not the freshness of its image: after
-	// DML the next scan of the columnar table rebuilds the image.
 	if err := dt.Insert([]types.Value{types.Int(99), types.Str("new")}); err != nil {
 		t.Fatal(err)
 	}
-	if j := joins(New(small).Optimize(smaller))[0]; !j.DirectJoin {
-		t.Errorf("direct join lost its mark after DML on a columnar table:\n%s", algebra.Format(j))
+	if j := joins(New(small).Optimize(smaller))[0]; !j.BuildRight {
+		t.Errorf("columnar right input after DML: BuildRight = false, want true\n%s", algebra.Format(j))
 	}
 }

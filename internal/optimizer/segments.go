@@ -50,21 +50,15 @@ func (o *Optimizer) annotateSegments(n algebra.Node) algebra.Node {
 	})
 }
 
-// pullProbeProjects moves the projection the planner puts right above a
-// scan of a columnar table (catalog.Table.Columnar) to above the operators
-// that do not need it narrowed, so they run on the scan's batches and only
-// the rows that survive them are copied:
-//
-//   - λ…(C[π(X)]) → π′(λ…(C[X])), C a σ chain and X a scan: the
-//     preferences score straight off the column vectors (the direct-column
-//     score path) and the narrowing copy happens above them, where the
-//     filter stage (top-k, threshold) copies only the rows it keeps.
-//   - Join(L, C[π(X)]) → π′(Join(L, C[X])), C a σ/λ chain: the probe
-//     pipeline stays columnar to the hash lookup, so only matching rows
-//     become row views, and π′ narrows the few joined tuples.
+// pullScanProjects moves the projection the planner puts right above a
+// scan of a columnar table (catalog.Table.Columnar) to above the
+// preferences over it: λ…(C[π(X)]) → π′(λ…(C[X])), C a σ chain and X a
+// scan. The preferences then score straight off the column vectors (the
+// direct-column score path) and the narrowing copy happens above them,
+// where the filter stage (top-k, threshold) copies only the rows it keeps.
 //
 // π′ is the rewritten operator's original column list. The rewrite is
-// declined — plan unchanged — whenever either side fails to re-resolve or
+// declined — plan unchanged — whenever the chain fails to re-resolve or
 // any output column reference would be ambiguous against the widened
 // schema (restoreColumnOrder's bail-out), so it can never change the
 // plan's output schema or semantics. Plans over heap tables are
@@ -72,33 +66,21 @@ func (o *Optimizer) annotateSegments(n algebra.Node) algebra.Node {
 // operator: a strategy that materializes every operator (BU) copies it
 // where it copied the π it replaces, and the executor composes stacked
 // projections into one copy.
-func (o *Optimizer) pullProbeProjects(n algebra.Node) algebra.Node {
+func (o *Optimizer) pullScanProjects(n algebra.Node) algebra.Node {
 	return algebra.Transform(n, func(x algebra.Node) algebra.Node {
-		var widened, probe algebra.Node
-		switch y := x.(type) {
-		case *algebra.Prefer:
-			chain, spliced := spliceProject(y)
-			if !spliced {
-				return x
-			}
-			widened, probe = chain, chain
-		case *algebra.Join:
-			if y.Cond == nil || !hasEquiPair(y.Cond) {
-				return x
-			}
-			right, spliced := spliceProject(y.Right)
-			if !spliced {
-				return x
-			}
-			widened, probe = &algebra.Join{Cond: y.Cond, Left: y.Left, Right: right}, right
-		default:
+		p, ok := x.(*algebra.Prefer)
+		if !ok {
 			return x
 		}
-		scan := probeScan(probe)
+		chain, spliced := spliceProject(p)
+		if !spliced {
+			return x
+		}
+		scan := chainScan(chain)
 		if scan == nil || !o.columnar(scan) {
 			return x
 		}
-		return o.restoreColumnOrder(x, widened)
+		return o.restoreColumnOrder(x, chain)
 	})
 }
 
@@ -130,43 +112,17 @@ func spliceProject(n algebra.Node) (algebra.Node, bool) {
 	}
 }
 
-// annotateDirectJoin marks equi-joins whose probe (right) side bottoms
-// out in a scan of a columnar table: the batch path can then hash and
-// confirm the join keys on borrowed segment vectors, materializing probe
-// row views only for matching tuples (EXPLAIN renders `[direct-join]`).
-// The executor reads segments for exactly the tables this mark checks, so
-// it reflects what the very next execution will actually do.
-func (o *Optimizer) annotateDirectJoin(n algebra.Node) algebra.Node {
-	return algebra.Transform(n, func(x algebra.Node) algebra.Node {
-		j, ok := x.(*algebra.Join)
-		if !ok || j.Cond == nil || !hasEquiPair(j.Cond) {
-			return x
-		}
-		scan := probeScan(j.Right)
-		if scan == nil {
-			return x
-		}
-		if !o.columnar(scan) {
-			return x
-		}
-		cp := *j
-		cp.DirectJoin = true
-		return &cp
-	})
-}
-
 // annotateBuildSide marks each equi-join to build its hash table on the
 // input with the smaller estimated cardinality (EXPLAIN renders
 // `[build-right]`): the bucket table holds the smaller input and the
 // larger one streams past it. Left-deep plans put the growing
 // intermediate on the left, so every join after the first usually builds
-// on its base table. Ties, joins whose estimates rest on a fallback guess
-// and [direct-join] joins (whose columnar probe side is the right input)
-// keep building left.
+// on its base table. Ties and joins whose estimates rest on a fallback
+// guess keep building left.
 func (o *Optimizer) annotateBuildSide(n algebra.Node) algebra.Node {
 	return algebra.Transform(n, func(x algebra.Node) algebra.Node {
 		j, ok := x.(*algebra.Join)
-		if !ok || j.DirectJoin || j.Cond == nil || !hasEquiPair(j.Cond) {
+		if !ok || j.Cond == nil || !hasEquiPair(j.Cond) {
 			return x
 		}
 		l, lKnown := o.estimate(j.Left)
@@ -202,10 +158,9 @@ func hasEquiPair(cond expr.Node) bool {
 	return false
 }
 
-// probeScan unwraps σ/λ chains to the probe side's base scan, if any.
-// A remaining projection in the chain stops the walk: it would force
-// row materialization before the join, so the direct mark would lie.
-func probeScan(n algebra.Node) *algebra.Scan {
+// chainScan unwraps σ/λ chains to their base scan, if any. A remaining
+// projection in the chain stops the walk.
+func chainScan(n algebra.Node) *algebra.Scan {
 	for {
 		switch x := n.(type) {
 		case *algebra.Scan:

@@ -108,7 +108,7 @@ func TestZoneRowBoundTightensEstimate(t *testing.T) {
 	}
 }
 
-// TestPullProjectAbovePrefers pins the λ half of pullProbeProjects: on a
+// TestPullProjectAbovePrefers pins pullScanProjects: on a
 // compacted table the projection over the filtered scan moves above the
 // preference chain, so λλ sits directly on σ(Scan) [direct-col] under one
 // π with the original columns and the same result; on a heap table the
@@ -123,7 +123,7 @@ func TestPullProjectAbovePrefers(t *testing.T) {
 		Input: &algebra.Select{Cond: expr.Cmp("id", expr.OpLt, types.Int(perSeg)),
 			Input: &algebra.Scan{Table: "events"}}}}}
 	o := New(cat)
-	if got := o.pullProbeProjects(plan); got != algebra.Node(plan) {
+	if got := o.pullScanProjects(plan); got != algebra.Node(plan) {
 		t.Fatalf("heap-table plan rewritten:\n%s", algebra.Format(got))
 	}
 

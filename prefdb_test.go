@@ -13,11 +13,11 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 		`INSERT INTO movies VALUES (1, 'Gran Torino', 2008), (2, 'Wall Street', 1987), (3, 'Scoop', 2006)`,
 	}
 	for _, s := range stmts {
-		if _, err := db.Exec(s); err != nil {
+		if _, err := db.ExecContext(context.Background(), s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := db.Exec(`SELECT title FROM movies
+	res, err := db.ExecContext(context.Background(), `SELECT title FROM movies
 		PREFERRING year >= 2000 SCORE recency(year, 2011) CONF 0.9 ON movies
 		TOP 2 BY score`)
 	if err != nil {
@@ -43,12 +43,12 @@ func TestPublicAPIModes(t *testing.T) {
 	      JOIN genres ON movies.m_id = genres.m_id
 	      PREFERRING genre = 'Drama' SCORE 1 CONF 0.8 ON genres
 	      TOP 5 BY score`
-	ref, err := db.Query(q, ModeNative)
+	ref, err := db.QueryContext(context.Background(), q, WithMode(ModeNative))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range Modes() {
-		res, err := db.Query(q, m)
+		res, err := db.QueryContext(context.Background(), q, WithMode(m))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -76,7 +76,7 @@ func TestLoadDBLPPublic(t *testing.T) {
 	if sizes["publications"] == 0 {
 		t.Errorf("sizes = %v", sizes)
 	}
-	res, err := db.Exec(`SELECT title FROM publications
+	res, err := db.ExecContext(context.Background(), `SELECT title FROM publications
 		JOIN conferences ON publications.p_id = conferences.p_id
 		PREFERRING name = 'ICDE' SCORE 1 CONF 0.9 ON conferences
 		TOP 3 BY score`)
@@ -90,10 +90,10 @@ func TestLoadDBLPPublic(t *testing.T) {
 
 func TestRootProfileAndPreferenceAPI(t *testing.T) {
 	db := Open()
-	if _, err := db.Exec(`CREATE TABLE movies (m_id INT, title TEXT, year INT, PRIMARY KEY (m_id))`); err != nil {
+	if _, err := db.ExecContext(context.Background(), `CREATE TABLE movies (m_id INT, title TEXT, year INT, PRIMARY KEY (m_id))`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Exec(`INSERT INTO movies VALUES (1, 'A', 2008), (2, 'B', 1990)`); err != nil {
+	if _, err := db.ExecContext(context.Background(), `INSERT INTO movies VALUES (1, 'A', 2008), (2, 'B', 1990)`); err != nil {
 		t.Fatal(err)
 	}
 	p, err := ParsePreference("year >= 2000 SCORE recency(year, 2011) CONF 0.9 ON movies AS recent")
@@ -134,7 +134,7 @@ func TestRootSnapshotAndPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := p.Run(ModeGBU)
+	ref, err := p.RunContext(context.Background(), WithMode(ModeGBU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRootSnapshotAndPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := restored.Query(q, ModeGBU)
+	res, err := restored.QueryContext(context.Background(), q, WithMode(ModeGBU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,22 +161,22 @@ func TestRootCompoundQuery(t *testing.T) {
 		`CREATE TABLE t (id INT, PRIMARY KEY (id))`,
 		`INSERT INTO t VALUES (1), (2), (3)`,
 	} {
-		if _, err := db.Exec(s); err != nil {
+		if _, err := db.ExecContext(context.Background(), s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := db.Exec(`SELECT id FROM t WHERE id <= 2 UNION SELECT id FROM t WHERE id >= 2`)
+	res, err := db.ExecContext(context.Background(), `SELECT id FROM t WHERE id <= 2 UNION SELECT id FROM t WHERE id >= 2`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rel.Len() != 3 {
 		t.Errorf("union rows = %d", res.Rel.Len())
 	}
-	upd, err := db.Exec(`UPDATE t SET id = id + 10 WHERE id = 3`)
+	upd, err := db.ExecContext(context.Background(), `UPDATE t SET id = id + 10 WHERE id = 3`)
 	if err != nil || upd.Message == "" {
 		t.Fatalf("update: %v", err)
 	}
-	del, err := db.Exec(`DELETE FROM t WHERE id = 13`)
+	del, err := db.ExecContext(context.Background(), `DELETE FROM t WHERE id = 13`)
 	if err != nil || del.Message == "" {
 		t.Fatalf("delete: %v", err)
 	}
@@ -188,7 +188,7 @@ func TestRootQualitativeOrder(t *testing.T) {
 		`CREATE TABLE genres (m_id INT, genre TEXT, PRIMARY KEY (m_id, genre))`,
 		`INSERT INTO genres VALUES (1, 'Comedy'), (2, 'Drama'), (3, 'Horror')`,
 	} {
-		if _, err := db.Exec(s); err != nil {
+		if _, err := db.ExecContext(context.Background(), s); err != nil {
 			t.Fatal(err)
 		}
 	}
