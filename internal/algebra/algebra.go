@@ -51,6 +51,11 @@ type Scan struct {
 type Select struct {
 	Cond  expr.Node
 	Input Node
+	// Derived marks a selection the optimizer derived from a threshold's
+	// preferences rather than one the query wrote (EXPLAIN renders
+	// `[derived]`). It removes only rows the threshold rejects, and it
+	// always runs as a filter, never as an index access path.
+	Derived bool
 }
 
 // Project is π over a p-relation; it keeps the listed columns and always
@@ -237,9 +242,14 @@ func (s *Scan) AliasName() string {
 func (s *Select) Children() []Node { return []Node{s.Input} }
 func (s *Select) WithChildren(c []Node) Node {
 	mustArity(c, 1)
-	return &Select{Cond: s.Cond, Input: c[0]}
+	return &Select{Cond: s.Cond, Input: c[0], Derived: s.Derived}
 }
-func (s *Select) String() string { return fmt.Sprintf("Select(%s)", s.Cond) }
+func (s *Select) String() string {
+	if s.Derived {
+		return fmt.Sprintf("Select(%s) [derived]", s.Cond)
+	}
+	return fmt.Sprintf("Select(%s)", s.Cond)
+}
 
 func (p *Project) Children() []Node { return []Node{p.Input} }
 func (p *Project) WithChildren(c []Node) Node {

@@ -41,7 +41,8 @@ type Table struct {
 }
 
 // Version returns the table's DML version counter. It is bumped by every
-// Insert, and by DeleteWhere/UpdateWhere when they touch at least one row.
+// Insert, and by InsertAll/DeleteWhere/UpdateWhere when they touch at
+// least one row.
 func (t *Table) Version() uint64 { return t.version.Load() }
 
 // Schema returns the table schema.
@@ -56,6 +57,25 @@ func (t *Table) Insert(tuple []types.Value) error {
 		return err
 	}
 	t.changed()
+	return nil
+}
+
+// InsertAll appends tuples as one DML batch: the statistics are cleared
+// and the version moves once, however many rows it stores. A failing
+// tuple stops the batch; the rows stored before it stay, and count.
+func (t *Table) InsertAll(tuples [][]types.Value) error {
+	stored := 0
+	defer func() {
+		if stored > 0 {
+			t.changed()
+		}
+	}()
+	for _, tuple := range tuples {
+		if err := t.store(tuple); err != nil {
+			return err
+		}
+		stored++
+	}
 	return nil
 }
 

@@ -388,7 +388,8 @@ func (db *DB) insert(ctx context.Context, s *parser.InsertStmt, opts ...QueryOpt
 
 // insertRows checks and coerces every row to the table's column kinds
 // before it inserts any, so a statement that fails on one row leaves the
-// table as it was.
+// table as it was, then stores them as one DML batch: the statement
+// moves the table's Version() once.
 func insertRows(t *catalog.Table, name string, rows [][]types.Value) (*Result, error) {
 	sch := t.Schema()
 	coerced := make([][]types.Value, len(rows))
@@ -405,10 +406,8 @@ func insertRows(t *catalog.Table, name string, rows [][]types.Value) (*Result, e
 			coerced[ri][i] = cv
 		}
 	}
-	for _, row := range coerced {
-		if err := t.Insert(row); err != nil {
-			return nil, err
-		}
+	if err := t.InsertAll(coerced); err != nil {
+		return nil, err
 	}
 	return &Result{Message: fmt.Sprintf("inserted %d rows into %s", len(coerced), name)}, nil
 }

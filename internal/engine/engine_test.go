@@ -515,6 +515,36 @@ func TestInsertRejectsWrongKind(t *testing.T) {
 	}
 }
 
+// TestInsertMovesVersionOnce pins that one INSERT statement is one DML
+// batch: a 3-row INSERT … VALUES and a 3-row INSERT … SELECT each move the
+// table's Version() by exactly 1.
+func TestInsertMovesVersionOnce(t *testing.T) {
+	db := setupDB(t)
+	ctx := context.Background()
+	if _, err := db.ExecContext(ctx, `CREATE TABLE crew (d_id INT, director TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	crew, err := db.Catalog().Table("crew")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range []string{
+		`INSERT INTO crew VALUES (7, 'A'), (8, 'B'), (9, 'C')`,
+		`INSERT INTO crew SELECT d_id, director FROM directors`,
+	} {
+		v0, n0 := crew.Version(), crew.Len()
+		if _, err := db.ExecContext(ctx, stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		if got := crew.Len() - n0; got != 3 {
+			t.Fatalf("%s stored %d rows, want 3", stmt, got)
+		}
+		if got := crew.Version() - v0; got != 1 {
+			t.Errorf("%s moved Version() by %d, want 1", stmt, got)
+		}
+	}
+}
+
 func TestPreparedQueries(t *testing.T) {
 	db := setupDB(t)
 	q := `SELECT title FROM movies JOIN genres ON movies.m_id = genres.m_id

@@ -1149,9 +1149,9 @@ func (e *Executor) buildBatchSegment(n algebra.Node) (batchIter, *schema.Schema,
 	switch leaf := cur.(type) {
 	case *algebra.Scan:
 		// A select directly over a scan keeps its shot at an index access
-		// path.
+		// path, unless the optimizer derived it: that one only filters.
 		var conjuncts []expr.Node
-		if sel, ok := chain[len(chain)-1].(*algebra.Select); ok {
+		if sel, ok := chain[len(chain)-1].(*algebra.Select); ok && !sel.Derived {
 			conjuncts = expr.Conjuncts(sel.Cond)
 			chain = chain[:len(chain)-1]
 		}

@@ -19,10 +19,13 @@ type planGen struct {
 	r *rand.Rand
 }
 
-// genPlan produces a plan over movies ⋈ genres [⋈ directors] with random
-// selections, 0–4 preferences and a random filtering operator. The
-// directors join is an equi-join (a hash join) or, one time in three, a
-// theta join (a nested-loop join under a filter).
+// genPlan produces a plan over movies [⋈ genres] [⋈ directors]
+// [⋈ ratings] with random selections, 0–4 preferences and a random
+// filtering operator. The directors join is an equi-join (a hash join)
+// or, one time in three, a theta join (a nested-loop join under a
+// filter). Four relations reach the optimizer's whole-tree join
+// reordering, and thresholds with every comparison, by score and by
+// conf, at τ ∈ {0, 0.6, 1, random}, reach its derived selections.
 func (g *planGen) genPlan() algebra.Node {
 	// Join shape.
 	var core algebra.Node = &algebra.Scan{Table: "movies"}
@@ -44,6 +47,13 @@ func (g *planGen) genPlan() algebra.Node {
 			Left: core, Right: &algebra.Scan{Table: "directors"},
 		}
 		rels = append(rels, "directors")
+	}
+	if g.r.Intn(2) == 0 {
+		core = &algebra.Join{
+			Cond: expr.Bin{Op: expr.OpEq, L: expr.ColRef("movies.m_id"), R: expr.ColRef("ratings.m_id")},
+			Left: core, Right: &algebra.Scan{Table: "ratings"},
+		}
+		rels = append(rels, "ratings")
 	}
 
 	// Random WHERE.
@@ -87,7 +97,9 @@ func (g *planGen) genPlan() algebra.Node {
 	case 0:
 		core = &algebra.TopK{K: 1 + g.r.Intn(6), By: g.genBy(), Input: core}
 	case 1:
-		core = &algebra.Threshold{By: g.genBy(), Op: expr.OpGe, Value: g.r.Float64() * 1.5, Input: core}
+		ops := []expr.Op{expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe}
+		taus := []float64{0, 0.6, 1, g.r.Float64() * 1.5}
+		core = &algebra.Threshold{By: g.genBy(), Op: ops[g.r.Intn(len(ops))], Value: taus[g.r.Intn(len(taus))], Input: core}
 	case 2:
 		core = &algebra.Skyline{Input: core}
 	case 3:
@@ -141,6 +153,11 @@ func (g *planGen) genCond(rels []string) expr.Node {
 			return expr.Eq("genres.genre", types.Str([]string{"Drama", "Comedy", "Sport"}[g.r.Intn(3)]))
 		})
 	}
+	if contains(rels, "ratings") {
+		conds = append(conds, func() expr.Node {
+			return expr.Cmp("ratings.votes", expr.OpGt, types.Int(int64(300+100*g.r.Intn(8))))
+		})
+	}
 	c := conds[g.r.Intn(len(conds))]()
 	if g.r.Intn(3) == 0 {
 		op := expr.OpAnd
@@ -152,7 +169,9 @@ func (g *planGen) genCond(rels []string) expr.Node {
 	return c
 }
 
-// genPref produces a random single- or multi-relational preference.
+// genPref produces a random single- or multi-relational preference,
+// now and then a membership preference (a TRUE condition) or one whose
+// condition is NULL on every row.
 func (g *planGen) genPref(rels []string, i int) pref.Preference {
 	conf := 0.1 + 0.9*g.r.Float64()
 	score := []expr.Node{
@@ -160,17 +179,30 @@ func (g *planGen) genPref(rels []string, i int) pref.Preference {
 		pref.Recency("movies.year", 2011),
 		pref.Around("movies.duration", 120),
 	}[g.r.Intn(3)]
+	name := fmt.Sprintf("fz%d", i)
+	switch g.r.Intn(8) {
+	case 0:
+		return pref.Membership(name, rels, g.r.Float64(), conf)
+	case 1:
+		return pref.Preference{Name: name, On: []string{"movies"},
+			Cond: expr.Cmp("movies.year", expr.OpEq, types.Null()), Score: score, Conf: conf}
+	}
+	if contains(rels, "ratings") && g.r.Intn(3) == 0 {
+		return pref.Preference{Name: name, On: []string{"ratings"},
+			Cond:  expr.Cmp("ratings.votes", expr.OpGt, types.Int(int64(300+100*g.r.Intn(8)))),
+			Score: pref.Linear("ratings.rating", 0.1), Conf: conf}
+	}
 	if contains(rels, "genres") && g.r.Intn(2) == 0 {
 		cond := expr.Eq("genres.genre", types.Str([]string{"Drama", "Comedy", "Thriller"}[g.r.Intn(3)]))
 		if g.r.Intn(3) == 0 {
 			// Multi-relational preference over the product.
-			return pref.Preference{Name: fmt.Sprintf("fz%d", i), On: []string{"movies", "genres"}, Cond: cond, Score: score, Conf: conf}
+			return pref.Preference{Name: name, On: []string{"movies", "genres"}, Cond: cond, Score: score, Conf: conf}
 		}
-		return pref.Preference{Name: fmt.Sprintf("fz%d", i), On: []string{"genres"}, Cond: cond,
+		return pref.Preference{Name: name, On: []string{"genres"}, Cond: cond,
 			Score: expr.Lit{Val: types.Float(g.r.Float64())}, Conf: conf}
 	}
 	cond := g.genCond([]string{"movies"})
-	return pref.Preference{Name: fmt.Sprintf("fz%d", i), On: []string{"movies"}, Cond: cond, Score: score, Conf: conf}
+	return pref.Preference{Name: name, On: []string{"movies"}, Cond: cond, Score: score, Conf: conf}
 }
 
 func contains(ss []string, s string) bool {
@@ -198,7 +230,23 @@ func FuzzBatchRowEquivalence(f *testing.F) {
 		plan := g.genPlan()
 		strategies := Strategies()
 		s := strategies[int(strategyPick)%len(strategies)]
-		crossCheck(t, fixture{heap: nullMovieDB(t)}, plan, s, s.String())
+		fx := fixture{heap: nullMovieDB(t)}
+		crossCheck(t, fx, plan, s, s.String())
+		// The optimized plan (derived selections, whole-tree join order)
+		// must pass the same checks and return the unoptimized result.
+		opt := optimizer.New(fx.heap).Optimize(plan)
+		crossCheck(t, fx, opt, s, s.String()+" optimized")
+		want, err := New(fx.heap).Run(plan, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := New(fx.heap).Run(opt, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := want.Diff(got, 1e-9); diff != "" {
+			t.Fatalf("optimized %v differs\noriginal:\n%s\noptimized:\n%s\n%s", s, algebra.Format(plan), algebra.Format(opt), diff)
+		}
 	})
 }
 

@@ -268,6 +268,39 @@ func RefersOnly(n Node, tables map[string]bool) bool {
 	return ok
 }
 
+// MapCols returns a copy of n with every column reference replaced by
+// f's result; everything else is kept as it is.
+func MapCols(n Node, f func(Col) Col) Node {
+	switch x := n.(type) {
+	case Col:
+		return f(x)
+	case Bin:
+		return Bin{Op: x.Op, L: MapCols(x.L, f), R: MapCols(x.R, f)}
+	case Un:
+		return Un{Op: x.Op, X: MapCols(x.X, f)}
+	case Call:
+		args := make([]Node, len(x.Args))
+		for i, a := range x.Args {
+			args[i] = MapCols(a, f)
+		}
+		return Call{Name: x.Name, Args: args}
+	case Between:
+		return Between{X: MapCols(x.X, f), Lo: MapCols(x.Lo, f), Hi: MapCols(x.Hi, f)}
+	case In:
+		list := make([]Node, len(x.List))
+		for i, a := range x.List {
+			list[i] = MapCols(a, f)
+		}
+		return In{X: MapCols(x.X, f), List: list}
+	case Like:
+		return Like{X: MapCols(x.X, f), Pattern: x.Pattern}
+	case IsNull:
+		return IsNull{X: MapCols(x.X, f), Negate: x.Negate}
+	default:
+		return n
+	}
+}
+
 // Conjuncts splits an AND tree into its conjuncts.
 func Conjuncts(n Node) []Node {
 	if n == nil {

@@ -2,7 +2,8 @@
 // properties of the prefer operator (§IV-C) and the heuristic rules of
 // §VI-A:
 //
-//  1. selections are pushed down as far as they can go (split by relation);
+//  1. selections are pushed down as far as they can go (split by relation),
+//     including the selection a threshold over a λ chain implies (derive.go);
 //  2. projections are pushed down (column pruning above scans);
 //  3. prefer operators are pushed down, just on top of a select or project
 //     (Property 4.1);
@@ -11,9 +12,9 @@
 //  5. several prefers on the same relation are ordered in ascending
 //     selectivity of their conditional parts (Property 4.3).
 //
-// In addition the optimizer rebuilds join trees left-deep and orders join
-// factors by estimated cardinality, standing in for "the join order that
-// would be followed by the native query optimizer".
+// In addition the optimizer rebuilds each whole join tree left-deep and
+// orders its factors by estimated cardinality, standing in for "the join
+// order that would be followed by the native query optimizer".
 package optimizer
 
 import (
@@ -110,8 +111,16 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, plan algebra.Node) (alg
 
 // --- heuristic 1: selection pushdown ---
 
+// pushSelections first derives σ from the thresholds over λ chains
+// (deriveThresholdSelects), pushes every selection, then keeps a derived
+// σ only where a join separates it from its threshold.
 func (o *Optimizer) pushSelections(n algebra.Node) algebra.Node {
-	return fixpoint(n, o.pushSelectOnce)
+	n, derived := o.deriveThresholdSelects(n)
+	n = fixpoint(n, o.pushSelectOnce)
+	if derived {
+		n = keepJoinedDerived(n, false)
+	}
+	return n
 }
 
 // fixpoint applies a local rewrite bottom-up until no node changes,
@@ -142,15 +151,19 @@ func (o *Optimizer) pushSelectOnce(n algebra.Node) algebra.Node {
 	}
 	switch child := sel.Input.(type) {
 	case *algebra.Select:
+		if sel.Derived != child.Derived {
+			return o.passSelect(sel, child)
+		}
 		// Merge cascades: σ_a σ_b = σ_{a∧b}.
 		return &algebra.Select{
-			Cond:  expr.Bin{Op: expr.OpAnd, L: sel.Cond, R: child.Cond},
-			Input: child.Input,
+			Cond:    expr.Bin{Op: expr.OpAnd, L: sel.Cond, R: child.Cond},
+			Input:   child.Input,
+			Derived: sel.Derived,
 		}
 	case *algebra.Prefer:
 		// Property 4.1: σ_φ λ_p(R) = λ_p σ_φ(R) (φ never references
 		// score/conf — those live outside the expression language).
-		return &algebra.Prefer{P: child.P, Input: &algebra.Select{Cond: sel.Cond, Input: child.Input}}
+		return &algebra.Prefer{P: child.P, Input: &algebra.Select{Cond: sel.Cond, Input: child.Input, Derived: sel.Derived}}
 	case *algebra.Join:
 		leftRels := algebra.BaseRelations(child.Left)
 		rightRels := algebra.BaseRelations(child.Right)
@@ -170,14 +183,14 @@ func (o *Optimizer) pushSelectOnce(n algebra.Node) algebra.Node {
 		}
 		l, r := child.Left, child.Right
 		if len(toLeft) > 0 {
-			l = &algebra.Select{Cond: expr.AndAll(toLeft), Input: l}
+			l = &algebra.Select{Cond: expr.AndAll(toLeft), Input: l, Derived: sel.Derived}
 		}
 		if len(toRight) > 0 {
-			r = &algebra.Select{Cond: expr.AndAll(toRight), Input: r}
+			r = &algebra.Select{Cond: expr.AndAll(toRight), Input: r, Derived: sel.Derived}
 		}
 		out := algebra.Node(&algebra.Join{Cond: child.Cond, Left: l, Right: r})
 		if len(stay) > 0 {
-			out = &algebra.Select{Cond: expr.AndAll(stay), Input: out}
+			out = &algebra.Select{Cond: expr.AndAll(stay), Input: out, Derived: sel.Derived}
 		}
 		return out
 	case *algebra.Set:
@@ -187,14 +200,33 @@ func (o *Optimizer) pushSelectOnce(n algebra.Node) algebra.Node {
 		if onlyUnqualified(sel.Cond) {
 			return &algebra.Set{
 				Op:    child.Op,
-				Left:  &algebra.Select{Cond: sel.Cond, Input: child.Left},
-				Right: &algebra.Select{Cond: sel.Cond, Input: child.Right},
+				Left:  &algebra.Select{Cond: sel.Cond, Input: child.Left, Derived: sel.Derived},
+				Right: &algebra.Select{Cond: sel.Cond, Input: child.Right, Derived: sel.Derived},
 			}
 		}
 		return n
 	default:
 		return n
 	}
+}
+
+// passSelect moves a query σ and a derived σ past each other instead of
+// merging them, so the derived one stays marked and never shares a query
+// σ's index access path: a query σ always moves below a derived one, and
+// a derived σ moves below a query σ only when it can then be pushed
+// further. Each move pushes one of them strictly down, so the fixpoint
+// cannot cycle.
+func (o *Optimizer) passSelect(sel, child *algebra.Select) algebra.Node {
+	if !sel.Derived {
+		return &algebra.Select{Cond: child.Cond, Derived: true,
+			Input: &algebra.Select{Cond: sel.Cond, Input: child.Input}}
+	}
+	below := &algebra.Select{Cond: sel.Cond, Input: child.Input, Derived: true}
+	pushed := o.pushSelectOnce(below)
+	if pushed == algebra.Node(below) {
+		return sel
+	}
+	return &algebra.Select{Cond: child.Cond, Input: pushed}
 }
 
 func onlyUnqualified(n expr.Node) bool {
@@ -322,23 +354,52 @@ func (o *Optimizer) preferSelectivity(p pref.Preference) float64 {
 
 // --- join reordering (left-deep, smallest-first) ---
 
+// reorderJoins runs top-down: it flattens the topmost join of each join
+// tree into all of its factors, reorders the join trees inside each
+// factor, then orders the factors. Bottom-up, the inner joins would be
+// reordered first, and the projection restoreColumnOrder puts over them
+// would hide their factors from the joins above, so a tree's last
+// factors could never move.
 func (o *Optimizer) reorderJoins(n algebra.Node) algebra.Node {
-	return algebra.Transform(n, func(x algebra.Node) algebra.Node {
-		j, ok := x.(*algebra.Join)
-		if !ok {
-			return x
-		}
-		// Only rewrite the topmost join of a join tree (children already
-		// transformed; nested joins below will be flattened here).
-		factors, preds := flattenJoins(j)
-		if len(factors) < 3 {
-			return x
-		}
-		rebuilt := o.buildLeftDeep(factors, preds)
-		// Reordering permutes the join product's column order; restore the
-		// original layout so the plan's output schema is unchanged.
-		return o.restoreColumnOrder(j, rebuilt)
-	})
+	j, ok := n.(*algebra.Join)
+	if !ok {
+		return rewriteChildren(n, o.reorderJoins)
+	}
+	factors, preds := flattenJoins(j)
+	if len(factors) < 3 {
+		return rewriteChildren(n, o.reorderJoins)
+	}
+	for i, f := range factors {
+		factors[i] = o.reorderJoins(f)
+	}
+	rebuilt := o.buildLeftDeep(factors, preds)
+	// Reordering permutes the join product's column order; restore the
+	// original layout so the plan's output schema is unchanged. When that
+	// is impossible the tree keeps its order, and its inner joins are
+	// tried on their own.
+	if out := o.restoreColumnOrder(j, rebuilt); out != algebra.Node(j) {
+		return out
+	}
+	return rewriteChildren(n, o.reorderJoins)
+}
+
+// rewriteChildren applies f to each child of n and returns n, or a copy
+// of n when some child changed.
+func rewriteChildren(n algebra.Node, f func(algebra.Node) algebra.Node) algebra.Node {
+	children := n.Children()
+	if len(children) == 0 {
+		return n
+	}
+	kids := make([]algebra.Node, len(children))
+	changed := false
+	for i, c := range children {
+		kids[i] = f(c)
+		changed = changed || kids[i] != c
+	}
+	if !changed {
+		return n
+	}
+	return n.WithChildren(kids)
 }
 
 type joinPred struct {

@@ -410,3 +410,29 @@ func TestDisableJoinReorder(t *testing.T) {
 		t.Fatalf("join order changed despite DisableJoinReorder:\n%s", algebra.Format(opt))
 	}
 }
+
+// TestReorderWholeJoinTree pins the top-down join reordering: a 4-relation
+// tree is ordered as a whole, so its smallest factor leads even when the
+// query writes it last. Bottom-up, the inner three joins were reordered
+// first and wrapped in a column-restoring projection, which hid them from
+// the top join: the last factor could never move.
+func TestReorderWholeJoinTree(t *testing.T) {
+	cat := fanoutDB(t)
+	plan := joinOn(
+		joinOn(
+			joinOn(&algebra.Scan{Table: "cast"}, &algebra.Scan{Table: "movies"}, "cast.m_id", "movies.m_id"),
+			&algebra.Scan{Table: "genres"}, "movies.m_id", "genres.m_id"),
+		&algebra.Scan{Table: "directors"}, "movies.d_id", "directors.d_id")
+	opt := New(cat).Optimize(plan)
+	n := algebra.Node(opt)
+	for len(n.Children()) > 0 {
+		n = n.Children()[0]
+	}
+	if scan, ok := n.(*algebra.Scan); !ok || scan.Table != "directors" {
+		t.Fatalf("leftmost factor should be directors, the smallest:\n%s", algebra.Format(opt))
+	}
+	if got := algebra.CountOps(opt)["join"]; got != 3 {
+		t.Fatalf("reordered tree has %d joins, want 3:\n%s", got, algebra.Format(opt))
+	}
+	mustAgree(t, cat, plan, opt)
+}

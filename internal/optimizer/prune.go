@@ -71,7 +71,7 @@ func (o *Optimizer) pruneColumns(plan algebra.Node) algebra.Node {
 		if sel, ok := n.(*algebra.Select); ok {
 			if pr, ok := sel.Input.(*algebra.Project); ok && inserted[pr] {
 				hoisted := &algebra.Project{Cols: pr.Cols,
-					Input: &algebra.Select{Cond: sel.Cond, Input: pr.Input}}
+					Input: &algebra.Select{Cond: sel.Cond, Input: pr.Input, Derived: sel.Derived}}
 				inserted[hoisted] = true // stacked selections keep swapping down
 				return hoisted
 			}

@@ -13,10 +13,11 @@ import (
 // on min/max metadata alone (EXPLAIN renders `[segments N skip≈M]`).
 // The pass never builds a store itself — the next scan of a columnar
 // table rebuilds a stale one — so plans over heap tables are unchanged.
+// A derived σ runs as a filter above the scan, so it prunes nothing.
 func (o *Optimizer) annotateSegments(n algebra.Node) algebra.Node {
 	return algebra.Transform(n, func(x algebra.Node) algebra.Node {
 		sel, ok := x.(*algebra.Select)
-		if !ok {
+		if !ok || sel.Derived {
 			return x
 		}
 		scan, ok := sel.Input.(*algebra.Scan)
