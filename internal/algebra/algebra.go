@@ -76,6 +76,12 @@ type Join struct {
 	// F(left, right); only the row order differs (EXPLAIN renders
 	// `[build-right]`).
 	BuildRight bool
+	// Cols lists the join's output columns, each resolved against
+	// left ++ right; nil means left ++ right. The condition reads
+	// left ++ right whatever Cols keeps. The optimizer sets Cols to keep
+	// a reordered tree's column order and to drop the columns nothing
+	// above the join reads (EXPLAIN renders `[cols …]`).
+	Cols []expr.Col
 }
 
 // SetOp enumerates the extended set operations.
@@ -256,12 +262,15 @@ func (p *Project) WithChildren(c []Node) Node {
 	mustArity(c, 1)
 	return &Project{Cols: p.Cols, Input: c[0]}
 }
-func (p *Project) String() string {
-	cols := make([]string, len(p.Cols))
-	for i, c := range p.Cols {
-		cols[i] = c.String()
+func (p *Project) String() string { return "Project(" + colList(p.Cols) + ")" }
+
+// colList renders columns as "a.x, b.y".
+func colList(cols []expr.Col) string {
+	parts := make([]string, len(cols))
+	for i, c := range cols {
+		parts[i] = c.String()
 	}
-	return fmt.Sprintf("Project(%s)", strings.Join(cols, ", "))
+	return strings.Join(parts, ", ")
 }
 
 func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
@@ -275,6 +284,9 @@ func (j *Join) String() string {
 	var suffix string
 	if j.BuildRight {
 		suffix = " [build-right]"
+	}
+	if j.Cols != nil {
+		suffix += " [cols " + colList(j.Cols) + "]"
 	}
 	if j.Cond == nil {
 		return "Join(cross)" + suffix

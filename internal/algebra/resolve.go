@@ -43,15 +43,7 @@ func (r *Resolver) Resolve(n Node) (*schema.Schema, error) {
 		if err != nil {
 			return nil, err
 		}
-		ords := make([]int, len(x.Cols))
-		for i, c := range x.Cols {
-			idx, err := in.IndexOf(c.Table, c.Name)
-			if err != nil {
-				return nil, fmt.Errorf("in %s: %w", x, err)
-			}
-			ords[i] = idx
-		}
-		return in.Project(ords), nil
+		return project(x, in, x.Cols)
 
 	case *Join:
 		l, err := r.Resolve(x.Left)
@@ -68,7 +60,10 @@ func (r *Resolver) Resolve(n Node) (*schema.Schema, error) {
 				return nil, fmt.Errorf("in %s: %w", x, err)
 			}
 		}
-		return out, nil
+		if x.Cols == nil {
+			return out, nil
+		}
+		return project(x, out, x.Cols)
 
 	case *Set:
 		l, err := r.Resolve(x.Left)
@@ -162,4 +157,17 @@ func (r *Resolver) Resolve(n Node) (*schema.Schema, error) {
 	default:
 		return nil, fmt.Errorf("algebra: unknown node type %T", n)
 	}
+}
+
+// project narrows in to cols, the column list of operator n.
+func project(n Node, in *schema.Schema, cols []expr.Col) (*schema.Schema, error) {
+	ords := make([]int, len(cols))
+	for i, c := range cols {
+		idx, err := in.IndexOf(c.Table, c.Name)
+		if err != nil {
+			return nil, fmt.Errorf("in %s: %w", n, err)
+		}
+		ords[i] = idx
+	}
+	return in.Project(ords), nil
 }

@@ -551,7 +551,7 @@ func (l *limitBatch) nextBatch() (*prel.Batch, bool) {
 // runs as a filter above it. It buffers the right input (materialized
 // state, metered against the guard), then pairs each selected row of each
 // left batch with every buffered right row, in (left order, right order)
-// sequence, writing left ++ right into arena tuples, size rows per output
+// sequence, writing each pair through its gather, size rows per output
 // batch.
 type nlJoinBatch struct {
 	left, right batchIter
@@ -566,7 +566,7 @@ type nlJoinBatch struct {
 	lb     *prel.Batch // current left batch
 	li, ri int         // next pair: selected left row li × buffered right row ri
 	out    *prel.Batch
-	arena  projectArena
+	gather joinGather
 }
 
 // buildRight buffers the right input; a columnar batch's rows cross into
@@ -614,10 +614,7 @@ func (n *nlJoinBatch) nextBatch() (*prel.Batch, bool) {
 		l, lsc := n.lb.Rows()[j], n.lb.SCAt(j)
 		for ; n.ri < len(n.rRows) && n.out.Cap() < n.size; n.ri++ {
 			r := n.rRows[n.ri]
-			t := n.arena.tuple()
-			copy(t, l)
-			copy(t[len(l):], r.Tuple)
-			n.out.Push(prel.Row{Tuple: t, SC: n.agg.Combine(lsc, r.SC)})
+			n.out.Push(prel.Row{Tuple: n.gather.tuple(l, r.Tuple), SC: n.agg.Combine(lsc, r.SC)})
 		}
 		if n.ri == len(n.rRows) {
 			n.li, n.ri = n.li+1, 0
@@ -645,9 +642,10 @@ func (n *nlJoinBatch) nextBatch() (*prel.Batch, bool) {
 // and then of the confirms, do not depend on one another across rows, so
 // their cache misses overlap instead of stalling once per probe row.
 //
-// A projection directly above the join is evaluated inside it (ords):
-// each match is written once, already narrowed, into an arena tuple —
-// no concatenated intermediate tuple and no second copy.
+// The join's Cols, and a projection directly above it, are evaluated
+// inside it (its gather): each match is written once, already narrowed,
+// into an arena tuple — no concatenated intermediate tuple and no second
+// copy.
 //
 // The join reads row views on both sides: a columnar batch's selected
 // rows count once into Stats.RowsMaterialized when they enter the join,
@@ -660,19 +658,15 @@ type hashJoinBatch struct {
 	buildKeys, probeKeys []int
 	// buildRight: the build side is the right input.
 	buildRight bool
-	// leftWidth is the left input's column count; ords, when non-nil,
-	// lists the output columns as ordinals into left ++ right.
-	leftWidth int
-	ords      []int
-	agg       pref.Aggregate
-	stats     *Stats
-	g         *guard
-	tick      pollTick
+	gather     joinGather
+	agg        pref.Aggregate
+	stats      *Stats
+	g          *guard
+	tick       pollTick
 
 	built bool
 	table joinTable
 	out   *prel.Batch
-	arena projectArena
 	// Probe scratch, reused across batches: the selected rows' key hashes
 	// and the candidate pairs (index into Sel, index into table.rows).
 	hashes           []uint64
@@ -841,20 +835,40 @@ func (h *hashJoinBatch) emit(built prel.Row, probe []types.Value, probeSC types.
 	if h.buildRight {
 		l, r, lsc, rsc = probe, built.Tuple, probeSC, built.SC
 	}
-	t := h.arena.tuple()
-	if h.ords == nil {
+	h.out.Push(prel.Row{Tuple: h.gather.tuple(l, r), SC: h.agg.Combine(lsc, rsc)})
+}
+
+// joinGather writes the joined pairs of one join into arena tuples:
+// left ++ right, or with ords the listed columns of left ++ right.
+type joinGather struct {
+	leftWidth int
+	ords      []int // nil: left ++ right
+	arena     projectArena
+}
+
+// tuple returns the output tuple of the pair (l, r).
+func (g *joinGather) tuple(l, r []types.Value) []types.Value {
+	t := g.arena.tuple()
+	if g.ords == nil {
 		copy(t, l)
 		copy(t[len(l):], r)
-	} else {
-		for i, o := range h.ords {
-			if o < h.leftWidth {
-				t[i] = l[o]
-			} else {
-				t[i] = r[o-h.leftWidth]
-			}
+		return t
+	}
+	for i, o := range g.ords {
+		if o < g.leftWidth {
+			t[i] = l[o]
+		} else {
+			t[i] = r[o-g.leftWidth]
 		}
 	}
-	h.out.Push(prel.Row{Tuple: t, SC: h.agg.Combine(lsc, rsc)})
+	return t
+}
+
+// narrow makes the gather write only the columns outer lists, as
+// ordinals over its current output.
+func (g *joinGather) narrow(outer []int) {
+	g.ords = composeOrds(g.ords, outer)
+	g.arena.width = len(g.ords)
 }
 
 func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
@@ -946,7 +960,12 @@ func (e *Executor) buildBatch(n algebra.Node) (batchIter, *schema.Schema, error)
 		return in, s, nil
 
 	case *algebra.Join:
-		return e.buildBatchJoin(x)
+		in, s, ords, err := e.buildJoin(x)
+		if err != nil {
+			return nil, nil, err
+		}
+		in, s = e.project(in, s, ords)
+		return in, s, nil
 
 	case *algebra.GroupAgg:
 		in, s, err := e.buildBatch(x.Input)
@@ -1173,51 +1192,61 @@ func (e *Executor) buildBatchSegment(n algebra.Node) (batchIter, *schema.Schema,
 		stats: &e.stats, tick: pollTick{g: e.gd}}, s, nil
 }
 
-// buildBatchJoin compiles the extended inner join ⋈_{φ,F}. Equi-conjuncts
+// buildJoin compiles the extended inner join ⋈_{φ,F}. Equi-conjuncts
 // over opposite sides select hashJoinBatch, whose probe side streams
-// batches; with no equi-conjunct an nlJoinBatch pairs every row. Residual
-// conditions run as a vectorized filter. A projection over the join is
-// applied by the caller (project), inside the hash join when no residual
-// filter sits between them.
-func (e *Executor) buildBatchJoin(j *algebra.Join) (batchIter, *schema.Schema, error) {
+// batches; with no equi-conjunct an nlJoinBatch pairs every row. Both
+// write the join's Cols through their gather. A residual condition reads
+// left ++ right, so it runs as a vectorized filter over the full pairs
+// and the ordinals of the Cols come back unapplied, for the caller to
+// apply (project) or compose with a projection above (buildUnprojected).
+func (e *Executor) buildJoin(j *algebra.Join) (batchIter, *schema.Schema, []int, error) {
 	lBi, lS, err := e.buildBatch(j.Left)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	rBi, rS, err := e.buildBatch(j.Right)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	out := lS.Concat(rS)
+	var ords []int
+	if j.Cols != nil {
+		if ords, err = ordinalsOf(out, j.Cols); err != nil {
+			return nil, nil, nil, err
+		}
+	}
 
 	eqL, eqR, residual := splitEquiJoin(j.Cond, lS, rS)
+	gather := joinGather{leftWidth: lS.Len()}
+	gather.arena.width = out.Len()
+	if residual == nil && ords != nil {
+		gather.narrow(ords)
+		out, ords = out.Project(ords), nil
+	}
 	var base batchIter
 	if len(eqL) > 0 {
-		base = e.newHashJoin(j, lBi, rBi, eqL, eqR, lS.Len(), out.Len())
+		base = e.newHashJoin(j, lBi, rBi, eqL, eqR, gather)
 	} else {
-		nl := &nlJoinBatch{left: lBi, right: rBi, agg: e.Agg, stats: &e.stats,
+		base = &nlJoinBatch{left: lBi, right: rBi, agg: e.Agg, stats: &e.stats, gather: gather,
 			meter: matTick{g: e.gd, width: rS.Len() + 2}, tick: pollTick{g: e.gd}, size: e.batchSize()}
-		nl.arena.width = out.Len()
-		base = nl
 	}
-	if residual != nil {
-		cond, cErr := expr.CompileCondition(residual, out, e.Funcs)
-		if cErr != nil {
-			return nil, nil, cErr
-		}
-		base = &filterBatch{in: base, cond: cond, stats: &e.stats, tick: pollTick{g: e.gd}}
+	if residual == nil {
+		return base, out, nil, nil
 	}
-	return base, out, nil
+	cond, err := expr.CompileCondition(residual, out, e.Funcs)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return &filterBatch{in: base, cond: cond, stats: &e.stats, tick: pollTick{g: e.gd}}, out, ords, nil
 }
 
 // newHashJoin wires a hash join over the compiled inputs, building on the
-// side the plan marks (left unless BuildRight) and emitting left ++ right
-// as width-column tuples.
-func (e *Executor) newHashJoin(j *algebra.Join, lBi, rBi batchIter, eqL, eqR []int, leftWidth, width int) *hashJoinBatch {
+// side the plan marks (left unless BuildRight) and emitting every match
+// through gather.
+func (e *Executor) newHashJoin(j *algebra.Join, lBi, rBi batchIter, eqL, eqR []int, gather joinGather) *hashJoinBatch {
 	h := &hashJoinBatch{build: lBi, probe: rBi, buildKeys: eqL, probeKeys: eqR,
-		buildRight: j.BuildRight, leftWidth: leftWidth,
+		buildRight: j.BuildRight, gather: gather,
 		agg: e.Agg, stats: &e.stats, g: e.gd, tick: pollTick{g: e.gd}}
-	h.arena.width = width
 	if j.BuildRight {
 		h.build, h.probe, h.buildKeys, h.probeKeys = rBi, lBi, eqR, eqL
 	}
@@ -1227,14 +1256,20 @@ func (e *Executor) newHashJoin(j *algebra.Join, lBi, rBi batchIter, eqL, eqR []i
 // buildUnprojected compiles n with the projections at its top left
 // unapplied: it returns the pipeline beneath them, that pipeline's schema
 // and the projections composed into one list of ordinals over it (nil
-// when n is not a projection). A stack of projections thus costs at most
-// one copy, and a consumer that reads only ⟨S,C⟩ or keeps few rows (a
+// when n is not a projection, nor a join whose Cols a residual filter
+// keeps out of its gather). A stack of projections thus costs at most one
+// copy, and a consumer that reads only ⟨S,C⟩ or keeps few rows (a
 // threshold, top-k) can copy only the rows it keeps. A projection over a
-// hash join is the exception: it runs inside the join (see
-// hashJoinBatch), which then writes each match already narrowed.
+// join's gather is the exception: it runs inside the join, which then
+// writes each match already narrowed.
 func (e *Executor) buildUnprojected(n algebra.Node) (batchIter, *schema.Schema, []int, error) {
-	p, ok := n.(*algebra.Project)
-	if !ok {
+	var p *algebra.Project
+	switch x := n.(type) {
+	case *algebra.Join:
+		return e.buildJoin(x)
+	case *algebra.Project:
+		p = x
+	default:
 		in, s, err := e.buildBatch(n)
 		return in, s, nil, err
 	}
@@ -1250,9 +1285,16 @@ func (e *Executor) buildUnprojected(n algebra.Node) (batchIter, *schema.Schema, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if h, ok := in.(*hashJoinBatch); ok {
-		h.ords, h.arena.width = composeOrds(h.ords, ords), len(ords)
-		return h, cur.Project(ords), nil, nil
+	var g *joinGather
+	switch j := in.(type) {
+	case *hashJoinBatch:
+		g = &j.gather
+	case *nlJoinBatch:
+		g = &j.gather
+	}
+	if g != nil {
+		g.narrow(ords)
+		return in, cur.Project(ords), nil, nil
 	}
 	return in, s, composeOrds(inner, ords), nil
 }

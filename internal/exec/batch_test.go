@@ -23,7 +23,7 @@ import (
 // row order and Stats byte-for-byte (see crossCheck). The fixture carries
 // NULLs (nullMovieDB); its tables are too small to hold a segment, so the
 // columnar arms live in the segment-scale suites (colstore_test.go,
-// directjoin_test.go).
+// columnarjoin_test.go).
 func TestBatchRowEquivalence(t *testing.T) {
 	fx := fixture{heap: nullMovieDB(t)}
 	plans := map[string]algebra.Node{
@@ -37,6 +37,14 @@ func TestBatchRowEquivalence(t *testing.T) {
 				Input: &algebra.Scan{Table: "movies"},
 			}},
 		},
+		// A join's Cols run in its gather: after a hash join, after a
+		// nested loop, after a residual filter, and composed with a
+		// projection above.
+		"join-cols":          joinCols(eqMovieGenre),
+		"join-cols-residual": joinCols(residualMovieGenre),
+		"project-join-cols-residual": &algebra.Project{Cols: []expr.Col{expr.ColRef("genre"), expr.ColRef("year")},
+			Input: joinCols(residualMovieGenre)},
+		"cross-join-cols": &algebra.Project{Cols: []expr.Col{expr.ColRef("title")}, Input: joinCols(nil)},
 	}
 	iterations := 20
 	if testing.Short() {
@@ -54,6 +62,18 @@ func TestBatchRowEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+var (
+	eqMovieGenre       = expr.Bin{Op: expr.OpEq, L: expr.ColRef("movies.m_id"), R: expr.ColRef("genres.m_id")}
+	residualMovieGenre = expr.Bin{Op: expr.OpAnd, L: eqMovieGenre, R: expr.Cmp("movies.year", expr.OpGe, types.Int(2000))}
+)
+
+// joinCols joins movies to genres on cond, keeping three columns out of
+// order through the join's Cols.
+func joinCols(cond expr.Node) *algebra.Join {
+	return &algebra.Join{Cond: cond, Left: &algebra.Scan{Table: "movies"}, Right: &algebra.Scan{Table: "genres"},
+		Cols: []expr.Col{expr.ColRef("genres.genre"), expr.ColRef("movies.title"), expr.ColRef("movies.year")}}
 }
 
 // TestBatchSizeEquivalence sweeps extreme block sizes (including a

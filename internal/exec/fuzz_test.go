@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"prefdb/internal/algebra"
+	"prefdb/internal/catalog"
 	"prefdb/internal/expr"
 	"prefdb/internal/optimizer"
 	"prefdb/internal/pref"
+	"prefdb/internal/prel"
 	"prefdb/internal/types"
 )
 
@@ -214,6 +216,58 @@ func contains(ss []string, s string) bool {
 	return false
 }
 
+// ablation is an optimizer with exactly one of its Disable* flags set.
+type ablation struct {
+	flag string
+	o    *optimizer.Optimizer
+}
+
+// ablations returns one optimizer over cat per Disable* flag, each with
+// only that flag set.
+func ablations(cat *catalog.Catalog) []ablation {
+	sets := []struct {
+		flag string
+		set  func(*optimizer.Optimizer)
+	}{
+		{"DisableSelectPushdown", func(o *optimizer.Optimizer) { o.DisableSelectPushdown = true }},
+		{"DisableProjectionPushdown", func(o *optimizer.Optimizer) { o.DisableProjectionPushdown = true }},
+		{"DisablePreferPushdown", func(o *optimizer.Optimizer) { o.DisablePreferPushdown = true }},
+		{"DisablePreferReorder", func(o *optimizer.Optimizer) { o.DisablePreferReorder = true }},
+		{"DisableJoinReorder", func(o *optimizer.Optimizer) { o.DisableJoinReorder = true }},
+	}
+	out := make([]ablation, len(sets))
+	for i, a := range sets {
+		o := optimizer.New(cat)
+		a.set(o)
+		out[i] = ablation{flag: a.flag, o: o}
+	}
+	return out
+}
+
+// checkAblations requires plan, optimized with each Disable* flag set
+// alone, to return what want(s) returns under every strategy s; same
+// compares two results.
+func checkAblations(t *testing.T, cat *catalog.Catalog, plan algebra.Node,
+	want func(Strategy) *prel.PRelation, same func(want, got *prel.PRelation) string) {
+	t.Helper()
+	for _, a := range ablations(cat) {
+		opt := a.o.Optimize(plan)
+		for _, s := range Strategies() {
+			got, err := New(cat).Run(opt, s)
+			if err != nil {
+				t.Fatalf("%s, %v failed on\n%s\n%v", a.flag, s, algebra.Format(opt), err)
+			}
+			if diff := same(want(s), got); diff != "" {
+				t.Fatalf("%s, %v differs\noriginal:\n%s\noptimized:\n%s\n%s",
+					a.flag, s, algebra.Format(plan), algebra.Format(opt), diff)
+			}
+		}
+	}
+}
+
+// sameRows compares two results as multisets of rows and pairs.
+func sameRows(want, got *prel.PRelation) string { return want.Diff(got, 1e-9) }
+
 // FuzzBatchRowEquivalence fuzzes the pipeline contract (DESIGN.md §10):
 // for any generated plan and any strategy, the result must match the
 // tuple-at-a-time oracle, and every batch-size arm must reproduce the reference run's exact rows, order and Stats (modulo
@@ -247,12 +301,24 @@ func FuzzBatchRowEquivalence(f *testing.F) {
 		if diff := want.Diff(got, 1e-9); diff != "" {
 			t.Fatalf("optimized %v differs\noriginal:\n%s\noptimized:\n%s\n%s", s, algebra.Format(plan), algebra.Format(opt), diff)
 		}
+		// Each ablation alone must return the unoptimized result too.
+		unoptimized := map[Strategy]*prel.PRelation{s: want}
+		checkAblations(t, fx.heap, plan, func(s Strategy) *prel.PRelation {
+			if unoptimized[s] == nil {
+				rel, err := New(fx.heap).Run(plan, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				unoptimized[s] = rel
+			}
+			return unoptimized[s]
+		}, sameRows)
 	})
 }
 
 // TestRandomPlansAllStrategiesAgree cross-checks 150 random plans: every
-// strategy, with and without the optimizer, must return the native
-// reference result.
+// strategy, with the optimizer, without it and with each of its Disable*
+// flags set alone, must return the native reference result.
 func TestRandomPlansAllStrategiesAgree(t *testing.T) {
 	iterations := 150
 	if testing.Short() {
@@ -290,5 +356,6 @@ func TestRandomPlansAllStrategiesAgree(t *testing.T) {
 					i, s, algebra.Format(plan), algebra.Format(opt), diff)
 			}
 		}
+		checkAblations(t, cat, plan, func(Strategy) *prel.PRelation { return ref }, sameRows)
 	}
 }

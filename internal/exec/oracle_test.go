@@ -75,13 +75,27 @@ func (o *oracle) eval(n algebra.Node) (*prel.PRelation, error) {
 		}
 	case *algebra.Join: // ⋈_{φ,F}: every pair satisfying φ, pairs combined by F
 		out.Schema = in.Schema.Concat(kids[1].Schema)
-		var cond *expr.Compiled
-		if cond, err = expr.CompileCondition(x.Cond, out.Schema, o.funcs); err == nil {
+		holds := func([]types.Value) bool { return true } // a cross join's φ
+		if x.Cond != nil {
+			var cond *expr.Compiled
+			cond, err = expr.CompileCondition(x.Cond, out.Schema, o.funcs)
+			holds = func(t []types.Value) bool { return cond.Truthy(t) }
+		}
+		if err == nil {
 			for _, l := range in.Rows {
 				for _, r := range kids[1].Rows {
-					if t := append(append([]types.Value{}, l.Tuple...), r.Tuple...); cond.Truthy(t) {
+					if t := append(append([]types.Value{}, l.Tuple...), r.Tuple...); holds(t) {
 						out.Append(prel.Row{Tuple: t, SC: o.agg.Combine(l.SC, r.SC)})
 					}
+				}
+			}
+		}
+		if err == nil && x.Cols != nil { // the join's output columns
+			var ords []int
+			if ords, err = ordinals(out.Schema, x.Cols...); err == nil {
+				out.Schema = out.Schema.Project(ords)
+				for i, r := range out.Rows {
+					out.Rows[i].Tuple = pick(r.Tuple, ords)
 				}
 			}
 		}

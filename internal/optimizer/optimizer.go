@@ -4,7 +4,8 @@
 //
 //  1. selections are pushed down as far as they can go (split by relation),
 //     including the selection a threshold over a λ chain implies (derive.go);
-//  2. projections are pushed down (column pruning above scans);
+//  2. projections are pushed down (each join keeps only the columns read
+//     above it);
 //  3. prefer operators are pushed down, just on top of a select or project
 //     (Property 4.1);
 //  4. a prefer over a binary operator that involves attributes of only one
@@ -88,13 +89,6 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, plan algebra.Node) (alg
 		{!o.DisableJoinReorder && !o.DisablePreferPushdown, o.pushPrefers},
 		{!o.DisableJoinReorder && !o.DisablePreferReorder, o.orderPreferChains},
 		{!o.DisableProjectionPushdown, o.pruneColumns},
-		{!o.DisableProjectionPushdown, o.collapseProjections},
-		// Late materialization: the projection over a scan of a columnar
-		// table moves above the preferences over it, so they score on
-		// borrowed vectors and only surviving rows are copied. It runs
-		// after the collapse so the moved projection stays one operator of
-		// its own.
-		{true, o.pullScanProjects},
 		// Annotation passes run last so rewrites cannot drop their marks.
 		{true, o.annotateSegments},
 		// Build sides are a join-order decision: the ablation that keeps
@@ -188,7 +182,7 @@ func (o *Optimizer) pushSelectOnce(n algebra.Node) algebra.Node {
 		if len(toRight) > 0 {
 			r = &algebra.Select{Cond: expr.AndAll(toRight), Input: r, Derived: sel.Derived}
 		}
-		out := algebra.Node(&algebra.Join{Cond: child.Cond, Left: l, Right: r})
+		out := algebra.Node(withInputs(child, l, r))
 		if len(stay) > 0 {
 			out = &algebra.Select{Cond: expr.AndAll(stay), Input: out, Derived: sel.Derived}
 		}
@@ -256,10 +250,10 @@ func (o *Optimizer) pushPreferOnce(n algebra.Node) algebra.Node {
 		// Property 4.4: push to the input whose relations cover the
 		// preference, provided the other side cannot be affected.
 		if p.P.Covers(leftRels) && !touchesAny(p.P, rightRels) {
-			return &algebra.Join{Cond: child.Cond, Left: &algebra.Prefer{P: p.P, Input: child.Left}, Right: child.Right}
+			return withInputs(child, &algebra.Prefer{P: p.P, Input: child.Left}, child.Right)
 		}
 		if p.P.Covers(rightRels) && !touchesAny(p.P, leftRels) {
-			return &algebra.Join{Cond: child.Cond, Left: child.Left, Right: &algebra.Prefer{P: p.P, Input: child.Right}}
+			return withInputs(child, child.Left, &algebra.Prefer{P: p.P, Input: child.Right})
 		}
 		return n
 	case *algebra.Set:
@@ -280,6 +274,14 @@ func (o *Optimizer) pushPreferOnce(n algebra.Node) algebra.Node {
 		// scans: pushing below a select would enlarge the prefer's input.
 		return n
 	}
+}
+
+// withInputs returns a copy of j over new inputs, keeping its condition
+// and annotations (its Cols above all: they fix the output layout).
+func withInputs(j *algebra.Join, l, r algebra.Node) *algebra.Join {
+	cp := *j
+	cp.Left, cp.Right = l, r
+	return &cp
 }
 
 // touchesAny reports whether any of the preference's target relations is in
@@ -357,12 +359,12 @@ func (o *Optimizer) preferSelectivity(p pref.Preference) float64 {
 // reorderJoins runs top-down: it flattens the topmost join of each join
 // tree into all of its factors, reorders the join trees inside each
 // factor, then orders the factors. Bottom-up, the inner joins would be
-// reordered first, and the projection restoreColumnOrder puts over them
-// would hide their factors from the joins above, so a tree's last
-// factors could never move.
+// reordered first, and the Cols restoreColumnOrder gives them would make
+// them factors of the joins above, so a tree's last factors could never
+// move.
 func (o *Optimizer) reorderJoins(n algebra.Node) algebra.Node {
 	j, ok := n.(*algebra.Join)
-	if !ok {
+	if !ok || j.Cols != nil {
 		return rewriteChildren(n, o.reorderJoins)
 	}
 	factors, preds := flattenJoins(j)
@@ -372,12 +374,11 @@ func (o *Optimizer) reorderJoins(n algebra.Node) algebra.Node {
 	for i, f := range factors {
 		factors[i] = o.reorderJoins(f)
 	}
-	rebuilt := o.buildLeftDeep(factors, preds)
-	// Reordering permutes the join product's column order; restore the
-	// original layout so the plan's output schema is unchanged. When that
-	// is impossible the tree keeps its order, and its inner joins are
-	// tried on their own.
-	if out := o.restoreColumnOrder(j, rebuilt); out != algebra.Node(j) {
+	// Reordering permutes the join product's column order; the rebuilt
+	// top join restores the original layout so the plan's output schema
+	// is unchanged. When that is impossible the tree keeps its order, and
+	// its inner joins are tried on their own.
+	if out, ok := o.restoreColumnOrder(j, o.buildLeftDeep(factors, preds)); ok {
 		return out
 	}
 	return rewriteChildren(n, o.reorderJoins)
@@ -407,10 +408,10 @@ type joinPred struct {
 	rels map[string]bool
 }
 
-// flattenJoins collects the non-join factors and join predicates of a join
-// tree.
+// flattenJoins collects the factors and join predicates of a join tree. A
+// join that carries Cols is a factor: its layout is fixed.
 func flattenJoins(n algebra.Node) ([]algebra.Node, []joinPred) {
-	if j, ok := n.(*algebra.Join); ok {
+	if j, ok := n.(*algebra.Join); ok && j.Cols == nil {
 		lf, lp := flattenJoins(j.Left)
 		rf, rp := flattenJoins(j.Right)
 		preds := append(lp, rp...)
@@ -628,32 +629,42 @@ func singleTableOf(cat *catalog.Catalog, n algebra.Node) *catalog.Table {
 	return t
 }
 
-// restoreColumnOrder wraps a reordered join tree in a projection that
-// re-establishes the original output column order. If either schema cannot
-// be resolved (or the order already matches), the rebuilt tree is used (or
-// the original kept) as is.
-func (o *Optimizer) restoreColumnOrder(original, rebuilt algebra.Node) algebra.Node {
+// restoreColumnOrder gives a reordered join tree the original's output
+// column order: the rebuilt top join (under the σ of leftover predicates,
+// if any) lists the original columns as its Cols, or none when the order
+// already matches. ok is false when either schema does not resolve or an
+// original column would be ambiguous in the rebuilt join's output.
+func (o *Optimizer) restoreColumnOrder(original *algebra.Join, rebuilt algebra.Node) (out algebra.Node, ok bool) {
 	resolver := &algebra.Resolver{Catalog: o.Cat, Funcs: o.Funcs}
 	want, err := resolver.Resolve(original)
 	if err != nil {
-		return original
+		return nil, false
 	}
-	got, err := resolver.Resolve(rebuilt)
+	sel, _ := rebuilt.(*algebra.Select)
+	top := rebuilt
+	if sel != nil {
+		top = sel.Input
+	}
+	got, err := resolver.Resolve(top)
 	if err != nil {
-		return original
+		return nil, false
 	}
 	if sameColumnOrder(want, got) {
-		return rebuilt
+		return rebuilt, true
 	}
 	cols := make([]expr.Col, len(want.Columns))
 	for i, c := range want.Columns {
 		cols[i] = expr.Col{Table: c.Table, Name: c.Name}
-		// Bail out if the reference would be ambiguous in the rebuilt schema.
 		if _, err := got.IndexOf(c.Table, c.Name); err != nil {
-			return original
+			return nil, false
 		}
 	}
-	return &algebra.Project{Cols: cols, Input: rebuilt}
+	cp := *top.(*algebra.Join)
+	cp.Cols = cols
+	if sel == nil {
+		return &cp, true
+	}
+	return &algebra.Select{Cond: sel.Cond, Input: &cp}, true
 }
 
 func sameColumnOrder(a, b *schema.Schema) bool {

@@ -183,42 +183,48 @@ func TestJoinReorderingSmallestFirst(t *testing.T) {
 	}
 }
 
+// TestProjectionPruning pins heuristic 2 on a two-way join: the join
+// keeps the columns the root projection and the join predicate read,
+// no projection is added, and the ablation leaves the join whole.
 func TestProjectionPruning(t *testing.T) {
-	o := New(testDB(t))
+	cat := testDB(t)
 	plan := &algebra.Project{
 		Cols: []expr.Col{expr.ColRef("movies.title")},
 		Input: joinOn(&algebra.Scan{Table: "movies"}, &algebra.Scan{Table: "genres"},
 			"movies.m_id", "genres.m_id"),
 	}
-	opt := o.Optimize(plan)
+	opt := New(cat).Optimize(plan)
 	f := algebra.Format(opt)
-	if !strings.Contains(f, "Project(movies.m_id, movies.title)") && !strings.Contains(f, "Project(movies.title, movies.m_id)") {
-		t.Errorf("movies scan not pruned:\n%s", f)
+	if got := joinOutputs(t, cat, opt); len(got) != 1 || got[0] != "movies.m_id, movies.title, genres.m_id" {
+		t.Errorf("join outputs %v, want movies.m_id, movies.title, genres.m_id:\n%s", got, f)
 	}
-	// Semantics preserved.
-	e := exec.New(testDB(t))
-	ref, _ := e.Run(plan, exec.Native)
-	got, err := e.Run(opt, exec.Native)
-	if err != nil {
-		t.Fatal(err)
+	if strings.Count(f, "Project") != 1 {
+		t.Errorf("pruning added a projection:\n%s", f)
 	}
-	if diff := ref.Diff(got, 1e-9); diff != "" {
-		t.Errorf("pruning changed result: %s", diff)
-	}
-	// Disabled pruning leaves scans bare.
-	o2 := New(testDB(t))
+	mustAgree(t, cat, plan, opt)
+	// Disabled pruning leaves the join's columns alone.
+	o2 := New(cat)
 	o2.DisableProjectionPushdown = true
-	f2 := algebra.Format(o2.Optimize(plan))
-	if strings.Count(f2, "Project") != 1 {
-		t.Errorf("pruning ran despite being disabled:\n%s", f2)
+	opt2 := o2.Optimize(plan)
+	if j := opt2.(*algebra.Project).Input.(*algebra.Join); j.Cols != nil {
+		t.Errorf("pruning ran despite being disabled:\n%s", algebra.Format(opt2))
+	}
+	// An unqualified column counts for every relation in scope, so both
+	// m_id columns stay and the optimized plan still reports the
+	// ambiguity.
+	ambiguous := &algebra.Project{Cols: []expr.Col{expr.ColRef("m_id")}, Input: plan.Input}
+	if _, err := exec.New(cat).Run(New(cat).Optimize(ambiguous), exec.Native); err == nil || !strings.Contains(err.Error(), "ambiguous") {
+		t.Errorf("optimized ambiguous plan: err = %v, want an ambiguous-column error", err)
 	}
 }
 
+// TestStarQueryNotPruned: without a root projection every column is
+// output, so no join drops one.
 func TestStarQueryNotPruned(t *testing.T) {
-	o := New(testDB(t))
+	cat := testDB(t)
 	plan := joinOn(&algebra.Scan{Table: "movies"}, &algebra.Scan{Table: "genres"}, "movies.m_id", "genres.m_id")
-	opt := o.Optimize(plan)
-	if strings.Contains(algebra.Format(opt), "Project") {
+	opt := New(cat).Optimize(plan)
+	if j, ok := opt.(*algebra.Join); !ok || j.Cols != nil || strings.Contains(algebra.Format(opt), "Project") {
 		t.Errorf("SELECT * plan must not be pruned:\n%s", algebra.Format(opt))
 	}
 }

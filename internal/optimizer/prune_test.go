@@ -10,6 +10,7 @@ import (
 	"prefdb/internal/exec"
 	"prefdb/internal/expr"
 	"prefdb/internal/planner"
+	"prefdb/internal/pref"
 	"prefdb/internal/schema"
 	"prefdb/internal/types"
 )
@@ -80,12 +81,12 @@ func mustAgree(t *testing.T, cat *catalog.Catalog, plan, opt algebra.Node) {
 	}
 }
 
-// TestPruneUnderReorderedJoins pins projection pushdown under the
-// column-order restoring projection of a reordered join: every scan
-// feeding a join loses the columns referenced nowhere (an unqualified
-// reference counts only for the relations in its operator's scope), the
-// restore projection is narrowed to what the operators above read, and
-// scans under a set operation keep their full layout.
+// TestPruneUnderReorderedJoins pins projection pushdown on reordered
+// join trees: no projection is added, every join keeps through its Cols
+// only the columns something above reads (an unqualified reference counts
+// only for the relations in its operator's scope), the top join lists
+// them in the unoptimized column order, and joins under a set operation
+// keep their full layout.
 func TestPruneUnderReorderedJoins(t *testing.T) {
 	imdb := imdbDB(t)
 	dblp := dblpDB(t)
@@ -93,50 +94,33 @@ func TestPruneUnderReorderedJoins(t *testing.T) {
 		name    string
 		cat     *catalog.Catalog
 		sql     string
-		want    map[string]string // table → the projection over its scan
-		dropped []string          // columns no projection over a join may keep
+		top     string   // the top join's output columns
+		dropped []string // columns no join may output
 	}{
-		{"IMDB-3", imdb, imdb3SQL, map[string]string{
-			"cast":   "Project(cast.m_id, cast.a_id)",
-			"movies": "Project(movies.m_id, movies.title, movies.year)",
-			"actors": "", "genres": "", // every column referenced
-		}, []string{"cast.role", "movies.duration", "movies.d_id"}},
-		{"DBLP-3", dblp, dblp3SQL, map[string]string{
-			"citations":    "Project(citations.p2_id)",
-			"publications": "Project(publications.p_id, publications.title)",
-			"conferences":  "Project(conferences.p_id, conferences.name, conferences.year)",
-		}, []string{"publications.pub_type", "citations.p1_id", "conferences.location"}},
+		{"IMDB-3", imdb, imdb3SQL,
+			"movies.m_id, movies.title, movies.year, cast.m_id, cast.a_id, actors.a_id, actors.actor, genres.m_id, genres.genre",
+			[]string{"cast.role", "movies.duration", "movies.d_id"}},
+		{"DBLP-3", dblp, dblp3SQL,
+			"publications.p_id, publications.title, citations.p2_id, conferences.p_id, conferences.name, conferences.year",
+			[]string{"publications.pub_type", "citations.p1_id", "conferences.location"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := planSQL(t, tc.cat, tc.sql)
 			opt := New(tc.cat).Optimize(plan)
 			f := algebra.Format(opt)
-			got := scanProjections(opt)
-			for table, w := range tc.want {
-				if got[table] != w {
-					t.Errorf("scan of %s sits under %q, want %q:\n%s", table, got[table], w, f)
-				}
+			if got, want := algebra.CountOps(opt)["project"], algebra.CountOps(plan)["project"]; got != want {
+				t.Errorf("optimized plan has %d projections, the planner made %d:\n%s", got, want, f)
 			}
-			restores := 0
-			algebra.Walk(opt, func(n algebra.Node) bool {
-				p, ok := n.(*algebra.Project)
-				if !ok {
-					return true
-				}
-				if _, overJoin := p.Input.(*algebra.Join); overJoin {
-					restores++
-					for _, c := range p.Cols {
-						for _, d := range tc.dropped {
-							if c.String() == d {
-								t.Errorf("restore projection keeps unreferenced %s:\n%s", d, f)
-							}
-						}
+			outs := joinOutputs(t, tc.cat, opt)
+			if len(outs) == 0 || outs[0] != tc.top {
+				t.Errorf("top join outputs %v, want %s:\n%s", outs, tc.top, f)
+			}
+			for _, out := range outs {
+				for _, d := range tc.dropped {
+					if strings.Contains(", "+out+",", ", "+d+",") {
+						t.Errorf("a join outputs unreferenced %s:\n%s", d, f)
 					}
 				}
-				return true
-			})
-			if restores == 0 {
-				t.Fatalf("no projection over a reordered join:\n%s", f)
 			}
 			mustAgree(t, tc.cat, plan, opt)
 		})
@@ -144,27 +128,29 @@ func TestPruneUnderReorderedJoins(t *testing.T) {
 
 	t.Run("set-operation", func(t *testing.T) {
 		cat := testDB(t)
+		union := &algebra.Set{Op: algebra.SetUnion,
+			Left:  joinOn(&algebra.Scan{Table: "movies"}, &algebra.Scan{Table: "directors"}, "movies.d_id", "directors.d_id"),
+			Right: joinOn(&algebra.Scan{Table: "movies"}, &algebra.Scan{Table: "directors"}, "movies.d_id", "directors.d_id")}
 		plan := &algebra.Project{
-			Cols: []expr.Col{expr.ColRef("title")},
-			Input: joinOn(
-				&algebra.Set{Op: algebra.SetUnion, Left: &algebra.Scan{Table: "movies"}, Right: &algebra.Scan{Table: "movies"}},
-				&algebra.Scan{Table: "genres"}, "movies.m_id", "genres.m_id"),
+			Cols:  []expr.Col{expr.ColRef("title")},
+			Input: joinOn(union, &algebra.Scan{Table: "genres"}, "movies.m_id", "genres.m_id"),
 		}
 		opt := New(cat).Optimize(plan)
 		f := algebra.Format(opt)
 		algebra.Walk(opt, func(n algebra.Node) bool {
 			if s, ok := n.(*algebra.Set); ok {
-				for _, c := range s.Children() {
-					if _, bare := c.(*algebra.Scan); !bare {
-						t.Errorf("scan under a set operation was pruned:\n%s", f)
+				algebra.Walk(s, func(x algebra.Node) bool {
+					if j, ok := x.(*algebra.Join); ok && j.Cols != nil {
+						t.Errorf("join under a set operation was pruned:\n%s", f)
 					}
-				}
+					return true
+				})
 				return false
 			}
 			return true
 		})
-		if scanProjections(opt)["genres"] != "Project(genres.m_id)" {
-			t.Errorf("scan outside the set operation not pruned:\n%s", f)
+		if got := joinOutputs(t, cat, opt)[0]; got != "movies.m_id, movies.title, movies.d_id, directors.d_id, genres.m_id" {
+			t.Errorf("join over the set operation outputs %s:\n%s", got, f)
 		}
 		mustAgree(t, cat, plan, opt)
 	})
@@ -194,65 +180,34 @@ func TestPruneUnderReorderedJoins(t *testing.T) {
 				&algebra.Scan{Table: "b"}, "a.id", "b.id"),
 		}
 		opt := New(cat).Optimize(plan)
-		if got := scanProjections(opt)["b"]; got != "Project(b.id, b.y)" {
-			t.Errorf("scan of b sits under %q, want Project(b.id, b.y):\n%s", got, algebra.Format(opt))
+		if got := joinOutputs(t, cat, opt)[0]; got != "a.id, a.x, a.tag, b.id, b.y" {
+			t.Errorf("join outputs %s, want a.id, a.x, a.tag, b.id, b.y:\n%s", got, algebra.Format(opt))
 		}
 		mustAgree(t, cat, plan, opt)
 	})
 }
 
-// scanProjections maps each scanned table to the projection directly
-// above its scan ("" for a bare scan).
-func scanProjections(n algebra.Node) map[string]string {
-	out := map[string]string{}
+// joinOutputs lists the output columns of every join in n, preorder,
+// each rendered "a.x, b.y".
+func joinOutputs(t *testing.T, cat *catalog.Catalog, n algebra.Node) []string {
+	t.Helper()
+	resolver := &algebra.Resolver{Catalog: cat, Funcs: pref.Functions()}
+	var out []string
 	algebra.Walk(n, func(x algebra.Node) bool {
-		switch y := x.(type) {
-		case *algebra.Project:
-			if s, ok := y.Input.(*algebra.Scan); ok {
-				out[s.Table] = y.String()
-				return false
+		if j, ok := x.(*algebra.Join); ok {
+			s, err := resolver.Resolve(j)
+			if err != nil {
+				t.Fatalf("%s: %v", j, err)
 			}
-		case *algebra.Scan:
-			out[y.Table] = ""
+			cols := make([]string, len(s.Columns))
+			for i, c := range s.Columns {
+				cols[i] = c.Table + "." + c.Name
+			}
+			out = append(out, strings.Join(cols, ", "))
 		}
 		return true
 	})
 	return out
-}
-
-// TestCollapseStackedProjections pins π_a(π_b(X)) → π_a(X): a's columns
-// are re-qualified through b, the result is unchanged, and the rewrite
-// is declined when a column of a is ambiguous in b's output — the plan
-// keeps both projections and still reports the ambiguity.
-func TestCollapseStackedProjections(t *testing.T) {
-	cat := testDB(t)
-	join := joinOn(&algebra.Scan{Table: "movies"}, &algebra.Scan{Table: "genres"}, "movies.m_id", "genres.m_id")
-	stacked := func(outer ...string) algebra.Node {
-		var cols []expr.Col
-		for _, c := range outer {
-			cols = append(cols, expr.ColRef(c))
-		}
-		return &algebra.Project{Cols: cols, Input: &algebra.Project{
-			Cols:  []expr.Col{expr.ColRef("movies.m_id"), expr.ColRef("movies.title"), expr.ColRef("genres.m_id"), expr.ColRef("genres.genre")},
-			Input: join,
-		}}
-	}
-	o := New(cat)
-
-	plan := stacked("title", "genre")
-	opt := o.collapseProjections(plan)
-	if got := algebra.Format(opt); !strings.HasPrefix(got, "Project(movies.title, genres.genre)\n  Join(") {
-		t.Fatalf("stacked projections not collapsed:\n%s", got)
-	}
-	mustAgree(t, cat, plan, opt)
-
-	ambiguous := stacked("m_id")
-	if got := o.collapseProjections(ambiguous); got != ambiguous {
-		t.Fatalf("ambiguous m_id collapsed:\n%s", algebra.Format(got))
-	}
-	if _, err := exec.New(cat).Run(o.Optimize(ambiguous), exec.Native); err == nil || !strings.Contains(err.Error(), "ambiguous") {
-		t.Fatalf("optimized ambiguous plan: err = %v, want an ambiguous-column error", err)
-	}
 }
 
 // TestBuildSideFollowsEstimates pins the build-side annotation: on

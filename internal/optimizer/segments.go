@@ -51,68 +51,6 @@ func (o *Optimizer) annotateSegments(n algebra.Node) algebra.Node {
 	})
 }
 
-// pullScanProjects moves the projection the planner puts right above a
-// scan of a columnar table (catalog.Table.Columnar) to above the
-// preferences over it: λ…(C[π(X)]) → π′(λ…(C[X])), C a σ chain and X a
-// scan. The preferences then score straight off the column vectors (the
-// direct-column score path) and the narrowing copy happens above them,
-// where the filter stage (top-k, threshold) copies only the rows it keeps.
-//
-// π′ is the rewritten operator's original column list. The rewrite is
-// declined — plan unchanged — whenever the chain fails to re-resolve or
-// any output column reference would be ambiguous against the widened
-// schema (restoreColumnOrder's bail-out), so it can never change the
-// plan's output schema or semantics. Plans over heap tables are
-// unchanged. The pass runs after collapseProjections, so π′ stays its own
-// operator: a strategy that materializes every operator (BU) copies it
-// where it copied the π it replaces, and the executor composes stacked
-// projections into one copy.
-func (o *Optimizer) pullScanProjects(n algebra.Node) algebra.Node {
-	return algebra.Transform(n, func(x algebra.Node) algebra.Node {
-		p, ok := x.(*algebra.Prefer)
-		if !ok {
-			return x
-		}
-		chain, spliced := spliceProject(p)
-		if !spliced {
-			return x
-		}
-		scan := chainScan(chain)
-		if scan == nil || !o.columnar(scan) {
-			return x
-		}
-		return o.restoreColumnOrder(x, chain)
-	})
-}
-
-// spliceProject removes the first projection under a σ/λ chain, exposing
-// its input's full column set to the operators above; ok is false when
-// the chain holds no projection. Chain nodes are copied, never mutated.
-func spliceProject(n algebra.Node) (algebra.Node, bool) {
-	switch x := n.(type) {
-	case *algebra.Select:
-		in, ok := spliceProject(x.Input)
-		if !ok {
-			return n, false
-		}
-		cp := *x
-		cp.Input = in
-		return &cp, true
-	case *algebra.Prefer:
-		in, ok := spliceProject(x.Input)
-		if !ok {
-			return n, false
-		}
-		cp := *x
-		cp.Input = in
-		return &cp, true
-	case *algebra.Project:
-		return x.Input, true
-	default:
-		return n, false
-	}
-}
-
 // annotateBuildSide marks each equi-join to build its hash table on the
 // input with the smaller estimated cardinality (EXPLAIN renders
 // `[build-right]`): the bucket table holds the smaller input and the
@@ -137,13 +75,6 @@ func (o *Optimizer) annotateBuildSide(n algebra.Node) algebra.Node {
 	})
 }
 
-// columnar reports whether scan reads a columnar table, the rule the
-// executor's scan builder applies.
-func (o *Optimizer) columnar(scan *algebra.Scan) bool {
-	t, err := o.Cat.Table(scan.Table)
-	return err == nil && t.Columnar()
-}
-
 // hasEquiPair reports whether at least one conjunct is a column-column
 // equality — the shape the executor splits into hash-join keys.
 func hasEquiPair(cond expr.Node) bool {
@@ -157,23 +88,6 @@ func hasEquiPair(cond expr.Node) bool {
 		}
 	}
 	return false
-}
-
-// chainScan unwraps σ/λ chains to their base scan, if any. A remaining
-// projection in the chain stops the walk.
-func chainScan(n algebra.Node) *algebra.Scan {
-	for {
-		switch x := n.(type) {
-		case *algebra.Scan:
-			return x
-		case *algebra.Select:
-			n = x.Input
-		case *algebra.Prefer:
-			n = x.Input
-		default:
-			return nil
-		}
-	}
 }
 
 // zoneRowBound upper-bounds a filtered scan's output cardinality using

@@ -8,7 +8,6 @@ import (
 	"prefdb/internal/catalog"
 	"prefdb/internal/colstore"
 	"prefdb/internal/expr"
-	"prefdb/internal/pref"
 	"prefdb/internal/schema"
 	"prefdb/internal/storage"
 	"prefdb/internal/types"
@@ -106,49 +105,4 @@ func TestZoneRowBoundTightensEstimate(t *testing.T) {
 	if est := o.estimateRows(sel); est > bound {
 		t.Fatalf("estimateRows = %v exceeds the zone bound %v", est, bound)
 	}
-}
-
-// TestPullProjectAbovePrefers pins pullScanProjects: on a
-// compacted table the projection over the filtered scan moves above the
-// preference chain, so λλ sits directly on σ(Scan) [direct-col] under one
-// π with the original columns and the same result; on a heap table the
-// pass leaves the plan as it is.
-func TestPullProjectAbovePrefers(t *testing.T) {
-	cat := segmentsDB(t)
-	perSeg := int64(colstore.SegmentPages * storage.PageSize)
-	recent := pref.New("p1", "events", expr.Cmp("year", expr.OpGe, types.Int(2000)), pref.Recency("year", 2011), 0.9)
-	early := pref.New("p2", "events", expr.Cmp("id", expr.OpLt, types.Int(100)), pref.Linear("id", 0.01), 0.8)
-	plan := &algebra.Prefer{P: early, Input: &algebra.Prefer{P: recent, Input: &algebra.Project{
-		Cols: []expr.Col{expr.ColRef("events.year"), expr.ColRef("events.id")},
-		Input: &algebra.Select{Cond: expr.Cmp("id", expr.OpLt, types.Int(perSeg)),
-			Input: &algebra.Scan{Table: "events"}}}}}
-	o := New(cat)
-	if got := o.pullScanProjects(plan); got != algebra.Node(plan) {
-		t.Fatalf("heap-table plan rewritten:\n%s", algebra.Format(got))
-	}
-
-	et, err := cat.Table("events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	et.ColStore()
-	opt := o.Optimize(plan)
-	pi, ok := opt.(*algebra.Project)
-	if !ok || pi.String() != "Project(events.year, events.id)" {
-		t.Fatalf("lifted plan is not under Project(events.year, events.id):\n%s", algebra.Format(opt))
-	}
-	l2, ok2 := pi.Input.(*algebra.Prefer)
-	var sel *algebra.Select
-	if ok2 {
-		if l1, ok := l2.Input.(*algebra.Prefer); ok {
-			sel, _ = l1.Input.(*algebra.Select)
-		}
-	}
-	if sel == nil {
-		t.Fatalf("λλ does not sit directly on σ:\n%s", algebra.Format(opt))
-	}
-	if scan, ok := sel.Input.(*algebra.Scan); !ok || !scan.DirectCol {
-		t.Fatalf("σ is not over a [direct-col] scan:\n%s", algebra.Format(opt))
-	}
-	mustAgree(t, cat, plan, opt)
 }
