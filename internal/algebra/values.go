@@ -13,6 +13,11 @@ type Values struct {
 	Rel *prel.PRelation
 	// Label names the intermediate for explain output.
 	Label string
+	// HoldsKinds records that every cell of Rel is NULL or of its
+	// column's declared kind. The executor sets it on the temporaries it
+	// drains from plans whose cells are known to be; a Values built
+	// elsewhere leaves it false.
+	HoldsKinds bool
 }
 
 // Children implements Node.

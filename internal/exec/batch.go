@@ -636,11 +636,19 @@ func (n *nlJoinBatch) nextBatch() (*prel.Batch, bool) {
 // the build side.
 //
 // The probe takes a whole batch through three phases: hash every selected
-// row; collect the (probe slot, build row) candidates whose full hash
-// matches (joinTable.candidates); confirm the candidates on their key
-// values, then emit the confirmed ones. The loads of the bucket lookups,
-// and then of the confirms, do not depend on one another across rows, so
-// their cache misses overlap instead of stalling once per probe row.
+// row whose key has no NULL; collect the (probe slot, build row)
+// candidates whose full hash matches (joinTable.candidates); confirm the
+// candidates on their key values, then emit the confirmed ones. The loads
+// of the bucket lookups, and then of the confirms, do not depend on one
+// another across rows, so their cache misses overlap instead of stalling
+// once per probe row.
+//
+// A join on one INT = INT key whose cells are known to hold their
+// declared kind (intKeyJoin) takes the typed arm: each key hashes through
+// intKeyHash, a bijection on 64-bit words, so a candidate's hash equal to
+// the probe's is its key equal to the probe's and no candidate is
+// confirmed. Every other key — FLOAT, TEXT, BOOL, INT against FLOAT,
+// composite — hashes through hashCols and is confirmed through equalOn.
 //
 // The join's Cols, and a projection directly above it, are evaluated
 // inside it (its gather): each match is written once, already narrowed,
@@ -658,18 +666,23 @@ type hashJoinBatch struct {
 	buildKeys, probeKeys []int
 	// buildRight: the build side is the right input.
 	buildRight bool
-	gather     joinGather
-	agg        pref.Aggregate
-	stats      *Stats
-	g          *guard
-	tick       pollTick
+	// intKey: the typed arm (intKeyJoin), keyed by intKeyHash with no
+	// confirm.
+	intKey bool
+	gather joinGather
+	agg    pref.Aggregate
+	stats  *Stats
+	g      *guard
+	tick   pollTick
 
 	built bool
 	table joinTable
 	out   *prel.Batch
-	// Probe scratch, reused across batches: the selected rows' key hashes
-	// and the candidate pairs (index into Sel, index into table.rows).
+	// Scratch, reused across batches: the key hashes of the selected rows
+	// that can join, those rows' slots, and the candidate pairs (index
+	// into keySel, index into table.rows).
 	hashes           []uint64
+	keySel           []int32
 	candSel, candRow []int32
 }
 
@@ -773,29 +786,73 @@ func (t *joinTable) candidates(hs []uint64, sel, rows []int32) ([]int32, []int32
 	return sel, rows
 }
 
-// keyHashes returns the key hash of every selected row of b, folding the
-// key columns of its tuple. A columnar batch's selected rows count into
-// RowsMaterialized here: this is where they enter the join as row views.
-func (h *hashJoinBatch) keyHashes(b *prel.Batch, keys []int) []uint64 {
+// keyHashes returns the key hashes of the selected rows of b that can
+// join, and those rows' slots: a row with a NULL key column is left out,
+// since NULL = x is never true (σ_φ(R×S) ≡ R ⋈_φ S, §IV-B). Leaving it
+// out of the build keeps the generic arm's confirm, which uses
+// Value.Equal (NULL = NULL), from matching it; leaving it out of the
+// probe keeps the typed arm, which confirms nothing, from matching a
+// NULL to whatever key shares its payload. A columnar batch's selected
+// rows count into RowsMaterialized here: this is where they enter the
+// join as row views.
+func (h *hashJoinBatch) keyHashes(b *prel.Batch, keys []int) ([]uint64, []int32) {
 	if cap(h.hashes) < len(b.Sel) {
-		h.hashes = make([]uint64, len(b.Sel))
+		h.hashes, h.keySel = make([]uint64, len(b.Sel)), make([]int32, len(b.Sel))
 	}
-	hs := h.hashes[:len(b.Sel)]
+	hs, sel := h.hashes[:len(b.Sel)], h.keySel[:len(b.Sel)]
 	if b.Columnar() {
 		h.stats.RowsMaterialized += b.Live()
 	}
-	rows := b.Rows()
-	for k, j := range b.Sel {
-		hs[k] = hashCols(rows[j], keys)
+	rows, n := b.Rows(), 0
+	if h.intKey {
+		c := keys[0]
+		for _, j := range b.Sel {
+			v := rows[j][c]
+			if v.IsNull() {
+				continue
+			}
+			if debug.Enabled {
+				debug.Assertf(v.Kind() == types.KindInt, "typed hash-join key cell %d of row %d holds %s, want INT or NULL", c, j, v.Kind())
+			}
+			hs[n], sel[n] = intKeyHash(v.AsInt()), j
+			n++
+		}
+		return hs[:n], sel[:n]
 	}
-	return hs
+	for _, j := range b.Sel {
+		t := rows[j]
+		if anyNull(t, keys) {
+			continue
+		}
+		hs[n], sel[n] = hashCols(t, keys), j
+		n++
+	}
+	return hs[:n], sel[:n]
+}
+
+// keyHash is the hash keyHashes gives the key cols of tuple, which must
+// hold no NULL.
+func (h *hashJoinBatch) keyHash(tuple []types.Value, keys []int) uint64 {
+	if h.intKey {
+		return intKeyHash(tuple[keys[0]].AsInt())
+	}
+	return hashCols(tuple, keys)
+}
+
+// intKeyHash is the splitmix64 finalizer over an INT key's payload. Each
+// step (xor with a right shift of itself, multiplication by an odd
+// constant) is invertible, so the whole map is a bijection on 64-bit
+// words: two keys hash alike exactly when they are equal.
+func intKeyHash(k int64) uint64 {
+	x := uint64(k)
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // joinBuild drains the build side into the join table, retaining the
-// batches' row views (stable storage). A build row with a NULL key column
-// is not inserted: NULL = x is never true, so it cannot join
-// (σ_φ(R×S) ≡ R ⋈_φ S, §IV-B), and leaving it out keeps the probe's
-// confirm, which uses Value.Equal (NULL = NULL), from matching it.
+// batches' row views (stable storage); rows with a NULL key are not
+// inserted (keyHashes).
 func (h *hashJoinBatch) joinBuild() {
 	// The build side is buffered state: charge it against the query's
 	// materialization budgets so a runaway build trips before OOM.
@@ -806,12 +863,9 @@ func (h *hashJoinBatch) joinBuild() {
 		if !ok {
 			break
 		}
-		hs := h.keyHashes(b, h.buildKeys)
+		hs, sel := h.keyHashes(b, h.buildKeys)
 		rows := b.Rows()
-		for k, j := range b.Sel {
-			if anyNull(rows[j], h.buildKeys) {
-				continue
-			}
+		for k, j := range sel {
 			h.table.add(hs[k], prel.Row{Tuple: rows[j], SC: b.SCAt(j)})
 			if meter.width == 0 {
 				meter.width = len(rows[j]) + 2
@@ -824,7 +878,7 @@ func (h *hashJoinBatch) joinBuild() {
 	}
 	_ = meter.flush()
 	h.table.finish()
-	debugCheckJoinTable(&h.table, h.buildKeys)
+	h.debugCheckJoinTable()
 	h.built = true
 }
 
@@ -891,25 +945,28 @@ func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
 			h.out = prel.NewBatch(b.Live())
 		}
 		h.out.Reset()
-		hs := h.keyHashes(b, h.probeKeys)
+		hs, sel := h.keyHashes(b, h.probeKeys)
 		if cap(h.candSel) < len(hs) {
 			// Room for one candidate per probe row, the common case.
 			h.candSel, h.candRow = make([]int32, 0, len(hs)), make([]int32, 0, len(hs))
 		}
 		h.candSel, h.candRow = h.table.candidates(hs, h.candSel[:0], h.candRow[:0])
-		// Confirm every candidate, compacting the confirmed pairs in
-		// place, before emitting any: the confirms' loads of build tuples
-		// then overlap as the bucket lookups' did.
-		rows, confirmed := b.Rows(), 0
-		for c, k := range h.candSel {
-			built := h.table.rows[h.candRow[c]].Tuple
-			if equalOn(built, rows[b.Sel[k]], h.buildKeys, h.probeKeys) {
-				h.candSel[confirmed], h.candRow[confirmed] = k, h.candRow[c]
-				confirmed++
+		rows, confirmed := b.Rows(), len(h.candSel)
+		if !h.intKey {
+			// Confirm every candidate, compacting the confirmed pairs in
+			// place, before emitting any: the confirms' loads of build
+			// tuples then overlap as the bucket lookups' did.
+			confirmed = 0
+			for c, k := range h.candSel {
+				built := h.table.rows[h.candRow[c]].Tuple
+				if equalOn(built, rows[sel[k]], h.buildKeys, h.probeKeys) {
+					h.candSel[confirmed], h.candRow[confirmed] = k, h.candRow[c]
+					confirmed++
+				}
 			}
 		}
 		for c, k := range h.candSel[:confirmed] {
-			j := b.Sel[k]
+			j := sel[k]
 			h.emit(h.table.rows[h.candRow[c]], rows[j], b.SCAt(j))
 		}
 		if h.out.Live() > 0 {
@@ -918,20 +975,22 @@ func (h *hashJoinBatch) nextBatch() (*prel.Batch, bool) {
 	}
 }
 
-// debugCheckJoinTable re-hashes every retained build row from its tuple
-// in prefdbdebug builds and checks that it sits in its hash's bucket: a
-// stored hash that disagrees with hashCols exposes a build row whose
-// tuple changed after it was hashed. A no-op in normal builds.
-func debugCheckJoinTable(t *joinTable, eqL []int) {
+// debugCheckJoinTable re-hashes every retained build row from its tuple,
+// through the arm's own hash (keyHash), in prefdbdebug builds and checks
+// that it sits in its hash's bucket: a stored hash that disagrees exposes
+// a build row whose tuple changed after it was hashed. A no-op in normal
+// builds.
+func (h *hashJoinBatch) debugCheckJoinTable() {
 	if !debug.Enabled {
 		return
 	}
+	t := &h.table
 	for b := 0; b+1 < len(t.start); b++ {
 		for i := t.start[b]; i < t.start[b+1]; i++ {
-			h := t.hashes[i]
-			debug.Assertf(hashCols(t.rows[i].Tuple, eqL) == h,
-				"hash-join build row %d under hash %#x re-hashes differently from its tuple", i, h)
-			debug.Assertf(t.bucket(h) == b, "hash-join build row %d sits in bucket %d, its hash maps to bucket %d", i, b, t.bucket(h))
+			hash := t.hashes[i]
+			debug.Assertf(h.keyHash(t.rows[i].Tuple, h.buildKeys) == hash,
+				"hash-join build row %d under hash %#x re-hashes differently from its tuple", i, hash)
+			debug.Assertf(t.bucket(hash) == b, "hash-join build row %d sits in bucket %d, its hash maps to bucket %d", i, b, t.bucket(hash))
 		}
 	}
 }
@@ -1225,7 +1284,7 @@ func (e *Executor) buildJoin(j *algebra.Join) (batchIter, *schema.Schema, []int,
 	}
 	var base batchIter
 	if len(eqL) > 0 {
-		base = e.newHashJoin(j, lBi, rBi, eqL, eqR, gather)
+		base = e.newHashJoin(j, lBi, rBi, eqL, eqR, intKeyJoin(j, lS, rS, eqL, eqR), gather)
 	} else {
 		base = &nlJoinBatch{left: lBi, right: rBi, agg: e.Agg, stats: &e.stats, gather: gather,
 			meter: matTick{g: e.gd, width: rS.Len() + 2}, tick: pollTick{g: e.gd}, size: e.batchSize()}
@@ -1241,16 +1300,54 @@ func (e *Executor) buildJoin(j *algebra.Join) (batchIter, *schema.Schema, []int,
 }
 
 // newHashJoin wires a hash join over the compiled inputs, building on the
-// side the plan marks (left unless BuildRight) and emitting every match
-// through gather.
-func (e *Executor) newHashJoin(j *algebra.Join, lBi, rBi batchIter, eqL, eqR []int, gather joinGather) *hashJoinBatch {
+// side the plan marks (left unless BuildRight), on the typed arm when
+// intKey, and emitting every match through gather.
+func (e *Executor) newHashJoin(j *algebra.Join, lBi, rBi batchIter, eqL, eqR []int, intKey bool, gather joinGather) *hashJoinBatch {
 	h := &hashJoinBatch{build: lBi, probe: rBi, buildKeys: eqL, probeKeys: eqR,
-		buildRight: j.BuildRight, gather: gather,
+		buildRight: j.BuildRight, intKey: intKey, gather: gather,
 		agg: e.Agg, stats: &e.stats, g: e.gd, tick: pollTick{g: e.gd}}
 	if j.BuildRight {
 		h.build, h.probe, h.buildKeys, h.probeKeys = rBi, lBi, eqR, eqL
 	}
 	return h
+}
+
+// intKeyJoin reports whether a hash join takes the typed arm: one
+// equi-key, both of whose columns are declared INT, over inputs whose
+// cells are known to hold their declared kinds (holdsKinds).
+func intKeyJoin(j *algebra.Join, lS, rS *schema.Schema, eqL, eqR []int) bool {
+	return len(eqL) == 1 &&
+		lS.Columns[eqL[0]].Kind == types.KindInt && rS.Columns[eqR[0]].Kind == types.KindInt &&
+		holdsKinds(j.Left) && holdsKinds(j.Right)
+}
+
+// holdsKinds reports whether every cell n outputs is NULL or of its
+// column's declared kind. A scan's cells are: the heap checks every
+// stored cell against its column (schema.CheckTuple), and a columnar
+// scan's row views are the heap's tuples. A Values leaf's are when the
+// executor drained it from such a plan (Executor.temp). The operators
+// that only pass cells through — select, prefer, the filtering
+// operators, a projection of columns, a join — hold whatever their
+// inputs hold. Anything else makes cells of its own — a γ's aggregates,
+// a set operation's union of two layouts — and is not known to.
+func holdsKinds(n algebra.Node) bool {
+	switch x := n.(type) {
+	case *algebra.Scan:
+		return true
+	case *algebra.Values:
+		return x.HoldsKinds
+	case *algebra.Select, *algebra.Prefer, *algebra.Project, *algebra.Join,
+		*algebra.TopK, *algebra.Threshold, *algebra.Skyline, *algebra.Rank,
+		*algebra.OrderBy, *algebra.Limit:
+		for _, c := range n.Children() {
+			if !holdsKinds(c) {
+				return false
+			}
+		}
+		return true
+	default:
+		return false
+	}
 }
 
 // buildUnprojected compiles n with the projections at its top left

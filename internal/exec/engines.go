@@ -144,7 +144,7 @@ func (e *Executor) buNode(n algebra.Node) (algebra.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.temp(rel, "R"), nil
+	return e.temp(rel, "R", node), nil
 }
 
 // --- Group Bottom-Up ---
@@ -190,7 +190,7 @@ func (e *Executor) gbu(n algebra.Node) (algebra.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			input = e.temp(childRel, "G")
+			input = e.temp(childRel, "G", child)
 		}
 		node := n.WithChildren([]algebra.Node{input})
 		// Prefer and filtering operators run in the preference engine (the
@@ -200,7 +200,7 @@ func (e *Executor) gbu(n algebra.Node) (algebra.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return e.temp(rel, "G"), nil
+		return e.temp(rel, "G", node), nil
 	default:
 		children := n.Children()
 		newChildren := make([]algebra.Node, len(children))
@@ -303,7 +303,9 @@ func (e *Executor) runFtP(plan algebra.Node) (*prel.PRelation, error) {
 	for _, p := range prefers {
 		// WithChildren (not a fresh literal) keeps the optimizer's cache
 		// annotations on the rebuilt operator.
-		node := p.WithChildren([]algebra.Node{e.temp(cur, "R_NP")})
+		// cur holds R_NP's cells whatever prefers ran: a prefer writes
+		// only ⟨S,C⟩.
+		node := p.WithChildren([]algebra.Node{e.temp(cur, "R_NP", qnp)})
 		cur, err = e.drain(node)
 		if err != nil {
 			return nil, fmt.Errorf("ftp: evaluating %s on R_NP: %w", p.P.Label(), err)

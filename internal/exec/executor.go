@@ -210,10 +210,12 @@ func (e *Executor) drain(n algebra.Node) (*prel.PRelation, error) {
 // record, never the label: a Values the caller built is only ever read.
 // The record holds one relation, the last created: every strategy feeds a
 // prefer the temporary it has just made, and a longer record would keep
-// every consumed temporary alive until the run ends.
-func (e *Executor) temp(rel *prel.PRelation, label string) *algebra.Values {
+// every consumed temporary alive until the run ends. from is the plan rel
+// was drained from: its cells hold their declared kinds when from's do
+// (holdsKinds), since draining copies cells and makes none.
+func (e *Executor) temp(rel *prel.PRelation, label string, from algebra.Node) *algebra.Values {
 	e.own = rel
-	return &algebra.Values{Rel: rel, Label: label}
+	return &algebra.Values{Rel: rel, Label: label, HoldsKinds: holdsKinds(from)}
 }
 
 // inPlace returns the relation n scores in place: n is a chain of prefer

@@ -8,61 +8,72 @@ import (
 )
 
 // pruneColumns implements heuristic 2 (projection pushdown) without
-// adding operators: each join keeps, through its Cols, only the columns
-// of its output that something in the plan reads — a condition, a join
-// predicate, a preference part, a filter or the root projection. Joins
-// run bottom-up, so a join above a pruned one sees its narrowed layout,
-// and the scans stay bare under their selections and preferences, which
-// read the scan's rows where they are. Joins under a set operation are
-// left alone (both inputs must keep identical layouts), and plans without
-// a root projection (SELECT *) are not pruned.
+// adding operators, in one top-down pass: each join keeps, through its
+// Cols, only the columns of its output that the operators above it read —
+// a condition, a join predicate, a preference part, a filter or the root
+// projection — and its inputs must keep those columns and what its own
+// condition reads. A join key is thus dropped after the last join that
+// reads it. The scans stay bare under their selections and preferences,
+// which read the scan's rows where they are. Joins under a set operation
+// are left alone (both inputs must keep identical layouts), and plans
+// without a root projection (SELECT *) are not pruned.
 func (o *Optimizer) pruneColumns(plan algebra.Node) algebra.Node {
 	if rootProjection(plan) == nil {
 		return plan
 	}
-	needed := collectNeededColumns(plan)
 	resolver := &algebra.Resolver{Catalog: o.Cat, Funcs: o.Funcs}
-	var rewrite func(n algebra.Node) algebra.Node
-	rewrite = func(n algebra.Node) algebra.Node {
-		if _, ok := n.(*algebra.Set); ok {
+	var rewrite func(n algebra.Node, above colSet) algebra.Node
+	rewrite = func(n algebra.Node, above colSet) algebra.Node {
+		switch x := n.(type) {
+		case *algebra.Set:
 			return n
-		}
-		n = rewriteChildren(n, rewrite)
-		j, ok := n.(*algebra.Join)
-		if !ok {
-			return n
-		}
-		// A reordered join's Cols are its output; the joins below may
-		// have dropped some of them, but only columns nothing reads.
-		cols := j.Cols
-		if cols == nil {
-			s, err := resolver.Resolve(j)
-			if err != nil {
-				return n
+		case *algebra.Join:
+			j, out := pruneJoin(x, above, resolver)
+			if out == nil {
+				return j // unresolvable: leave the subtree as it is
 			}
-			for _, c := range s.Columns {
-				cols = append(cols, expr.Col{Table: c.Table, Name: c.Name})
+			n, above = j, colSet{}
+			for _, c := range out {
+				above.add(c)
 			}
 		}
-		// Only a base relation's columns can be unreferenced: a column
-		// of another operator's making (a γ's aggregate, a Values leaf)
-		// is never recorded, so it stays.
-		rels := algebra.BaseRelations(j)
-		var kept []expr.Col
-		for _, c := range cols {
-			table := strings.ToLower(c.Table)
-			if !rels[table] || needed[table][strings.ToLower(c.Name)] {
-				kept = append(kept, c)
-			}
-		}
-		if len(kept) == 0 || len(kept) == len(cols) {
-			return n
-		}
-		cp := *j
-		cp.Cols = kept
-		return &cp
+		below := above.with(n)
+		return rewriteChildren(n, func(c algebra.Node) algebra.Node { return rewrite(c, below) })
 	}
-	return rewrite(plan)
+	return rewrite(plan, colSet{})
+}
+
+// pruneJoin returns j with its Cols narrowed to the columns above reads,
+// or j itself when that keeps every column or none, and the columns the
+// returned join outputs (nil when j's layout cannot be resolved). Only a
+// base relation's columns can be unreferenced: a column of another
+// operator's making (a γ's aggregate, a Values leaf) is never recorded,
+// so it stays.
+func pruneJoin(j *algebra.Join, above colSet, resolver *algebra.Resolver) (*algebra.Join, []expr.Col) {
+	// A reordered join's Cols are its output in the unoptimized order.
+	cols := j.Cols
+	if cols == nil {
+		s, err := resolver.Resolve(j)
+		if err != nil {
+			return j, nil
+		}
+		for _, c := range s.Columns {
+			cols = append(cols, expr.Col{Table: c.Table, Name: c.Name})
+		}
+	}
+	rels := algebra.BaseRelations(j)
+	var kept []expr.Col
+	for _, c := range cols {
+		if !rels[strings.ToLower(c.Table)] || above.has(c) {
+			kept = append(kept, c)
+		}
+	}
+	if len(kept) == 0 || len(kept) == len(cols) {
+		return j, cols
+	}
+	cp := *j
+	cp.Cols = kept
+	return &cp, kept
 }
 
 // rootProjection returns the projection the plan's output is read from,
@@ -82,66 +93,65 @@ func rootProjection(plan algebra.Node) *algebra.Project {
 	}
 }
 
-// collectNeededColumns gathers, per table alias, the set of column names
-// referenced anywhere in the plan. A qualified reference names its alias;
-// an unqualified one counts for every relation in scope where it appears
-// (the operator's subtree), of which only those that have the column can
-// keep it. A join's Cols only forward columns, so they consume none.
-func collectNeededColumns(plan algebra.Node) map[string]map[string]bool {
-	needed := map[string]map[string]bool{}
-	add := func(alias, name string) {
-		if needed[alias] == nil {
-			needed[alias] = map[string]bool{}
+// colSet is a set of columns, keyed by lower-cased table alias and name.
+type colSet map[[2]string]bool
+
+func (s colSet) add(c expr.Col) {
+	s[[2]string{strings.ToLower(c.Table), strings.ToLower(c.Name)}] = true
+}
+
+func (s colSet) has(c expr.Col) bool {
+	return s[[2]string{strings.ToLower(c.Table), strings.ToLower(c.Name)}]
+}
+
+// with returns s plus the columns n itself reads, or s when n reads none.
+// A qualified reference names its alias; an unqualified one counts for
+// every relation in n's subtree, of which only those that have the column
+// can keep it. A join's Cols only forward columns, so they read none.
+func (s colSet) with(n algebra.Node) colSet {
+	var reads []expr.Col
+	switch x := n.(type) {
+	case *algebra.Select:
+		reads = expr.ColumnsOf(x.Cond)
+	case *algebra.Join:
+		reads = expr.ColumnsOf(x.Cond)
+	case *algebra.Project:
+		reads = x.Cols
+	case *algebra.Prefer:
+		reads = append(expr.ColumnsOf(x.P.Cond), expr.ColumnsOf(x.P.Score)...)
+	case *algebra.OrderBy:
+		for _, k := range x.Keys {
+			reads = append(reads, k.Col)
 		}
-		needed[alias][name] = true
+	case *algebra.Skyline:
+		for _, d := range x.Dims {
+			reads = append(reads, d.Col)
+		}
+	case *algebra.GroupAgg:
+		reads = append(reads, x.By...)
+		for _, a := range x.Aggs {
+			reads = append(reads, a.Col)
+		}
 	}
-	var scope algebra.Node
-	record := func(c expr.Col) {
-		name := strings.ToLower(c.Name)
+	if len(reads) == 0 {
+		return s
+	}
+	out := make(colSet, len(s)+len(reads))
+	for c := range s {
+		out[c] = true
+	}
+	var scope map[string]bool
+	for _, c := range reads {
 		if c.Table != "" {
-			add(strings.ToLower(c.Table), name)
-			return
+			out.add(c)
+			continue
 		}
-		for a := range algebra.BaseRelations(scope) {
-			add(a, name)
+		if scope == nil {
+			scope = algebra.BaseRelations(n)
 		}
-	}
-	recordExpr := func(n expr.Node) {
-		for _, c := range expr.ColumnsOf(n) {
-			record(c)
+		for a := range scope {
+			out.add(expr.Col{Table: a, Name: c.Name})
 		}
 	}
-	algebra.Walk(plan, func(n algebra.Node) bool {
-		scope = n
-		switch x := n.(type) {
-		case *algebra.Select:
-			recordExpr(x.Cond)
-		case *algebra.Join:
-			recordExpr(x.Cond)
-		case *algebra.Project:
-			for _, c := range x.Cols {
-				record(c)
-			}
-		case *algebra.Prefer:
-			recordExpr(x.P.Cond)
-			recordExpr(x.P.Score)
-		case *algebra.OrderBy:
-			for _, k := range x.Keys {
-				record(k.Col)
-			}
-		case *algebra.Skyline:
-			for _, d := range x.Dims {
-				record(d.Col)
-			}
-		case *algebra.GroupAgg:
-			for _, c := range x.By {
-				record(c)
-			}
-			for _, a := range x.Aggs {
-				record(a.Col)
-			}
-		}
-		return true
-	})
-	return needed
+	return out
 }

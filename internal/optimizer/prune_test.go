@@ -83,10 +83,10 @@ func mustAgree(t *testing.T, cat *catalog.Catalog, plan, opt algebra.Node) {
 
 // TestPruneUnderReorderedJoins pins projection pushdown on reordered
 // join trees: no projection is added, every join keeps through its Cols
-// only the columns something above reads (an unqualified reference counts
-// only for the relations in its operator's scope), the top join lists
-// them in the unoptimized column order, and joins under a set operation
-// keep their full layout.
+// only the columns the operators above it read (an unqualified reference
+// counts only for the relations in its operator's scope), the top join
+// lists them in the unoptimized column order, and joins under a set
+// operation keep their full layout.
 func TestPruneUnderReorderedJoins(t *testing.T) {
 	imdb := imdbDB(t)
 	dblp := dblpDB(t)
@@ -98,10 +98,10 @@ func TestPruneUnderReorderedJoins(t *testing.T) {
 		dropped []string // columns no join may output
 	}{
 		{"IMDB-3", imdb, imdb3SQL,
-			"movies.m_id, movies.title, movies.year, cast.m_id, cast.a_id, actors.a_id, actors.actor, genres.m_id, genres.genre",
+			"movies.title, movies.year, actors.actor, genres.genre",
 			[]string{"cast.role", "movies.duration", "movies.d_id"}},
 		{"DBLP-3", dblp, dblp3SQL,
-			"publications.p_id, publications.title, citations.p2_id, conferences.p_id, conferences.name, conferences.year",
+			"publications.title, conferences.name, conferences.year",
 			[]string{"publications.pub_type", "citations.p1_id", "conferences.location"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -149,7 +149,7 @@ func TestPruneUnderReorderedJoins(t *testing.T) {
 			}
 			return true
 		})
-		if got := joinOutputs(t, cat, opt)[0]; got != "movies.m_id, movies.title, movies.d_id, directors.d_id, genres.m_id" {
+		if got := joinOutputs(t, cat, opt)[0]; got != "movies.title" {
 			t.Errorf("join over the set operation outputs %s:\n%s", got, f)
 		}
 		mustAgree(t, cat, plan, opt)
@@ -157,7 +157,8 @@ func TestPruneUnderReorderedJoins(t *testing.T) {
 
 	t.Run("scoped-unqualified", func(t *testing.T) {
 		// a and b both have tag; the unqualified tag is read only where a
-		// alone is in scope, so b's tag is referenced nowhere.
+		// alone is in scope, below the join, so the join keeps neither
+		// tag (nor the keys only its own condition reads).
 		cat := catalog.New()
 		for name, cols := range map[string][]string{"a": {"id", "x", "tag"}, "b": {"id", "tag", "y"}} {
 			var sc []schema.Column
@@ -180,8 +181,8 @@ func TestPruneUnderReorderedJoins(t *testing.T) {
 				&algebra.Scan{Table: "b"}, "a.id", "b.id"),
 		}
 		opt := New(cat).Optimize(plan)
-		if got := joinOutputs(t, cat, opt)[0]; got != "a.id, a.x, a.tag, b.id, b.y" {
-			t.Errorf("join outputs %s, want a.id, a.x, a.tag, b.id, b.y:\n%s", got, algebra.Format(opt))
+		if got := joinOutputs(t, cat, opt)[0]; got != "a.x, b.y" {
+			t.Errorf("join outputs %s, want a.x, b.y:\n%s", got, algebra.Format(opt))
 		}
 		mustAgree(t, cat, plan, opt)
 	})
@@ -285,5 +286,66 @@ func TestBuildSideFollowsEstimates(t *testing.T) {
 	}
 	if j := joins(New(small).Optimize(smaller))[0]; !j.BuildRight {
 		t.Errorf("columnar right input after DML: BuildRight = false, want true\n%s", algebra.Format(j))
+	}
+}
+
+// TestJoinColsPerOperator pins every join's output columns on Table II's
+// IMDB-3 and DBLP-3 at scale 0.1, preorder: each join outputs only what
+// the operators above it read, so a join key is dropped after the last
+// join that reads it. The optimized plans must still agree with the
+// unoptimized ones, and the ablation must leave every join whole.
+func TestJoinColsPerOperator(t *testing.T) {
+	imdb, dblp := catalog.New(), catalog.New()
+	if _, err := datagen.LoadIMDB(imdb, datagen.Config{Scale: 0.1, Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := datagen.LoadDBLP(dblp, datagen.Config{Scale: 0.1, Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cat  *catalog.Catalog
+		sql  string
+		want []string
+	}{
+		{"IMDB-3", imdb, imdb3SQL, []string{
+			"movies.title, movies.year, actors.actor, genres.genre",
+			"genres.genre, movies.title, movies.year, cast.a_id",
+			"genres.genre, movies.m_id, movies.title, movies.year",
+		}},
+		{"DBLP-3", dblp, dblp3SQL, []string{
+			"publications.title, conferences.name, conferences.year",
+			"conferences.name, conferences.year, publications.p_id, publications.title",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := planSQL(t, tc.cat, tc.sql)
+			opt := New(tc.cat).Optimize(plan)
+			if got := joinOutputs(t, tc.cat, opt); strings.Join(got, " | ") != strings.Join(tc.want, " | ") {
+				t.Errorf("join outputs\n%q\nwant\n%q\n%s", got, tc.want, algebra.Format(opt))
+			}
+			mustAgree(t, tc.cat, plan, opt)
+			// Without pruning, every join outputs every column of its
+			// relations.
+			o := New(tc.cat)
+			o.DisableProjectionPushdown = true
+			ablated := o.Optimize(plan)
+			algebra.Walk(ablated, func(n algebra.Node) bool {
+				if j, ok := n.(*algebra.Join); ok {
+					width := 0
+					for rel := range algebra.BaseRelations(j) {
+						tbl, err := tc.cat.Table(rel)
+						if err != nil {
+							t.Fatal(err)
+						}
+						width += tbl.Schema().Len()
+					}
+					if got := strings.Count(joinOutputs(t, tc.cat, j)[0], ",") + 1; got != width {
+						t.Errorf("ablated plan's join outputs %d of %d columns:\n%s", got, width, algebra.Format(ablated))
+					}
+				}
+				return true
+			})
+		})
 	}
 }
