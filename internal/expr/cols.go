@@ -3,9 +3,10 @@
 //
 // Every kernel mirrors the scalar evaluator bit-for-bit — the same
 // three-valued comparison semantics as compareFilter (NULL or
-// incomparable kinds reject; numerics compare int-wise only when both
-// sides are INT, float-wise otherwise; NaN compares equal, matching
-// types.Compare's fallthrough) and the same float arithmetic as
+// incomparable kinds reject; numerics compare int-wise when both sides
+// are INT, exactly through types.CmpIntFloat when one is, float-wise
+// otherwise; NaN compares equal, as in types.Compare) and the same float
+// arithmetic as
 // arithApply. Each kernel picks the vector it reads once, at compile
 // time, from the column's declared kind: the heap admits only NULL or
 // that kind, so a columnar batch always carries that vector
@@ -199,8 +200,7 @@ func (c *compiler) colLitKernel(col Col, lit Lit, op Op, flip bool) colFilter {
 				return out
 			}
 		case kind == types.KindInt:
-			// INT column vs FLOAT literal: mixed numerics compare
-			// float-wise, exactly types.Compare.
+			// INT column vs FLOAT literal: exact, as types.Compare.
 			return func(cols []types.ColVec, sel []int32, _ *dictCache) []int32 {
 				vec, nulls := cols[idx].Ints, cols[idx].Nulls
 				out := sel[:0]
@@ -208,14 +208,23 @@ func (c *compiler) colLitKernel(col Col, lit Lit, op Op, flip bool) colFilter {
 					if nulls != nil && nulls[i] {
 						continue
 					}
-					cmp := 0
-					switch a := float64(vec[i]); {
-					case a < rf:
-						cmp = -1
-					case a > rf:
-						cmp = 1
+					if m.ok(types.CmpIntFloat(vec[i], rf)) {
+						out = append(out, i)
 					}
-					if m.ok(cmp) {
+				}
+				return out
+			}
+		case kind == types.KindFloat && v.Kind() == types.KindInt:
+			// FLOAT column vs INT literal: exact, as types.Compare.
+			ri := v.AsInt()
+			return func(cols []types.ColVec, sel []int32, _ *dictCache) []int32 {
+				vec, nulls := cols[idx].Floats, cols[idx].Nulls
+				out := sel[:0]
+				for _, i := range sel {
+					if nulls != nil && nulls[i] {
+						continue
+					}
+					if m.ok(-types.CmpIntFloat(ri, vec[i])) {
 						out = append(out, i)
 					}
 				}

@@ -369,8 +369,9 @@ func (c *compiler) compileBin(x Bin) (*Compiled, error) {
 // comparison (either orientation), or returns nil when the operands don't
 // match that shape. The kernel mirrors the scalar evaluator exactly: a NULL
 // operand or incomparable kinds reject the tuple (three-valued logic only
-// accepts TRUE), numerics compare int-wise when both sides are INT and
-// float-wise otherwise, strings and bools compare within their own kind.
+// accepts TRUE), numerics compare int-wise when both sides are INT,
+// exactly (types.CmpIntFloat) when one is, and float-wise otherwise;
+// strings and bools compare within their own kind.
 func (c *compiler) compareFilter(x Bin) func(tuples [][]types.Value, sel []int32) []int32 {
 	col, okC := x.L.(Col)
 	lit, okL := x.R.(Lit)
@@ -426,15 +427,19 @@ func (c *compiler) compareFilter(x Bin) func(tuples [][]types.Value, sel []int32
 			for _, i := range sel {
 				lv := tuples[i][idx]
 				cmp := 0
-				switch {
-				case lv.Kind() == types.KindInt && litInt:
+				switch lk := lv.Kind(); {
+				case lk == types.KindInt && litInt:
 					switch a := lv.AsInt(); {
 					case a < ri:
 						cmp = -1
 					case a > ri:
 						cmp = 1
 					}
-				case lv.IsNumeric():
+				case lk == types.KindInt: // exact, as types.Compare
+					cmp = types.CmpIntFloat(lv.AsInt(), rf)
+				case lk == types.KindFloat && litInt:
+					cmp = -types.CmpIntFloat(ri, lv.AsFloat())
+				case lk == types.KindFloat:
 					switch a := lv.AsFloat(); {
 					case a < rf:
 						cmp = -1

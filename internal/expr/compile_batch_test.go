@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -92,5 +94,72 @@ func TestTruthyBatchCompactsInPlace(t *testing.T) {
 	}
 	if &got[0] != &sel[0] {
 		t.Fatal("TruthyBatch did not compact into the input selection vector")
+	}
+}
+
+// TestMixedNumericLiteralExact pins that every condition path compares an
+// INT against a FLOAT exactly, as types.Compare does: the scalar Truthy,
+// the tuple kernel (TruthyBatch) and the direct-column kernel
+// (TruthyBatchCols) agree with each other and with types.Compare on
+// values a float64 rounds, such as the INT 2^53+1 against the FLOAT 2^53.
+func TestMixedNumericLiteralExact(t *testing.T) {
+	const p53 = 1 << 53
+	ints := []int64{p53 - 1, p53, p53 + 1, -(p53 + 1), math.MaxInt64, math.MinInt64, 0}
+	floats := []float64{p53, p53 + 2, 0x1p63, -0x1p63, math.Copysign(0, -1), math.NaN(), 0.5}
+	n := len(ints) + 1 // the last row holds NULLs
+	tuples := make([][]types.Value, n)
+	intVec, floatVec, nulls := make([]int64, n), make([]float64, n), make([]bool, n)
+	for i := range tuples {
+		tuples[i] = row(int64(i), "x", 0, 0, true)
+		if i == n-1 {
+			tuples[i][2], tuples[i][3] = types.Null(), types.Null()
+			nulls[i] = true
+			continue
+		}
+		tuples[i][2], tuples[i][3] = types.Int(ints[i]), types.Float(floats[i])
+		intVec[i], floatVec[i] = ints[i], floats[i]
+	}
+	cols := []types.ColVec{2: {Ints: intVec, Nulls: nulls}, 3: {Floats: floatVec, Nulls: nulls}}
+	ops := []Op{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
+	lits := []types.Value{types.Float(p53), types.Float(0x1p63), types.Float(-0x1p63), types.Float(-0.5), types.Int(p53 + 1), types.Int(math.MinInt64)}
+	for _, colName := range []string{"year", "rating"} {
+		for _, lit := range lits {
+			for _, op := range ops {
+				for _, flip := range []bool{false, true} {
+					cond := Cmp(colName, op, lit)
+					if flip {
+						cond = Bin{Op: op, L: Lit{Val: lit}, R: ColRef(colName)}
+					}
+					c, err := CompileCondition(cond, testSchema(), NewRegistry())
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want []int32
+					sel := make([]int32, len(tuples))
+					for i := range tuples {
+						sel[i] = int32(i)
+						if c.Truthy(tuples[i]) {
+							want = append(want, int32(i))
+						}
+					}
+					got := c.TruthyBatch(tuples, append([]int32(nil), sel...))
+					gotC, _ := c.TruthyBatchCols(cols, tuples, append([]int32(nil), sel...), &ColScratch{})
+					if !c.CanFilterCols() {
+						t.Fatalf("%s: no direct-column kernel", cond)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(gotC) != fmt.Sprint(want) {
+						t.Errorf("%s: Truthy keeps %v, TruthyBatch %v, TruthyBatchCols %v", cond, want, got, gotC)
+					}
+				}
+			}
+		}
+	}
+	// The case that motivated the exact order, against types.Compare.
+	c, err := CompileCondition(Cmp("year", OpGt, types.Float(p53)), testSchema(), NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp, _ := types.Compare(types.Int(p53+1), types.Float(p53)); cmp != 1 || !c.Truthy(row(0, "x", p53+1, 0, true)) {
+		t.Error("INT 2^53+1 is not greater than FLOAT 2^53")
 	}
 }

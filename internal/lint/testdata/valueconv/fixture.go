@@ -42,6 +42,22 @@ type pairKey struct {
 
 var badTupleKey map[pairKey]bool // want `map keyed by types.Value`
 
+// badPairEqual compares structs holding Values: Str("a") built twice can
+// differ by string-data address, and Int(1) never equals Float(1).
+func badPairEqual(a, b pairKey) bool {
+	return a == b // want `types.Value compared with ==`
+}
+
+// goodNilCheck tests a pointer's presence, which is not struct equality.
+func goodNilCheck(p *types.Value) bool {
+	return p != nil
+}
+
+// badArrayNotEqual hides the Values in array elements.
+func badArrayNotEqual(a, b [2]types.Value) bool {
+	return a != b // want `types.Value compared with !=`
+}
+
 // goodFunc pairs the batch kernel with its authoritative scalar path.
 var goodFunc = expr.Func{
 	Name:    "halve",

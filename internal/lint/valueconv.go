@@ -9,10 +9,12 @@ import (
 // ValueConv enforces the value-comparison conventions of the hashing and
 // scoring hot paths (DESIGN.md §11):
 //
-//   - types.Value operands must not be compared with == or != — Value
-//     holds a float64 payload, so struct equality diverges from SQL
-//     equality (ints vs integral floats, NaN); use Value.Equal or
-//     types.TupleEqual.
+//   - no operand whose type contains types.Value (the Value itself, a
+//     struct field, an array element) may be compared with == or != —
+//     struct equality compares a TEXT value's string-data address, not
+//     its bytes, and the raw payload words of numerics (an INT never
+//     equals an integral FLOAT, NaN's bits equal themselves); use
+//     Value.Equal or types.TupleEqual.
 //   - map keys must not contain types.Value for the same reason (and
 //     because hashing the struct bypasses the numeric normalization of
 //     Value.Hash); key by Value.Hash/HashTuple with a TupleEqual confirm,
@@ -40,15 +42,15 @@ func runValueConv(pass *Pass) error {
 			if x.Op != token.EQL && x.Op != token.NEQ {
 				return
 			}
-			ln, lp := NamedType(pass.TypesInfo, x.X)
-			rn, rp := NamedType(pass.TypesInfo, x.Y)
-			if ln == "Value" && lp == "types" && rn == "Value" && rp == "types" {
-				if _, ok := pass.Marker(x.Pos(), "valueconv-ok"); ok {
-					return
-				}
-				pass.Reportf(x.Pos(),
-					"types.Value compared with %s; use Value.Equal/types.TupleEqual (struct equality breaks on numeric kinds)", x.Op)
+			if isNil(pass, x.X) || isNil(pass, x.Y) ||
+				!operandHasValue(pass, x.X) && !operandHasValue(pass, x.Y) {
+				return
 			}
+			if _, ok := pass.Marker(x.Pos(), "valueconv-ok"); ok {
+				return
+			}
+			pass.Reportf(x.Pos(),
+				"types.Value compared with %s; use Value.Equal/types.TupleEqual (struct equality compares string addresses and numeric kinds)", x.Op)
 		case *ast.MapType:
 			tv, ok := pass.TypesInfo.Types[x.Key]
 			if !ok || !containsValueType(tv.Type, 0) {
@@ -88,8 +90,22 @@ func runValueConv(pass *Pass) error {
 	return nil
 }
 
+// operandHasValue reports whether the operand's static type contains
+// types.Value.
+func operandHasValue(pass *Pass, e ast.Expr) bool {
+	tv, ok := pass.TypesInfo.Types[e]
+	return ok && tv.Type != nil && containsValueType(tv.Type, 0)
+}
+
+// isNil reports whether e is the untyped nil: a *types.Value compared
+// with nil is a presence test, not struct equality.
+func isNil(pass *Pass, e ast.Expr) bool {
+	tv, ok := pass.TypesInfo.Types[e]
+	return ok && tv.IsNil()
+}
+
 // containsValueType reports whether t contains types.Value anywhere a map
-// key could reach it (direct, array element, struct field).
+// key or a == could reach it (direct, array element, struct field).
 func containsValueType(t types.Type, depth int) bool {
 	if depth > 8 {
 		return false
